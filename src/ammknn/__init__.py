@@ -13,25 +13,21 @@ from .evaluation import (
     Metrics,
     TierBoundaries,
     accuracy_3x3,
-    classify_binary,
     classify_tier,
     confusion_2x2,
     confusion_3x3,
     loocv,
     metrics_from_cm,
-    sweep_sensitivity_monotone_check,
     threshold_sweep,
 )
 from .frame import (
     AggregationSpec,
-    CohortSummary,
     Frame,
     aggregate_means,
     drop_incomplete,
     drop_missing_target,
     filter_by_cutoff,
     load_csv,
-    summarize_cohorts,
     write_csv,
 )
 from .knn import (
@@ -40,9 +36,6 @@ from .knn import (
     ammknn_predict_batch,
     ammknn_predict_one,
     cumulative_means,
-    euclidean_distance,
-    knn_regress,
-    rank_neighbors,
 )
 from .preprocess import (
     SelectionResult,
@@ -58,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationSpec",
     "AmmknnConfig",
-    "CohortSummary",
     "ConfusionMatrix2",
     "ConfusionMatrix3",
     "Frame",
@@ -75,7 +67,6 @@ __all__ = [
     "ammknn_predict_batch",
     "ammknn_predict_one",
     "assign_cohort_years",
-    "classify_binary",
     "classify_tier",
     "config_from_json_dict",
     "confusion_2x2",
@@ -83,21 +74,16 @@ __all__ = [
     "cumulative_means",
     "drop_incomplete",
     "drop_missing_target",
-    "euclidean_distance",
     "filter_by_cutoff",
     "generate_cohort",
-    "knn_regress",
     "load_config",
     "load_csv",
     "loocv",
     "metrics_from_cm",
     "pearson_correlation",
-    "rank_neighbors",
     "select_by_correlation",
     "split_cohorts",
     "standardize_joint",
-    "summarize_cohorts",
-    "sweep_sensitivity_monotone_check",
     "threshold_sweep",
     "write_csv",
 ]

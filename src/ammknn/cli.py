@@ -87,8 +87,7 @@ def _cmd_loocv(args) -> int:
     config = load_config(args.config)
     reports = pipeline.run_loocv(config, args.train, args.out)
     if args.format == "json":
-        print(json.dumps(reports["ammknn"], indent=2))
-        print(json.dumps(reports["knn"], indent=2))
+        print(json.dumps(reports, indent=2))
     else:
         print(report.format_metrics_table(reports["ammknn"]))
         print(report.format_metrics_table(reports["knn"]))
@@ -143,7 +142,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

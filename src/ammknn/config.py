@@ -76,9 +76,9 @@ class PipelineConfig:
                 "outlier_cutoff": self.ammknn.outlier_cutoff,
             },
             "pass_at": self.pass_at,
-            "tiers_actual": _bounds_dict(self.tiers_actual),
-            "tiers_predicted": _bounds_dict(self.tiers_predicted),
-            "tiers_predicted_validation": _bounds_dict(self.tiers_predicted_validation),
+            "tiers_actual": self.tiers_actual.to_json_dict(),
+            "tiers_predicted": self.tiers_predicted.to_json_dict(),
+            "tiers_predicted_validation": self.tiers_predicted_validation.to_json_dict(),
             "sweep_cutoffs": list(self.sweep_cutoffs),
             "seed": self.seed,
         }
@@ -88,10 +88,6 @@ class PipelineConfig:
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-
-def _bounds_dict(b: TierBoundaries) -> dict:
-    return {"fail_below": b.fail_below, "at_risk_upper": b.at_risk_upper}
 
 
 def _bounds_from(data, default: TierBoundaries) -> TierBoundaries:

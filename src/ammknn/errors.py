@@ -96,10 +96,6 @@ class EmptyMatrix(DataError):
     pass
 
 
-class UnsortedCutoffs(DataError):
-    pass
-
-
 class MalformedReport(DataError):
     pass
 

@@ -1,6 +1,12 @@
 """Leave-one-out cross-validation, risk tiers, confusion matrices,
 metrics, and the prediction-cutoff sweep.
 
+Leave-one-out goes through the same ranking engine as every other step
+(``knn._rank``): each row is ranked once against all the others, and the
+adaptive and the fixed-k predictions are both read from that one
+ranking. No Frame is rebuilt per fold and no pairwise distance table is
+kept, since an n x n table of floats would cost O(n^2) memory.
+
 Evaluation convention: a *positive* outcome is an actual failing score,
 so sensitivity measures how well failing subjects are detected. Binary
 classification passes a score at or above the pass mark. The three risk
@@ -13,19 +19,19 @@ than a half-open interval cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    AmmknnError,
     DataError,
     EmptyInput,
     EmptyMatrix,
     EmptyTrainingSet,
     InvalidSpec,
+    KTooLarge,
     LengthMismatch,
-    UnsortedCutoffs,
 )
 from .frame import Frame
+from .knn import AmmknnConfig, _rank, _record, _training_arrays, cumulative_means
 from .preprocess import pearson_correlation
 
 TIER_FAIL = "fail"
@@ -50,6 +56,9 @@ class TierBoundaries:
         for v in (self.fail_below, self.at_risk_upper):
             if not SCORE_MIN <= v <= SCORE_MAX:
                 raise InvalidSpec(f"tier boundary {v} outside score range")
+
+    def to_json_dict(self) -> dict:
+        return {"fail_below": self.fail_below, "at_risk_upper": self.at_risk_upper}
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,6 @@ class Metrics:
     specificity: Optional[float]
 
 
-def classify_binary(score: float, pass_at: float) -> str:
-    """'pass' when the score is at or above the pass mark, else 'fail'."""
-    return "pass" if score >= pass_at else "fail"
-
-
 def classify_tier(score: float, bounds: TierBoundaries) -> str:
     if score < bounds.fail_below:
         return TIER_FAIL
@@ -107,13 +111,10 @@ def classify_tier(score: float, bounds: TierBoundaries) -> str:
     return TIER_PASS
 
 
-def confusion_2x2(actual: Sequence[float], predicted: Sequence[float], pass_at: float) -> ConfusionMatrix2:
-    if len(actual) != len(predicted):
-        raise LengthMismatch(f"lengths differ: {len(actual)} vs {len(predicted)}")
+def _tally_2x2(outcomes) -> ConfusionMatrix2:
+    """Count (actual_fail, predicted_fail) pairs into a 2x2 matrix."""
     tp = fp = tn = fn = 0
-    for a, p in zip(actual, predicted):
-        actual_fail = a < pass_at
-        predicted_fail = p < pass_at
+    for actual_fail, predicted_fail in outcomes:
         if actual_fail and predicted_fail:
             tp += 1
         elif actual_fail:
@@ -123,6 +124,12 @@ def confusion_2x2(actual: Sequence[float], predicted: Sequence[float], pass_at: 
         else:
             tn += 1
     return ConfusionMatrix2(tp, fp, tn, fn)
+
+
+def confusion_2x2(actual: Sequence[float], predicted: Sequence[float], pass_at: float) -> ConfusionMatrix2:
+    if len(actual) != len(predicted):
+        raise LengthMismatch(f"lengths differ: {len(actual)} vs {len(predicted)}")
+    return _tally_2x2((a < pass_at, p < pass_at) for a, p in zip(actual, predicted))
 
 
 def confusion_3x3(
@@ -189,53 +196,41 @@ def threshold_sweep(
         raise EmptyInput("cutoffs list is empty")
     points = []
     for c in cutoffs:
-        tp = fp = tn = fn = 0
-        for a, p in zip(actual, predicted):
-            actual_fail = a < pass_at
-            predicted_fail = not (p > c)
-            if actual_fail and predicted_fail:
-                tp += 1
-            elif actual_fail:
-                fn += 1
-            elif predicted_fail:
-                fp += 1
-            else:
-                tn += 1
-        cm = ConfusionMatrix2(tp, fp, tn, fn)
+        cm = _tally_2x2((a < pass_at, not (p > c)) for a, p in zip(actual, predicted))
         points.append(SweepPoint(c, cm, metrics_from_cm(cm)))
     return points
 
 
-def sweep_sensitivity_monotone_check(points: Sequence[SweepPoint]) -> bool:
-    """True when true-positive counts never decrease along ascending cutoffs."""
-    cutoffs = [p.cutoff for p in points]
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise UnsortedCutoffs(f"cutoffs not strictly ascending: {cutoffs}")
-    tps = [p.matrix.tp for p in points]
-    return all(b >= a for a, b in zip(tps, tps[1:]))
+def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, list]:
+    """Leave-one-out predictions of the adaptive model and of fixed-k KNN.
 
-
-def loocv(frame: Frame, model: Callable[[Frame, Frame], float]) -> List[float]:
-    """One prediction per row, each made with that row held out of training.
-
-    ``model(training, subject)`` receives the remaining rows as a Frame and
-    the held-out row as a single-row Frame (target included, but a model
-    must only read its features). Folds are independent and run serially
-    here; a parallel schedule would produce the same output since models
-    are required to be pure.
+    Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
+    each made with that row held out of training. Every row is ranked
+    once against all the others, ``max(max_k, knn_k)`` deep: the adaptive
+    record reads the first ``max_k`` neighbors and the fixed-k prediction
+    is the running mean at ``knn_k`` of the same ranking. Holding a row
+    out keeps the others' relative order, so the results equal a fold by
+    fold re-fit bit for bit.
     """
     if frame.n_rows < 2:
         raise EmptyTrainingSet("leave-one-out needs at least 2 rows")
-    frame.target_values()
-    predictions = []
-    for i in range(frame.n_rows):
-        training = frame.subset_rows([j for j in range(frame.n_rows) if j != i])
-        subject = frame.single_row(i)
-        try:
-            predictions.append(float(model(training, subject)))
-        except AmmknnError as exc:
-            raise type(exc)(f"fold {i}: {exc}") from exc
-    return predictions
+    if config.outlier_feature is None:
+        raise InvalidSpec("outlier_feature is not set; resolve a default first")
+    if knn_k < 1:
+        raise InvalidSpec(f"knn_k must be >= 1, got {knn_k}")
+    if knn_k > frame.n_rows - 1:
+        raise KTooLarge(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
+    matrix, target = _training_arrays(frame)
+    outlier_values = frame.column(config.outlier_feature)
+    limit = max(config.max_k, knn_k)
+    adaptive, triggered, fixed_k = [], [], []
+    for i, row in enumerate(matrix):
+        ranked = _rank(matrix, row, limit, skip=i)
+        record = _record(ranked, target, outlier_values[i], config)
+        adaptive.append(record.prediction)
+        triggered.append(record.outlier_triggered)
+        fixed_k.append(cumulative_means([target[j] for _, j in ranked[:knn_k]])[-1])
+    return adaptive, triggered, fixed_k
 
 
 def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[float]) -> Optional[float]:

@@ -13,7 +13,6 @@ and treated as opaque keys (no sanitization).
 from __future__ import annotations
 
 import csv
-import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,9 +120,6 @@ class Frame:
             self.id_name,
         )
 
-    def single_row(self, i: int) -> "Frame":
-        return self.subset_rows([i])
-
     def select_columns(self, names: Sequence[str]) -> "Frame":
         idx = [self.column_index(n) for n in names]
         target = self.target_name if self.target_name in names else None
@@ -172,18 +168,6 @@ class AggregationSpec:
         object.__setattr__(self, "member_columns", tuple(self.member_columns))
         if not self.member_columns:
             raise InvalidSpec(f"aggregation {self.group_name!r} has no member columns")
-
-
-@dataclass(frozen=True)
-class CohortSummary:
-    """Per-cohort target statistics. mean/sd are None when no targets exist."""
-
-    cohort_key: float
-    count: int
-    mean_target: Optional[float]
-    sd_target: Optional[float]
-    pass_count: int
-    fail_count: int
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +278,7 @@ def drop_incomplete(frame: Frame):
 
 
 # --------------------------------------------------------------------------
-# Aggregation and summaries
+# Aggregation
 # --------------------------------------------------------------------------
 
 def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members: bool = False) -> Frame:
@@ -331,37 +315,3 @@ def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members
         members = {m for spec in specs for m in spec.member_columns}
         result = result.drop_columns([n for n in result.column_names if n in members])
     return result
-
-
-def summarize_cohorts(frame: Frame, cohort_column: str, pass_threshold: float) -> list:
-    """One CohortSummary per distinct cohort value, ordered ascending.
-
-    Rows with a missing cohort cell are skipped. Statistics cover the
-    non-missing targets only; a subject passes when its target is at or
-    above ``pass_threshold``.
-    """
-    cohorts = frame.column(cohort_column)
-    target = frame.target_values()
-    groups: dict = {}
-    for c, t in zip(cohorts, target):
-        if c is None:
-            continue
-        groups.setdefault(c, []).append(t)
-    summaries = []
-    for key in sorted(groups):
-        values = groups[key]
-        present = [v for v in values if v is not None]
-        mean = statistics.mean(present) if present else None
-        sd = statistics.stdev(present) if len(present) >= 2 else None
-        passed = sum(1 for v in present if v >= pass_threshold)
-        summaries.append(
-            CohortSummary(
-                cohort_key=key,
-                count=len(values),
-                mean_target=mean,
-                sd_target=sd,
-                pass_count=passed,
-                fail_count=len(present) - passed,
-            )
-        )
-    return summaries

@@ -1,5 +1,4 @@
-"""Neighbor search, fixed-k KNN regression, and the adaptive
-minimum-match KNN predictor.
+"""Neighbor ranking and the adaptive minimum-match KNN predictor.
 
 The adaptive predictor works per subject:
 
@@ -22,6 +21,15 @@ Deliberately picking the lowest running mean biases predictions downward,
 which is the point: the cost of missing a subject who goes on to fail far
 exceeds the cost of flagging one who would have passed.
 
+Every step ranks through one engine, ``_rank``: predict and validate
+(``ammknn_predict_batch``), the single-subject form, and leave-one-out
+(``evaluation.loocv``, which ranks each row once against the others and
+reads both the adaptive and the fixed-k model from that one ranking).
+The training matrix is extracted and checked once per call, not once per
+subject. There is no cache of pairwise distances: an n x n table of
+Python floats costs about 20 MB at n = 724, so distances are computed
+row by row and memory stays O(n).
+
 Implementation notes for exact reproducibility: rankings are ordered by
 the left-to-right accumulated *squared* distance (same ordering as the
 Euclidean distance, no square root in the comparison key), and running
@@ -43,8 +51,6 @@ from .errors import (
     EmptyInput,
     EmptyTrainingSet,
     InvalidSpec,
-    KTooLarge,
-    LengthMismatch,
     MissingCell,
     UnknownColumn,
 )
@@ -107,13 +113,6 @@ def _squared_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """L2 norm of a - b."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return math.sqrt(_squared_distance(a, b))
-
-
 def _checked_vector(vec: Sequence[float], width: int) -> tuple:
     if len(vec) != width:
         raise DimensionMismatch(f"subject has {len(vec)} features, training has {width}")
@@ -123,21 +122,34 @@ def _checked_vector(vec: Sequence[float], width: int) -> tuple:
     return cells
 
 
-def rank_neighbors(subject: Sequence[float], training_features: Frame, limit: int) -> NeighborRanking:
-    """The min(limit, n) nearest training rows, sorted by distance then row index."""
-    if limit < 1:
-        raise InvalidSpec(f"limit must be >= 1, got {limit}")
-    if training_features.n_rows == 0:
+def _training_arrays(training: Frame) -> Tuple[list, tuple]:
+    """The training feature matrix and targets, extracted and checked once."""
+    if training.n_rows == 0:
         raise EmptyTrainingSet("no training rows")
-    matrix = training_features.feature_matrix()
-    subject = _checked_vector(subject, len(matrix[0]))
-    keyed = []
+    matrix = training.feature_matrix()
     for i, row in enumerate(matrix):
         if any(v is None for v in row):
             raise MissingCell(f"training row {i} has missing feature cells")
-        keyed.append((_squared_distance(subject, row), i))
+    target = training.target_values()
+    if any(t is None for t in target):
+        raise MissingCell("training target has missing cells")
+    return matrix, target
+
+
+def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[int] = None) -> list:
+    """The ``limit`` nearest ``(squared_distance, row)`` pairs of a checked
+    matrix, ordered by distance then row index, leaving out row ``skip``.
+
+    This is the package's only ranking. Distances are computed row by row
+    and only one subject's are held at a time, so memory stays O(n).
+    """
+    keyed = [
+        (_squared_distance(subject, row), j)
+        for j, row in enumerate(matrix)
+        if j != skip
+    ]
     keyed.sort()
-    return tuple((i, math.sqrt(sq)) for sq, i in keyed[: min(limit, len(keyed))])
+    return keyed[:limit]
 
 
 def cumulative_means(values: Sequence[float]) -> list:
@@ -152,18 +164,30 @@ def cumulative_means(values: Sequence[float]) -> list:
     return out
 
 
-def knn_regress(subject: Sequence[float], training: Frame, k: int) -> float:
-    """Mean target of the k nearest training rows."""
-    if training.n_rows == 0:
-        raise EmptyTrainingSet("no training rows")
-    if k > training.n_rows:
-        raise KTooLarge(f"k={k} exceeds {training.n_rows} training rows")
-    ranking = rank_neighbors(subject, training, k)
-    target = training.target_values()
-    total = 0.0
-    for i, _ in ranking:
-        total += target[i]
-    return total / k
+def _record(
+    ranked: list,
+    target: Sequence[float],
+    outlier_value: float,
+    config: AmmknnConfig,
+    subject_id: Optional[str] = None,
+) -> PredictionRecord:
+    """The adaptive prediction read from the first ``max_k`` pairs of a ranking."""
+    nearest = ranked[: config.max_k]
+    neighbor_targets = [target[j] for _, j in nearest]
+    means = cumulative_means(neighbor_targets)
+    min_of_means = min(means)
+    min_match = min(neighbor_targets)
+    triggered = outlier_value < config.outlier_cutoff
+    return PredictionRecord(
+        subject_id=subject_id,
+        neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in nearest),
+        cumulative_means=tuple(means),
+        min_of_means=min_of_means,
+        min_match=min_match,
+        outlier_value=outlier_value,
+        outlier_triggered=triggered,
+        prediction=min_match if triggered else min_of_means,
+    )
 
 
 def ammknn_predict_one(
@@ -179,27 +203,10 @@ def ammknn_predict_one(
     ``subject_outlier_value`` the subject's standardized score on the
     outlier feature (normally one of those same features).
     """
-    if training.n_rows == 0:
-        raise EmptyTrainingSet("no training rows")
-    ranking = rank_neighbors(subject, training, config.max_k)
-    target = training.target_values()
-    neighbor_targets = [target[i] for i, _ in ranking]
-    if any(t is None for t in neighbor_targets):
-        raise MissingCell("training target has missing cells")
-    means = cumulative_means(neighbor_targets)
-    min_of_means = min(means)
-    min_match = min(neighbor_targets)
-    triggered = subject_outlier_value < config.outlier_cutoff
-    return PredictionRecord(
-        subject_id=subject_id,
-        neighbor_ranking=ranking,
-        cumulative_means=tuple(means),
-        min_of_means=min_of_means,
-        min_match=min_match,
-        outlier_value=subject_outlier_value,
-        outlier_triggered=triggered,
-        prediction=min_match if triggered else min_of_means,
-    )
+    matrix, target = _training_arrays(training)
+    subject = _checked_vector(subject, len(matrix[0]))
+    ranked = _rank(matrix, subject, config.max_k)
+    return _record(ranked, target, subject_outlier_value, config, subject_id)
 
 
 def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> List[PredictionRecord]:
@@ -207,8 +214,9 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
 
     Subjects must carry every training feature column plus the configured
     outlier feature; each subject's outlier value is read from its own
-    (standardized) cell. Prediction is pure per row, so rows could be
-    fanned out across workers without changing the output.
+    (standardized) cell. The training matrix is extracted and checked once
+    per call. Prediction is pure per row, so rows could be fanned out
+    across workers without changing the output.
     """
     if config.outlier_feature is None:
         raise InvalidSpec("outlier_feature is not set; resolve a default first")
@@ -220,18 +228,15 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
         raise UnknownColumn(
             f"outlier feature {config.outlier_feature!r} not in subjects"
         )
-    matrix = subjects.feature_matrix(features)
+    matrix, target = _training_arrays(training)
     outlier_values = subjects.column(config.outlier_feature)
     records = []
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(subjects.feature_matrix(features)):
         try:
             if outlier_values[i] is None:
                 raise MissingCell("missing outlier feature cell")
-            records.append(
-                ammknn_predict_one(
-                    row, outlier_values[i], training, config, subject_id=subjects.row_id(i)
-                )
-            )
+            ranked = _rank(matrix, _checked_vector(row, len(features)), config.max_k)
         except AmmknnError as exc:
             raise type(exc)(f"subject row {i}: {exc}") from exc
+        records.append(_record(ranked, target, outlier_values[i], config, subjects.row_id(i)))
     return records

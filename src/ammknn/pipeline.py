@@ -7,6 +7,11 @@ validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
 synth/plot: generator and figure plumbing.
 
+loocv, validate and predict all rank neighbors through one engine (see
+``knn``). loocv ranks each training row once and reads both models from
+that ranking; there is no pairwise distance cache, because its O(n^2)
+memory would outgrow everything else a step holds.
+
 Everything here is deterministic given (config, inputs, seed); re-running
 a step produces byte-identical files.
 """
@@ -39,7 +44,7 @@ from .frame import (
     load_csv,
     write_csv,
 )
-from .knn import AmmknnConfig, ammknn_predict_batch, knn_regress
+from .knn import AmmknnConfig, ammknn_predict_batch
 from .preprocess import pearson_correlation, select_by_correlation, standardize_joint
 from .synth import SynthSpec, assign_cohort_years, generate_cohort
 
@@ -171,21 +176,6 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     }
 
 
-def _ammknn_model(config: AmmknnConfig):
-    def model(training: Frame, subject: Frame) -> float:
-        return ammknn_predict_batch(subject, training, config)[0].prediction
-
-    return model
-
-
-def _knn_model(k: int):
-    def model(training: Frame, subject: Frame) -> float:
-        features = subject.feature_matrix(training.feature_names())[0]
-        return knn_regress(features, training, k)
-
-    return model
-
-
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     train = _load_for_config(config, train_path)
@@ -194,11 +184,8 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     ids = [train.row_id(i) for i in range(train.n_rows)]
     actual = list(train.target_values())
     outlier_values = list(train.column(ammknn_cfg.outlier_feature))
+    ammknn_predictions, triggered, knn_predictions = loocv(train, ammknn_cfg, config.knn_k)
 
-    ammknn_predictions = loocv(train, _ammknn_model(ammknn_cfg))
-    knn_predictions = loocv(train, _knn_model(config.knn_k))
-
-    triggered = [v < ammknn_cfg.outlier_cutoff for v in outlier_values]
     ammknn_report = report_mod.build_report(
         "loocv",
         f"ammknn(max_k={ammknn_cfg.max_k},outlier={ammknn_cfg.outlier_feature})",

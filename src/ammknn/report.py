@@ -46,10 +46,6 @@ def _cm3_dict(cm: ConfusionMatrix3) -> dict:
     }
 
 
-def _bounds_dict(b: TierBoundaries) -> dict:
-    return {"fail_below": b.fail_below, "at_risk_upper": b.at_risk_upper}
-
-
 def build_report(
     kind: str,
     model: str,
@@ -91,8 +87,8 @@ def build_report(
         "provenance": {"seed": config.seed, "config_sha256": config.sha256()},
         "config": config.to_json_dict(),
         "bounds": {
-            "actual": _bounds_dict(actual_bounds),
-            "predicted": _bounds_dict(predicted_bounds),
+            "actual": actual_bounds.to_json_dict(),
+            "predicted": predicted_bounds.to_json_dict(),
         },
         "n_subjects": len(subjects),
         "subjects": subjects,

@@ -18,7 +18,6 @@ from ammknn import (
     accuracy_3x3,
     ammknn_predict_one,
     confusion_2x2,
-    knn_regress,
     loocv,
     metrics_from_cm,
     select_by_correlation,
@@ -155,22 +154,14 @@ def test_criterion_3_min_over_k_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def _knn_model(k):
-    def model(training, subject):
-        return knn_regress(subject.feature_matrix(training.feature_names())[0], training, k)
-
-    return model
+def _knn_model(frame, k):
+    """Fixed-k LOOCV predictions, as run_loocv computes them."""
+    return loocv(frame, AmmknnConfig(max_k=1, outlier_feature="x0"), k)[2]
 
 
-def _ammknn_model(max_k, outlier_feature):
-    config = AmmknnConfig(max_k=max_k, outlier_feature=outlier_feature)
-
-    def model(training, subject):
-        from ammknn import ammknn_predict_batch
-
-        return ammknn_predict_batch(subject, training, config)[0].prediction
-
-    return model
+def _ammknn_model(frame, max_k, outlier_feature):
+    """Adaptive LOOCV predictions, as run_loocv computes them."""
+    return loocv(frame, AmmknnConfig(max_k=max_k, outlier_feature=outlier_feature), 1)[0]
 
 
 @criterion(4, "LOOCV holds out the subject row (no self-match leakage)")
@@ -187,15 +178,15 @@ def test_criterion_4_loocv_leakage():
         rows = [[rng.uniform(-3, 3) for _ in range(dims)] + [constant] for _ in range(n)]
         frame = Frame(names, rows, "t")
         k = rng.randint(1, n - 1)
-        assert loocv(frame, _knn_model(k)) == [constant] * n
-        assert loocv(frame, _ammknn_model(rng.randint(1, 20), "x0")) == [constant] * n
+        assert _knn_model(frame, k) == [constant] * n
+        assert _ammknn_model(frame, rng.randint(1, 20), "x0") == [constant] * n
 
         # unique-extreme-row property: the held-out row duplicates cannot
         # self-match, so its k=1 prediction is its nearest other neighbor
         base = [[rng.uniform(-1, 1) for _ in range(dims)] + [400.0] for _ in range(n)]
         extreme = [100.0 * (j + 1) for j in range(dims)] + [800.0]
         frame = Frame(names, base + [extreme], "t")
-        predictions = loocv(frame, _knn_model(1))
+        predictions = _knn_model(frame, 1)
         assert predictions[-1] == 400.0
         assert predictions[-1] != 800.0
     assert time.monotonic() - start < 5.0

@@ -9,15 +9,11 @@ from ammknn import (
     Frame,
     TierBoundaries,
     accuracy_3x3,
-    ammknn_predict_batch,
-    classify_binary,
     classify_tier,
     confusion_2x2,
     confusion_3x3,
-    knn_regress,
     loocv,
     metrics_from_cm,
-    sweep_sensitivity_monotone_check,
     threshold_sweep,
 )
 from ammknn.errors import (
@@ -25,69 +21,53 @@ from ammknn.errors import (
     EmptyMatrix,
     EmptyTrainingSet,
     InvalidSpec,
-    KTooLarge,
     LengthMismatch,
-    UnsortedCutoffs,
+    MissingCell,
 )
-from ammknn.evaluation import SweepPoint
 
 
-def knn_model(k):
-    def model(training, subject):
-        features = subject.feature_matrix(training.feature_names())[0]
-        return knn_regress(features, training, k)
-
-    return model
+def fixed_k_loocv(frame, k):
+    config = AmmknnConfig(max_k=1, outlier_feature=frame.column_names[0])
+    return loocv(frame, config, k)[2]
 
 
 class TestLoocv:
     def test_constant_targets(self):
         rows = [[float(i), 2.0 * i, 444.0] for i in range(10)]
         frame = Frame(["a", "b", "t"], rows, "t")
-        for model in (knn_model(3), self.ammknn_model()):
-            assert loocv(frame, model) == [444.0] * 10
-
-    @staticmethod
-    def ammknn_model():
-        config = AmmknnConfig(max_k=5, outlier_feature="a")
-
-        def model(training, subject):
-            return ammknn_predict_batch(subject, training, config)[0].prediction
-
-        return model
+        adaptive, _, fixed = loocv(frame, AmmknnConfig(max_k=5, outlier_feature="a"), 3)
+        assert adaptive == [444.0] * 10
+        assert fixed == [444.0] * 10
 
     def test_three_row_fold_oracle(self):
         frame = Frame(["x", "t"], [[0.0, 300], [1.0, 400], [10.0, 500]], "t")
-        assert loocv(frame, knn_model(1)) == [400.0, 300.0, 400.0]
+        assert fixed_k_loocv(frame, 1) == [400.0, 300.0, 400.0]
 
     def test_heldout_row_excluded_from_training(self):
         # the held-out row is a zero-distance duplicate of itself; with
         # leakage, k=1 would echo its own extreme target
         rows = [[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]]
         frame = Frame(["x", "t"], rows, "t")
-        predictions = loocv(frame, knn_model(1))
+        predictions = fixed_k_loocv(frame, 1)
         assert predictions[6] == 400.0
 
     def test_fold_errors_tagged(self):
-        frame = Frame(["x", "t"], [[0.0, 1], [1.0, 2]], "t")
-
-        def bad_model(training, subject):
-            raise KTooLarge("k too large")
-
-        with pytest.raises(KTooLarge, match="fold 0"):
-            loocv(frame, bad_model)
+        frame = Frame(["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]], "t")
+        with pytest.raises(MissingCell, match="row 1"):
+            fixed_k_loocv(frame, 1)
 
     def test_needs_two_rows(self):
         frame = Frame(["x", "t"], [[0.0, 1]], "t")
         with pytest.raises(EmptyTrainingSet):
-            loocv(frame, knn_model(1))
+            fixed_k_loocv(frame, 1)
 
 
 class TestClassify:
     def test_binary_boundary(self):
-        assert classify_binary(350, 350) == "pass"
-        assert classify_binary(349, 350) == "fail"
-        assert classify_binary(800, 350) == "pass"
+        # a score exactly at the pass mark passes
+        scores = [350.0, 349.0, 800.0]
+        cm = confusion_2x2(scores, scores, 350)
+        assert (cm.tp, cm.tn) == (1, 2)
 
     def test_tier_bands(self):
         bounds = TierBoundaries()
@@ -250,42 +230,3 @@ class TestThresholdSweep:
     def test_empty_cutoffs(self):
         with pytest.raises(EmptyInput):
             threshold_sweep([1.0], [1.0], [])
-
-
-def tuned_baseline_sweep_points():
-    """Reference sweep of a manually tuned over-optimistic baseline."""
-    rows = [
-        (349.0, 0, 1, 167, 13),
-        (390.0, 5, 6, 162, 8),
-        (400.0, 10, 25, 143, 3),
-        (410.0, 10, 54, 114, 3),
-        (420.0, 11, 76, 92, 2),
-    ]
-    return [
-        SweepPoint(c, ConfusionMatrix2(tp, fp, tn, fn), metrics_from_cm(ConfusionMatrix2(tp, fp, tn, fn)))
-        for c, tp, fp, tn, fn in rows
-    ]
-
-
-class TestMonotoneCheck:
-    def test_reference_tp_sequence(self):
-        assert sweep_sensitivity_monotone_check(tuned_baseline_sweep_points())
-
-    def test_single_cutoff(self):
-        points = tuned_baseline_sweep_points()[:1]
-        assert sweep_sensitivity_monotone_check(points)
-
-    def test_shuffled_cutoffs_rejected(self):
-        points = tuned_baseline_sweep_points()
-        shuffled = [points[2], points[0], points[1]]
-        with pytest.raises(UnsortedCutoffs):
-            sweep_sensitivity_monotone_check(shuffled)
-
-    def test_decreasing_tp_detected(self):
-        cm_hi = ConfusionMatrix2(5, 1, 10, 1)
-        cm_lo = ConfusionMatrix2(3, 1, 12, 3)
-        points = [
-            SweepPoint(300.0, cm_hi, metrics_from_cm(cm_hi)),
-            SweepPoint(310.0, cm_lo, metrics_from_cm(cm_lo)),
-        ]
-        assert not sweep_sensitivity_monotone_check(points)

@@ -8,7 +8,6 @@ from ammknn import (
     drop_missing_target,
     filter_by_cutoff,
     load_csv,
-    summarize_cohorts,
     write_csv,
 )
 from ammknn.errors import (
@@ -207,32 +206,3 @@ class TestAggregateMeans:
         frame = Frame(["q1", "t"], [[1, 2]], "t")
         with pytest.raises(UnknownColumn):
             aggregate_means(frame, [AggregationSpec("g", ("q9",))])
-
-
-class TestSummarizeCohorts:
-    def frame(self):
-        rows = [
-            [2015, 400], [2015, 300], [2015, 355],
-            [2016, 500], [2016, 350],
-            [2017, None], [2017, None],
-        ]
-        return Frame(["year", "t"], rows, "t")
-
-    def test_grouping_and_counts(self):
-        s15, s16, s17 = summarize_cohorts(self.frame(), "year", 350.0)
-        assert (s15.cohort_key, s15.count) == (2015.0, 3)
-        assert (s15.pass_count, s15.fail_count) == (2, 1)
-        assert s15.mean_target == pytest.approx((400 + 300 + 355) / 3)
-        assert (s16.pass_count, s16.fail_count) == (2, 0)
-
-    def test_all_targets_missing(self):
-        s17 = summarize_cohorts(self.frame(), "year", 350.0)[2]
-        assert (s17.count, s17.pass_count, s17.fail_count) == (2, 0, 0)
-        assert s17.mean_target is None
-        assert s17.sd_target is None
-
-    def test_boundary_score_passes(self):
-        # score exactly at the pass mark counts as a pass
-        frame = Frame(["year", "t"], [[2015, 350], [2015, 349]], "t")
-        s = summarize_cohorts(frame, "year", 350.0)[0]
-        assert (s.pass_count, s.fail_count) == (1, 1)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ammknn import (
     AmmknnConfig,
@@ -9,9 +11,7 @@ from ammknn import (
     ammknn_predict_batch,
     ammknn_predict_one,
     cumulative_means,
-    euclidean_distance,
-    knn_regress,
-    rank_neighbors,
+    loocv,
 )
 from ammknn.errors import (
     ColumnMismatch,
@@ -20,7 +20,6 @@ from ammknn.errors import (
     EmptyTrainingSet,
     InvalidSpec,
     KTooLarge,
-    LengthMismatch,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,60 +59,69 @@ def random_training(rng, n, dims):
     return Frame(names, rows, "t")
 
 
+def ranking(subject, feature_rows, limit):
+    """(row, distance) pairs the predictor reports for a subject."""
+    dims = len(feature_rows[0]) if feature_rows else len(subject)
+    names = [f"x{j}" for j in range(dims)] + ["t"]
+    training = Frame(names, [list(r) + [400.0] for r in feature_rows], "t")
+    record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))
+    return record.neighbor_ranking
+
+
+def fixed_k(subject, training_rows, k):
+    """Fixed-k KNN prediction for a subject held out as the last LOOCV row."""
+    names = [f"x{j}" for j in range(len(subject))] + ["t"]
+    frame = Frame(names, [*training_rows, [*subject, 0.0]], "t")
+    return loocv(frame, AmmknnConfig(max_k=1, outlier_feature="x0"), k)[2][-1]
+
+
 class TestEuclidean:
     def test_identity(self):
-        assert euclidean_distance((1.5, -2.0), (1.5, -2.0)) == 0.0
+        assert ranking((1.5, -2.0), [(1.5, -2.0)], 1) == ((0, 0.0),)
 
     def test_3_4_5(self):
-        assert euclidean_distance((0, 0), (3, 4)) == 5.0
+        assert ranking((0.0, 0.0), [(3.0, 4.0)], 1) == ((0, 5.0),)
 
     def test_matches_componentwise_oracle(self):
         rng = random.Random(42)
         for _ in range(200):
             a = [rng.uniform(-10, 10) for _ in range(10)]
             b = [rng.uniform(-10, 10) for _ in range(10)]
-            assert euclidean_distance(a, b) == pytest.approx(
+            assert ranking(a, [b], 1)[0][1] == pytest.approx(
                 math.sqrt(brute_sqdist(a, b)), abs=1e-12
             )
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            euclidean_distance((1, 2), (1, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            ranking((1.0, 2.0), [(1.0, 2.0, 3.0)], 1)
 
 
 class TestRankNeighbors:
     def test_one_dim_ordering(self):
-        training = Frame(["x"], [[0.0], [10.0]], None)
-        ranking = rank_neighbors([1.0], training, 2)
-        assert ranking == ((0, 1.0), (1, 9.0))
+        assert ranking([1.0], [[0.0], [10.0]], 2) == ((0, 1.0), (1, 9.0))
 
     def test_tie_breaks_by_row_index(self):
-        training = Frame(["x"], [[2.0], [0.0]], None)
-        ranking = rank_neighbors([1.0], training, 2)
-        assert [i for i, _ in ranking] == [0, 1]
+        assert [i for i, _ in ranking([1.0], [[2.0], [0.0]], 2)] == [0, 1]
 
     def test_matches_full_sort_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
             training = random_training(rng, 50, 4)
             subject = [rng.uniform(-3, 3) for _ in range(4)]
-            ranking = rank_neighbors(subject, training, 20)
+            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
             matrix = training.feature_matrix()
-            assert [i for i, _ in ranking] == brute_rank(subject, matrix)[:20]
+            assert [i for i, _ in record.neighbor_ranking] == brute_rank(subject, matrix)[:20]
 
     def test_limit_beyond_rows_returns_all(self):
-        training = Frame(["x"], [[0.0], [1.0], [2.0]], None)
-        assert len(rank_neighbors([0.5], training, 99)) == 3
+        assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
 
     def test_empty_training(self):
-        training = Frame(["x"], [], None)
         with pytest.raises(EmptyTrainingSet):
-            rank_neighbors([0.0], training, 1)
+            ranking([0.0], [], 1)
 
     def test_dimension_mismatch(self):
-        training = Frame(["x", "y"], [[0.0, 1.0]], None)
         with pytest.raises(DimensionMismatch):
-            rank_neighbors([0.0], training, 1)
+            ranking([0.0], [[0.0, 1.0]], 1)
 
 
 class TestCumulativeMeans:
@@ -132,29 +140,26 @@ class TestCumulativeMeans:
 
 
 class TestKnnRegress:
-    def training(self):
-        rows = [[0.0, 300], [1.0, 400], [2.0, 500], [3.0, 440], [9.0, 350]]
-        return Frame(["x", "t"], rows, "t")
+    """Fixed-k KNN regression, the LOOCV baseline."""
+
+    ROWS = [[0.0, 300.0], [1.0, 400.0], [2.0, 500.0], [3.0, 440.0], [9.0, 350.0]]
 
     def test_k1_is_nearest_target(self):
-        assert knn_regress([0.1], self.training(), 1) == 300.0
+        assert fixed_k([0.1], self.ROWS, 1) == 300.0
 
     def test_k_equals_n_is_global_mean(self):
-        training = self.training()
-        assert knn_regress([5.0], training, 5) == pytest.approx(
-            sum(training.target_values()) / 5
+        assert fixed_k([5.0], self.ROWS, 5) == pytest.approx(
+            sum(t for _, t in self.ROWS) / 5
         )
 
     def test_equals_prefix_mean(self):
-        training = self.training()
-        subject = [1.7]
-        ranking = rank_neighbors(subject, training, 5)
-        targets = [training.target_values()[i] for i, _ in ranking]
-        assert knn_regress(subject, training, 3) == cumulative_means(targets)[2]
+        training = Frame(["x", "t"], self.ROWS, "t")
+        record = ammknn_predict_one([1.7], 0.0, training, AmmknnConfig(max_k=5))
+        assert fixed_k([1.7], self.ROWS, 3) == record.cumulative_means[2]
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
-            knn_regress([0.0], self.training(), 6)
+            fixed_k([0.0], self.ROWS, 6)
 
 
 class TestAmmknnPredictOne:
@@ -214,7 +219,7 @@ class TestAmmknnPredictOne:
             subject = [rng.uniform(-3, 3) for _ in range(2)]
             max_k = min(20, n)
             record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
-            assert record.prediction <= knn_regress(subject, training, max_k)
+            assert record.prediction <= fixed_k(subject, list(training.rows), max_k)
 
     def test_permutation_stability(self):
         rng = random.Random(9)
@@ -305,3 +310,96 @@ class TestAmmknnPredictBatch:
         config = AmmknnConfig(max_k=1, outlier_feature="x0")
         with pytest.raises(Exception, match="subject row 1"):
             ammknn_predict_batch(subjects, training, config)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the ranking engine against a naive reference
+# ---------------------------------------------------------------------------
+
+
+def naive_ranking(matrix, targets, subject, skip=None):
+    """Sort every row by squared distance, then average each prefix."""
+    order = sorted(
+        (brute_sqdist(subject, row), i) for i, row in enumerate(matrix) if i != skip
+    )
+    means = [sum(targets[i] for _, i in order[:k]) / k for k in range(1, len(order) + 1)]
+    return order, means
+
+
+def naive_adaptive(order, means, targets, outlier_value, config):
+    """(neighbors, prediction) of the adaptive rule from a naive ranking."""
+    nearest = order[: config.max_k]
+    if outlier_value < config.outlier_cutoff:
+        prediction = min(targets[i] for _, i in nearest)
+    else:
+        prediction = min(means[: config.max_k])
+    return tuple((i, math.sqrt(sq)) for sq, i in nearest), prediction
+
+
+# a tiny coordinate set forces distance ties; whole scores keep prefix sums exact
+COORDS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+SCORES = st.integers(200, 800).map(float)
+
+
+@st.composite
+def engine_cases(draw):
+    dims = draw(st.integers(1, 3))
+    rows = [
+        [draw(COORDS) for _ in range(dims)] + [draw(SCORES)]
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):  # duplicate features, fresh target
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))][:dims] + [draw(SCORES)])
+    subjects = [
+        [draw(COORDS) for _ in range(dims)] for _ in range(draw(st.integers(0, 3)))
+    ]
+    max_k = draw(st.integers(1, 14))
+    knn_k = draw(st.integers(1, len(rows)))
+    cutoff = draw(st.sampled_from([-2.0, 0.25, 1.0]))
+    return rows, subjects, max_k, knn_k, cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+# three-row fold oracle: fixed k=1 gives [400, 300, 400]
+@example(([[0.0, 300.0], [1.0, 400.0], [10.0, 500.0]], [], 1, 1, -2.0))
+# held-out zero-distance duplicate cannot echo its own target
+@example(([[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]], [[2.0]], 20, 1, -2.0))
+# fewer than two rows, and k larger than a fold's training rows
+@example(([[0.0, 1.0]], [], 1, 1, -2.0))
+@example(([[0.0, 300.0], [1.0, 400.0], [2.0, 500.0]], [], 1, 3, -2.0))
+def test_engine_matches_naive_reference(case):
+    rows, subjects, max_k, knn_k, cutoff = case
+    dims = len(rows[0]) - 1
+    names = [f"x{j}" for j in range(dims)] + ["t"]
+    frame = Frame(names, rows, "t")
+    matrix = [row[:dims] for row in rows]
+    targets = [row[dims] for row in rows]
+    config = AmmknnConfig(max_k=max_k, outlier_feature="x0", outlier_cutoff=cutoff)
+
+    records = ammknn_predict_batch(Frame(names[:-1], subjects, None), frame, config)
+    for subject, record in zip(subjects, records):
+        order, means = naive_ranking(matrix, targets, subject)
+        neighbors, prediction = naive_adaptive(order, means, targets, subject[0], config)
+        assert record.neighbor_ranking == neighbors
+        assert record.prediction == prediction
+    assert len(records) == len(subjects)
+
+    n = len(rows)
+    if n < 2:
+        with pytest.raises(EmptyTrainingSet):
+            loocv(frame, config, knn_k)
+        return
+    if knn_k > n - 1:
+        with pytest.raises(KTooLarge):
+            loocv(frame, config, knn_k)
+        return
+    adaptive, triggered, fixed = loocv(frame, config, knn_k)
+    expected_adaptive, expected_fixed = [], []
+    for i in range(n):
+        order, means = naive_ranking(matrix, targets, matrix[i], skip=i)
+        expected_adaptive.append(naive_adaptive(order, means, targets, matrix[i][0], config)[1])
+        expected_fixed.append(means[knn_k - 1])
+    assert adaptive == expected_adaptive
+    assert fixed == expected_fixed
+    assert triggered == [row[0] < cutoff for row in matrix]

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ammknn
 from ammknn import load_csv
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
@@ -205,7 +208,7 @@ class TestCliWorkflow:
         rest_path = tmp_path / "rest.csv"
         one_path = tmp_path / "one.csv"
         write_csv(train.subset_rows(list(range(last))), rest_path)
-        write_csv(train.single_row(last), one_path)
+        write_csv(train.subset_rows([last]), one_path)
         result = run_validate(config, rest_path, one_path, tmp_path / "deg")
         assert (
             result["report"]["subjects"][0]["predicted"]
@@ -259,6 +262,45 @@ class TestCliErrors:
         bad = tmp_path / "bad_report.json"
         bad.write_text(json.dumps({"not_a_report": True}))
         assert main(["plot", "--report", str(bad), "--kind", "scatter", "--out", str(tmp_path)]) == 3
+
+    def test_loocv_k_not_below_rows_exit_3(self, workspace, tmp_path):
+        lines = ["student_id,f01,score"] + [f"C{i},{i}.0,{400 + i}" for i in range(4)]
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines) + "\n")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(CONFIG_DOC, knn_k=4)))
+        code = main([
+            "loocv", "--config", str(config_path), "--train", str(train), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+
+
+class TestCliStdout:
+    def test_loocv_json_is_one_document(self, workspace, capsys):
+        run_all(workspace)
+        out = str(workspace["out"])
+        capsys.readouterr()
+        assert main([
+            "loocv", "--config", str(workspace["config"]),
+            "--train", os.path.join(out, TRAIN_CSV), "--out", out, "--format", "json",
+        ]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert set(document) == {"ammknn", "knn"}
+        assert document["knn"] == json.loads((workspace["out"] / LOOCV_KNN_JSON).read_text())
+
+    def test_prepare_logs_go_to_stderr(self, workspace):
+        # a fresh interpreter, so the CLI's own logging set-up is the one in force
+        src = os.path.dirname(os.path.dirname(ammknn.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "ammknn.cli", "prepare", "--config", str(workspace["config"]),
+             "--input", str(workspace["cohort_csv"]), "--out", str(workspace["out"])],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Correlation between" in result.stderr
+        assert "Correlation between" not in result.stdout
+        assert result.stdout.startswith("prepared ")
 
 
 class TestPrepareCounts:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ammknn import (
     Frame,
     TierBoundaries,
-    classify_binary,
     classify_tier,
     confusion_2x2,
     cumulative_means,
@@ -36,9 +35,7 @@ def test_min_element_below_every_prefix_mean(values):
 @given(scores)
 def test_tier_and_binary_agree_on_fail(score):
     bounds = TierBoundaries(350.0, 375.0)
-    tier = classify_tier(score, bounds)
-    binary = classify_binary(score, 350.0)
-    assert (tier == "fail") == (binary == "fail")
+    assert (classify_tier(score, bounds) == "fail") == (score < 350.0)
 
 
 @given(st.lists(st.tuples(scores, scores), min_size=1, max_size=60))
