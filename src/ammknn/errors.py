@@ -52,6 +52,14 @@ class MissingCell(DataError):
     pass
 
 
+class NonFiniteCell(DataError):
+    """A NaN or infinite cell where every value must be a finite number."""
+
+
+class UnreadableInput(DataError):
+    """An input path that is not a readable file of the expected encoding."""
+
+
 # --- preprocessing ----------------------------------------------------------
 
 class ZeroVarianceColumn(DataError):

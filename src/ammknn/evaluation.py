@@ -220,12 +220,13 @@ def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, l
         raise InvalidSpec(f"knn_k must be >= 1, got {knn_k}")
     if knn_k > frame.n_rows - 1:
         raise KTooLarge(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
-    matrix, target = _training_arrays(frame)
+    columns, target = _training_arrays(frame)
     outlier_values = frame.column(config.outlier_feature)
     limit = max(config.max_k, knn_k)
+    n = frame.n_rows
     adaptive, triggered, fixed_k = [], [], []
-    for i, row in enumerate(matrix):
-        ranked = _rank(matrix, row, limit, skip=i)
+    for i in range(n):
+        ranked = _rank(columns, tuple(col[i] for col in columns), n, limit, skip=i)
         record = _record(ranked, target, outlier_values[i], config)
         adaptive.append(record.prediction)
         triggered.append(record.outlier_triggered)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,9 +26,21 @@ from .errors import (
     NonNumericCell,
     UnknownColumn,
     UnknownTargetColumn,
+    UnreadableInput,
 )
 
 Cell = Optional[float]
+
+# Cells of these exact types are stored as they are; anything else (int,
+# bool, numeric text, float subclasses) goes through float().
+_STORED_AS_IS = frozenset({float, type(None)})
+
+
+def _project(rows, idx: Sequence[int]) -> list:
+    """Each row restricted to the cells at ``idx``, as a tuple."""
+    if len(idx) > 1:
+        return list(map(itemgetter(*idx), rows))
+    return [tuple(row[i] for i in idx) for row in rows]
 
 
 class Frame:
@@ -53,18 +67,18 @@ class Frame:
             raise DuplicateColumnName(f"duplicate column labels in {names}")
         if target_name is not None and target_name not in names:
             raise UnknownTargetColumn(f"target column {target_name!r} not present")
-        frozen = []
-        for i, row in enumerate(rows):
-            cells = tuple(None if c is None else float(c) for c in row)
-            if len(cells) != len(names):
-                raise InvalidSpec(
-                    f"row {i} has {len(cells)} cells, expected {len(names)}"
-                )
-            frozen.append(cells)
+        frozen = tuple(map(tuple, rows))
+        if not set(map(len, frozen)) <= {len(names)}:
+            i, cells = next((i, c) for i, c in enumerate(frozen) if len(c) != len(names))
+            raise InvalidSpec(f"row {i} has {len(cells)} cells, expected {len(names)}")
+        if not _STORED_AS_IS.issuperset(map(type, chain.from_iterable(frozen))):
+            frozen = tuple(
+                tuple(None if c is None else float(c) for c in row) for row in frozen
+            )
         if row_ids is not None and len(row_ids) != len(frozen):
             raise InvalidSpec("row_ids length does not match row count")
         self.column_names = names
-        self.rows = tuple(frozen)
+        self.rows = frozen
         self.target_name = target_name
         self.row_ids = tuple(row_ids) if row_ids is not None else None
         self.id_name = id_name
@@ -86,8 +100,7 @@ class Frame:
             raise UnknownColumn(f"no column named {name!r}") from None
 
     def column(self, name: str) -> tuple:
-        i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+        return tuple(map(itemgetter(self.column_index(name)), self.rows))
 
     def feature_names(self) -> tuple:
         """Column labels excluding the target."""
@@ -97,8 +110,7 @@ class Frame:
         """Rows restricted to the given feature columns (default: all non-target)."""
         if names is None:
             names = self.feature_names()
-        idx = [self.column_index(n) for n in names]
-        return [tuple(row[i] for i in idx) for row in self.rows]
+        return _project(self.rows, [self.column_index(n) for n in names])
 
     def target_values(self) -> tuple:
         if self.target_name is None:
@@ -125,7 +137,7 @@ class Frame:
         target = self.target_name if self.target_name in names else None
         return Frame(
             names,
-            [tuple(row[i] for i in idx) for row in self.rows],
+            _project(self.rows, idx),
             target,
             self.row_ids,
             self.id_name,
@@ -183,6 +195,37 @@ def _parse_cell(text: str, row: int, column: str) -> Cell:
         raise NonNumericCell(row, column, text) from None
 
 
+def _read_records(reader, path, target_name: Optional[str], id_column: Optional[str]):
+    """(column names, numeric rows, ids or None) from a CSV reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingHeader(f"{path}: file is empty") from None
+    if not header or all(h == "" for h in header):
+        raise MissingHeader(f"{path}: blank header row")
+    if len(set(header)) != len(header):
+        raise DuplicateColumnName(f"{path}: duplicate column names in header")
+    if target_name is not None and target_name not in header:
+        raise UnknownTargetColumn(f"{path}: target {target_name!r} not in header")
+    if id_column is not None and id_column not in header:
+        raise UnknownColumn(f"{path}: id column {id_column!r} not in header")
+
+    id_pos = header.index(id_column) if id_column is not None else None
+    names = [h for i, h in enumerate(header) if i != id_pos]
+    rows = []
+    ids = [] if id_column is not None else None
+    for lineno, record in enumerate(reader, start=1):
+        if len(record) != len(header):
+            raise NonNumericCell(lineno, "<row>", ",".join(record))
+        if id_pos is not None:
+            ids.append(record.pop(id_pos))
+        try:
+            rows.append([float(text) if text else None for text in record])
+        except ValueError:
+            rows.append([_parse_cell(text, lineno, name) for text, name in zip(record, names)])
+    return names, rows, ids
+
+
 def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) -> Frame:
     """Load a Frame from a CSV file.
 
@@ -190,35 +233,13 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     column allowed to hold non-numeric text. Empty cells become missing
     markers. ``target_name`` may be None for prediction-only cohorts.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader(f"{path}: file is empty") from None
-        if not header or all(h == "" for h in header):
-            raise MissingHeader(f"{path}: blank header row")
-        if len(set(header)) != len(header):
-            raise DuplicateColumnName(f"{path}: duplicate column names in header")
-        if target_name is not None and target_name not in header:
-            raise UnknownTargetColumn(f"{path}: target {target_name!r} not in header")
-        if id_column is not None and id_column not in header:
-            raise UnknownColumn(f"{path}: id column {id_column!r} not in header")
-
-        id_pos = header.index(id_column) if id_column is not None else None
-        names = [h for i, h in enumerate(header) if i != id_pos]
-        rows = []
-        ids = [] if id_column is not None else None
-        for lineno, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise NonNumericCell(lineno, "<row>", ",".join(record))
-            cells = []
-            for i, text in enumerate(record):
-                if i == id_pos:
-                    ids.append(text)
-                else:
-                    cells.append(_parse_cell(text, lineno, header[i]))
-            rows.append(cells)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            names, rows, ids = _read_records(csv.reader(fh), path, target_name, id_column)
+    except UnicodeDecodeError:
+        raise UnreadableInput(f"{path}: not UTF-8 text") from None
+    except IsADirectoryError:
+        raise UnreadableInput(f"{path}: is a directory, not a CSV file") from None
     return Frame(names, rows, target_name, ids, id_column)
 
 
@@ -301,14 +322,20 @@ def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members
             raise NameCollision(f"column {spec.group_name!r} already exists")
         new_names.add(spec.group_name)
 
-    names = list(frame.column_names)
-    rows = [list(row) for row in frame.rows]
+    names = [*frame.column_names, *(spec.group_name for spec in specs)]
+    means = []
     for spec in specs:
-        idx = [frame.column_index(m) for m in spec.member_columns]
-        names.append(spec.group_name)
-        for row in rows:
-            values = [row[i] for i in idx]
-            row.append(None if None in values else sum(values) / len(values))
+        # member columns are added left to right from 0.0, one column at a
+        # time; built-in sum() would round differently from Python 3.12 on
+        total = [0.0] * frame.n_rows
+        for m in spec.member_columns:
+            total = [
+                None if t is None or x is None else t + x
+                for t, x in zip(total, frame.column(m))
+            ]
+        k = len(spec.member_columns)
+        means.append([None if t is None else t / k for t in total])
+    rows = [row + extra for row, extra in zip(frame.rows, zip(*means))] if means else frame.rows
 
     result = Frame(names, rows, frame.target_name, frame.row_ids, frame.id_name)
     if drop_members:

@@ -26,22 +26,38 @@ Every step ranks through one engine, ``_rank``: predict and validate
 (``evaluation.loocv``, which ranks each row once against the others and
 reads both the adaptive and the fixed-k model from that one ranking).
 The training matrix is extracted and checked once per call, not once per
-subject. There is no cache of pairwise distances: an n x n table of
-Python floats costs about 20 MB at n = 724, so distances are computed
-row by row and memory stays O(n).
+subject, and it is held column-major: one tuple per feature.
 
-Implementation notes for exact reproducibility: rankings are ordered by
-the left-to-right accumulated *squared* distance (same ordering as the
-Euclidean distance, no square root in the comparison key), and running
-means are plain left-to-right float sums divided by k. Both choices make
-predictions bit-identical to a naive re-implementation that sorts all
-rows and averages prefixes.
+For each subject the engine builds one list of n squared distances. The
+first feature column starts it (``d * d`` with ``d = s - x`` for every
+training row) and each further column is added to it in one list
+comprehension. Every row's sum still adds its features left to right,
+starting from the first square, so distances are bit-identical to a
+row-by-row loop, while the per-element work runs in comprehensions
+instead of a Python-level loop per row. There is no cache of pairwise
+distances: an n x n table of Python floats costs about 20 MB at n = 724,
+so only one subject's n distances are held at a time and memory stays
+O(n).
+
+Rows are then ordered by a stable sort of the row indices, keyed on
+their squared distance (same ordering as the Euclidean distance, no
+square root in the comparison key). Stability keeps equal distances in
+ascending row order, which is the tie rule "distance, then row index".
+That equivalence needs keys that are totally ordered, and NaN is not, so
+every training cell, every training target and every subject cell must
+be finite: a missing or non-finite cell is refused with a ``DataError``
+naming its row and column (``MissingCell``, ``NonFiniteCell``).
+
+Running means are plain left-to-right float sums divided by k. Together
+these choices make predictions bit-identical to a naive re-implementation
+that sorts all rows by (squared distance, row) and averages prefixes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -52,6 +68,7 @@ from .errors import (
     EmptyTrainingSet,
     InvalidSpec,
     MissingCell,
+    NonFiniteCell,
     UnknownColumn,
 )
 from .frame import Frame
@@ -105,51 +122,69 @@ class PredictionRecord:
         }
 
 
-def _squared_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        diff = x - y
-        total += diff * diff
-    return total
+def _finite(values: Sequence[Optional[float]]) -> bool:
+    return None not in values and all(map(math.isfinite, values))
 
 
-def _checked_vector(vec: Sequence[float], width: int) -> tuple:
-    if len(vec) != width:
-        raise DimensionMismatch(f"subject has {len(vec)} features, training has {width}")
+def _refuse(where: str, names: Sequence[str], rows) -> None:
+    """Raise for the first missing or non-finite cell of ``rows``, naming
+    its row (when there are several) and column. Called only after a
+    whole-column check has failed."""
+    for i, row in enumerate(rows):
+        for name, v in zip(names, row):
+            if v is None or not math.isfinite(v):
+                at = f"{where} row {i}, column {name!r}" if where else f"column {name!r}"
+                if v is None:
+                    raise MissingCell(f"{at}: missing cell")
+                raise NonFiniteCell(f"{at}: non-finite value {v!r}")
+
+
+def _checked_vector(vec: Sequence[float], names: Sequence[str]) -> tuple:
+    """A subject's feature values, refused unless every one is finite."""
+    if len(vec) != len(names):
+        raise DimensionMismatch(f"subject has {len(vec)} features, training has {len(names)}")
     cells = tuple(vec)
-    if any(v is None for v in cells):
-        raise MissingCell("subject feature vector has missing components")
+    if not _finite(cells):
+        _refuse("", names, [cells])
     return cells
 
 
-def _training_arrays(training: Frame) -> Tuple[list, tuple]:
-    """The training feature matrix and targets, extracted and checked once."""
+def _training_arrays(training: Frame) -> Tuple[tuple, tuple]:
+    """The training features, column-major (one tuple per feature), and the
+    targets, extracted and checked once: every cell must be finite."""
     if training.n_rows == 0:
         raise EmptyTrainingSet("no training rows")
-    matrix = training.feature_matrix()
-    for i, row in enumerate(matrix):
-        if any(v is None for v in row):
-            raise MissingCell(f"training row {i} has missing feature cells")
+    names = training.feature_names()
+    matrix = training.feature_matrix(names)
+    columns = tuple(zip(*matrix))
+    if not all(map(_finite, columns)):
+        _refuse("training", names, matrix)
     target = training.target_values()
-    if any(t is None for t in target):
-        raise MissingCell("training target has missing cells")
-    return matrix, target
+    if not _finite(target):
+        _refuse("training", [training.target_name], zip(target))
+    return columns, target
 
 
-def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[int] = None) -> list:
-    """The ``limit`` nearest ``(squared_distance, row)`` pairs of a checked
-    matrix, ordered by distance then row index, leaving out row ``skip``.
+def _rank(
+    columns: Sequence[tuple], subject: tuple, n: int, limit: int, skip: Optional[int] = None
+) -> list:
+    """The ``limit`` nearest ``(squared_distance, row)`` pairs among ``n``
+    checked training rows, ordered by distance then row index, leaving out
+    row ``skip``.
 
-    This is the package's only ranking. Distances are computed row by row
-    and only one subject's are held at a time, so memory stays O(n).
+    This is the package's only ranking. Squared distances to all n rows
+    are accumulated one feature column at a time, so only one subject's n
+    distances are held at a time and memory stays O(n).
     """
-    keyed = [
-        (_squared_distance(subject, row), j)
-        for j, row in enumerate(matrix)
-        if j != skip
-    ]
-    keyed.sort()
-    return keyed[:limit]
+    if columns:
+        s = subject[0]
+        dist = [(d := s - x) * d for x in columns[0]]
+        for s, col in zip(subject[1:], columns[1:]):
+            dist = [t + (d := s - x) * d for t, x in zip(dist, col)]
+    else:
+        dist = [0.0] * n
+    rows = range(n) if skip is None else chain(range(skip), range(skip + 1, n))
+    return [(dist[j], j) for j in sorted(rows, key=dist.__getitem__)[:limit]]
 
 
 def cumulative_means(values: Sequence[float]) -> list:
@@ -203,9 +238,9 @@ def ammknn_predict_one(
     ``subject_outlier_value`` the subject's standardized score on the
     outlier feature (normally one of those same features).
     """
-    matrix, target = _training_arrays(training)
-    subject = _checked_vector(subject, len(matrix[0]))
-    ranked = _rank(matrix, subject, config.max_k)
+    columns, target = _training_arrays(training)
+    subject = _checked_vector(subject, training.feature_names())
+    ranked = _rank(columns, subject, len(target), config.max_k)
     return _record(ranked, target, subject_outlier_value, config, subject_id)
 
 
@@ -228,14 +263,14 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
         raise UnknownColumn(
             f"outlier feature {config.outlier_feature!r} not in subjects"
         )
-    matrix, target = _training_arrays(training)
+    columns, target = _training_arrays(training)
     outlier_values = subjects.column(config.outlier_feature)
+    if not _finite(outlier_values):
+        _refuse("subject", [config.outlier_feature], zip(outlier_values))
     records = []
     for i, row in enumerate(subjects.feature_matrix(features)):
         try:
-            if outlier_values[i] is None:
-                raise MissingCell("missing outlier feature cell")
-            ranked = _rank(matrix, _checked_vector(row, len(features)), config.max_k)
+            ranked = _rank(columns, _checked_vector(row, features), len(target), config.max_k)
         except AmmknnError as exc:
             raise type(exc)(f"subject row {i}: {exc}") from exc
         records.append(_record(ranked, target, outlier_values[i], config, subjects.row_id(i)))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     MissingCell,
+    NonFiniteCell,
     ZeroVarianceColumn,
 )
 from .frame import Frame
@@ -58,20 +61,42 @@ class SelectionResult:
         }
 
 
+def left_sum(values) -> float:
+    """Plain left-to-right float sum, starting from 0.0.
+
+    Built-in ``sum()`` of floats uses compensated summation since Python
+    3.12, so its last bits would depend on the interpreter; written-out
+    statistics must not.
+    """
+    return reduce(add, values, 0.0)
+
+
 def _column_stats(label: str, values: Sequence[float]):
     # explicit left-to-right float arithmetic keeps transformed cells
     # byte-stable across interpreter versions (golden-file contract)
     if len(values) < 2:
         raise EmptyInput("standardization needs at least 2 rows")
-    mean = sum(values) / len(values)
-    ssd = 0.0
-    for v in values:
-        d = v - mean
-        ssd += d * d
-    sd = math.sqrt(ssd / (len(values) - 1))
+    mean = left_sum(values) / len(values)
+    d = [v - mean for v in values]
+    sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
     if sd == 0.0:
         raise ZeroVarianceColumn(label)
     return mean, sd
+
+
+def _refuse_non_finite(label: str, values: Sequence[float], n_train: int) -> None:
+    """Refuse a NaN or infinite pooled cell, naming its frame, row and column.
+
+    One NaN would turn the column's mean and sd into NaN, and the
+    correlation filter would then drop the column without a word. Missing
+    cells (None) are left to the caller.
+    """
+    if None not in values and all(map(math.isfinite, values)):
+        return
+    for i, v in enumerate(values):
+        if v is not None and not math.isfinite(v):
+            where = f"training row {i}" if i < n_train else f"validation row {i - n_train}"
+            raise NonFiniteCell(f"{where}, column {label!r}: non-finite value {v!r}")
 
 
 def standardize_joint(
@@ -103,18 +128,22 @@ def standardize_joint(
     sds: dict = {}
     for name in to_standardize:
         i = train.column_index(name)
-        values = [row[i] for row in pooled_rows]
-        if any(v is None for v in values):
+        values = list(map(itemgetter(i), pooled_rows))
+        if None in values:
             raise MissingCell(f"column {name!r} has missing cells; drop incomplete rows first")
+        _refuse_non_finite(name, values, train.n_rows)
         means[name], sds[name] = _column_stats(name, values)
+    if train.target_name is not None:
+        target = list(map(itemgetter(train.column_index(train.target_name)), pooled_rows))
+        _refuse_non_finite(train.target_name, target, train.n_rows)
 
     def transform(frame: Frame) -> Frame:
+        plan = [(frame.column_index(name), means[name], sds[name]) for name in to_standardize]
         rows = []
         for row in frame.rows:
             cells = list(row)
-            for name in to_standardize:
-                i = frame.column_index(name)
-                cells[i] = (cells[i] - means[name]) / sds[name]
+            for i, mean, sd in plan:
+                cells[i] = (cells[i] - mean) / sd
             rows.append(cells)
         return frame.replace_rows(rows)
 
@@ -129,15 +158,13 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     if len(x) < 2:
         raise LengthMismatch("need at least 2 observations")
     n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxy = sxx = syy = 0.0
-    for a, b in zip(x, y):
-        dx = a - mx
-        dy = b - my
-        sxy += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    dx = [a - mx for a in x]
+    dy = [b - my for b in y]
+    sxy = left_sum(map(mul, dx, dy))
+    sxx = left_sum(map(mul, dx, dx))
+    syy = left_sum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise ConstantInput("at least one input is constant")
     return sxy / math.sqrt(sxx * syy)

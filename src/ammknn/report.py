@@ -11,6 +11,7 @@ import json
 from typing import List, Optional, Sequence
 
 from .config import PipelineConfig
+from .errors import MalformedReport, UnreadableInput
 from .evaluation import (
     ConfusionMatrix2,
     ConfusionMatrix3,
@@ -110,8 +111,14 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """A report document; a file that is not UTF-8 JSON is a data error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except IsADirectoryError:
+        raise UnreadableInput(f"{path}: is a directory, not a report file") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedReport(f"{path}: not a UTF-8 JSON document: {exc}") from None
 
 
 def format_metrics_table(report: dict) -> str:

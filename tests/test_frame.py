@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammknn import (
     AggregationSpec,
@@ -12,11 +14,13 @@ from ammknn import (
 )
 from ammknn.errors import (
     DuplicateColumnName,
+    InvalidSpec,
     MissingHeader,
     NameCollision,
     NonNumericCell,
     UnknownColumn,
     UnknownTargetColumn,
+    UnreadableInput,
 )
 
 
@@ -52,6 +56,22 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "x,y\n,2\n")
         frame = load_csv(path, "y")
         assert frame.rows[0] == (None, 2.0)
+
+    def test_first_of_two_bad_cells_is_named(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,2,3\nB,4,oops,bad\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path, "z", id_column="id")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "y", "oops")
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(UnreadableInput, match="directory"):
+            load_csv(tmp_path, "y")
+
+    def test_not_utf8_is_unreadable(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n1,2\n".encode() + "caf\u00e9,3\n".encode("latin-1"))
+        with pytest.raises(UnreadableInput, match="UTF-8"):
+            load_csv(path, "y")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -206,3 +226,49 @@ class TestAggregateMeans:
         frame = Frame(["q1", "t"], [[1, 2]], "t")
         with pytest.raises(UnknownColumn):
             aggregate_means(frame, [AggregationSpec("g", ("q9",))])
+
+
+class FloatSubclass(float):
+    pass
+
+
+# every kind of cell a caller may hand to Frame; NaN is left out because it
+# never compares equal to itself
+FINITE = st.floats(allow_nan=False)
+CELLS = st.one_of(
+    st.none(),
+    FINITE,
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    FINITE.map(repr),
+    st.integers(-999, 999).map(str),
+    FINITE.map(FloatSubclass),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.tuples(
+        st.just(width), st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6)
+    )
+))
+def test_mixed_cells_equal_per_cell_float_conversion(case):
+    width, rows = case
+    names = [f"c{j}" for j in range(width)]
+    frame = Frame(names, rows, None)
+    assert frame.rows == tuple(
+        tuple(None if c is None else float(c) for c in row) for row in rows
+    )
+    assert all(type(c) in (float, type(None)) for row in frame.rows for c in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(CELLS, min_size=2, max_size=2), min_size=1, max_size=6),
+    st.data(),
+)
+def test_ragged_rows_raise_invalid_spec(rows, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = data.draw(st.sampled_from([rows[i][:1], rows[i] + [1.0]]))
+    with pytest.raises(InvalidSpec, match=f"row {i} "):
+        Frame(["a", "b"], rows, None)

@@ -20,6 +20,8 @@ from ammknn.errors import (
     EmptyTrainingSet,
     InvalidSpec,
     KTooLarge,
+    MissingCell,
+    NonFiniteCell,
 )
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,49 @@ class TestAmmknnPredictBatch:
             ammknn_predict_batch(subjects, training, config)
 
 
+class TestUnscorableCellsRefused:
+    """NaN has no place in a distance order, so no step scores around it."""
+
+    CONFIG = AmmknnConfig(max_k=2, outlier_feature="x0")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e999")])
+    def test_training_feature(self, bad):
+        training = Frame(["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, bad, 300.0]], "t")
+        subjects = Frame(["x0", "x1"], [[0.0, 0.0]], None)
+        with pytest.raises(NonFiniteCell, match="training row 1, column 'x1'"):
+            ammknn_predict_batch(subjects, training, self.CONFIG)
+        with pytest.raises(NonFiniteCell, match="training row 1, column 'x1'"):
+            loocv(training, self.CONFIG, 1)
+
+    def test_training_target(self):
+        training = Frame(["x0", "t"], [[0.0, 400.0], [1.0, math.nan], [2.0, 300.0]], "t")
+        with pytest.raises(NonFiniteCell, match="training row 1, column 't'"):
+            loocv(training, self.CONFIG, 1)
+
+    def test_first_bad_training_cell_in_row_order(self):
+        training = Frame(
+            ["x0", "x1", "t"], [[0.0, 0.0, 1.0], [0.0, None, 2.0], [math.inf, 0.0, 3.0]], "t"
+        )
+        with pytest.raises(MissingCell, match="training row 1, column 'x1'"):
+            loocv(training, self.CONFIG, 1)
+
+    @pytest.mark.parametrize("cells", [[0.0, math.inf], [math.nan, 0.0]])
+    def test_subject_cell(self, cells):
+        training = Frame(["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, 1.0, 300.0]], "t")
+        subjects = Frame(["x0", "x1"], [[0.0, 0.0], cells], None)
+        with pytest.raises(NonFiniteCell, match=r"subject row 1\b.* column 'x"):
+            ammknn_predict_batch(subjects, training, self.CONFIG)
+        with pytest.raises(NonFiniteCell):
+            ammknn_predict_one(cells, 0.0, training, self.CONFIG)
+
+    def test_subject_outlier_cell(self):
+        training = Frame(["x0", "t"], [[0.0, 400.0], [1.0, 300.0]], "t")
+        subjects = Frame(["x0", "o"], [[0.0, math.nan]], None)
+        config = AmmknnConfig(max_k=2, outlier_feature="o")
+        with pytest.raises(NonFiniteCell, match="subject row 0, column 'o'"):
+            ammknn_predict_batch(subjects, training, config)
+
+
 # ---------------------------------------------------------------------------
 # differential test: the ranking engine against a naive reference
 # ---------------------------------------------------------------------------
@@ -343,7 +388,8 @@ SCORES = st.integers(200, 800).map(float)
 
 @st.composite
 def engine_cases(draw):
-    dims = draw(st.integers(1, 3))
+    # zero features: correlation selection may keep only the target
+    dims = draw(st.integers(0, 3))
     rows = [
         [draw(COORDS) for _ in range(dims)] + [draw(SCORES)]
         for _ in range(draw(st.integers(1, 9)))
@@ -368,6 +414,10 @@ def engine_cases(draw):
 # fewer than two rows, and k larger than a fold's training rows
 @example(([[0.0, 1.0]], [], 1, 1, -2.0))
 @example(([[0.0, 300.0], [1.0, 400.0], [2.0, 500.0]], [], 1, 3, -2.0))
+# all rows tied: the held-out row is the first, then the last, index
+@example(([[0.5, 800.0], [0.5, 300.0], [0.5, 500.0], [0.5, 200.0]], [[0.5]], 2, 3, 1.0))
+# no feature columns at all: every distance is 0 and the row order decides
+@example(([[300.0], [800.0], [500.0]], [[], []], 2, 2, -2.0))
 def test_engine_matches_naive_reference(case):
     rows, subjects, max_k, knn_k, cutoff = case
     dims = len(rows[0]) - 1
@@ -375,12 +425,17 @@ def test_engine_matches_naive_reference(case):
     frame = Frame(names, rows, "t")
     matrix = [row[:dims] for row in rows]
     targets = [row[dims] for row in rows]
-    config = AmmknnConfig(max_k=max_k, outlier_feature="x0", outlier_cutoff=cutoff)
+    # without features the outlier rule reads the target (loocv) or a
+    # subject column of zeros standing in for it (batch)
+    outlier = "x0" if dims else "t"
+    config = AmmknnConfig(max_k=max_k, outlier_feature=outlier, outlier_cutoff=cutoff)
 
-    records = ammknn_predict_batch(Frame(names[:-1], subjects, None), frame, config)
-    for subject, record in zip(subjects, records):
+    subject_rows = [subject or [0.0] for subject in subjects]
+    subject_frame = Frame(names[:-1] or [outlier], subject_rows, None)
+    records = ammknn_predict_batch(subject_frame, frame, config)
+    for subject, cells, record in zip(subjects, subject_rows, records):
         order, means = naive_ranking(matrix, targets, subject)
-        neighbors, prediction = naive_adaptive(order, means, targets, subject[0], config)
+        neighbors, prediction = naive_adaptive(order, means, targets, cells[0], config)
         assert record.neighbor_ranking == neighbors
         assert record.prediction == prediction
     assert len(records) == len(subjects)
@@ -396,10 +451,11 @@ def test_engine_matches_naive_reference(case):
         return
     adaptive, triggered, fixed = loocv(frame, config, knn_k)
     expected_adaptive, expected_fixed = [], []
+    outlier_values = frame.column(outlier)
     for i in range(n):
         order, means = naive_ranking(matrix, targets, matrix[i], skip=i)
-        expected_adaptive.append(naive_adaptive(order, means, targets, matrix[i][0], config)[1])
+        expected_adaptive.append(naive_adaptive(order, means, targets, outlier_values[i], config)[1])
         expected_fixed.append(means[knn_k - 1])
     assert adaptive == expected_adaptive
     assert fixed == expected_fixed
-    assert triggered == [row[0] < cutoff for row in matrix]
+    assert triggered == [v < cutoff for v in outlier_values]

@@ -275,6 +275,85 @@ class TestCliErrors:
         assert code == 3
 
 
+class TestCliRefusesUnscorableInput:
+    """Input that cannot be read or scored is a data error (exit 3) naming the file."""
+
+    def test_plot_malformed_json_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.json"
+        bad.write_text('{"subjects": [')
+        assert main(["plot", "--report", str(bad), "--kind", "scatter", "--out", str(tmp_path)]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_prepare_input_directory_exit_3(self, workspace, tmp_path, capsys):
+        code = main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(tmp_path), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_csv_not_utf8_exit_3(self, workspace, tmp_path, capsys):
+        bad_csv = tmp_path / "latin1.csv"
+        bad_csv.write_bytes("student_id,cohort,f01,score\nJos\u00e9,2018,1.0,400\n".encode("latin-1"))
+        code = main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(bad_csv), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        assert str(bad_csv) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_training_cell_exit_3(self, workspace, tmp_path, capsys, cell):
+        run_all(workspace)
+        train = load_csv(workspace["out"] / TRAIN_CSV, "score", id_column="student_id")
+        lines = (workspace["out"] / TRAIN_CSV).read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[header.index(train.feature_names()[0])] = cell
+        lines[3] = ",".join(row)
+        bad = tmp_path / "bad_train.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv in (
+            ["loocv", "--train", str(bad), "--out", str(tmp_path / "l")],
+            ["validate", "--train", str(bad),
+             "--cohort", str(workspace["out"] / VALIDATION_CSV), "--out", str(tmp_path / "v")],
+        ):
+            capsys.readouterr()
+            assert main([argv[0], "--config", str(workspace["config"]), *argv[1:]]) == 3
+            assert "training row 2" in capsys.readouterr().err
+
+    def test_non_finite_raw_cell_prepare_exit_3(self, workspace, tmp_path):
+        lines = workspace["cohort_csv"].read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index("f01")] = "nan"
+        lines[1] = ",".join(row)
+        bad = tmp_path / "cohort.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(bad), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+
+
+def test_cli_imports_only_the_standard_library():
+    """The package declares no dependencies; importing the CLI must not pull one in."""
+    src = os.path.dirname(os.path.dirname(ammknn.__file__))
+    probe = (
+        "import sys; before = set(sys.modules); import ammknn.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = {name.split(".")[0] for name in result.stdout.split()}
+    assert "ammknn" in loaded
+    assert loaded - {"ammknn"} <= set(sys.stdlib_module_names)
+
+
 class TestCliStdout:
     def test_loocv_json_is_one_document(self, workspace, capsys):
         run_all(workspace)

@@ -5,7 +5,9 @@ import statistics
 import pytest
 
 from ammknn import (
+    AggregationSpec,
     Frame,
+    aggregate_means,
     pearson_correlation,
     select_by_correlation,
     standardize_joint,
@@ -14,6 +16,7 @@ from ammknn.errors import (
     ColumnMismatch,
     ConstantInput,
     LengthMismatch,
+    NonFiniteCell,
     ZeroVarianceColumn,
 )
 
@@ -69,6 +72,30 @@ class TestStandardizeJoint:
         for name in ("a", "b"):
             for u, v in zip(once.column(name), twice.column(name)):
                 assert abs(u - v) < 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_cell(self, bad):
+        train = Frame(["x", "t"], [[0, 1], [1, 2]], "t")
+        extra = Frame(["x", "t"], [[2, 3], [bad, 4]], "t")
+        with pytest.raises(NonFiniteCell, match="validation row 1, column 'x'"):
+            standardize_joint(train, extra)
+
+    def test_refuses_non_finite_target(self):
+        train = Frame(["x", "t"], [[0, 1], [1, math.inf], [2, 3]], "t")
+        with pytest.raises(NonFiniteCell, match="training row 1, column 't'"):
+            standardize_joint(train)
+
+    def test_means_sum_left_to_right(self):
+        # compensated summation (built-in sum() from Python 3.12 on) would
+        # give 1/3; the files this package writes must not depend on it
+        frame = Frame(["x", "t"], [[1e16, 1], [1.0, 2], [-1e16, 3]], "t")
+        _, _, stats = standardize_joint(frame)
+        assert stats.means["x"] == 0.0 / 3
+        aggregated = aggregate_means(
+            Frame(["a", "b", "c"], [[1e16, 1.0, -1e16]], None),
+            [AggregationSpec("m", ("a", "b", "c"))],
+        )
+        assert aggregated.column("m") == (0.0 / 3,)
 
     def test_joint_differs_from_separate_on_shifted_validation(self):
         rng = random.Random(11)
