@@ -120,6 +120,10 @@ def _cmd_synth(args) -> int:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{args.spec}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError:
+        raise InvalidSpec(f"{args.spec}: not UTF-8 text") from None
+    except IsADirectoryError:
+        raise InvalidSpec(f"{args.spec}: is a directory, not a spec file") from None
     summary = pipeline.run_synth(doc, args.out, seed_override=args.seed)
     print(f"wrote {summary['rows']} rows x {summary['columns']} columns to {summary['path']}")
     return EXIT_OK

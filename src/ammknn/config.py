@@ -163,4 +163,8 @@ def load_config(path) -> PipelineConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a config file") from None
     return config_from_json_dict(data)

@@ -4,8 +4,11 @@ metrics, and the prediction-cutoff sweep.
 Leave-one-out goes through the same ranking engine as every other step
 (``knn._rank``): each row is ranked once against all the others, and the
 adaptive and the fixed-k predictions are both read from that one
-ranking. No Frame is rebuilt per fold and no pairwise distance table is
-kept, since an n x n table of floats would cost O(n^2) memory.
+ranking. The held-out row is its own subject; the engine's ``math.dist``
+filter keeps the ``max(max_k, knn_k)`` nearest others, plus any within
+its error margin, and only those get exact squared distances. No Frame is
+rebuilt per fold and no pairwise distance table is kept, since an n x n
+table of floats would cost O(n^2) memory.
 
 Evaluation convention: a *positive* outcome is an actual failing score,
 so sensitivity measures how well failing subjects are detected. Binary
@@ -220,13 +223,13 @@ def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, l
         raise InvalidSpec(f"knn_k must be >= 1, got {knn_k}")
     if knn_k > frame.n_rows - 1:
         raise KTooLarge(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
-    columns, target = _training_arrays(frame)
+    matrix, target = _training_arrays(frame)
     outlier_values = frame.column(config.outlier_feature)
     limit = max(config.max_k, knn_k)
     n = frame.n_rows
     adaptive, triggered, fixed_k = [], [], []
     for i in range(n):
-        ranked = _rank(columns, tuple(col[i] for col in columns), n, limit, skip=i)
+        ranked = _rank(matrix, matrix[i], limit, skip=i)
         record = _record(ranked, target, outlier_values[i], config)
         adaptive.append(record.prediction)
         triggered.append(record.outlier_triggered)

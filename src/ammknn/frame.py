@@ -243,10 +243,6 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     return Frame(names, rows, target_name, ids, id_column)
 
 
-def _format_cell(value: Cell) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_csv(frame: Frame, path) -> None:
     """Write a Frame back to CSV (id column first when present).
 
@@ -258,11 +254,11 @@ def write_csv(frame: Frame, path) -> None:
         if frame.row_ids is not None:
             writer.writerow([frame.id_name or "id", *frame.column_names])
             for rid, row in zip(frame.row_ids, frame.rows):
-                writer.writerow([rid, *[_format_cell(c) for c in row]])
+                writer.writerow([rid, *["" if c is None else repr(c) for c in row]])
         else:
             writer.writerow(frame.column_names)
             for row in frame.rows:
-                writer.writerow([_format_cell(c) for c in row])
+                writer.writerow(["" if c is None else repr(c) for c in row])
 
 
 # --------------------------------------------------------------------------

@@ -26,26 +26,36 @@ Every step ranks through one engine, ``_rank``: predict and validate
 (``evaluation.loocv``, which ranks each row once against the others and
 reads both the adaptive and the fixed-k model from that one ranking).
 The training matrix is extracted and checked once per call, not once per
-subject, and it is held column-major: one tuple per feature.
+subject, one tuple per row.
 
-For each subject the engine builds one list of n squared distances. The
-first feature column starts it (``d * d`` with ``d = s - x`` for every
-training row) and each further column is added to it in one list
-comprehension. Every row's sum still adds its features left to right,
-starting from the first square, so distances are bit-identical to a
-row-by-row loop, while the per-element work runs in comprehensions
-instead of a Python-level loop per row. There is no cache of pairwise
-distances: an n x n table of Python floats costs about 20 MB at n = 724,
-so only one subject's n distances are held at a time and memory stays
-O(n).
+For each subject the engine filters, then refines. The filter gives every
+training row an approximate distance with ``math.dist``, one C call per
+row, and keeps the rows whose approximate distance is within a margin of
+the ``limit``-th smallest: normally exactly ``limit`` rows. The refine
+step sums the squared differences ``d * d`` (``d = s - x``) of only those
+rows left to right from 0.0, which is bit-identical to starting from the
+first square since ``0.0 + a == a``, and sorts them by (squared distance,
+row index), the tie rule "distance, then row index". Only one subject's n
+approximate distances are held at a time, so memory stays O(n); a cache
+of pairwise distances would cost about 20 MB at n = 724.
 
-Rows are then ordered by a stable sort of the row indices, keyed on
-their squared distance (same ordering as the Euclidean distance, no
-square root in the comparison key). Stability keeps equal distances in
-ascending row order, which is the tie rule "distance, then row index".
-That equivalence needs keys that are totally ordered, and NaN is not, so
-every training cell, every training target and every subject cell must
-be finite: a missing or non-finite cell is refused with a ``DataError``
+Why the filter loses no neighbor. Both distances are taken over the same
+rounded differences ``d``. ``math.dist`` is within a few ulps of their
+true norm, and the left-to-right sum of m squares is within about (m + 2)
+ulps of its square. The relative margin, 1e-12 plus 1e-15 per feature, is
+more than nine times their combined error for any m. So a row beyond the
+margin has a larger summed square than each of the ``limit`` rows inside
+it and cannot be among the nearest. The absolute margin of 1e-150 keeps
+every row whose squares may underflow (below about 1e-300), where the sum
+has no relative error bound. Once the bound itself reaches 1e150, squares
+may overflow to inf, and equal infinities are ordered by row index alone,
+so no row is cut at all: the same code path, with nothing filtered out.
+``math.dist`` differs in its last bits between Python versions; the
+margin absorbs that, and the order itself comes only from the sums.
+
+Ordering needs keys that are totally ordered, and NaN is not, so every
+training cell, every training target and every subject cell must be
+finite: a missing or non-finite cell is refused with a ``DataError``
 naming its row and column (``MissingCell``, ``NonFiniteCell``).
 
 Running means are plain left-to-right float sums divided by k. Together
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -149,42 +159,50 @@ def _checked_vector(vec: Sequence[float], names: Sequence[str]) -> tuple:
     return cells
 
 
-def _training_arrays(training: Frame) -> Tuple[tuple, tuple]:
-    """The training features, column-major (one tuple per feature), and the
-    targets, extracted and checked once: every cell must be finite."""
+def _training_arrays(training: Frame) -> Tuple[list, tuple]:
+    """The training features, one tuple per row, and the targets, extracted
+    and checked once: every cell must be finite."""
     if training.n_rows == 0:
         raise EmptyTrainingSet("no training rows")
     names = training.feature_names()
     matrix = training.feature_matrix(names)
-    columns = tuple(zip(*matrix))
-    if not all(map(_finite, columns)):
+    if not all(map(_finite, matrix)):
         _refuse("training", names, matrix)
     target = training.target_values()
     if not _finite(target):
         _refuse("training", [training.target_name], zip(target))
-    return columns, target
+    return matrix, target
 
 
-def _rank(
-    columns: Sequence[tuple], subject: tuple, n: int, limit: int, skip: Optional[int] = None
-) -> list:
-    """The ``limit`` nearest ``(squared_distance, row)`` pairs among ``n``
-    checked training rows, ordered by distance then row index, leaving out
-    row ``skip``.
+def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[int] = None) -> list:
+    """The ``limit`` nearest ``(squared_distance, row)`` pairs among the
+    checked training rows of ``matrix``, ordered by distance then row
+    index, leaving out row ``skip``.
 
-    This is the package's only ranking. Squared distances to all n rows
-    are accumulated one feature column at a time, so only one subject's n
-    distances are held at a time and memory stays O(n).
+    This is the package's only ranking: ``math.dist`` filters, the exact
+    left-to-right sums of the survivors order them. The module docstring
+    gives the error argument behind the margins.
     """
-    if columns:
-        s = subject[0]
-        dist = [(d := s - x) * d for x in columns[0]]
-        for s, col in zip(subject[1:], columns[1:]):
-            dist = [t + (d := s - x) * d for t, x in zip(dist, col)]
-    else:
-        dist = [0.0] * n
-    rows = range(n) if skip is None else chain(range(skip), range(skip + 1, n))
-    return [(dist[j], j) for j in sorted(rows, key=dist.__getitem__)[:limit]]
+    n = len(matrix)
+    approx = list(map(math.dist, repeat(subject, n), matrix))
+    rows = range(n)
+    if skip is not None:
+        rows = chain(range(skip), range(skip + 1, n))
+        approx[skip] = math.inf  # so no finite bound keeps it
+    if limit < n:
+        margin = 1.0 + 1e-12 + len(subject) * 1e-15
+        bound = sorted(approx)[limit - 1] * margin + 1e-150
+        if bound < 1e150:
+            rows = [j for j, a in enumerate(approx) if a <= bound]
+    ranked = []
+    for j in rows:
+        sq = 0.0
+        for s, x in zip(subject, matrix[j]):
+            d = s - x
+            sq += d * d
+        ranked.append((sq, j))
+    ranked.sort()
+    return ranked[:limit]
 
 
 def cumulative_means(values: Sequence[float]) -> list:
@@ -238,9 +256,9 @@ def ammknn_predict_one(
     ``subject_outlier_value`` the subject's standardized score on the
     outlier feature (normally one of those same features).
     """
-    columns, target = _training_arrays(training)
+    matrix, target = _training_arrays(training)
     subject = _checked_vector(subject, training.feature_names())
-    ranked = _rank(columns, subject, len(target), config.max_k)
+    ranked = _rank(matrix, subject, config.max_k)
     return _record(ranked, target, subject_outlier_value, config, subject_id)
 
 
@@ -263,14 +281,14 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
         raise UnknownColumn(
             f"outlier feature {config.outlier_feature!r} not in subjects"
         )
-    columns, target = _training_arrays(training)
+    matrix, target = _training_arrays(training)
     outlier_values = subjects.column(config.outlier_feature)
     if not _finite(outlier_values):
         _refuse("subject", [config.outlier_feature], zip(outlier_values))
     records = []
     for i, row in enumerate(subjects.feature_matrix(features)):
         try:
-            ranked = _rank(columns, _checked_vector(row, features), len(target), config.max_k)
+            ranked = _rank(matrix, _checked_vector(row, features), config.max_k)
         except AmmknnError as exc:
             raise type(exc)(f"subject row {i}: {exc}") from exc
         records.append(_record(ranked, target, outlier_values[i], config, subjects.row_id(i)))

@@ -8,9 +8,11 @@ predict: train + unscored cohort -> prediction records as JSON lines.
 synth/plot: generator and figure plumbing.
 
 loocv, validate and predict all rank neighbors through one engine (see
-``knn``). loocv ranks each training row once and reads both models from
-that ranking; there is no pairwise distance cache, because its O(n^2)
-memory would outgrow everything else a step holds.
+``knn``): a ``math.dist`` filter over every training row, then exact
+left-to-right squared distances for the few rows it keeps. loocv ranks
+each training row once and reads both models from that ranking; there is
+no pairwise distance cache, because its O(n^2) memory would outgrow
+everything else a step holds.
 
 Everything here is deterministic given (config, inputs, seed); re-running
 a step produces byte-identical files.
@@ -19,6 +21,7 @@ a step produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import replace
 from typing import Optional
@@ -118,7 +121,14 @@ def _split_by_year(frame: Frame, config: PipelineConfig):
 
 
 def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
-    """Default the outlier feature to the one most correlated with the target."""
+    """Default the outlier feature to the one most positively correlated
+    with the target (largest signed r, first on ties).
+
+    The rule fires on *low* feature values, so a feature that correlates
+    negatively would flag the strongest students; when every feature
+    does, there is no sound default and the config must name one. A
+    constant column (or a constant target) counts as r = 0.
+    """
     if config.outlier_feature is not None:
         if config.outlier_feature not in train.column_names:
             raise ConfigError(
@@ -127,10 +137,10 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
         return config
     target = train.target_values()
     best = None
-    best_r = -1.0
+    best_r = -math.inf
     for name in train.feature_names():
         try:
-            r = abs(pearson_correlation(train.column(name), target))
+            r = pearson_correlation(train.column(name), target)
         except ConstantInput:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0
@@ -138,6 +148,11 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
             best, best_r = name, r
     if best is None:
         raise InvalidSpec("training frame has no feature columns")
+    if best_r < 0.0:
+        raise ConfigError(
+            f"every feature correlates negatively with the target (best {best!r}, "
+            f"r = {best_r!r}); set ammknn.outlier_feature"
+        )
     return replace(config, outlier_feature=best)
 
 

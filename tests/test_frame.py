@@ -97,6 +97,20 @@ class TestLoadCsv:
         again = load_csv(out, "y", id_column="id")
         assert again == frame
 
+    @pytest.mark.parametrize("ids", [None, ["A", "B"]])
+    def test_round_trip_keeps_every_bit(self, tmp_path, ids):
+        frame = Frame(["x", "y"], [[None, -0.0], [1e-320, 1e200]], "y", row_ids=ids)
+        out = tmp_path / "out.csv"
+        write_csv(frame, out)
+        body = "x,y\r\n,-0.0\r\n1e-320,1e+200\r\n"
+        if ids:
+            body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,1e+200\r\n"
+        assert out.read_bytes() == body.encode()
+        again = load_csv(out, "y", id_column="id" if ids else None)
+        assert [list(map(repr, row)) for row in again.rows] == [
+            list(map(repr, row)) for row in frame.rows
+        ]
+
 
 class TestFrameInvariants:
     def test_row_width_checked(self):

@@ -381,23 +381,30 @@ def naive_adaptive(order, means, targets, outlier_value, config):
     return tuple((i, math.sqrt(sq)) for sq, i in nearest), prediction
 
 
-# a tiny coordinate set forces distance ties; whole scores keep prefix sums exact
-COORDS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+# a tiny coordinate set forces exact distance ties; everyday decimals make
+# sums that round, so near-ties differ between distance formulas; the
+# extremes square to subnormals (1e-160) or overflow to inf (7e153 summed,
+# 1e200); whole scores keep prefix sums exact
+TIED = [-1.0, 0.0, 0.5, 2.0]
+EVERYDAY = [-0.1, 0.0, 0.1, 0.2, 0.3, 0.6, 1 / 3, 2 / 3, 5.0]
+EXTREMES = [1e-160, -3e-160, 7e153, 1e200, -2e200]
+COORD_SETS = st.sampled_from([TIED, EVERYDAY, EVERYDAY + EXTREMES])
 SCORES = st.integers(200, 800).map(float)
 
 
 @st.composite
 def engine_cases(draw):
+    coords = st.sampled_from(draw(COORD_SETS))
     # zero features: correlation selection may keep only the target
     dims = draw(st.integers(0, 3))
     rows = [
-        [draw(COORDS) for _ in range(dims)] + [draw(SCORES)]
+        [draw(coords) for _ in range(dims)] + [draw(SCORES)]
         for _ in range(draw(st.integers(1, 9)))
     ]
     for _ in range(draw(st.integers(0, 2))):  # duplicate features, fresh target
         rows.append(rows[draw(st.integers(0, len(rows) - 1))][:dims] + [draw(SCORES)])
     subjects = [
-        [draw(COORDS) for _ in range(dims)] for _ in range(draw(st.integers(0, 3)))
+        [draw(coords) for _ in range(dims)] for _ in range(draw(st.integers(0, 3)))
     ]
     max_k = draw(st.integers(1, 14))
     knn_k = draw(st.integers(1, len(rows)))
@@ -418,6 +425,16 @@ def engine_cases(draw):
 @example(([[0.5, 800.0], [0.5, 300.0], [0.5, 500.0], [0.5, 200.0]], [[0.5]], 2, 3, 1.0))
 # no feature columns at all: every distance is 0 and the row order decides
 @example(([[300.0], [800.0], [500.0]], [[], []], 2, 2, -2.0))
+# math.dist ties the two rows, the summed squares do not: 0.1 for row 1
+# against 0.10000000000000002 for row 0
+@example(([[0.2, 0.2, 500.0], [0.0, 0.6, 300.0]], [[-0.1, 0.3]], 1, 1, -2.0))
+# math.dist puts row 0 first, the summed squares put row 1 first:
+# 0.18000000000000002 against 0.18000000000000005
+@example(([[0.0, 0.3, 0.2, 500.0], [0.2, -0.1, 0.6, 300.0]], [[-0.1, -0.1, 0.3]], 1, 1, -2.0))
+# both squares overflow to inf, so the row index decides: row 0
+@example(([[2e200, 500.0], [1e200, 300.0]], [[0.0]], 1, 1, -2.0))
+# both squares underflow to 0.0, so the row index decides: row 0
+@example(([[2e-170, 500.0], [1e-170, 300.0]], [[0.0]], 1, 1, -2.0))
 def test_engine_matches_naive_reference(case):
     rows, subjects, max_k, knn_k, cutoff = case
     dims = len(rows[0]) - 1

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import ammknn
-from ammknn import load_csv
+from ammknn import AmmknnConfig, Frame, load_csv
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
+from ammknn.errors import ConfigError
 from ammknn.pipeline import (
     LOOCV_AMMKNN_JSON,
     LOOCV_KNN_JSON,
@@ -19,6 +20,7 @@ from ammknn.pipeline import (
     TRAIN_CSV,
     VALIDATE_JSON,
     VALIDATION_CSV,
+    resolve_outlier_feature,
     run_loocv,
     run_prepare,
     run_validate,
@@ -216,6 +218,36 @@ class TestCliWorkflow:
         )
 
 
+class TestResolveOutlierFeature:
+    """The outlier rule fires on low values, so its default must correlate positively."""
+
+    TARGET = [300.0, 350.0, 400.0, 450.0, 500.0]
+
+    def frame(self, **columns):
+        names = [*columns, "t"]
+        rows = [[*cells, t] for *cells, t in zip(*columns.values(), self.TARGET)]
+        return Frame(names, rows, "t")
+
+    def test_strongest_negative_feature_is_passed_over(self):
+        # |r| is 1 for "neg" and about 0.8 for "pos"
+        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
+        assert resolve_outlier_feature(train, AmmknnConfig()).outlier_feature == "pos"
+
+    def test_all_negative_features_are_a_config_error(self):
+        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], weak=[3.0, 5.0, 1.0, 4.0, 2.0])
+        with pytest.raises(ConfigError, match="'weak'"):
+            resolve_outlier_feature(train, AmmknnConfig())
+
+    def test_constant_column_counts_as_zero(self):
+        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], flat=[1.0] * 5)
+        assert resolve_outlier_feature(train, AmmknnConfig()).outlier_feature == "flat"
+
+    def test_configured_feature_is_kept(self):
+        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
+        config = AmmknnConfig(outlier_feature="neg")
+        assert resolve_outlier_feature(train, config) is config
+
+
 class TestCliErrors:
     def test_missing_target_config_error_exit_2(self, workspace, tmp_path):
         bad_config = tmp_path / "bad.json"
@@ -230,6 +262,31 @@ class TestCliErrors:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 1, "n_rows": 0, "n_features": 3, "signal_features": 1}))
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+
+    def test_config_directory_exit_2(self, workspace, tmp_path, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        code = main([
+            "prepare", "--config", str(config_dir),
+            "--input", str(workspace["cohort_csv"]), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert str(config_dir) in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_2(self, workspace, tmp_path, capsys):
+        bad_config = tmp_path / "latin1.json"
+        doc = dict(CONFIG_DOC, exclude_columns=["José"])
+        bad_config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        code = main([
+            "prepare", "--config", str(bad_config),
+            "--input", str(workspace["cohort_csv"]), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert str(bad_config) in capsys.readouterr().err
+
+    def test_synth_spec_directory_exit_2(self, tmp_path, capsys):
+        assert main(["synth", "--spec", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_unresolved_target_label_exit_2(self, workspace, tmp_path):
         # config references a column the dataset does not have
