@@ -74,7 +74,9 @@ def _cmd_prepare(args) -> int:
         "(dropped {train_dropped_missing_target} missing-target, "
         "{train_dropped_incomplete} incomplete) and {validation_rows} validation rows "
         "(dropped {validation_dropped_missing_target} missing-target, "
-        "{validation_dropped_incomplete} incomplete)".format(**summary)
+        "{validation_dropped_incomplete} incomplete); "
+        "dropped {dropped_outside_years} rows with a missing cohort year "
+        "or one outside both windows".format(**summary)
     )
     print(
         "kept {columns_kept} of {columns_in} columns "

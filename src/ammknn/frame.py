@@ -5,6 +5,14 @@ are ``None``). Every row is one subject; one column is designated as the
 prediction target. All operations are pure functions returning new
 Frames, so frames can be shared freely across workers.
 
+Cells are checked once, where they enter: the public ``Frame(...)``
+constructor checks the shape of every row and converts every cell that
+is not an exact ``float`` or ``None``, and ``load_csv`` parses every cell
+with ``float()`` or refuses it. Frames derived from a checked Frame
+(row subsets, column projections, filters, group means, z-scores) hold
+only cells taken from it or floats computed from them, so they are built
+through ``Frame._derived``, which checks column labels but not cells.
+
 CSV conventions: UTF-8, one header row, ``.`` decimal separator, empty
 string means missing. Column labels are taken verbatim from the header
 and treated as opaque keys (no sanitization).
@@ -15,7 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -43,6 +51,13 @@ def _project(rows, idx: Sequence[int]) -> list:
     return [tuple(row[i] for i in idx) for row in rows]
 
 
+def _check_labels(names: tuple, target_name: Optional[str]) -> None:
+    if len(set(names)) != len(names):
+        raise DuplicateColumnName(f"duplicate column labels in {names}")
+    if target_name is not None and target_name not in names:
+        raise UnknownTargetColumn(f"target column {target_name!r} not present")
+
+
 class Frame:
     """Immutable table of numeric cells with a designated target column.
 
@@ -50,6 +65,14 @@ class Frame:
     outcome column; whenever it is set it must name an existing column.
     ``row_ids`` are optional per-row text identifiers (for example a
     student id pulled out of the CSV); they are bookkeeping, not data.
+
+    Invariant: ``rows`` is a tuple of equal-width tuples whose cells are
+    exact ``float`` or ``None``. ``Frame(...)`` establishes it for any
+    input: ragged rows are refused and other cells go through ``float()``.
+    The module's own operations build their results with ``_derived``,
+    which trusts it, because every cell they store comes from a Frame that
+    already holds it; re-scanning those cells was most of the time spent
+    constructing Frames.
     """
 
     __slots__ = ("column_names", "rows", "target_name", "row_ids", "id_name")
@@ -63,10 +86,7 @@ class Frame:
         id_name: Optional[str] = None,
     ):
         names = tuple(column_names)
-        if len(set(names)) != len(names):
-            raise DuplicateColumnName(f"duplicate column labels in {names}")
-        if target_name is not None and target_name not in names:
-            raise UnknownTargetColumn(f"target column {target_name!r} not present")
+        _check_labels(names, target_name)
         frozen = tuple(map(tuple, rows))
         if not set(map(len, frozen)) <= {len(names)}:
             i, cells = next((i, c) for i, c in enumerate(frozen) if len(c) != len(names))
@@ -82,6 +102,32 @@ class Frame:
         self.target_name = target_name
         self.row_ids = tuple(row_ids) if row_ids is not None else None
         self.id_name = id_name
+
+    @classmethod
+    def _derived(
+        cls,
+        column_names: Sequence[str],
+        rows: tuple,
+        target_name: Optional[str],
+        row_ids: Optional[tuple],
+        id_name: Optional[str],
+    ) -> "Frame":
+        """A Frame over rows that already satisfy the class invariant.
+
+        ``rows`` must be a tuple of tuples, each ``len(column_names)``
+        wide, of exact ``float`` or ``None``, and ``row_ids`` None or a
+        tuple of the same length. Column labels are still checked; cells
+        are not.
+        """
+        names = tuple(column_names)
+        _check_labels(names, target_name)
+        frame = object.__new__(cls)
+        frame.column_names = names
+        frame.rows = rows
+        frame.target_name = target_name
+        frame.row_ids = row_ids
+        frame.id_name = id_name
+        return frame
 
     # -- basic accessors ------------------------------------------------
 
@@ -101,6 +147,12 @@ class Frame:
 
     def column(self, name: str) -> tuple:
         return tuple(map(itemgetter(self.column_index(name)), self.rows))
+
+    def columns(self) -> list:
+        """Every column as a tuple, in column order, from one pass over the rows."""
+        if not self.rows:
+            return [()] * self.n_cols
+        return list(zip(*self.rows))
 
     def feature_names(self) -> tuple:
         """Column labels excluding the target."""
@@ -123,10 +175,10 @@ class Frame:
     # -- structural helpers (each returns a new Frame) --------------------
 
     def subset_rows(self, indices: Sequence[int]) -> "Frame":
-        ids = None if self.row_ids is None else [self.row_ids[i] for i in indices]
-        return Frame(
+        ids = None if self.row_ids is None else tuple(map(self.row_ids.__getitem__, indices))
+        return Frame._derived(
             self.column_names,
-            [self.rows[i] for i in indices],
+            tuple(map(self.rows.__getitem__, indices)),
             self.target_name,
             ids,
             self.id_name,
@@ -135,9 +187,9 @@ class Frame:
     def select_columns(self, names: Sequence[str]) -> "Frame":
         idx = [self.column_index(n) for n in names]
         target = self.target_name if self.target_name in names else None
-        return Frame(
+        return Frame._derived(
             names,
-            _project(self.rows, idx),
+            tuple(_project(self.rows, idx)),
             target,
             self.row_ids,
             self.id_name,
@@ -146,11 +198,8 @@ class Frame:
     def drop_columns(self, names: Sequence[str]) -> "Frame":
         for n in names:
             self.column_index(n)
-        keep = [n for n in self.column_names if n not in set(names)]
-        return self.select_columns(keep)
-
-    def replace_rows(self, rows: Sequence[Sequence[Cell]]) -> "Frame":
-        return Frame(self.column_names, rows, self.target_name, self.row_ids, self.id_name)
+        dropped = set(names)
+        return self.select_columns([n for n in self.column_names if n not in dropped])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
@@ -220,10 +269,13 @@ def _read_records(reader, path, target_name: Optional[str], id_column: Optional[
         if id_pos is not None:
             ids.append(record.pop(id_pos))
         try:
-            rows.append([float(text) if text else None for text in record])
+            # via a list, so the tuple is allocated at its exact size: tuple()
+            # of a map has no length hint and would keep a block ~15% larger
+            rows.append(tuple(list(map(float, record))))
         except ValueError:
-            rows.append([_parse_cell(text, lineno, name) for text, name in zip(record, names)])
-    return names, rows, ids
+            # an empty (missing) cell, or a cell float() refuses
+            rows.append(tuple([_parse_cell(text, lineno, name) for text, name in zip(record, names)]))
+    return names, tuple(rows), (None if ids is None else tuple(ids))
 
 
 def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) -> Frame:
@@ -232,6 +284,8 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     The id column (if named) is pulled out into ``row_ids`` and is the only
     column allowed to hold non-numeric text. Empty cells become missing
     markers. ``target_name`` may be None for prediction-only cohorts.
+    Every cell is checked here, as it is parsed, so the Frame is built
+    without a second scan.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -240,7 +294,7 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
         raise UnreadableInput(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:
         raise UnreadableInput(f"{path}: is a directory, not a CSV file") from None
-    return Frame(names, rows, target_name, ids, id_column)
+    return Frame._derived(names, rows, target_name, ids, id_column)
 
 
 def write_csv(frame: Frame, path) -> None:
@@ -318,23 +372,30 @@ def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members
             raise NameCollision(f"column {spec.group_name!r} already exists")
         new_names.add(spec.group_name)
 
-    names = [*frame.column_names, *(spec.group_name for spec in specs)]
     means = []
     for spec in specs:
         # member columns are added left to right from 0.0, one column at a
         # time; built-in sum() would round differently from Python 3.12 on
         total = [0.0] * frame.n_rows
+        gaps = False
         for m in spec.member_columns:
-            total = [
-                None if t is None or x is None else t + x
-                for t, x in zip(total, frame.column(m))
-            ]
+            col = frame.column(m)
+            if not gaps:
+                try:
+                    total = list(map(add, total, col))
+                    continue
+                except TypeError:  # float + None: this column has a missing cell
+                    gaps = True
+            total = [None if t is None or x is None else t + x for t, x in zip(total, col)]
         k = len(spec.member_columns)
         means.append([None if t is None else t / k for t in total])
-    rows = [row + extra for row, extra in zip(frame.rows, zip(*means))] if means else frame.rows
 
-    result = Frame(names, rows, frame.target_name, frame.row_ids, frame.id_name)
-    if drop_members:
-        members = {m for spec in specs for m in spec.member_columns}
-        result = result.drop_columns([n for n in result.column_names if n in members])
-    return result
+    # the members are dropped while the group means are appended, so the
+    # table is copied once
+    members = {m for spec in specs for m in spec.member_columns} if drop_members else set()
+    keep = [i for i, n in enumerate(frame.column_names) if n not in members]
+    names = [*(frame.column_names[i] for i in keep), *(spec.group_name for spec in specs)]
+    rows = frame.rows if len(keep) == frame.n_cols else _project(frame.rows, keep)
+    if means:
+        rows = map(add, rows, zip(*means))
+    return Frame._derived(names, tuple(rows), frame.target_name, frame.row_ids, frame.id_name)

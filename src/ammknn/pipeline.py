@@ -32,8 +32,8 @@ from .config import PipelineConfig
 from .errors import (
     ColumnMismatch,
     ConfigError,
-    ConstantInput,
     InvalidSpec,
+    NonFiniteCell,
     UnknownColumn,
     UnknownTargetColumn,
 )
@@ -48,7 +48,7 @@ from .frame import (
     write_csv,
 )
 from .knn import AmmknnConfig, ammknn_predict_batch
-from .preprocess import pearson_correlation, select_by_correlation, standardize_joint
+from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .synth import SynthSpec, assign_cohort_years, generate_cohort
 
 TRAIN_CSV = "train.csv"
@@ -85,11 +85,8 @@ def _candidate_columns(frame: Frame, config: PipelineConfig) -> Frame:
                 frame.column_index(name)
             except UnknownColumn as exc:
                 raise ConfigError(f"include_columns: {exc}") from exc
-        keep = [
-            n
-            for n in frame.column_names
-            if n in set(config.include_columns) or n in keep_always
-        ]
+        include = set(config.include_columns)
+        keep = [n for n in frame.column_names if n in include or n in keep_always]
         frame = frame.select_columns(keep)
     if config.exclude_columns:
         drop = [
@@ -102,11 +99,22 @@ def _candidate_columns(frame: Frame, config: PipelineConfig) -> Frame:
 
 
 def _split_by_year(frame: Frame, config: PipelineConfig):
-    """Train rows start before the cutoff year; validation rows start in it."""
+    """Train rows start before the cutoff year; validation rows start in it.
+
+    A NaN or infinite year is refused: it would fall silently into
+    neither side (NaN, +inf) or into training (-inf). Rows with a missing
+    year or a year outside both windows are left out; the caller counts
+    them.
+    """
     if config.cohort_column is None or config.year_cutoff is None:
         raise ConfigError("prepare needs cohort_column and year_cutoff")
     if config.cohort_column not in frame.column_names:
         raise ConfigError(f"cohort column {config.cohort_column!r} not in input")
+    for i, year in enumerate(frame.column(config.cohort_column)):
+        if year is not None and not math.isfinite(year):
+            raise NonFiniteCell(
+                f"input row {i}, column {config.cohort_column!r}: non-finite value {year!r}"
+            )
     train = filter_by_cutoff(frame, config.cohort_column, config.year_cutoff, "below")
     at_or_after = filter_by_cutoff(
         frame, config.cohort_column, config.year_cutoff, "at_or_above"
@@ -135,13 +143,11 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
                 f"configured outlier feature {config.outlier_feature!r} not in training frame"
             )
         return config
-    target = train.target_values()
+    names = train.feature_names()
     best = None
     best_r = -math.inf
-    for name in train.feature_names():
-        try:
-            r = pearson_correlation(train.column(name), target)
-        except ConstantInput:
+    for name, r in zip(names, _correlations(map(train.column, names), train.target_values())):
+        if r is None:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0
         if r > best_r:
@@ -156,36 +162,46 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
     return replace(config, outlier_feature=best)
 
 
-def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+def _split_cohort(config: PipelineConfig, input_path):
+    """Raw cohort CSV -> (train, validation, row and column counts).
+
+    Group means are added, the candidate columns picked, the rows split by
+    cohort year, and rows with a missing target or any missing cell
+    dropped. Only the two sides outlive this call, so the full raw table
+    is freed before standardization builds its z-scores.
+    """
     frame = _load_for_config(config, input_path)
     if config.aggregations:
         frame = aggregate_means(frame, config.aggregations, drop_members=True)
     frame = _candidate_columns(frame, config)
     train, validation = _split_by_year(frame, config)
+    counts = {
+        "dropped_outside_years": frame.n_rows - train.n_rows - validation.n_rows,
+        "columns_in": frame.n_cols - (1 if config.cohort_column else 0),
+    }
+    train, counts["train_dropped_missing_target"] = drop_missing_target(train)
+    validation, counts["validation_dropped_missing_target"] = drop_missing_target(validation)
+    train, counts["train_dropped_incomplete"] = drop_incomplete(train)
+    validation, counts["validation_dropped_incomplete"] = drop_incomplete(validation)
+    return train, validation, counts
 
-    train, train_missing_target = drop_missing_target(train)
-    validation, validation_missing_target = drop_missing_target(validation)
-    train, train_incomplete = drop_incomplete(train)
-    validation, validation_incomplete = drop_incomplete(validation)
 
-    train_std, validation_std, _ = standardize_joint(train, validation)
-    train_sel, selection = select_by_correlation(train_std, config.correlation_threshold)
-    validation_sel = validation_std.select_columns(selection.kept_columns)
+def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
+    os.makedirs(out_dir, exist_ok=True)
+    train, validation, counts = _split_cohort(config, input_path)
+    train, validation, _ = standardize_joint(train, validation)
+    train, selection = select_by_correlation(train, config.correlation_threshold)
+    validation = validation.select_columns(selection.kept_columns)
 
-    write_csv(train_sel, os.path.join(out_dir, TRAIN_CSV))
-    write_csv(validation_sel, os.path.join(out_dir, VALIDATION_CSV))
+    write_csv(train, os.path.join(out_dir, TRAIN_CSV))
+    write_csv(validation, os.path.join(out_dir, VALIDATION_CSV))
     report_mod.dump_json(
         selection.to_json_dict(), os.path.join(out_dir, SELECTION_JSON)
     )
     return {
-        "train_rows": train_sel.n_rows,
-        "validation_rows": validation_sel.n_rows,
-        "train_dropped_missing_target": train_missing_target,
-        "validation_dropped_missing_target": validation_missing_target,
-        "train_dropped_incomplete": train_incomplete,
-        "validation_dropped_incomplete": validation_incomplete,
-        "columns_in": frame.n_cols - (1 if config.cohort_column else 0),
+        "train_rows": train.n_rows,
+        "validation_rows": validation.n_rows,
+        **counts,
         "columns_kept": len(selection.kept_columns),
         "columns_dropped": len(selection.dropped_columns),
     }

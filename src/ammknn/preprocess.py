@@ -12,9 +12,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter, mul
-from typing import Optional, Sequence
+from collections import deque
+from itertools import accumulate, islice
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ColumnMismatch,
@@ -66,12 +67,14 @@ def left_sum(values) -> float:
 
     Built-in ``sum()`` of floats uses compensated summation since Python
     3.12, so its last bits would depend on the interpreter; written-out
-    statistics must not.
+    statistics must not. ``accumulate`` adds with the ``+`` operator in C,
+    one value at a time, and the deque keeps only the last running total.
     """
-    return reduce(add, values, 0.0)
+    return deque(accumulate(values, initial=0.0), maxlen=1)[0]
 
 
 def _column_stats(label: str, values: Sequence[float]):
+    """(mean, sd, deviations from the mean) of one pooled column."""
     # explicit left-to-right float arithmetic keeps transformed cells
     # byte-stable across interpreter versions (golden-file contract)
     if len(values) < 2:
@@ -81,18 +84,24 @@ def _column_stats(label: str, values: Sequence[float]):
     sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
     if sd == 0.0:
         raise ZeroVarianceColumn(label)
-    return mean, sd
+    return mean, sd, d
 
 
-def _refuse_non_finite(label: str, values: Sequence[float], n_train: int) -> None:
-    """Refuse a NaN or infinite pooled cell, naming its frame, row and column.
+def _refuse_unusable(label: str, values: Sequence, n_train: int, missing_ok: bool = False) -> None:
+    """Refuse a missing (unless ``missing_ok``), NaN or infinite pooled cell.
 
     One NaN would turn the column's mean and sd into NaN, and the
-    correlation filter would then drop the column without a word. Missing
-    cells (None) are left to the caller.
+    correlation filter would then drop the column without a word. A
+    non-finite cell is named by its frame, row and column. The common
+    case, every cell finite, costs one pass.
     """
-    if None not in values and all(map(math.isfinite, values)):
-        return
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except TypeError:  # a missing cell (None)
+        pass
+    if not missing_ok and None in values:
+        raise MissingCell(f"column {label!r} has missing cells; drop incomplete rows first")
     for i, v in enumerate(values):
         if v is not None and not math.isfinite(v):
             where = f"training row {i}" if i < n_train else f"validation row {i - n_train}"
@@ -109,6 +118,13 @@ def standardize_joint(
     The target column and any ``exclude`` labels (cohort year, bookkeeping
     keys) pass through unchanged. Sample (n-1) standard deviation is used.
     Returns (train, extra, StandardizationStats); extra is None when absent.
+
+    The work is done a column at a time: each pooled column is pulled out
+    once, its deviations from the mean give both the sd and the z-scores
+    (``d / sd``, the same float as ``(v - mean) / sd``), and the result
+    rows are zipped back from the columns and split at the train/extra
+    boundary. The z-scores are floats computed from checked cells, so the
+    returned Frames are not scanned again.
     """
     if extra is not None:
         if extra.column_names != train.column_names:
@@ -118,56 +134,76 @@ def standardize_joint(
         if extra.target_name != train.target_name:
             raise ColumnMismatch("target columns differ between frames")
 
+    skip = set(exclude)
     excluded = tuple(
-        n for n in train.column_names if n == train.target_name or n in set(exclude)
+        n for n in train.column_names if n == train.target_name or n in skip
     )
     to_standardize = tuple(n for n in train.column_names if n not in excluded)
 
-    pooled_rows = list(train.rows) + (list(extra.rows) if extra is not None else [])
+    pooled_rows = train.rows + (extra.rows if extra is not None else ())
+    columns = list(zip(*pooled_rows)) if pooled_rows else [()] * train.n_cols
     means: dict = {}
     sds: dict = {}
-    for name in to_standardize:
-        i = train.column_index(name)
-        values = list(map(itemgetter(i), pooled_rows))
-        if None in values:
-            raise MissingCell(f"column {name!r} has missing cells; drop incomplete rows first")
-        _refuse_non_finite(name, values, train.n_rows)
-        means[name], sds[name] = _column_stats(name, values)
+    for i, name in enumerate(train.column_names):
+        if name in excluded:
+            continue
+        _refuse_unusable(name, columns[i], train.n_rows)
+        mean, sd, deviations = _column_stats(name, columns[i])
+        means[name], sds[name] = mean, sd
+        columns[i] = [d / sd for d in deviations]
     if train.target_name is not None:
-        target = list(map(itemgetter(train.column_index(train.target_name)), pooled_rows))
-        _refuse_non_finite(train.target_name, target, train.n_rows)
+        target = columns[train.column_index(train.target_name)]
+        _refuse_unusable(train.target_name, target, train.n_rows, missing_ok=True)
 
-    def transform(frame: Frame) -> Frame:
-        plan = [(frame.column_index(name), means[name], sds[name]) for name in to_standardize]
-        rows = []
-        for row in frame.rows:
-            cells = list(row)
-            for i, mean, sd in plan:
-                cells[i] = (cells[i] - mean) / sd
-            rows.append(cells)
-        return frame.replace_rows(rows)
-
+    rows = zip(*columns) if columns else iter(((),) * len(pooled_rows))
+    train_std = Frame._derived(
+        train.column_names, tuple(islice(rows, train.n_rows)),
+        train.target_name, train.row_ids, train.id_name,
+    )
+    extra_std = None
+    if extra is not None:
+        extra_std = Frame._derived(
+            extra.column_names, tuple(rows), extra.target_name, extra.row_ids, extra.id_name
+        )
     stats = StandardizationStats(means, sds, to_standardize, excluded)
-    return transform(train), (transform(extra) if extra is not None else None), stats
+    return train_std, extra_std, stats
+
+
+def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
+    """Yield the sample Pearson r of each of ``columns`` with ``y``.
+
+    One sweep computes y's mean, deviations and sum of squares once, on
+    the first column, and reuses them for every column; each r is the
+    same float that correlating the pair on its own would give. A column
+    or a ``y`` with zero spread yields None. Columns are consumed lazily,
+    so only one column's deviations are held at a time.
+    """
+    n = len(y)
+    dy = syy = None
+    for x in columns:
+        if len(x) != n:
+            raise LengthMismatch(f"lengths differ: {len(x)} vs {n}")
+        if n < 2:
+            raise LengthMismatch("need at least 2 observations")
+        if dy is None:
+            my = left_sum(y) / n
+            dy = [b - my for b in y]
+            syy = left_sum(map(mul, dy, dy))
+        mx = left_sum(x) / n
+        dx = [a - mx for a in x]
+        sxx = left_sum(map(mul, dx, dx))
+        if sxx == 0.0 or syy == 0.0:
+            yield None
+        else:
+            yield left_sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
 def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson r between two equal-length, non-constant vectors."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise LengthMismatch("need at least 2 observations")
-    n = len(x)
-    mx = left_sum(x) / n
-    my = left_sum(y) / n
-    dx = [a - mx for a in x]
-    dy = [b - my for b in y]
-    sxy = left_sum(map(mul, dx, dy))
-    sxx = left_sum(map(mul, dx, dx))
-    syy = left_sum(map(mul, dy, dy))
-    if sxx == 0.0 or syy == 0.0:
+    (r,) = _correlations([x], y)
+    if r is None:
         raise ConstantInput("at least one input is constant")
-    return sxy / math.sqrt(sxx * syy)
+    return r
 
 
 def select_by_correlation(frame: Frame, threshold: float):
@@ -175,20 +211,25 @@ def select_by_correlation(frame: Frame, threshold: float):
 
     Negatively correlated predictors carry signal, so the magnitude is what
     counts. Kept columns preserve their original order and values; one audit
-    log line is emitted per column so selection runs are diffable.
+    log line is emitted per column so selection runs are diffable. All
+    columns are correlated in one sweep, which works out the target's
+    deviations once; every r is bit-identical to ``pearson_correlation``
+    of that column and the target.
     Returns (selected Frame, SelectionResult).
     """
     target = frame.target_values()
+    features = frame.feature_names()
+    by_name = dict(zip(frame.column_names, frame.columns()))
+    rs = dict(zip(features, _correlations([by_name[n] for n in features], target)))
     kept = []
     dropped = []
     for n, name in enumerate(frame.column_names, start=1):
         if name == frame.target_name:
             kept.append(name)
             continue
-        try:
-            r = pearson_correlation(frame.column(name), target)
-        except ConstantInput:
-            raise ConstantInput(f"column {name!r} is constant") from None
+        r = rs[name]
+        if r is None:
+            raise ConstantInput(f"column {name!r} is constant")
         log.info("%d. Correlation between %s and target = %.7g.", n, name, r)
         if abs(r) >= threshold:
             kept.append(name)

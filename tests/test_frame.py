@@ -13,6 +13,7 @@ from ammknn import (
     write_csv,
 )
 from ammknn.errors import (
+    DataError,
     DuplicateColumnName,
     InvalidSpec,
     MissingHeader,
@@ -22,6 +23,7 @@ from ammknn.errors import (
     UnknownTargetColumn,
     UnreadableInput,
 )
+from ammknn.preprocess import standardize_joint
 
 
 def write(tmp_path, name, text):
@@ -56,6 +58,18 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "x,y\n,2\n")
         frame = load_csv(path, "y")
         assert frame.rows[0] == (None, 2.0)
+
+    @pytest.mark.parametrize("bad", [" ", "x"])
+    def test_unparsable_cell_named_next_to_a_missing_one(self, tmp_path, bad):
+        path = write(tmp_path, "d.csv", f"id,x,y,z\nA,1,,3\nB,,{bad},6\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path, "z", id_column="id")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "y", bad)
+
+    def test_missing_cells_load_as_none_beside_parsed_ones(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,,3\nB,, 4.5 ,\n")
+        frame = load_csv(path, "z", id_column="id")
+        assert frame.rows == ((1.0, None, 3.0), (None, 4.5, None))
 
     def test_first_of_two_bad_cells_is_named(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,2,3\nB,4,oops,bad\n")
@@ -286,3 +300,62 @@ def test_ragged_rows_raise_invalid_spec(rows, data):
     rows[i] = data.draw(st.sampled_from([rows[i][:1], rows[i] + [1.0]]))
     with pytest.raises(InvalidSpec, match=f"row {i} "):
         Frame(["a", "b"], rows, None)
+
+
+def assert_checked(frame):
+    """The invariant that lets derived Frames skip the per-cell scan."""
+    assert type(frame.rows) is tuple
+    for row in frame.rows:
+        assert type(row) is tuple and len(row) == frame.n_cols
+        assert all(type(c) is float or c is None for c in row)
+    assert frame.row_ids is None or (
+        type(frame.row_ids) is tuple and len(frame.row_ids) == frame.n_rows
+    )
+    assert frame == Frame(
+        frame.column_names, frame.rows, frame.target_name, frame.row_ids, frame.id_name
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
+    width = data.draw(st.integers(2, 4))
+    names = [f"c{j}" for j in range(width)]
+    rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
+    ids = data.draw(st.one_of(st.none(), st.just([f"r{i}" for i in range(len(rows))])))
+    frame = Frame(names, rows, "c0", ids, None if ids is None else "id")
+    some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
+    indices = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows)))
+    specs = [AggregationSpec("g", names[1:]), AggregationSpec("h", names[-1:])]
+
+    derived = [
+        frame.subset_rows(indices if rows else []),
+        frame.select_columns(["c0", *some]),
+        frame.drop_columns(some),
+        filter_by_cutoff(frame, "c1", 0.5, "below"),
+        filter_by_cutoff(frame, "c1", 0.5, "at_or_above"),
+        drop_missing_target(frame)[0],
+        drop_incomplete(frame)[0],
+        aggregate_means(frame, specs),
+        aggregate_means(frame, specs, drop_members=True),
+    ]
+    complete = drop_incomplete(frame)[0]
+    half = complete.n_rows // 2
+    try:
+        derived.extend(standardize_joint(
+            complete.subset_rows(range(half)), complete.subset_rows(range(half, complete.n_rows))
+        )[:2])
+    except DataError:
+        pass  # too few rows, a constant column or a non-finite cell
+    path = tmp_path_factory.mktemp("csv") / "frame.csv"
+    write_csv(frame, path)
+    derived.append(load_csv(path, "c0", None if ids is None else "id"))
+    for result in derived:
+        assert_checked(result)
+
+
+def test_standardized_frames_hold_checked_cells():
+    train = Frame(["a", "b", "t"], [[1, 2.5, 300], [True, "4", 420.0], [3, -1, None]], "t", ["x", "y", "z"])
+    extra = Frame(["a", "b", "t"], [[0.5, 7, 380]], "t", ["w"])
+    for frame in standardize_joint(train, extra)[:2] + standardize_joint(train)[:1]:
+        assert_checked(frame)

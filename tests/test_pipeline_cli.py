@@ -394,6 +394,52 @@ class TestCliRefusesUnscorableInput:
         assert code == 3
 
 
+
+def _with_years(workspace, tmp_path, years):
+    """A copy of the workspace cohort with the given cohort cells, by data row."""
+    lines = workspace["cohort_csv"].read_text().splitlines()
+    col = lines[0].split(",").index("cohort")
+    for i, cell in years.items():
+        row = lines[i + 1].split(",")
+        row[col] = cell
+        lines[i + 1] = ",".join(row)
+    path = tmp_path / "cohort_years.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestPrepareCohortYears:
+    """A non-finite cohort year is refused; rows in neither window are counted."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_year_exit_3(self, workspace, tmp_path, capsys, cell):
+        bad = _with_years(workspace, tmp_path, {4: cell})
+        capsys.readouterr()
+        code = main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(bad), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input row 4, column 'cohort'" in err
+
+    def test_missing_and_outside_years_are_counted(self, workspace, tmp_path, capsys):
+        config = config_from_json_dict(CONFIG_DOC)
+        base = run_prepare(config, workspace["cohort_csv"], tmp_path / "base")
+        assert base["dropped_outside_years"] == 0
+        odd = _with_years(workspace, tmp_path, {0: "", 1: "2031", 2: "2017"})
+        summary = run_prepare(config, odd, tmp_path / "odd")
+        assert summary["dropped_outside_years"] == 2
+        assert (summary["train_rows"] + summary["validation_rows"]
+                == base["train_rows"] + base["validation_rows"] - 2)
+        capsys.readouterr()
+        assert main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(odd), "--out", str(tmp_path / "cli"),
+        ]) == 0
+        assert "dropped 2 rows with a missing cohort year" in capsys.readouterr().out
+
+
 def test_cli_imports_only_the_standard_library():
     """The package declares no dependencies; importing the CLI must not pull one in."""
     src = os.path.dirname(os.path.dirname(ammknn.__file__))

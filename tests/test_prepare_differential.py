@@ -1,0 +1,190 @@
+"""`prepare` against a naive per-cell reference, bit for bit.
+
+The reference below parses, aggregates, splits, drops, z-scores and
+correlates one cell and one column at a time with plain left-to-right
+float loops. `run_prepare` works on whole columns with shared sweeps; the
+two must write the same bytes.
+"""
+
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ammknn.config import config_from_json_dict
+from ammknn.errors import DataError
+from ammknn.pipeline import SELECTION_JSON, TRAIN_CSV, VALIDATION_CSV, run_prepare
+
+CUTOFF = 2019.0
+AGGREGATIONS = [
+    {"group_name": "g_pair", "member_columns": ["q1", "q2"]},
+    {"group_name": "g_one", "member_columns": ["q3"]},
+]
+MEMBERS = ["q1", "q2", "q3"]
+
+
+def _left(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _pearson(x, y):
+    mx, my = _left(x) / len(x), _left(y) / len(y)
+    sxy = _left([(a - mx) * (b - my) for a, b in zip(x, y)])
+    sxx = _left([(a - mx) * (a - mx) for a in x])
+    syy = _left([(b - my) * (b - my) for b in y])
+    return sxy / math.sqrt(sxx * syy)
+
+
+def naive_prepare(text, threshold):
+    """(train.csv, validation.csv, selection.json) as bytes; ZeroDivisionError
+    where a column, the target or a side leaves nothing to divide by."""
+    header, *records = csv.reader(io.StringIO(text))
+    names = header[1:]
+    rows = [[None if c == "" else float(c) for c in r[1:]] for r in records]
+    for agg in AGGREGATIONS:
+        idx = [names.index(m) for m in agg["member_columns"]]
+        for row in rows:
+            total = 0.0
+            for i in idx:
+                total = None if total is None or row[i] is None else total + row[i]
+            row.append(None if total is None else total / len(idx))
+        names.append(agg["group_name"])
+    keep = [j for j, n in enumerate(names) if n not in MEMBERS and n != "cohort"]
+    year = names.index("cohort")
+    sides = {"train": [], "validation": []}
+    for row, record in zip(rows, records):
+        y = row[year]
+        side = None if y is None else "train" if y < CUTOFF else "validation" if y < CUTOFF + 1 else None
+        cells = [row[j] for j in keep]
+        if side and None not in cells:
+            sides[side].append((cells, record[0]))
+    names = [names[j] for j in keep]
+    t = names.index("score")
+    pooled = [cells for cells, _ in sides["train"] + sides["validation"]]
+    for j in range(len(names)):
+        if j != t:
+            column = [r[j] for r in pooled]
+            mean = _left(column) / len(column)
+            sd = math.sqrt(_left([(v - mean) * (v - mean) for v in column]) / (len(column) - 1))
+            for r in pooled:
+                r[j] = (r[j] - mean) / sd
+    y = [cells[t] for cells, _ in sides["train"]]
+    kept, dropped = [], []
+    for j, name in enumerate(names):
+        r = None if j == t else _pearson([cells[j] for cells, _ in sides["train"]], y)
+        if r is None or abs(r) >= threshold:
+            kept.append(name)
+        else:
+            dropped.append([name, r])
+    out = []
+    for side in ("train", "validation"):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["student_id", *kept])
+        for cells, rid in sides[side]:
+            writer.writerow([rid, *(repr(cells[names.index(n)]) for n in kept)])
+        out.append(buf.getvalue().encode())
+    selection = {"kept": kept, "dropped": dropped, "threshold": threshold}
+    out.append((json.dumps(selection, indent=2) + "\n").encode())
+    return out
+
+
+# each column draws its cells from a permutation, so no column is constant
+VALUES = [-2.5, -1.0, -0.1, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.5, 3.0, 12.25, 1e3]
+SCORES = [250.0, 310.0, 349.0, 350.0, 401.0, 455.5, 512.0, 600.0, 777.0, 333.3, 420.0, 530.5, 690.0]
+# training years first, then validation, then years outside both windows
+YEARS = st.sampled_from([2018.0, 2019.0, 2017.5, 2019.5, 2016.0, 2018.9, None, 2020.0, 2021.0])
+GAP = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def cohorts(draw):
+    """(cohort CSV text, threshold) with gaps in the group members and the target."""
+    n = draw(st.integers(2, len(VALUES)))
+
+    def column(values, gaps=True):
+        cells = draw(st.permutations(values))[:n]
+        return [None if gaps and draw(GAP) else c for c in cells]
+
+    plain = [f"x{j}" for j in range(draw(st.integers(1, 3)))]
+    header = ["student_id", "cohort", "q1", *plain, "q2", "q3", "score"]
+    columns = [
+        draw(st.lists(YEARS, min_size=n, max_size=n)),
+        column(VALUES),
+        *(column(VALUES, gaps=False) for _ in plain),
+        column(VALUES),
+        column(VALUES),
+        column(SCORES),
+    ]
+    lines = [",".join(header)]
+    for i, cells in enumerate(zip(*columns)):
+        lines.append(",".join([f"S{i}", *("" if c is None else repr(c) for c in cells)]))
+    return "\n".join(lines) + "\n", draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+
+
+def _cohort(rows):
+    """CSV text for explicit examples: rows of (year, q1, x0, q2, q3, score)."""
+    lines = ["student_id,cohort,q1,x0,q2,q3,score"]
+    for i, cells in enumerate(rows):
+        lines.append(",".join([f"S{i}", *("" if c is None else repr(c) for c in cells)]))
+    return "\n".join(lines) + "\n"
+
+
+TRAIN_ROWS = [
+    (2018.0, 0.1, 1.5, 0.2, 3.0, 310.0),
+    (2017.5, 0.7, -1.0, 1.5, 0.3, 455.5),
+    (2018.0, -0.1, 0.3, 0.0, -2.5, 512.0),
+    (2016.0, 3.0, 12.25, -1.0, 0.7, 250.0),
+]
+
+
+@settings(max_examples=250, deadline=None)
+@given(cohorts())
+# a missing cell in a member of each group, and a missing target
+@example((_cohort(TRAIN_ROWS + [
+    (2018.0, None, 0.1, 0.2, 0.3, 401.0),
+    (2019.0, 0.2, 0.1, 0.2, None, 600.0),
+    (2019.5, 0.1, 0.7, 0.3, 1.5, None),
+    (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
+]), 0.2))
+# years outside both windows or missing; no validation rows
+@example((_cohort(TRAIN_ROWS + [
+    (2020.0, 0.1, 0.2, 0.3, 0.7, 401.0),
+    (None, 0.2, 0.1, 0.2, 0.3, 600.0),
+    (2021.0, 0.3, 0.3, 0.1, 0.2, 777.0),
+]), 0.5))
+# exactly one validation row
+@example((_cohort(TRAIN_ROWS + [(2019.5, 0.3, 0.2, 0.7, 0.1, 350.0)]), 0.9))
+def test_prepare_matches_naive_reference(case):
+    text, threshold = case
+    config = config_from_json_dict({
+        "target_name": "score",
+        "id_column": "student_id",
+        "cohort_column": "cohort",
+        "year_cutoff": CUTOFF,
+        "aggregations": AGGREGATIONS,
+        "correlation_threshold": threshold,
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort = Path(tmp, "cohort.csv")
+        cohort.write_text(text, encoding="utf-8")
+        try:
+            expected = naive_prepare(text, threshold)
+        except ZeroDivisionError:
+            # too few rows, a constant column or a constant target
+            try:
+                run_prepare(config, cohort, Path(tmp, "out"))
+            except DataError:
+                return
+            raise AssertionError("prepare accepted input the reference cannot standardize")
+        run_prepare(config, cohort, Path(tmp, "out"))
+        written = [Path(tmp, "out", name).read_bytes() for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON)]
+    assert written == expected
