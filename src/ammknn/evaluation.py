@@ -3,12 +3,13 @@ metrics, and the prediction-cutoff sweep.
 
 Leave-one-out goes through the same ranking engine as every other step
 (``knn._rank``): each row is ranked once against all the others, and the
-adaptive and the fixed-k predictions are both read from that one
-ranking. The held-out row is its own subject; the engine's ``math.dist``
-filter keeps the ``max(max_k, knn_k)`` nearest others, plus any within
-its error margin, and only those get exact squared distances. No Frame is
-rebuilt per fold and no pairwise distance table is kept, since an n x n
-table of floats would cost O(n^2) memory.
+adaptive and the fixed-k predictions are both read from one pass of
+running means over that ranking. The held-out row is its own subject;
+the engine's ``math.dist`` filter keeps the ``max(max_k, knn_k)``
+nearest others, plus any within its error margin, and only those get
+exact squared distances. No Frame is rebuilt per fold and no pairwise
+distance table is kept, since an n x n table of floats would cost O(n^2)
+memory.
 
 Evaluation convention: a *positive* outcome is an actual failing score,
 so sensitivity measures how well failing subjects are detected. Binary
@@ -34,7 +35,7 @@ from .errors import (
     LengthMismatch,
 )
 from .frame import Frame
-from .knn import AmmknnConfig, _rank, _record, _training_arrays, cumulative_means
+from .knn import AmmknnConfig, _adaptive, _rank, _training_arrays, cumulative_means
 from .preprocess import pearson_correlation
 
 TIER_FAIL = "fail"
@@ -209,11 +210,13 @@ def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, l
 
     Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
     each made with that row held out of training. Every row is ranked
-    once against all the others, ``max(max_k, knn_k)`` deep: the adaptive
-    record reads the first ``max_k`` neighbors and the fixed-k prediction
-    is the running mean at ``knn_k`` of the same ranking. Holding a row
-    out keeps the others' relative order, so the results equal a fold by
-    fold re-fit bit for bit.
+    once against all the others, ``max(max_k, knn_k)`` deep, and the
+    running means of its neighbors' targets are computed once: the
+    adaptive rule (``knn._adaptive``) reads the first ``max_k`` of them
+    and the fixed-k prediction is the one at ``knn_k``. No
+    ``PredictionRecord`` is built per fold. Holding a row out keeps the
+    others' relative order, so the results equal a fold by fold re-fit
+    bit for bit.
     """
     if frame.n_rows < 2:
         raise EmptyTrainingSet("leave-one-out needs at least 2 rows")
@@ -229,11 +232,12 @@ def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, l
     n = frame.n_rows
     adaptive, triggered, fixed_k = [], [], []
     for i in range(n):
-        ranked = _rank(matrix, matrix[i], limit, skip=i)
-        record = _record(ranked, target, outlier_values[i], config)
-        adaptive.append(record.prediction)
-        triggered.append(record.outlier_triggered)
-        fixed_k.append(cumulative_means([target[j] for _, j in ranked[:knn_k]])[-1])
+        neighbor_targets = [target[j] for _, j in _rank(matrix, matrix[i], limit, skip=i)]
+        means = cumulative_means(neighbor_targets)
+        prediction, fired = _adaptive(neighbor_targets, means, outlier_values[i], config)
+        adaptive.append(prediction)
+        triggered.append(fired)
+        fixed_k.append(means[knn_k - 1])
     return adaptive, triggered, fixed_k
 
 

@@ -23,15 +23,19 @@ exceeds the cost of flagging one who would have passed.
 
 Every step ranks through one engine, ``_rank``: predict and validate
 (``ammknn_predict_batch``), the single-subject form, and leave-one-out
-(``evaluation.loocv``, which ranks each row once against the others and
-reads both the adaptive and the fixed-k model from that one ranking).
-The training matrix is extracted and checked once per call, not once per
-subject, one tuple per row.
+(``evaluation.loocv``, which ranks each row once against the others,
+computes the running means of that ranking once and reads both the
+adaptive and the fixed-k model from them). The adaptive rule itself lives
+in ``_adaptive`` alone. The training matrix is extracted and checked once
+per call, not once per subject, one tuple per row.
 
 For each subject the engine filters, then refines. The filter gives every
 training row an approximate distance with ``math.dist``, one C call per
 row, and keeps the rows whose approximate distance is within a margin of
-the ``limit``-th smallest: normally exactly ``limit`` rows. The refine
+the ``limit``-th smallest, tau: normally exactly ``limit`` rows. tau is
+found by heapifying a copy of the approximate distances and popping
+``limit - 1`` of them, which leaves the same float on top that a full
+sort would put at index ``limit - 1``, in about half the time. The refine
 step sums the squared differences ``d * d`` (``d = s - x``) of only those
 rows left to right from 0.0, which is bit-identical to starting from the
 first square since ``0.0 + a == a``, and sorts them by (squared distance,
@@ -61,10 +65,27 @@ naming its row and column (``MissingCell``, ``NonFiniteCell``).
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
 that sorts all rows by (squared distance, row) and averages prefixes.
+
+Measured and rejected, on the loocv and score-cohort benchmark inputs
+(seed 1, 12 standardized features), so they need not be tried again:
+
+- Pivot (triangle-inequality) pruning: 87%, 70%, 54% and 50% of the rows
+  survive it with 1, 4, 8 and 16 pivots, against ``limit`` rows for the
+  ``math.dist`` filter.
+- A 1-D projection window (rows whose projection lies within tau of the
+  subject's): about 54% of the rows survive it, both along the
+  feature-sum direction and along the first principal component, even
+  when given the exact tau.
+- numpy: importing it alone adds 12 MB to a step whose peak RSS is about
+  26 MB.
+
+The ``math.dist`` pass is about half of ``_rank`` and is the floor of a
+pure-Python kernel.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -190,8 +211,14 @@ def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[in
         rows = chain(range(skip), range(skip + 1, n))
         approx[skip] = math.inf  # so no finite bound keeps it
     if limit < n:
+        # tau, the limit-th smallest approximate distance: the same float
+        # that a full sort would put at index limit - 1
+        heap = approx.copy()
+        heapq.heapify(heap)
+        for _ in range(limit - 1):
+            heapq.heappop(heap)
         margin = 1.0 + 1e-12 + len(subject) * 1e-15
-        bound = sorted(approx)[limit - 1] * margin + 1e-150
+        bound = heap[0] * margin + 1e-150
         if bound < 1e150:
             rows = [j for j, a in enumerate(approx) if a <= bound]
     ranked = []
@@ -217,6 +244,22 @@ def cumulative_means(values: Sequence[float]) -> list:
     return out
 
 
+def _adaptive(
+    neighbor_targets: Sequence[float],
+    means: Sequence[float],
+    outlier_value: float,
+    config: AmmknnConfig,
+) -> Tuple[float, bool]:
+    """The adaptive rule: ``(prediction, outlier_triggered)`` from the
+    targets of a ranking, nearest first, and their running means, of which
+    only the first ``max_k`` count. Below the outlier cutoff the
+    prediction is the minimum match, otherwise the minimum of means."""
+    triggered = outlier_value < config.outlier_cutoff
+    if triggered:
+        return min(neighbor_targets[: config.max_k]), True
+    return min(means[: config.max_k]), False
+
+
 def _record(
     ranked: list,
     target: Sequence[float],
@@ -228,18 +271,16 @@ def _record(
     nearest = ranked[: config.max_k]
     neighbor_targets = [target[j] for _, j in nearest]
     means = cumulative_means(neighbor_targets)
-    min_of_means = min(means)
-    min_match = min(neighbor_targets)
-    triggered = outlier_value < config.outlier_cutoff
+    prediction, triggered = _adaptive(neighbor_targets, means, outlier_value, config)
     return PredictionRecord(
         subject_id=subject_id,
         neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in nearest),
         cumulative_means=tuple(means),
-        min_of_means=min_of_means,
-        min_match=min_match,
+        min_of_means=min(means),
+        min_match=min(neighbor_targets),
         outlier_value=outlier_value,
         outlier_triggered=triggered,
-        prediction=min_match if triggered else min_of_means,
+        prediction=prediction,
     )
 
 

@@ -47,7 +47,7 @@ from .frame import (
     load_csv,
     write_csv,
 )
-from .knn import AmmknnConfig, ammknn_predict_batch
+from .knn import AmmknnConfig, _finite, _training_arrays, ammknn_predict_batch
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .synth import SynthSpec, assign_cohort_years, generate_cohort
 
@@ -144,9 +144,15 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
             )
         return config
     names = train.feature_names()
+    columns = [train.column(name) for name in names]
+    target = train.target_values()
+    if not (all(map(_finite, columns)) and _finite(target)):
+        # the sweep's sums would fail on a missing cell with a TypeError;
+        # the engine's check refuses it first, naming its row and column
+        _training_arrays(train)
     best = None
     best_r = -math.inf
-    for name, r in zip(names, _correlations(map(train.column, names), train.target_values())):
+    for name, r in zip(names, _correlations(columns, target)):
         if r is None:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0

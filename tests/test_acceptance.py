@@ -9,6 +9,7 @@ import json
 import os
 import random
 import time
+from pathlib import Path
 
 from ammknn import (
     AmmknnConfig,
@@ -377,14 +378,15 @@ def test_criterion_9_golden_files(tmp_path):
     assert main(["plot", "--report", os.path.join(out, VALIDATE_JSON),
                  "--kind", "packrat_scatter", "--out", out]) == 0
 
+    seed7 = Path(GOLDEN_DIR) / "seed7"
     for name in GOLDEN_FILES:
-        fresh = open(os.path.join(out, name), "rb").read()
-        committed = open(os.path.join(GOLDEN_DIR, "seed7", name), "rb").read()
+        fresh = Path(out, name).read_bytes()
+        committed = (seed7 / name).read_bytes()
         assert fresh == committed, f"fixture drift in {name}"
 
-    report = json.loads(open(os.path.join(GOLDEN_DIR, "seed7", VALIDATE_JSON)).read())
-    scatter = open(os.path.join(GOLDEN_DIR, "seed7", "scatter.svg")).read()
-    packrat = open(os.path.join(GOLDEN_DIR, "seed7", "packrat_scatter.svg")).read()
+    report = json.loads((seed7 / VALIDATE_JSON).read_text())
+    scatter = (seed7 / "scatter.svg").read_text()
+    packrat = (seed7 / "packrat_scatter.svg").read_text()
     assert scatter.count('class="pt"') == report["n_subjects"] == 43
     assert scatter.count('class="ref"') == 4
     assert packrat.count('class="pt"') == 43

@@ -392,6 +392,13 @@ COORD_SETS = st.sampled_from([TIED, EVERYDAY, EVERYDAY + EXTREMES])
 SCORES = st.integers(200, 800).map(float)
 
 
+TWINS_FIRST_LAST = [
+    [0.0, 0.0, 450.0], [2.0, 0.5, 300.0], [0.5, 2.0, 650.0], [-1.0, 0.5, 200.0],
+    [0.0, 0.0, 700.0],
+]
+ON_A_LINE = [[0.0, 400.0], [1.0, 300.0], [3.0, 700.0], [6.0, 200.0], [10.0, 500.0]]
+
+
 @st.composite
 def engine_cases(draw):
     coords = st.sampled_from(draw(COORD_SETS))
@@ -435,6 +442,23 @@ def engine_cases(draw):
 @example(([[2e200, 500.0], [1e200, 300.0]], [[0.0]], 1, 1, -2.0))
 # both squares underflow to 0.0, so the row index decides: row 0
 @example(([[2e-170, 500.0], [1e-170, 300.0]], [[0.0]], 1, 1, -2.0))
+# the threshold falls inside a run of duplicate rows: four copies of
+# (1, 1) fill places 3 to 6 of the subject's ranking and max_k is 4, so the
+# row index picks which two of them are kept; fixed k = 5 goes one deeper
+@example((
+    [[0.5, 0.5, 700.0], [1.0, 1.0, 500.0], [1.0, 1.0, 200.0], [0.0, 0.0, 650.0],
+     [1.0, 1.0, 300.0], [1.0, 1.0, 800.0], [2.0, 2.0, 400.0]],
+    [[0.0, 0.0], [2.0, 2.0]], 4, 5, -2.0,
+))
+# the ranking depth is n - 1, n and n + 1 for five rows whose first and last
+# are duplicates, so holding either out leaves its twin at distance 0;
+# n - 1 also makes knn_k == n - 1 and the last kept row the farthest one
+@example((TWINS_FIRST_LAST, [[0.0, 0.0], [-1.0, 0.5]], 4, 4, 0.25))
+@example((TWINS_FIRST_LAST, [[0.0, 0.0], [-1.0, 0.5]], 5, 2, 0.25))
+@example((TWINS_FIRST_LAST, [[0.0, 0.0], [-1.0, 0.5]], 6, 1, 0.25))
+# fixed k deeper than the adaptive window: knn_k > max_k, then knn_k == n - 1
+@example((ON_A_LINE, [], 1, 3, -2.0))
+@example((ON_A_LINE, [], 2, 4, -2.0))
 def test_engine_matches_naive_reference(case):
     rows, subjects, max_k, knn_k, cutoff = case
     dims = len(rows[0]) - 1

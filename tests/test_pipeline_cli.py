@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from ammknn.pipeline import (
     run_prepare,
     run_validate,
 )
+
+GOLDEN_SEED7 = Path(__file__).parent / "golden" / "seed7"
 
 SPEC_DOC = {
     "seed": 7,
@@ -378,6 +381,28 @@ class TestCliRefusesUnscorableInput:
             capsys.readouterr()
             assert main([argv[0], "--config", str(workspace["config"]), *argv[1:]]) == 3
             assert "training row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["score", "f01"])
+    @pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+    def test_missing_prepared_training_cell_exit_3(self, tmp_path, capsys, command, column):
+        # the default outlier feature is resolved by a correlation sweep
+        # over the training columns, which must not see the gap first
+        lines = (GOLDEN_SEED7 / TRAIN_CSV).read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index(column)] = ""
+        lines[5] = ",".join(row)
+        bad = tmp_path / "bad_train.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [command, "--config", str(GOLDEN_SEED7.parent / "config.json"),
+                "--train", str(bad), "--out", str(tmp_path / "out")]
+        if command != "loocv":
+            argv += ["--cohort", str(GOLDEN_SEED7 / VALIDATION_CSV)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"training row 4, column {column!r}: missing cell" in err
+        assert "internal error" not in err
 
     def test_non_finite_raw_cell_prepare_exit_3(self, workspace, tmp_path):
         lines = workspace["cohort_csv"].read_text().splitlines()
