@@ -34,7 +34,6 @@ from .knn import (
     AmmknnConfig,
     PredictionRecord,
     ammknn_predict_batch,
-    ammknn_predict_one,
     cumulative_means,
 )
 from .preprocess import (
@@ -44,7 +43,7 @@ from .preprocess import (
     select_by_correlation,
     standardize_joint,
 )
-from .synth import SplitMix64, SynthSpec, assign_cohort_years, generate_cohort, split_cohorts
+from .synth import SplitMix64, SynthSpec, assign_cohort_years, generate_cohort
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "accuracy_3x3",
     "aggregate_means",
     "ammknn_predict_batch",
-    "ammknn_predict_one",
     "assign_cohort_years",
     "classify_tier",
     "config_from_json_dict",
@@ -82,7 +80,6 @@ __all__ = [
     "metrics_from_cm",
     "pearson_correlation",
     "select_by_correlation",
-    "split_cohorts",
     "standardize_joint",
     "threshold_sweep",
     "write_csv",

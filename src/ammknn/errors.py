@@ -82,10 +82,6 @@ class ConstantInput(DataError):
 
 # --- knn engine -------------------------------------------------------------
 
-class DimensionMismatch(DataError):
-    pass
-
-
 class EmptyTrainingSet(DataError):
     pass
 

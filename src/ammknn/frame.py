@@ -13,6 +13,13 @@ with ``float()`` or refuses it. Frames derived from a checked Frame
 only cells taken from it or floats computed from them, so they are built
 through ``Frame._derived``, which checks column labels but not cells.
 
+Whether a cell may enter arithmetic is decided by one helper,
+``refuse_unusable``, wherever cells first enter it: the cohort year, the
+pooled columns being standardized, the training table and the subjects
+of a ranking, and the scores of a validated cohort. A missing or
+NaN/infinite cell is refused, naming it as ``<training|validation|
+subject|input> row i, column c``.
+
 CSV conventions: UTF-8, one header row, ``.`` decimal separator, empty
 string means missing. Column labels are taken verbatim from the header
 and treated as opaque keys (no sanitization).
@@ -21,16 +28,19 @@ and treated as opaque keys (no sanitization).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, itemgetter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DuplicateColumnName,
     InvalidSpec,
+    MissingCell,
     MissingHeader,
     NameCollision,
+    NonFiniteCell,
     NonNumericCell,
     UnknownColumn,
     UnknownTargetColumn,
@@ -42,6 +52,38 @@ Cell = Optional[float]
 # Cells of these exact types are stored as they are; anything else (int,
 # bool, numeric text, float subclasses) goes through float().
 _STORED_AS_IS = frozenset({float, type(None)})
+
+
+def refuse_unusable(
+    row_name: Callable[[int], str],
+    names: Sequence[str],
+    columns: Sequence[Sequence[Cell]],
+    missing_ok: bool = False,
+) -> None:
+    """Refuse the first missing (unless ``missing_ok``), NaN or infinite
+    cell of ``columns``, in row order, as ``"{row_name(i)}, column {name!r}"``.
+
+    A NaN has no place in a distance order and turns a column's mean and
+    sd into NaN; a missing cell cannot be summed. The common case, every
+    cell finite, costs one ``isfinite`` pass per column.
+    """
+    bad = []
+    for name, column in zip(names, columns):
+        try:
+            if all(map(math.isfinite, column)):
+                continue
+        except TypeError:  # a missing cell (None)
+            pass
+        bad.append((name, column))
+    if not bad:
+        return
+    for i, cells in enumerate(zip(*(column for _, column in bad))):
+        for (name, _), v in zip(bad, cells):
+            if v is None:
+                if not missing_ok:
+                    raise MissingCell(f"{row_name(i)}, column {name!r}: missing cell")
+            elif not math.isfinite(v):
+                raise NonFiniteCell(f"{row_name(i)}, column {name!r}: non-finite value {v!r}")
 
 
 def _project(rows, idx: Sequence[int]) -> list:

@@ -22,12 +22,12 @@ which is the point: the cost of missing a subject who goes on to fail far
 exceeds the cost of flagging one who would have passed.
 
 Every step ranks through one engine, ``_rank``: predict and validate
-(``ammknn_predict_batch``), the single-subject form, and leave-one-out
-(``evaluation.loocv``, which ranks each row once against the others,
-computes the running means of that ranking once and reads both the
-adaptive and the fixed-k model from them). The adaptive rule itself lives
-in ``_adaptive`` alone. The training matrix is extracted and checked once
-per call, not once per subject, one tuple per row.
+(``ammknn_predict_batch``) and leave-one-out (``evaluation.loocv``,
+which ranks each row once against the others, computes the running means
+of that ranking once and reads both the adaptive and the fixed-k model
+from them). The adaptive rule itself lives in ``_adaptive`` alone. The
+training matrix is extracted and checked once per call, not once per
+subject, one tuple per row.
 
 For each subject the engine filters, then refines. The filter gives every
 training row an approximate distance with ``math.dist``, one C call per
@@ -59,8 +59,9 @@ margin absorbs that, and the order itself comes only from the sums.
 
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
-finite: a missing or non-finite cell is refused with a ``DataError``
-naming its row and column (``MissingCell``, ``NonFiniteCell``).
+finite: ``frame.refuse_unusable`` refuses a missing or non-finite cell
+with a ``DataError`` naming its row and column (``MissingCell``,
+``NonFiniteCell``), once per call, before any ranking.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
@@ -92,17 +93,13 @@ from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    AmmknnError,
     ColumnMismatch,
-    DimensionMismatch,
     EmptyInput,
     EmptyTrainingSet,
     InvalidSpec,
-    MissingCell,
-    NonFiniteCell,
     UnknownColumn,
 )
-from .frame import Frame
+from .frame import Frame, refuse_unusable
 
 # Ordered (training_row_index, distance) pairs, nearest first.
 NeighborRanking = Tuple[Tuple[int, float], ...]
@@ -153,46 +150,13 @@ class PredictionRecord:
         }
 
 
-def _finite(values: Sequence[Optional[float]]) -> bool:
-    return None not in values and all(map(math.isfinite, values))
-
-
-def _refuse(where: str, names: Sequence[str], rows) -> None:
-    """Raise for the first missing or non-finite cell of ``rows``, naming
-    its row (when there are several) and column. Called only after a
-    whole-column check has failed."""
-    for i, row in enumerate(rows):
-        for name, v in zip(names, row):
-            if v is None or not math.isfinite(v):
-                at = f"{where} row {i}, column {name!r}" if where else f"column {name!r}"
-                if v is None:
-                    raise MissingCell(f"{at}: missing cell")
-                raise NonFiniteCell(f"{at}: non-finite value {v!r}")
-
-
-def _checked_vector(vec: Sequence[float], names: Sequence[str]) -> tuple:
-    """A subject's feature values, refused unless every one is finite."""
-    if len(vec) != len(names):
-        raise DimensionMismatch(f"subject has {len(vec)} features, training has {len(names)}")
-    cells = tuple(vec)
-    if not _finite(cells):
-        _refuse("", names, [cells])
-    return cells
-
-
 def _training_arrays(training: Frame) -> Tuple[list, tuple]:
     """The training features, one tuple per row, and the targets, extracted
     and checked once: every cell must be finite."""
     if training.n_rows == 0:
         raise EmptyTrainingSet("no training rows")
-    names = training.feature_names()
-    matrix = training.feature_matrix(names)
-    if not all(map(_finite, matrix)):
-        _refuse("training", names, matrix)
-    target = training.target_values()
-    if not _finite(target):
-        _refuse("training", [training.target_name], zip(target))
-    return matrix, target
+    refuse_unusable("training row {}".format, training.column_names, training.columns())
+    return training.feature_matrix(), training.target_values()
 
 
 def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[int] = None) -> list:
@@ -284,33 +248,14 @@ def _record(
     )
 
 
-def ammknn_predict_one(
-    subject: Sequence[float],
-    subject_outlier_value: float,
-    training: Frame,
-    config: AmmknnConfig,
-    subject_id: Optional[str] = None,
-) -> PredictionRecord:
-    """Adaptive minimum-match prediction for a single subject.
-
-    ``subject`` holds the feature values in training-column order and
-    ``subject_outlier_value`` the subject's standardized score on the
-    outlier feature (normally one of those same features).
-    """
-    matrix, target = _training_arrays(training)
-    subject = _checked_vector(subject, training.feature_names())
-    ranked = _rank(matrix, subject, config.max_k)
-    return _record(ranked, target, subject_outlier_value, config, subject_id)
-
-
 def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> List[PredictionRecord]:
     """One PredictionRecord per subject row, in row order.
 
     Subjects must carry every training feature column plus the configured
     outlier feature; each subject's outlier value is read from its own
-    (standardized) cell. The training matrix is extracted and checked once
-    per call. Prediction is pure per row, so rows could be fanned out
-    across workers without changing the output.
+    (standardized) cell. The training matrix and the subjects' cells are
+    extracted and checked once per call. Prediction is pure per row, so
+    rows could be fanned out across workers without changing the output.
     """
     if config.outlier_feature is None:
         raise InvalidSpec("outlier_feature is not set; resolve a default first")
@@ -323,14 +268,11 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
             f"outlier feature {config.outlier_feature!r} not in subjects"
         )
     matrix, target = _training_arrays(training)
-    outlier_values = subjects.column(config.outlier_feature)
-    if not _finite(outlier_values):
-        _refuse("subject", [config.outlier_feature], zip(outlier_values))
+    columns = {n: subjects.column(n) for n in (*features, config.outlier_feature)}
+    refuse_unusable("subject row {}".format, list(columns), list(columns.values()))
+    outlier_values = columns[config.outlier_feature]
     records = []
     for i, row in enumerate(subjects.feature_matrix(features)):
-        try:
-            ranked = _rank(matrix, _checked_vector(row, features), config.max_k)
-        except AmmknnError as exc:
-            raise type(exc)(f"subject row {i}: {exc}") from exc
+        ranked = _rank(matrix, row, config.max_k)
         records.append(_record(ranked, target, outlier_values[i], config, subjects.row_id(i)))
     return records

@@ -33,7 +33,6 @@ from .errors import (
     ColumnMismatch,
     ConfigError,
     InvalidSpec,
-    NonFiniteCell,
     UnknownColumn,
     UnknownTargetColumn,
 )
@@ -45,9 +44,10 @@ from .frame import (
     drop_missing_target,
     filter_by_cutoff,
     load_csv,
+    refuse_unusable,
     write_csv,
 )
-from .knn import AmmknnConfig, _finite, _training_arrays, ammknn_predict_batch
+from .knn import AmmknnConfig, ammknn_predict_batch
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .synth import SynthSpec, assign_cohort_years, generate_cohort
 
@@ -110,11 +110,10 @@ def _split_by_year(frame: Frame, config: PipelineConfig):
         raise ConfigError("prepare needs cohort_column and year_cutoff")
     if config.cohort_column not in frame.column_names:
         raise ConfigError(f"cohort column {config.cohort_column!r} not in input")
-    for i, year in enumerate(frame.column(config.cohort_column)):
-        if year is not None and not math.isfinite(year):
-            raise NonFiniteCell(
-                f"input row {i}, column {config.cohort_column!r}: non-finite value {year!r}"
-            )
+    refuse_unusable(
+        "input row {}".format, [config.cohort_column], [frame.column(config.cohort_column)],
+        missing_ok=True,
+    )
     train = filter_by_cutoff(frame, config.cohort_column, config.year_cutoff, "below")
     at_or_after = filter_by_cutoff(
         frame, config.cohort_column, config.year_cutoff, "at_or_above"
@@ -146,10 +145,8 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
     names = train.feature_names()
     columns = [train.column(name) for name in names]
     target = train.target_values()
-    if not (all(map(_finite, columns)) and _finite(target)):
-        # the sweep's sums would fail on a missing cell with a TypeError;
-        # the engine's check refuses it first, naming its row and column
-        _training_arrays(train)
+    # the sweep's sums would fail on a missing cell with a TypeError
+    refuse_unusable("training row {}".format, (*names, train.target_name), [*columns, target])
     best = None
     best_r = -math.inf
     for name, r in zip(names, _correlations(columns, target)):
@@ -264,11 +261,14 @@ def _load_pair(config: PipelineConfig, train_path, cohort_path, require_target: 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     train, cohort = _load_pair(config, train_path, cohort_path, require_target=True)
+    actual = cohort.target_values()
+    # a missing score would break the report's tallies; a NaN one would
+    # count as a pass and be written as the non-JSON token NaN
+    refuse_unusable("subject row {}".format, [cohort.target_name], [actual])
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
     records = ammknn_predict_batch(cohort, train, ammknn_cfg)
 
     ids = [cohort.row_id(i) for i in range(cohort.n_rows)]
-    actual = list(cohort.target_values())
     predicted = [r.prediction for r in records]
     bounds = config.tiers_predicted_validation
     validate_report = report_mod.build_report(

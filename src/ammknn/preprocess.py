@@ -22,11 +22,9 @@ from .errors import (
     ConstantInput,
     EmptyInput,
     LengthMismatch,
-    MissingCell,
-    NonFiniteCell,
     ZeroVarianceColumn,
 )
-from .frame import Frame
+from .frame import Frame, refuse_unusable
 
 log = logging.getLogger(__name__)
 
@@ -87,27 +85,6 @@ def _column_stats(label: str, values: Sequence[float]):
     return mean, sd, d
 
 
-def _refuse_unusable(label: str, values: Sequence, n_train: int, missing_ok: bool = False) -> None:
-    """Refuse a missing (unless ``missing_ok``), NaN or infinite pooled cell.
-
-    One NaN would turn the column's mean and sd into NaN, and the
-    correlation filter would then drop the column without a word. A
-    non-finite cell is named by its frame, row and column. The common
-    case, every cell finite, costs one pass.
-    """
-    try:
-        if all(map(math.isfinite, values)):
-            return
-    except TypeError:  # a missing cell (None)
-        pass
-    if not missing_ok and None in values:
-        raise MissingCell(f"column {label!r} has missing cells; drop incomplete rows first")
-    for i, v in enumerate(values):
-        if v is not None and not math.isfinite(v):
-            where = f"training row {i}" if i < n_train else f"validation row {i - n_train}"
-            raise NonFiniteCell(f"{where}, column {label!r}: non-finite value {v!r}")
-
-
 def standardize_joint(
     train: Frame,
     extra: Optional[Frame] = None,
@@ -142,18 +119,24 @@ def standardize_joint(
 
     pooled_rows = train.rows + (extra.rows if extra is not None else ())
     columns = list(zip(*pooled_rows)) if pooled_rows else [()] * train.n_cols
+    n = train.n_rows
+
+    def row_name(i: int) -> str:
+        return f"training row {i}" if i < n else f"validation row {i - n}"
+
+    # a NaN would make a column's mean and sd NaN, and the correlation
+    # filter would then drop the column without a word
+    idx = [i for i, name in enumerate(train.column_names) if name not in excluded]
+    refuse_unusable(row_name, to_standardize, [columns[i] for i in idx])
+    if train.target_name is not None:
+        target = columns[train.column_index(train.target_name)]
+        refuse_unusable(row_name, [train.target_name], [target], missing_ok=True)
     means: dict = {}
     sds: dict = {}
-    for i, name in enumerate(train.column_names):
-        if name in excluded:
-            continue
-        _refuse_unusable(name, columns[i], train.n_rows)
+    for name, i in zip(to_standardize, idx):
         mean, sd, deviations = _column_stats(name, columns[i])
         means[name], sds[name] = mean, sd
         columns[i] = [d / sd for d in deviations]
-    if train.target_name is not None:
-        target = columns[train.column_index(train.target_name)]
-        _refuse_unusable(train.target_name, target, train.n_rows, missing_ok=True)
 
     rows = zip(*columns) if columns else iter(((),) * len(pooled_rows))
     train_std = Frame._derived(

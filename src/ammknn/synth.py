@@ -23,7 +23,7 @@ golden outputs survive toolchain upgrades):
   consecutive uniforms (the sine companion is discarded).
 * Draw order in generate_cohort: per row, one ability normal followed by
   one normal per feature, rows in order.
-* split_cohorts: Fisher-Yates shuffle of row indices, ``j = next_u64()
+* assign_cohort_years: Fisher-Yates shuffle of row indices, ``j = next_u64()
   mod (i + 1)`` for i from n-1 down to 1.
 """
 
@@ -170,16 +170,6 @@ def _split_indices(n: int, train_fraction: float, seed: int):
     return train_idx, validation_idx
 
 
-def split_cohorts(frame: Frame, train_fraction: float, seed: int):
-    """Disjoint (train, validation) row partition, deterministic given seed.
-
-    The training side gets round(train_fraction * n) rows, clamped so both
-    sides stay non-empty; each side keeps its rows in original order.
-    """
-    train_idx, validation_idx = _split_indices(frame.n_rows, train_fraction, seed)
-    return frame.subset_rows(train_idx), frame.subset_rows(validation_idx)
-
-
 def assign_cohort_years(
     frame: Frame,
     train_fraction: float,
@@ -190,9 +180,11 @@ def assign_cohort_years(
 ) -> Frame:
     """Stamp a cohort-year column so a year cutoff reproduces a seeded split.
 
-    Rows chosen for the training side by split_cohorts get ``train_year``
-    (below the cutoff) and the rest ``validation_year``, letting generated
-    cohorts flow through the same year-filtered pipeline as real exports.
+    The training side is round(train_fraction * n) rows, clamped so both
+    sides stay non-empty, chosen by a seeded shuffle; those rows get
+    ``train_year`` (below the cutoff) and the rest ``validation_year``,
+    letting generated cohorts flow through the same year-filtered pipeline
+    as real exports. Rows keep their original order.
     """
     train_idx, _ = _split_indices(frame.n_rows, train_fraction, seed)
     train_set = set(train_idx)

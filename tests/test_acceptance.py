@@ -17,7 +17,7 @@ from ammknn import (
     ConfusionMatrix3,
     Frame,
     accuracy_3x3,
-    ammknn_predict_one,
+    ammknn_predict_batch,
     confusion_2x2,
     loocv,
     metrics_from_cm,
@@ -141,7 +141,9 @@ def test_criterion_3_min_over_k_equivalence():
         ]
         training = Frame(names, rows, "t")
         subject = [rng.uniform(-4, 4) for _ in range(dims)]
-        record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+        subjects = Frame([*names[:-1], "outlier"], [[*subject, 0.0]], None)
+        config = AmmknnConfig(max_k=max_k, outlier_feature="outlier")
+        [record] = ammknn_predict_batch(subjects, training, config)
         assert not record.outlier_triggered
         oracle = _brute_min_over_k(
             subject, training.feature_matrix(), training.target_values(), max_k

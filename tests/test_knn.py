@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +10,11 @@ from ammknn import (
     AmmknnConfig,
     Frame,
     ammknn_predict_batch,
-    ammknn_predict_one,
     cumulative_means,
     loocv,
 )
 from ammknn.errors import (
     ColumnMismatch,
-    DimensionMismatch,
     EmptyInput,
     EmptyTrainingSet,
     InvalidSpec,
@@ -52,6 +51,16 @@ def brute_min_over_k(subject, matrix, targets, max_k):
     return best
 
 
+def predict_one(subject, outlier_value, training, config):
+    """The batch predictor's record for one subject, whose outlier value
+    sits in a column of its own. A subject shorter than the training rows
+    lacks their trailing feature columns."""
+    names = [*training.feature_names()[: len(subject)], "outlier"]
+    subjects = Frame(names, [[*subject, outlier_value]], None)
+    [record] = ammknn_predict_batch(subjects, training, replace(config, outlier_feature="outlier"))
+    return record
+
+
 def random_training(rng, n, dims):
     rows = [
         [rng.uniform(-3, 3) for _ in range(dims)] + [float(rng.randint(200, 800))]
@@ -66,7 +75,7 @@ def ranking(subject, feature_rows, limit):
     dims = len(feature_rows[0]) if feature_rows else len(subject)
     names = [f"x{j}" for j in range(dims)] + ["t"]
     training = Frame(names, [list(r) + [400.0] for r in feature_rows], "t")
-    record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))
+    record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))
     return record.neighbor_ranking
 
 
@@ -94,7 +103,7 @@ class TestEuclidean:
             )
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ColumnMismatch):
             ranking((1.0, 2.0), [(1.0, 2.0, 3.0)], 1)
 
 
@@ -110,7 +119,7 @@ class TestRankNeighbors:
         for _ in range(20):
             training = random_training(rng, 50, 4)
             subject = [rng.uniform(-3, 3) for _ in range(4)]
-            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
+            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
             matrix = training.feature_matrix()
             assert [i for i, _ in record.neighbor_ranking] == brute_rank(subject, matrix)[:20]
 
@@ -122,7 +131,7 @@ class TestRankNeighbors:
             ranking([0.0], [], 1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ColumnMismatch):
             ranking([0.0], [[0.0, 1.0]], 1)
 
 
@@ -156,7 +165,7 @@ class TestKnnRegress:
 
     def test_equals_prefix_mean(self):
         training = Frame(["x", "t"], self.ROWS, "t")
-        record = ammknn_predict_one([1.7], 0.0, training, AmmknnConfig(max_k=5))
+        record = predict_one([1.7], 0.0, training, AmmknnConfig(max_k=5))
         assert fixed_k([1.7], self.ROWS, 3) == record.cumulative_means[2]
 
     def test_k_too_large(self):
@@ -168,7 +177,7 @@ class TestAmmknnPredictOne:
     def test_constant_neighborhood(self):
         rows = [[float(i), 500.0] for i in range(20)]
         training = Frame(["x", "t"], rows, "t")
-        record = ammknn_predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
+        record = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
         assert record.min_of_means == 500.0
         assert record.min_match == 500.0
         assert record.prediction == 500.0
@@ -177,7 +186,7 @@ class TestAmmknnPredictOne:
     def test_outlier_takes_min_match(self):
         # ranked neighbor targets [480, 310]: prefix means [480, 395]
         training = Frame(["x", "t"], [[0.0, 480.0], [1.0, 310.0]], "t")
-        record = ammknn_predict_one([0.0], -2.5, training, AmmknnConfig(max_k=2))
+        record = predict_one([0.0], -2.5, training, AmmknnConfig(max_k=2))
         assert record.min_of_means == 395.0
         assert record.min_match == 310.0
         assert record.outlier_triggered
@@ -185,7 +194,7 @@ class TestAmmknnPredictOne:
 
     def test_outlier_cutoff_is_strict(self):
         training = Frame(["x", "t"], [[0.0, 480.0], [1.0, 310.0]], "t")
-        record = ammknn_predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
+        record = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
         assert not record.outlier_triggered
         assert record.prediction == 395.0
 
@@ -197,7 +206,7 @@ class TestAmmknnPredictOne:
             training = random_training(rng, n, dims)
             subject = [rng.uniform(-3, 3) for _ in range(dims)]
             max_k = rng.randint(1, 20)
-            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
             oracle = brute_min_over_k(
                 subject, training.feature_matrix(), training.target_values(), max_k
             )
@@ -208,7 +217,7 @@ class TestAmmknnPredictOne:
         for _ in range(50):
             training = random_training(rng, rng.randint(2, 25), 3)
             subject = [rng.uniform(-3, 3) for _ in range(3)]
-            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
+            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
             assert record.min_match <= record.min_of_means
             for mean in record.cumulative_means:
                 assert record.min_of_means <= mean
@@ -220,19 +229,19 @@ class TestAmmknnPredictOne:
             training = random_training(rng, n, 2)
             subject = [rng.uniform(-3, 3) for _ in range(2)]
             max_k = min(20, n)
-            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
             assert record.prediction <= fixed_k(subject, list(training.rows), max_k)
 
     def test_permutation_stability(self):
         rng = random.Random(9)
         training = random_training(rng, 20, 3)
         subject = [rng.uniform(-3, 3) for _ in range(3)]
-        baseline = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=10))
+        baseline = predict_one(subject, 0.0, training, AmmknnConfig(max_k=10))
         order = list(range(20))
         for _ in range(10):
             rng.shuffle(order)
             permuted = training.subset_rows(order)
-            record = ammknn_predict_one(subject, 0.0, permuted, AmmknnConfig(max_k=10))
+            record = predict_one(subject, 0.0, permuted, AmmknnConfig(max_k=10))
             assert record.prediction == baseline.prediction
 
     def test_max_k_saturation_non_increasing(self):
@@ -241,13 +250,13 @@ class TestAmmknnPredictOne:
         subject = [rng.uniform(-3, 3) for _ in range(2)]
         previous = math.inf
         for max_k in range(1, 31):
-            record = ammknn_predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
             assert record.min_of_means <= previous
             previous = record.min_of_means
 
     def test_fewer_rows_than_max_k(self):
         training = Frame(["x", "t"], [[0.0, 400.0], [1.0, 300.0]], "t")
-        record = ammknn_predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
+        record = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
         assert len(record.neighbor_ranking) == 2
         assert len(record.cumulative_means) == 2
 
@@ -266,14 +275,16 @@ class TestAmmknnPredictBatch:
         subjects = Frame(["x0", "x1"], [], None)
         assert ammknn_predict_batch(subjects, training, self.config()) == []
 
-    def test_batch_of_one_matches_predict_one(self):
+    def test_rows_are_scored_independently(self):
         rng = random.Random(2)
         training = random_training(rng, 10, 2)
-        subjects = Frame(["x0", "x1", "t"], [[0.5, -0.5, 999.0]], "t")
-        [record] = ammknn_predict_batch(subjects, training, self.config())
-        direct = ammknn_predict_one([0.5, -0.5], 0.5, training, self.config())
-        assert record.prediction == direct.prediction
-        assert record.neighbor_ranking == direct.neighbor_ranking
+        rows = [[0.5, -0.5, 999.0], [-2.5, 1.0, 300.0], [0.5, -0.5, 200.0], [3.0, 3.0, 400.0]]
+        subjects = Frame(["x0", "x1", "t"], rows, "t", row_ids=["a", "b", "c", "d"])
+        records = ammknn_predict_batch(subjects, training, self.config())
+        assert len(records) == len(rows)
+        for i, record in enumerate(records):
+            [alone] = ammknn_predict_batch(subjects.subset_rows([i]), training, self.config())
+            assert record == alone
 
     def test_outlier_value_read_per_row(self):
         training = Frame(["x0", "t"], [[0.0, 480.0], [1.0, 310.0]], "t")
@@ -346,8 +357,6 @@ class TestUnscorableCellsRefused:
         subjects = Frame(["x0", "x1"], [[0.0, 0.0], cells], None)
         with pytest.raises(NonFiniteCell, match=r"subject row 1\b.* column 'x"):
             ammknn_predict_batch(subjects, training, self.CONFIG)
-        with pytest.raises(NonFiniteCell):
-            ammknn_predict_one(cells, 0.0, training, self.CONFIG)
 
     def test_subject_outlier_cell(self):
         training = Frame(["x0", "t"], [[0.0, 400.0], [1.0, 300.0]], "t")

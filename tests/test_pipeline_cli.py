@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -404,7 +405,7 @@ class TestCliRefusesUnscorableInput:
         assert f"training row 4, column {column!r}: missing cell" in err
         assert "internal error" not in err
 
-    def test_non_finite_raw_cell_prepare_exit_3(self, workspace, tmp_path):
+    def test_non_finite_raw_cell_prepare_exit_3(self, workspace, tmp_path, capsys):
         lines = workspace["cohort_csv"].read_text().splitlines()
         header = lines[0].split(",")
         row = lines[1].split(",")
@@ -417,7 +418,50 @@ class TestCliRefusesUnscorableInput:
             "--input", str(bad), "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+        err = capsys.readouterr().err
+        assert "column 'f01': non-finite value nan" in err
 
+    @pytest.mark.parametrize("cell", ["", "nan"])
+    def test_bad_cohort_score_validate_exit_3(self, tmp_path, capsys, cell):
+        # an empty score broke the report's tallies (exit 4); a NaN one was
+        # scored as a pass and written out as the non-JSON token NaN
+        cohort = _golden_cohort_with(tmp_path, 2, "score", cell)
+        capsys.readouterr()
+        assert main(_golden_argv("validate", cohort, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "subject row 2, column 'score': " in err
+        assert "internal error" not in err
+        assert not (tmp_path / "out" / VALIDATE_JSON).exists()
+
+    @pytest.mark.parametrize(
+        "cell, problem", [("", "missing cell"), ("nan", "non-finite value nan")]
+    )
+    @pytest.mark.parametrize("command", ["validate", "predict"])
+    def test_bad_cohort_feature_cell_exit_3(self, tmp_path, capsys, command, cell, problem):
+        cohort = _golden_cohort_with(tmp_path, 2, "f02", cell)
+        capsys.readouterr()
+        assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
+        assert f"subject row 2, column 'f02': {problem}" in capsys.readouterr().err
+
+
+def _golden_cohort_with(tmp_path, row, column, cell):
+    """A copy of the seed-7 validation.csv with one cell replaced, by data row."""
+    lines = (GOLDEN_SEED7 / VALIDATION_CSV).read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[row + 1].split(",")
+    cells[header.index(column)] = cell
+    lines[row + 1] = ",".join(cells)
+    path = tmp_path / "cohort.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _golden_argv(command, cohort, out):
+    """``command`` run on the seed-7 config and train.csv against ``cohort``."""
+    return [
+        command, "--config", str(GOLDEN_SEED7.parent / "config.json"),
+        "--train", str(GOLDEN_SEED7 / TRAIN_CSV), "--cohort", str(cohort), "--out", str(out),
+    ]
 
 
 def _with_years(workspace, tmp_path, years):
@@ -480,6 +524,20 @@ def test_cli_imports_only_the_standard_library():
     loaded = {name.split(".")[0] for name in result.stdout.split()}
     assert "ammknn" in loaded
     assert loaded - {"ammknn"} <= set(sys.stdlib_module_names)
+
+
+def test_every_public_name_is_used_by_the_package():
+    """A public name that no package module loads is API only tests use."""
+    loaded = set()
+    for path in Path(ammknn.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(ammknn.__all__) - loaded) == []
 
 
 class TestCliStdout:

@@ -8,7 +8,6 @@ from ammknn import (
     assign_cohort_years,
     generate_cohort,
     pearson_correlation,
-    split_cohorts,
 )
 from ammknn.errors import InvalidFraction, InvalidSpec
 
@@ -118,35 +117,58 @@ class TestGenerateCohort:
         assert SynthSpec.from_json_dict(s.to_json_dict()) == s
 
 
+def split_by_year(frame, train_fraction, seed):
+    """The (train, validation) row ids that assign_cohort_years stamps."""
+    stamped = assign_cohort_years(frame, train_fraction, seed=seed)
+    years = stamped.column("cohort")
+    assert set(years) <= {2018.0, 2019.0}
+    train = tuple(rid for rid, year in zip(stamped.row_ids, years) if year == 2018.0)
+    validation = tuple(rid for rid, year in zip(stamped.row_ids, years) if year == 2019.0)
+    return train, validation
+
+
+def documented_split(n, train_fraction, seed):
+    """Training-side row indices by the shuffle the synth module documents:
+    Fisher-Yates with j = next_u64() mod (i + 1), i from n - 1 down to 1."""
+    indices = list(range(n))
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        indices[i], indices[j] = indices[j], indices[i]
+    return sorted(indices[: min(max(round(train_fraction * n), 1), n - 1)])
+
+
 class TestSplitCohorts:
+    """The seeded split behind the cohort years."""
+
     def test_split_sizes_exact(self):
         frame = generate_cohort(spec(n_rows=224))
-        train, validation = split_cohorts(frame, 181 / 224, seed=7)
-        assert (train.n_rows, validation.n_rows) == (181, 43)
+        train, validation = split_by_year(frame, 181 / 224, seed=7)
+        assert (len(train), len(validation)) == (181, 43)
 
     def test_all_but_one(self):
         frame = generate_cohort(spec(n_rows=10))
-        train, validation = split_cohorts(frame, 0.95, seed=1)
-        assert (train.n_rows, validation.n_rows) == (9, 1)
+        train, validation = split_by_year(frame, 0.95, seed=1)
+        assert (len(train), len(validation)) == (9, 1)
 
     def test_deterministic(self):
         frame = generate_cohort(spec(n_rows=50))
-        a = split_cohorts(frame, 0.7, seed=3)
-        b = split_cohorts(frame, 0.7, seed=3)
-        assert a[0] == b[0] and a[1] == b[1]
+        a = assign_cohort_years(frame, 0.7, seed=3)
+        b = assign_cohort_years(frame, 0.7, seed=3)
+        assert a == b and split_by_year(frame, 0.7, seed=3) == split_by_year(frame, 0.7, seed=3)
 
     def test_exact_partition(self):
         frame = generate_cohort(spec(n_rows=60))
-        train, validation = split_cohorts(frame, 0.6, seed=9)
-        ids = sorted(train.row_ids + validation.row_ids)
+        train, validation = split_by_year(frame, 0.6, seed=9)
+        ids = sorted(train + validation)
         assert ids == sorted(frame.row_ids)
-        assert set(train.row_ids).isdisjoint(validation.row_ids)
+        assert set(train).isdisjoint(validation)
 
     def test_invalid_fraction(self):
         frame = generate_cohort(spec(n_rows=10))
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidFraction):
-                split_cohorts(frame, fraction, seed=1)
+                assign_cohort_years(frame, fraction, seed=1)
 
 
 class TestAssignCohortYears:
@@ -154,13 +176,14 @@ class TestAssignCohortYears:
         frame = generate_cohort(spec(n_rows=40))
         stamped = assign_cohort_years(frame, 0.75, seed=5)
         assert stamped.column_names[0] == "cohort"
-        train, validation = split_cohorts(frame, 0.75, seed=5)
+        train, validation = split_by_year(frame, 0.75, seed=5)
         marked_train = [
             rid
             for rid, year in zip(stamped.row_ids, stamped.column("cohort"))
             if year == 2018.0
         ]
-        assert marked_train == list(train.row_ids)
+        assert marked_train == list(train)
+        assert list(train) == [frame.row_ids[i] for i in documented_split(40, 0.75, 5)]
         assert stamped.n_rows == frame.n_rows
 
     def test_original_columns_preserved(self):
