@@ -11,7 +11,9 @@ is not an exact ``float`` or ``None``, and ``load_csv`` parses every cell
 with ``float()`` or refuses it. Frames derived from a checked Frame
 (row subsets, column projections, filters, group means, z-scores) hold
 only cells taken from it or floats computed from them, so they are built
-through ``Frame._derived``, which checks column labels but not cells.
+through ``Frame._derived``, which checks column labels but not cells. The
+synthetic generator builds its Frames the same way: every cell it stores
+is an exact float from ``round`` or ``float``.
 
 Whether a cell may enter arithmetic is decided by one helper,
 ``refuse_unusable``, wherever cells first enter it: the cohort year, the
@@ -342,19 +344,18 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
 def write_csv(frame: Frame, path) -> None:
     """Write a Frame back to CSV (id column first when present).
 
-    Cell values are written with shortest round-trip float formatting, so
-    load -> write -> load reproduces the Frame cell for cell.
+    The csv module writes a missing cell (None) as an empty field and a
+    float with ``repr()``, the shortest round-trip form, so load -> write
+    -> load reproduces the Frame cell for cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if frame.row_ids is not None:
             writer.writerow([frame.id_name or "id", *frame.column_names])
-            for rid, row in zip(frame.row_ids, frame.rows):
-                writer.writerow([rid, *["" if c is None else repr(c) for c in row]])
+            writer.writerows((rid, *row) for rid, row in zip(frame.row_ids, frame.rows))
         else:
             writer.writerow(frame.column_names)
-            for row in frame.rows:
-                writer.writerow(["" if c is None else repr(c) for c in row])
+            writer.writerows(frame.rows)
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,10 @@ golden outputs survive toolchain upgrades):
 * Generator: SplitMix64. State update ``s = (s + 0x9E3779B97F4A7C15) mod
   2^64``; output ``z = s; z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
   z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
+  So output k (k = 1, 2, ...) is a function of ``(seed + k *
+  0x9E3779B97F4A7C15) mod 2^64`` alone. generate_cohort uses that to
+  compute its outputs a block at a time, not one by one; the bit-stream
+  is the same.
 * Uniform double in (0, 1]: ``((z >> 11) + 1) * 2^-53``.
 * Standard normal: Box-Muller, ``sqrt(-2 ln u1) * cos(2 pi u2)`` from two
   consecutive uniforms (the sine companion is discarded).
@@ -30,13 +34,19 @@ golden outputs survive toolchain upgrades):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from math import cos, log, sqrt
 from statistics import NormalDist
 
 from .errors import InvalidFraction, InvalidSpec
 from .frame import Frame
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # state increment
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _PASS_MARK = 350.0
 
 
@@ -47,10 +57,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -81,9 +91,11 @@ class SynthSpec:
             raise InvalidSpec("n_features must be positive")
         if not 1 <= self.signal_features <= self.n_features:
             raise InvalidSpec("signal_features must be in [1, n_features]")
-        if self.noise_sd <= 0:
-            raise InvalidSpec("noise_sd must be positive")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
+            raise InvalidSpec(f"noise_sd must be finite and positive, got {self.noise_sd}")
         low, high = self.target_range
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InvalidSpec(f"target_range bounds must be finite, got {list(self.target_range)}")
         if not low < high:
             raise InvalidSpec("target_range low must be below high")
         if not 0.0 < self.fail_rate_hint < 1.0:
@@ -123,39 +135,106 @@ class SynthSpec:
             raise InvalidSpec(f"bad generator spec: {exc}") from exc
 
 
+# Where an output's low 64-bit word sits among the native 64-bit words of
+# a lane integer written in native byte order: first of each pair on a
+# little-endian host; on a big-endian host the words run from the top lane
+# down, so the low words are the odd ones, read backwards.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
+class _Lanes:
+    """SplitMix64 outputs ``count`` at a time, computed as one big integer.
+
+    Output k after state s is a function of ``(s + k * gamma) mod 2^64``
+    alone, so a block of outputs needs no sequential state: each sits in
+    its own 128-bit lane of one integer, where a 64 x 64-bit product
+    cannot carry into the next lane and each shift is masked back to the
+    lane's low 64 bits. The lane constants are built once for ``count``
+    and masked down for a shorter block.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+        self.ramp = int.from_bytes(
+            b"".join(((_GAMMA * (k + 1)) & _MASK64).to_bytes(16, "little") for k in range(count)),
+            "little",
+        )
+        self.m64 = self.ones * _MASK64
+
+    def words(self, state: int, count: int):
+        """``(z >> 11) + 1`` for the ``count`` outputs after ``state``."""
+        ones, ramp, m64 = self.ones, self.ramp, self.m64
+        if count != self.count:
+            cut = (1 << (128 * count)) - 1
+            ones, ramp, m64 = ones & cut, ramp & cut, m64 & cut
+        z = (state * ones + ramp) & m64
+        z = ((z ^ ((z >> 30) & m64)) * _MIX1) & m64
+        z = ((z ^ ((z >> 27) & m64)) * _MIX2) & m64
+        z ^= (z >> 31) & m64
+        z = ((z >> 11) & m64) + ones
+        return memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW_WORDS]
+
+
+# Box-Muller factors: u = word * 2^-53, so 2 pi u2 = (2 pi 2^-53) * word2
+# exactly (both scale 2 pi by a power of two and round once).
+_UNIT = 2.0 ** -53
+_TWO_PI_UNIT = 2.0 * math.pi * 2.0 ** -53
+
+
+def _normals(words) -> list:
+    """Box-Muller normals from consecutive (u1, u2) word pairs, each float
+    equal to ``SplitMix64.normal``'s for the same two outputs."""
+    return [
+        sqrt(-2.0 * log(w1 * _UNIT)) * cos(_TWO_PI_UNIT * w2)
+        for w1, w2 in zip(words[0::2], words[1::2])
+    ]
+
+
 def generate_cohort(spec: SynthSpec) -> Frame:
     """Deterministic Frame for the spec; identical seeds give identical frames.
 
     Columns are f01..fNN (signal features first) plus a 'score' target;
     row ids are S0001-style. Features are rounded to 6 decimals and the
     target to a whole score, keeping CSV fixtures compact.
+
+    The normals are drawn a block of rows at a time (about 1024 normals,
+    at least one row), in the documented order, so memory beyond the
+    Frame stays bounded whatever the spec's size.
     """
     low, high = spec.target_range
     slope = (high - low) / 8.0
     intercept = _PASS_MARK - slope * NormalDist().inv_cdf(spec.fail_rate_hint)
+    per_row = spec.n_features + 1
+    signal_end = 1 + spec.signal_features
+    times_sd = float(spec.noise_sd).__mul__
+    sixes = repeat(6)
 
-    rng = SplitMix64(spec.seed)
+    block_rows = max(1, 1024 // per_row)
+    lanes = _Lanes(2 * min(block_rows, spec.n_rows) * per_row)
+    state = spec.seed & _MASK64
+    rows = []
+    for first in range(0, spec.n_rows, block_rows):
+        count = 2 * min(block_rows, spec.n_rows - first) * per_row
+        normals = _normals(lanes.words(state, count))
+        state = (state + count * _GAMMA) & _MASK64
+        for base in range(0, len(normals), per_row):
+            ability = normals[base]
+            signal = map(ability.__add__, map(times_sd, normals[base + 1:base + signal_end]))
+            rows.append((
+                *map(round, signal, sixes),
+                *map(round, normals[base + signal_end:base + per_row], sixes),
+                float(min(max(round(intercept + slope * ability), low), high)),
+            ))
     width = len(str(spec.n_rows))
     names = [f"f{j + 1:02d}" for j in range(spec.n_features)] + ["score"]
-    rows = []
-    ids = []
-    for i in range(spec.n_rows):
-        ability = rng.normal()
-        cells = []
-        for j in range(spec.n_features):
-            draw = rng.normal()
-            if j < spec.signal_features:
-                cells.append(round(ability + spec.noise_sd * draw, 6))
-            else:
-                cells.append(round(draw, 6))
-        target = min(max(round(intercept + slope * ability), low), high)
-        cells.append(float(target))
-        rows.append(cells)
-        ids.append(f"S{i + 1:0{width}d}")
-    return Frame(names, rows, "score", ids, "student_id")
+    ids = tuple(f"S{i + 1:0{width}d}" for i in range(spec.n_rows))
+    return Frame._derived(names, tuple(rows), "score", ids, "student_id")
 
 
 def _split_indices(n: int, train_fraction: float, seed: int):
+    if n < 2:
+        raise InvalidFraction(f"a split needs n_rows >= 2, got {n}")
     if not 0.0 < train_fraction < 1.0:
         raise InvalidFraction(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = min(max(round(train_fraction * n), 1), n - 1)
@@ -188,9 +267,11 @@ def assign_cohort_years(
     """
     train_idx, _ = _split_indices(frame.n_rows, train_fraction, seed)
     train_set = set(train_idx)
-    names = [column, *frame.column_names]
-    rows = [
-        [train_year if i in train_set else validation_year, *frame.rows[i]]
-        for i in range(frame.n_rows)
-    ]
-    return Frame(names, rows, frame.target_name, frame.row_ids, frame.id_name)
+    train_year, validation_year = float(train_year), float(validation_year)
+    rows = tuple(
+        (train_year if i in train_set else validation_year, *row)
+        for i, row in enumerate(frame.rows)
+    )
+    return Frame._derived(
+        (column, *frame.column_names), rows, frame.target_name, frame.row_ids, frame.id_name
+    )

@@ -6,6 +6,7 @@ from ammknn import (
     AggregationSpec,
     Frame,
     aggregate_means,
+    assign_cohort_years,
     drop_incomplete,
     drop_missing_target,
     filter_by_cutoff,
@@ -339,6 +340,8 @@ def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
         aggregate_means(frame, specs),
         aggregate_means(frame, specs, drop_members=True),
     ]
+    if len(rows) >= 2:  # int years, as a split stanza may give them
+        derived.append(assign_cohort_years(frame, 0.5, seed=1, train_year=2018, validation_year=2019))
     complete = drop_incomplete(frame)[0]
     half = complete.n_rows // 2
     try:

@@ -267,6 +267,21 @@ class TestCliErrors:
         spec_path.write_text(json.dumps({"seed": 1, "n_rows": 0, "n_features": 3, "signal_features": 1}))
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("override, field", [
+        ({"noise_sd": float("nan")}, "noise_sd"),
+        ({"noise_sd": float("inf")}, "noise_sd"),
+        ({"target_range": [200.0, float("inf")]}, "target_range"),
+        ({"target_range": [float("-inf"), 800.0]}, "target_range"),
+        ({"n_rows": 1}, "n_rows"),
+    ])
+    def test_unhonourable_synth_spec_exit_2(self, tmp_path, capsys, override, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC_DOC, **override}))
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / SYNTH_CSV).exists()
+
     def test_config_directory_exit_2(self, workspace, tmp_path, capsys):
         config_dir = tmp_path / "configs"
         config_dir.mkdir()
