@@ -24,9 +24,6 @@ from .frame import (
     AggregationSpec,
     Frame,
     aggregate_means,
-    drop_incomplete,
-    drop_missing_target,
-    filter_by_cutoff,
     load_csv,
     write_csv,
 )
@@ -70,9 +67,6 @@ __all__ = [
     "confusion_2x2",
     "confusion_3x3",
     "cumulative_means",
-    "drop_incomplete",
-    "drop_missing_target",
-    "filter_by_cutoff",
     "generate_cohort",
     "load_config",
     "load_csv",

@@ -93,10 +93,6 @@ class ConfusionMatrix3:
     def diagonal(self) -> tuple:
         return tuple(self.counts[i][i] for i in range(3))
 
-    @property
-    def row_sums(self) -> tuple:
-        return tuple(sum(row) for row in self.counts)
-
 
 @dataclass(frozen=True)
 class Metrics:

@@ -1,4 +1,4 @@
-"""Rectangular cohort data: CSV loading, filtering, and aggregation.
+"""Rectangular cohort data: CSV loading, column projection and group means.
 
 A Frame is an immutable in-memory table of numeric cells (missing cells
 are ``None``). Every row is one subject; one column is designated as the
@@ -9,11 +9,11 @@ Cells are checked once, where they enter: the public ``Frame(...)``
 constructor checks the shape of every row and converts every cell that
 is not an exact ``float`` or ``None``, and ``load_csv`` parses every cell
 with ``float()`` or refuses it. Frames derived from a checked Frame
-(row subsets, column projections, filters, group means, z-scores) hold
-only cells taken from it or floats computed from them, so they are built
-through ``Frame._derived``, which checks column labels but not cells. The
-synthetic generator builds its Frames the same way: every cell it stores
-is an exact float from ``round`` or ``float``.
+(column projections, group means, the two sides of ``prepare``'s year
+split, z-scores) hold only cells taken from it or floats computed from
+them, so they are built through ``Frame._derived``, which checks column
+labels but not cells. The synthetic generator builds its Frames the same
+way: every cell it stores is an exact float from ``round`` or ``float``.
 
 Whether a cell may enter arithmetic is decided by one helper,
 ``refuse_unusable``, wherever cells first enter it: the cohort year, the
@@ -88,11 +88,11 @@ def refuse_unusable(
                 raise NonFiniteCell(f"{row_name(i)}, column {name!r}: non-finite value {v!r}")
 
 
-def _project(rows, idx: Sequence[int]) -> list:
-    """Each row restricted to the cells at ``idx``, as a tuple."""
+def _picker(idx: Sequence[int]) -> Callable:
+    """A function from a row to the tuple of its cells at ``idx``."""
     if len(idx) > 1:
-        return list(map(itemgetter(*idx), rows))
-    return [tuple(row[i] for i in idx) for row in rows]
+        return itemgetter(*idx)
+    return lambda row: tuple(row[i] for i in idx)
 
 
 def _check_labels(names: tuple, target_name: Optional[str]) -> None:
@@ -206,7 +206,7 @@ class Frame:
         """Rows restricted to the given feature columns (default: all non-target)."""
         if names is None:
             names = self.feature_names()
-        return _project(self.rows, [self.column_index(n) for n in names])
+        return list(map(_picker([self.column_index(n) for n in names]), self.rows))
 
     def target_values(self) -> tuple:
         if self.target_name is None:
@@ -218,32 +218,16 @@ class Frame:
 
     # -- structural helpers (each returns a new Frame) --------------------
 
-    def subset_rows(self, indices: Sequence[int]) -> "Frame":
-        ids = None if self.row_ids is None else tuple(map(self.row_ids.__getitem__, indices))
-        return Frame._derived(
-            self.column_names,
-            tuple(map(self.rows.__getitem__, indices)),
-            self.target_name,
-            ids,
-            self.id_name,
-        )
-
     def select_columns(self, names: Sequence[str]) -> "Frame":
         idx = [self.column_index(n) for n in names]
         target = self.target_name if self.target_name in names else None
         return Frame._derived(
             names,
-            tuple(_project(self.rows, idx)),
+            tuple(map(_picker(idx), self.rows)),
             target,
             self.row_ids,
             self.id_name,
         )
-
-    def drop_columns(self, names: Sequence[str]) -> "Frame":
-        for n in names:
-            self.column_index(n)
-        dropped = set(names)
-        return self.select_columns([n for n in self.column_names if n not in dropped])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
@@ -359,61 +343,22 @@ def write_csv(frame: Frame, path) -> None:
 
 
 # --------------------------------------------------------------------------
-# Row filters
-# --------------------------------------------------------------------------
-
-def filter_by_cutoff(frame: Frame, key_column: str, cutoff: float, keep: str) -> Frame:
-    """Keep rows whose key cell is below / at-or-above the cutoff.
-
-    Surviving rows keep their original order. Rows with a missing key cell
-    satisfy neither comparison and are dropped.
-    """
-    if keep not in ("below", "at_or_above"):
-        raise InvalidSpec(f"keep must be 'below' or 'at_or_above', got {keep!r}")
-    key = frame.column(key_column)
-    if keep == "below":
-        indices = [i for i, v in enumerate(key) if v is not None and v < cutoff]
-    else:
-        indices = [i for i, v in enumerate(key) if v is not None and v >= cutoff]
-    return frame.subset_rows(indices)
-
-
-def drop_missing_target(frame: Frame):
-    """Remove rows whose target cell is missing. Returns (frame, dropped_count)."""
-    target = frame.target_values()
-    indices = [i for i, v in enumerate(target) if v is not None]
-    return frame.subset_rows(indices), frame.n_rows - len(indices)
-
-
-def drop_incomplete(frame: Frame):
-    """Remove rows containing any missing cell. Returns (frame, dropped_count)."""
-    indices = [i for i, row in enumerate(frame.rows) if None not in row]
-    return frame.subset_rows(indices), frame.n_rows - len(indices)
-
-
-# --------------------------------------------------------------------------
 # Aggregation
 # --------------------------------------------------------------------------
 
-def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members: bool = False) -> Frame:
-    """Append one row-wise mean column per spec.
+def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec]) -> Frame:
+    """Append one row-wise mean column per spec; every column is kept.
 
     A group mean is missing whenever any member cell is missing; silent
-    partial means would hide data problems. With ``drop_members`` the
-    member columns are removed after all groups are computed.
+    partial means would hide data problems.
     """
-    existing = set(frame.column_names)
-    new_names = set()
+    names = list(frame.column_names)
     for spec in specs:
         for m in spec.member_columns:
             frame.column_index(m)
-            if drop_members and m == frame.target_name:
-                raise InvalidSpec(
-                    f"aggregation {spec.group_name!r} would drop the target column"
-                )
-        if spec.group_name in existing or spec.group_name in new_names:
+        if spec.group_name in names:
             raise NameCollision(f"column {spec.group_name!r} already exists")
-        new_names.add(spec.group_name)
+        names.append(spec.group_name)
 
     means = []
     for spec in specs:
@@ -433,12 +378,5 @@ def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec], drop_members
         k = len(spec.member_columns)
         means.append([None if t is None else t / k for t in total])
 
-    # the members are dropped while the group means are appended, so the
-    # table is copied once
-    members = {m for spec in specs for m in spec.member_columns} if drop_members else set()
-    keep = [i for i, n in enumerate(frame.column_names) if n not in members]
-    names = [*(frame.column_names[i] for i in keep), *(spec.group_name for spec in specs)]
-    rows = frame.rows if len(keep) == frame.n_cols else _project(frame.rows, keep)
-    if means:
-        rows = map(add, rows, zip(*means))
-    return Frame._derived(names, tuple(rows), frame.target_name, frame.row_ids, frame.id_name)
+    rows = tuple(map(add, frame.rows, zip(*means))) if means else frame.rows
+    return Frame._derived(names, rows, frame.target_name, frame.row_ids, frame.id_name)

@@ -1,7 +1,10 @@
 """End-to-end workflow steps behind the CLI subcommands.
 
-prepare: raw cohort CSV -> aggregated, year-split, jointly standardized,
-correlation-selected train/validation CSVs plus the selection audit JSON.
+prepare: raw cohort CSV -> train/validation CSVs plus the selection audit
+JSON. Group means are appended; one pass picks the columns and puts each
+row on its side of the year cutoff, counting the rows it leaves out (no
+usable year, a missing target, a missing cell); both sides are then
+jointly standardized and correlation-selected.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
@@ -37,16 +40,7 @@ from .errors import (
     UnknownTargetColumn,
 )
 from .evaluation import classify_tier, loocv
-from .frame import (
-    Frame,
-    aggregate_means,
-    drop_incomplete,
-    drop_missing_target,
-    filter_by_cutoff,
-    load_csv,
-    refuse_unusable,
-    write_csv,
-)
+from .frame import Frame, _picker, aggregate_means, load_csv, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .synth import SynthSpec, assign_cohort_years, generate_cohort
@@ -73,58 +67,6 @@ def _load_for_config(config: PipelineConfig, path, target_required: bool = True)
         return load_csv(path, target, config.id_column)
     except (UnknownTargetColumn, UnknownColumn) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _candidate_columns(frame: Frame, config: PipelineConfig) -> Frame:
-    keep_always = {config.target_name}
-    if config.cohort_column is not None:
-        keep_always.add(config.cohort_column)
-    if config.include_columns is not None:
-        for name in config.include_columns:
-            try:
-                frame.column_index(name)
-            except UnknownColumn as exc:
-                raise ConfigError(f"include_columns: {exc}") from exc
-        include = set(config.include_columns)
-        keep = [n for n in frame.column_names if n in include or n in keep_always]
-        frame = frame.select_columns(keep)
-    if config.exclude_columns:
-        drop = [
-            n
-            for n in config.exclude_columns
-            if n in frame.column_names and n not in keep_always
-        ]
-        frame = frame.drop_columns(drop)
-    return frame
-
-
-def _split_by_year(frame: Frame, config: PipelineConfig):
-    """Train rows start before the cutoff year; validation rows start in it.
-
-    A NaN or infinite year is refused: it would fall silently into
-    neither side (NaN, +inf) or into training (-inf). Rows with a missing
-    year or a year outside both windows are left out; the caller counts
-    them.
-    """
-    if config.cohort_column is None or config.year_cutoff is None:
-        raise ConfigError("prepare needs cohort_column and year_cutoff")
-    if config.cohort_column not in frame.column_names:
-        raise ConfigError(f"cohort column {config.cohort_column!r} not in input")
-    refuse_unusable(
-        "input row {}".format, [config.cohort_column], [frame.column(config.cohort_column)],
-        missing_ok=True,
-    )
-    train = filter_by_cutoff(frame, config.cohort_column, config.year_cutoff, "below")
-    at_or_after = filter_by_cutoff(
-        frame, config.cohort_column, config.year_cutoff, "at_or_above"
-    )
-    validation = filter_by_cutoff(
-        at_or_after, config.cohort_column, config.year_cutoff + 1, "below"
-    )
-    return (
-        train.drop_columns([config.cohort_column]),
-        validation.drop_columns([config.cohort_column]),
-    )
 
 
 def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
@@ -168,24 +110,84 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
 def _split_cohort(config: PipelineConfig, input_path):
     """Raw cohort CSV -> (train, validation, row and column counts).
 
-    Group means are added, the candidate columns picked, the rows split by
-    cohort year, and rows with a missing target or any missing cell
-    dropped. Only the two sides outlive this call, so the full raw table
-    is freed before standardization builds its z-scores.
+    Group means are appended, then one column list is picked: the
+    candidate columns (``include_columns`` less ``exclude_columns``; the
+    target is always kept) without the group members and the cohort year.
+    One pass puts each row in the first bucket that fits, counting the
+    first three: (1) no cohort year, or one outside both windows; (2) a
+    missing target; (3) any other missing cell in the picked columns;
+    (4) train, a year before ``year_cutoff``; (5) validation, a year in
+    ``[year_cutoff, year_cutoff + 1)``. Each side is copied once.
+
+    A NaN or infinite year is refused: it would fall silently into
+    neither side (NaN, +inf) or into training (-inf). Only the two sides
+    outlive this call, so the raw table is freed before standardization.
     """
     frame = _load_for_config(config, input_path)
     if config.aggregations:
-        frame = aggregate_means(frame, config.aggregations, drop_members=True)
-    frame = _candidate_columns(frame, config)
-    train, validation = _split_by_year(frame, config)
+        frame = aggregate_means(frame, config.aggregations)
+    members = set()
+    for spec in config.aggregations:
+        if config.target_name in spec.member_columns:
+            raise InvalidSpec(f"aggregation {spec.group_name!r} would drop the target column")
+        members.update(spec.member_columns)
+    available = [n for n in frame.column_names if n not in members]
+    include = config.include_columns
+    for name in include or ():
+        if name not in available:
+            raise ConfigError(f"include_columns: no column named {name!r}")
+    cohort, cutoff = config.cohort_column, config.year_cutoff
+    if cohort is None or cutoff is None:
+        raise ConfigError("prepare needs cohort_column and year_cutoff")
+    if cohort not in available:
+        raise ConfigError(f"cohort column {cohort!r} not in input")
+    refuse_unusable("input row {}".format, [cohort], [frame.column(cohort)], missing_ok=True)
+
+    columns = [
+        n for n in available
+        if n != cohort and (
+            n == config.target_name
+            or (include is None or n in include) and n not in config.exclude_columns
+        )
+    ]
+    pick = _picker([frame.column_index(n) for n in columns])
+    year, target = frame.column_index(cohort), frame.column_index(config.target_name)
+    next_year = cutoff + 1
+    outside = 0
+    missing_target, incomplete = [0, 0], [0, 0]
+    rows, kept = ([], []), ([], [])  # per side: the picked cells, the row numbers
+    for i, row in enumerate(frame.rows):
+        y = row[year]
+        if y is None or y >= next_year:
+            outside += 1
+            continue
+        side = 0 if y < cutoff else 1
+        if row[target] is None:
+            missing_target[side] += 1
+            continue
+        cells = pick(row)
+        if None in cells:
+            incomplete[side] += 1
+            continue
+        rows[side].append(cells)
+        kept[side].append(i)
+
+    ids = frame.row_ids
+    train, validation = (
+        Frame._derived(
+            columns, tuple(rows[side]), config.target_name,
+            None if ids is None else tuple(map(ids.__getitem__, kept[side])), frame.id_name,
+        )
+        for side in (0, 1)
+    )
     counts = {
-        "dropped_outside_years": frame.n_rows - train.n_rows - validation.n_rows,
-        "columns_in": frame.n_cols - (1 if config.cohort_column else 0),
+        "dropped_outside_years": outside,
+        "columns_in": len(columns),
+        "train_dropped_missing_target": missing_target[0],
+        "validation_dropped_missing_target": missing_target[1],
+        "train_dropped_incomplete": incomplete[0],
+        "validation_dropped_incomplete": incomplete[1],
     }
-    train, counts["train_dropped_missing_target"] = drop_missing_target(train)
-    validation, counts["validation_dropped_missing_target"] = drop_missing_target(validation)
-    train, counts["train_dropped_incomplete"] = drop_incomplete(train)
-    validation, counts["validation_dropped_incomplete"] = drop_incomplete(validation)
     return train, validation, counts
 
 

@@ -85,15 +85,11 @@ def _column_stats(label: str, values: Sequence[float]):
     return mean, sd, d
 
 
-def standardize_joint(
-    train: Frame,
-    extra: Optional[Frame] = None,
-    exclude: Sequence[str] = (),
-):
+def standardize_joint(train: Frame, extra: Optional[Frame] = None):
     """Z-score both frames with stats pooled over their concatenated rows.
 
-    The target column and any ``exclude`` labels (cohort year, bookkeeping
-    keys) pass through unchanged. Sample (n-1) standard deviation is used.
+    The target column passes through unchanged. Sample (n-1) standard
+    deviation is used.
     Returns (train, extra, StandardizationStats); extra is None when absent.
 
     The work is done a column at a time: each pooled column is pulled out
@@ -111,10 +107,7 @@ def standardize_joint(
         if extra.target_name != train.target_name:
             raise ColumnMismatch("target columns differ between frames")
 
-    skip = set(exclude)
-    excluded = tuple(
-        n for n in train.column_names if n == train.target_name or n in skip
-    )
+    excluded = tuple(n for n in train.column_names if n == train.target_name)
     to_standardize = tuple(n for n in train.column_names if n not in excluded)
 
     pooled_rows = train.rows + (extra.rows if extra is not None else ())

@@ -48,6 +48,9 @@ _GAMMA = 0x9E3779B97F4A7C15  # state increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _PASS_MARK = 350.0
+# No Box-Muller normal here exceeds sqrt(2 * 53 * ln 2) ~ 8.57 in size,
+# because u1 >= 2^-53; a spec is refused if a draw this large overflows.
+_MAX_NORMAL = 8.6
 
 
 class SplitMix64:
@@ -91,8 +94,10 @@ class SynthSpec:
             raise InvalidSpec("n_features must be positive")
         if not 1 <= self.signal_features <= self.n_features:
             raise InvalidSpec("signal_features must be in [1, n_features]")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
-            raise InvalidSpec(f"noise_sd must be finite and positive, got {self.noise_sd}")
+        if not (math.isfinite(self.noise_sd * _MAX_NORMAL) and self.noise_sd > 0):
+            raise InvalidSpec(
+                f"noise_sd must be positive, with noise_sd * {_MAX_NORMAL} finite, got {self.noise_sd}"
+            )
         low, high = self.target_range
         if not (math.isfinite(low) and math.isfinite(high)):
             raise InvalidSpec(f"target_range bounds must be finite, got {list(self.target_range)}")
@@ -100,6 +105,18 @@ class SynthSpec:
             raise InvalidSpec("target_range low must be below high")
         if not 0.0 < self.fail_rate_hint < 1.0:
             raise InvalidSpec("fail_rate_hint must be in (0, 1)")
+        slope, intercept = self._score_map()
+        if not math.isfinite(abs(intercept) + slope * _MAX_NORMAL):
+            raise InvalidSpec(
+                f"target_range {list(self.target_range)} with fail_rate_hint "
+                f"{self.fail_rate_hint} puts scores beyond the float range"
+            )
+
+    def _score_map(self):
+        """(slope, intercept) of the affine map from ability to score."""
+        low, high = self.target_range
+        slope = (high - low) / 8.0
+        return slope, _PASS_MARK - slope * NormalDist().inv_cdf(self.fail_rate_hint)
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,8 +220,7 @@ def generate_cohort(spec: SynthSpec) -> Frame:
     Frame stays bounded whatever the spec's size.
     """
     low, high = spec.target_range
-    slope = (high - low) / 8.0
-    intercept = _PASS_MARK - slope * NormalDist().inv_cdf(spec.fail_rate_hint)
+    slope, intercept = spec._score_map()
     per_row = spec.n_features + 1
     signal_end = 1 + spec.signal_features
     times_sd = float(spec.noise_sd).__mul__

@@ -101,7 +101,7 @@ def test_criterion_2_three_tier_accuracy():
     validation_matrix = ConfusionMatrix3(((2, 2, 2), (0, 2, 3), (3, 2, 26)))
     assert validation_matrix.total == 42
     assert validation_matrix.diagonal == (2, 2, 26)
-    assert validation_matrix.row_sums == (6, 5, 31)
+    assert tuple(map(sum, validation_matrix.counts)) == (6, 5, 31)
 
 
 # ---------------------------------------------------------------------------

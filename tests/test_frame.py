@@ -7,13 +7,12 @@ from ammknn import (
     Frame,
     aggregate_means,
     assign_cohort_years,
-    drop_incomplete,
-    drop_missing_target,
-    filter_by_cutoff,
     load_csv,
     write_csv,
 )
+from ammknn.config import config_from_json_dict
 from ammknn.errors import (
+    ConfigError,
     DataError,
     DuplicateColumnName,
     InvalidSpec,
@@ -24,6 +23,7 @@ from ammknn.errors import (
     UnknownTargetColumn,
     UnreadableInput,
 )
+from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
 
@@ -147,71 +147,106 @@ class TestFrameInvariants:
         assert frame.feature_names() == ("a",)
 
 
-def years_frame():
-    rows = [[float(y), 400.0] for y in (2015, 2016, 2017, 2018, 2019, 2020, 2021)]
-    return Frame(["year", "score"], rows, "score")
+def split_cohort(tmp_path, header, rows, **config):
+    """``prepare``'s year split of a cohort CSV with an id column, a
+    ``year`` column, ``header`` and target ``t``; rows are ids r0, r1, ..."""
+    lines = [",".join(["id", "year", *header])]
+    for i, row in enumerate(rows):
+        lines.append(",".join([f"r{i}", *("" if c is None else repr(float(c)) for c in row)]))
+    path = write(tmp_path, "cohort.csv", "\n".join(lines) + "\n")
+    doc = {
+        "target_name": "t", "id_column": "id", "cohort_column": "year", "year_cutoff": 2019,
+        **config,
+    }
+    return _split_cohort(config_from_json_dict(doc), path)
+
+
+def split_years(tmp_path, rows, **config):
+    """``split_cohort`` of rows (year, x, t)."""
+    return split_cohort(tmp_path, ["x", "t"], rows, **config)
+
+
+YEARS = [[float(y), float(i), 400.0] for i, y in enumerate(range(2015, 2022))]
 
 
 class TestFilters:
-    def test_cutoff_below(self):
-        out = filter_by_cutoff(years_frame(), "year", 2019, "below")
-        assert [r[0] for r in out.rows] == [2015.0, 2016.0, 2017.0, 2018.0]
+    """Rows go to training before the cutoff year and to validation in it."""
 
-    def test_cutoff_below_everything(self):
-        out = filter_by_cutoff(years_frame(), "year", 1900, "below")
-        assert out.n_rows == 0
-        assert out.column_names == ("year", "score")
+    def test_cutoff_below(self, tmp_path):
+        train, _, _ = split_years(tmp_path, YEARS)
+        assert train.row_ids == ("r0", "r1", "r2", "r3")
+        assert train.column("x") == (0.0, 1.0, 2.0, 3.0)
 
-    def test_equality_via_composed_filters(self):
-        at_or_above = filter_by_cutoff(years_frame(), "year", 2019, "at_or_above")
-        current = filter_by_cutoff(at_or_above, "year", 2020, "below")
-        assert [r[0] for r in current.rows] == [2019.0]
+    def test_cutoff_below_everything(self, tmp_path):
+        train, validation, counts = split_years(tmp_path, YEARS, year_cutoff=1900)
+        assert train.n_rows == validation.n_rows == 0
+        assert train.column_names == validation.column_names == ("x", "t")
+        assert counts["dropped_outside_years"] == len(YEARS)
 
-    def test_unknown_column(self):
-        with pytest.raises(UnknownColumn):
-            filter_by_cutoff(years_frame(), "cohort", 2019, "below")
+    def test_equality_via_composed_filters(self, tmp_path):
+        # validation is the cutoff year alone: at or above it, below the next
+        _, validation, counts = split_years(tmp_path, YEARS)
+        assert validation.row_ids == ("r4",)
+        assert counts["dropped_outside_years"] == 2
 
-    def test_preserves_order(self):
-        frame = Frame(["k", "t"], [[3, 1], [1, 2], [2, 3], [0, 4]], "t")
-        out = filter_by_cutoff(frame, "k", 3, "below")
-        assert [r[1] for r in out.rows] == [2.0, 3.0, 4.0]
+    def test_unknown_column(self, tmp_path):
+        with pytest.raises(ConfigError, match="cohort column 'cohort' not in input"):
+            split_years(tmp_path, YEARS, cohort_column="cohort")
+
+    def test_preserves_order(self, tmp_path):
+        rows = [[2019, 1, 1], [2017, 2, 2], [2018, 3, 3], [2016, 4, 4]]
+        train, _, _ = split_years(tmp_path, rows)
+        assert train.column("t") == (2.0, 3.0, 4.0)
+        assert train.row_ids == ("r1", "r2", "r3")
 
 
 class TestDrops:
-    def test_drop_missing_target(self):
-        frame = Frame(["x", "t"], [[1, None], [2, 5], [3, None], [4, 7]], "t")
-        out, dropped = drop_missing_target(frame)
-        assert dropped == 2
-        assert [r[1] for r in out.rows] == [5.0, 7.0]
+    """A row left out is counted once, in the first bucket that fits."""
 
-    def test_drop_missing_target_identity(self):
-        frame = Frame(["x", "t"], [[1, 2], [3, 4]], "t")
-        out, dropped = drop_missing_target(frame)
-        assert dropped == 0
-        assert out == frame
+    def test_drop_missing_target(self, tmp_path):
+        rows = [[2018, 1, None], [2018, 2, 5], [2019, 3, None], [2018, 4, 7]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert counts["train_dropped_missing_target"] == 1
+        assert counts["validation_dropped_missing_target"] == 1
+        assert train.column("t") == (5.0, 7.0)
+        assert validation.n_rows == 0
 
-    def test_drop_incomplete(self):
-        frame = Frame(["x", "t"], [[1, 2], [None, 4], [5, None], [6, 7]], "t")
-        out, dropped = drop_incomplete(frame)
-        assert dropped == 2
-        assert out.rows == ((1.0, 2.0), (6.0, 7.0))
+    def test_drop_missing_target_identity(self, tmp_path):
+        rows = [[2018, 1, 2], [2019, 3, 4]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert train.rows == ((1.0, 2.0),)
+        assert validation.rows == ((3.0, 4.0),)
+        assert counts == {
+            "dropped_outside_years": 0,
+            "columns_in": 2,
+            "train_dropped_missing_target": 0,
+            "validation_dropped_missing_target": 0,
+            "train_dropped_incomplete": 0,
+            "validation_dropped_incomplete": 0,
+        }
 
-    def test_drop_incomplete_all_rows(self):
-        frame = Frame(["x", "t"], [[None, 2], [3, None]], "t")
-        out, dropped = drop_incomplete(frame)
-        assert out.n_rows == 0
-        assert dropped == 2
+    def test_drop_incomplete(self, tmp_path):
+        rows = [[2018, 1, 2], [2018, None, 4], [2018, 5, None], [2018, 6, 7]]
+        train, _, counts = split_years(tmp_path, rows)
+        assert train.rows == ((1.0, 2.0), (6.0, 7.0))
+        assert train.row_ids == ("r0", "r3")
+        assert counts["train_dropped_incomplete"] == 1
+        assert counts["train_dropped_missing_target"] == 1
 
-    def test_order_of_drops_equivalent(self):
-        # missing target rows are also incomplete, so either order ends clean
-        frame = Frame(
-            ["x", "t"], [[1, 2], [None, 4], [5, None], [None, None], [8, 9]], "t"
-        )
-        a, _ = drop_missing_target(frame)
-        a, _ = drop_incomplete(a)
-        b, _ = drop_incomplete(frame)
-        assert a == b
-        assert all(None not in r for r in a.rows)
+    def test_drop_incomplete_all_rows(self, tmp_path):
+        rows = [[2018, None, 2], [2019, None, 3]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert train.n_rows == validation.n_rows == 0
+        assert counts["train_dropped_incomplete"] == counts["validation_dropped_incomplete"] == 1
+
+    def test_order_of_drops_equivalent(self, tmp_path):
+        # no year beats a missing target, which beats a missing cell
+        rows = [[None, None, None], [2018, None, None], [2018, None, 4], [2018, 8, 9]]
+        train, _, counts = split_years(tmp_path, rows)
+        assert counts["dropped_outside_years"] == 1
+        assert counts["train_dropped_missing_target"] == 1
+        assert counts["train_dropped_incomplete"] == 1
+        assert train.rows == ((8.0, 9.0),)
 
 
 class TestAggregateMeans:
@@ -232,16 +267,19 @@ class TestAggregateMeans:
         # row 0; the policy instead marks the group value missing
         assert out.column("g") == (None, 0.7)
 
-    def test_drop_members(self):
-        frame = Frame(["q1", "q2", "x", "t"], [[1, 2, 3, 4]], "t")
-        out = aggregate_means(
-            frame, [AggregationSpec("g", ("q1", "q2"))], drop_members=True
+    def test_drop_members(self, tmp_path):
+        # aggregate_means keeps the members; prepare's column list drops them
+        aggregations = [{"group_name": "g", "member_columns": ["q1", "q2"]}]
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "x", "t"], [[2018, 1, 2, 3, 4]], aggregations=aggregations
         )
-        assert out.column_names == ("x", "t", "g")
+        assert train.column_names == ("x", "t", "g")
+        assert train.rows == ((3.0, 4.0, 1.5),)
 
     def test_keep_members_preserves_everything(self):
         frame = Frame(["q1", "q2", "t"], [[1, 2, 3], [4, 5, 6]], "t")
         out = aggregate_means(frame, [AggregationSpec("g", ("q1", "q2"))])
+        assert out.column_names == ("q1", "q2", "t", "g")
         assert out.column("q1") == frame.column("q1")
         assert out.column("q2") == frame.column("q2")
         assert out.column("t") == frame.column("t")
@@ -326,33 +364,35 @@ def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
     ids = data.draw(st.one_of(st.none(), st.just([f"r{i}" for i in range(len(rows))])))
     frame = Frame(names, rows, "c0", ids, None if ids is None else "id")
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
-    indices = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows)))
     specs = [AggregationSpec("g", names[1:]), AggregationSpec("h", names[-1:])]
 
     derived = [
-        frame.subset_rows(indices if rows else []),
         frame.select_columns(["c0", *some]),
-        frame.drop_columns(some),
-        filter_by_cutoff(frame, "c1", 0.5, "below"),
-        filter_by_cutoff(frame, "c1", 0.5, "at_or_above"),
-        drop_missing_target(frame)[0],
-        drop_incomplete(frame)[0],
         aggregate_means(frame, specs),
-        aggregate_means(frame, specs, drop_members=True),
     ]
     if len(rows) >= 2:  # int years, as a split stanza may give them
         derived.append(assign_cohort_years(frame, 0.5, seed=1, train_year=2018, validation_year=2019))
-    complete = drop_incomplete(frame)[0]
-    half = complete.n_rows // 2
-    try:
-        derived.extend(standardize_joint(
-            complete.subset_rows(range(half)), complete.subset_rows(range(half, complete.n_rows))
-        )[:2])
-    except DataError:
-        pass  # too few rows, a constant column or a non-finite cell
     path = tmp_path_factory.mktemp("csv") / "frame.csv"
     write_csv(frame, path)
     derived.append(load_csv(path, "c0", None if ids is None else "id"))
+    config = config_from_json_dict({
+        "target_name": "c0",
+        "id_column": None if ids is None else "id",
+        "cohort_column": "c1",
+        "year_cutoff": 0.5,
+        "aggregations": [{"group_name": "g", "member_columns": names[2:]}] if width > 2 else [],
+        "exclude_columns": some,
+    })
+    try:
+        train, validation, _ = _split_cohort(config, path)
+    except DataError:
+        pass  # a non-finite year
+    else:
+        derived += [train, validation]
+        try:
+            derived.extend(standardize_joint(train, validation)[:2])
+        except DataError:
+            pass  # too few rows, a constant column or a non-finite cell
     for result in derived:
         assert_checked(result)
 

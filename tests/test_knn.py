@@ -240,7 +240,8 @@ class TestAmmknnPredictOne:
         order = list(range(20))
         for _ in range(10):
             rng.shuffle(order)
-            permuted = training.subset_rows(order)
+            rows = [training.rows[i] for i in order]
+            permuted = Frame(training.column_names, rows, training.target_name)
             record = predict_one(subject, 0.0, permuted, AmmknnConfig(max_k=10))
             assert record.prediction == baseline.prediction
 
@@ -283,7 +284,8 @@ class TestAmmknnPredictBatch:
         records = ammknn_predict_batch(subjects, training, self.config())
         assert len(records) == len(rows)
         for i, record in enumerate(records):
-            [alone] = ammknn_predict_batch(subjects.subset_rows([i]), training, self.config())
+            row = Frame(subjects.column_names, [rows[i]], subjects.target_name, [subjects.row_ids[i]])
+            [alone] = ammknn_predict_batch(row, training, self.config())
             assert record == alone
 
     def test_outlier_value_read_per_row(self):

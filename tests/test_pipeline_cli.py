@@ -134,7 +134,7 @@ class TestCliWorkflow:
         run_all(workspace)
         out = workspace["out"]
         validation = load_csv(out / VALIDATION_CSV, "score", id_column="student_id")
-        unscored = validation.drop_columns(["score"])
+        unscored = validation.select_columns(validation.feature_names())
         from ammknn import write_csv
 
         unscored_path = tmp_path / "unscored.csv"
@@ -213,8 +213,11 @@ class TestCliWorkflow:
 
         rest_path = tmp_path / "rest.csv"
         one_path = tmp_path / "one.csv"
-        write_csv(train.subset_rows(list(range(last))), rest_path)
-        write_csv(train.subset_rows([last]), one_path)
+        for path, rows, ids in (
+            (rest_path, train.rows[:last], train.row_ids[:last]),
+            (one_path, train.rows[last:], train.row_ids[last:]),
+        ):
+            write_csv(Frame(train.column_names, rows, train.target_name, ids, train.id_name), path)
         result = run_validate(config, rest_path, one_path, tmp_path / "deg")
         assert (
             result["report"]["subjects"][0]["predicted"]
@@ -273,6 +276,9 @@ class TestCliErrors:
         ({"target_range": [200.0, float("inf")]}, "target_range"),
         ({"target_range": [float("-inf"), 800.0]}, "target_range"),
         ({"n_rows": 1}, "n_rows"),
+        # finite, but the score map or the noise overflows
+        ({"target_range": [-1e308, 1e308]}, "target_range"),
+        ({"noise_sd": 1e308}, "noise_sd"),
     ])
     def test_unhonourable_synth_spec_exit_2(self, tmp_path, capsys, override, field):
         spec_path = tmp_path / "spec.json"
@@ -281,6 +287,31 @@ class TestCliErrors:
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not (out / SYNTH_CSV).exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "score"]}]},
+         "aggregation 'g' would drop the target column"),
+        ({"year_cutoff": None}, "prepare needs cohort_column and year_cutoff"),
+        ({"cohort_column": "year"}, "cohort column 'year' not in input"),
+        ({"aggregations": [{"group_name": "g", "member_columns": ["cohort", "f01"]}]},
+         "cohort column 'cohort' not in input"),
+        ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f02"]}],
+          "include_columns": ["f01"]},
+         "include_columns: no column named 'f01'"),
+    ])
+    def test_prepare_config_fault_exit_2(self, tmp_path, capsys, override, message):
+        # the seed-7 cohort with a config that cannot describe it
+        config_path = tmp_path / "cfg.json"
+        doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+        config_path.write_text(json.dumps({**doc, **override}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([
+            "prepare", "--config", str(config_path),
+            "--input", str(GOLDEN_SEED7 / "cohort.csv"), "--out", str(out),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / TRAIN_CSV).exists()
 
     def test_config_directory_exit_2(self, workspace, tmp_path, capsys):
         config_dir = tmp_path / "configs"
@@ -541,18 +572,39 @@ def test_cli_imports_only_the_standard_library():
     assert loaded - {"ammknn"} <= set(sys.stdlib_module_names)
 
 
+# public names no package module needs to load, each with its reason
+UNUSED_BY_DESIGN = {
+    # the documented per-draw reference that tests/test_synth.py compares
+    # the block generator against
+    "SplitMix64.normal",
+}
+
+
 def test_every_public_name_is_used_by_the_package():
-    """A public name that no package module loads is API only tests use."""
+    """A public function, class, method or property that no package module
+    loads is API only tests use."""
     loaded = set()
+    public = set(ammknn.__all__)
     for path in Path(ammknn.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                public.update(
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+        if path.name == "__init__.py":  # it re-exports every name
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert sorted(set(ammknn.__all__) - loaded) == []
+    unused = {name for name in public if name.rpartition(".")[2] not in loaded}
+    assert sorted(unused - UNUSED_BY_DESIGN) == []
+    assert UNUSED_BY_DESIGN <= unused
 
 
 class TestCliStdout:

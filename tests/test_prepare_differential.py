@@ -2,8 +2,9 @@
 
 The reference below parses, aggregates, splits, drops, z-scores and
 correlates one cell and one column at a time with plain left-to-right
-float loops. `run_prepare` works on whole columns with shared sweeps; the
-two must write the same bytes.
+float loops, and counts the rows it drops by reason. `run_prepare` works
+on whole columns with shared sweeps; the two must write the same bytes
+and report the same counts.
 """
 
 import csv
@@ -43,9 +44,10 @@ def _pearson(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
-def naive_prepare(text, threshold):
-    """(train.csv, validation.csv, selection.json) as bytes; ZeroDivisionError
-    where a column, the target or a side leaves nothing to divide by."""
+def naive_prepare(text, threshold, exclude):
+    """([train.csv, validation.csv, selection.json] as bytes, prepare's
+    summary); ZeroDivisionError where a column, the target or a side leaves
+    nothing to divide by."""
     header, *records = csv.reader(io.StringIO(text))
     names = header[1:]
     rows = [[None if c == "" else float(c) for c in r[1:]] for r in records]
@@ -57,14 +59,26 @@ def naive_prepare(text, threshold):
                 total = None if total is None or row[i] is None else total + row[i]
             row.append(None if total is None else total / len(idx))
         names.append(agg["group_name"])
-    keep = [j for j, n in enumerate(names) if n not in MEMBERS and n != "cohort"]
-    year = names.index("cohort")
+    keep = [
+        j for j, n in enumerate(names)
+        if n not in MEMBERS and n != "cohort" and (n == "score" or n not in exclude)
+    ]
+    year, score = names.index("cohort"), names.index("score")
     sides = {"train": [], "validation": []}
+    outside = 0
+    missing_target = {"train": 0, "validation": 0}
+    incomplete = {"train": 0, "validation": 0}
     for row, record in zip(rows, records):
         y = row[year]
         side = None if y is None else "train" if y < CUTOFF else "validation" if y < CUTOFF + 1 else None
         cells = [row[j] for j in keep]
-        if side and None not in cells:
+        if side is None:
+            outside += 1
+        elif row[score] is None:
+            missing_target[side] += 1
+        elif None in cells:
+            incomplete[side] += 1
+        else:
             sides[side].append((cells, record[0]))
     names = [names[j] for j in keep]
     t = names.index("score")
@@ -94,7 +108,19 @@ def naive_prepare(text, threshold):
         out.append(buf.getvalue().encode())
     selection = {"kept": kept, "dropped": dropped, "threshold": threshold}
     out.append((json.dumps(selection, indent=2) + "\n").encode())
-    return out
+    summary = {
+        "train_rows": len(sides["train"]),
+        "validation_rows": len(sides["validation"]),
+        "dropped_outside_years": outside,
+        "columns_in": len(names),
+        "train_dropped_missing_target": missing_target["train"],
+        "validation_dropped_missing_target": missing_target["validation"],
+        "train_dropped_incomplete": incomplete["train"],
+        "validation_dropped_incomplete": incomplete["validation"],
+        "columns_kept": len(kept),
+        "columns_dropped": len(dropped),
+    }
+    return out, summary
 
 
 # each column draws its cells from a permutation, so no column is constant
@@ -107,7 +133,9 @@ GAP = st.sampled_from([False] * 7 + [True])
 
 @st.composite
 def cohorts(draw):
-    """(cohort CSV text, threshold) with gaps in the group members and the target."""
+    """(cohort CSV text, threshold, exclude_columns) with gaps in the group
+    members and the target. The target and cohort year may be named in
+    exclude_columns; prepare keeps them all the same."""
     n = draw(st.integers(2, len(VALUES)))
 
     def column(values, gaps=True):
@@ -127,7 +155,8 @@ def cohorts(draw):
     lines = [",".join(header)]
     for i, cells in enumerate(zip(*columns)):
         lines.append(",".join([f"S{i}", *("" if c is None else repr(c) for c in cells)]))
-    return "\n".join(lines) + "\n", draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    exclude = draw(st.lists(st.sampled_from([*plain, "score", "cohort"]), unique=True))
+    return "\n".join(lines) + "\n", draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), exclude
 
 
 def _cohort(rows):
@@ -154,30 +183,37 @@ TRAIN_ROWS = [
     (2019.0, 0.2, 0.1, 0.2, None, 600.0),
     (2019.5, 0.1, 0.7, 0.3, 1.5, None),
     (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
-]), 0.2))
+]), 0.2, []))
 # years outside both windows or missing; no validation rows
 @example((_cohort(TRAIN_ROWS + [
     (2020.0, 0.1, 0.2, 0.3, 0.7, 401.0),
     (None, 0.2, 0.1, 0.2, 0.3, 600.0),
     (2021.0, 0.3, 0.3, 0.1, 0.2, 777.0),
-]), 0.5))
+]), 0.5, ["score", "cohort"]))
 # exactly one validation row
-@example((_cohort(TRAIN_ROWS + [(2019.5, 0.3, 0.2, 0.7, 0.1, 350.0)]), 0.9))
+@example((_cohort(TRAIN_ROWS + [(2019.5, 0.3, 0.2, 0.7, 0.1, 350.0)]), 0.9, []))
+# the plain column excluded, with a gap in it that must not drop its row
+@example((_cohort(TRAIN_ROWS + [
+    (2018.0, 0.2, None, 0.3, 0.1, 401.0),
+    (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
+    (2019.0, 0.3, 0.7, 0.2, 1.5, 600.0),
+]), 0.0, ["x0"]))
 def test_prepare_matches_naive_reference(case):
-    text, threshold = case
+    text, threshold, exclude = case
     config = config_from_json_dict({
         "target_name": "score",
         "id_column": "student_id",
         "cohort_column": "cohort",
         "year_cutoff": CUTOFF,
         "aggregations": AGGREGATIONS,
+        "exclude_columns": exclude,
         "correlation_threshold": threshold,
     })
     with tempfile.TemporaryDirectory() as tmp:
         cohort = Path(tmp, "cohort.csv")
         cohort.write_text(text, encoding="utf-8")
         try:
-            expected = naive_prepare(text, threshold)
+            expected, counts = naive_prepare(text, threshold, exclude)
         except ZeroDivisionError:
             # too few rows, a constant column or a constant target
             try:
@@ -185,6 +221,7 @@ def test_prepare_matches_naive_reference(case):
             except DataError:
                 return
             raise AssertionError("prepare accepted input the reference cannot standardize")
-        run_prepare(config, cohort, Path(tmp, "out"))
+        summary = run_prepare(config, cohort, Path(tmp, "out"))
         written = [Path(tmp, "out", name).read_bytes() for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON)]
     assert written == expected
+    assert list(summary.items()) == list(counts.items())

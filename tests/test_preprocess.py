@@ -57,12 +57,6 @@ class TestStandardizeJoint:
         with pytest.raises(ColumnMismatch):
             standardize_joint(train, extra)
 
-    def test_exclude_bookkeeping_columns(self):
-        frame = Frame(["year", "x", "t"], [[2015, 1, 9], [2016, 2, 8]], "t")
-        out, _, stats = standardize_joint(frame, exclude=["year"])
-        assert out.column("year") == (2015.0, 2016.0)
-        assert stats.standardized_columns == ("x",)
-
     def test_idempotent_on_standardized_data(self):
         rng = random.Random(5)
         rows = [[rng.gauss(3, 2), rng.gauss(-1, 4), rng.uniform(300, 500)] for _ in range(40)]
