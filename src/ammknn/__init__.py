@@ -40,13 +40,14 @@ from .preprocess import (
     select_by_correlation,
     standardize_joint,
 )
-from .synth import SplitMix64, SynthSpec, assign_cohort_years, generate_cohort
+from .synth import CohortSplit, SplitMix64, SynthSpec, assign_cohort_years, generate_cohort
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregationSpec",
     "AmmknnConfig",
+    "CohortSplit",
     "ConfusionMatrix2",
     "ConfusionMatrix3",
     "Frame",

@@ -3,24 +3,27 @@
 Every tunable lives in one JSON document so no constant hides in code:
 the correlation threshold, the neighbor cap, the outlier rule, the pass
 mark, the tier bands for each evaluation axis, and the sweep cutoffs.
-Defaults follow the reference workflow this tool implements (pass at
-350, tiers 350/375, validation prediction bands cut at 385, cutoff
-sweep 349/390/400/410/420, neighbor cap 20, outlier rule < -2).
+Each default lives once, on its dataclass field, and follows the
+reference workflow this tool implements (pass at 350, tiers 350/375,
+validation prediction bands cut at 385, cutoff sweep 349/390/400/410/420,
+neighbor cap 20, outlier rule < -2).
+
+Every stanza is read by ``_from_json`` and written by
+``dataclasses.asdict``, so the fields are the one list of keys: a key
+that is not a field, or a stanza that is not a JSON object, is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, InvalidSpec
+from .errors import ConfigError
 from .evaluation import TierBoundaries
 from .frame import AggregationSpec
 from .knn import AmmknnConfig
-
-DEFAULT_SWEEP_CUTOFFS = (349.0, 390.0, 400.0, 410.0, 420.0)
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class PipelineConfig:
     id_column: Optional[str] = None
     cohort_column: Optional[str] = None
     year_cutoff: Optional[float] = None
-    aggregations: tuple = ()
+    aggregations: Tuple[AggregationSpec, ...] = ()
     include_columns: Optional[tuple] = None
     exclude_columns: tuple = ()
     correlation_threshold: float = 0.1
@@ -41,12 +44,16 @@ class PipelineConfig:
     tiers_predicted_validation: TierBoundaries = field(
         default_factory=lambda: TierBoundaries(350.0, 385.0)
     )
-    sweep_cutoffs: tuple = DEFAULT_SWEEP_CUTOFFS
+    sweep_cutoffs: Tuple[float, ...] = (349.0, 390.0, 400.0, 410.0, 420.0)
     seed: int = 0
 
     def __post_init__(self):
         if not self.target_name:
             raise ConfigError("target_name is required")
+        if self.cohort_column == self.target_name:
+            raise ConfigError(
+                f"cohort_column and target_name both name {self.target_name!r}"
+            )
         if not 0.0 <= self.correlation_threshold <= 1.0:
             raise ConfigError("correlation_threshold must be in [0, 1]")
         if self.knn_k < 1:
@@ -54,107 +61,63 @@ class PipelineConfig:
         if not self.sweep_cutoffs:
             raise ConfigError("sweep_cutoffs must be non-empty")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target_name": self.target_name,
-            "id_column": self.id_column,
-            "cohort_column": self.cohort_column,
-            "year_cutoff": self.year_cutoff,
-            "aggregations": [
-                {"group_name": a.group_name, "member_columns": list(a.member_columns)}
-                for a in self.aggregations
-            ],
-            "include_columns": (
-                None if self.include_columns is None else list(self.include_columns)
-            ),
-            "exclude_columns": list(self.exclude_columns),
-            "correlation_threshold": self.correlation_threshold,
-            "knn_k": self.knn_k,
-            "ammknn": {
-                "max_k": self.ammknn.max_k,
-                "outlier_feature": self.ammknn.outlier_feature,
-                "outlier_cutoff": self.ammknn.outlier_cutoff,
-            },
-            "pass_at": self.pass_at,
-            "tiers_actual": self.tiers_actual.to_json_dict(),
-            "tiers_predicted": self.tiers_predicted.to_json_dict(),
-            "tiers_predicted_validation": self.tiers_predicted_validation.to_json_dict(),
-            "sweep_cutoffs": list(self.sweep_cutoffs),
-            "seed": self.seed,
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _bounds_from(data, default: TierBoundaries) -> TierBoundaries:
-    if data is None:
-        return default
-    try:
-        return TierBoundaries(float(data["fail_below"]), float(data["at_risk_upper"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tier boundaries {data!r}: {exc}") from exc
+def _from_json(cls, data, stanza: str, **fallback):
+    """A ``cls`` built from the JSON object ``data``.
+
+    Each given value is read as its field's type: ``int``, ``float`` and
+    ``tuple`` convert it, a nested dataclass is a stanza read the same
+    way, ``Optional`` lets null through and ``Tuple[X, ...]`` reads each
+    item as X. An absent key takes its value from ``fallback``, else the
+    field's own default. A value that is not an object, an unknown key, a
+    missing required key or a value that does not convert is a
+    ``ConfigError`` naming the stanza.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{stanza} must be a JSON object, got {json.dumps(data)}")
+    declared = fields(cls)
+    unknown = sorted(set(data) - {f.name for f in declared})
+    if unknown:
+        raise ConfigError(f"unknown {stanza} keys: {unknown}")
+    data = {**fallback, **data}
+    # A tier stanza must give both bounds: TierBoundaries' own 350/375
+    # would silently stand in for tiers_predicted_validation's 385.
+    missing = [
+        f.name for f in declared
+        if f.name not in data
+        and (cls is TierBoundaries or f.default is MISSING and f.default_factory is MISSING)
+    ]
+    if missing:
+        raise ConfigError(f"{stanza} is missing {missing}")
+    hints = get_type_hints(cls)
+    values = {}
+    for name, value in data.items():
+        try:
+            values[name] = _read_value(hints[name], value, name)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {stanza} value for {name!r}: {exc}") from exc
+    return cls(**values)
 
 
-_KNOWN_KEYS = {
-    "target_name", "id_column", "cohort_column", "year_cutoff", "aggregations",
-    "include_columns", "exclude_columns", "correlation_threshold", "knn_k",
-    "ammknn", "pass_at", "tiers_actual", "tiers_predicted",
-    "tiers_predicted_validation", "sweep_cutoffs", "seed",
-}
+def _read_value(hint, value, key: str):
+    """``value`` read as the type ``hint``; see ``_from_json``."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if is_dataclass(hint):
+        return _from_json(hint, value, key)
+    if get_origin(hint) is tuple:
+        return tuple(_read_value(get_args(hint)[0], v, f"{key} entry") for v in value)
+    return hint(value) if hint in (int, float, tuple) else value
 
 
 def config_from_json_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(data) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    if "target_name" not in data:
-        raise ConfigError("config is missing target_name")
-    try:
-        aggregations = tuple(
-            AggregationSpec(a["group_name"], tuple(a["member_columns"]))
-            for a in data.get("aggregations", [])
-        )
-        ammknn_data = data.get("ammknn", {})
-        ammknn = AmmknnConfig(
-            max_k=int(ammknn_data.get("max_k", 20)),
-            outlier_feature=ammknn_data.get("outlier_feature"),
-            outlier_cutoff=float(ammknn_data.get("outlier_cutoff", -2.0)),
-        )
-        include = data.get("include_columns")
-        return PipelineConfig(
-            target_name=data["target_name"],
-            id_column=data.get("id_column"),
-            cohort_column=data.get("cohort_column"),
-            year_cutoff=(
-                None if data.get("year_cutoff") is None else float(data["year_cutoff"])
-            ),
-            aggregations=aggregations,
-            include_columns=None if include is None else tuple(include),
-            exclude_columns=tuple(data.get("exclude_columns", ())),
-            correlation_threshold=float(data.get("correlation_threshold", 0.1)),
-            knn_k=int(data.get("knn_k", 12)),
-            ammknn=ammknn,
-            pass_at=float(data.get("pass_at", 350.0)),
-            tiers_actual=_bounds_from(data.get("tiers_actual"), TierBoundaries()),
-            tiers_predicted=_bounds_from(data.get("tiers_predicted"), TierBoundaries()),
-            tiers_predicted_validation=_bounds_from(
-                data.get("tiers_predicted_validation"), TierBoundaries(350.0, 385.0)
-            ),
-            sweep_cutoffs=tuple(
-                float(c) for c in data.get("sweep_cutoffs", DEFAULT_SWEEP_CUTOFFS)
-            ),
-            seed=int(data.get("seed", 0)),
-        )
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config document: {exc}") from exc
+    return _from_json(PipelineConfig, data, "config")
 
 
 def load_config(path) -> PipelineConfig:

@@ -61,9 +61,6 @@ class TierBoundaries:
             if not SCORE_MIN <= v <= SCORE_MAX:
                 raise InvalidSpec(f"tier boundary {v} outside score range")
 
-    def to_json_dict(self) -> dict:
-        return {"fail_below": self.fail_below, "at_risk_upper": self.at_risk_upper}
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix2:
@@ -179,7 +176,7 @@ def threshold_sweep(
     actual: Sequence[float],
     predicted: Sequence[float],
     cutoffs: Sequence[float],
-    pass_at: float = 350.0,
+    pass_at: float,
 ) -> List[SweepPoint]:
     """Re-binarize predictions at each cutoff while actuals stay at the pass mark.
 

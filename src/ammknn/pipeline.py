@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import report as report_mod
 from . import svgplot
-from .config import PipelineConfig
+from .config import PipelineConfig, _from_json
 from .errors import (
     ColumnMismatch,
     ConfigError,
@@ -43,7 +43,7 @@ from .evaluation import classify_tier, loocv
 from .frame import Frame, _picker, aggregate_means, load_csv, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch
 from .preprocess import _correlations, select_by_correlation, standardize_joint
-from .synth import SynthSpec, assign_cohort_years, generate_cohort
+from .synth import CohortSplit, SynthSpec, assign_cohort_years, generate_cohort
 
 TRAIN_CSV = "train.csv"
 VALIDATION_CSV = "validation.csv"
@@ -136,6 +136,9 @@ def _split_cohort(config: PipelineConfig, input_path):
     for name in include or ():
         if name not in available:
             raise ConfigError(f"include_columns: no column named {name!r}")
+    for name in config.exclude_columns:  # a group member may be excluded too
+        if name not in frame.column_names:
+            raise ConfigError(f"exclude_columns: no column named {name!r}")
     cohort, cutoff = config.cohort_column, config.year_cutoff
     if cohort is None or cutoff is None:
         raise ConfigError("prepare needs cohort_column and year_cutoff")
@@ -320,8 +323,8 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     """Generate a cohort CSV from a generator spec document.
 
     The document holds the SynthSpec fields, optionally under sibling key
-    "split" ({train_fraction, seed, column, train_year, validation_year})
-    to stamp a cohort-year column for the year-cutoff pipeline.
+    "split" the CohortSplit fields, to stamp a cohort-year column for the
+    year-cutoff pipeline.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not isinstance(spec_doc, dict):
@@ -333,17 +336,7 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     spec = SynthSpec.from_json_dict(doc)
     frame = generate_cohort(spec)
     if split is not None:
-        try:
-            frame = assign_cohort_years(
-                frame,
-                train_fraction=float(split["train_fraction"]),
-                seed=int(split.get("seed", spec.seed)),
-                column=split.get("column", "cohort"),
-                train_year=float(split.get("train_year", 2018)),
-                validation_year=float(split.get("validation_year", 2019)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bad split stanza: {exc}") from exc
+        frame = assign_cohort_years(frame, _from_json(CohortSplit, split, "split", seed=spec.seed))
     path = os.path.join(out_dir, SYNTH_CSV)
     write_csv(frame, path)
     return {"rows": frame.n_rows, "columns": frame.n_cols, "path": path}

@@ -1,21 +1,21 @@
 """Evaluation report assembly and serialization.
 
 Reports are plain dicts with a fixed key order so serialized output is
-byte-stable across runs and suitable for golden-file comparison. The
-undefined metric value serializes as JSON null.
+byte-stable across runs and suitable for golden-file comparison; the
+config, bounds, matrices and metrics are written by ``asdict``, in field
+order. The undefined metric value serializes as JSON null.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import List, Optional, Sequence
 
 from .config import PipelineConfig
 from .errors import MalformedReport, UnreadableInput
 from .evaluation import (
-    ConfusionMatrix2,
     ConfusionMatrix3,
-    Metrics,
     TierBoundaries,
     accuracy_3x3,
     classify_tier,
@@ -25,18 +25,6 @@ from .evaluation import (
     prediction_actual_correlation,
     threshold_sweep,
 )
-
-
-def _metrics_dict(m: Metrics) -> dict:
-    return {
-        "accuracy": m.accuracy,
-        "sensitivity": m.sensitivity,
-        "specificity": m.specificity,
-    }
-
-
-def _cm2_dict(cm: ConfusionMatrix2) -> dict:
-    return {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
 
 
 def _cm3_dict(cm: ConfusionMatrix3) -> dict:
@@ -86,19 +74,16 @@ def build_report(
         "kind": kind,
         "model": model,
         "provenance": {"seed": config.seed, "config_sha256": config.sha256()},
-        "config": config.to_json_dict(),
-        "bounds": {
-            "actual": actual_bounds.to_json_dict(),
-            "predicted": predicted_bounds.to_json_dict(),
-        },
+        "config": asdict(config),
+        "bounds": {"actual": asdict(actual_bounds), "predicted": asdict(predicted_bounds)},
         "n_subjects": len(subjects),
         "subjects": subjects,
-        "confusion_2x2": _cm2_dict(cm2),
-        "metrics": _metrics_dict(metrics_from_cm(cm2)) if cm2.total else None,
+        "confusion_2x2": asdict(cm2),
+        "metrics": asdict(metrics_from_cm(cm2)) if cm2.total else None,
         "confusion_3x3": _cm3_dict(cm3),
         "prediction_actual_correlation": prediction_actual_correlation(predicted, actual),
         "sweep": [
-            {"cutoff": p.cutoff, **_cm2_dict(p.matrix), **_metrics_dict(p.metrics)}
+            {"cutoff": p.cutoff, **asdict(p.matrix), **asdict(p.metrics)}
             for p in sweep
         ],
     }

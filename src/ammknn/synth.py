@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import cos, log, sqrt
 from statistics import NormalDist
+from typing import Tuple
 
+from .config import _from_json
 from .errors import InvalidFraction, InvalidSpec
 from .frame import Frame
 
@@ -83,7 +85,7 @@ class SynthSpec:
     n_features: int
     signal_features: int
     noise_sd: float = 1.0
-    target_range: tuple = (200.0, 800.0)
+    target_range: Tuple[float, ...] = (200.0, 800.0)
     fail_rate_hint: float = 0.07
 
     def __post_init__(self):
@@ -98,6 +100,8 @@ class SynthSpec:
             raise InvalidSpec(
                 f"noise_sd must be positive, with noise_sd * {_MAX_NORMAL} finite, got {self.noise_sd}"
             )
+        if len(self.target_range) != 2:
+            raise InvalidSpec(f"target_range must be [low, high], got {list(self.target_range)}")
         low, high = self.target_range
         if not (math.isfinite(low) and math.isfinite(high)):
             raise InvalidSpec(f"target_range bounds must be finite, got {list(self.target_range)}")
@@ -118,38 +122,21 @@ class SynthSpec:
         slope = (high - low) / 8.0
         return slope, _PASS_MARK - slope * NormalDist().inv_cdf(self.fail_rate_hint)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_rows": self.n_rows,
-            "n_features": self.n_features,
-            "signal_features": self.signal_features,
-            "noise_sd": self.noise_sd,
-            "target_range": list(self.target_range),
-            "fail_rate_hint": self.fail_rate_hint,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SynthSpec":
-        known = {
-            "seed", "n_rows", "n_features", "signal_features",
-            "noise_sd", "target_range", "fail_rate_hint",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InvalidSpec(f"unknown generator spec keys: {unknown}")
-        try:
-            return cls(
-                seed=int(data["seed"]),
-                n_rows=int(data["n_rows"]),
-                n_features=int(data["n_features"]),
-                signal_features=int(data["signal_features"]),
-                noise_sd=float(data.get("noise_sd", 1.0)),
-                target_range=tuple(float(v) for v in data.get("target_range", (200.0, 800.0))),
-                fail_rate_hint=float(data.get("fail_rate_hint", 0.07)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bad generator spec: {exc}") from exc
+        return _from_json(cls, data, "generator spec")
+
+
+@dataclass(frozen=True)
+class CohortSplit:
+    """How assign_cohort_years stamps cohort years: the generator spec's
+    ``split`` stanza, whose seed defaults to the spec's own."""
+
+    train_fraction: float
+    seed: int
+    column: str = "cohort"
+    train_year: float = 2018.0
+    validation_year: float = 2019.0
 
 
 # Where an output's low 64-bit word sits among the native 64-bit words of
@@ -265,29 +252,23 @@ def _split_indices(n: int, train_fraction: float, seed: int):
     return train_idx, validation_idx
 
 
-def assign_cohort_years(
-    frame: Frame,
-    train_fraction: float,
-    seed: int,
-    column: str = "cohort",
-    train_year: float = 2018.0,
-    validation_year: float = 2019.0,
-) -> Frame:
+def assign_cohort_years(frame: Frame, split: CohortSplit) -> Frame:
     """Stamp a cohort-year column so a year cutoff reproduces a seeded split.
 
-    The training side is round(train_fraction * n) rows, clamped so both
-    sides stay non-empty, chosen by a seeded shuffle; those rows get
-    ``train_year`` (below the cutoff) and the rest ``validation_year``,
-    letting generated cohorts flow through the same year-filtered pipeline
-    as real exports. Rows keep their original order.
+    The training side is round(split.train_fraction * n) rows, clamped so
+    both sides stay non-empty, chosen by a shuffle seeded with
+    ``split.seed``; those rows get ``split.train_year`` (below the cutoff)
+    and the rest ``split.validation_year``, letting generated cohorts flow
+    through the same year-filtered pipeline as real exports. The column is
+    named ``split.column`` and goes first; rows keep their original order.
     """
-    train_idx, _ = _split_indices(frame.n_rows, train_fraction, seed)
+    train_idx, _ = _split_indices(frame.n_rows, split.train_fraction, split.seed)
     train_set = set(train_idx)
-    train_year, validation_year = float(train_year), float(validation_year)
+    train_year, validation_year = float(split.train_year), float(split.validation_year)
     rows = tuple(
         (train_year if i in train_set else validation_year, *row)
         for i, row in enumerate(frame.rows)
     )
     return Frame._derived(
-        (column, *frame.column_names), rows, frame.target_name, frame.row_ids, frame.id_name
+        (split.column, *frame.column_names), rows, frame.target_name, frame.row_ids, frame.id_name
     )

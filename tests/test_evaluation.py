@@ -214,7 +214,7 @@ class TestThresholdSweep:
         for _ in range(20):
             actual = [float(rng.randint(200, 800)) for _ in range(60)]
             predicted = [rng.uniform(200, 800) for _ in range(60)]
-            points = threshold_sweep(actual, predicted, DEFAULT_CUTOFFS)
+            points = threshold_sweep(actual, predicted, DEFAULT_CUTOFFS, pass_at=350.0)
             tps = [p.matrix.tp for p in points]
             tns = [p.matrix.tn for p in points]
             assert tps == sorted(tps)
@@ -223,10 +223,10 @@ class TestThresholdSweep:
     def test_cutoff_below_everything(self):
         actual = [300.0, 400.0, 320.0]
         predicted = [500.0, 500.0, 500.0]
-        [point] = threshold_sweep(actual, predicted, [210.0])
+        [point] = threshold_sweep(actual, predicted, [210.0], pass_at=350.0)
         assert point.matrix.tp == 0
         assert point.matrix.fn == 2
 
     def test_empty_cutoffs(self):
         with pytest.raises(EmptyInput):
-            threshold_sweep([1.0], [1.0], [])
+            threshold_sweep([1.0], [1.0], [], pass_at=350.0)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ammknn import (
     AggregationSpec,
+    CohortSplit,
     Frame,
     aggregate_means,
     assign_cohort_years,
@@ -371,7 +372,9 @@ def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
         aggregate_means(frame, specs),
     ]
     if len(rows) >= 2:  # int years, as a split stanza may give them
-        derived.append(assign_cohort_years(frame, 0.5, seed=1, train_year=2018, validation_year=2019))
+        derived.append(assign_cohort_years(
+            frame, CohortSplit(0.5, seed=1, train_year=2018, validation_year=2019)
+        ))
     path = tmp_path_factory.mktemp("csv") / "frame.csv"
     write_csv(frame, path)
     derived.append(load_csv(path, "c0", None if ids is None else "id"))

@@ -1,14 +1,16 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ammknn
-from ammknn import AmmknnConfig, Frame, load_csv
+from ammknn import AmmknnConfig, Frame, PipelineConfig, load_csv
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError
@@ -279,6 +281,7 @@ class TestCliErrors:
         # finite, but the score map or the noise overflows
         ({"target_range": [-1e308, 1e308]}, "target_range"),
         ({"noise_sd": 1e308}, "noise_sd"),
+        ({"target_range": [200.0]}, "target_range"),
     ])
     def test_unhonourable_synth_spec_exit_2(self, tmp_path, capsys, override, field):
         spec_path = tmp_path / "spec.json"
@@ -298,6 +301,8 @@ class TestCliErrors:
         ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f02"]}],
           "include_columns": ["f01"]},
          "include_columns: no column named 'f01'"),
+        ({"exclude_columns": ["f1"]}, "exclude_columns: no column named 'f1'"),
+        ({"cohort_column": "score"}, "cohort_column and target_name both name 'score'"),
     ])
     def test_prepare_config_fault_exit_2(self, tmp_path, capsys, override, message):
         # the seed-7 cohort with a config that cannot describe it
@@ -312,6 +317,35 @@ class TestCliErrors:
         ]) == 2
         assert message in capsys.readouterr().err
         assert not (out / TRAIN_CSV).exists()
+
+    @pytest.mark.parametrize("document, override, named", [
+        ("config", {"ammknn": None}, ["ammknn", "null"]),
+        ("config", {"ammknn": "x"}, ["ammknn", '"x"']),
+        ("config", {"ammknn": {"max_K": 5}}, ["ammknn", "max_K"]),
+        ("config", {"tiers_actual": {"fail_below": 350.0, "at_risk_upper": 375.0, "pass_at": 400.0}},
+         ["tiers_actual", "pass_at"]),
+        ("config", {"tiers_predicted_validation": {"fail_below": 350.0}},
+         ["tiers_predicted_validation", "at_risk_upper"]),
+        ("config", {"aggregations": [{"group_name": "g", "member_columns": ["f01"], "weights": [1]}]},
+         ["aggregations", "weights"]),
+        ("spec", {"split": {"train_fraction": 0.808, "validaton_year": 2020}},
+         ["split", "validaton_year"]),
+    ])
+    def test_stanza_fault_exit_2(self, tmp_path, capsys, document, override, named):
+        # the seed-7 config or spec with one stanza that must not be read
+        path = tmp_path / f"{document}.json"
+        doc = json.loads((GOLDEN_SEED7.parent / f"{document}.json").read_text())
+        path.write_text(json.dumps({**doc, **override}))
+        out = tmp_path / "out"
+        if document == "config":
+            argv = ["prepare", "--config", str(path), "--input", str(GOLDEN_SEED7 / "cohort.csv")]
+        else:
+            argv = ["synth", "--spec", str(path)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_config_directory_exit_2(self, workspace, tmp_path, capsys):
         config_dir = tmp_path / "configs"
@@ -605,6 +639,21 @@ def test_every_public_name_is_used_by_the_package():
     unused = {name for name in public if name.rpartition(".")[2] not in loaded}
     assert sorted(unused - UNUSED_BY_DESIGN) == []
     assert UNUSED_BY_DESIGN <= unused
+
+
+def test_readme_configuration_table_names_every_field():
+    """The README's Configuration table lists each PipelineConfig field once,
+    with ``ammknn.<field>`` for the AmmknnConfig stanza."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [
+        key
+        for line in section.splitlines() if line.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+    ]
+    expected = [f.name for f in fields(PipelineConfig) if f.name != "ammknn"]
+    expected += [f"ammknn.{f.name}" for f in fields(AmmknnConfig)]
+    assert sorted(keys) == sorted(expected)
 
 
 class TestCliStdout:

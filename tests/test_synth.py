@@ -1,6 +1,7 @@
 import statistics
 import sys
 import tracemalloc
+from dataclasses import asdict
 from statistics import NormalDist
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammknn import (
+    CohortSplit,
     SplitMix64,
     SynthSpec,
     assign_cohort_years,
@@ -119,7 +121,7 @@ class TestGenerateCohort:
 
     def test_spec_json_round_trip(self):
         s = spec()
-        assert SynthSpec.from_json_dict(s.to_json_dict()) == s
+        assert SynthSpec.from_json_dict(asdict(s)) == s
 
 
 def per_draw_cohort(spec):
@@ -200,7 +202,7 @@ def test_generation_memory_is_bounded_by_the_frame():
 
 def split_by_year(frame, train_fraction, seed):
     """The (train, validation) row ids that assign_cohort_years stamps."""
-    stamped = assign_cohort_years(frame, train_fraction, seed=seed)
+    stamped = assign_cohort_years(frame, CohortSplit(train_fraction, seed=seed))
     years = stamped.column("cohort")
     assert set(years) <= {2018.0, 2019.0}
     train = tuple(rid for rid, year in zip(stamped.row_ids, years) if year == 2018.0)
@@ -234,8 +236,8 @@ class TestSplitCohorts:
 
     def test_deterministic(self):
         frame = generate_cohort(spec(n_rows=50))
-        a = assign_cohort_years(frame, 0.7, seed=3)
-        b = assign_cohort_years(frame, 0.7, seed=3)
+        a = assign_cohort_years(frame, CohortSplit(0.7, seed=3))
+        b = assign_cohort_years(frame, CohortSplit(0.7, seed=3))
         assert a == b and split_by_year(frame, 0.7, seed=3) == split_by_year(frame, 0.7, seed=3)
 
     def test_exact_partition(self):
@@ -249,13 +251,13 @@ class TestSplitCohorts:
         frame = generate_cohort(spec(n_rows=10))
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidFraction):
-                assign_cohort_years(frame, fraction, seed=1)
+                assign_cohort_years(frame, CohortSplit(fraction, seed=1))
 
 
 class TestAssignCohortYears:
     def test_years_reproduce_split(self):
         frame = generate_cohort(spec(n_rows=40))
-        stamped = assign_cohort_years(frame, 0.75, seed=5)
+        stamped = assign_cohort_years(frame, CohortSplit(0.75, seed=5))
         assert stamped.column_names[0] == "cohort"
         train, validation = split_by_year(frame, 0.75, seed=5)
         marked_train = [
@@ -269,6 +271,6 @@ class TestAssignCohortYears:
 
     def test_original_columns_preserved(self):
         frame = generate_cohort(spec(n_rows=12, n_features=3, signal_features=1))
-        stamped = assign_cohort_years(frame, 0.5, seed=2)
+        stamped = assign_cohort_years(frame, CohortSplit(0.5, seed=2))
         for name in frame.column_names:
             assert stamped.column(name) == frame.column(name)
