@@ -1,7 +1,11 @@
 """Command-line entry point.
 
 Subcommands: prepare, loocv, validate, predict, synth, plot.
-Exit codes: 0 success, 2 config error, 3 data error, 4 internal error.
+Exit codes: 0 success; 2 a ``ConfigError`` (the config or spec is
+unreadable or invalid, or names a column the input lacks); 3 a
+``DataError`` or a missing input file (the data cannot be read or
+scored); 4 any other exception, which is a bug and is printed with its
+type.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ import logging
 import sys
 
 from . import pipeline, report
-from .config import load_config
-from .errors import ConfigError, DataError, InvalidSpec
+from .config import _read_json, load_config
+from .errors import ConfigError, DataError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,15 +121,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{args.spec}: invalid JSON: {exc}") from exc
-    except UnicodeDecodeError:
-        raise InvalidSpec(f"{args.spec}: not UTF-8 text") from None
-    except IsADirectoryError:
-        raise InvalidSpec(f"{args.spec}: is a directory, not a spec file") from None
+    doc = _read_json(args.spec, ConfigError, "spec")
     summary = pipeline.run_synth(doc, args.out, seed_override=args.seed)
     print(f"wrote {summary['rows']} rows x {summary['columns']} columns to {summary['path']}")
     return EXIT_OK
@@ -158,8 +154,8 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

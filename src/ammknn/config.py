@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -97,14 +98,20 @@ def _from_json(cls, data, stanza: str, **fallback):
     values = {}
     for name, value in data.items():
         try:
-            values[name] = _read_value(hints[name], value, name)
+            values[name] = _read_value(hints[name], value, stanza, name)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad {stanza} value for {name!r}: {exc}") from exc
     return cls(**values)
 
 
-def _read_value(hint, value, key: str):
-    """``value`` read as the type ``hint``; see ``_from_json``."""
+def _read_value(hint, value, stanza: str, key: str):
+    """``value``, given for ``key`` in ``stanza``, read as the type ``hint``;
+    see ``_from_json``.
+
+    A number must be one: a boolean, a non-finite float and a fraction for
+    an ``int`` are refused, whether given as JSON numbers or as text such
+    as ``"nan"``.
+    """
     if get_origin(hint) is Union:  # Optional[X]
         if value is None:
             return None
@@ -112,8 +119,32 @@ def _read_value(hint, value, key: str):
     if is_dataclass(hint):
         return _from_json(hint, value, key)
     if get_origin(hint) is tuple:
-        return tuple(_read_value(get_args(hint)[0], v, f"{key} entry") for v in value)
-    return hint(value) if hint in (int, float, tuple) else value
+        return tuple(_read_value(get_args(hint)[0], v, stanza, f"{key} entry") for v in value)
+    if hint not in (int, float):
+        return tuple(value) if hint is tuple else value
+    where = f"bad {stanza} value for {key!r}"
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: {json.dumps(value)} is not a number")
+    read = hint(value)
+    if hint is float and not math.isfinite(read):
+        raise ConfigError(f"{where}: {value!r} is not finite")
+    if isinstance(value, float) and read != value:  # only int() changes a float
+        raise ConfigError(f"{where}: {value!r} is not an integer")
+    return read
+
+
+def _read_json(path, error, kind: str):
+    """The JSON document at ``path``. A directory, a file that is not
+    UTF-8 and malformed JSON are each an ``error`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory, not a {kind} file") from None
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
 
 
 def config_from_json_dict(data: dict) -> PipelineConfig:
@@ -121,13 +152,4 @@ def config_from_json_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    except IsADirectoryError:
-        raise ConfigError(f"{path}: is a directory, not a config file") from None
-    return config_from_json_dict(data)
+    return config_from_json_dict(_read_json(path, ConfigError, "config"))

@@ -1,114 +1,22 @@
-"""Exception hierarchy for the ammknn package.
+"""The package's two fault families, one per CLI exit code.
 
-Two broad families matter to callers: ConfigError (bad configuration or
-generator spec, CLI exit code 2) and DataError (bad input data or a
-violated operation precondition, CLI exit code 3).
+ConfigError (exit 2): the configuration or generator spec cannot drive
+the run. It is unreadable, not JSON, holds an unknown key or a value out
+of range, or names a column the input does not have.
+
+DataError (exit 3): the input cannot be scored. A file is unreadable or
+malformed, a cell is missing, non-numeric or non-finite, a cohort's
+columns differ from training's, or an operation's precondition fails.
+
+Each fault's family is chosen where it is raised, and nothing
+downstream translates it; the message names the file, row, column,
+stanza or key at fault.
 """
 
 
-class AmmknnError(Exception):
-    """Base class for all package errors."""
+class ConfigError(Exception):
+    """Invalid pipeline configuration or generator spec."""
 
 
-class ConfigError(AmmknnError):
-    """Invalid pipeline configuration."""
-
-
-class DataError(AmmknnError):
+class DataError(Exception):
     """Invalid input data or violated operation precondition."""
-
-
-# --- tabular data -----------------------------------------------------------
-
-class MissingHeader(DataError):
-    pass
-
-
-class UnknownTargetColumn(DataError):
-    pass
-
-
-class NonNumericCell(DataError):
-    def __init__(self, row: int, column: str, value: str):
-        super().__init__(f"non-numeric cell {value!r} at row {row}, column {column!r}")
-        self.row = row
-        self.column = column
-        self.value = value
-
-
-class DuplicateColumnName(DataError):
-    pass
-
-
-class UnknownColumn(DataError):
-    pass
-
-
-class NameCollision(DataError):
-    pass
-
-
-class MissingCell(DataError):
-    pass
-
-
-class NonFiniteCell(DataError):
-    """A NaN or infinite cell where every value must be a finite number."""
-
-
-class UnreadableInput(DataError):
-    """An input path that is not a readable file of the expected encoding."""
-
-
-# --- preprocessing ----------------------------------------------------------
-
-class ZeroVarianceColumn(DataError):
-    def __init__(self, label: str):
-        super().__init__(f"column {label!r} has zero variance")
-        self.label = label
-
-
-class ColumnMismatch(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class ConstantInput(DataError):
-    pass
-
-
-# --- knn engine -------------------------------------------------------------
-
-class EmptyTrainingSet(DataError):
-    pass
-
-
-class KTooLarge(DataError):
-    pass
-
-
-class EmptyInput(DataError):
-    pass
-
-
-# --- evaluation -------------------------------------------------------------
-
-class EmptyMatrix(DataError):
-    pass
-
-
-class MalformedReport(DataError):
-    pass
-
-
-# --- synthetic cohorts ------------------------------------------------------
-
-class InvalidSpec(ConfigError):
-    pass
-
-
-class InvalidFraction(ConfigError):
-    pass

@@ -25,15 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (
-    DataError,
-    EmptyInput,
-    EmptyMatrix,
-    EmptyTrainingSet,
-    InvalidSpec,
-    KTooLarge,
-    LengthMismatch,
-)
+from .errors import ConfigError, DataError
 from .frame import Frame
 from .knn import AmmknnConfig, _adaptive, _rank, _training_arrays, cumulative_means
 from .preprocess import pearson_correlation
@@ -54,12 +46,12 @@ class TierBoundaries:
 
     def __post_init__(self):
         if not self.fail_below < self.at_risk_upper:
-            raise InvalidSpec(
+            raise ConfigError(
                 f"fail_below {self.fail_below} must be below at_risk_upper {self.at_risk_upper}"
             )
         for v in (self.fail_below, self.at_risk_upper):
             if not SCORE_MIN <= v <= SCORE_MAX:
-                raise InvalidSpec(f"tier boundary {v} outside score range")
+                raise ConfigError(f"tier boundary {v} outside score range")
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ def _tally_2x2(outcomes) -> ConfusionMatrix2:
 
 def confusion_2x2(actual: Sequence[float], predicted: Sequence[float], pass_at: float) -> ConfusionMatrix2:
     if len(actual) != len(predicted):
-        raise LengthMismatch(f"lengths differ: {len(actual)} vs {len(predicted)}")
+        raise DataError(f"lengths differ: {len(actual)} vs {len(predicted)}")
     return _tally_2x2((a < pass_at, p < pass_at) for a, p in zip(actual, predicted))
 
 
@@ -141,7 +133,7 @@ def confusion_3x3(
     runs cut predicted scores at wider bands than actual scores.
     """
     if len(actual) != len(predicted):
-        raise LengthMismatch(f"lengths differ: {len(actual)} vs {len(predicted)}")
+        raise DataError(f"lengths differ: {len(actual)} vs {len(predicted)}")
     counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     for a, p in zip(actual, predicted):
         i = TIERS.index(classify_tier(a, actual_bounds))
@@ -152,7 +144,7 @@ def confusion_3x3(
 
 def metrics_from_cm(cm: ConfusionMatrix2) -> Metrics:
     if cm.total == 0:
-        raise EmptyMatrix("no evaluated subjects")
+        raise DataError("no evaluated subjects")
     accuracy = (cm.tp + cm.tn) / cm.total
     sensitivity = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn > 0 else None
     specificity = cm.tn / (cm.tn + cm.fp) if cm.tn + cm.fp > 0 else None
@@ -161,7 +153,7 @@ def metrics_from_cm(cm: ConfusionMatrix2) -> Metrics:
 
 def accuracy_3x3(cm: ConfusionMatrix3) -> float:
     if cm.total == 0:
-        raise EmptyMatrix("no evaluated subjects")
+        raise DataError("no evaluated subjects")
     return sum(cm.diagonal) / cm.total
 
 
@@ -188,9 +180,9 @@ def threshold_sweep(
     positive cost.
     """
     if len(actual) != len(predicted):
-        raise LengthMismatch(f"lengths differ: {len(actual)} vs {len(predicted)}")
+        raise DataError(f"lengths differ: {len(actual)} vs {len(predicted)}")
     if not cutoffs:
-        raise EmptyInput("cutoffs list is empty")
+        raise DataError("cutoffs list is empty")
     points = []
     for c in cutoffs:
         cm = _tally_2x2((a < pass_at, not (p > c)) for a, p in zip(actual, predicted))
@@ -212,13 +204,13 @@ def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, l
     bit for bit.
     """
     if frame.n_rows < 2:
-        raise EmptyTrainingSet("leave-one-out needs at least 2 rows")
+        raise DataError("leave-one-out needs at least 2 rows")
     if config.outlier_feature is None:
-        raise InvalidSpec("outlier_feature is not set; resolve a default first")
+        raise ConfigError("outlier_feature is not set; resolve a default first")
     if knn_k < 1:
-        raise InvalidSpec(f"knn_k must be >= 1, got {knn_k}")
+        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
     if knn_k > frame.n_rows - 1:
-        raise KTooLarge(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
+        raise DataError(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
     matrix, target = _training_arrays(frame)
     outlier_values = frame.column(config.outlier_feature)
     limit = max(config.max_k, knn_k)

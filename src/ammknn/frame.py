@@ -36,18 +36,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    DuplicateColumnName,
-    InvalidSpec,
-    MissingCell,
-    MissingHeader,
-    NameCollision,
-    NonFiniteCell,
-    NonNumericCell,
-    UnknownColumn,
-    UnknownTargetColumn,
-    UnreadableInput,
-)
+from .errors import ConfigError, DataError
 
 Cell = Optional[float]
 
@@ -83,9 +72,9 @@ def refuse_unusable(
         for (name, _), v in zip(bad, cells):
             if v is None:
                 if not missing_ok:
-                    raise MissingCell(f"{row_name(i)}, column {name!r}: missing cell")
+                    raise DataError(f"{row_name(i)}, column {name!r}: missing cell")
             elif not math.isfinite(v):
-                raise NonFiniteCell(f"{row_name(i)}, column {name!r}: non-finite value {v!r}")
+                raise DataError(f"{row_name(i)}, column {name!r}: non-finite value {v!r}")
 
 
 def _picker(idx: Sequence[int]) -> Callable:
@@ -97,9 +86,9 @@ def _picker(idx: Sequence[int]) -> Callable:
 
 def _check_labels(names: tuple, target_name: Optional[str]) -> None:
     if len(set(names)) != len(names):
-        raise DuplicateColumnName(f"duplicate column labels in {names}")
+        raise DataError(f"duplicate column labels in {names}")
     if target_name is not None and target_name not in names:
-        raise UnknownTargetColumn(f"target column {target_name!r} not present")
+        raise DataError(f"target column {target_name!r} not present")
 
 
 class Frame:
@@ -134,13 +123,13 @@ class Frame:
         frozen = tuple(map(tuple, rows))
         if not set(map(len, frozen)) <= {len(names)}:
             i, cells = next((i, c) for i, c in enumerate(frozen) if len(c) != len(names))
-            raise InvalidSpec(f"row {i} has {len(cells)} cells, expected {len(names)}")
+            raise ConfigError(f"row {i} has {len(cells)} cells, expected {len(names)}")
         if not _STORED_AS_IS.issuperset(map(type, chain.from_iterable(frozen))):
             frozen = tuple(
                 tuple(None if c is None else float(c) for c in row) for row in frozen
             )
         if row_ids is not None and len(row_ids) != len(frozen):
-            raise InvalidSpec("row_ids length does not match row count")
+            raise ConfigError("row_ids length does not match row count")
         self.column_names = names
         self.rows = frozen
         self.target_name = target_name
@@ -187,7 +176,7 @@ class Frame:
         try:
             return self.column_names.index(name)
         except ValueError:
-            raise UnknownColumn(f"no column named {name!r}") from None
+            raise DataError(f"no column named {name!r}") from None
 
     def column(self, name: str) -> tuple:
         return tuple(map(itemgetter(self.column_index(name)), self.rows))
@@ -210,7 +199,7 @@ class Frame:
 
     def target_values(self) -> tuple:
         if self.target_name is None:
-            raise UnknownTargetColumn("frame has no target column")
+            raise DataError("frame has no target column")
         return self.column(self.target_name)
 
     def row_id(self, i: int) -> Optional[str]:
@@ -256,7 +245,7 @@ class AggregationSpec:
     def __post_init__(self):
         object.__setattr__(self, "member_columns", tuple(self.member_columns))
         if not self.member_columns:
-            raise InvalidSpec(f"aggregation {self.group_name!r} has no member columns")
+            raise ConfigError(f"aggregation {self.group_name!r} has no member columns")
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +258,7 @@ def _parse_cell(text: str, row: int, column: str) -> Cell:
     try:
         return float(text)
     except ValueError:
-        raise NonNumericCell(row, column, text) from None
+        raise DataError(f"non-numeric cell {text!r} at row {row}, column {column!r}") from None
 
 
 def _read_records(reader, path, target_name: Optional[str], id_column: Optional[str]):
@@ -277,15 +266,15 @@ def _read_records(reader, path, target_name: Optional[str], id_column: Optional[
     try:
         header = next(reader)
     except StopIteration:
-        raise MissingHeader(f"{path}: file is empty") from None
+        raise DataError(f"{path}: file is empty") from None
     if not header or all(h == "" for h in header):
-        raise MissingHeader(f"{path}: blank header row")
+        raise DataError(f"{path}: blank header row")
     if len(set(header)) != len(header):
-        raise DuplicateColumnName(f"{path}: duplicate column names in header")
+        raise DataError(f"{path}: duplicate column names in header")
     if target_name is not None and target_name not in header:
-        raise UnknownTargetColumn(f"{path}: target {target_name!r} not in header")
+        raise ConfigError(f"{path}: target {target_name!r} not in header")
     if id_column is not None and id_column not in header:
-        raise UnknownColumn(f"{path}: id column {id_column!r} not in header")
+        raise ConfigError(f"{path}: id column {id_column!r} not in header")
 
     id_pos = header.index(id_column) if id_column is not None else None
     names = [h for i, h in enumerate(header) if i != id_pos]
@@ -293,7 +282,7 @@ def _read_records(reader, path, target_name: Optional[str], id_column: Optional[
     ids = [] if id_column is not None else None
     for lineno, record in enumerate(reader, start=1):
         if len(record) != len(header):
-            raise NonNumericCell(lineno, "<row>", ",".join(record))
+            raise DataError(f"non-numeric cell {','.join(record)!r} at row {lineno}, column '<row>'")
         if id_pos is not None:
             ids.append(record.pop(id_pos))
         try:
@@ -312,6 +301,8 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     The id column (if named) is pulled out into ``row_ids`` and is the only
     column allowed to hold non-numeric text. Empty cells become missing
     markers. ``target_name`` may be None for prediction-only cohorts.
+    A header that lacks the named target or id column is a ``ConfigError``:
+    those names always come from the configuration.
     Every cell is checked here, as it is parsed, so the Frame is built
     without a second scan.
     """
@@ -319,9 +310,9 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
         with open(path, newline="", encoding="utf-8") as fh:
             names, rows, ids = _read_records(csv.reader(fh), path, target_name, id_column)
     except UnicodeDecodeError:
-        raise UnreadableInput(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:
-        raise UnreadableInput(f"{path}: is a directory, not a CSV file") from None
+        raise DataError(f"{path}: is a directory, not a CSV file") from None
     return Frame._derived(names, rows, target_name, ids, id_column)
 
 
@@ -357,7 +348,7 @@ def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec]) -> Frame:
         for m in spec.member_columns:
             frame.column_index(m)
         if spec.group_name in names:
-            raise NameCollision(f"column {spec.group_name!r} already exists")
+            raise DataError(f"column {spec.group_name!r} already exists")
         names.append(spec.group_name)
 
     means = []

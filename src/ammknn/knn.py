@@ -60,8 +60,8 @@ margin absorbs that, and the order itself comes only from the sums.
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
 finite: ``frame.refuse_unusable`` refuses a missing or non-finite cell
-with a ``DataError`` naming its row and column (``MissingCell``,
-``NonFiniteCell``), once per call, before any ranking.
+with a ``DataError`` naming its row and column, once per call, before
+any ranking.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
@@ -92,13 +92,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (
-    ColumnMismatch,
-    EmptyInput,
-    EmptyTrainingSet,
-    InvalidSpec,
-    UnknownColumn,
-)
+from .errors import ConfigError, DataError
 from .frame import Frame, refuse_unusable
 
 # Ordered (training_row_index, distance) pairs, nearest first.
@@ -121,7 +115,7 @@ class AmmknnConfig:
 
     def __post_init__(self):
         if self.max_k < 1:
-            raise InvalidSpec(f"max_k must be >= 1, got {self.max_k}")
+            raise ConfigError(f"max_k must be >= 1, got {self.max_k}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def _training_arrays(training: Frame) -> Tuple[list, tuple]:
     """The training features, one tuple per row, and the targets, extracted
     and checked once: every cell must be finite."""
     if training.n_rows == 0:
-        raise EmptyTrainingSet("no training rows")
+        raise DataError("no training rows")
     refuse_unusable("training row {}".format, training.column_names, training.columns())
     return training.feature_matrix(), training.target_values()
 
@@ -199,7 +193,7 @@ def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[in
 def cumulative_means(values: Sequence[float]) -> list:
     """Running means: output[k-1] is the mean of the first k values."""
     if not values:
-        raise EmptyInput("cumulative_means of an empty vector")
+        raise DataError("cumulative_means of an empty vector")
     out = []
     total = 0.0
     for k, v in enumerate(values, start=1):
@@ -258,13 +252,13 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
     rows could be fanned out across workers without changing the output.
     """
     if config.outlier_feature is None:
-        raise InvalidSpec("outlier_feature is not set; resolve a default first")
+        raise ConfigError("outlier_feature is not set; resolve a default first")
     features = training.feature_names()
     missing = [n for n in features if n not in subjects.column_names]
     if missing:
-        raise ColumnMismatch(f"subjects lack training feature columns: {missing}")
+        raise DataError(f"subjects lack training feature columns: {missing}")
     if config.outlier_feature not in subjects.column_names:
-        raise UnknownColumn(
+        raise DataError(
             f"outlier feature {config.outlier_feature!r} not in subjects"
         )
     matrix, target = _training_arrays(training)

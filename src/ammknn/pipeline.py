@@ -8,6 +8,7 @@ jointly standardized and correlation-selected.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
+Both refuse a cohort whose feature columns are not the training table's.
 synth/plot: generator and figure plumbing.
 
 loocv, validate and predict all rank neighbors through one engine (see
@@ -31,14 +32,8 @@ from typing import Optional
 
 from . import report as report_mod
 from . import svgplot
-from .config import PipelineConfig, _from_json
-from .errors import (
-    ColumnMismatch,
-    ConfigError,
-    InvalidSpec,
-    UnknownColumn,
-    UnknownTargetColumn,
-)
+from .config import PipelineConfig, _from_json, _read_json
+from .errors import ConfigError, DataError
 from .evaluation import classify_tier, loocv
 from .frame import Frame, _picker, aggregate_means, load_csv, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch
@@ -54,19 +49,6 @@ VALIDATE_JSON = "validate_ammknn.json"
 ROSTER_JSON = "roster.json"
 PREDICTIONS_JSONL = "predictions.jsonl"
 SYNTH_CSV = "cohort.csv"
-
-
-def _load_for_config(config: PipelineConfig, path, target_required: bool = True) -> Frame:
-    """Load a CSV, treating unresolved config-referenced labels as config errors.
-
-    Config labels (target, id column) must resolve against the loaded
-    frame; a mismatch means the config does not describe this dataset.
-    """
-    target = config.target_name if target_required else None
-    try:
-        return load_csv(path, target, config.id_column)
-    except (UnknownTargetColumn, UnknownColumn) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
@@ -98,7 +80,7 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
         if r > best_r:
             best, best_r = name, r
     if best is None:
-        raise InvalidSpec("training frame has no feature columns")
+        raise ConfigError("training frame has no feature columns")
     if best_r < 0.0:
         raise ConfigError(
             f"every feature correlates negatively with the target (best {best!r}, "
@@ -123,13 +105,13 @@ def _split_cohort(config: PipelineConfig, input_path):
     neither side (NaN, +inf) or into training (-inf). Only the two sides
     outlive this call, so the raw table is freed before standardization.
     """
-    frame = _load_for_config(config, input_path)
+    frame = load_csv(input_path, config.target_name, config.id_column)
     if config.aggregations:
         frame = aggregate_means(frame, config.aggregations)
     members = set()
     for spec in config.aggregations:
         if config.target_name in spec.member_columns:
-            raise InvalidSpec(f"aggregation {spec.group_name!r} would drop the target column")
+            raise ConfigError(f"aggregation {spec.group_name!r} would drop the target column")
         members.update(spec.member_columns)
     available = [n for n in frame.column_names if n not in members]
     include = config.include_columns
@@ -217,7 +199,7 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    train = _load_for_config(config, train_path)
+    train = load_csv(train_path, config.target_name, config.id_column)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
 
     ids = [train.row_id(i) for i in range(train.n_rows)]
@@ -252,14 +234,19 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
 
 
 def _load_pair(config: PipelineConfig, train_path, cohort_path, require_target: bool):
-    train = _load_for_config(config, train_path)
-    cohort = _load_for_config(config, cohort_path, target_required=require_target)
-    if require_target:
-        missing = [
-            n for n in train.column_names if n not in cohort.column_names
-        ]
-        if missing:
-            raise ColumnMismatch(f"cohort lacks prepared columns: {missing}")
+    """The training table and a cohort with exactly its feature columns,
+    with or without the target. Any other cohort, such as a raw one that
+    still holds its year column, is a ``DataError``."""
+    train = load_csv(train_path, config.target_name, config.id_column)
+    target = config.target_name if require_target else None
+    cohort = load_csv(cohort_path, target, config.id_column)
+    features = set(train.feature_names())
+    given = set(cohort.column_names) - {config.target_name}
+    if given != features:
+        raise DataError(
+            f"{cohort_path}: feature columns differ from training: "
+            f"extra {sorted(given - features)}, missing {sorted(features - given)}"
+        )
     return train, cohort
 
 
@@ -328,7 +315,7 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     """
     os.makedirs(out_dir, exist_ok=True)
     if not isinstance(spec_doc, dict):
-        raise InvalidSpec("generator spec must be a JSON object")
+        raise ConfigError("generator spec must be a JSON object")
     doc = dict(spec_doc)
     split = doc.pop("split", None)
     if seed_override is not None:
@@ -344,7 +331,7 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
 
 def run_plot(report_path, kind: str, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    report = report_mod.load_json(report_path)
+    report = _read_json(report_path, DataError, "report")
     svg = svgplot.render_plot(report, kind)
     out_path = os.path.join(out_dir, f"{kind}.svg")
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -17,13 +17,7 @@ from itertools import accumulate, islice
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    ColumnMismatch,
-    ConstantInput,
-    EmptyInput,
-    LengthMismatch,
-    ZeroVarianceColumn,
-)
+from .errors import DataError
 from .frame import Frame, refuse_unusable
 
 log = logging.getLogger(__name__)
@@ -76,12 +70,12 @@ def _column_stats(label: str, values: Sequence[float]):
     # explicit left-to-right float arithmetic keeps transformed cells
     # byte-stable across interpreter versions (golden-file contract)
     if len(values) < 2:
-        raise EmptyInput("standardization needs at least 2 rows")
+        raise DataError("standardization needs at least 2 rows")
     mean = left_sum(values) / len(values)
     d = [v - mean for v in values]
     sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
     if sd == 0.0:
-        raise ZeroVarianceColumn(label)
+        raise DataError(f"column {label!r} has zero variance")
     return mean, sd, d
 
 
@@ -101,11 +95,11 @@ def standardize_joint(train: Frame, extra: Optional[Frame] = None):
     """
     if extra is not None:
         if extra.column_names != train.column_names:
-            raise ColumnMismatch(
+            raise DataError(
                 f"column sets differ: {train.column_names} vs {extra.column_names}"
             )
         if extra.target_name != train.target_name:
-            raise ColumnMismatch("target columns differ between frames")
+            raise DataError("target columns differ between frames")
 
     excluded = tuple(n for n in train.column_names if n == train.target_name)
     to_standardize = tuple(n for n in train.column_names if n not in excluded)
@@ -158,9 +152,9 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
     dy = syy = None
     for x in columns:
         if len(x) != n:
-            raise LengthMismatch(f"lengths differ: {len(x)} vs {n}")
+            raise DataError(f"lengths differ: {len(x)} vs {n}")
         if n < 2:
-            raise LengthMismatch("need at least 2 observations")
+            raise DataError("need at least 2 observations")
         if dy is None:
             my = left_sum(y) / n
             dy = [b - my for b in y]
@@ -178,7 +172,7 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson r between two equal-length, non-constant vectors."""
     (r,) = _correlations([x], y)
     if r is None:
-        raise ConstantInput("at least one input is constant")
+        raise DataError("at least one input is constant")
     return r
 
 
@@ -205,7 +199,7 @@ def select_by_correlation(frame: Frame, threshold: float):
             continue
         r = rs[name]
         if r is None:
-            raise ConstantInput(f"column {name!r} is constant")
+            raise DataError(f"column {name!r} is constant")
         log.info("%d. Correlation between %s and target = %.7g.", n, name, r)
         if abs(r) >= threshold:
             kept.append(name)

@@ -13,7 +13,6 @@ from dataclasses import asdict
 from typing import List, Optional, Sequence
 
 from .config import PipelineConfig
-from .errors import MalformedReport, UnreadableInput
 from .evaluation import (
     ConfusionMatrix3,
     TierBoundaries,
@@ -93,17 +92,6 @@ def dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2))
         fh.write("\n")
-
-
-def load_json(path):
-    """A report document; a file that is not UTF-8 JSON is a data error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except IsADirectoryError:
-        raise UnreadableInput(f"{path}: is a directory, not a report file") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedReport(f"{path}: not a UTF-8 JSON document: {exc}") from None
 
 
 def format_metrics_table(report: dict) -> str:

@@ -9,9 +9,9 @@ deterministic SVG text, so plots can be golden-file tested.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .errors import MalformedReport
+from .errors import DataError
 from .evaluation import prediction_actual_correlation
 
 WIDTH = 640.0
@@ -42,7 +42,7 @@ class _Axis:
 
 def _extract_points(report: dict, kind: str) -> List[Tuple[float, float]]:
     if not isinstance(report, dict) or "subjects" not in report or "bounds" not in report:
-        raise MalformedReport("report lacks 'subjects'/'bounds' sections")
+        raise DataError("report lacks 'subjects'/'bounds' sections")
     points = []
     for i, s in enumerate(report["subjects"]):
         try:
@@ -52,14 +52,14 @@ def _extract_points(report: dict, kind: str) -> List[Tuple[float, float]]:
             else:
                 x = float(s["predicted"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedReport(f"subject {i} lacks plottable fields: {exc}") from exc
+            raise DataError(f"subject {i} lacks plottable fields: {exc}") from exc
         points.append((x, y))
     return points
 
 
 def render_plot(report: dict, kind: str) -> str:
     if kind not in PLOT_KINDS:
-        raise MalformedReport(f"unknown plot kind {kind!r}")
+        raise DataError(f"unknown plot kind {kind!r}")
     points = _extract_points(report, kind)
     bounds_actual = report["bounds"]["actual"]
     bounds_predicted = report["bounds"]["predicted"]
@@ -115,7 +115,7 @@ def render_plot(report: dict, kind: str) -> str:
             'r="3.00" fill="#1f6fb2" fill-opacity="0.75"/>'
         )
 
-    r = _caption_correlation(points)
+    r = prediction_actual_correlation(xs, ys)
     caption = f"n = {len(points)}" + ("" if r is None else f", r = {r:.7g}")
     parts.append(
         f'<text class="caption" x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 18.0)}" '
@@ -132,9 +132,3 @@ def render_plot(report: dict, kind: str) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _caption_correlation(points) -> Optional[float]:
-    if len(points) < 2:
-        return None
-    return prediction_actual_correlation([p[0] for p in points], [p[1] for p in points])

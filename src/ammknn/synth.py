@@ -42,7 +42,7 @@ from statistics import NormalDist
 from typing import Tuple
 
 from .config import _from_json
-from .errors import InvalidFraction, InvalidSpec
+from .errors import ConfigError
 from .frame import Frame
 
 _MASK64 = (1 << 64) - 1
@@ -91,27 +91,27 @@ class SynthSpec:
     def __post_init__(self):
         object.__setattr__(self, "target_range", tuple(self.target_range))
         if self.n_rows < 1:
-            raise InvalidSpec("n_rows must be positive")
+            raise ConfigError("n_rows must be positive")
         if self.n_features < 1:
-            raise InvalidSpec("n_features must be positive")
+            raise ConfigError("n_features must be positive")
         if not 1 <= self.signal_features <= self.n_features:
-            raise InvalidSpec("signal_features must be in [1, n_features]")
+            raise ConfigError("signal_features must be in [1, n_features]")
         if not (math.isfinite(self.noise_sd * _MAX_NORMAL) and self.noise_sd > 0):
-            raise InvalidSpec(
+            raise ConfigError(
                 f"noise_sd must be positive, with noise_sd * {_MAX_NORMAL} finite, got {self.noise_sd}"
             )
         if len(self.target_range) != 2:
-            raise InvalidSpec(f"target_range must be [low, high], got {list(self.target_range)}")
+            raise ConfigError(f"target_range must be [low, high], got {list(self.target_range)}")
         low, high = self.target_range
         if not (math.isfinite(low) and math.isfinite(high)):
-            raise InvalidSpec(f"target_range bounds must be finite, got {list(self.target_range)}")
+            raise ConfigError(f"target_range bounds must be finite, got {list(self.target_range)}")
         if not low < high:
-            raise InvalidSpec("target_range low must be below high")
+            raise ConfigError("target_range low must be below high")
         if not 0.0 < self.fail_rate_hint < 1.0:
-            raise InvalidSpec("fail_rate_hint must be in (0, 1)")
+            raise ConfigError("fail_rate_hint must be in (0, 1)")
         slope, intercept = self._score_map()
         if not math.isfinite(abs(intercept) + slope * _MAX_NORMAL):
-            raise InvalidSpec(
+            raise ConfigError(
                 f"target_range {list(self.target_range)} with fail_rate_hint "
                 f"{self.fail_rate_hint} puts scores beyond the float range"
             )
@@ -237,9 +237,9 @@ def generate_cohort(spec: SynthSpec) -> Frame:
 
 def _split_indices(n: int, train_fraction: float, seed: int):
     if n < 2:
-        raise InvalidFraction(f"a split needs n_rows >= 2, got {n}")
+        raise ConfigError(f"a split needs n_rows >= 2, got {n}")
     if not 0.0 < train_fraction < 1.0:
-        raise InvalidFraction(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = min(max(round(train_fraction * n), 1), n - 1)
     indices = list(range(n))
     rng = SplitMix64(seed)

@@ -16,14 +16,7 @@ from ammknn import (
     metrics_from_cm,
     threshold_sweep,
 )
-from ammknn.errors import (
-    EmptyInput,
-    EmptyMatrix,
-    EmptyTrainingSet,
-    InvalidSpec,
-    LengthMismatch,
-    MissingCell,
-)
+from ammknn.errors import ConfigError, DataError
 
 
 def fixed_k_loocv(frame, k):
@@ -53,12 +46,12 @@ class TestLoocv:
 
     def test_fold_errors_tagged(self):
         frame = Frame(["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]], "t")
-        with pytest.raises(MissingCell, match="row 1"):
+        with pytest.raises(DataError, match="row 1, column 'x': missing cell"):
             fixed_k_loocv(frame, 1)
 
     def test_needs_two_rows(self):
         frame = Frame(["x", "t"], [[0.0, 1]], "t")
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(DataError, match="leave-one-out needs at least 2 rows"):
             fixed_k_loocv(frame, 1)
 
 
@@ -78,9 +71,9 @@ class TestClassify:
         assert classify_tier(375.1, bounds) == "pass"
 
     def test_bounds_validation(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="fail_below 380 must be below at_risk_upper 375"):
             TierBoundaries(380, 375)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="tier boundary 100 outside score range"):
             TierBoundaries(100, 375)
 
 
@@ -106,7 +99,7 @@ class TestConfusion2x2:
         assert cm.total == 100
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="lengths differ: 1 vs 2"):
             confusion_2x2([1.0], [1.0, 2.0], 350)
 
 
@@ -174,7 +167,7 @@ class TestMetrics:
                 assert abs(m.specificity - tn / (tn + fp)) < 1e-12
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(DataError, match="no evaluated subjects"):
             metrics_from_cm(ConfusionMatrix2(0, 0, 0, 0))
 
 
@@ -194,7 +187,7 @@ class TestAccuracy3x3:
         assert accuracy_3x3(cm) == pytest.approx(1 / 3)
 
     def test_empty(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(DataError, match="no evaluated subjects"):
             accuracy_3x3(ConfusionMatrix3(((0, 0, 0), (0, 0, 0), (0, 0, 0))))
 
 
@@ -228,5 +221,5 @@ class TestThresholdSweep:
         assert point.matrix.fn == 2
 
     def test_empty_cutoffs(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="cutoffs list is empty"):
             threshold_sweep([1.0], [1.0], [], pass_at=350.0)

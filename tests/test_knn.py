@@ -13,15 +13,7 @@ from ammknn import (
     cumulative_means,
     loocv,
 )
-from ammknn.errors import (
-    ColumnMismatch,
-    EmptyInput,
-    EmptyTrainingSet,
-    InvalidSpec,
-    KTooLarge,
-    MissingCell,
-    NonFiniteCell,
-)
+from ammknn.errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
 # independent brute-force helpers (deliberately not using the package's
@@ -103,7 +95,7 @@ class TestEuclidean:
             )
 
     def test_length_mismatch(self):
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match=r"subjects lack training feature columns: \['x2'\]"):
             ranking((1.0, 2.0), [(1.0, 2.0, 3.0)], 1)
 
 
@@ -127,11 +119,11 @@ class TestRankNeighbors:
         assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
 
     def test_empty_training(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(DataError, match="no training rows"):
             ranking([0.0], [], 1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match=r"subjects lack training feature columns: \['x1'\]"):
             ranking([0.0], [[0.0, 1.0]], 1)
 
 
@@ -146,7 +138,7 @@ class TestCumulativeMeans:
         assert cumulative_means([7.0] * 5) == [7.0] * 5
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="cumulative_means of an empty vector"):
             cumulative_means([])
 
 
@@ -169,7 +161,7 @@ class TestKnnRegress:
         assert fixed_k([1.7], self.ROWS, 3) == record.cumulative_means[2]
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(DataError, match="k=6 exceeds 5 training rows per fold"):
             fixed_k([0.0], self.ROWS, 6)
 
 
@@ -262,7 +254,7 @@ class TestAmmknnPredictOne:
         assert len(record.cumulative_means) == 2
 
     def test_invalid_max_k(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="max_k must be >= 1, got 0"):
             AmmknnConfig(max_k=0)
 
 
@@ -309,14 +301,14 @@ class TestAmmknnPredictBatch:
         rng = random.Random(4)
         training = random_training(rng, 8, 2)
         subjects = Frame(["x0"], [[0.0]], None)
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match=r"subjects lack training feature columns: \['x1'\]"):
             ammknn_predict_batch(subjects, training, self.config())
 
     def test_unset_outlier_feature_rejected(self):
         rng = random.Random(4)
         training = random_training(rng, 8, 2)
         subjects = Frame(["x0", "x1"], [[0.0, 0.0]], None)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="outlier_feature is not set"):
             ammknn_predict_batch(subjects, training, AmmknnConfig())
 
     def test_row_errors_tagged_with_index(self):
@@ -336,35 +328,35 @@ class TestUnscorableCellsRefused:
     def test_training_feature(self, bad):
         training = Frame(["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, bad, 300.0]], "t")
         subjects = Frame(["x0", "x1"], [[0.0, 0.0]], None)
-        with pytest.raises(NonFiniteCell, match="training row 1, column 'x1'"):
+        with pytest.raises(DataError, match="training row 1, column 'x1': non-finite value"):
             ammknn_predict_batch(subjects, training, self.CONFIG)
-        with pytest.raises(NonFiniteCell, match="training row 1, column 'x1'"):
+        with pytest.raises(DataError, match="training row 1, column 'x1': non-finite value"):
             loocv(training, self.CONFIG, 1)
 
     def test_training_target(self):
         training = Frame(["x0", "t"], [[0.0, 400.0], [1.0, math.nan], [2.0, 300.0]], "t")
-        with pytest.raises(NonFiniteCell, match="training row 1, column 't'"):
+        with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
             loocv(training, self.CONFIG, 1)
 
     def test_first_bad_training_cell_in_row_order(self):
         training = Frame(
             ["x0", "x1", "t"], [[0.0, 0.0, 1.0], [0.0, None, 2.0], [math.inf, 0.0, 3.0]], "t"
         )
-        with pytest.raises(MissingCell, match="training row 1, column 'x1'"):
+        with pytest.raises(DataError, match="training row 1, column 'x1': missing cell"):
             loocv(training, self.CONFIG, 1)
 
     @pytest.mark.parametrize("cells", [[0.0, math.inf], [math.nan, 0.0]])
     def test_subject_cell(self, cells):
         training = Frame(["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, 1.0, 300.0]], "t")
         subjects = Frame(["x0", "x1"], [[0.0, 0.0], cells], None)
-        with pytest.raises(NonFiniteCell, match=r"subject row 1\b.* column 'x"):
+        with pytest.raises(DataError, match=r"subject row 1\b.* column 'x\d': non-finite value"):
             ammknn_predict_batch(subjects, training, self.CONFIG)
 
     def test_subject_outlier_cell(self):
         training = Frame(["x0", "t"], [[0.0, 400.0], [1.0, 300.0]], "t")
         subjects = Frame(["x0", "o"], [[0.0, math.nan]], None)
         config = AmmknnConfig(max_k=2, outlier_feature="o")
-        with pytest.raises(NonFiniteCell, match="subject row 0, column 'o'"):
+        with pytest.raises(DataError, match="subject row 0, column 'o': non-finite value"):
             ammknn_predict_batch(subjects, training, config)
 
 
@@ -494,11 +486,11 @@ def test_engine_matches_naive_reference(case):
 
     n = len(rows)
     if n < 2:
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(DataError, match="leave-one-out needs at least 2 rows"):
             loocv(frame, config, knn_k)
         return
     if knn_k > n - 1:
-        with pytest.raises(KTooLarge):
+        with pytest.raises(DataError, match=f"k={knn_k} exceeds {n - 1} training rows per fold"):
             loocv(frame, config, knn_k)
         return
     adaptive, triggered, fixed = loocv(frame, config, knn_k)

@@ -1,16 +1,18 @@
 import ast
+import builtins
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 
 import ammknn
-from ammknn import AmmknnConfig, Frame, PipelineConfig, load_csv
+from ammknn import AmmknnConfig, CohortSplit, Frame, PipelineConfig, SynthSpec, load_csv, pipeline
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError
@@ -52,6 +54,35 @@ CONFIG_DOC = {
     "ammknn": {"max_k": 10, "outlier_feature": None, "outlier_cutoff": -2.0},
     "seed": 7,
 }
+
+
+def _number_fields(cls):
+    """(key path, int or float) of each number field of ``cls``, its tuples
+    of numbers and nested stanzas included."""
+    for name, hint in get_type_hints(cls).items():
+        if get_origin(hint) is Union:  # Optional[X]
+            hint = get_args(hint)[0]
+        if is_dataclass(hint):
+            for path, kind in _number_fields(hint):
+                yield (name, *path), kind
+        elif get_origin(hint) is tuple and get_args(hint)[0] in (int, float):
+            yield (name,), get_args(hint)[0]
+        elif hint in (int, float):
+            yield (name,), hint
+
+
+# JSON NaN, Infinity, -Infinity, the text "nan" and true for each float;
+# a fraction, true and NaN for each int; a tuple gets one in its last entry
+NUMBER_CASES = [
+    (document, prefix + path, bad)
+    for document, cls, prefix in (
+        ("config", PipelineConfig, ()), ("spec", SynthSpec, ()), ("spec", CohortSplit, ("split",)),
+    )
+    for path, kind in _number_fields(cls)
+    for bad in ([2.5, True, float("nan")] if kind is int
+                else [float("nan"), float("inf"), float("-inf"), "nan", True])
+]
+NUMBER_IDS = [f"{doc}:{'.'.join(path)}={json.dumps(bad)}" for doc, path, bad in NUMBER_CASES]
 
 
 @pytest.fixture()
@@ -415,6 +446,40 @@ class TestCliErrors:
         ])
         assert code == 3
 
+    def test_internal_error_names_its_type_exit_4(self, monkeypatch, tmp_path, capsys):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "run_plot", broken)
+        capsys.readouterr()
+        assert main(["plot", "--report", str(tmp_path / "r.json"), "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("document, path, bad", NUMBER_CASES, ids=NUMBER_IDS)
+    def test_number_that_is_not_one_exit_2(self, tmp_path, capsys, document, path, bad):
+        # the seed-7 config or spec with one int or float field given a
+        # non-finite, boolean or (for an int) fractional value
+        doc = json.loads((GOLDEN_SEED7.parent / f"{document}.json").read_text())
+        *stanzas, key = path
+        stanza = doc
+        for name in stanzas:
+            stanza = stanza[name]
+        old = stanza[key]
+        stanza[key] = [*old[:-1], bad] if isinstance(old, list) else bad
+        doc_path = tmp_path / f"{document}.json"
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if document == "config":
+            argv = _golden_argv("validate", GOLDEN_SEED7 / VALIDATION_CSV, out)
+            argv[argv.index("--config") + 1] = str(doc_path)
+        else:
+            argv = ["synth", "--spec", str(doc_path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        named = stanzas[-1] if stanzas else {"config": "config", "spec": "generator spec"}[document]
+        assert f"bad {named} value for '{key}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCliRefusesUnscorableInput:
     """Input that cannot be read or scored is a data error (exit 3) naming the file."""
@@ -522,6 +587,32 @@ class TestCliRefusesUnscorableInput:
         capsys.readouterr()
         assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
         assert f"subject row 2, column 'f02': {problem}" in capsys.readouterr().err
+
+
+class TestCohortColumnContract:
+    """validate and predict score only a cohort with training's feature columns."""
+
+    @pytest.mark.parametrize("command", ["validate", "predict"])
+    def test_raw_cohort_exit_3(self, tmp_path, capsys, command):
+        # unstandardized, with the cohort year and the columns prepare dropped
+        capsys.readouterr()
+        assert main(_golden_argv(command, GOLDEN_SEED7 / SYNTH_CSV, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "extra ['cohort', 'f13', 'f14', 'f20'], missing []" in err
+        assert not (tmp_path / "out" / VALIDATE_JSON).exists()
+        assert not (tmp_path / "out" / PREDICTIONS_JSONL).exists()
+
+    @pytest.mark.parametrize("command", ["validate", "predict"])
+    def test_cohort_lacking_a_feature_exit_3(self, tmp_path, capsys, command):
+        lines = (GOLDEN_SEED7 / VALIDATION_CSV).read_text().splitlines()
+        col = lines[0].split(",").index("f05")
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("".join(
+            ",".join(c for j, c in enumerate(line.split(",")) if j != col) + "\n" for line in lines
+        ))
+        capsys.readouterr()
+        assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
+        assert "extra [], missing ['f05']" in capsys.readouterr().err
 
 
 def _golden_cohort_with(tmp_path, row, column, cell):
@@ -639,6 +730,46 @@ def test_every_public_name_is_used_by_the_package():
     unused = {name for name in public if name.rpartition(".")[2] not in loaded}
     assert sorted(unused - UNUSED_BY_DESIGN) == []
     assert UNUSED_BY_DESIGN <= unused
+
+
+FAMILIES = {"ConfigError", "DataError"}
+
+
+def test_only_the_two_fault_families_are_defined_or_raised():
+    """Every package fault is a ConfigError (exit 2) or a DataError (exit 3).
+    Any other exception class, or a raise of one, would leave the CLI by
+    exit 4. A bare ``raise`` is allowed, and so is ``config._read_json``
+    raising the family its callers pass it."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(ammknn.__file__).parent.glob("*.py")
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    builtin = {
+        name for name, v in vars(builtins).items()
+        if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    exceptions = set(builtin)
+    for _ in classes:  # enough passes for any chain of subclasses
+        exceptions |= {
+            node.name for node in classes
+            if {ast.unparse(base) for base in node.bases} & exceptions
+        }
+    assert sorted(exceptions - builtin) == sorted(FAMILIES)
+
+    [reader] = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "_read_json"]
+    in_reader = {id(n) for n in ast.walk(reader)}
+    raised, raised_by_reader, passed = set(), set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            (raised_by_reader if id(node) in in_reader else raised).add(ast.unparse(exc))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_read_json":
+            passed.add(ast.unparse(node.args[1]))
+    assert raised == FAMILIES
+    assert raised_by_reader == {"error"}
+    assert passed == FAMILIES
 
 
 def test_readme_configuration_table_names_every_field():

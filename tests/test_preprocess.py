@@ -12,13 +12,7 @@ from ammknn import (
     select_by_correlation,
     standardize_joint,
 )
-from ammknn.errors import (
-    ColumnMismatch,
-    ConstantInput,
-    LengthMismatch,
-    NonFiniteCell,
-    ZeroVarianceColumn,
-)
+from ammknn.errors import DataError
 
 
 class TestStandardizeJoint:
@@ -37,7 +31,7 @@ class TestStandardizeJoint:
 
     def test_zero_variance(self):
         frame = Frame(["x", "t"], [[5, 1], [5, 2], [5, 3]], "t")
-        with pytest.raises(ZeroVarianceColumn):
+        with pytest.raises(DataError, match="column 'x' has zero variance"):
             standardize_joint(frame)
 
     def test_stats_pooled_over_both_frames(self):
@@ -54,7 +48,7 @@ class TestStandardizeJoint:
     def test_column_mismatch(self):
         train = Frame(["x", "t"], [[0, 1]], "t")
         extra = Frame(["y", "t"], [[0, 1]], "t")
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match="column sets differ"):
             standardize_joint(train, extra)
 
     def test_idempotent_on_standardized_data(self):
@@ -71,12 +65,12 @@ class TestStandardizeJoint:
     def test_refuses_non_finite_cell(self, bad):
         train = Frame(["x", "t"], [[0, 1], [1, 2]], "t")
         extra = Frame(["x", "t"], [[2, 3], [bad, 4]], "t")
-        with pytest.raises(NonFiniteCell, match="validation row 1, column 'x'"):
+        with pytest.raises(DataError, match="validation row 1, column 'x': non-finite value"):
             standardize_joint(train, extra)
 
     def test_refuses_non_finite_target(self):
         train = Frame(["x", "t"], [[0, 1], [1, math.inf], [2, 3]], "t")
-        with pytest.raises(NonFiniteCell, match="training row 1, column 't'"):
+        with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
             standardize_joint(train)
 
     def test_means_sum_left_to_right(self):
@@ -117,13 +111,13 @@ class TestPearson:
         assert pearson_correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="lengths differ: 2 vs 3"):
             pearson_correlation([1, 2], [1, 2, 3])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="need at least 2 observations"):
             pearson_correlation([1], [2])
 
     def test_constant_input(self):
-        with pytest.raises(ConstantInput):
+        with pytest.raises(DataError, match="at least one input is constant"):
             pearson_correlation([1, 1, 1], [1, 2, 3])
 
 
@@ -201,7 +195,7 @@ class TestSelectByCorrelation:
 
     def test_constant_column_reports_label(self):
         frame = Frame(["c", "t"], [[1, 1], [1, 2], [1, 3]], "t")
-        with pytest.raises(ConstantInput, match="'c'"):
+        with pytest.raises(DataError, match="column 'c' is constant"):
             select_by_correlation(frame, 0.1)
 
     def test_audit_log_lines(self, caplog):

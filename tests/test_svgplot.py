@@ -1,6 +1,6 @@
 import pytest
 
-from ammknn.errors import MalformedReport
+from ammknn.errors import DataError
 from ammknn.svgplot import render_plot
 
 
@@ -41,16 +41,16 @@ class TestRenderPlot:
         assert "r = 1" in svg
 
     def test_unknown_kind(self):
-        with pytest.raises(MalformedReport):
+        with pytest.raises(DataError, match="unknown plot kind 'pie'"):
             render_plot(report([]), "pie")
 
     def test_missing_sections(self):
-        with pytest.raises(MalformedReport):
+        with pytest.raises(DataError, match="report lacks 'subjects'/'bounds' sections"):
             render_plot({"subjects": []}, "scatter")
 
     def test_packrat_needs_outlier_values(self):
         doc = report([{"actual": 400.0, "predicted": 390.0}])
-        with pytest.raises(MalformedReport):
+        with pytest.raises(DataError, match="subject 0 lacks plottable fields"):
             render_plot(doc, "packrat_scatter")
 
     def test_deterministic_output(self):

@@ -16,7 +16,7 @@ from ammknn import (
     generate_cohort,
     pearson_correlation,
 )
-from ammknn.errors import InvalidFraction, InvalidSpec
+from ammknn.errors import ConfigError
 
 
 class TestSplitMix64:
@@ -110,13 +110,13 @@ class TestGenerateCohort:
         assert violations / total <= 0.01
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="n_rows must be positive"):
             spec(n_rows=0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match=r"signal_features must be in \[1, n_features\]"):
             spec(signal_features=21)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match=r"fail_rate_hint must be in \(0, 1\)"):
             spec(fail_rate_hint=0.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="target_range low must be below high"):
             spec(target_range=(800.0, 200.0))
 
     def test_spec_json_round_trip(self):
@@ -250,7 +250,7 @@ class TestSplitCohorts:
     def test_invalid_fraction(self):
         frame = generate_cohort(spec(n_rows=10))
         for fraction in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(InvalidFraction):
+            with pytest.raises(ConfigError, match=f"train_fraction must be in \\(0, 1\\), got {fraction}"):
                 assign_cohort_years(frame, CohortSplit(fraction, seed=1))
 
 
