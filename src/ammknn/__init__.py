@@ -7,19 +7,6 @@ and confusion-matrix reporting.
 """
 
 from .config import PipelineConfig, config_from_json_dict, load_config
-from .evaluation import (
-    ConfusionMatrix2,
-    ConfusionMatrix3,
-    Metrics,
-    TierBoundaries,
-    accuracy_3x3,
-    classify_tier,
-    confusion_2x2,
-    confusion_3x3,
-    loocv,
-    metrics_from_cm,
-    threshold_sweep,
-)
 from .frame import (
     AggregationSpec,
     Frame,
@@ -32,6 +19,7 @@ from .knn import (
     PredictionRecord,
     ammknn_predict_batch,
     cumulative_means,
+    loocv,
 )
 from .preprocess import (
     SelectionResult,
@@ -40,6 +28,7 @@ from .preprocess import (
     select_by_correlation,
     standardize_joint,
 )
+from .report import TierBoundaries, classify_tier
 from .synth import CohortSplit, SplitMix64, SynthSpec, assign_cohort_years, generate_cohort
 
 __version__ = "0.1.0"
@@ -48,10 +37,7 @@ __all__ = [
     "AggregationSpec",
     "AmmknnConfig",
     "CohortSplit",
-    "ConfusionMatrix2",
-    "ConfusionMatrix3",
     "Frame",
-    "Metrics",
     "PipelineConfig",
     "PredictionRecord",
     "SelectionResult",
@@ -59,23 +45,18 @@ __all__ = [
     "StandardizationStats",
     "SynthSpec",
     "TierBoundaries",
-    "accuracy_3x3",
     "aggregate_means",
     "ammknn_predict_batch",
     "assign_cohort_years",
     "classify_tier",
     "config_from_json_dict",
-    "confusion_2x2",
-    "confusion_3x3",
     "cumulative_means",
     "generate_cohort",
     "load_config",
     "load_csv",
     "loocv",
-    "metrics_from_cm",
     "pearson_correlation",
     "select_by_correlation",
     "standardize_joint",
-    "threshold_sweep",
     "write_csv",
 ]

@@ -2,10 +2,9 @@
 
 Subcommands: prepare, loocv, validate, predict, synth, plot.
 Exit codes: 0 success; 2 a ``ConfigError`` (the config or spec is
-unreadable or invalid, or names a column the input lacks); 3 a
-``DataError`` or a missing input file (the data cannot be read or
-scored); 4 any other exception, which is a bug and is printed with its
-type.
+missing, unreadable or invalid, or names a column the input lacks); 3 a
+``DataError`` (an input is missing or cannot be read or scored); 4 any
+other exception, which is a bug and is printed with its type.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

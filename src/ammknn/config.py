@@ -22,9 +22,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .evaluation import TierBoundaries
 from .frame import AggregationSpec
 from .knn import AmmknnConfig
+from .report import TierBoundaries
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,14 @@ def _read_value(hint, value, stanza: str, key: str):
 
 
 def _read_json(path, error, kind: str):
-    """The JSON document at ``path``. A directory, a file that is not
-    UTF-8 and malformed JSON are each an ``error`` naming the path."""
+    """The JSON document at ``path``. A missing file, a directory, a file
+    that is not UTF-8 and malformed JSON are each an ``error`` naming the
+    path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{path}: no such {kind} file") from None
     except IsADirectoryError:
         raise error(f"{path}: is a directory, not a {kind} file") from None
     except UnicodeDecodeError:

@@ -282,7 +282,7 @@ def _read_records(reader, path, target_name: Optional[str], id_column: Optional[
     ids = [] if id_column is not None else None
     for lineno, record in enumerate(reader, start=1):
         if len(record) != len(header):
-            raise DataError(f"non-numeric cell {','.join(record)!r} at row {lineno}, column '<row>'")
+            raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
         if id_pos is not None:
             ids.append(record.pop(id_pos))
         try:
@@ -309,6 +309,8 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             names, rows, ids = _read_records(csv.reader(fh), path, target_name, id_column)
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:

@@ -21,11 +21,13 @@ Deliberately picking the lowest running mean biases predictions downward,
 which is the point: the cost of missing a subject who goes on to fail far
 exceeds the cost of flagging one who would have passed.
 
-Every step ranks through one engine, ``_rank``: predict and validate
-(``ammknn_predict_batch``) and leave-one-out (``evaluation.loocv``,
-which ranks each row once against the others, computes the running means
-of that ranking once and reads both the adaptive and the fixed-k model
-from them). The adaptive rule itself lives in ``_adaptive`` alone. The
+Every step scores through one loop, ``_scored``: for each subject, in
+order, it ranks the training rows with ``_rank`` and yields the ranking,
+its targets and their running means. Predict and validate
+(``ammknn_predict_batch``) build a ``PredictionRecord`` from each;
+leave-one-out (``loocv``) holds each training row out of its own ranking
+and reads both the adaptive and the fixed-k model from one pass of
+running means. The adaptive rule itself lives in ``_adaptive`` alone. The
 training matrix is extracted and checked once per call, not once per
 subject, one tuple per row.
 
@@ -90,7 +92,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
 from .frame import Frame, refuse_unusable
@@ -218,28 +220,22 @@ def _adaptive(
     return min(means[: config.max_k]), False
 
 
-def _record(
-    ranked: list,
+def _scored(
+    matrix: Sequence[tuple],
     target: Sequence[float],
-    outlier_value: float,
-    config: AmmknnConfig,
-    subject_id: Optional[str] = None,
-) -> PredictionRecord:
-    """The adaptive prediction read from the first ``max_k`` pairs of a ranking."""
-    nearest = ranked[: config.max_k]
-    neighbor_targets = [target[j] for _, j in nearest]
-    means = cumulative_means(neighbor_targets)
-    prediction, triggered = _adaptive(neighbor_targets, means, outlier_value, config)
-    return PredictionRecord(
-        subject_id=subject_id,
-        neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in nearest),
-        cumulative_means=tuple(means),
-        min_of_means=min(means),
-        min_match=min(neighbor_targets),
-        outlier_value=outlier_value,
-        outlier_triggered=triggered,
-        prediction=prediction,
-    )
+    subjects: Sequence[tuple],
+    limit: int,
+    held_out: bool = False,
+) -> Iterator[Tuple[list, list, list]]:
+    """For each subject row, in order: its ``limit`` nearest
+    ``(squared_distance, row)`` pairs among the checked training rows of
+    ``matrix``, their targets and the targets' running means. With
+    ``held_out``, subject i is training row i and is left out of its own
+    ranking."""
+    for i, subject in enumerate(subjects):
+        ranked = _rank(matrix, subject, limit, skip=i if held_out else None)
+        targets = [target[j] for _, j in ranked]
+        yield ranked, targets, cumulative_means(targets)
 
 
 def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> List[PredictionRecord]:
@@ -266,7 +262,50 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
     refuse_unusable("subject row {}".format, list(columns), list(columns.values()))
     outlier_values = columns[config.outlier_feature]
     records = []
-    for i, row in enumerate(subjects.feature_matrix(features)):
-        ranked = _rank(matrix, row, config.max_k)
-        records.append(_record(ranked, target, outlier_values[i], config, subjects.row_id(i)))
+    scored = _scored(matrix, target, subjects.feature_matrix(features), config.max_k)
+    for i, (ranked, targets, means) in enumerate(scored):
+        prediction, triggered = _adaptive(targets, means, outlier_values[i], config)
+        records.append(PredictionRecord(
+            subject_id=subjects.row_id(i),
+            neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in ranked),
+            cumulative_means=tuple(means),
+            min_of_means=min(means),
+            min_match=min(targets),
+            outlier_value=outlier_values[i],
+            outlier_triggered=triggered,
+            prediction=prediction,
+        ))
     return records
+
+
+def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, list]:
+    """Leave-one-out predictions of the adaptive model and of fixed-k KNN.
+
+    Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
+    each made with that row held out of training. Every row is ranked
+    once against all the others, ``max(max_k, knn_k)`` deep, and the
+    running means of its neighbors' targets are computed once: the
+    adaptive rule reads the first ``max_k`` of them and the fixed-k
+    prediction is the one at ``knn_k``. No Frame is rebuilt and no
+    ``PredictionRecord`` is built per fold. Holding a row out keeps the
+    others' relative order, so the results equal a fold by fold re-fit
+    bit for bit.
+    """
+    if frame.n_rows < 2:
+        raise DataError("leave-one-out needs at least 2 rows")
+    if config.outlier_feature is None:
+        raise ConfigError("outlier_feature is not set; resolve a default first")
+    if knn_k < 1:
+        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
+    if knn_k > frame.n_rows - 1:
+        raise DataError(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
+    matrix, target = _training_arrays(frame)
+    outlier_values = frame.column(config.outlier_feature)
+    adaptive, triggered, fixed_k = [], [], []
+    scored = _scored(matrix, target, matrix, max(config.max_k, knn_k), held_out=True)
+    for i, (_, targets, means) in enumerate(scored):
+        prediction, fired = _adaptive(targets, means, outlier_values[i], config)
+        adaptive.append(prediction)
+        triggered.append(fired)
+        fixed_k.append(means[knn_k - 1])
+    return adaptive, triggered, fixed_k

@@ -11,12 +11,13 @@ predict: train + unscored cohort -> prediction records as JSON lines.
 Both refuse a cohort whose feature columns are not the training table's.
 synth/plot: generator and figure plumbing.
 
-loocv, validate and predict all rank neighbors through one engine (see
-``knn``): a ``math.dist`` filter over every training row, then exact
-left-to-right squared distances for the few rows it keeps. loocv ranks
-each training row once and reads both models from that ranking; there is
-no pairwise distance cache, because its O(n^2) memory would outgrow
-everything else a step holds.
+loocv, validate and predict all score through one loop in ``knn``: a
+``math.dist`` filter over every training row, then exact left-to-right
+squared distances for the few rows it keeps. ``knn.loocv`` ranks each
+training row once and reads both models from that ranking; there is no
+pairwise distance cache, because its O(n^2) memory would outgrow
+everything else a step holds. ``report.build_report`` turns the
+predictions into the tiers, tallies and metrics of a report.
 
 Everything here is deterministic given (config, inputs, seed); re-running
 a step produces byte-identical files.
@@ -34,10 +35,10 @@ from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .evaluation import classify_tier, loocv
 from .frame import Frame, _picker, aggregate_means, load_csv, refuse_unusable, write_csv
-from .knn import AmmknnConfig, ammknn_predict_batch
+from .knn import AmmknnConfig, ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
+from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, assign_cohort_years, generate_cohort
 
 TRAIN_CSV = "train.csv"
@@ -80,7 +81,7 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
         if r > best_r:
             best, best_r = name, r
     if best is None:
-        raise ConfigError("training frame has no feature columns")
+        raise DataError("training frame has no feature columns")
     if best_r < 0.0:
         raise ConfigError(
             f"every feature correlates negatively with the target (best {best!r}, "

@@ -1,36 +1,100 @@
-"""Evaluation report assembly and serialization.
+"""Risk tiers and the evaluation report: its confusion counts, metrics,
+prediction-cutoff sweep, assembly and serialization.
 
-Reports are plain dicts with a fixed key order so serialized output is
-byte-stable across runs and suitable for golden-file comparison; the
-config, bounds, matrices and metrics are written by ``asdict``, in field
-order. The undefined metric value serializes as JSON null.
+Evaluation convention: a *positive* outcome is an actual failing score,
+so sensitivity measures how well failing subjects are detected. Binary
+classification passes a score at or above the pass mark. The three risk
+tiers are fail (score < fail_below), at_risk (fail_below <= score <=
+at_risk_upper) and pass (score > at_risk_upper); both boundary scores
+land in the at_risk band, matching the prose reading of the bands rather
+than a half-open interval cut.
+
+Each tally is counted once, from the subjects' own entries: the 3x3
+matrix from the ``tier_actual`` and ``tier_predicted`` each entry holds,
+the 2x2 matrix and every sweep point from the actual and predicted
+scores. Reports are plain dicts with a fixed key order so serialized
+output is byte-stable across runs and suitable for golden-file
+comparison; the config and bounds are written by ``asdict``, in field
+order. An undefined metric serializes as JSON null.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .config import PipelineConfig
-from .evaluation import (
-    ConfusionMatrix3,
-    TierBoundaries,
-    accuracy_3x3,
-    classify_tier,
-    confusion_2x2,
-    confusion_3x3,
-    metrics_from_cm,
-    prediction_actual_correlation,
-    threshold_sweep,
-)
+from .errors import ConfigError, DataError
+from .preprocess import pearson_correlation
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+
+TIERS = ("fail", "at_risk", "pass")
+
+SCORE_MIN = 200.0
+SCORE_MAX = 800.0
 
 
-def _cm3_dict(cm: ConfusionMatrix3) -> dict:
+@dataclass(frozen=True)
+class TierBoundaries:
+    fail_below: float = 350.0
+    at_risk_upper: float = 375.0
+
+    def __post_init__(self):
+        if not self.fail_below < self.at_risk_upper:
+            raise ConfigError(
+                f"fail_below {self.fail_below} must be below at_risk_upper {self.at_risk_upper}"
+            )
+        for v in (self.fail_below, self.at_risk_upper):
+            if not SCORE_MIN <= v <= SCORE_MAX:
+                raise ConfigError(f"tier boundary {v} outside score range")
+
+
+def classify_tier(score: float, bounds: TierBoundaries) -> str:
+    if score < bounds.fail_below:
+        return "fail"
+    if score <= bounds.at_risk_upper:
+        return "at_risk"
+    return "pass"
+
+
+def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[float]) -> Optional[float]:
+    """Pearson r between predictions and outcomes; None when undefined."""
+    if len(predicted) != len(actual) or len(predicted) < 2:
+        return None
+    try:
+        return pearson_correlation(predicted, actual)
+    except DataError:
+        return None
+
+
+def _confusion(outcomes) -> dict:
+    """``{tp, fp, tn, fn}`` of paired ``(actual_fail, predicted_fail)`` booleans."""
+    tp = fp = tn = fn = 0
+    for actual_fail, predicted_fail in outcomes:
+        if actual_fail and predicted_fail:
+            tp += 1
+        elif actual_fail:
+            fn += 1
+        elif predicted_fail:
+            fp += 1
+        else:
+            tn += 1
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+
+
+def _metrics(cm: dict) -> Optional[dict]:
+    """``{accuracy, sensitivity, specificity}`` of a 2x2 count, None for an
+    undefined ratio; None when the count is empty."""
+    tp, fp, tn, fn = cm["tp"], cm["fp"], cm["tn"], cm["fn"]
+    total = tp + fp + tn + fn
+    if not total:
+        return None
     return {
-        "labels": ["fail", "at_risk", "pass"],
-        "counts": [list(row) for row in cm.counts],
-        "accuracy": accuracy_3x3(cm) if cm.total else None,
+        "accuracy": (tp + tn) / total,
+        "sensitivity": tp / (tp + fn) if tp + fn else None,
+        "specificity": tn / (tn + fp) if tn + fp else None,
     }
 
 
@@ -45,9 +109,19 @@ def build_report(
     outlier_values: Optional[Sequence[Optional[float]]] = None,
     outlier_triggered: Optional[Sequence[bool]] = None,
 ) -> dict:
-    """Assemble the full evaluation bundle for one model run."""
+    """Assemble the full evaluation bundle for one model run.
+
+    The two tier axes take separate boundary sets because
+    cohort-validation runs cut predicted scores at wider bands than
+    actual scores. A prediction passes a sweep cutoff only when it is
+    strictly above it, so raising the cutoff flags more subjects as
+    failing while actuals stay at the pass mark: the sweep shows how many
+    extra true failures each step of that adjustment catches, and at what
+    false positive cost.
+    """
     actual_bounds = config.tiers_actual
     subjects: List[dict] = []
+    counts3 = {(a, p): 0 for a in TIERS for p in TIERS}
     for i in range(len(actual)):
         entry = {
             "id": subject_ids[i],
@@ -56,19 +130,20 @@ def build_report(
             "tier_actual": classify_tier(actual[i], actual_bounds),
             "tier_predicted": classify_tier(predicted[i], predicted_bounds),
         }
+        counts3[entry["tier_actual"], entry["tier_predicted"]] += 1
         if outlier_values is not None:
             entry["outlier_value"] = outlier_values[i]
         if outlier_triggered is not None:
             entry["outlier_triggered"] = outlier_triggered[i]
         subjects.append(entry)
 
-    cm2 = confusion_2x2(actual, predicted, config.pass_at)
-    cm3 = confusion_3x3(actual, predicted, actual_bounds, predicted_bounds)
-    sweep = (
-        threshold_sweep(actual, predicted, config.sweep_cutoffs, config.pass_at)
-        if actual
-        else []
-    )
+    pass_at = config.pass_at
+    cm2 = _confusion((a < pass_at, p < pass_at) for a, p in zip(actual, predicted))
+    sweep = []
+    for c in (config.sweep_cutoffs if actual else ()):  # an empty cohort has no sweep
+        cm = _confusion((a < pass_at, not (p > c)) for a, p in zip(actual, predicted))
+        sweep.append({"cutoff": c, **cm, **_metrics(cm)})
+    diagonal = sum(counts3[t, t] for t in TIERS)
     return {
         "kind": kind,
         "model": model,
@@ -77,14 +152,15 @@ def build_report(
         "bounds": {"actual": asdict(actual_bounds), "predicted": asdict(predicted_bounds)},
         "n_subjects": len(subjects),
         "subjects": subjects,
-        "confusion_2x2": asdict(cm2),
-        "metrics": asdict(metrics_from_cm(cm2)) if cm2.total else None,
-        "confusion_3x3": _cm3_dict(cm3),
+        "confusion_2x2": cm2,
+        "metrics": _metrics(cm2),
+        "confusion_3x3": {
+            "labels": list(TIERS),
+            "counts": [[counts3[a, p] for p in TIERS] for a in TIERS],
+            "accuracy": diagonal / len(subjects) if subjects else None,
+        },
         "prediction_actual_correlation": prediction_actual_correlation(predicted, actual),
-        "sweep": [
-            {"cutoff": p.cutoff, **asdict(p.matrix), **asdict(p.metrics)}
-            for p in sweep
-        ],
+        "sweep": sweep,
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .errors import DataError
-from .evaluation import prediction_actual_correlation
+from .report import prediction_actual_correlation
 
 WIDTH = 640.0
 HEIGHT = 480.0

@@ -13,17 +13,12 @@ from pathlib import Path
 
 from ammknn import (
     AmmknnConfig,
-    ConfusionMatrix2,
-    ConfusionMatrix3,
     Frame,
-    accuracy_3x3,
+    PipelineConfig,
     ammknn_predict_batch,
-    confusion_2x2,
     loocv,
-    metrics_from_cm,
     select_by_correlation,
     standardize_joint,
-    threshold_sweep,
 )
 from ammknn.cli import main
 from ammknn.config import load_config
@@ -41,6 +36,7 @@ from ammknn.pipeline import (
     run_synth,
     run_validate,
 )
+from ammknn.report import build_report
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -65,23 +61,41 @@ def criterion(number, name):
 # 1. metric arithmetic against reference confusion matrices
 # ---------------------------------------------------------------------------
 
+CONFIG = PipelineConfig(target_name="t")  # pass at 350, tiers 350/375, validation 350/385
+
+
+def _report(pairs, predicted_bounds=CONFIG.tiers_predicted):
+    """The report on (actual, predicted) score pairs, as run_loocv builds it."""
+    actual = [a for a, _ in pairs]
+    predicted = [p for _, p in pairs]
+    ids = [str(i) for i in range(len(pairs))]
+    return build_report("loocv", "m", CONFIG, ids, actual, predicted, predicted_bounds)
+
+
+def _binary_pairs(tp, fp, tn, fn):
+    """Score pairs whose 2x2 matrix at the pass mark of 350 is the given one."""
+    fail, ok = 300.0, 400.0
+    return [(fail, fail)] * tp + [(ok, fail)] * fp + [(ok, ok)] * tn + [(fail, ok)] * fn
+
 
 @criterion(1, "metric arithmetic matches reference values")
 def test_criterion_1_metric_arithmetic():
-    m = metrics_from_cm(ConfusionMatrix2(tp=9, fp=9, tn=159, fn=4))
-    assert abs(m.accuracy - 0.9281768) < 1e-6
-    assert abs(m.sensitivity - 0.6923077) < 1e-6
-    assert abs(m.specificity - 0.9464286) < 1e-6
+    report = _report(_binary_pairs(tp=9, fp=9, tn=159, fn=4))
+    assert report["confusion_2x2"] == {"tp": 9, "fp": 9, "tn": 159, "fn": 4}
+    m = report["metrics"]
+    assert abs(m["accuracy"] - 0.9281768) < 1e-6
+    assert abs(m["sensitivity"] - 0.6923077) < 1e-6
+    assert abs(m["specificity"] - 0.9464286) < 1e-6
 
-    m = metrics_from_cm(ConfusionMatrix2(tp=8, fp=11, tn=157, fn=5))
-    assert abs(m.accuracy - 0.9116022) < 1e-6
-    assert abs(m.sensitivity - 0.6153846) < 1e-6
-    assert abs(m.specificity - 0.9345238) < 1e-6
+    m = _report(_binary_pairs(tp=8, fp=11, tn=157, fn=5))["metrics"]
+    assert abs(m["accuracy"] - 0.9116022) < 1e-6
+    assert abs(m["sensitivity"] - 0.6153846) < 1e-6
+    assert abs(m["specificity"] - 0.9345238) < 1e-6
 
-    m = metrics_from_cm(ConfusionMatrix2(tp=10, fp=25, tn=143, fn=3))
-    assert round(m.accuracy, 2) == 0.85
-    assert round(m.sensitivity, 2) == 0.77
-    assert round(m.specificity, 2) == 0.85
+    m = _report(_binary_pairs(tp=10, fp=25, tn=143, fn=3))["metrics"]
+    assert round(m["accuracy"], 2) == 0.85
+    assert round(m["sensitivity"], 2) == 0.77
+    assert round(m["specificity"], 2) == 0.85
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +103,37 @@ def test_criterion_1_metric_arithmetic():
 # ---------------------------------------------------------------------------
 
 
+def _tier_pairs(counts, at_risk_predicted=360.0):
+    """Score pairs whose 3x3 matrix, rows actual and columns predicted
+    fail/at_risk/pass, is ``counts``."""
+    actual = (300.0, 360.0, 400.0)
+    predicted = (300.0, at_risk_predicted, 400.0)
+    return [
+        (actual[i], predicted[j])
+        for i, row in enumerate(counts) for j, n in enumerate(row) for _ in range(n)
+    ]
+
+
 @criterion(2, "3x3 accuracy matches reference values")
 def test_criterion_2_three_tier_accuracy():
-    loocv_matrix = ConfusionMatrix3(((9, 2, 2), (1, 3, 11), (8, 21, 124)))
-    assert loocv_matrix.total == 181
-    assert accuracy_3x3(loocv_matrix) == 136 / 181
-    assert round(accuracy_3x3(loocv_matrix), 2) == 0.75
+    counts = ((9, 2, 2), (1, 3, 11), (8, 21, 124))
+    matrix = _report(_tier_pairs(counts))["confusion_3x3"]
+    assert matrix["counts"] == [list(row) for row in counts]
+    assert sum(map(sum, matrix["counts"])) == 181
+    assert matrix["accuracy"] == 136 / 181
+    assert round(matrix["accuracy"], 2) == 0.75
 
     # reference cohort-validation matrix: 42 scored subjects (one dropped
-    # for incomplete data), diagonal (2, 2, 26), row sums (6, 5, 31)
-    validation_matrix = ConfusionMatrix3(((2, 2, 2), (0, 2, 3), (3, 2, 26)))
-    assert validation_matrix.total == 42
-    assert validation_matrix.diagonal == (2, 2, 26)
-    assert tuple(map(sum, validation_matrix.counts)) == (6, 5, 31)
+    # for incomplete data), diagonal (2, 2, 26), row sums (6, 5, 31); its
+    # predictions are cut at the wider 350/385 bands, so 380 is at risk
+    counts = ((2, 2, 2), (0, 2, 3), (3, 2, 26))
+    pairs = _tier_pairs(counts, at_risk_predicted=380.0)
+    matrix = _report(pairs, CONFIG.tiers_predicted_validation)["confusion_3x3"]
+    assert matrix["counts"] == [list(row) for row in counts]
+    assert sum(map(sum, matrix["counts"])) == 42
+    assert [matrix["counts"][i][i] for i in range(3)] == [2, 2, 26]
+    assert list(map(sum, matrix["counts"])) == [6, 5, 31]
+    assert matrix["accuracy"] == 30 / 42
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +308,17 @@ def test_criterion_6_selection():
 @criterion(7, "sweep reproduces the unadjusted matrix at 349 and moves monotonically")
 def test_criterion_7_sweep_semantics():
     rng = random.Random(31)
-    cutoffs = [349.0, 390.0, 400.0, 410.0, 420.0]
+    assert CONFIG.sweep_cutoffs == (349.0, 390.0, 400.0, 410.0, 420.0)
     for _ in range(100):
         n = rng.randint(5, 80)
         actual = [float(rng.randint(200, 800)) for _ in range(n)]
         predicted = [float(rng.randint(200, 800)) for _ in range(n)]
-        points = threshold_sweep(actual, predicted, cutoffs, pass_at=350.0)
-        assert points[0].matrix == confusion_2x2(actual, predicted, 350.0)
-        tps = [p.matrix.tp for p in points]
-        tns = [p.matrix.tn for p in points]
+        report = _report(list(zip(actual, predicted)))
+        points = report["sweep"]
+        assert [p["cutoff"] for p in points] == list(CONFIG.sweep_cutoffs)
+        assert {k: points[0][k] for k in ("tp", "fp", "tn", "fn")} == report["confusion_2x2"]
+        tps = [p["tp"] for p in points]
+        tns = [p["tn"] for p in points]
         assert tps == sorted(tps)
         assert tns == sorted(tns, reverse=True)
 

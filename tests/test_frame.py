@@ -78,7 +78,7 @@ class TestLoadCsv:
             load_csv(path, "y")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DataError, match="nope.csv: no such file"):
             load_csv(tmp_path / "nope.csv", "y")
 
     def test_empty_file(self, tmp_path):

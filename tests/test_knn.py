@@ -503,3 +503,39 @@ def test_engine_matches_naive_reference(case):
     assert adaptive == expected_adaptive
     assert fixed == expected_fixed
     assert triggered == [v < cutoff for v in outlier_values]
+
+
+def fixed_k_loocv(frame, k):
+    config = AmmknnConfig(max_k=1, outlier_feature=frame.column_names[0])
+    return loocv(frame, config, k)[2]
+
+
+class TestLoocv:
+    def test_constant_targets(self):
+        rows = [[float(i), 2.0 * i, 444.0] for i in range(10)]
+        frame = Frame(["a", "b", "t"], rows, "t")
+        adaptive, _, fixed = loocv(frame, AmmknnConfig(max_k=5, outlier_feature="a"), 3)
+        assert adaptive == [444.0] * 10
+        assert fixed == [444.0] * 10
+
+    def test_three_row_fold_oracle(self):
+        frame = Frame(["x", "t"], [[0.0, 300], [1.0, 400], [10.0, 500]], "t")
+        assert fixed_k_loocv(frame, 1) == [400.0, 300.0, 400.0]
+
+    def test_heldout_row_excluded_from_training(self):
+        # the held-out row is a zero-distance duplicate of itself; with
+        # leakage, k=1 would echo its own extreme target
+        rows = [[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]]
+        frame = Frame(["x", "t"], rows, "t")
+        predictions = fixed_k_loocv(frame, 1)
+        assert predictions[6] == 400.0
+
+    def test_fold_errors_tagged(self):
+        frame = Frame(["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]], "t")
+        with pytest.raises(DataError, match="row 1, column 'x': missing cell"):
+            fixed_k_loocv(frame, 1)
+
+    def test_needs_two_rows(self):
+        frame = Frame(["x", "t"], [[0.0, 1]], "t")
+        with pytest.raises(DataError, match="leave-one-out needs at least 2 rows"):
+            fixed_k_loocv(frame, 1)

@@ -334,6 +334,7 @@ class TestCliErrors:
          "include_columns: no column named 'f01'"),
         ({"exclude_columns": ["f1"]}, "exclude_columns: no column named 'f1'"),
         ({"cohort_column": "score"}, "cohort_column and target_name both name 'score'"),
+        ({"sweep_cutoffs": []}, "sweep_cutoffs must be non-empty"),
     ])
     def test_prepare_config_fault_exit_2(self, tmp_path, capsys, override, message):
         # the seed-7 cohort with a config that cannot describe it
@@ -423,12 +424,52 @@ class TestCliErrors:
         ])
         assert code == 3
 
-    def test_missing_input_file_exit_3(self, workspace, tmp_path):
+    def test_missing_input_file_exit_3(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
         code = main([
             "prepare", "--config", str(workspace["config"]),
             "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+        assert f"data error: {tmp_path / 'missing.csv'}: no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["loocv", "--config", "{missing}", "--train", str(GOLDEN_SEED7 / TRAIN_CSV)], 2),
+        (["synth", "--spec", "{missing}"], 2),
+        (["plot", "--report", "{missing}"], 3),
+    ], ids=["loocv-config", "synth-spec", "plot-report"])
+    def test_missing_file_is_named(self, tmp_path, capsys, argv, code):
+        # a missing config or spec is a config fault, a missing report a data fault
+        missing = str(tmp_path / "nope.json")
+        argv = [missing if a == "{missing}" else a for a in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        assert f"{missing}: no such " in capsys.readouterr().err
+
+    def test_ragged_row_is_named_exit_3(self, workspace, tmp_path, capsys):
+        cohort = tmp_path / "ragged.csv"
+        cohort.write_text("student_id,cohort,f01,score\nA,2018,1.0,400\nB,2018,2.0\n")
+        capsys.readouterr()
+        assert main([
+            "prepare", "--config", str(workspace["config"]),
+            "--input", str(cohort), "--out", str(tmp_path / "x"),
+        ]) == 3
+        assert f"{cohort}: row 2 has 3 fields, header has 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+    def test_training_without_features_exit_3(self, tmp_path, capsys, command):
+        train = tmp_path / "train.csv"
+        train.write_text("student_id,score\nA,400\nB,380\nC,300\n")
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("student_id\nD\n" if command == "predict" else "student_id,score\nD,390\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, knn_k=2)))
+        argv = [command, "--config", str(config), "--train", str(train), "--out", str(tmp_path / "x")]
+        if command != "loocv":
+            argv += ["--cohort", str(cohort)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "data error: training frame has no feature columns" in capsys.readouterr().err
 
     def test_malformed_report_exit_3(self, workspace, tmp_path):
         bad = tmp_path / "bad_report.json"

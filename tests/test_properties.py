@@ -7,7 +7,6 @@ from ammknn import (
     Frame,
     TierBoundaries,
     classify_tier,
-    confusion_2x2,
     cumulative_means,
     select_by_correlation,
     standardize_joint,
@@ -36,16 +35,6 @@ def test_min_element_below_every_prefix_mean(values):
 def test_tier_and_binary_agree_on_fail(score):
     bounds = TierBoundaries(350.0, 375.0)
     assert (classify_tier(score, bounds) == "fail") == (score < 350.0)
-
-
-@given(st.lists(st.tuples(scores, scores), min_size=1, max_size=60))
-def test_confusion_2x2_marginals(pairs):
-    actual = [a for a, _ in pairs]
-    predicted = [p for _, p in pairs]
-    cm = confusion_2x2(actual, predicted, 350.0)
-    assert cm.tp + cm.fn == sum(1 for a in actual if a < 350.0)
-    assert cm.fp + cm.tn == sum(1 for a in actual if a >= 350.0)
-    assert cm.total == len(pairs)
 
 
 @st.composite
