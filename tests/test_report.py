@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,169 @@ class TestClassify:
             TierBoundaries(380, 375)
         with pytest.raises(ConfigError, match="tier boundary 100 outside score range"):
             TierBoundaries(100, 375)
+
+
+def binary_pairs(tp, fp, tn, fn):
+    """Score pairs whose 2x2 matrix at the pass mark of 350 is the given one."""
+    fail, ok = 300.0, 400.0
+    return [(fail, fail)] * tp + [(ok, fail)] * fp + [(ok, ok)] * tn + [(fail, ok)] * fn
+
+
+def tier_pairs(counts):
+    """Score pairs whose 3x3 matrix at the 350/375 tiers, rows actual and
+    columns predicted fail/at_risk/pass, is ``counts``."""
+    scores = (300.0, 360.0, 400.0)
+    return [
+        (scores[i], scores[j])
+        for i, row in enumerate(counts) for j, n in enumerate(row) for _ in range(n)
+    ]
+
+
+def report_of_pairs(pairs, **config):
+    return report_of([a for a, _ in pairs], [p for _, p in pairs], **config)
+
+
+class TestConfusion2x2:
+    def test_all_correct_passes(self):
+        actual = [400.0] * 5
+        cm = report_of(actual, actual)["confusion_2x2"]
+        assert (cm["tp"], cm["fp"], cm["fn"], cm["tn"]) == (0, 0, 0, 5)
+
+    def test_diagonal_when_predictions_equal_actual(self):
+        rng = random.Random(3)
+        actual = [float(rng.randint(200, 800)) for _ in range(50)]
+        cm = report_of(actual, actual)["confusion_2x2"]
+        assert cm["fp"] == 0 and cm["fn"] == 0
+
+    def test_marginals(self):
+        rng = random.Random(4)
+        actual = [float(rng.randint(200, 800)) for _ in range(100)]
+        predicted = [float(rng.randint(200, 800)) for _ in range(100)]
+        cm = report_of(actual, predicted)["confusion_2x2"]
+        assert cm["tp"] + cm["fn"] == sum(1 for a in actual if a < 350)
+        assert cm["fp"] + cm["tn"] == sum(1 for a in actual if a >= 350)
+        assert sum(cm.values()) == 100
+
+
+class TestConfusion3x3:
+    def test_perfect_predictions_diagonal(self):
+        actual = [300.0, 360.0, 500.0, 290.0, 375.0, 400.0]
+        matrix = report_of(actual, actual, TierBoundaries())["confusion_3x3"]
+        assert matrix["counts"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+
+    def test_dual_boundary_sets(self):
+        actual = [360.0]
+        predicted = [380.0]
+        narrow = TierBoundaries(350, 375)
+        wide = TierBoundaries(350, 385)
+        cm_narrow = report_of(actual, predicted, narrow, tiers_actual=narrow)["confusion_3x3"]
+        cm_wide = report_of(actual, predicted, wide, tiers_actual=narrow)["confusion_3x3"]
+        assert cm_narrow["counts"][1][2] == 1  # 380 > 375: predicted pass
+        assert cm_wide["counts"][1][1] == 1  # 380 <= 385: predicted at_risk
+
+    def test_collapsing_reproduces_binary_matrix(self):
+        rng = random.Random(8)
+        actual = [float(rng.randint(200, 800)) for _ in range(200)]
+        predicted = [rng.uniform(200, 800) for _ in range(200)]
+        bounds = TierBoundaries(350, 375)
+        report = report_of(actual, predicted, bounds, tiers_actual=bounds, pass_at=350.0)
+        c = report["confusion_3x3"]["counts"]
+        cm2 = report["confusion_2x2"]
+        assert cm2["tp"] == c[0][0]
+        assert cm2["fn"] == c[0][1] + c[0][2]
+        assert cm2["fp"] == c[1][0] + c[2][0]
+        assert cm2["tn"] == c[1][1] + c[1][2] + c[2][1] + c[2][2]
+
+
+class TestMetrics:
+    def test_reference_arithmetic_first(self):
+        m = report_of_pairs(binary_pairs(tp=9, fp=9, tn=159, fn=4))["metrics"]
+        assert m["accuracy"] == pytest.approx(0.9281768, abs=1e-6)
+        assert m["sensitivity"] == pytest.approx(0.6923077, abs=1e-6)
+        assert m["specificity"] == pytest.approx(0.9464286, abs=1e-6)
+
+    def test_reference_arithmetic_second(self):
+        m = report_of_pairs(binary_pairs(tp=8, fp=11, tn=157, fn=5))["metrics"]
+        assert m["accuracy"] == pytest.approx(0.9116022, abs=1e-6)
+        assert m["sensitivity"] == pytest.approx(0.6153846, abs=1e-6)
+        assert m["specificity"] == pytest.approx(0.9345238, abs=1e-6)
+
+    def test_no_positives_sensitivity_undefined(self):
+        m = report_of_pairs(binary_pairs(tp=0, fp=0, tn=20, fn=0))["metrics"]
+        assert m["accuracy"] == 1.0
+        assert m["specificity"] == 1.0
+        assert m["sensitivity"] is None
+
+    def test_identities_vs_integer_arithmetic(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            tp, fp, tn, fn = (rng.randint(0, 50) for _ in range(4))
+            if tp + fp + tn + fn == 0:
+                continue
+            m = report_of_pairs(binary_pairs(tp, fp, tn, fn))["metrics"]
+            assert abs(m["accuracy"] - (tp + tn) / (tp + fp + tn + fn)) < 1e-12
+            if tp + fn:
+                assert abs(m["sensitivity"] - tp / (tp + fn)) < 1e-12
+            if tn + fp:
+                assert abs(m["specificity"] - tn / (tn + fp)) < 1e-12
+
+    def test_empty_matrix(self):
+        # an empty cohort has no metrics; they serialize as JSON null
+        report = report_of([], [])
+        assert report["confusion_2x2"] == {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        assert report["metrics"] is None
+
+
+class TestAccuracy3x3:
+    def test_reference_matrix(self):
+        matrix = report_of_pairs(tier_pairs(((9, 2, 2), (1, 3, 11), (8, 21, 124))))["confusion_3x3"]
+        assert sum(map(sum, matrix["counts"])) == 181
+        assert matrix["accuracy"] == pytest.approx(136 / 181)
+        assert round(matrix["accuracy"], 2) == 0.75
+
+    def test_diagonal_only(self):
+        matrix = report_of_pairs(tier_pairs(((3, 0, 0), (0, 4, 0), (0, 0, 5))))["confusion_3x3"]
+        assert matrix["accuracy"] == 1.0
+
+    def test_uniform_ones(self):
+        matrix = report_of_pairs(tier_pairs(((1, 1, 1), (1, 1, 1), (1, 1, 1))))["confusion_3x3"]
+        assert matrix["accuracy"] == pytest.approx(1 / 3)
+
+    def test_empty(self):
+        matrix = report_of([], [])["confusion_3x3"]
+        assert matrix["counts"] == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        assert matrix["accuracy"] is None
+
+
+DEFAULT_CUTOFFS = (349.0, 390.0, 400.0, 410.0, 420.0)
+
+
+class TestThresholdSweep:
+    def test_cutoff_349_equals_unadjusted(self):
+        rng = random.Random(21)
+        actual = [float(rng.randint(200, 800)) for _ in range(100)]
+        predicted = [float(rng.randint(200, 800)) for _ in range(100)]
+        report = report_of(actual, predicted, pass_at=350.0, sweep_cutoffs=(349.0,))
+        [point] = report["sweep"]
+        assert {k: point[k] for k in ("tp", "fp", "tn", "fn")} == report["confusion_2x2"]
+
+    def test_tp_up_tn_down_across_cutoffs(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            actual = [float(rng.randint(200, 800)) for _ in range(60)]
+            predicted = [rng.uniform(200, 800) for _ in range(60)]
+            points = report_of(actual, predicted, pass_at=350.0, sweep_cutoffs=DEFAULT_CUTOFFS)["sweep"]
+            tps = [p["tp"] for p in points]
+            tns = [p["tn"] for p in points]
+            assert tps == sorted(tps)
+            assert tns == sorted(tns, reverse=True)
+
+    def test_cutoff_below_everything(self):
+        actual = [300.0, 400.0, 320.0]
+        predicted = [500.0, 500.0, 500.0]
+        [point] = report_of(actual, predicted, pass_at=350.0, sweep_cutoffs=(210.0,))["sweep"]
+        assert point["tp"] == 0
+        assert point["fn"] == 2
 
 
 # ---------------------------------------------------------------------------
