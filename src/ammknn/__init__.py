@@ -7,13 +7,7 @@ and confusion-matrix reporting.
 """
 
 from .config import PipelineConfig, config_from_json_dict, load_config
-from .frame import (
-    AggregationSpec,
-    Frame,
-    aggregate_means,
-    load_csv,
-    write_csv,
-)
+from .frame import AggregationSpec, Frame, load_csv, write_csv
 from .knn import (
     AmmknnConfig,
     PredictionRecord,
@@ -29,7 +23,7 @@ from .preprocess import (
     standardize_joint,
 )
 from .report import TierBoundaries, classify_tier
-from .synth import CohortSplit, SplitMix64, SynthSpec, assign_cohort_years, generate_cohort
+from .synth import CohortSplit, SplitMix64, SynthSpec, generate_cohort
 
 __version__ = "0.1.0"
 
@@ -45,9 +39,7 @@ __all__ = [
     "StandardizationStats",
     "SynthSpec",
     "TierBoundaries",
-    "aggregate_means",
     "ammknn_predict_batch",
-    "assign_cohort_years",
     "classify_tier",
     "config_from_json_dict",
     "cumulative_means",

@@ -1,19 +1,18 @@
-"""Rectangular cohort data: CSV loading, column projection and group means.
+"""Rectangular cohort data: the Frame, and CSV reading and writing.
 
 A Frame is an immutable in-memory table of numeric cells (missing cells
 are ``None``). Every row is one subject; one column is designated as the
-prediction target. All operations are pure functions returning new
-Frames, so frames can be shared freely across workers.
+prediction target. Frames can be shared freely across workers.
 
 Cells are checked once, where they enter: the public ``Frame(...)``
 constructor checks the shape of every row and converts every cell that
 is not an exact ``float`` or ``None``, and ``load_csv`` parses every cell
-with ``float()`` or refuses it. Frames derived from a checked Frame
-(column projections, group means, the two sides of ``prepare``'s year
-split, z-scores) hold only cells taken from it or floats computed from
-them, so they are built through ``Frame._derived``, which checks column
-labels but not cells. The synthetic generator builds its Frames the same
-way: every cell it stores is an exact float from ``round`` or ``float``.
+with ``float()`` or refuses it, so it builds its Frame through
+``Frame._derived``, which checks column labels but not cells.
+
+``prepare`` keeps no Frame of its raw input: ``load_csv`` hands it each
+record as it is parsed, and ``write_csv`` writes rows from any iterable,
+so neither ``prepare`` nor ``synth`` holds a table it writes.
 
 Whether a cell may enter arithmetic is decided by one helper,
 ``refuse_unusable``, wherever cells first enter it: the cohort year, the
@@ -23,8 +22,9 @@ NaN/infinite cell is refused, naming it as ``<training|validation|
 subject|input> row i, column c``.
 
 CSV conventions: UTF-8, one header row, ``.`` decimal separator, empty
-string means missing. Column labels are taken verbatim from the header
-and treated as opaque keys (no sanitization).
+string means missing, and a blank line holds no row. Column labels are
+taken verbatim from the header and treated as opaque keys (no
+sanitization).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, itemgetter
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, DataError
 
@@ -102,10 +102,9 @@ class Frame:
     Invariant: ``rows`` is a tuple of equal-width tuples whose cells are
     exact ``float`` or ``None``. ``Frame(...)`` establishes it for any
     input: ragged rows are refused and other cells go through ``float()``.
-    The module's own operations build their results with ``_derived``,
-    which trusts it, because every cell they store comes from a Frame that
-    already holds it; re-scanning those cells was most of the time spent
-    constructing Frames.
+    ``load_csv`` builds its Frame with ``_derived``, which trusts it,
+    because every cell it stores comes from ``float()``; re-scanning
+    those cells was most of the time spent constructing Frames.
     """
 
     __slots__ = ("column_names", "rows", "target_name", "row_ids", "id_name")
@@ -205,19 +204,6 @@ class Frame:
     def row_id(self, i: int) -> Optional[str]:
         return self.row_ids[i] if self.row_ids is not None else None
 
-    # -- structural helpers (each returns a new Frame) --------------------
-
-    def select_columns(self, names: Sequence[str]) -> "Frame":
-        idx = [self.column_index(n) for n in names]
-        target = self.target_name if self.target_name in names else None
-        return Frame._derived(
-            names,
-            tuple(map(_picker(idx), self.rows)),
-            target,
-            self.row_ids,
-            self.id_name,
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented
@@ -261,8 +247,8 @@ def _parse_cell(text: str, row: int, column: str) -> Cell:
         raise DataError(f"non-numeric cell {text!r} at row {row}, column {column!r}") from None
 
 
-def _read_records(reader, path, target_name: Optional[str], id_column: Optional[str]):
-    """(column names, numeric rows, ids or None) from a CSV reader."""
+def _read_header(reader, path, target_name: Optional[str], id_column: Optional[str]):
+    """(column names without the id, id position or None) from a CSV reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -275,27 +261,37 @@ def _read_records(reader, path, target_name: Optional[str], id_column: Optional[
         raise ConfigError(f"{path}: target {target_name!r} not in header")
     if id_column is not None and id_column not in header:
         raise ConfigError(f"{path}: id column {id_column!r} not in header")
-
     id_pos = header.index(id_column) if id_column is not None else None
-    names = [h for i, h in enumerate(header) if i != id_pos]
-    rows = []
-    ids = [] if id_column is not None else None
+    return [h for i, h in enumerate(header) if i != id_pos], id_pos
+
+
+def _records(reader, path, names: Sequence[str], id_pos: Optional[int]) -> Iterator:
+    """(row number, id or None, list of cells) for each record after the header.
+
+    A blank line (a record of no fields) holds no subject and is skipped,
+    but still counted, so the rows after it keep their numbers.
+    """
+    width = len(names) + (id_pos is not None)
     for lineno, record in enumerate(reader, start=1):
-        if len(record) != len(header):
-            raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
-        if id_pos is not None:
-            ids.append(record.pop(id_pos))
+        if len(record) != width:
+            if not record:
+                continue
+            raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {width}")
+        rid = None if id_pos is None else record.pop(id_pos)
         try:
-            # via a list, so the tuple is allocated at its exact size: tuple()
-            # of a map has no length hint and would keep a block ~15% larger
-            rows.append(tuple(list(map(float, record))))
+            cells = list(map(float, record))
         except ValueError:
             # an empty (missing) cell, or a cell float() refuses
-            rows.append(tuple([_parse_cell(text, lineno, name) for text, name in zip(record, names)]))
-    return names, tuple(rows), (None if ids is None else tuple(ids))
+            cells = [_parse_cell(text, lineno, name) for text, name in zip(record, names)]
+        yield lineno, rid, cells
 
 
-def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) -> Frame:
+def load_csv(
+    path,
+    target_name: Optional[str],
+    id_column: Optional[str] = None,
+    consume: Optional[Callable[[list, Iterator], None]] = None,
+) -> Frame:
     """Load a Frame from a CSV file.
 
     The id column (if named) is pulled out into ``row_ids`` and is the only
@@ -305,71 +301,43 @@ def load_csv(path, target_name: Optional[str], id_column: Optional[str] = None) 
     those names always come from the configuration.
     Every cell is checked here, as it is parsed, so the Frame is built
     without a second scan.
+
+    With ``consume``, no row is kept: ``consume(names, records)`` is called
+    once with the column labels and an iterator that parses each record as
+    it is asked for one, as ``(row number, id or None, list of cells)``,
+    and the Frame returned holds the header alone.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            names, rows, ids = _read_records(csv.reader(fh), path, target_name, id_column)
+            reader = csv.reader(fh)
+            names, id_pos = _read_header(reader, path, target_name, id_column)
+            records = _records(reader, path, names, id_pos)
+            rows, ids = [], []
+            if consume is not None:
+                consume(names, records)
+            else:
+                for _, rid, cells in records:
+                    rows.append(tuple(cells))
+                    ids.append(rid)
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory, not a CSV file") from None
-    return Frame._derived(names, rows, target_name, ids, id_column)
+    row_ids = None if id_column is None else tuple(ids)
+    return Frame._derived(names, tuple(rows), target_name, row_ids, id_column)
 
 
-def write_csv(frame: Frame, path) -> None:
-    """Write a Frame back to CSV (id column first when present).
+def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
+    """Write a header row, then each row of ``rows`` as it comes.
 
     The csv module writes a missing cell (None) as an empty field and a
     float with ``repr()``, the shortest round-trip form, so load -> write
-    -> load reproduces the Frame cell for cell.
+    -> load reproduces every cell bit for bit. Nothing but the current row
+    is held, so ``rows`` may be drawn or computed as it is written.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if frame.row_ids is not None:
-            writer.writerow([frame.id_name or "id", *frame.column_names])
-            writer.writerows((rid, *row) for rid, row in zip(frame.row_ids, frame.rows))
-        else:
-            writer.writerow(frame.column_names)
-            writer.writerows(frame.rows)
-
-
-# --------------------------------------------------------------------------
-# Aggregation
-# --------------------------------------------------------------------------
-
-def aggregate_means(frame: Frame, specs: Sequence[AggregationSpec]) -> Frame:
-    """Append one row-wise mean column per spec; every column is kept.
-
-    A group mean is missing whenever any member cell is missing; silent
-    partial means would hide data problems.
-    """
-    names = list(frame.column_names)
-    for spec in specs:
-        for m in spec.member_columns:
-            frame.column_index(m)
-        if spec.group_name in names:
-            raise DataError(f"column {spec.group_name!r} already exists")
-        names.append(spec.group_name)
-
-    means = []
-    for spec in specs:
-        # member columns are added left to right from 0.0, one column at a
-        # time; built-in sum() would round differently from Python 3.12 on
-        total = [0.0] * frame.n_rows
-        gaps = False
-        for m in spec.member_columns:
-            col = frame.column(m)
-            if not gaps:
-                try:
-                    total = list(map(add, total, col))
-                    continue
-                except TypeError:  # float + None: this column has a missing cell
-                    gaps = True
-            total = [None if t is None or x is None else t + x for t, x in zip(total, col)]
-        k = len(spec.member_columns)
-        means.append([None if t is None else t / k for t in total])
-
-    rows = tuple(map(add, frame.rows, zip(*means))) if means else frame.rows
-    return Frame._derived(names, rows, frame.target_name, frame.row_ids, frame.id_name)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,15 +1,19 @@
 """End-to-end workflow steps behind the CLI subcommands.
 
 prepare: raw cohort CSV -> train/validation CSVs plus the selection audit
-JSON. Group means are appended; one pass picks the columns and puts each
-row on its side of the year cutoff, counting the rows it leaves out (no
-usable year, a missing target, a missing cell); both sides are then
-jointly standardized and correlation-selected.
+JSON. Each record is handled as it is read: its group means are
+appended, it is put on its side of the year cutoff or counted as left
+out (no usable year, a missing target, a missing cell), and its kept
+cells go into one compact column per side and kept label, so memory
+follows the kept cells, not the raw table. Both sides are then jointly
+standardized and correlation-selected a column at a time.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
 Both refuse a cohort whose feature columns are not the training table's.
-synth/plot: generator and figure plumbing.
+synth/plot: generator and figure plumbing; synth writes each block of
+rows as it is drawn. Every step turns an ``--out`` that cannot be made a
+directory into a ``DataError``.
 
 loocv, validate and predict all score through one loop in ``knn``: a
 ``math.dist`` filter over every training row, then exact left-to-right
@@ -28,18 +32,21 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import replace
-from typing import Optional
+from functools import reduce
+from operator import add
+from typing import NamedTuple, Optional
 
 from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .frame import Frame, _picker, aggregate_means, load_csv, refuse_unusable, write_csv
+from .frame import Frame, _picker, load_csv, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
-from .synth import CohortSplit, SynthSpec, assign_cohort_years, generate_cohort
+from .synth import CohortSplit, SynthSpec, generate_cohort
 
 TRAIN_CSV = "train.csv"
 VALIDATION_CSV = "validation.csv"
@@ -50,6 +57,18 @@ VALIDATE_JSON = "validate_ammknn.json"
 ROSTER_JSON = "roster.json"
 PREDICTIONS_JSONL = "predictions.jsonl"
 SYNTH_CSV = "cohort.csv"
+
+
+def _make_out_dir(out_dir) -> None:
+    """Create a step's output directory (and its parents) if missing. A
+    path that cannot be made a directory, such as an existing file, is a
+    ``DataError`` naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"{out_dir}: cannot be used as the output directory ({exc.strerror})"
+        ) from None
 
 
 def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
@@ -90,44 +109,49 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
     return replace(config, outlier_feature=best)
 
 
-def _split_cohort(config: PipelineConfig, input_path):
-    """Raw cohort CSV -> (train, validation, row and column counts).
+class _Side(NamedTuple):
+    """One side of ``prepare``'s year split: the kept rows' ids (each None
+    where the input has no id column) and one column per kept label."""
 
-    Group means are appended, then one column list is picked: the
-    candidate columns (``include_columns`` less ``exclude_columns``; the
-    target is always kept) without the group members and the cohort year.
-    One pass puts each row in the first bucket that fits, counting the
-    first three: (1) no cohort year, or one outside both windows; (2) a
-    missing target; (3) any other missing cell in the picked columns;
-    (4) train, a year before ``year_cutoff``; (5) validation, a year in
-    ``[year_cutoff, year_cutoff + 1)``. Each side is copied once.
+    ids: list
+    columns: list
 
-    A NaN or infinite year is refused: it would fall silently into
-    neither side (NaN, +inf) or into training (-inf). Only the two sides
-    outlive this call, so the raw table is freed before standardization.
-    """
-    frame = load_csv(input_path, config.target_name, config.id_column)
-    if config.aggregations:
-        frame = aggregate_means(frame, config.aggregations)
+
+# kept rows are moved into the compact columns this many at a time
+_BLOCK_ROWS = 256
+
+
+def _split_records(config: PipelineConfig, names: list, records) -> tuple:
+    """``prepare``'s pass over the raw records; see ``_split_cohort``."""
+    known = list(names)
+    groups = []
+    for spec in config.aggregations:
+        for m in spec.member_columns:
+            if m not in names:
+                raise DataError(f"no column named {m!r}")
+        if spec.group_name in known:
+            raise DataError(f"column {spec.group_name!r} already exists")
+        known.append(spec.group_name)
+        member_at = [names.index(m) for m in spec.member_columns]
+        groups.append((_picker(member_at), len(member_at)))
     members = set()
     for spec in config.aggregations:
         if config.target_name in spec.member_columns:
             raise ConfigError(f"aggregation {spec.group_name!r} would drop the target column")
         members.update(spec.member_columns)
-    available = [n for n in frame.column_names if n not in members]
+    available = [n for n in known if n not in members]
     include = config.include_columns
     for name in include or ():
         if name not in available:
             raise ConfigError(f"include_columns: no column named {name!r}")
     for name in config.exclude_columns:  # a group member may be excluded too
-        if name not in frame.column_names:
+        if name not in known:
             raise ConfigError(f"exclude_columns: no column named {name!r}")
     cohort, cutoff = config.cohort_column, config.year_cutoff
     if cohort is None or cutoff is None:
         raise ConfigError("prepare needs cohort_column and year_cutoff")
     if cohort not in available:
         raise ConfigError(f"cohort column {cohort!r} not in input")
-    refuse_unusable("input row {}".format, [cohort], [frame.column(cohort)], missing_ok=True)
 
     columns = [
         n for n in available
@@ -136,15 +160,32 @@ def _split_cohort(config: PipelineConfig, input_path):
             or (include is None or n in include) and n not in config.exclude_columns
         )
     ]
-    pick = _picker([frame.column_index(n) for n in columns])
-    year, target = frame.column_index(cohort), frame.column_index(config.target_name)
+    pick = _picker([known.index(n) for n in columns])
+    year, target = known.index(cohort), known.index(config.target_name)
     next_year = cutoff + 1
     outside = 0
     missing_target, incomplete = [0, 0], [0, 0]
-    rows, kept = ([], []), ([], [])  # per side: the picked cells, the row numbers
-    for i, row in enumerate(frame.rows):
+    bad_year = None
+    sides = tuple(_Side([], [array("d") for _ in columns]) for _ in (0, 1))
+    blocks = ([], [])  # per side: kept rows not yet moved into its columns
+
+    def flush(side: int) -> None:
+        for column, cells in zip(sides[side].columns, zip(*blocks[side])):
+            column.extend(cells)
+        blocks[side].clear()
+
+    for lineno, rid, row in records:
+        for get, k in groups:
+            try:
+                # members added left to right from 0.0; built-in sum()
+                # would round differently from Python 3.12 on
+                row.append(reduce(add, get(row), 0.0) / k)
+            except TypeError:  # float + None: a missing member cell
+                row.append(None)
         y = row[year]
-        if y is None or y >= next_year:
+        if y is None or not -math.inf < y < next_year:
+            if y is not None and bad_year is None and not math.isfinite(y):
+                bad_year = (lineno, y)
             outside += 1
             continue
         side = 0 if y < cutoff else 1
@@ -155,17 +196,18 @@ def _split_cohort(config: PipelineConfig, input_path):
         if None in cells:
             incomplete[side] += 1
             continue
-        rows[side].append(cells)
-        kept[side].append(i)
+        sides[side].ids.append(rid)
+        blocks[side].append(cells)
+        if len(blocks[side]) == _BLOCK_ROWS:
+            flush(side)
+    flush(0)
+    flush(1)
+    if bad_year is not None:
+        # a NaN or infinite year would fall silently into neither side
+        # (NaN, +inf) or into training (-inf)
+        lineno, y = bad_year
+        refuse_unusable(lambda _: f"input row {lineno - 1}", [cohort], [(y,)])
 
-    ids = frame.row_ids
-    train, validation = (
-        Frame._derived(
-            columns, tuple(rows[side]), config.target_name,
-            None if ids is None else tuple(map(ids.__getitem__, kept[side])), frame.id_name,
-        )
-        for side in (0, 1)
-    )
     counts = {
         "dropped_outside_years": outside,
         "columns_in": len(columns),
@@ -174,24 +216,60 @@ def _split_cohort(config: PipelineConfig, input_path):
         "train_dropped_incomplete": incomplete[0],
         "validation_dropped_incomplete": incomplete[1],
     }
-    return train, validation, counts
+    return columns, sides[0], sides[1], counts
+
+
+def _split_cohort(config: PipelineConfig, input_path):
+    """Raw cohort CSV -> (kept column labels, train side, validation side,
+    row and column counts).
+
+    Each record is handled as ``load_csv`` parses it, and only the kept
+    cells outlive it. Its group means are appended, then one column list
+    is picked: the candidate columns (``include_columns`` less
+    ``exclude_columns``; the target is always kept) without the group
+    members and the cohort year. The record goes to the first bucket that
+    fits, counting the first three: (1) no cohort year, or one outside
+    both windows; (2) a missing target; (3) any other missing cell in the
+    picked columns; (4) train, a year before ``year_cutoff``; (5)
+    validation, a year in ``[year_cutoff, year_cutoff + 1)``. The picked
+    cells of the last two are moved, a block of rows at a time, into one
+    ``array('d')`` per kept column of the side.
+
+    The configuration's columns are checked against the header before any
+    row is read. A NaN or infinite year is refused once every record has
+    been parsed, as ``input row i`` (i counts records from 0, blank lines
+    included).
+    """
+    split = []
+    load_csv(
+        input_path, config.target_name, config.id_column,
+        lambda names, records: split.extend(_split_records(config, names, records)),
+    )
+    return tuple(split)
 
 
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    train, validation, counts = _split_cohort(config, input_path)
-    train, validation, _ = standardize_joint(train, validation)
-    train, selection = select_by_correlation(train, config.correlation_threshold)
-    validation = validation.select_columns(selection.kept_columns)
-
-    write_csv(train, os.path.join(out_dir, TRAIN_CSV))
-    write_csv(validation, os.path.join(out_dir, VALIDATION_CSV))
+    _make_out_dir(out_dir)
+    names, train, validation, counts = _split_cohort(config, input_path)
+    standardize_joint(names, config.target_name, train.columns, validation.columns)
+    selection = select_by_correlation(
+        names, config.target_name, train.columns, config.correlation_threshold
+    )
+    kept = [names.index(n) for n in selection.kept_columns]
+    header = list(selection.kept_columns)
+    if config.id_column is not None:
+        header.insert(0, config.id_column)
+    for side, file_name in ((train, TRAIN_CSV), (validation, VALIDATION_CSV)):
+        columns = [side.columns[j] for j in kept]
+        if config.id_column is not None:
+            columns.insert(0, side.ids)
+        write_csv(header, os.path.join(out_dir, file_name), zip(*columns))
     report_mod.dump_json(
         selection.to_json_dict(), os.path.join(out_dir, SELECTION_JSON)
     )
     return {
-        "train_rows": train.n_rows,
-        "validation_rows": validation.n_rows,
+        "train_rows": len(train.ids),
+        "validation_rows": len(validation.ids),
         **counts,
         "columns_kept": len(selection.kept_columns),
         "columns_dropped": len(selection.dropped_columns),
@@ -199,7 +277,7 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     train = load_csv(train_path, config.target_name, config.id_column)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
 
@@ -252,7 +330,7 @@ def _load_pair(config: PipelineConfig, train_path, cohort_path, require_target: 
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     train, cohort = _load_pair(config, train_path, cohort_path, require_target=True)
     actual = cohort.target_values()
     # a missing score would break the report's tallies; a NaN one would
@@ -291,7 +369,7 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
 
 
 def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> list:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     train, cohort = _load_pair(config, train_path, cohort_path, require_target=False)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
     records = ammknn_predict_batch(cohort, train, ammknn_cfg)
@@ -312,9 +390,9 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
 
     The document holds the SynthSpec fields, optionally under sibling key
     "split" the CohortSplit fields, to stamp a cohort-year column for the
-    year-cutoff pipeline.
+    year-cutoff pipeline. Each block of rows is written as it is drawn.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     if not isinstance(spec_doc, dict):
         raise ConfigError("generator spec must be a JSON object")
     doc = dict(spec_doc)
@@ -322,16 +400,16 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     if seed_override is not None:
         doc["seed"] = seed_override
     spec = SynthSpec.from_json_dict(doc)
-    frame = generate_cohort(spec)
     if split is not None:
-        frame = assign_cohort_years(frame, _from_json(CohortSplit, split, "split", seed=spec.seed))
+        split = _from_json(CohortSplit, split, "split", seed=spec.seed)
+    header, rows = generate_cohort(spec, split)
     path = os.path.join(out_dir, SYNTH_CSV)
-    write_csv(frame, path)
-    return {"rows": frame.n_rows, "columns": frame.n_cols, "path": path}
+    write_csv(header, path, rows)
+    return {"rows": spec.n_rows, "columns": len(header) - 1, "path": path}
 
 
 def run_plot(report_path, kind: str, out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     report = _read_json(report_path, DataError, "report")
     svg = svgplot.render_plot(report, kind)
     out_path = os.path.join(out_dir, f"{kind}.svg")

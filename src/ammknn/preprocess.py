@@ -5,20 +5,25 @@ rows *together* — standardizing the two sets separately leaks a shifted
 validation distribution straight into the feature space, which is the
 one preprocessing mistake this module exists to prevent. The target
 column passes through untouched so predictions stay in score units.
+
+Both steps work on lists of columns, not on Frames: ``prepare`` holds
+each side's kept cells as compact ``array('d')`` columns, and
+standardization replaces one column at a time with its z-scores.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from array import array
 from collections import deque
-from itertools import accumulate, islice
+from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
-from .frame import Frame, refuse_unusable
+from .frame import refuse_unusable
 
 log = logging.getLogger(__name__)
 
@@ -72,71 +77,61 @@ def _column_stats(label: str, values: Sequence[float]):
     if len(values) < 2:
         raise DataError("standardization needs at least 2 rows")
     mean = left_sum(values) / len(values)
-    d = [v - mean for v in values]
+    d = array("d", map(mean.__rsub__, values))  # v - mean
     sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
     if sd == 0.0:
         raise DataError(f"column {label!r} has zero variance")
     return mean, sd, d
 
 
-def standardize_joint(train: Frame, extra: Optional[Frame] = None):
-    """Z-score both frames with stats pooled over their concatenated rows.
+def standardize_joint(
+    names: Sequence[str],
+    target_name: Optional[str],
+    train: list,
+    validation: Optional[list] = None,
+) -> StandardizationStats:
+    """Z-score, in place, every column but the target of ``train`` and
+    ``validation`` with stats pooled over their rows, training rows first.
 
-    The target column passes through unchanged. Sample (n-1) standard
-    deviation is used.
-    Returns (train, extra, StandardizationStats); extra is None when absent.
+    ``train`` and ``validation`` are lists of columns, one per label in
+    ``names``; each standardized column is replaced by an ``array('d')``
+    of its z-scores, so the raw cells are freed a column at a time.
+    ``validation`` may be None. The target column passes through
+    unchanged. Sample (n-1) standard deviation is used.
 
-    The work is done a column at a time: each pooled column is pulled out
-    once, its deviations from the mean give both the sd and the z-scores
-    (``d / sd``, the same float as ``(v - mean) / sd``), and the result
-    rows are zipped back from the columns and split at the train/extra
-    boundary. The z-scores are floats computed from checked cells, so the
-    returned Frames are not scanned again.
+    Every cell is checked before any statistic: the first NaN or infinite
+    feature cell, in training then validation row order, is refused, then
+    the first such target cell. Each pooled column's deviations from the
+    mean give both the sd and the z-scores ``d / sd``, the same float as
+    ``(v - mean) / sd``.
     """
-    if extra is not None:
-        if extra.column_names != train.column_names:
-            raise DataError(
-                f"column sets differ: {train.column_names} vs {extra.column_names}"
-            )
-        if extra.target_name != train.target_name:
-            raise DataError("target columns differ between frames")
-
-    excluded = tuple(n for n in train.column_names if n == train.target_name)
-    to_standardize = tuple(n for n in train.column_names if n not in excluded)
-
-    pooled_rows = train.rows + (extra.rows if extra is not None else ())
-    columns = list(zip(*pooled_rows)) if pooled_rows else [()] * train.n_cols
-    n = train.n_rows
-
-    def row_name(i: int) -> str:
-        return f"training row {i}" if i < n else f"validation row {i - n}"
-
+    sides = [("training", train)]
+    if validation is not None:
+        sides.append(("validation", validation))
+    excluded = tuple(n for n in names if n == target_name)
+    idx = [j for j, name in enumerate(names) if name not in excluded]
+    to_standardize = tuple(names[j] for j in idx)
     # a NaN would make a column's mean and sd NaN, and the correlation
     # filter would then drop the column without a word
-    idx = [i for i, name in enumerate(train.column_names) if name not in excluded]
-    refuse_unusable(row_name, to_standardize, [columns[i] for i in idx])
-    if train.target_name is not None:
-        target = columns[train.column_index(train.target_name)]
-        refuse_unusable(row_name, [train.target_name], [target], missing_ok=True)
+    for label, side in sides:
+        refuse_unusable(f"{label} row {{}}".format, to_standardize, [side[j] for j in idx])
+    if excluded:
+        t = names.index(target_name)
+        for label, side in sides:
+            refuse_unusable(f"{label} row {{}}".format, excluded, [side[t]], missing_ok=True)
+
     means: dict = {}
     sds: dict = {}
-    for name, i in zip(to_standardize, idx):
-        mean, sd, deviations = _column_stats(name, columns[i])
+    n = len(train[0]) if train else 0
+    for name, j in zip(to_standardize, idx):
+        pooled = train[j] if validation is None else train[j] + validation[j]
+        mean, sd, deviations = _column_stats(name, pooled)
         means[name], sds[name] = mean, sd
-        columns[i] = [d / sd for d in deviations]
-
-    rows = zip(*columns) if columns else iter(((),) * len(pooled_rows))
-    train_std = Frame._derived(
-        train.column_names, tuple(islice(rows, train.n_rows)),
-        train.target_name, train.row_ids, train.id_name,
-    )
-    extra_std = None
-    if extra is not None:
-        extra_std = Frame._derived(
-            extra.column_names, tuple(rows), extra.target_name, extra.row_ids, extra.id_name
-        )
-    stats = StandardizationStats(means, sds, to_standardize, excluded)
-    return train_std, extra_std, stats
+        z = array("d", map(sd.__rtruediv__, deviations))  # d / sd
+        train[j] = z[:n]
+        if validation is not None:
+            validation[j] = z[n:]
+    return StandardizationStats(means, sds, to_standardize, excluded)
 
 
 def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
@@ -176,34 +171,34 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     return r
 
 
-def select_by_correlation(frame: Frame, threshold: float):
-    """Drop non-target columns whose |r| with the target is below threshold.
+def select_by_correlation(
+    names: Sequence[str], target_name: str, train: Sequence[Sequence[float]], threshold: float
+) -> SelectionResult:
+    """Keep the target and each column of ``train`` (one per label in
+    ``names``) whose |r| with the target is at least ``threshold``.
 
     Negatively correlated predictors carry signal, so the magnitude is what
-    counts. Kept columns preserve their original order and values; one audit
-    log line is emitted per column so selection runs are diffable. All
-    columns are correlated in one sweep, which works out the target's
-    deviations once; every r is bit-identical to ``pearson_correlation``
-    of that column and the target.
-    Returns (selected Frame, SelectionResult).
+    counts. Kept columns preserve their original order; one audit log line
+    is emitted per column so selection runs are diffable. All columns are
+    correlated in one sweep, which works out the target's deviations once;
+    every r is bit-identical to ``pearson_correlation`` of that column and
+    the target.
     """
-    target = frame.target_values()
-    features = frame.feature_names()
-    by_name = dict(zip(frame.column_names, frame.columns()))
-    rs = dict(zip(features, _correlations([by_name[n] for n in features], target)))
+    t = names.index(target_name)
+    features = [j for j in range(len(names)) if j != t]
+    rs = dict(zip(features, _correlations([train[j] for j in features], train[t])))
     kept = []
     dropped = []
-    for n, name in enumerate(frame.column_names, start=1):
-        if name == frame.target_name:
+    for j, name in enumerate(names):
+        if j == t:
             kept.append(name)
             continue
-        r = rs[name]
+        r = rs[j]
         if r is None:
             raise DataError(f"column {name!r} is constant")
-        log.info("%d. Correlation between %s and target = %.7g.", n, name, r)
+        log.info("%d. Correlation between %s and target = %.7g.", j + 1, name, r)
         if abs(r) >= threshold:
             kept.append(name)
         else:
             dropped.append((name, r))
-    result = SelectionResult(tuple(kept), tuple(dropped), threshold)
-    return frame.select_columns(kept), result
+    return SelectionResult(tuple(kept), tuple(dropped), threshold)

@@ -27,23 +27,26 @@ golden outputs survive toolchain upgrades):
   consecutive uniforms (the sine companion is discarded).
 * Draw order in generate_cohort: per row, one ability normal followed by
   one normal per feature, rows in order.
-* assign_cohort_years: Fisher-Yates shuffle of row indices, ``j = next_u64()
-  mod (i + 1)`` for i from n-1 down to 1.
+* Cohort years (generate_cohort with a split): Fisher-Yates shuffle of row
+  indices, ``j = next_u64() mod (i + 1)`` for i from n-1 down to 1, from
+  its own generator seeded with the split's seed; the first
+  round(train_fraction * n) shuffled indices, clamped to [1, n - 1], are
+  the training rows.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from math import cos, log, sqrt
 from statistics import NormalDist
-from typing import Tuple
+from typing import Iterator, Optional, Tuple
 
 from .config import _from_json
 from .errors import ConfigError
-from .frame import Frame
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # state increment
@@ -129,8 +132,13 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class CohortSplit:
-    """How assign_cohort_years stamps cohort years: the generator spec's
-    ``split`` stanza, whose seed defaults to the spec's own."""
+    """How generate_cohort stamps cohort years: the generator spec's
+    ``split`` stanza, whose seed defaults to the spec's own.
+
+    Training rows get ``train_year`` (below the cutoff) and the rest
+    ``validation_year``, in a column named ``column`` placed after the
+    row id, letting generated cohorts flow through the same
+    year-filtered pipeline as real exports."""
 
     train_fraction: float
     seed: int
@@ -195,80 +203,82 @@ def _normals(words) -> list:
     ]
 
 
-def generate_cohort(spec: SynthSpec) -> Frame:
-    """Deterministic Frame for the spec; identical seeds give identical frames.
+def generate_cohort(spec: SynthSpec, split: Optional[CohortSplit] = None):
+    """(CSV header, rows) of the spec's cohort; identical seeds give
+    identical rows.
 
-    Columns are f01..fNN (signal features first) plus a 'score' target;
-    row ids are S0001-style. Features are rounded to 6 decimals and the
-    target to a whole score, keeping CSV fixtures compact.
+    Columns are the row id (S0001-style, under ``student_id``), the
+    cohort year when ``split`` is given, f01..fNN (signal features first)
+    and a 'score' target. Features are rounded to 6 decimals and the target
+    to a whole score, keeping CSV fixtures compact.
 
-    The normals are drawn a block of rows at a time (about 1024 normals,
-    at least one row), in the documented order, so memory beyond the
-    Frame stays bounded whatever the spec's size.
+    ``rows`` is an iterator: the normals are drawn a block of rows at a
+    time (about 1024 normals, at least one row), in the documented order,
+    and each row is made only when it is asked for, so memory stays
+    bounded whatever the spec's size. The split is worked out here, before
+    the first row, so a bad split stanza is refused before anything is
+    written.
     """
+    names = [f"f{j + 1:02d}" for j in range(spec.n_features)]
+    if split is None:
+        return ["student_id", *names, "score"], _rows(spec, repeat(()))
+    train = _train_mask(spec.n_rows, split.train_fraction, split.seed)
+    years = (float(split.validation_year),), (float(split.train_year),)
+    return (
+        ["student_id", split.column, *names, "score"],
+        _rows(spec, map(years.__getitem__, train)),
+    )
+
+
+def _rows(spec: SynthSpec, leads) -> Iterator[tuple]:
+    """Each row of the cohort as ``(id, *lead, *features, score)``, with
+    ``lead`` the next item of ``leads``."""
     low, high = spec.target_range
     slope, intercept = spec._score_map()
     per_row = spec.n_features + 1
     signal_end = 1 + spec.signal_features
     times_sd = float(spec.noise_sd).__mul__
     sixes = repeat(6)
+    width = len(str(spec.n_rows))
 
     block_rows = max(1, 1024 // per_row)
     lanes = _Lanes(2 * min(block_rows, spec.n_rows) * per_row)
     state = spec.seed & _MASK64
-    rows = []
+    i = 0
     for first in range(0, spec.n_rows, block_rows):
         count = 2 * min(block_rows, spec.n_rows - first) * per_row
         normals = _normals(lanes.words(state, count))
         state = (state + count * _GAMMA) & _MASK64
         for base in range(0, len(normals), per_row):
+            i += 1
             ability = normals[base]
             signal = map(ability.__add__, map(times_sd, normals[base + 1:base + signal_end]))
-            rows.append((
+            yield (
+                f"S{i:0{width}d}",
+                *next(leads),
                 *map(round, signal, sixes),
                 *map(round, normals[base + signal_end:base + per_row], sixes),
                 float(min(max(round(intercept + slope * ability), low), high)),
-            ))
-    width = len(str(spec.n_rows))
-    names = [f"f{j + 1:02d}" for j in range(spec.n_features)] + ["score"]
-    ids = tuple(f"S{i + 1:0{width}d}" for i in range(spec.n_rows))
-    return Frame._derived(names, tuple(rows), "score", ids, "student_id")
+            )
 
 
-def _split_indices(n: int, train_fraction: float, seed: int):
+def _train_mask(n: int, train_fraction: float, seed: int) -> bytearray:
+    """1 for each of the n rows on the training side of a seeded split, else 0.
+
+    The training side is round(train_fraction * n) rows, clamped so both
+    sides stay non-empty, chosen by the documented Fisher-Yates shuffle.
+    """
     if n < 2:
         raise ConfigError(f"a split needs n_rows >= 2, got {n}")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = min(max(round(train_fraction * n), 1), n - 1)
-    indices = list(range(n))
+    indices = array("q", range(n))
     rng = SplitMix64(seed)
     for i in range(n - 1, 0, -1):
         j = rng.next_u64() % (i + 1)
         indices[i], indices[j] = indices[j], indices[i]
-    train_set = set(indices[:n_train])
-    train_idx = [i for i in range(n) if i in train_set]
-    validation_idx = [i for i in range(n) if i not in train_set]
-    return train_idx, validation_idx
-
-
-def assign_cohort_years(frame: Frame, split: CohortSplit) -> Frame:
-    """Stamp a cohort-year column so a year cutoff reproduces a seeded split.
-
-    The training side is round(split.train_fraction * n) rows, clamped so
-    both sides stay non-empty, chosen by a shuffle seeded with
-    ``split.seed``; those rows get ``split.train_year`` (below the cutoff)
-    and the rest ``split.validation_year``, letting generated cohorts flow
-    through the same year-filtered pipeline as real exports. The column is
-    named ``split.column`` and goes first; rows keep their original order.
-    """
-    train_idx, _ = _split_indices(frame.n_rows, split.train_fraction, split.seed)
-    train_set = set(train_idx)
-    train_year, validation_year = float(split.train_year), float(split.validation_year)
-    rows = tuple(
-        (train_year if i in train_set else validation_year, *row)
-        for i, row in enumerate(frame.rows)
-    )
-    return Frame._derived(
-        (split.column, *frame.column_names), rows, frame.target_name, frame.row_ids, frame.id_name
-    )
+    train = bytearray(n)
+    for i in indices[:n_train]:
+        train[i] = 1
+    return train

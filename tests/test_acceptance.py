@@ -242,9 +242,10 @@ def test_criterion_5_standardization():
     extra = Frame(
         names, [[rng.gauss(16, 3), rng.gauss(-2, 0.5), 420.0] for _ in range(20)], "t"
     )
-    train_std, extra_std, _ = standardize_joint(train, extra)
-    for name in ("a", "b"):
-        pooled = list(train_std.column(name)) + list(extra_std.column(name))
+    train_cols, extra_cols = train.columns(), extra.columns()
+    standardize_joint(names, "t", train_cols, extra_cols)
+    for j in (0, 1):
+        pooled = list(train_cols[j]) + list(extra_cols[j])
         n = len(pooled)
         mean = sum(pooled) / n
         sd = (sum((v - mean) ** 2 for v in pooled) / (n - 1)) ** 0.5
@@ -253,10 +254,9 @@ def test_criterion_5_standardization():
 
     # the shifted validation distribution must land differently when
     # standardized jointly vs on its own
-    extra_alone, _, _ = standardize_joint(extra)
-    deltas = [
-        abs(u - v) for u, v in zip(extra_std.column("a"), extra_alone.column("a"))
-    ]
+    extra_alone = extra.columns()
+    standardize_joint(names, "t", extra_alone)
+    deltas = [abs(u - v) for u, v in zip(extra_cols[0], extra_alone[0])]
     assert max(deltas) > 0.5
 
 
@@ -290,12 +290,12 @@ def test_criterion_6_selection():
     frame = _designed_frame()
     kept_sets = []
     for threshold in (0.0, 0.1, 0.19, 0.5):
-        _, result = select_by_correlation(frame, threshold)
+        result = select_by_correlation(frame.column_names, "t", frame.columns(), threshold)
         kept_sets.append(set(result.kept_columns))
     for lower, higher in zip(kept_sets, kept_sets[1:]):
         assert higher <= lower
 
-    _, result = select_by_correlation(frame, 0.19)
+    result = select_by_correlation(frame.column_names, "t", frame.columns(), 0.19)
     assert result.kept_columns == ("r25", "t")
     assert sorted(label for label, _ in result.dropped_columns) == ["r05", "r15"]
 

@@ -1,16 +1,10 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammknn import (
-    AggregationSpec,
-    CohortSplit,
-    Frame,
-    aggregate_means,
-    assign_cohort_years,
-    load_csv,
-    write_csv,
-)
+from ammknn import Frame, load_csv, write_csv
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError, DataError
 from ammknn.pipeline import _split_cohort
@@ -21,6 +15,17 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def write_frame(frame, path):
+    """Write a Frame as a CSV, its id column first when it has one."""
+    if frame.row_ids is None:
+        write_csv(frame.column_names, path, frame.rows)
+    else:
+        write_csv(
+            [frame.id_name or "id", *frame.column_names], path,
+            ((rid, *row) for rid, row in zip(frame.row_ids, frame.rows)),
+        )
 
 
 class TestLoadCsv:
@@ -91,13 +96,39 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate column names in header"):
             load_csv(path, "x")
 
+    def test_blank_lines_hold_no_row_but_keep_row_numbers(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\n\nB,3,4\n\n")
+        frame = load_csv(path, "y", id_column="id")
+        assert frame.rows == ((1.0, 2.0), (3.0, 4.0))
+        assert frame.row_ids == ("A", "B")
+        path = write(tmp_path, "e.csv", "id,x,y\nA,1,2\n\nB,oops,4\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "y", id_column="id")
+        assert str(exc.value) == "non-numeric cell 'oops' at row 3, column 'x'"
+
+    def test_a_lone_missing_cell_is_not_a_blank_line(self, tmp_path):
+        frame = Frame(["x"], [[1.0], [None], [2.0]], None)
+        out = tmp_path / "out.csv"
+        write_frame(frame, out)
+        assert load_csv(out, None).rows == frame.rows
+
+    def test_consume_sees_each_record_and_nothing_is_kept(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y\nA,1,\n\nB,3,4\n")
+        seen = []
+        frame = load_csv(
+            path, "y", id_column="id",
+            consume=lambda names, records: seen.extend([names, *records]),
+        )
+        assert seen == [["x", "y"], (1, "A", [1.0, None]), (3, "B", [3.0, 4.0])]
+        assert (frame.column_names, frame.rows, frame.row_ids) == (("x", "y"), (), ())
+
     def test_round_trip_identical_frame(self, tmp_path):
         path = write(
             tmp_path, "d.csv", "id,x,y\nA,1.5,\nB,0.1,410\nC,-2.25,305\n"
         )
         frame = load_csv(path, "y", id_column="id")
         out = tmp_path / "out.csv"
-        write_csv(frame, out)
+        write_frame(frame, out)
         again = load_csv(out, "y", id_column="id")
         assert again == frame
 
@@ -105,7 +136,7 @@ class TestLoadCsv:
     def test_round_trip_keeps_every_bit(self, tmp_path, ids):
         frame = Frame(["x", "y"], [[None, -0.0], [1e-320, 1e200]], "y", row_ids=ids)
         out = tmp_path / "out.csv"
-        write_csv(frame, out)
+        write_frame(frame, out)
         body = "x,y\r\n,-0.0\r\n1e-320,1e+200\r\n"
         if ids:
             body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,1e+200\r\n"
@@ -147,7 +178,16 @@ def split_cohort(tmp_path, header, rows, **config):
         "target_name": "t", "id_column": "id", "cohort_column": "year", "year_cutoff": 2019,
         **config,
     }
-    return _split_cohort(config_from_json_dict(doc), path)
+    names, train, validation, counts = _split_cohort(config_from_json_dict(doc), path)
+    for side in (train, validation):
+        assert all(type(c) is array and c.typecode == "d" for c in side.columns)
+        assert {len(c) for c in side.columns} == {len(side.ids)}
+    return side_frame(names, train), side_frame(names, validation), counts
+
+
+def side_frame(names, side):
+    """One side of ``prepare``'s split as a Frame."""
+    return Frame(names, list(zip(*side.columns)), "t", side.ids, "id")
 
 
 def split_years(tmp_path, rows, **config):
@@ -239,25 +279,44 @@ class TestDrops:
 
 
 class TestAggregateMeans:
-    def test_mean_of_members(self):
-        frame = Frame(["q1", "q2", "q3", "t"], [[0.8, 0.9, 1.0, 400]], "t")
-        out = aggregate_means(frame, [AggregationSpec("q_mean", ("q1", "q2", "q3"))])
-        assert out.column("q_mean") == (pytest.approx(0.9),)
+    """Group means are added to each record as ``prepare`` reads it."""
 
-    def test_single_member_copies(self):
-        frame = Frame(["q1", "t"], [[0.7, 400], [0.4, 300]], "t")
-        out = aggregate_means(frame, [AggregationSpec("g", ("q1",))])
-        assert out.column("g") == out.column("q1")
+    def test_mean_of_members(self, tmp_path):
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "q3", "t"], [[2018, 0.8, 0.9, 1.0, 400]],
+            aggregations=[{"group_name": "q_mean", "member_columns": ["q1", "q2", "q3"]}],
+        )
+        assert train.column("q_mean") == (pytest.approx(0.9),)
 
-    def test_missing_poisons_the_mean(self):
-        frame = Frame(["q1", "q2", "t"], [[0.8, None, 400], [0.6, 0.8, 300]], "t")
-        out = aggregate_means(frame, [AggregationSpec("g", ("q1", "q2"))])
+    def test_single_member_copies(self, tmp_path):
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "t"], [[2018, 0.7, 400], [2018, 0.4, 300]],
+            aggregations=[{"group_name": "g", "member_columns": ["q1"]}],
+        )
+        assert train.column("g") == (0.7, 0.4)
+
+    def test_missing_poisons_the_mean(self, tmp_path):
         # row-wise oracle: a mean over complete members would give 0.8 for
-        # row 0; the policy instead marks the group value missing
-        assert out.column("g") == (None, 0.7)
+        # row 0; the policy instead marks the group value missing, which
+        # drops the row as incomplete
+        train, _, counts = split_cohort(
+            tmp_path, ["q1", "q2", "t"], [[2018, 0.8, None, 400], [2018, 0.6, 0.8, 300]],
+            aggregations=[{"group_name": "g", "member_columns": ["q1", "q2"]}],
+        )
+        assert train.column("g") == (0.7,)
+        assert counts["train_dropped_incomplete"] == 1
+
+    def test_members_sum_left_to_right(self, tmp_path):
+        # compensated summation (built-in sum() from Python 3.12 on) would
+        # give 1/3; the files this package writes must not depend on it
+        train, _, _ = split_cohort(
+            tmp_path, ["a", "b", "c", "t"], [[2018, 1e16, 1.0, -1e16, 400]],
+            aggregations=[{"group_name": "m", "member_columns": ["a", "b", "c"]}],
+        )
+        assert train.column("m") == (0.0 / 3,)
 
     def test_drop_members(self, tmp_path):
-        # aggregate_means keeps the members; prepare's column list drops them
+        # the group's members leave prepare's column list; its mean joins it
         aggregations = [{"group_name": "g", "member_columns": ["q1", "q2"]}]
         train, _, _ = split_cohort(
             tmp_path, ["q1", "q2", "x", "t"], [[2018, 1, 2, 3, 4]], aggregations=aggregations
@@ -265,23 +324,28 @@ class TestAggregateMeans:
         assert train.column_names == ("x", "t", "g")
         assert train.rows == ((3.0, 4.0, 1.5),)
 
-    def test_keep_members_preserves_everything(self):
-        frame = Frame(["q1", "q2", "t"], [[1, 2, 3], [4, 5, 6]], "t")
-        out = aggregate_means(frame, [AggregationSpec("g", ("q1", "q2"))])
-        assert out.column_names == ("q1", "q2", "t", "g")
-        assert out.column("q1") == frame.column("q1")
-        assert out.column("q2") == frame.column("q2")
-        assert out.column("t") == frame.column("t")
+    def test_other_columns_preserved(self, tmp_path):
+        rows = [[2018, 1, 2, 7, 3], [2018, 4, 5, 8, 6]]
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "x", "t"], rows,
+            aggregations=[{"group_name": "g", "member_columns": ["q1", "q2"]}],
+        )
+        assert train.column("x") == (7.0, 8.0)
+        assert train.column("t") == (3.0, 6.0)
 
-    def test_name_collision(self):
-        frame = Frame(["q1", "t"], [[1, 2]], "t")
+    def test_name_collision(self, tmp_path):
         with pytest.raises(DataError, match="column 'q1' already exists"):
-            aggregate_means(frame, [AggregationSpec("q1", ("q1",))])
+            split_cohort(
+                tmp_path, ["q1", "t"], [[2018, 1, 2]],
+                aggregations=[{"group_name": "q1", "member_columns": ["q1"]}],
+            )
 
-    def test_unknown_member(self):
-        frame = Frame(["q1", "t"], [[1, 2]], "t")
+    def test_unknown_member(self, tmp_path):
         with pytest.raises(DataError, match="no column named 'q9'"):
-            aggregate_means(frame, [AggregationSpec("g", ("q9",))])
+            split_cohort(
+                tmp_path, ["q1", "t"], [[2018, 1, 2]],
+                aggregations=[{"group_name": "g", "member_columns": ["q9"]}],
+            )
 
 
 class FloatSubclass(float):
@@ -346,26 +410,17 @@ def assert_checked(frame):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
+def test_loaded_frames_and_prepared_columns_hold_checked_cells(tmp_path_factory, data):
     width = data.draw(st.integers(2, 4))
     names = [f"c{j}" for j in range(width)]
     rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
     ids = data.draw(st.one_of(st.none(), st.just([f"r{i}" for i in range(len(rows))])))
     frame = Frame(names, rows, "c0", ids, None if ids is None else "id")
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
-    specs = [AggregationSpec("g", names[1:]), AggregationSpec("h", names[-1:])]
 
-    derived = [
-        frame.select_columns(["c0", *some]),
-        aggregate_means(frame, specs),
-    ]
-    if len(rows) >= 2:  # int years, as a split stanza may give them
-        derived.append(assign_cohort_years(
-            frame, CohortSplit(0.5, seed=1, train_year=2018, validation_year=2019)
-        ))
     path = tmp_path_factory.mktemp("csv") / "frame.csv"
-    write_csv(frame, path)
-    derived.append(load_csv(path, "c0", None if ids is None else "id"))
+    write_frame(frame, path)
+    assert_checked(load_csv(path, "c0", None if ids is None else "id"))
     config = config_from_json_dict({
         "target_name": "c0",
         "id_column": None if ids is None else "id",
@@ -375,21 +430,25 @@ def test_derived_frames_hold_checked_cells(tmp_path_factory, data):
         "exclude_columns": some,
     })
     try:
-        train, validation, _ = _split_cohort(config, path)
+        kept, train, validation, _ = _split_cohort(config, path)
     except DataError:
-        pass  # a non-finite year
-    else:
-        derived += [train, validation]
-        try:
-            derived.extend(standardize_joint(train, validation)[:2])
-        except DataError:
-            pass  # too few rows, a constant column or a non-finite cell
-    for result in derived:
-        assert_checked(result)
+        return  # a non-finite year
+    sides = (train.columns, validation.columns)
+    try:
+        standardize_joint(kept, "c0", *sides)
+    except DataError:
+        pass  # too few rows, a constant column or a non-finite cell
+    for side, columns in zip((train, validation), sides):
+        assert len(columns) == len(kept)
+        for column in columns:
+            assert type(column) is array and column.typecode == "d"
+            assert len(column) == len(side.ids)
 
 
-def test_standardized_frames_hold_checked_cells():
-    train = Frame(["a", "b", "t"], [[1, 2.5, 300], [True, "4", 420.0], [3, -1, None]], "t", ["x", "y", "z"])
-    extra = Frame(["a", "b", "t"], [[0.5, 7, 380]], "t", ["w"])
-    for frame in standardize_joint(train, extra)[:2] + standardize_joint(train)[:1]:
-        assert_checked(frame)
+def test_standardized_columns_are_float_arrays():
+    train = [[1, True, 3], [2.5, 4.0, -1], [300, 420.0, 410]]
+    validation = [[0.5], [7], [380]]
+    standardize_joint(["a", "b", "t"], "t", train, validation)
+    for column in train[:2] + validation[:2]:
+        assert type(column) is array and column.typecode == "d"
+    assert train[2] == [300, 420.0, 410] and validation[2] == [380]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -12,7 +13,16 @@ from typing import Union, get_args, get_origin, get_type_hints
 import pytest
 
 import ammknn
-from ammknn import AmmknnConfig, CohortSplit, Frame, PipelineConfig, SynthSpec, load_csv, pipeline
+from ammknn import (
+    AmmknnConfig,
+    CohortSplit,
+    Frame,
+    PipelineConfig,
+    SynthSpec,
+    load_csv,
+    pipeline,
+    write_csv,
+)
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError
@@ -29,6 +39,7 @@ from ammknn.pipeline import (
     resolve_outlier_feature,
     run_loocv,
     run_prepare,
+    run_synth,
     run_validate,
 )
 
@@ -167,18 +178,18 @@ class TestCliWorkflow:
         run_all(workspace)
         out = workspace["out"]
         validation = load_csv(out / VALIDATION_CSV, "score", id_column="student_id")
-        unscored = validation.select_columns(validation.feature_names())
-        from ammknn import write_csv
-
         unscored_path = tmp_path / "unscored.csv"
-        write_csv(unscored, unscored_path)
+        write_csv(
+            ["student_id", *validation.feature_names()], unscored_path,
+            ((rid, *row) for rid, row in zip(validation.row_ids, validation.feature_matrix())),
+        )
         assert main([
             "predict", "--config", str(workspace["config"]),
             "--train", str(out / TRAIN_CSV),
             "--cohort", str(unscored_path), "--out", str(out),
         ]) == 0
         lines = (out / PREDICTIONS_JSONL).read_text().splitlines()
-        assert len(lines) == unscored.n_rows
+        assert len(lines) == validation.n_rows
         record = json.loads(lines[0])
         assert {"subject_id", "cumulative_means", "min_of_means", "min_match",
                 "prediction", "tier", "outlier_triggered"} <= set(record)
@@ -242,15 +253,16 @@ class TestCliWorkflow:
         loocv_report = json.loads((out / LOOCV_AMMKNN_JSON).read_text())
 
         last = train.n_rows - 1
-        from ammknn import write_csv
-
         rest_path = tmp_path / "rest.csv"
         one_path = tmp_path / "one.csv"
         for path, rows, ids in (
             (rest_path, train.rows[:last], train.row_ids[:last]),
             (one_path, train.rows[last:], train.row_ids[last:]),
         ):
-            write_csv(Frame(train.column_names, rows, train.target_name, ids, train.id_name), path)
+            write_csv(
+                ["student_id", *train.column_names], path,
+                ((rid, *row) for rid, row in zip(ids, rows)),
+            )
         result = run_validate(config, rest_path, one_path, tmp_path / "deg")
         assert (
             result["report"]["subjects"][0]["predicted"]
@@ -628,6 +640,98 @@ class TestCliRefusesUnscorableInput:
         capsys.readouterr()
         assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
         assert f"subject row 2, column 'f02': {problem}" in capsys.readouterr().err
+
+
+# each subcommand with inputs that work, less its --out
+STEP_ARGV = {
+    "synth": ["synth", "--spec", str(GOLDEN_SEED7.parent / "spec.json")],
+    "prepare": [
+        "prepare", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+        "--input", str(GOLDEN_SEED7 / SYNTH_CSV),
+    ],
+    "loocv": [
+        "loocv", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+        "--train", str(GOLDEN_SEED7 / TRAIN_CSV),
+    ],
+    **{
+        command: [
+            command, "--config", str(GOLDEN_SEED7.parent / "config.json"),
+            "--train", str(GOLDEN_SEED7 / TRAIN_CSV), "--cohort", str(GOLDEN_SEED7 / VALIDATION_CSV),
+        ]
+        for command in ("validate", "predict")
+    },
+    "plot": ["plot", "--report", str(GOLDEN_SEED7 / VALIDATE_JSON), "--kind", "scatter"],
+}
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(STEP_ARGV))
+def test_out_that_cannot_be_a_directory_exit_3(tmp_path, capsys, command, inside):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if inside else taken
+    capsys.readouterr()
+    assert main([*STEP_ARGV[command], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {out}: cannot be used as the output directory" in err
+    assert taken.read_text() == "kept\n"
+
+
+def _with_blank_lines(source, path):
+    """A copy of a CSV with a blank line after its second data row and one at the end."""
+    lines = source.read_text().splitlines()
+    path.write_text("\n".join([*lines[:3], "", *lines[3:], ""]) + "\n")
+    return path
+
+
+def test_blank_lines_change_no_output(tmp_path):
+    # a blank line holds no student: prepare and loocv write the seed-7 bytes
+    config = str(GOLDEN_SEED7.parent / "config.json")
+    cohort = _with_blank_lines(GOLDEN_SEED7 / SYNTH_CSV, tmp_path / "cohort.csv")
+    train = _with_blank_lines(GOLDEN_SEED7 / TRAIN_CSV, tmp_path / "train.csv")
+    assert cohort.read_text().count("\n\n") == 2
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", config, "--input", str(cohort), "--out", str(out)]) == 0
+    assert main(["loocv", "--config", config, "--train", str(train), "--out", str(out)]) == 0
+    for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON, LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON):
+        assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes(), name
+
+
+def _prepare_peak(config_doc, cohort, out):
+    """tracemalloc's peak during ``run_prepare``."""
+    tracemalloc.start()
+    try:
+        run_prepare(config_from_json_dict(config_doc), cohort, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepare_memory_follows_the_kept_cells(tmp_path):
+    # 24 more input columns, all excluded or group members, leave the kept
+    # cells and the outputs as they are, and so the memory too; holding
+    # the raw table needs more than twice as much for the wide input
+    spec = {**SPEC_DOC, "n_rows": 2000, "n_features": 8, "signal_features": 4}
+    run_synth(spec, tmp_path)
+    base = tmp_path / SYNTH_CSV
+    lines = base.read_text().splitlines()
+    extra = [f"x{j + 1:02d}" for j in range(24)]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("".join(
+        ",".join([line, *(extra if i == 0 else (repr(float((i * 7 + j) % 23)) for j in range(24)))]) + "\n"
+        for i, line in enumerate(lines)
+    ))
+    wide_doc = {
+        **CONFIG_DOC,
+        "aggregations": [{"group_name": "gx", "member_columns": extra[:12]}],
+        "exclude_columns": ["gx", *extra[12:]],
+    }
+    run_prepare(config_from_json_dict(CONFIG_DOC), base, tmp_path / "warm-up")  # one-time costs
+    base_peak = _prepare_peak(CONFIG_DOC, base, tmp_path / "base")
+    wide_peak = _prepare_peak(wide_doc, wide, tmp_path / "wide")
+    for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON):
+        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "base" / name).read_bytes()
+    assert wide_peak < 1.25 * base_peak
 
 
 class TestCohortColumnContract:

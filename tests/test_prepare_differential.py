@@ -1,10 +1,11 @@
 """`prepare` against a naive per-cell reference, bit for bit.
 
-The reference below parses, aggregates, splits, drops, z-scores and
-correlates one cell and one column at a time with plain left-to-right
-float loops, and counts the rows it drops by reason. `run_prepare` works
-on whole columns with shared sweeps; the two must write the same bytes
-and report the same counts.
+The reference below parses, aggregates, splits, drops, checks, z-scores
+and correlates one cell and one column at a time with plain left-to-right
+float loops, and counts the rows it drops by reason. `run_prepare`
+streams the records into compact columns and works on them with shared
+sweeps; the two must write the same bytes and report the same counts, or
+refuse the same NaN or infinite cell with the same message.
 """
 
 import csv
@@ -14,6 +15,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +48,10 @@ def _pearson(x, y):
 
 def naive_prepare(text, threshold, exclude):
     """([train.csv, validation.csv, selection.json] as bytes, prepare's
-    summary); ZeroDivisionError where a column, the target or a side leaves
-    nothing to divide by."""
-    header, *records = csv.reader(io.StringIO(text))
+    summary); DataError naming the first NaN or infinite kept cell;
+    ZeroDivisionError where a column, the target or a side leaves nothing
+    to divide by."""
+    header, *records = [r for r in csv.reader(io.StringIO(text)) if r]  # blank lines hold no row
     names = header[1:]
     rows = [[None if c == "" else float(c) for c in r[1:]] for r in records]
     for agg in AGGREGATIONS:
@@ -82,6 +85,13 @@ def naive_prepare(text, threshold, exclude):
             sides[side].append((cells, record[0]))
     names = [names[j] for j in keep]
     t = names.index("score")
+    # every feature cell, training rows first, then every target cell
+    for target_pass in (False, True):
+        for side, label in (("train", "training"), ("validation", "validation")):
+            for i, (cells, _) in enumerate(sides[side]):
+                for j, v in enumerate(cells):
+                    if (j == t) == target_pass and not math.isfinite(v):
+                        raise DataError(f"{label} row {i}, column {names[j]!r}: non-finite value {v!r}")
     pooled = [cells for cells, _ in sides["train"] + sides["validation"]]
     for j in range(len(names)):
         if j != t:
@@ -124,19 +134,22 @@ def naive_prepare(text, threshold, exclude):
 
 
 # each column draws its cells from a permutation, so no column is constant
-VALUES = [-2.5, -1.0, -0.1, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.5, 3.0, 12.25, 1e3]
+# (but for 0.0 and -0.0, which a 2-row column may draw together)
+VALUES = [-2.5, -1.0, -0.1, -0.0, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.5, 3.0, 12.25, 1e3]
 SCORES = [250.0, 310.0, 349.0, 350.0, 401.0, 455.5, 512.0, 600.0, 777.0, 333.3, 420.0, 530.5, 690.0]
 # training years first, then validation, then years outside both windows
 YEARS = st.sampled_from([2018.0, 2019.0, 2017.5, 2019.5, 2016.0, 2018.9, None, 2020.0, 2021.0])
 GAP = st.sampled_from([False] * 7 + [True])
+RARELY = st.sampled_from([False] * 7 + [True])
 
 
 @st.composite
 def cohorts(draw):
     """(cohort CSV text, threshold, exclude_columns) with gaps in the group
-    members and the target. The target and cohort year may be named in
-    exclude_columns; prepare keeps them all the same."""
-    n = draw(st.integers(2, len(VALUES)))
+    members and the target, rare NaN and infinite cells, and rare blank
+    lines. The target and cohort year may be named in exclude_columns;
+    prepare keeps them all the same."""
+    n = draw(st.integers(2, len(SCORES)))
 
     def column(values, gaps=True):
         cells = draw(st.permutations(values))[:n]
@@ -152,19 +165,30 @@ def cohorts(draw):
         column(VALUES),
         column(SCORES),
     ]
-    lines = [",".join(header)]
-    for i, cells in enumerate(zip(*columns)):
-        lines.append(",".join([f"S{i}", *("" if c is None else repr(c) for c in cells)]))
+    if draw(RARELY):  # one NaN or infinite cell anywhere but the year
+        j = draw(st.integers(1, len(columns) - 1))
+        columns[j][draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    blank_after = draw(st.lists(st.integers(0, n), min_size=1, max_size=2)) if draw(RARELY) else []
     exclude = draw(st.lists(st.sampled_from([*plain, "score", "cohort"]), unique=True))
-    return "\n".join(lines) + "\n", draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), exclude
+    text = _csv_text(header, list(zip(*columns)), blank_after)
+    return text, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), exclude
 
 
-def _cohort(rows):
-    """CSV text for explicit examples: rows of (year, q1, x0, q2, q3, score)."""
-    lines = ["student_id,cohort,q1,x0,q2,q3,score"]
-    for i, cells in enumerate(rows):
-        lines.append(",".join([f"S{i}", *("" if c is None else repr(c) for c in cells)]))
+def _csv_text(header, rows, blank_after=()):
+    """CSV text of rows with ids S0, S1, ... and a blank line after the
+    i-th row (0: after the header) for each i in ``blank_after``."""
+    lines = [",".join(header)]
+    lines += [""] * blank_after.count(0)
+    for i, cells in enumerate(rows, start=1):
+        lines.append(",".join([f"S{i - 1}", *("" if c is None else repr(c) for c in cells)]))
+        lines += [""] * blank_after.count(i)
     return "\n".join(lines) + "\n"
+
+
+def _cohort(rows, blank_after=()):
+    """CSV text for explicit examples: rows of (year, q1, x0, q2, q3, score)."""
+    header = ["student_id", "cohort", "q1", "x0", "q2", "q3", "score"]
+    return _csv_text(header, rows, list(blank_after))
 
 
 TRAIN_ROWS = [
@@ -198,6 +222,39 @@ TRAIN_ROWS = [
     (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
     (2019.0, 0.3, 0.7, 0.2, 1.5, 600.0),
 ]), 0.0, ["x0"]))
+# NaN in a group member of a validation row and infinity in a training
+# target: the feature cell is named first
+@example((_cohort(TRAIN_ROWS + [
+    (2019.0, math.nan, 0.1, 0.2, 0.3, 401.0),
+    (2018.0, 0.2, 0.1, 0.2, 0.7, math.inf),
+]), 0.2, []))
+# infinity in a plain training column after NaN in a validation one: the
+# training row is named first
+@example((_cohort(TRAIN_ROWS + [
+    (2019.0, 0.1, math.nan, 0.2, 0.3, 401.0),
+    (2018.0, 0.2, -math.inf, 0.2, 0.7, 600.0),
+]), 0.0, []))
+# NaN and infinity where nothing is kept: an excluded column, a row
+# outside both windows and a row dropped for its missing target
+@example((_cohort(TRAIN_ROWS + [
+    (2018.0, 0.1, math.nan, 0.2, 0.3, 401.0),
+    (2021.0, math.inf, 0.1, 0.2, 0.3, math.nan),
+    (2019.0, math.inf, 0.3, 0.1, 0.2, None),
+    (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
+]), 0.5, ["x0"]))
+# gaps in group members of rows outside both windows, which are not refused
+@example((_cohort(TRAIN_ROWS + [
+    (2021.0, None, 0.1, 0.2, 0.3, 401.0),
+    (None, 0.1, 0.2, None, None, 600.0),
+    (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
+]), 0.2, []))
+# -0.0 in a group, in a plain column and as its single member's mean
+@example((_cohort(TRAIN_ROWS + [
+    (2018.0, -0.0, -0.0, 0.2, -0.0, 401.0),
+    (2019.0, 0.3, 0.7, -0.0, 1.5, 349.0),
+]), 0.0, []))
+# blank lines after the header, between rows and at the end
+@example((_cohort(TRAIN_ROWS + [(2019.5, 0.3, 0.2, 0.7, 0.1, 350.0)], blank_after=[0, 2, 5]), 0.2, []))
 def test_prepare_matches_naive_reference(case):
     text, threshold, exclude = case
     config = config_from_json_dict({
@@ -214,6 +271,11 @@ def test_prepare_matches_naive_reference(case):
         cohort.write_text(text, encoding="utf-8")
         try:
             expected, counts = naive_prepare(text, threshold, exclude)
+        except DataError as refused:
+            with pytest.raises(DataError) as exc:
+                run_prepare(config, cohort, Path(tmp, "out"))
+            assert str(exc.value) == str(refused)
+            return
         except ZeroDivisionError:
             # too few rows, a constant column or a constant target
             try:

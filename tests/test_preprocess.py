@@ -5,9 +5,7 @@ import statistics
 import pytest
 
 from ammknn import (
-    AggregationSpec,
     Frame,
-    aggregate_means,
     pearson_correlation,
     select_by_correlation,
     standardize_joint,
@@ -15,86 +13,98 @@ from ammknn import (
 from ammknn.errors import DataError
 
 
+def columns(frame):
+    """A Frame's columns as lists, as ``standardize_joint`` takes them."""
+    return [list(c) for c in frame.columns()]
+
+
 class TestStandardizeJoint:
     def test_symmetric_column(self):
-        frame = Frame(["x", "t"], [[1, 310], [2, 500], [3, 400]], "t")
-        out, _, stats = standardize_joint(frame)
-        assert out.column("x") == pytest.approx((-1.0, 0.0, 1.0))
+        cols = [[1, 2, 3], [310, 500, 400]]
+        stats = standardize_joint(["x", "t"], "t", cols)
+        assert list(cols[0]) == pytest.approx([-1.0, 0.0, 1.0])
         assert stats.means["x"] == 2.0
         assert stats.sds["x"] == 1.0
 
     def test_target_untouched(self):
-        frame = Frame(["x", "t"], [[1, 310], [2, 500]], "t")
-        out, _, stats = standardize_joint(frame)
-        assert out.column("t") == (310.0, 500.0)
+        cols = [[1.0, 2.0], [310.0, 500.0]]
+        stats = standardize_joint(["x", "t"], "t", cols)
+        assert cols[1] == [310.0, 500.0]
         assert "t" in stats.excluded_columns
 
     def test_zero_variance(self):
-        frame = Frame(["x", "t"], [[5, 1], [5, 2], [5, 3]], "t")
         with pytest.raises(DataError, match="column 'x' has zero variance"):
-            standardize_joint(frame)
+            standardize_joint(["x", "t"], "t", [[5, 5, 5], [1, 2, 3]])
+
+    def test_too_few_rows(self):
+        with pytest.raises(DataError, match="standardization needs at least 2 rows"):
+            standardize_joint(["x", "t"], "t", [[1.0], [2.0]], [[], []])
 
     def test_stats_pooled_over_both_frames(self):
-        train = Frame(["x", "t"], [[0, 1], [1, 2]], "t")
-        extra = Frame(["x", "t"], [[10, 3], [11, 4]], "t")
-        train_std, extra_std, stats = standardize_joint(train, extra)
+        train = [[0.0, 1.0], [1.0, 2.0]]
+        extra = [[10.0, 11.0], [3.0, 4.0]]
+        stats = standardize_joint(["x", "t"], "t", train, extra)
         pooled = [0.0, 1.0, 10.0, 11.0]
         assert stats.means["x"] == pytest.approx(statistics.mean(pooled))
         assert stats.sds["x"] == pytest.approx(statistics.stdev(pooled))
-        merged = list(train_std.column("x")) + list(extra_std.column("x"))
+        merged = list(train[0]) + list(extra[0])
         assert statistics.mean(merged) == pytest.approx(0.0, abs=1e-9)
         assert statistics.stdev(merged) == pytest.approx(1.0, abs=1e-9)
-
-    def test_column_mismatch(self):
-        train = Frame(["x", "t"], [[0, 1]], "t")
-        extra = Frame(["y", "t"], [[0, 1]], "t")
-        with pytest.raises(DataError, match="column sets differ"):
-            standardize_joint(train, extra)
 
     def test_idempotent_on_standardized_data(self):
         rng = random.Random(5)
         rows = [[rng.gauss(3, 2), rng.gauss(-1, 4), rng.uniform(300, 500)] for _ in range(40)]
-        frame = Frame(["a", "b", "t"], rows, "t")
-        once, _, _ = standardize_joint(frame)
-        twice, _, _ = standardize_joint(once)
-        for name in ("a", "b"):
-            for u, v in zip(once.column(name), twice.column(name)):
+        once = columns(Frame(["a", "b", "t"], rows, "t"))
+        standardize_joint(["a", "b", "t"], "t", once)
+        twice = list(once)
+        standardize_joint(["a", "b", "t"], "t", twice)
+        for j in (0, 1):
+            for u, v in zip(once[j], twice[j]):
                 assert abs(u - v) < 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_cell(self, bad):
-        train = Frame(["x", "t"], [[0, 1], [1, 2]], "t")
-        extra = Frame(["x", "t"], [[2, 3], [bad, 4]], "t")
+        train = [[0.0, 1.0], [1.0, 2.0]]
+        extra = [[2.0, bad], [3.0, 4.0]]
         with pytest.raises(DataError, match="validation row 1, column 'x': non-finite value"):
-            standardize_joint(train, extra)
+            standardize_joint(["x", "t"], "t", train, extra)
 
     def test_refuses_non_finite_target(self):
-        train = Frame(["x", "t"], [[0, 1], [1, math.inf], [2, 3]], "t")
         with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
-            standardize_joint(train)
+            standardize_joint(["x", "t"], "t", [[0, 1, 2], [1, math.inf, 3]])
+
+    def test_first_bad_cell_in_training_then_validation_order(self):
+        # a bad feature cell anywhere is named before a bad target cell,
+        # and a training row before a validation row
+        train = [[0.0, 1.0, 2.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.inf]]
+        extra = [[math.inf, 1.0], [math.nan, 2.0], [1.0, 2.0]]
+        names = ["x", "t", "y"]
+        with pytest.raises(DataError) as exc:
+            standardize_joint(names, "t", train, extra)
+        assert str(exc.value) == "training row 2, column 'y': non-finite value inf"
+        train[2][2] = 0.5
+        with pytest.raises(DataError) as exc:
+            standardize_joint(names, "t", train, extra)
+        assert str(exc.value) == "validation row 0, column 'x': non-finite value inf"
+        extra[0][0] = 0.5
+        with pytest.raises(DataError) as exc:
+            standardize_joint(names, "t", train, extra)
+        assert str(exc.value) == "training row 1, column 't': non-finite value nan"
 
     def test_means_sum_left_to_right(self):
         # compensated summation (built-in sum() from Python 3.12 on) would
         # give 1/3; the files this package writes must not depend on it
-        frame = Frame(["x", "t"], [[1e16, 1], [1.0, 2], [-1e16, 3]], "t")
-        _, _, stats = standardize_joint(frame)
+        stats = standardize_joint(["x", "t"], "t", [[1e16, 1.0, -1e16], [1, 2, 3]])
         assert stats.means["x"] == 0.0 / 3
-        aggregated = aggregate_means(
-            Frame(["a", "b", "c"], [[1e16, 1.0, -1e16]], None),
-            [AggregationSpec("m", ("a", "b", "c"))],
-        )
-        assert aggregated.column("m") == (0.0 / 3,)
 
     def test_joint_differs_from_separate_on_shifted_validation(self):
         rng = random.Random(11)
-        train = Frame(["x", "t"], [[rng.gauss(0, 1), 400] for _ in range(30)], "t")
-        extra = Frame(["x", "t"], [[rng.gauss(5, 1), 400] for _ in range(10)], "t")
-        _, extra_joint, _ = standardize_joint(train, extra)
-        extra_alone, _, _ = standardize_joint(extra)
-        deltas = [
-            abs(a - b)
-            for a, b in zip(extra_joint.column("x"), extra_alone.column("x"))
-        ]
+        train = [[rng.gauss(0, 1) for _ in range(30)], [400.0] * 30]
+        extra = [[rng.gauss(5, 1) for _ in range(10)], [400.0] * 10]
+        alone = list(extra)
+        standardize_joint(["x", "t"], "t", alone)
+        standardize_joint(["x", "t"], "t", train, extra)
+        deltas = [abs(a - b) for a, b in zip(extra[0], alone[0])]
         assert max(deltas) > 0.5
 
 
@@ -150,6 +160,11 @@ def designed_frame():
     return Frame(names, rows, "t")
 
 
+def select(frame, threshold):
+    """``select_by_correlation`` of a Frame's columns."""
+    return select_by_correlation(frame.column_names, frame.target_name, frame.columns(), threshold)
+
+
 class TestSelectByCorrelation:
     def test_designed_correlations(self):
         frame = designed_frame()
@@ -157,13 +172,12 @@ class TestSelectByCorrelation:
             assert pearson_correlation(frame.column(name), frame.column("t")) == pytest.approx(r)
 
     def test_threshold_keeps_only_strong_column(self):
-        selected, result = select_by_correlation(designed_frame(), 0.19)
+        result = select(designed_frame(), 0.19)
         assert result.kept_columns == ("r25", "t")
         assert [d[0] for d in result.dropped_columns] == ["r05", "r15"]
-        assert selected.column_names == ("r25", "t")
 
     def test_threshold_zero_keeps_all(self):
-        selected, result = select_by_correlation(designed_frame(), 0.0)
+        result = select(designed_frame(), 0.0)
         assert result.kept_columns == ("r05", "r15", "r25", "t")
         assert result.dropped_columns == ()
 
@@ -171,7 +185,7 @@ class TestSelectByCorrelation:
         frame = designed_frame()
         kept = []
         for threshold in (0.0, 0.1, 0.19, 0.5):
-            _, result = select_by_correlation(frame, threshold)
+            result = select(frame, threshold)
             kept.append(set(result.kept_columns))
         for larger, smaller in zip(kept, kept[1:]):
             assert smaller <= larger
@@ -182,31 +196,31 @@ class TestSelectByCorrelation:
             [-row[0], *row[1:]] for row in frame.rows
         ]
         flipped = Frame(frame.column_names, flipped_rows, "t")
-        _, result = select_by_correlation(flipped, 0.04)
+        result = select(flipped, 0.04)
         assert "r05" in result.kept_columns
         dropped = dict(result.dropped_columns)
         assert dropped == {}
 
-    def test_retained_values_unchanged(self):
+    def test_rs_match_pearson_bit_for_bit(self):
         frame = designed_frame()
-        selected, _ = select_by_correlation(frame, 0.19)
-        assert selected.column("r25") == frame.column("r25")
-        assert selected.column("t") == frame.column("t")
+        result = select(frame, 1.0)
+        for name, r in result.dropped_columns:
+            assert r == pearson_correlation(frame.column(name), frame.column("t"))
 
     def test_constant_column_reports_label(self):
         frame = Frame(["c", "t"], [[1, 1], [1, 2], [1, 3]], "t")
         with pytest.raises(DataError, match="column 'c' is constant"):
-            select_by_correlation(frame, 0.1)
+            select(frame, 0.1)
 
     def test_audit_log_lines(self, caplog):
         with caplog.at_level("INFO", logger="ammknn.preprocess"):
-            select_by_correlation(designed_frame(), 0.19)
+            select(designed_frame(), 0.19)
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 3
         assert lines[0].startswith("1. Correlation between r05 and target = ")
 
     def test_selection_result_json(self):
-        _, result = select_by_correlation(designed_frame(), 0.19)
+        result = select(designed_frame(), 0.19)
         doc = result.to_json_dict()
         assert doc["kept"] == ["r25", "t"]
         assert doc["threshold"] == 0.19

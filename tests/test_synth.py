@@ -1,5 +1,4 @@
 import statistics
-import sys
 import tracemalloc
 from dataclasses import asdict
 from statistics import NormalDist
@@ -10,13 +9,14 @@ from hypothesis import strategies as st
 
 from ammknn import (
     CohortSplit,
+    Frame,
     SplitMix64,
     SynthSpec,
-    assign_cohort_years,
     generate_cohort,
     pearson_correlation,
 )
 from ammknn.errors import ConfigError
+from ammknn.pipeline import run_synth
 
 
 class TestSplitMix64:
@@ -55,15 +55,22 @@ def spec(**overrides):
     return SynthSpec(**base)
 
 
+def cohort_frame(cohort_spec, split=None):
+    """The rows ``generate_cohort`` draws, as a Frame with its row ids."""
+    header, rows = generate_cohort(cohort_spec, split)
+    rows = list(rows)
+    return Frame(header[1:], [row[1:] for row in rows], "score", [row[0] for row in rows], header[0])
+
+
 class TestGenerateCohort:
     def test_same_seed_identical_frames(self):
-        assert generate_cohort(spec()) == generate_cohort(spec())
+        assert cohort_frame(spec()) == cohort_frame(spec())
 
     def test_different_seed_differs(self):
-        assert generate_cohort(spec()) != generate_cohort(spec(seed=8))
+        assert cohort_frame(spec()) != cohort_frame(spec(seed=8))
 
     def test_shape_and_ids(self):
-        frame = generate_cohort(spec(n_rows=30, n_features=5, signal_features=2))
+        frame = cohort_frame(spec(n_rows=30, n_features=5, signal_features=2))
         assert frame.n_rows == 30
         assert frame.column_names == ("f01", "f02", "f03", "f04", "f05", "score")
         assert frame.target_name == "score"
@@ -71,11 +78,11 @@ class TestGenerateCohort:
         assert frame.row_ids[-1] == "S30"
 
     def test_targets_within_range(self):
-        frame = generate_cohort(spec(target_range=(300.0, 600.0)))
+        frame = cohort_frame(spec(target_range=(300.0, 600.0)))
         assert all(300.0 <= t <= 600.0 for t in frame.target_values())
 
     def test_near_zero_noise_gives_near_perfect_signal(self):
-        frame = generate_cohort(spec(noise_sd=1e-9, n_features=6, signal_features=3))
+        frame = cohort_frame(spec(noise_sd=1e-9, n_features=6, signal_features=3))
         target = frame.target_values()
         for name in ("f01", "f02", "f03"):
             assert abs(pearson_correlation(frame.column(name), target)) > 0.99
@@ -83,14 +90,14 @@ class TestGenerateCohort:
     def test_fail_fraction_window_seed7(self):
         # tolerance [0.02, 0.15] frozen after measuring min 0.035 / max
         # 0.105 across seeds 1..50 with these parameters
-        frame = generate_cohort(spec())
+        frame = cohort_frame(spec())
         target = frame.target_values()
         fraction = sum(1 for t in target if t < 350) / len(target)
         assert 0.02 <= fraction <= 0.15
 
     def test_fail_fraction_window_across_seeds(self):
         for seed in range(1, 51):
-            frame = generate_cohort(spec(seed=seed))
+            frame = cohort_frame(spec(seed=seed))
             target = frame.target_values()
             fraction = sum(1 for t in target if t < 350) / len(target)
             assert 0.02 <= fraction <= 0.15, f"seed {seed}: {fraction}"
@@ -101,7 +108,7 @@ class TestGenerateCohort:
         violations = 0
         total = 0
         for seed in range(1, 51):
-            frame = generate_cohort(spec(seed=seed))
+            frame = cohort_frame(spec(seed=seed))
             target = frame.target_values()
             for name in frame.feature_names()[12:]:
                 total += 1
@@ -176,33 +183,38 @@ def cohort_specs(draw):
 @example(spec(seed=-1, n_rows=21, n_features=48, signal_features=48, noise_sd=0.25))
 @example(spec(seed=2**64 + 7, n_rows=2, n_features=1500, signal_features=1))
 def test_block_generator_matches_per_draw_reference(cohort_spec):
-    frame = generate_cohort(cohort_spec)
+    frame = cohort_frame(cohort_spec)
     names, ids, rows = per_draw_cohort(cohort_spec)
     assert frame.column_names == names
     assert frame.row_ids == ids
     assert [list(map(repr, row)) for row in frame.rows] == [list(map(repr, row)) for row in rows]
 
 
-def test_generation_memory_is_bounded_by_the_frame():
-    # The normals are drawn a block of rows at a time, so the peak stays
-    # near the Frame's own size (about 1.05x here); drawing every normal
-    # first, even as plain floats, holds about one more Frame (near 2x).
-    cohort_spec = spec(seed=3, n_rows=2000, n_features=48, signal_features=24)
+def synth_peak(tmp_path, n_rows):
+    """tracemalloc's peak while ``synth`` writes an n_rows cohort with a split."""
+    doc = {
+        "seed": 3, "n_rows": n_rows, "n_features": 48, "signal_features": 24,
+        "split": {"train_fraction": 0.8},
+    }
     tracemalloc.start()
     try:
-        frame = generate_cohort(cohort_spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        run_synth(doc, tmp_path / str(n_rows))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sys.getsizeof(frame.rows) + sys.getsizeof(frame.row_ids)
-    size += sum(map(sys.getsizeof, frame.row_ids))
-    size += sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in frame.rows)
-    assert peak < 1.25 * size
 
 
-def split_by_year(frame, train_fraction, seed):
-    """The (train, validation) row ids that assign_cohort_years stamps."""
-    stamped = assign_cohort_years(frame, CohortSplit(train_fraction, seed=seed))
+def test_synth_memory_does_not_grow_with_rows(tmp_path):
+    # Each block of rows is written as it is drawn, so four times the rows
+    # needs about the same memory; holding the table would need about four
+    # times as much.
+    assert synth_peak(tmp_path, 4000) < 1.25 * synth_peak(tmp_path, 1000)
+
+
+def split_by_year(cohort_spec, train_fraction, seed):
+    """The (train, validation) row ids of the cohort years that
+    generate_cohort stamps with a split."""
+    stamped = cohort_frame(cohort_spec, CohortSplit(train_fraction, seed=seed))
     years = stamped.column("cohort")
     assert set(years) <= {2018.0, 2019.0}
     train = tuple(rid for rid, year in zip(stamped.row_ids, years) if year == 2018.0)
@@ -225,41 +237,42 @@ class TestSplitCohorts:
     """The seeded split behind the cohort years."""
 
     def test_split_sizes_exact(self):
-        frame = generate_cohort(spec(n_rows=224))
-        train, validation = split_by_year(frame, 181 / 224, seed=7)
+        train, validation = split_by_year(spec(n_rows=224), 181 / 224, seed=7)
         assert (len(train), len(validation)) == (181, 43)
 
     def test_all_but_one(self):
-        frame = generate_cohort(spec(n_rows=10))
-        train, validation = split_by_year(frame, 0.95, seed=1)
+        train, validation = split_by_year(spec(n_rows=10), 0.95, seed=1)
         assert (len(train), len(validation)) == (9, 1)
 
     def test_deterministic(self):
-        frame = generate_cohort(spec(n_rows=50))
-        a = assign_cohort_years(frame, CohortSplit(0.7, seed=3))
-        b = assign_cohort_years(frame, CohortSplit(0.7, seed=3))
-        assert a == b and split_by_year(frame, 0.7, seed=3) == split_by_year(frame, 0.7, seed=3)
+        a = cohort_frame(spec(n_rows=50), CohortSplit(0.7, seed=3))
+        b = cohort_frame(spec(n_rows=50), CohortSplit(0.7, seed=3))
+        assert a == b
+        assert split_by_year(spec(n_rows=50), 0.7, seed=3) == split_by_year(spec(n_rows=50), 0.7, seed=3)
 
     def test_exact_partition(self):
-        frame = generate_cohort(spec(n_rows=60))
-        train, validation = split_by_year(frame, 0.6, seed=9)
+        frame = cohort_frame(spec(n_rows=60))
+        train, validation = split_by_year(spec(n_rows=60), 0.6, seed=9)
         ids = sorted(train + validation)
         assert ids == sorted(frame.row_ids)
         assert set(train).isdisjoint(validation)
 
     def test_invalid_fraction(self):
-        frame = generate_cohort(spec(n_rows=10))
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ConfigError, match=f"train_fraction must be in \\(0, 1\\), got {fraction}"):
-                assign_cohort_years(frame, CohortSplit(fraction, seed=1))
+                generate_cohort(spec(n_rows=10), CohortSplit(fraction, seed=1))
+
+    def test_too_few_rows(self):
+        with pytest.raises(ConfigError, match="a split needs n_rows >= 2, got 1"):
+            generate_cohort(spec(n_rows=1), CohortSplit(0.5, seed=1))
 
 
-class TestAssignCohortYears:
+class TestCohortYears:
     def test_years_reproduce_split(self):
-        frame = generate_cohort(spec(n_rows=40))
-        stamped = assign_cohort_years(frame, CohortSplit(0.75, seed=5))
+        frame = cohort_frame(spec(n_rows=40))
+        stamped = cohort_frame(spec(n_rows=40), CohortSplit(0.75, seed=5))
         assert stamped.column_names[0] == "cohort"
-        train, validation = split_by_year(frame, 0.75, seed=5)
+        train, validation = split_by_year(spec(n_rows=40), 0.75, seed=5)
         marked_train = [
             rid
             for rid, year in zip(stamped.row_ids, stamped.column("cohort"))
@@ -270,7 +283,16 @@ class TestAssignCohortYears:
         assert stamped.n_rows == frame.n_rows
 
     def test_original_columns_preserved(self):
-        frame = generate_cohort(spec(n_rows=12, n_features=3, signal_features=1))
-        stamped = assign_cohort_years(frame, CohortSplit(0.5, seed=2))
+        cohort_spec = spec(n_rows=12, n_features=3, signal_features=1)
+        frame = cohort_frame(cohort_spec)
+        stamped = cohort_frame(cohort_spec, CohortSplit(0.5, seed=2))
+        assert stamped.row_ids == frame.row_ids
         for name in frame.column_names:
             assert stamped.column(name) == frame.column(name)
+
+    def test_int_years_are_written_as_floats(self):
+        header, rows = generate_cohort(
+            spec(n_rows=4), CohortSplit(0.5, seed=2, train_year=2018, validation_year=2019)
+        )
+        assert header[:2] == ["student_id", "cohort"]
+        assert {type(row[1]) for row in rows} == {float}
