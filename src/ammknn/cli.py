@@ -114,8 +114,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_predict(args) -> int:
     config = load_config(args.config)
-    lines = pipeline.run_predict(config, args.train, args.cohort, args.out)
-    print(f"wrote {len(lines)} prediction records")
+    count = pipeline.run_predict(config, args.train, args.cohort, args.out)
+    print(f"wrote {count} prediction records")
     return EXIT_OK
 
 

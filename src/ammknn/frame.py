@@ -329,6 +329,15 @@ def load_csv(
     return Frame._derived(names, tuple(rows), target_name, row_ids, id_column)
 
 
+def _open_out(path, newline: Optional[str] = None):
+    """Open an output file for writing UTF-8 text. A path that cannot be
+    written, such as a directory, is a ``DataError`` naming it."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot be written ({exc.strerror})") from None
+
+
 def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
     """Write a header row, then each row of ``rows`` as it comes.
 
@@ -337,7 +346,7 @@ def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
     -> load reproduces every cell bit for bit. Nothing but the current row
     is held, so ``rows`` may be drawn or computed as it is written.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

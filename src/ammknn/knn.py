@@ -24,12 +24,12 @@ exceeds the cost of flagging one who would have passed.
 Every step scores through one loop, ``_scored``: for each subject, in
 order, it ranks the training rows with ``_rank`` and yields the ranking,
 its targets and their running means. Predict and validate
-(``ammknn_predict_batch``) build a ``PredictionRecord`` from each;
-leave-one-out (``loocv``) holds each training row out of its own ranking
-and reads both the adaptive and the fixed-k model from one pass of
-running means. The adaptive rule itself lives in ``_adaptive`` alone. The
-training matrix is extracted and checked once per call, not once per
-subject, one tuple per row.
+(``ammknn_predict_batch``) draw a ``PredictionRecord`` from each, one
+subject at a time; leave-one-out (``loocv``) holds each training row out
+of its own ranking and reads both the adaptive and the fixed-k model from
+one pass of running means. The adaptive rule itself lives in
+``_adaptive`` alone. The training matrix is extracted and checked once
+per call, not once per subject, one tuple per row.
 
 For each subject the engine filters, then refines. The filter gives every
 training row an approximate distance with ``math.dist``, one C call per
@@ -96,7 +96,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
 from .frame import Frame, refuse_unusable
@@ -242,14 +242,17 @@ def _scored(
         yield ranked, targets, cumulative_means(targets)
 
 
-def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> List[PredictionRecord]:
-    """One PredictionRecord per subject row, in row order.
+def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> Iterator[PredictionRecord]:
+    """An iterator of one PredictionRecord per subject row, in row order.
 
     Subjects must carry every training feature column plus the configured
     outlier feature; each subject's outlier value is read from its own
     (standardized) cell. The training matrix and the subjects' cells are
-    extracted and checked once per call. Prediction is pure per row, so
-    rows could be fanned out across workers without changing the output.
+    extracted and checked once per call, when it is called, so a refusal
+    comes before the first record; each record is then scored as it is
+    drawn, and only one subject's ranking is held at a time. Prediction is
+    pure per row, so rows could be fanned out across workers without
+    changing the output.
     """
     if config.outlier_feature is None:
         raise ConfigError("outlier_feature is not set; resolve a default first")
@@ -265,21 +268,23 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
     columns = {n: subjects.column(n) for n in (*features, config.outlier_feature)}
     refuse_unusable("subject row {}".format, list(columns), list(columns.values()))
     outlier_values = columns[config.outlier_feature]
-    records = []
     scored = _scored(matrix, target, subjects.feature_matrix(features), config.max_k)
-    for i, (ranked, targets, means) in enumerate(scored):
-        prediction, triggered = _adaptive(targets, means, outlier_values[i], config)
-        records.append(PredictionRecord(
-            subject_id=subjects.row_id(i),
-            neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in ranked),
-            cumulative_means=tuple(means),
-            min_of_means=min(means),
-            min_match=min(targets),
-            outlier_value=outlier_values[i],
-            outlier_triggered=triggered,
-            prediction=prediction,
-        ))
-    return records
+
+    def records() -> Iterator[PredictionRecord]:
+        for i, (ranked, targets, means) in enumerate(scored):
+            prediction, triggered = _adaptive(targets, means, outlier_values[i], config)
+            yield PredictionRecord(
+                subject_id=subjects.row_id(i),
+                neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in ranked),
+                cumulative_means=tuple(means),
+                min_of_means=min(means),
+                min_match=min(targets),
+                outlier_value=outlier_values[i],
+                outlier_triggered=triggered,
+                prediction=prediction,
+            )
+
+    return records()
 
 
 def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, list]:

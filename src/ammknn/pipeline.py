@@ -13,11 +13,15 @@ predict: train + unscored cohort -> prediction records as JSON lines.
 Both refuse a cohort whose feature columns are not the training table's.
 synth/plot: generator and figure plumbing; synth writes each block of
 rows as it is drawn. Every step turns an ``--out`` that cannot be made a
-directory into a ``DataError``.
+directory, or an output file that cannot be written, into a
+``DataError``.
 
 loocv, validate and predict all score through one loop in ``knn``: a
 ``math.dist`` filter over every training row, then exact left-to-right
-squared distances for the few rows it keeps. ``knn.loocv`` ranks each
+squared distances for the few rows it keeps. validate and predict hold
+one subject's ranking at a time: validate keeps three numbers of each
+subject for its report, and predict writes each subject's line as it is
+scored, after every check has passed. ``knn.loocv`` ranks each
 training row once and reads both models from that ranking; there is no
 pairwise distance cache, because its O(n^2) memory would outgrow
 everything else a step holds. ``report.build_report`` turns the
@@ -42,7 +46,7 @@ from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .frame import Frame, _picker, load_csv, refuse_unusable, write_csv
+from .frame import Frame, _open_out, _picker, load_csv, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
@@ -337,10 +341,13 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
     # count as a pass and be written as the non-JSON token NaN
     refuse_unusable("subject row {}".format, [cohort.target_name], [actual])
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
-    records = ammknn_predict_batch(cohort, train, ammknn_cfg)
+    predicted, outlier_values, triggered = [], [], []
+    for r in ammknn_predict_batch(cohort, train, ammknn_cfg):
+        predicted.append(r.prediction)
+        outlier_values.append(r.outlier_value)
+        triggered.append(r.outlier_triggered)
 
     ids = [cohort.row_id(i) for i in range(cohort.n_rows)]
-    predicted = [r.prediction for r in records]
     bounds = config.tiers_predicted_validation
     validate_report = report_mod.build_report(
         "validation",
@@ -350,11 +357,11 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
         actual,
         predicted,
         bounds,
-        outlier_values=[r.outlier_value for r in records],
-        outlier_triggered=[r.outlier_triggered for r in records],
+        outlier_values=outlier_values,
+        outlier_triggered=triggered,
     )
     # worst predicted risk first, so support can be prioritized top-down
-    order = sorted(range(len(records)), key=lambda i: (predicted[i], i))
+    order = sorted(range(len(predicted)), key=lambda i: (predicted[i], i))
     roster = [
         {
             "id": ids[i],
@@ -368,21 +375,22 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
     return {"report": validate_report, "roster": roster}
 
 
-def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> list:
+def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int:
+    """Write one JSON line per cohort row to ``predictions.jsonl``, each
+    as it is scored, once every check has passed; returns the count."""
     _make_out_dir(out_dir)
     train, cohort = _load_pair(config, train_path, cohort_path, require_target=False)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
     records = ammknn_predict_batch(cohort, train, ammknn_cfg)
-    lines = []
-    for r in records:
-        entry = r.to_json_dict()
-        entry["tier"] = classify_tier(r.prediction, config.tiers_predicted)
-        lines.append(entry)
-    with open(os.path.join(out_dir, PREDICTIONS_JSONL), "w", encoding="utf-8") as fh:
-        for entry in lines:
+    count = 0
+    with _open_out(os.path.join(out_dir, PREDICTIONS_JSONL)) as fh:
+        for r in records:
+            entry = r.to_json_dict()
+            entry["tier"] = classify_tier(r.prediction, config.tiers_predicted)
             fh.write(json.dumps(entry))
             fh.write("\n")
-    return lines
+            count += 1
+    return count
 
 
 def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> dict:
@@ -413,6 +421,6 @@ def run_plot(report_path, kind: str, out_dir) -> str:
     report = _read_json(report_path, DataError, "report")
     svg = svgplot.render_plot(report, kind)
     out_path = os.path.join(out_dir, f"{kind}.svg")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _open_out(out_path) as fh:
         fh.write(svg)
     return out_path

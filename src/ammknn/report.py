@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import ConfigError, DataError
+from .frame import _open_out
 from .preprocess import pearson_correlation
 
 if TYPE_CHECKING:
@@ -165,8 +166,8 @@ def build_report(
 
 
 def dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2))
+    with _open_out(path) as fh:
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 

@@ -266,14 +266,14 @@ class TestAmmknnPredictBatch:
         rng = random.Random(1)
         training = random_training(rng, 10, 2)
         subjects = Frame(["x0", "x1"], [], None)
-        assert ammknn_predict_batch(subjects, training, self.config()) == []
+        assert list(ammknn_predict_batch(subjects, training, self.config())) == []
 
     def test_rows_are_scored_independently(self):
         rng = random.Random(2)
         training = random_training(rng, 10, 2)
         rows = [[0.5, -0.5, 999.0], [-2.5, 1.0, 300.0], [0.5, -0.5, 200.0], [3.0, 3.0, 400.0]]
         subjects = Frame(["x0", "x1", "t"], rows, "t", row_ids=["a", "b", "c", "d"])
-        records = ammknn_predict_batch(subjects, training, self.config())
+        records = list(ammknn_predict_batch(subjects, training, self.config()))
         assert len(records) == len(rows)
         for i, record in enumerate(records):
             row = Frame(subjects.column_names, [rows[i]], subjects.target_name, [subjects.row_ids[i]])
@@ -284,7 +284,7 @@ class TestAmmknnPredictBatch:
         training = Frame(["x0", "t"], [[0.0, 480.0], [1.0, 310.0]], "t")
         subjects = Frame(["x0"], [[-2.5], [0.0]], None)
         config = AmmknnConfig(max_k=2, outlier_feature="x0")
-        records = ammknn_predict_batch(subjects, training, config)
+        records = list(ammknn_predict_batch(subjects, training, config))
         assert records[0].outlier_triggered and records[0].prediction == 310.0
         assert not records[1].outlier_triggered and records[1].prediction == 395.0
 
@@ -476,7 +476,7 @@ def test_engine_matches_naive_reference(case):
 
     subject_rows = [subject or [0.0] for subject in subjects]
     subject_frame = Frame(names[:-1] or [outlier], subject_rows, None)
-    records = ammknn_predict_batch(subject_frame, frame, config)
+    records = list(ammknn_predict_batch(subject_frame, frame, config))
     for subject, cells, record in zip(subjects, subject_rows, records):
         order, means = naive_ranking(matrix, targets, subject)
         neighbors, prediction = naive_adaptive(order, means, targets, cells[0], config)

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import hashlib
 import json
 import os
 import re
@@ -38,6 +39,7 @@ from ammknn.pipeline import (
     VALIDATION_CSV,
     resolve_outlier_feature,
     run_loocv,
+    run_predict,
     run_prepare,
     run_synth,
     run_validate,
@@ -641,6 +643,18 @@ class TestCliRefusesUnscorableInput:
         assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
         assert f"subject row 2, column 'f02': {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [("validate", VALIDATE_JSON), ("predict", PREDICTIONS_JSONL)])
+    def test_refusal_leaves_earlier_output_alone(self, tmp_path, capsys, command, name):
+        # every check runs before the output file is opened
+        out = tmp_path / "out"
+        assert main(_golden_argv(command, GOLDEN_SEED7 / VALIDATION_CSV, out)) == 0
+        earlier = (out / name).read_bytes()
+        cohort = _golden_cohort_with(tmp_path, 2, "f02", "nan")
+        capsys.readouterr()
+        assert main(_golden_argv(command, cohort, out)) == 3
+        assert "subject row 2, column 'f02': non-finite value nan" in capsys.readouterr().err
+        assert (out / name).read_bytes() == earlier
+
 
 # each subcommand with inputs that work, less its --out
 STEP_ARGV = {
@@ -677,6 +691,36 @@ def test_out_that_cannot_be_a_directory_exit_3(tmp_path, capsys, command, inside
     assert taken.read_text() == "kept\n"
 
 
+# an output file of each subcommand
+STEP_OUTPUT = {
+    "synth": SYNTH_CSV,
+    "prepare": TRAIN_CSV,
+    "loocv": LOOCV_AMMKNN_JSON,
+    "validate": VALIDATE_JSON,
+    "predict": PREDICTIONS_JSONL,
+    "plot": "scatter.svg",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEP_ARGV))
+def test_output_file_that_is_a_directory_exit_3(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    taken = out / STEP_OUTPUT[command]
+    taken.mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*STEP_ARGV[command], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {taken}: cannot be written (" in err
+    assert taken.is_dir()
+
+
+def test_predict_output_bytes(tmp_path):
+    # no golden holds predictions.jsonl, so its digest pins every byte
+    assert main(_golden_argv("predict", GOLDEN_SEED7 / VALIDATION_CSV, tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / PREDICTIONS_JSONL).read_bytes()).hexdigest()
+    assert digest == "6beeb0b3dd8601b7b2ee9cdaba6b170263e0ed944c599cc1f57e413b78040690"
+
+
 def _with_blank_lines(source, path):
     """A copy of a CSV with a blank line after its second data row and one at the end."""
     lines = source.read_text().splitlines()
@@ -697,11 +741,11 @@ def test_blank_lines_change_no_output(tmp_path):
         assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes(), name
 
 
-def _prepare_peak(config_doc, cohort, out):
-    """tracemalloc's peak during ``run_prepare``."""
+def _peak(step, *args):
+    """tracemalloc's peak during ``step(*args)``."""
     tracemalloc.start()
     try:
-        run_prepare(config_from_json_dict(config_doc), cohort, out)
+        step(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -727,11 +771,34 @@ def test_prepare_memory_follows_the_kept_cells(tmp_path):
         "exclude_columns": ["gx", *extra[12:]],
     }
     run_prepare(config_from_json_dict(CONFIG_DOC), base, tmp_path / "warm-up")  # one-time costs
-    base_peak = _prepare_peak(CONFIG_DOC, base, tmp_path / "base")
-    wide_peak = _prepare_peak(wide_doc, wide, tmp_path / "wide")
+    base_peak = _peak(run_prepare, config_from_json_dict(CONFIG_DOC), base, tmp_path / "base")
+    wide_peak = _peak(run_prepare, config_from_json_dict(wide_doc), wide, tmp_path / "wide")
     for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON):
         assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "base" / name).read_bytes()
     assert wide_peak < 1.25 * base_peak
+
+
+def test_predict_memory_follows_the_model(tmp_path):
+    # predict holds the cohort as read, but only one subject's ranking and
+    # prediction line at a time; keeping every record for the cohort
+    # makes the peak grow more than 3x with a cohort 4x as large
+    spec = json.loads((GOLDEN_SEED7.parent / "spec.json").read_text())
+    spec["n_rows"] = 500
+    spec["split"]["train_fraction"] = 0.88
+    config = config_from_json_dict(json.loads((GOLDEN_SEED7.parent / "config.json").read_text()))
+    run_synth(spec, tmp_path)
+    run_prepare(config, tmp_path / SYNTH_CSV, tmp_path)
+    cohort = tmp_path / VALIDATION_CSV
+    header, *rows = cohort.read_text().splitlines()
+    cohort4 = tmp_path / "cohort4.csv"
+    cohort4.write_text("\n".join([header, *rows * 4]) + "\n")
+    train = tmp_path / TRAIN_CSV
+    run_predict(config, train, cohort, tmp_path / "warm-up")  # one-time costs
+    base_peak = _peak(run_predict, config, train, cohort, tmp_path / "base")
+    big_peak = _peak(run_predict, config, train, cohort4, tmp_path / "big")
+    base_lines = (tmp_path / "base" / PREDICTIONS_JSONL).read_text().splitlines()
+    assert (tmp_path / "big" / PREDICTIONS_JSONL).read_text().splitlines() == base_lines * 4
+    assert big_peak < 2.5 * base_peak
 
 
 class TestCohortColumnContract:
