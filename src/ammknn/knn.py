@@ -96,10 +96,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
-from .frame import Frame, refuse_unusable
+from .frame import Frame, _picker, refuse_unusable
 
 # Ordered (training_row_index, distance) pairs, nearest first.
 NeighborRanking = Tuple[Tuple[int, float], ...]
@@ -227,7 +227,7 @@ def _adaptive(
 def _scored(
     matrix: Sequence[tuple],
     target: Sequence[float],
-    subjects: Sequence[tuple],
+    subjects: Iterable[tuple],
     limit: int,
     held_out: bool = False,
 ) -> Iterator[Tuple[list, list, list]]:
@@ -247,10 +247,11 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
 
     Subjects must carry every training feature column plus the configured
     outlier feature; each subject's outlier value is read from its own
-    (standardized) cell. The training matrix and the subjects' cells are
-    extracted and checked once per call, when it is called, so a refusal
-    comes before the first record; each record is then scored as it is
-    drawn, and only one subject's ranking is held at a time. Prediction is
+    (standardized) cell. The training matrix is extracted, and it and the
+    subjects' cells are checked, once per call, when it is called, so a
+    refusal comes before the first record; each record is then scored as
+    it is drawn, from the subject's cells picked out of its row, and only
+    one subject's ranking is held at a time. Prediction is
     pure per row, so rows could be fanned out across workers without
     changing the output.
     """
@@ -268,7 +269,10 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
     columns = {n: subjects.column(n) for n in (*features, config.outlier_feature)}
     refuse_unusable("subject row {}".format, list(columns), list(columns.values()))
     outlier_values = columns[config.outlier_feature]
-    scored = _scored(matrix, target, subjects.feature_matrix(features), config.max_k)
+    # each subject's cells are picked as it is ranked: no second tuple per
+    # cohort row is held
+    pick = _picker([subjects.column_index(n) for n in features])
+    scored = _scored(matrix, target, map(pick, subjects.rows), config.max_k)
 
     def records() -> Iterator[PredictionRecord]:
         for i, (ranked, targets, means) in enumerate(scored):

@@ -1,12 +1,14 @@
 """End-to-end workflow steps behind the CLI subcommands.
 
 prepare: raw cohort CSV -> train/validation CSVs plus the selection audit
-JSON. Each record is handled as it is read: its group means are
-appended, it is put on its side of the year cutoff or counted as left
-out (no usable year, a missing target, a missing cell), and its kept
-cells go into one compact column per side and kept label, so memory
-follows the kept cells, not the raw table. Both sides are then jointly
-standardized and correlation-selected a column at a time.
+JSON. Each record is handled as it is read: it is put on its side of the
+year cutoff or counted as left out (no usable year, a missing target),
+and only the cells its kept columns read are held, a block of rows at a
+time. Each block is transposed once; its group means are formed a
+column at a time, rows with a missing cell are counted and left out,
+and its cells go into one compact column per side and kept label, so
+memory follows the kept cells, not the raw table. Both sides are then
+jointly standardized and correlation-selected a column at a time.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
@@ -39,7 +41,8 @@ import os
 from array import array
 from dataclasses import replace
 from functools import reduce
-from operator import add
+from itertools import compress, repeat
+from operator import add, itemgetter, truediv
 from typing import NamedTuple, Optional
 
 from . import report as report_mod
@@ -125,10 +128,51 @@ class _Side(NamedTuple):
 _BLOCK_ROWS = 256
 
 
+def _row_mean(cells, k: int):
+    """The mean of one row's group members, or None if one is missing:
+    added left to right from 0.0, as built-in sum() would not be from
+    Python 3.12 on."""
+    try:
+        return reduce(add, cells, 0.0) / k
+    except TypeError:  # float + None: a missing member cell
+        return None
+
+
+def _move(rows: list, columns: list, plan: list) -> bool:
+    """Append a block of picked rows to ``columns``, one kept column per
+    ``(first cell, member count)`` of ``plan``: a plain column's one cell,
+    or the mean of a group's members. Returns False, with every column as
+    it was, if a cell is missing.
+
+    Each group's mean is a chain of ``map(add, ...)`` over its member
+    columns, seeded with ``repeat(0.0)``, then divided by the member
+    count: per row, the same operations in the same order as
+    ``_row_mean``.
+    """
+    if not rows:
+        return True
+    cells = list(zip(*rows))
+    done = len(columns[0])
+    try:
+        for column, (at, k) in zip(columns, plan):
+            if k:
+                total = repeat(0.0)
+                for member in cells[at:at + k]:
+                    total = map(add, total, member)
+                column.fromlist(list(map(truediv, total, repeat(k))))
+            else:
+                column.fromlist(list(cells[at]))
+    except TypeError:  # float + None, or None into an array('d')
+        for column in columns:
+            del column[done:]
+        return False
+    return True
+
+
 def _split_records(config: PipelineConfig, names: list, records) -> tuple:
     """``prepare``'s pass over the raw records; see ``_split_cohort``."""
     known = list(names)
-    groups = []
+    groups = {}  # group label -> positions of its members in a raw row
     for spec in config.aggregations:
         for m in spec.member_columns:
             if m not in names:
@@ -136,8 +180,7 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
         if spec.group_name in known:
             raise DataError(f"column {spec.group_name!r} already exists")
         known.append(spec.group_name)
-        member_at = [names.index(m) for m in spec.member_columns]
-        groups.append((_picker(member_at), len(member_at)))
+        groups[spec.group_name] = [names.index(m) for m in spec.member_columns]
     members = set()
     for spec in config.aggregations:
         if config.target_name in spec.member_columns:
@@ -164,29 +207,40 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
             or (include is None or n in include) and n not in config.exclude_columns
         )
     ]
-    pick = _picker([known.index(n) for n in columns])
-    year, target = known.index(cohort), known.index(config.target_name)
+    # the cells the kept columns read from a raw row, in one itemgetter:
+    # a plain column's own cell, or every member of a group
+    at, plan = [], []
+    for n in columns:
+        plan.append((len(at), len(groups[n]) if n in groups else 0))
+        at.extend(groups.get(n) or [names.index(n)])
+    pick = _picker(at)
+    if cohort in groups:  # a group's mean serves as the year
+        get_members, k = _picker(groups[cohort]), len(groups[cohort])
+        year_of = lambda row: _row_mean(get_members(row), k)  # noqa: E731
+    else:
+        year_of = itemgetter(names.index(cohort))
+    target = names.index(config.target_name)
     next_year = cutoff + 1
     outside = 0
     missing_target, incomplete = [0, 0], [0, 0]
     bad_year = None
     sides = tuple(_Side([], [array("d") for _ in columns]) for _ in (0, 1))
-    blocks = ([], [])  # per side: kept rows not yet moved into its columns
+    blocks = tuple(([], []) for _ in (0, 1))  # per side: picked cells and ids not yet moved
 
     def flush(side: int) -> None:
-        for column, cells in zip(sides[side].columns, zip(*blocks[side])):
-            column.extend(cells)
-        blocks[side].clear()
+        rows, ids = blocks[side]
+        if not _move(rows, sides[side].columns, plan):
+            # a block that holds a missing cell: drop its incomplete rows
+            complete = [None not in cells for cells in rows]
+            incomplete[side] += complete.count(False)
+            _move(list(compress(rows, complete)), sides[side].columns, plan)
+            ids = compress(ids, complete)
+        sides[side].ids.extend(ids)
+        for pending in blocks[side]:
+            pending.clear()
 
     for lineno, rid, row in records:
-        for get, k in groups:
-            try:
-                # members added left to right from 0.0; built-in sum()
-                # would round differently from Python 3.12 on
-                row.append(reduce(add, get(row), 0.0) / k)
-            except TypeError:  # float + None: a missing member cell
-                row.append(None)
-        y = row[year]
+        y = year_of(row)
         if y is None or not -math.inf < y < next_year:
             if y is not None and bad_year is None and not math.isfinite(y):
                 bad_year = (lineno, y)
@@ -196,13 +250,10 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
         if row[target] is None:
             missing_target[side] += 1
             continue
-        cells = pick(row)
-        if None in cells:
-            incomplete[side] += 1
-            continue
-        sides[side].ids.append(rid)
-        blocks[side].append(cells)
-        if len(blocks[side]) == _BLOCK_ROWS:
+        rows, ids = blocks[side]
+        rows.append(pick(row))
+        ids.append(rid)
+        if len(rows) == _BLOCK_ROWS:
             flush(side)
     flush(0)
     flush(1)
@@ -227,17 +278,27 @@ def _split_cohort(config: PipelineConfig, input_path):
     """Raw cohort CSV -> (kept column labels, train side, validation side,
     row and column counts).
 
-    Each record is handled as ``load_csv`` parses it, and only the kept
-    cells outlive it. Its group means are appended, then one column list
-    is picked: the candidate columns (``include_columns`` less
+    The kept columns are the candidate columns (``include_columns`` less
     ``exclude_columns``; the target is always kept) without the group
-    members and the cohort year. The record goes to the first bucket that
-    fits, counting the first three: (1) no cohort year, or one outside
-    both windows; (2) a missing target; (3) any other missing cell in the
-    picked columns; (4) train, a year before ``year_cutoff``; (5)
-    validation, a year in ``[year_cutoff, year_cutoff + 1)``. The picked
-    cells of the last two are moved, a block of rows at a time, into one
-    ``array('d')`` per kept column of the side.
+    members and the cohort year. Each record goes to the first bucket
+    that fits, counting the first three: (1) no cohort year, or one
+    outside both windows; (2) a missing target; (3) any other missing
+    cell in the kept columns, a group's mean being missing when one of
+    its members is; (4) train, a year before ``year_cutoff``; (5)
+    validation, a year in ``[year_cutoff, year_cutoff + 1)``.
+
+    The work runs in this order. As ``load_csv`` parses each record, its
+    year (a group's mean, formed for that record alone, where the cohort
+    column is a group) and then its target decide (1) and (2), and a
+    record that passes both keeps, in one tuple, only the cells the kept
+    columns read: a plain column's own cell and every member of a kept
+    group. Each block of ``_BLOCK_ROWS`` such tuples per side is
+    transposed once, each kept group's mean is formed over the block's
+    member columns (members added left to right from 0.0, then divided
+    by their count), and every kept column is appended to that side's
+    ``array('d')``. Only a block that holds a missing cell is gone over
+    again row by row: its rows with one are counted in (3) and the rest
+    are moved as before.
 
     The configuration's columns are checked against the header before any
     row is read. A NaN or infinite year is refused once every record has
@@ -255,7 +316,15 @@ def _split_cohort(config: PipelineConfig, input_path):
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     _make_out_dir(out_dir)
     names, train, validation, counts = _split_cohort(config, input_path)
-    standardize_joint(names, config.target_name, train.columns, validation.columns)
+    # the correlation filter needs 2 training rows; a NaN or infinite
+    # cell is still named first
+    too_few = (
+        f"{len(train.ids)} training rows kept (cohort year before year_cutoff "
+        f"{config.year_cutoff!r}); prepare needs at least 2"
+    )
+    standardize_joint(
+        names, config.target_name, train.columns, validation.columns, too_few_train=too_few
+    )
     selection = select_by_correlation(
         names, config.target_name, train.columns, config.correlation_threshold
     )

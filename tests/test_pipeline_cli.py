@@ -875,6 +875,44 @@ class TestPrepareCohortYears:
         err = capsys.readouterr().err
         assert "input row 4, column 'cohort'" in err
 
+    def test_year_from_a_group(self, workspace, tmp_path):
+        # a one-member group's mean is its member: the year it stands for
+        # splits the rows as the raw column does, a missing one included
+        odd = _with_years(workspace, tmp_path, {0: "", 1: "2031", 2: "2017"})
+        by_column = run_prepare(config_from_json_dict(CONFIG_DOC), odd, tmp_path / "column")
+        grouped = config_from_json_dict({
+            **CONFIG_DOC,
+            "cohort_column": "year",
+            "aggregations": [{"group_name": "year", "member_columns": ["cohort"]}],
+        })
+        assert run_prepare(grouped, odd, tmp_path / "group") == by_column
+        for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON):
+            assert (tmp_path / "group" / name).read_bytes() == (tmp_path / "column" / name).read_bytes()
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_too_few_training_rows_exit_3(self, tmp_path, capsys, kept):
+        # the seed-7 cohort with every year but the first ``kept`` rows'
+        # moved into the validation window
+        lines = (GOLDEN_SEED7 / SYNTH_CSV).read_text().splitlines()
+        col = lines[0].split(",").index("cohort")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[col] = "2018.0" if i <= kept else "2019.0"
+            lines[i] = ",".join(cells)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([
+            "prepare", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+            "--input", str(cohort), "--out", str(out),
+        ]) == 3
+        assert (
+            f"data error: {kept} training rows kept (cohort year before year_cutoff 2019.0); "
+            "prepare needs at least 2"
+        ) in capsys.readouterr().err
+        assert not (out / TRAIN_CSV).exists()
+
     def test_missing_and_outside_years_are_counted(self, workspace, tmp_path, capsys):
         config = config_from_json_dict(CONFIG_DOC)
         base = run_prepare(config, workspace["cohort_csv"], tmp_path / "base")

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -287,3 +288,80 @@ def test_prepare_matches_naive_reference(case):
         written = [Path(tmp, "out", name).read_bytes() for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON)]
     assert written == expected
     assert list(summary.items()) == list(counts.items())
+
+
+def _block_rows(seed, n_rows=1100):
+    """Rows of (year, q1, x0, q2, q3, score), most of them kept, with rows
+    that prepare drops or must keep crowded round each side's blocks.
+
+    Wherever a side has just taken in 254 to 257 rows, modulo 256, that
+    could be kept, the next rows of that side are one of each kind below:
+    a missing target, a year outside both windows or missing, a gap in
+    one group's member alone (q3: the last kept column), a gap in the
+    plain column, a g_pair of two -0.0 members, and a g_pair with one
+    member missing and one NaN. Such rows are also drawn at random.
+    """
+    rng = random.Random(seed)
+    cell = lambda: round(rng.gauss(0.0, 1.0), 6)  # noqa: E731
+
+    def row(side, kind):
+        year = rng.choice([2016.0, 2017.5, 2018.0, 2018.9] if side == 0 else [2019.0, 2019.5])
+        q1, x0, q2, q3 = cell(), cell(), cell(), cell()
+        score = round(400.0 + 40.0 * (x0 + q1 + q2) + rng.gauss(0.0, 30.0), 1)
+        if kind == "no target":
+            score = None
+        elif kind == "outside":
+            year = rng.choice([2020.0, 2021.5, None])
+        elif kind == "gap in one group":
+            q3 = None
+        elif kind == "gap in a plain column":
+            x0 = None
+        elif kind == "negative zeros":
+            q1 = q2 = -0.0
+        elif kind == "gap and NaN in g_pair":
+            q1, q2 = rng.choice([(None, math.nan), (math.nan, None)])
+        return (year, q1, x0, q2, q3, score)
+
+    kinds = ["no target", "outside", "gap in one group", "gap in a plain column",
+             "negative zeros", "gap and NaN in g_pair"]
+    rows = []
+    entered = [0, 0]  # rows per side with a usable year and a target
+    while len(rows) < n_rows:
+        side = 0 if rng.random() < 0.6 else 1
+        if entered[side] % 256 in (254, 255, 0, 1):
+            batch = [row(side, kind) for kind in kinds]
+        else:
+            batch = [row(side, rng.choice(kinds) if rng.random() < 0.05 else None)]
+        for r in batch:
+            if r[0] is not None and r[0] < CUTOFF + 1 and r[-1] is not None:
+                entered[side] += 1
+        rows += batch
+    return rows
+
+
+@pytest.mark.parametrize("exclude", [[], ["g_pair"]])
+def test_prepare_matches_naive_reference_across_blocks(exclude):
+    # about 1 100 rows, so each side fills more than one block of rows
+    text = _cohort(_block_rows(20231))
+    config = config_from_json_dict({
+        "target_name": "score",
+        "id_column": "student_id",
+        "cohort_column": "cohort",
+        "year_cutoff": CUTOFF,
+        "aggregations": AGGREGATIONS,
+        "exclude_columns": exclude,
+        "correlation_threshold": 0.1,
+    })
+    expected, counts = naive_prepare(text, 0.1, exclude)
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort = Path(tmp, "cohort.csv")
+        cohort.write_text(text, encoding="utf-8")
+        summary = run_prepare(config, cohort, Path(tmp, "out"))
+        written = [Path(tmp, "out", name).read_bytes() for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON)]
+    assert written == expected
+    assert list(summary.items()) == list(counts.items())
+    assert summary["train_rows"] > 2 * 256 and summary["validation_rows"] > 256
+    for side in ("train", "validation"):
+        assert summary[f"{side}_dropped_missing_target"] > 5
+        assert summary[f"{side}_dropped_incomplete"] > 5
+    assert summary["dropped_outside_years"] > 5
