@@ -134,11 +134,11 @@ def _read_value(hint, value, stanza: str, key: str):
 
 
 def _read_json(path, error, kind: str):
-    """The JSON document at ``path``. A missing file, a directory, a file
-    that is not UTF-8 and malformed JSON are each an ``error`` naming the
-    path."""
+    """The JSON document at ``path``, after any byte-order mark. A missing
+    file, a directory, a file that is not UTF-8 and malformed JSON are
+    each an ``error`` naming the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise error(f"{path}: no such {kind} file") from None

@@ -21,10 +21,10 @@ of a ranking, and the scores of a validated cohort. A missing or
 NaN/infinite cell is refused, naming it as ``<training|validation|
 subject|input> row i, column c``.
 
-CSV conventions: UTF-8, one header row, ``.`` decimal separator, empty
-string means missing, and a blank line holds no row. Column labels are
-taken verbatim from the header and treated as opaque keys (no
-sanitization).
+CSV conventions: UTF-8 (a leading byte-order mark is skipped), one
+header row, ``.`` decimal separator, empty string means missing, and a
+blank line holds no row. Column labels are taken verbatim from the
+header and treated as opaque keys (no sanitization).
 """
 
 from __future__ import annotations
@@ -308,7 +308,9 @@ def load_csv(
     and the Frame returned holds the header alone.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig skips the byte-order mark that some spreadsheet
+        # exports put before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names, id_pos = _read_header(reader, path, target_name, id_column)
             records = _records(reader, path, names, id_pos)

@@ -31,8 +31,9 @@ one pass of running means. The adaptive rule itself lives in
 ``_adaptive`` alone. The training matrix is extracted and checked once
 per call, not once per subject, one tuple per row.
 
-For each subject the engine filters, then refines. The filter gives every
-training row an approximate distance with ``math.dist``, one C call per
+For each subject the engine windows, filters, then refines. The window
+spares most rows their approximate distance (see below); the filter gives
+every row in it an approximate distance with ``math.dist``, one C call per
 row, and keeps the rows whose approximate distance is within a margin of
 the ``limit``-th smallest, tau: normally exactly ``limit`` rows. tau is
 found by heapifying a copy of the approximate distances and popping
@@ -59,6 +60,45 @@ so no row is cut at all: the same code path, with nothing filtered out.
 ``math.dist`` differs in its last bits between Python versions; the
 margin absorbs that, and the order itself comes only from the sums.
 
+The window. ``_scored`` sorts the training rows once per call by their
+feature sums, ``math.fsum(row)``. For each subject, ``_rank`` finds the
+subject's sum among them with ``bisect`` and gives the starting block, the
+2 * ``limit`` rows around it, their approximate distances. tu, the
+``limit``-th smallest of those, is at least tau, so
+``reach = tu * margin + 1e-150`` is at least the filter's bound.
+Only the rows whose sums lie within
+
+    W = sqrt(m) * reach * (1 + 1e-9) + 1e-12 * (S + |subject sum|)
+
+of the subject's, S being the largest sum of a training row's absolute
+values, get an approximate distance; the block's are reused. The heap,
+the filter, the refine and the sort then run on them unchanged.
+
+Why the window loses no row the filter keeps. Cauchy-Schwarz gives
+``|sum(x - q)| <= sqrt(m) * |x - q|`` for m features. A row the filter
+keeps has an approximate distance of at most reach, and its true distance
+exceeds that by a few ulps at most: the factor 1 + 1e-9 covers those and
+the rounding of sqrt(m) and of W. ``math.fsum`` rounds each sum once, by
+at most 2**-53 of its magnitude, and the 1e-12 term covers that and the
+rounding of the window's edges. The window holds the ``limit`` nearest
+rows, so tau over it is the same float as over every row, and the filter
+keeps the same rows. No window cuts, and every row goes down the same
+path, when 2 * ``limit`` is at least n, when a training row's sum
+overflows ``math.fsum`` (no index is built) or the subject's does, and
+when reach is 1e150 or more (the window is every row). Every subject
+gets at most n ``math.dist`` calls. Leave-one-out ranks each row one
+place deeper and then drops the row itself from its ranking, so neither
+the window nor the filter needs to know the held-out row.
+
+On the score-cohort benchmark inputs (seed 3, 717 training rows, 12
+features that share a common factor), a subject gets about 0.63 * n
+``math.dist`` calls. Ranking the 1 075 subjects took 0.196 s against
+0.240 s without the window, and ``loocv``'s ranking 0.118 s against
+0.147 s (best of 15 interleaved runs on a 2-core Xeon, Python 3.11.7).
+Where the features share no factor, almost every row falls in the
+window, which then only costs: on 717 x 12 i.i.d. normal rows, ranking
+took 8-13% longer (best of 40 runs, four repeats).
+
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
 finite: ``frame.refuse_unusable`` refuses a missing or non-finite cell
@@ -75,10 +115,10 @@ Measured and rejected, on the loocv and score-cohort benchmark inputs
 - Pivot (triangle-inequality) pruning: 87%, 70%, 54% and 50% of the rows
   survive it with 1, 4, 8 and 16 pivots, against ``limit`` rows for the
   ``math.dist`` filter.
-- A 1-D projection window (rows whose projection lies within tau of the
-  subject's): about 54% of the rows survive it, both along the
-  feature-sum direction and along the first principal component, even
-  when given the exact tau.
+- A window along the first principal component instead of the feature
+  sum: given the exact tau, about 54% of the rows lie in either, so it
+  would cut no more, and it needs the component fitted and a projection
+  of every row.
 - numpy: importing it alone adds 12 MB to a step whose peak RSS is about
   26 MB.
 - A big-integer lane kernel for the approximate distances (many rows
@@ -86,16 +126,17 @@ Measured and rejected, on the loocv and score-cohort benchmark inputs
   SplitMix64 outputs at once): 107 µs per subject, plus 70 µs to unpack
   the lanes, against 186 µs for the ``math.dist`` pass.
 
-The ``math.dist`` pass is about half of ``_rank`` and is the floor of a
-pure-Python kernel.
+A ``math.dist`` call per row is the floor of a pure-Python kernel; the
+window cuts the rows that get one.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
@@ -159,32 +200,75 @@ def _training_arrays(training: Frame) -> Tuple[list, tuple]:
     return training.feature_matrix(), training.target_values()
 
 
-def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, skip: Optional[int] = None) -> list:
+def _sum_index(matrix: Sequence[tuple]) -> Optional[tuple]:
+    """The window index of the checked training rows: the rows in
+    ascending order of ``math.fsum``, their sums and the rows in that
+    order, and the largest sum of a row's absolute values. None when a
+    sum overflows."""
+    try:
+        sums = [math.fsum(row) for row in matrix]
+        spread = max(math.fsum(map(abs, row)) for row in matrix)
+    except OverflowError:
+        return None
+    order = sorted(range(len(matrix)), key=sums.__getitem__)
+    return order, [sums[j] for j in order], [matrix[j] for j in order], spread
+
+
+def _window(index: tuple, subject: tuple, limit: int, margin: float) -> Optional[tuple]:
+    """``(rows, approximate distances)`` of the training rows whose sums
+    lie within W of the subject's, and of the starting block of 2 * ``limit``
+    rows around it: every row when the bound reaches 1e150, and None when
+    the subject's sum overflows."""
+    order, sums, rows, spread = index
+    try:
+        total = math.fsum(subject)
+    except OverflowError:
+        return None
+    lo = min(max(bisect_left(sums, total) - limit, 0), len(order) - 2 * limit)
+    hi = lo + 2 * limit
+    block = list(map(math.dist, repeat(subject), rows[lo:hi]))
+    # no smaller than the bound of _rank's filter: tau is at most this tu
+    reach = sorted(block)[limit - 1] * margin + 1e-150
+    half = math.inf
+    if reach < 1e150:
+        half = math.sqrt(len(subject)) * reach * (1 + 1e-9) + 1e-12 * (spread + abs(total))
+    a = min(lo, bisect_left(sums, total - half))
+    b = max(hi, bisect_right(sums, total + half))
+    approx = list(map(math.dist, repeat(subject), rows[a:lo]))
+    approx += block
+    approx += map(math.dist, repeat(subject), rows[hi:b])
+    return order[a:b], approx
+
+
+def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: Optional[tuple]) -> list:
     """The ``limit`` nearest ``(squared_distance, row)`` pairs among the
     checked training rows of ``matrix``, ordered by distance then row
-    index, leaving out row ``skip``.
+    index.
 
-    This is the package's only ranking: ``math.dist`` filters, the exact
-    left-to-right sums of the survivors order them. The module docstring
-    gives the error argument behind the margins.
+    This is the package's only ranking: a window over the feature sums of
+    ``index`` (from ``_sum_index``, or None for no window) and a
+    ``math.dist`` filter pick the candidates, and the exact left-to-right
+    sums of the survivors order them. The module docstring gives the
+    error argument behind the window and the margins.
     """
-    n = len(matrix)
-    approx = list(map(math.dist, repeat(subject, n), matrix))
-    rows = range(n)
-    if skip is not None:
-        rows = chain(range(skip), range(skip + 1, n))
-        approx[skip] = math.inf  # so no finite bound keeps it
-    if limit < n:
+    margin = 1.0 + 1e-12 + len(subject) * 1e-15
+    window = None if index is None else _window(index, subject, limit, margin)
+    if window is None:
+        candidates = range(len(matrix))
+        approx = list(map(math.dist, repeat(subject), matrix))
+    else:
+        candidates, approx = window
+    rows = candidates
+    if limit < len(approx):
         # tau, the limit-th smallest approximate distance: the same float
         # that a full sort would put at index limit - 1
         heap = approx.copy()
         heapq.heapify(heap)
         for _ in range(limit - 1):
             heapq.heappop(heap)
-        margin = 1.0 + 1e-12 + len(subject) * 1e-15
         bound = heap[0] * margin + 1e-150
         if bound < 1e150:
-            rows = [j for j, a in enumerate(approx) if a <= bound]
+            rows = [candidates[k] for k, a in enumerate(approx) if a <= bound]
     ranked = []
     for j in rows:
         sq = 0.0
@@ -235,9 +319,14 @@ def _scored(
     ``(squared_distance, row)`` pairs among the checked training rows of
     ``matrix``, their targets and the targets' running means. With
     ``held_out``, subject i is training row i and is left out of its own
-    ranking."""
+    ranking: it is ranked one place deeper, then dropped."""
+    depth = limit + 1 if held_out else limit
+    # with 2 * depth rows or fewer, the starting block would be every row
+    index = _sum_index(matrix) if 2 * depth < len(matrix) else None
     for i, subject in enumerate(subjects):
-        ranked = _rank(matrix, subject, limit, skip=i if held_out else None)
+        ranked = _rank(matrix, subject, depth, index)
+        if held_out:
+            ranked = [pair for pair in ranked if pair[1] != i][:limit]
         targets = [target[j] for _, j in ranked]
         yield ranked, targets, cumulative_means(targets)
 

@@ -19,8 +19,9 @@ directory, or an output file that cannot be written, into a
 ``DataError``.
 
 loocv, validate and predict all score through one loop in ``knn``: a
-``math.dist`` filter over every training row, then exact left-to-right
-squared distances for the few rows it keeps. validate and predict hold
+window over the training rows' feature sums, a ``math.dist`` filter over
+the rows in it, then exact left-to-right squared distances for the few
+rows it keeps. validate and predict hold
 one subject's ranking at a time: validate keeps three numbers of each
 subject for its report, and predict writes each subject's line as it is
 scored, after every check has passed. ``knn.loocv`` ranks each
@@ -104,6 +105,12 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
         if r is None:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0
+        elif math.isnan(r):
+            # no r would win, and the frame would seem to have no features
+            raise DataError(
+                f"training column {name!r}: its correlation with the target "
+                f"{train.target_name!r} overflows"
+            )
         if r > best_r:
             best, best_r = name, r
     if best is None:

@@ -84,6 +84,9 @@ def _column_stats(label: str, values: Sequence[float]):
     mean = left_sum(values) / len(values)
     d = [v - mean for v in values]
     sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
+    if not math.isfinite(sd):
+        # an inf sd would turn every z-score into 0.0, a constant column
+        raise DataError(f"column {label!r}: its sum or sum of squares overflows")
     if sd == 0.0:
         raise DataError(f"column {label!r} has zero variance")
     return mean, sd, d
@@ -151,8 +154,9 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
     One sweep computes y's mean, deviations and sum of squares once, on
     the first column, and reuses them for every column; each r is the
     same float that correlating the pair on its own would give. A column
-    or a ``y`` with zero spread yields None. Columns are consumed lazily,
-    so only one column's deviations are held at a time.
+    or a ``y`` with zero spread yields None, and one whose sums of squares
+    overflow yields NaN. Columns are consumed lazily, so only one column's
+    deviations are held at a time.
     """
     n = len(y)
     dy = syy = None
@@ -170,6 +174,8 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
         sxx = left_sum(map(mul, dx, dx))
         if sxx == 0.0 or syy == 0.0:
             yield None
+        elif not math.isfinite(sxx * syy):
+            yield math.nan
         else:
             yield left_sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
@@ -207,6 +213,10 @@ def select_by_correlation(
         r = rs[j]
         if r is None:
             raise DataError(f"column {name!r} is constant")
+        if math.isnan(r):
+            raise DataError(
+                f"column {name!r}: its correlation with the target {target_name!r} overflows"
+            )
         log.info("%d. Correlation between %s and target = %.7g.", j + 1, name, r)
         if abs(r) >= threshold:
             kept.append(name)

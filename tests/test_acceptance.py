@@ -8,6 +8,8 @@ import functools
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -427,3 +429,25 @@ def test_criterion_9_golden_files(tmp_path):
     assert scatter.count('class="ref"') == 4
     assert packrat.count('class="pt"') == 43
     assert packrat.count('class="ref"') == 1
+
+
+def test_make_golden_writes_the_committed_spec_and_config():
+    # the script puts src/ on sys.path itself, so it runs as its docstring
+    # says, from the repository root with no PYTHONPATH
+    script = os.path.join(os.path.dirname(__file__), "make_golden.py")
+    probe = (
+        "import json, runpy, sys; found = runpy.run_path(sys.argv[1]); "
+        "print(json.dumps([found['SPEC'], found['CONFIG']]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, script],
+        capture_output=True, text=True, env=env, timeout=60,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert result.returncode == 0, result.stderr
+    spec, config = json.loads(result.stdout)
+    with open(os.path.join(GOLDEN_DIR, "spec.json"), encoding="utf-8") as fh:
+        assert spec == json.load(fh)
+    with open(os.path.join(GOLDEN_DIR, "config.json"), encoding="utf-8") as fh:
+        assert config == json.load(fh)

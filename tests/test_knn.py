@@ -365,12 +365,14 @@ class TestUnscorableCellsRefused:
 # ---------------------------------------------------------------------------
 
 
-def naive_ranking(matrix, targets, subject, skip=None):
-    """Sort every row by squared distance, then average each prefix."""
+def naive_ranking(matrix, targets, subject, skip=None, depth=None):
+    """Sort every row by squared distance, then average each prefix (the
+    first ``depth`` of them, or all)."""
     order = sorted(
         (brute_sqdist(subject, row), i) for i, row in enumerate(matrix) if i != skip
     )
-    means = [sum(targets[i] for _, i in order[:k]) / k for k in range(1, len(order) + 1)]
+    deepest = len(order) if depth is None else min(depth, len(order))
+    means = [sum(targets[i] for _, i in order[:k]) / k for k in range(1, deepest + 1)]
     return order, means
 
 
@@ -463,7 +465,14 @@ def engine_cases(draw):
 @example((ON_A_LINE, [], 1, 3, -2.0))
 @example((ON_A_LINE, [], 2, 4, -2.0))
 def test_engine_matches_naive_reference(case):
-    rows, subjects, max_k, knn_k, cutoff = case
+    check_against_naive(*case)
+
+
+def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
+    """Score ``subjects`` with ``ammknn_predict_batch`` and every row of
+    ``rows`` (features, then the target) with ``loocv``, and compare each
+    neighbor list, distance and prediction with the naive reference."""
+    depth = max(max_k, knn_k)
     dims = len(rows[0]) - 1
     names = [f"x{j}" for j in range(dims)] + ["t"]
     frame = Frame(names, rows, "t")
@@ -478,7 +487,7 @@ def test_engine_matches_naive_reference(case):
     subject_frame = Frame(names[:-1] or [outlier], subject_rows, None)
     records = list(ammknn_predict_batch(subject_frame, frame, config))
     for subject, cells, record in zip(subjects, subject_rows, records):
-        order, means = naive_ranking(matrix, targets, subject)
+        order, means = naive_ranking(matrix, targets, subject, depth=depth)
         neighbors, prediction = naive_adaptive(order, means, targets, cells[0], config)
         assert record.neighbor_ranking == neighbors
         assert record.prediction == prediction
@@ -497,12 +506,125 @@ def test_engine_matches_naive_reference(case):
     expected_adaptive, expected_fixed = [], []
     outlier_values = frame.column(outlier)
     for i in range(n):
-        order, means = naive_ranking(matrix, targets, matrix[i], skip=i)
+        order, means = naive_ranking(matrix, targets, matrix[i], skip=i, depth=depth)
         expected_adaptive.append(naive_adaptive(order, means, targets, outlier_values[i], config)[1])
         expected_fixed.append(means[knn_k - 1])
     assert adaptive == expected_adaptive
     assert fixed == expected_fixed
     assert triggered == [v < cutoff for v in outlier_values]
+
+
+# ---------------------------------------------------------------------------
+# differential test of the feature-sum window: tables deep enough that the
+# window can cut (n > 2 * ranking depth), against the same naive reference
+# ---------------------------------------------------------------------------
+
+# factor: a common factor in every feature, as synth draws its signal
+# features, so the window cuts most; collinear: rows on a line along
+# (1, ..., 1), where Cauchy-Schwarz holds with equality, or along
+# (1, 2, ..., m); tied: four coordinates, so many rows share a sum;
+# extreme: sums that overflow math.fsum (1.5e308 twice) and distances of
+# 1e300, where no window can cut; subnormal: squares that underflow
+WINDOW_FAMILIES = ("factor", "collinear", "tied", "extreme", "subnormal")
+
+
+def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
+    """An ``engine_cases`` case of ``n`` rows, duplicates among them, and
+    five subjects, two of them copies of training rows."""
+    rng = random.Random(seed)
+    direction = rng.choice([[1.0] * dims, [float(k) for k in range(1, dims + 1)]])
+
+    def features():
+        if family == "factor":
+            ability = rng.gauss(0, 1)
+            return [round(ability + rng.gauss(0, 1), 6) for _ in range(dims)]
+        if family == "collinear":
+            t = round(rng.uniform(-3, 3), 2)
+            return [t * c for c in direction]
+        cells = {
+            "tied": TIED,
+            "extreme": [1e300, -1e300, 1.5e308, 0.5, 0.0],
+            "subnormal": [5e-324, -1e-310, 2.5e-320, 0.0, 1e-300],
+        }[family]
+        return [rng.choice(cells) for _ in range(dims)]
+
+    copies = rng.randint(1, 8)
+    rows = [features() + [float(rng.randint(200, 800))] for _ in range(n - copies)]
+    for _ in range(copies):  # a duplicate with a fresh score, anywhere
+        twin = rows[rng.randrange(len(rows))][:dims] + [float(rng.randint(200, 800))]
+        rows.insert(rng.randrange(len(rows) + 1), twin)
+    subjects = [features() for _ in range(3)]
+    subjects += [rows[rng.randrange(n)][:dims] for _ in range(2)]
+    return rows, subjects, max_k, knn_k, cutoff
+
+
+@st.composite
+def window_cases(draw):
+    return window_case(
+        draw(st.sampled_from(WINDOW_FAMILIES)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(30, 150)),
+        draw(st.integers(1, 6)),
+        draw(st.integers(1, 20)),
+        draw(st.integers(1, 20)),
+        draw(st.sampled_from([-2.0, 0.25])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases())
+@example(window_case("factor", 1, 150, 6, 20, 12, -2.0))
+@example(window_case("collinear", 2, 120, 4, 5, 20, 0.25))
+@example(window_case("tied", 3, 100, 3, 20, 20, -2.0))
+@example(window_case("extreme", 4, 60, 2, 3, 1, 0.25))
+@example(window_case("subnormal", 5, 60, 3, 4, 7, -2.0))
+# 2 * depth == n: the starting block would be every row, so no window
+@example(window_case("factor", 6, 40, 3, 20, 12, -2.0))
+def test_window_matches_naive_reference(case):
+    check_against_naive(*case)
+
+
+def count_dist_calls(monkeypatch, rows, subjects, max_k=20):
+    """The ``math.dist`` calls that ``ammknn_predict_batch`` makes for each
+    subject, and those that ``loocv`` makes in all."""
+    calls = [0]
+    real = math.dist
+
+    def counting(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(math, "dist", counting)
+    dims = len(subjects[0])
+    names = [f"x{j}" for j in range(dims)] + ["t"]
+    frame = Frame(names, rows, "t")
+    config = AmmknnConfig(max_k=max_k, outlier_feature="x0")
+    per_subject = []
+    for _ in ammknn_predict_batch(Frame(names[:-1], subjects, None), frame, config):
+        per_subject.append(calls[0])
+        calls[0] = 0
+    loocv(frame, config, 1)
+    return per_subject, calls[0]
+
+
+class TestWindowDistanceCalls:
+    """The window spares the rows outside it their ``math.dist`` call, and
+    no subject ever costs more calls than there are training rows."""
+
+    @pytest.mark.parametrize("family", WINDOW_FAMILIES)
+    def test_never_more_than_n_calls(self, monkeypatch, family):
+        rows, subjects, *_ = window_case(family, 11, 150, 4, 20, 1, -2.0)
+        per_subject, in_loocv = count_dist_calls(monkeypatch, rows, subjects)
+        assert max(per_subject) <= 150
+        assert in_loocv <= 150 * 150
+
+    def test_common_factor_rows_mostly_skipped(self, monkeypatch):
+        rows = window_case("factor", 12, 300, 12, 20, 1, -2.0)[0]
+        subjects = [row[:12] for row in window_case("factor", 13, 100, 12, 20, 1, -2.0)[0]]
+        per_subject, in_loocv = count_dist_calls(monkeypatch, rows, subjects)
+        assert max(per_subject) <= 300
+        assert sum(per_subject) < 0.8 * 300 * len(per_subject)
+        assert in_loocv < 0.8 * 300 * 300
 
 
 def fixed_k_loocv(frame, k):

@@ -621,6 +621,54 @@ class TestCliRefusesUnscorableInput:
         err = capsys.readouterr().err
         assert "column 'f01': non-finite value nan" in err
 
+    @pytest.mark.parametrize("column, message", [
+        # its square overflowed, so the sd was inf, every z-score 0.0 and
+        # the column was refused as constant
+        ("f05", "column 'f05': its sum or sum of squares overflows"),
+        # the score is not standardized; every correlation with it came
+        # out 0.0, so every feature was dropped and prepare exited 0
+        ("score", "column 'f01': its correlation with the target 'score' overflows"),
+    ])
+    def test_overflowing_raw_cell_prepare_exit_3(self, tmp_path, capsys, column, message):
+        lines = (GOLDEN_SEED7 / SYNTH_CSV).read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        assert float(row[header.index("cohort")]) < 2019  # a training row
+        row[header.index(column)] = "1e200"
+        lines[1] = ",".join(row)
+        bad = tmp_path / "cohort.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "prepare", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+            "--input", str(bad), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_training_row_loocv_exit_3(self, tmp_path, capsys):
+        # every correlation with the target was NaN, so no feature won and
+        # the table was refused as having none
+        lines = (GOLDEN_SEED7 / TRAIN_CSV).read_text().splitlines()
+        header = lines[0].split(",")
+        lines[1] = ",".join(
+            cell if name in ("student_id", "score") else "1e308"
+            for name, cell in zip(header, lines[1].split(","))
+        )
+        bad = tmp_path / "train.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "loocv", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+            "--train", str(bad), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (
+            f"training column {header[1]!r}: its correlation with the target 'score' overflows"
+        ) in err
+        assert "no feature columns" not in err
+
     @pytest.mark.parametrize("cell", ["", "nan"])
     def test_bad_cohort_score_validate_exit_3(self, tmp_path, capsys, cell):
         # an empty score broke the report's tallies (exit 4); a NaN one was
@@ -739,6 +787,31 @@ def test_blank_lines_change_no_output(tmp_path):
     assert main(["loocv", "--config", config, "--train", str(train), "--out", str(out)]) == 0
     for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON, LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON):
         assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes(), name
+
+
+def test_byte_order_mark_changes_no_output(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark,
+    # which once hid the first header label from every step; some editors
+    # write one before a config too
+    inputs = {}
+    for source in (GOLDEN_SEED7 / SYNTH_CSV, GOLDEN_SEED7 / TRAIN_CSV,
+                   GOLDEN_SEED7 / VALIDATION_CSV, GOLDEN_SEED7.parent / "config.json"):
+        inputs[source.name] = tmp_path / source.name
+        inputs[source.name].write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    config = str(inputs["config.json"])
+    train, cohort = str(inputs[TRAIN_CSV]), str(inputs[VALIDATION_CSV])
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", config, "--input", str(inputs[SYNTH_CSV]), "--out", str(out)]) == 0
+    assert main(["loocv", "--config", config, "--train", train, "--out", str(out)]) == 0
+    for command in ("validate", "predict"):
+        argv = [command, "--config", config, "--train", train, "--cohort", cohort, "--out", str(out)]
+        assert main(argv) == 0
+    for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON, LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON,
+                 VALIDATE_JSON, ROSTER_JSON):
+        assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes(), name
+    plain = tmp_path / "plain"
+    assert main(_golden_argv("predict", GOLDEN_SEED7 / VALIDATION_CSV, plain)) == 0
+    assert (out / PREDICTIONS_JSONL).read_bytes() == (plain / PREDICTIONS_JSONL).read_bytes()
 
 
 def _peak(step, *args):
