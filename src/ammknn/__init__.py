@@ -7,7 +7,7 @@ and confusion-matrix reporting.
 """
 
 from .config import PipelineConfig, config_from_json_dict, load_config
-from .frame import AggregationSpec, Frame, load_csv, write_csv
+from .frame import AggregationSpec, load_csv, write_csv
 from .knn import (
     AmmknnConfig,
     PredictionRecord,
@@ -31,7 +31,6 @@ __all__ = [
     "AggregationSpec",
     "AmmknnConfig",
     "CohortSplit",
-    "Frame",
     "PipelineConfig",
     "PredictionRecord",
     "SelectionResult",

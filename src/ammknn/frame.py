@@ -1,30 +1,26 @@
-"""Rectangular cohort data: the Frame, and CSV reading and writing.
+"""CSV reading and writing, and the check of every cell a ranking reads.
 
-A Frame is an immutable in-memory table of numeric cells (missing cells
-are ``None``). Every row is one subject; one column is designated as the
-prediction target. Frames can be shared freely across workers.
-
-Cells are checked once, where they enter: the public ``Frame(...)``
-constructor checks the shape of every row and converts every cell that
-is not an exact ``float`` or ``None``, and ``load_csv`` parses every cell
-with ``float()`` or refuses it, so it builds its Frame through
-``Frame._derived``, which checks column labels but not cells.
-
-``prepare`` keeps no Frame of its raw input: ``load_csv`` hands it each
-record as it is parsed, and ``write_csv`` writes rows from any iterable,
-so neither ``prepare`` nor ``synth`` holds a table it writes.
+``load_csv`` reads a CSV's header and hands ``consume`` an iterator that
+parses each record as it is asked for one; nothing else holds the table.
+``prepare`` consumes the raw records itself (see ``pipeline``).
+``read_table`` consumes a prepared table for ``loocv``, ``validate`` and
+``predict``: it keeps only what a ranking step reads, one tuple of
+feature cells per row, in the training table's feature order, the
+targets, the outlier column and the ids, and checks each of those cells
+as its record is parsed. ``write_csv`` writes rows from any iterable, so
+neither ``prepare`` nor ``synth`` holds a table it writes.
 
 Whether a cell may enter arithmetic is decided by one helper,
 ``refuse_unusable``, wherever cells first enter it: the cohort year, the
-pooled columns being standardized, the training table and the subjects
-of a ranking, and the scores of a validated cohort. A missing or
-NaN/infinite cell is refused, naming it as ``<training|validation|
-subject|input> row i, column c``.
+pooled columns being standardized, and every cell ``read_table`` picks.
+A missing or NaN/infinite cell is refused, naming it as
+``<training|validation|subject|input> row i, column c``.
 
 CSV conventions: UTF-8 (a leading byte-order mark is skipped), one
 header row, ``.`` decimal separator, empty string means missing, and a
 blank line holds no row. Column labels are taken verbatim from the
-header and treated as opaque keys (no sanitization).
+header and treated as opaque keys (no sanitization). Every id in the id
+column is non-empty and appears once.
 """
 
 from __future__ import annotations
@@ -32,17 +28,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DataError
 
 Cell = Optional[float]
-
-# Cells of these exact types are stored as they are; anything else (int,
-# bool, numeric text, float subclasses) goes through float().
-_STORED_AS_IS = frozenset({float, type(None)})
 
 
 def refuse_unusable(
@@ -82,143 +73,6 @@ def _picker(idx: Sequence[int]) -> Callable:
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda row: tuple(row[i] for i in idx)
-
-
-def _check_labels(names: tuple, target_name: Optional[str]) -> None:
-    if len(set(names)) != len(names):
-        raise DataError(f"duplicate column labels in {names}")
-    if target_name is not None and target_name not in names:
-        raise DataError(f"target column {target_name!r} not present")
-
-
-class Frame:
-    """Immutable table of numeric cells with a designated target column.
-
-    ``target_name`` may be None for prediction-only cohorts that carry no
-    outcome column; whenever it is set it must name an existing column.
-    ``row_ids`` are optional per-row text identifiers (for example a
-    student id pulled out of the CSV); they are bookkeeping, not data.
-
-    Invariant: ``rows`` is a tuple of equal-width tuples whose cells are
-    exact ``float`` or ``None``. ``Frame(...)`` establishes it for any
-    input: ragged rows are refused and other cells go through ``float()``.
-    ``load_csv`` builds its Frame with ``_derived``, which trusts it,
-    because every cell it stores comes from ``float()``; re-scanning
-    those cells was most of the time spent constructing Frames.
-    """
-
-    __slots__ = ("column_names", "rows", "target_name", "row_ids", "id_name")
-
-    def __init__(
-        self,
-        column_names: Sequence[str],
-        rows: Sequence[Sequence[Cell]],
-        target_name: Optional[str],
-        row_ids: Optional[Sequence[str]] = None,
-        id_name: Optional[str] = None,
-    ):
-        names = tuple(column_names)
-        _check_labels(names, target_name)
-        frozen = tuple(map(tuple, rows))
-        if not set(map(len, frozen)) <= {len(names)}:
-            i, cells = next((i, c) for i, c in enumerate(frozen) if len(c) != len(names))
-            raise ConfigError(f"row {i} has {len(cells)} cells, expected {len(names)}")
-        if not _STORED_AS_IS.issuperset(map(type, chain.from_iterable(frozen))):
-            frozen = tuple(
-                tuple(None if c is None else float(c) for c in row) for row in frozen
-            )
-        if row_ids is not None and len(row_ids) != len(frozen):
-            raise ConfigError("row_ids length does not match row count")
-        self.column_names = names
-        self.rows = frozen
-        self.target_name = target_name
-        self.row_ids = tuple(row_ids) if row_ids is not None else None
-        self.id_name = id_name
-
-    @classmethod
-    def _derived(
-        cls,
-        column_names: Sequence[str],
-        rows: tuple,
-        target_name: Optional[str],
-        row_ids: Optional[tuple],
-        id_name: Optional[str],
-    ) -> "Frame":
-        """A Frame over rows that already satisfy the class invariant.
-
-        ``rows`` must be a tuple of tuples, each ``len(column_names)``
-        wide, of exact ``float`` or ``None``, and ``row_ids`` None or a
-        tuple of the same length. Column labels are still checked; cells
-        are not.
-        """
-        names = tuple(column_names)
-        _check_labels(names, target_name)
-        frame = object.__new__(cls)
-        frame.column_names = names
-        frame.rows = rows
-        frame.target_name = target_name
-        frame.row_ids = row_ids
-        frame.id_name = id_name
-        return frame
-
-    # -- basic accessors ------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.column_names)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise DataError(f"no column named {name!r}") from None
-
-    def column(self, name: str) -> tuple:
-        return tuple(map(itemgetter(self.column_index(name)), self.rows))
-
-    def columns(self) -> list:
-        """Every column as a tuple, in column order, from one pass over the rows."""
-        if not self.rows:
-            return [()] * self.n_cols
-        return list(zip(*self.rows))
-
-    def feature_names(self) -> tuple:
-        """Column labels excluding the target."""
-        return tuple(n for n in self.column_names if n != self.target_name)
-
-    def feature_matrix(self, names: Optional[Sequence[str]] = None) -> list:
-        """Rows restricted to the given feature columns (default: all non-target)."""
-        if names is None:
-            names = self.feature_names()
-        return list(map(_picker([self.column_index(n) for n in names]), self.rows))
-
-    def target_values(self) -> tuple:
-        if self.target_name is None:
-            raise DataError("frame has no target column")
-        return self.column(self.target_name)
-
-    def row_id(self, i: int) -> Optional[str]:
-        return self.row_ids[i] if self.row_ids is not None else None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.column_names == other.column_names
-            and self.rows == other.rows
-            and self.target_name == other.target_name
-            and self.row_ids == other.row_ids
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Frame({self.n_rows} rows x {self.n_cols} cols, "
-            f"target={self.target_name!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -265,70 +119,163 @@ def _read_header(reader, path, target_name: Optional[str], id_column: Optional[s
     return [h for i, h in enumerate(header) if i != id_pos], id_pos
 
 
-def _records(reader, path, names: Sequence[str], id_pos: Optional[int]) -> Iterator:
-    """(row number, id or None, list of cells) for each record after the header.
+def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
+    """(row number, id or None, list of cells) for each record after the
+    header, adding 1 to ``tally[0]`` for each.
 
     A blank line (a record of no fields) holds no subject and is skipped,
-    but still counted, so the rows after it keep their numbers.
+    but still counted, so the rows after it keep their numbers. An empty
+    id is refused, naming its row, and so is an id that an earlier row
+    holds, naming both rows: the rows seen are kept as a dict from id to
+    row number, which is smaller than a set of the ids.
     """
     width = len(names) + (id_pos is not None)
+    seen = {}
     for lineno, record in enumerate(reader, start=1):
         if len(record) != width:
             if not record:
                 continue
             raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {width}")
-        rid = None if id_pos is None else record.pop(id_pos)
+        rid = None
+        if id_pos is not None:
+            rid = record.pop(id_pos)
+            first = seen.setdefault(rid, lineno)
+            if first != lineno:
+                raise DataError(f"{path}: rows {first} and {lineno} have the same id {rid!r}")
+            if not rid:
+                raise DataError(f"{path}: row {lineno} has an empty id")
         try:
             cells = list(map(float, record))
         except ValueError:
             # an empty (missing) cell, or a cell float() refuses
             cells = [_parse_cell(text, lineno, name) for text, name in zip(record, names)]
+        tally[0] += 1
         yield lineno, rid, cells
+
+
+class Shape(NamedTuple):
+    """What ``load_csv`` read: its records, blank lines not counted, and
+    its columns, the id column not counted."""
+
+    n_rows: int
+    n_cols: int
 
 
 def load_csv(
     path,
     target_name: Optional[str],
-    id_column: Optional[str] = None,
-    consume: Optional[Callable[[list, Iterator], None]] = None,
-) -> Frame:
-    """Load a Frame from a CSV file.
+    id_column: Optional[str],
+    consume: Callable[[list, Iterator], None],
+) -> Shape:
+    """Read a CSV file, one record at a time, into ``consume``.
 
-    The id column (if named) is pulled out into ``row_ids`` and is the only
-    column allowed to hold non-numeric text. Empty cells become missing
-    markers. ``target_name`` may be None for prediction-only cohorts.
-    A header that lacks the named target or id column is a ``ConfigError``:
-    those names always come from the configuration.
-    Every cell is checked here, as it is parsed, so the Frame is built
-    without a second scan.
-
-    With ``consume``, no row is kept: ``consume(names, records)`` is called
-    once with the column labels and an iterator that parses each record as
-    it is asked for one, as ``(row number, id or None, list of cells)``,
-    and the Frame returned holds the header alone.
+    ``consume(names, records)`` is called once with the column labels
+    (the id column left out) and an iterator that parses each record as
+    it is asked for one, as ``(row number, id or None, list of cells)``;
+    no row is kept here. Empty cells become ``None``, every other cell
+    goes through ``float()`` or is refused, and the id column is the only
+    one that may hold other text. ``target_name`` may be None for an
+    unscored cohort. A header that lacks the named target or id column is
+    a ``ConfigError``: those names always come from the configuration.
     """
+    tally = [0]
     try:
         # utf-8-sig skips the byte-order mark that some spreadsheet
         # exports put before the header
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names, id_pos = _read_header(reader, path, target_name, id_column)
-            records = _records(reader, path, names, id_pos)
-            rows, ids = [], []
-            if consume is not None:
-                consume(names, records)
-            else:
-                for _, rid, cells in records:
-                    rows.append(tuple(cells))
-                    ids.append(rid)
+            consume(names, _records(reader, path, names, id_pos, tally))
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory, not a CSV file") from None
-    row_ids = None if id_column is None else tuple(ids)
-    return Frame._derived(names, tuple(rows), target_name, row_ids, id_column)
+    return Shape(tally[0], len(names))
+
+
+class Table(NamedTuple):
+    """What a ranking step reads from one CSV table; every cell is finite."""
+
+    features: tuple  # the label of each cell of a row, in order
+    rows: list  # one tuple of feature cells per record
+    target_name: Optional[str]  # None when the target was not read
+    target: list  # each record's target cell, or nothing
+    outlier: list  # each record's outlier cell, or nothing
+    ids: list  # each record's id, None where there is no id column
+
+    def column(self, name: str) -> list:
+        """The cells of the target or of one feature column, in record order."""
+        if name == self.target_name:
+            return self.target
+        k = self.features.index(name)
+        return [row[k] for row in self.rows]
+
+
+def read_table(
+    path,
+    role: str,
+    target_name: str,
+    id_column: Optional[str],
+    features: Optional[Sequence[str]] = None,
+    outlier: Optional[str] = None,
+    scored: bool = True,
+) -> Table:
+    """What ``loocv``, ``validate`` and ``predict`` rank with, from one
+    prepared CSV table, in one pass of ``load_csv``.
+
+    Each row holds the cells of ``features``, in that order: by default
+    every column but the target, in file order (a training table). Given
+    ``features``, the table's columns other than the target must be
+    exactly those, or it is refused (a cohort, whose columns must be the
+    training table's). The cells of the ``outlier`` column, if named, are
+    kept on their own too. The target is read only when ``scored``: an
+    unscored cohort may lack it or leave it blank.
+
+    Each picked cell is checked as its record is parsed, row first and
+    then column in file order. A missing, NaN or infinite one is refused
+    as ``"{role} row i, column c"``, where i counts the table's records
+    from 0, blank lines not counted.
+    """
+    table = []
+
+    def consume(names: list, records: Iterator) -> None:
+        given = [n for n in names if n != target_name]
+        picked = given if features is None else list(features)
+        if set(given) != set(picked):
+            raise DataError(
+                f"{path}: feature columns differ from training: "
+                f"extra {sorted(set(given) - set(picked))}, "
+                f"missing {sorted(set(picked) - set(given))}"
+            )
+        if outlier is not None and outlier not in names:
+            raise DataError(f"outlier feature {outlier!r} not in subjects")
+        at = [names.index(n) for n in picked]
+        t = names.index(target_name) if scored else None
+        o = None if outlier is None else names.index(outlier)
+        checked = sorted({*at, *(p for p in (t, o) if p is not None)})
+        labels = [names[p] for p in checked]
+        check, pick = _picker(checked), _picker(at)
+        rows, target, outliers, ids = [], [], [], []
+        row_name = lambda _: f"{role} row {len(rows)}"  # noqa: E731
+        for _, rid, cells in records:
+            try:
+                finite = all(map(math.isfinite, check(cells)))
+            except TypeError:  # a missing cell (None)
+                finite = False
+            if not finite:
+                refuse_unusable(row_name, labels, [(c,) for c in check(cells)])
+            rows.append(pick(cells))
+            if t is not None:
+                target.append(cells[t])
+            if o is not None:
+                outliers.append(cells[o])
+            ids.append(rid)
+        table.append(Table(tuple(picked), rows, target_name if scored else None, target, outliers, ids))
+
+    load_csv(path, target_name if scored else None, id_column, consume)
+    return table[0]
 
 
 def _open_out(path, newline: Optional[str] = None):

@@ -28,8 +28,10 @@ its targets and their running means. Predict and validate
 subject at a time; leave-one-out (``loocv``) holds each training row out
 of its own ranking and reads both the adaptive and the fixed-k model from
 one pass of running means. The adaptive rule itself lives in
-``_adaptive`` alone. The training matrix is extracted and checked once
-per call, not once per subject, one tuple per row.
+``_adaptive`` alone. Both take plain sequences: the training rows as one
+tuple of feature cells each, the scores, the subjects and their outlier
+values, as ``frame.read_table`` reads them. A ``PredictionRecord`` holds
+the lists ``_scored`` yields, not copies of them.
 
 For each subject the engine windows, filters, then refines. The window
 spares most rows their approximate distance (see below); the filter gives
@@ -101,9 +103,9 @@ took 8-13% longer (best of 40 runs, four repeats).
 
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
-finite: ``frame.refuse_unusable`` refuses a missing or non-finite cell
-with a ``DataError`` naming its row and column, once per call, before
-any ranking.
+finite. This module does not check them: ``frame.read_table`` refuses a
+missing or non-finite cell with a ``DataError`` naming its row and
+column as it reads it, before any ranking.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
@@ -137,13 +139,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
-from .frame import Frame, _picker, refuse_unusable
 
 # Ordered (training_row_index, distance) pairs, nearest first.
-NeighborRanking = Tuple[Tuple[int, float], ...]
+NeighborRanking = List[Tuple[int, float]]
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ class PredictionRecord:
 
     subject_id: Optional[str]
     neighbor_ranking: NeighborRanking
-    cumulative_means: tuple
+    cumulative_means: list
     min_of_means: float
     min_match: float
     outlier_value: float
@@ -182,22 +183,13 @@ class PredictionRecord:
         return {
             "subject_id": self.subject_id,
             "neighbors": [[i, d] for i, d in self.neighbor_ranking],
-            "cumulative_means": list(self.cumulative_means),
+            "cumulative_means": self.cumulative_means,
             "min_of_means": self.min_of_means,
             "min_match": self.min_match,
             "outlier_value": self.outlier_value,
             "outlier_triggered": self.outlier_triggered,
             "prediction": self.prediction,
         }
-
-
-def _training_arrays(training: Frame) -> Tuple[list, tuple]:
-    """The training features, one tuple per row, and the targets, extracted
-    and checked once: every cell must be finite."""
-    if training.n_rows == 0:
-        raise DataError("no training rows")
-    refuse_unusable("training row {}".format, training.column_names, training.columns())
-    return training.feature_matrix(), training.target_values()
 
 
 def _sum_index(matrix: Sequence[tuple]) -> Optional[tuple]:
@@ -331,48 +323,44 @@ def _scored(
         yield ranked, targets, cumulative_means(targets)
 
 
-def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig) -> Iterator[PredictionRecord]:
-    """An iterator of one PredictionRecord per subject row, in row order.
+def ammknn_predict_batch(
+    subjects: Iterable[Sequence[float]],
+    outlier_values: Sequence[float],
+    ids: Sequence[Optional[str]],
+    training: Sequence[Sequence[float]],
+    target: Sequence[float],
+    config: AmmknnConfig,
+) -> Iterator[PredictionRecord]:
+    """An iterator of one PredictionRecord per subject, in order.
 
-    Subjects must carry every training feature column plus the configured
-    outlier feature; each subject's outlier value is read from its own
-    (standardized) cell. The training matrix is extracted, and it and the
-    subjects' cells are checked, once per call, when it is called, so a
-    refusal comes before the first record; each record is then scored as
-    it is drawn, from the subject's cells picked out of its row, and only
-    one subject's ranking is held at a time. Prediction is
-    pure per row, so rows could be fanned out across workers without
+    Each subject is a sequence of feature cells in the order of the
+    ``training`` rows' cells; its outlier value, the cell of the same
+    index in ``outlier_values``, comes from the subject's own
+    (standardized) column of the configured outlier feature, and its id
+    from ``ids``. Every cell, and every ``target`` score, must
+    be finite: ``frame.read_table`` checks them as it reads them. The
+    arguments are checked when this is called, so a refusal comes before
+    the first record; each record is then scored as it is drawn, and only
+    one subject's ranking is held at a time. Prediction is pure per
+    subject, so subjects could be fanned out across workers without
     changing the output.
     """
     if config.outlier_feature is None:
         raise ConfigError("outlier_feature is not set; resolve a default first")
-    features = training.feature_names()
-    missing = [n for n in features if n not in subjects.column_names]
-    if missing:
-        raise DataError(f"subjects lack training feature columns: {missing}")
-    if config.outlier_feature not in subjects.column_names:
-        raise DataError(
-            f"outlier feature {config.outlier_feature!r} not in subjects"
-        )
-    matrix, target = _training_arrays(training)
-    columns = {n: subjects.column(n) for n in (*features, config.outlier_feature)}
-    refuse_unusable("subject row {}".format, list(columns), list(columns.values()))
-    outlier_values = columns[config.outlier_feature]
-    # each subject's cells are picked as it is ranked: no second tuple per
-    # cohort row is held
-    pick = _picker([subjects.column_index(n) for n in features])
-    scored = _scored(matrix, target, map(pick, subjects.rows), config.max_k)
+    if not training:
+        raise DataError("no training rows")
+    scored = _scored(training, target, subjects, config.max_k)
 
     def records() -> Iterator[PredictionRecord]:
-        for i, (ranked, targets, means) in enumerate(scored):
-            prediction, triggered = _adaptive(targets, means, outlier_values[i], config)
+        for (ranked, targets, means), value, rid in zip(scored, outlier_values, ids):
+            prediction, triggered = _adaptive(targets, means, value, config)
             yield PredictionRecord(
-                subject_id=subjects.row_id(i),
-                neighbor_ranking=tuple((j, math.sqrt(sq)) for sq, j in ranked),
-                cumulative_means=tuple(means),
+                subject_id=rid,
+                neighbor_ranking=[(j, math.sqrt(sq)) for sq, j in ranked],
+                cumulative_means=means,
                 min_of_means=min(means),
                 min_match=min(targets),
-                outlier_value=outlier_values[i],
+                outlier_value=value,
                 outlier_triggered=triggered,
                 prediction=prediction,
             )
@@ -380,33 +368,40 @@ def ammknn_predict_batch(subjects: Frame, training: Frame, config: AmmknnConfig)
     return records()
 
 
-def loocv(frame: Frame, config: AmmknnConfig, knn_k: int) -> Tuple[list, list, list]:
+def loocv(
+    training: Sequence[Sequence[float]],
+    target: Sequence[float],
+    outlier_values: Sequence[float],
+    config: AmmknnConfig,
+    knn_k: int,
+) -> Tuple[list, list, list]:
     """Leave-one-out predictions of the adaptive model and of fixed-k KNN.
 
+    ``training`` holds one sequence of feature cells per row,
+    ``target`` each row's score and ``outlier_values`` each row's cell of
+    the configured outlier feature; every cell must be finite.
     Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
     each made with that row held out of training. Every row is ranked
     once against all the others, ``max(max_k, knn_k)`` deep, and the
     running means of its neighbors' targets are computed once: the
     adaptive rule reads the first ``max_k`` of them and the fixed-k
-    prediction is the one at ``knn_k``. No Frame is rebuilt and no
-    ``PredictionRecord`` is built per fold. Holding a row out keeps the
-    others' relative order, so the results equal a fold by fold re-fit
-    bit for bit.
+    prediction is the one at ``knn_k``. No ``PredictionRecord`` is built
+    per fold. Holding a row out keeps the others' relative order, so the
+    results equal a fold by fold re-fit bit for bit.
     """
-    if frame.n_rows < 2:
+    n = len(training)
+    if n < 2:
         raise DataError("leave-one-out needs at least 2 rows")
     if config.outlier_feature is None:
         raise ConfigError("outlier_feature is not set; resolve a default first")
     if knn_k < 1:
         raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
-    if knn_k > frame.n_rows - 1:
-        raise DataError(f"k={knn_k} exceeds {frame.n_rows - 1} training rows per fold")
-    matrix, target = _training_arrays(frame)
-    outlier_values = frame.column(config.outlier_feature)
+    if knn_k > n - 1:
+        raise DataError(f"k={knn_k} exceeds {n - 1} training rows per fold")
     adaptive, triggered, fixed_k = [], [], []
-    scored = _scored(matrix, target, matrix, max(config.max_k, knn_k), held_out=True)
-    for i, (_, targets, means) in enumerate(scored):
-        prediction, fired = _adaptive(targets, means, outlier_values[i], config)
+    scored = _scored(training, target, training, max(config.max_k, knn_k), held_out=True)
+    for (_, targets, means), value in zip(scored, outlier_values):
+        prediction, fired = _adaptive(targets, means, value, config)
         adaptive.append(prediction)
         triggered.append(fired)
         fixed_k.append(means[knn_k - 1])

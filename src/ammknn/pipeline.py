@@ -18,17 +18,20 @@ rows as it is drawn. Every step turns an ``--out`` that cannot be made a
 directory, or an output file that cannot be written, into a
 ``DataError``.
 
-loocv, validate and predict all score through one loop in ``knn``: a
+loocv, validate and predict each read their tables with
+``frame.read_table``, which keeps only what the step ranks with and
+checks each of those cells as its record is parsed: the training table
+first, then the cohort. They all score through one loop in ``knn``: a
 window over the training rows' feature sums, a ``math.dist`` filter over
 the rows in it, then exact left-to-right squared distances for the few
-rows it keeps. validate and predict hold
-one subject's ranking at a time: validate keeps three numbers of each
-subject for its report, and predict writes each subject's line as it is
-scored, after every check has passed. ``knn.loocv`` ranks each
-training row once and reads both models from that ranking; there is no
-pairwise distance cache, because its O(n^2) memory would outgrow
-everything else a step holds. ``report.build_report`` turns the
-predictions into the tiers, tallies and metrics of a report.
+rows it keeps. validate and predict hold one subject's ranking at a
+time: validate keeps two numbers of each subject for its report, and
+predict writes each subject's line as it is scored, after every cell has
+been checked. ``knn.loocv`` ranks each training row once and reads both
+models from that ranking; there is no pairwise distance cache, because
+its O(n^2) memory would outgrow everything else a step holds.
+``report.build_report`` turns the predictions into the tiers, tallies
+and metrics of a report.
 
 Everything here is deterministic given (config, inputs, seed); re-running
 a step produces byte-identical files.
@@ -50,7 +53,7 @@ from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .frame import Frame, _open_out, _picker, load_csv, refuse_unusable, write_csv
+from .frame import Table, _open_out, _picker, load_csv, read_table, refuse_unusable, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
@@ -79,7 +82,7 @@ def _make_out_dir(out_dir) -> None:
         ) from None
 
 
-def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
+def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
     """Default the outlier feature to the one most positively correlated
     with the target (largest signed r, first on ties).
 
@@ -89,24 +92,21 @@ def resolve_outlier_feature(train: Frame, config: AmmknnConfig) -> AmmknnConfig:
     constant column (or a constant target) counts as r = 0.
     """
     if config.outlier_feature is not None:
-        if config.outlier_feature not in train.column_names:
+        if config.outlier_feature not in (*train.features, train.target_name):
             raise ConfigError(
                 f"configured outlier feature {config.outlier_feature!r} not in training frame"
             )
         return config
-    names = train.feature_names()
+    names = train.features
     columns = [train.column(name) for name in names]
-    target = train.target_values()
-    # the sweep's sums would fail on a missing cell with a TypeError
-    refuse_unusable("training row {}".format, (*names, train.target_name), [*columns, target])
     best = None
     best_r = -math.inf
-    for name, r in zip(names, _correlations(columns, target)):
+    for name, r in zip(names, _correlations(columns, train.target)):
         if r is None:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0
         elif math.isnan(r):
-            # no r would win, and the frame would seem to have no features
+            # no r would win, and the table would seem to have no features
             raise DataError(
                 f"training column {name!r}: its correlation with the target "
                 f"{train.target_name!r} overflows"
@@ -358,20 +358,19 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    train = load_csv(train_path, config.target_name, config.id_column)
+    train = read_table(train_path, "training", config.target_name, config.id_column)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
-
-    ids = [train.row_id(i) for i in range(train.n_rows)]
-    actual = list(train.target_values())
-    outlier_values = list(train.column(ammknn_cfg.outlier_feature))
-    ammknn_predictions, triggered, knn_predictions = loocv(train, ammknn_cfg, config.knn_k)
+    outlier_values = train.column(ammknn_cfg.outlier_feature)
+    ammknn_predictions, triggered, knn_predictions = loocv(
+        train.rows, train.target, outlier_values, ammknn_cfg, config.knn_k
+    )
 
     ammknn_report = report_mod.build_report(
         "loocv",
         f"ammknn(max_k={ammknn_cfg.max_k},outlier={ammknn_cfg.outlier_feature})",
         config,
-        ids,
-        actual,
+        train.ids,
+        train.target,
         ammknn_predictions,
         config.tiers_predicted,
         outlier_values=outlier_values,
@@ -381,8 +380,8 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
         "loocv",
         f"knn(k={config.knn_k})",
         config,
-        ids,
-        actual,
+        train.ids,
+        train.target,
         knn_predictions,
         config.tiers_predicted,
         outlier_values=outlier_values,
@@ -392,48 +391,44 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     return {"ammknn": ammknn_report, "knn": knn_report}
 
 
-def _load_pair(config: PipelineConfig, train_path, cohort_path, require_target: bool):
-    """The training table and a cohort with exactly its feature columns,
-    with or without the target. Any other cohort, such as a raw one that
-    still holds its year column, is a ``DataError``."""
-    train = load_csv(train_path, config.target_name, config.id_column)
-    target = config.target_name if require_target else None
-    cohort = load_csv(cohort_path, target, config.id_column)
-    features = set(train.feature_names())
-    given = set(cohort.column_names) - {config.target_name}
-    if given != features:
-        raise DataError(
-            f"{cohort_path}: feature columns differ from training: "
-            f"extra {sorted(given - features)}, missing {sorted(features - given)}"
-        )
-    return train, cohort
+def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool):
+    """The resolved predictor config, the cohort as read and an iterator
+    of its ``PredictionRecord``s. The training table is read first, then
+    the cohort, which must hold exactly the training table's feature
+    columns, with or without the target: any other cohort, such as a raw
+    one that still holds its year column, is a ``DataError``. Every cell
+    is checked before the first record is scored."""
+    train = read_table(train_path, "training", config.target_name, config.id_column)
+    ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
+    cohort = read_table(
+        cohort_path, "subject", config.target_name, config.id_column,
+        features=train.features, outlier=ammknn_cfg.outlier_feature, scored=scored,
+    )
+    records = ammknn_predict_batch(
+        cohort.rows, cohort.outlier, cohort.ids, train.rows, train.target, ammknn_cfg
+    )
+    return ammknn_cfg, cohort, records
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    train, cohort = _load_pair(config, train_path, cohort_path, require_target=True)
-    actual = cohort.target_values()
-    # a missing score would break the report's tallies; a NaN one would
-    # count as a pass and be written as the non-JSON token NaN
-    refuse_unusable("subject row {}".format, [cohort.target_name], [actual])
-    ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
-    predicted, outlier_values, triggered = [], [], []
-    for r in ammknn_predict_batch(cohort, train, ammknn_cfg):
+    ammknn_cfg, cohort, records = _scored_cohort(config, train_path, cohort_path, scored=True)
+    predicted, triggered = [], []
+    for r in records:
         predicted.append(r.prediction)
-        outlier_values.append(r.outlier_value)
         triggered.append(r.outlier_triggered)
 
-    ids = [cohort.row_id(i) for i in range(cohort.n_rows)]
+    ids = cohort.ids
     bounds = config.tiers_predicted_validation
     validate_report = report_mod.build_report(
         "validation",
         f"ammknn(max_k={ammknn_cfg.max_k},outlier={ammknn_cfg.outlier_feature})",
         config,
         ids,
-        actual,
+        cohort.target,
         predicted,
         bounds,
-        outlier_values=outlier_values,
+        outlier_values=cohort.outlier,
         outlier_triggered=triggered,
     )
     # worst predicted risk first, so support can be prioritized top-down
@@ -455,9 +450,7 @@ def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int
     """Write one JSON line per cohort row to ``predictions.jsonl``, each
     as it is scored, once every check has passed; returns the count."""
     _make_out_dir(out_dir)
-    train, cohort = _load_pair(config, train_path, cohort_path, require_target=False)
-    ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
-    records = ammknn_predict_batch(cohort, train, ammknn_cfg)
+    _, _, records = _scored_cohort(config, train_path, cohort_path, scored=False)
     count = 0
     with _open_out(os.path.join(out_dir, PREDICTIONS_JSONL)) as fh:
         for r in records:

@@ -6,7 +6,7 @@ validation distribution straight into the feature space, which is the
 one preprocessing mistake this module exists to prevent. The target
 column passes through untouched so predictions stay in score units.
 
-Both steps work on lists of columns, not on Frames: ``prepare`` holds
+Both steps work on lists of columns: ``prepare`` holds
 each side's kept cells as compact ``array('d')`` columns, and
 standardization replaces one column at a time with its z-scores. A
 pooled column's deviations ``v - mean`` are formed once, as a list, and

@@ -71,15 +71,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Uniform double in (0, 1]."""
-        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-
-    def normal(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
 
 @dataclass(frozen=True)
 class SynthSpec:

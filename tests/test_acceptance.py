@@ -15,7 +15,6 @@ from pathlib import Path
 
 from ammknn import (
     AmmknnConfig,
-    Frame,
     PipelineConfig,
     ammknn_predict_batch,
     loocv,
@@ -168,20 +167,16 @@ def test_criterion_3_min_over_k_equivalence():
         n = rng.randint(5, 60)
         dims = rng.randint(1, 8)
         max_k = rng.randint(1, 20)
-        names = [f"x{j}" for j in range(dims)] + ["t"]
         rows = [
             [rng.uniform(-4, 4) for _ in range(dims)] + [float(rng.randint(200, 800))]
             for _ in range(n)
         ]
-        training = Frame(names, rows, "t")
+        matrix, targets = _split(rows)
         subject = [rng.uniform(-4, 4) for _ in range(dims)]
-        subjects = Frame([*names[:-1], "outlier"], [[*subject, 0.0]], None)
         config = AmmknnConfig(max_k=max_k, outlier_feature="outlier")
-        [record] = ammknn_predict_batch(subjects, training, config)
+        [record] = ammknn_predict_batch([tuple(subject)], [0.0], [None], matrix, targets, config)
         assert not record.outlier_triggered
-        oracle = _brute_min_over_k(
-            subject, training.feature_matrix(), training.target_values(), max_k
-        )
+        oracle = _brute_min_over_k(subject, matrix, targets, max_k)
         assert record.prediction == oracle
     assert time.monotonic() - start < 5.0
 
@@ -191,14 +186,25 @@ def test_criterion_3_min_over_k_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def _knn_model(frame, k):
+def _split(rows):
+    """``(matrix, targets)`` of rows whose last cell is the target."""
+    return [tuple(row[:-1]) for row in rows], [row[-1] for row in rows]
+
+
+def _loocv(rows, config, k):
+    """``loocv`` of rows whose last cell is the target, x0 (the first
+    column) being the outlier feature, as run_loocv computes it."""
+    return loocv(*_split(rows), [row[0] for row in rows], config, k)
+
+
+def _knn_model(rows, k):
     """Fixed-k LOOCV predictions, as run_loocv computes them."""
-    return loocv(frame, AmmknnConfig(max_k=1, outlier_feature="x0"), k)[2]
+    return _loocv(rows, AmmknnConfig(max_k=1, outlier_feature="x0"), k)[2]
 
 
-def _ammknn_model(frame, max_k, outlier_feature):
+def _ammknn_model(rows, max_k):
     """Adaptive LOOCV predictions, as run_loocv computes them."""
-    return loocv(frame, AmmknnConfig(max_k=max_k, outlier_feature=outlier_feature), 1)[0]
+    return _loocv(rows, AmmknnConfig(max_k=max_k, outlier_feature="x0"), 1)[0]
 
 
 @criterion(4, "LOOCV holds out the subject row (no self-match leakage)")
@@ -208,22 +214,19 @@ def test_criterion_4_loocv_leakage():
     for trial in range(100):
         n = rng.randint(4, 12)
         dims = rng.randint(1, 3)
-        names = [f"x{j}" for j in range(dims)] + ["t"]
 
         # constant-target property: every fold must predict the constant
         constant = float(rng.randint(200, 800))
         rows = [[rng.uniform(-3, 3) for _ in range(dims)] + [constant] for _ in range(n)]
-        frame = Frame(names, rows, "t")
         k = rng.randint(1, n - 1)
-        assert _knn_model(frame, k) == [constant] * n
-        assert _ammknn_model(frame, rng.randint(1, 20), "x0") == [constant] * n
+        assert _knn_model(rows, k) == [constant] * n
+        assert _ammknn_model(rows, rng.randint(1, 20)) == [constant] * n
 
         # unique-extreme-row property: the held-out row duplicates cannot
         # self-match, so its k=1 prediction is its nearest other neighbor
         base = [[rng.uniform(-1, 1) for _ in range(dims)] + [400.0] for _ in range(n)]
         extreme = [100.0 * (j + 1) for j in range(dims)] + [800.0]
-        frame = Frame(names, base + [extreme], "t")
-        predictions = _knn_model(frame, 1)
+        predictions = _knn_model(base + [extreme], 1)
         assert predictions[-1] == 400.0
         assert predictions[-1] != 800.0
     assert time.monotonic() - start < 5.0
@@ -238,13 +241,9 @@ def test_criterion_4_loocv_leakage():
 def test_criterion_5_standardization():
     rng = random.Random(77)
     names = ["a", "b", "t"]
-    train = Frame(
-        names, [[rng.gauss(10, 3), rng.gauss(-4, 0.5), 400.0] for _ in range(60)], "t"
-    )
-    extra = Frame(
-        names, [[rng.gauss(16, 3), rng.gauss(-2, 0.5), 420.0] for _ in range(20)], "t"
-    )
-    train_cols, extra_cols = train.columns(), extra.columns()
+    train = [[rng.gauss(10, 3), rng.gauss(-4, 0.5), 400.0] for _ in range(60)]
+    extra = [[rng.gauss(16, 3), rng.gauss(-2, 0.5), 420.0] for _ in range(20)]
+    train_cols, extra_cols = list(zip(*train)), list(zip(*extra))
     standardize_joint(names, "t", train_cols, extra_cols)
     for j in (0, 1):
         pooled = list(train_cols[j]) + list(extra_cols[j])
@@ -256,7 +255,7 @@ def test_criterion_5_standardization():
 
     # the shifted validation distribution must land differently when
     # standardized jointly vs on its own
-    extra_alone = extra.columns()
+    extra_alone = list(zip(*extra))
     standardize_joint(names, "t", extra_alone)
     deltas = [abs(u - v) for u, v in zip(extra_cols[0], extra_alone[0])]
     assert max(deltas) > 0.5
@@ -267,7 +266,7 @@ def test_criterion_5_standardization():
 # ---------------------------------------------------------------------------
 
 
-def _designed_frame():
+def _designed_columns():
     import math
     import statistics
 
@@ -282,22 +281,20 @@ def _designed_frame():
         f"r{int(r * 100):02d}": [r * a + math.sqrt(1 - r * r) * b for a, b in zip(yhat, zhat)]
         for r in (0.05, 0.15, 0.25)
     }
-    names = list(columns) + ["t"]
-    rows = [[columns[c][i] for c in columns] + [y[i]] for i in range(n)]
-    return Frame(names, rows, "t")
+    return {**columns, "t": y}
 
 
 @criterion(6, "selection shrinks monotonically and keeps exactly the strong column")
 def test_criterion_6_selection():
-    frame = _designed_frame()
+    columns = _designed_columns()
     kept_sets = []
     for threshold in (0.0, 0.1, 0.19, 0.5):
-        result = select_by_correlation(frame.column_names, "t", frame.columns(), threshold)
+        result = select_by_correlation(list(columns), "t", list(columns.values()), threshold)
         kept_sets.append(set(result.kept_columns))
     for lower, higher in zip(kept_sets, kept_sets[1:]):
         assert higher <= lower
 
-    result = select_by_correlation(frame.column_names, "t", frame.columns(), 0.19)
+    result = select_by_correlation(list(columns), "t", list(columns.values()), 0.19)
     assert result.kept_columns == ("r25", "t")
     assert sorted(label for label, _ in result.dropped_columns) == ["r05", "r15"]
 

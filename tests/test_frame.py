@@ -1,12 +1,16 @@
+import math
+import re
 from array import array
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammknn import Frame, load_csv, write_csv
+from ammknn import load_csv, write_csv
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError, DataError
+from ammknn.frame import Shape, read_table
 from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
@@ -17,154 +21,243 @@ def write(tmp_path, name, text):
     return path
 
 
-def write_frame(frame, path):
-    """Write a Frame as a CSV, its id column first when it has one."""
-    if frame.row_ids is None:
-        write_csv(frame.column_names, path, frame.rows)
+def write_table(path, names, rows, ids=None, id_name="id"):
+    """Write rows of cells as a CSV, an id column first when ``ids`` is given."""
+    if ids is None:
+        write_csv(names, path, rows)
     else:
-        write_csv(
-            [frame.id_name or "id", *frame.column_names], path,
-            ((rid, *row) for rid, row in zip(frame.row_ids, frame.rows)),
-        )
+        write_csv([id_name, *names], path, ((rid, *row) for rid, row in zip(ids, rows)))
+    return path
+
+
+class Loaded(NamedTuple):
+    """What ``load_csv`` returns, and the labels and records it hands ``consume``."""
+
+    shape: Shape
+    names: tuple
+    rows: tuple
+    ids: tuple
+
+
+def load(path, target_name, id_column=None):
+    seen = []
+    shape = load_csv(
+        path, target_name, id_column, lambda names, records: seen.extend([names, *records])
+    )
+    names, *records = seen
+    return Loaded(
+        shape, tuple(names), tuple(tuple(cells) for _, _, cells in records),
+        tuple(rid for _, rid, _ in records),
+    )
 
 
 class TestLoadCsv:
     def test_basic_load(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\nB,3,4\nC,5,6\n")
-        frame = load_csv(path, "y", id_column="id")
-        assert frame.n_rows == 3
-        assert frame.column_names == ("x", "y")
-        assert frame.row_ids == ("A", "B", "C")
-        assert frame.target_name == "y"
+        frame = load(path, "y", id_column="id")
+        assert frame.shape == Shape(n_rows=3, n_cols=2)
+        assert frame.names == ("x", "y")
+        assert frame.ids == ("A", "B", "C")
         assert frame.rows[0] == (1.0, 2.0)
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n")
         with pytest.raises(ConfigError, match="target 'y' not in header"):
-            load_csv(path, "y")
+            load(path, "y")
 
     def test_non_numeric_cell(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\nabc,2\n")
         with pytest.raises(DataError) as exc:
-            load_csv(path, "y")
+            load(path, "y")
         assert str(exc.value) == "non-numeric cell 'abc' at row 1, column 'x'"
 
     def test_empty_cell_becomes_missing(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n,2\n")
-        frame = load_csv(path, "y")
-        assert frame.rows[0] == (None, 2.0)
+        assert load(path, "y").rows[0] == (None, 2.0)
 
     @pytest.mark.parametrize("bad", [" ", "x"])
     def test_unparsable_cell_named_next_to_a_missing_one(self, tmp_path, bad):
         path = write(tmp_path, "d.csv", f"id,x,y,z\nA,1,,3\nB,,{bad},6\n")
         with pytest.raises(DataError) as exc:
-            load_csv(path, "z", id_column="id")
+            load(path, "z", id_column="id")
         assert str(exc.value) == f"non-numeric cell {bad!r} at row 2, column 'y'"
 
     def test_missing_cells_load_as_none_beside_parsed_ones(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,,3\nB,, 4.5 ,\n")
-        frame = load_csv(path, "z", id_column="id")
-        assert frame.rows == ((1.0, None, 3.0), (None, 4.5, None))
+        assert load(path, "z", id_column="id").rows == ((1.0, None, 3.0), (None, 4.5, None))
 
     def test_first_of_two_bad_cells_is_named(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,2,3\nB,4,oops,bad\n")
         with pytest.raises(DataError) as exc:
-            load_csv(path, "z", id_column="id")
+            load(path, "z", id_column="id")
         assert str(exc.value) == "non-numeric cell 'oops' at row 2, column 'y'"
+
+    def test_ragged_row_is_named(self, tmp_path):
+        path = write(tmp_path, "d.csv", "x,y\n1,2\n3\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "y")
+        assert str(exc.value) == f"{path}: row 2 has 1 fields, header has 2"
 
     def test_directory_is_unreadable(self, tmp_path):
         with pytest.raises(DataError, match="is a directory, not a CSV file"):
-            load_csv(tmp_path, "y")
+            load(tmp_path, "y")
 
     def test_not_utf8_is_unreadable(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("x,y\n1,2\n".encode() + "caf\u00e9,3\n".encode("latin-1"))
         with pytest.raises(DataError, match="not UTF-8 text"):
-            load_csv(path, "y")
+            load(path, "y")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="nope.csv: no such file"):
-            load_csv(tmp_path / "nope.csv", "y")
+            load(tmp_path / "nope.csv", "y")
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "d.csv", "")
         with pytest.raises(DataError, match="file is empty"):
-            load_csv(path, "y")
+            load(path, "y")
 
     def test_duplicate_header(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,x\n1,2\n")
         with pytest.raises(DataError, match="duplicate column names in header"):
-            load_csv(path, "x")
+            load(path, "x")
 
     def test_blank_lines_hold_no_row_but_keep_row_numbers(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\n\nB,3,4\n\n")
-        frame = load_csv(path, "y", id_column="id")
+        frame = load(path, "y", id_column="id")
         assert frame.rows == ((1.0, 2.0), (3.0, 4.0))
-        assert frame.row_ids == ("A", "B")
+        assert frame.ids == ("A", "B")
         path = write(tmp_path, "e.csv", "id,x,y\nA,1,2\n\nB,oops,4\n")
         with pytest.raises(DataError) as exc:
-            load_csv(path, "y", id_column="id")
+            load(path, "y", id_column="id")
         assert str(exc.value) == "non-numeric cell 'oops' at row 3, column 'x'"
 
     def test_a_lone_missing_cell_is_not_a_blank_line(self, tmp_path):
-        frame = Frame(["x"], [[1.0], [None], [2.0]], None)
-        out = tmp_path / "out.csv"
-        write_frame(frame, out)
-        assert load_csv(out, None).rows == frame.rows
+        rows = ((1.0,), (None,), (2.0,))
+        out = write_table(tmp_path / "out.csv", ["x"], rows)
+        assert load(out, None).rows == rows
 
     def test_consume_sees_each_record_and_nothing_is_kept(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,\n\nB,3,4\n")
         seen = []
-        frame = load_csv(
+        shape = load_csv(
             path, "y", id_column="id",
             consume=lambda names, records: seen.extend([names, *records]),
         )
         assert seen == [["x", "y"], (1, "A", [1.0, None]), (3, "B", [3.0, 4.0])]
-        assert (frame.column_names, frame.rows, frame.row_ids) == (("x", "y"), (), ())
+        assert shape == Shape(n_rows=2, n_cols=2)
 
     def test_round_trip_identical_frame(self, tmp_path):
         path = write(
             tmp_path, "d.csv", "id,x,y\nA,1.5,\nB,0.1,410\nC,-2.25,305\n"
         )
-        frame = load_csv(path, "y", id_column="id")
-        out = tmp_path / "out.csv"
-        write_frame(frame, out)
-        again = load_csv(out, "y", id_column="id")
+        frame = load(path, "y", id_column="id")
+        out = write_table(tmp_path / "out.csv", frame.names, frame.rows, frame.ids)
+        again = load(out, "y", id_column="id")
         assert again == frame
 
     @pytest.mark.parametrize("ids", [None, ["A", "B"]])
     def test_round_trip_keeps_every_bit(self, tmp_path, ids):
-        frame = Frame(["x", "y"], [[None, -0.0], [1e-320, 1e200]], "y", row_ids=ids)
-        out = tmp_path / "out.csv"
-        write_frame(frame, out)
+        rows = ((None, -0.0), (1e-320, 1e200))
+        out = write_table(tmp_path / "out.csv", ["x", "y"], rows, ids)
         body = "x,y\r\n,-0.0\r\n1e-320,1e+200\r\n"
         if ids:
             body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,1e+200\r\n"
         assert out.read_bytes() == body.encode()
-        again = load_csv(out, "y", id_column="id" if ids else None)
+        again = load(out, "y", id_column="id" if ids else None)
         assert [list(map(repr, row)) for row in again.rows] == [
-            list(map(repr, row)) for row in frame.rows
+            list(map(repr, row)) for row in rows
         ]
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,x\nA,1\n,2\n", "row 2 has an empty id"),
+        ("id,x\nA,1\n\nB,2\nA,3\n", "rows 1 and 4 have the same id 'A'"),
+        # the first empty id is named as empty, not as a repeat
+        ("id,x\nA,1\n,2\n,3\n", "row 2 has an empty id"),
+    ])
+    def test_empty_or_repeated_id_is_refused(self, tmp_path, text, message):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(DataError) as exc:
+            load(path, None, id_column="id")
+        assert str(exc.value) == f"{path}: {message}"
 
-class TestFrameInvariants:
-    def test_row_width_checked(self):
-        with pytest.raises(Exception, match="cells"):
-            Frame(["a", "b"], [[1.0]], "b")
 
-    def test_duplicate_columns_rejected(self):
-        with pytest.raises(DataError, match="duplicate column labels"):
-            Frame(["a", "a"], [[1.0, 2.0]], "a")
+def read_training(tmp_path, names, rows):
+    """``read_table`` of a training CSV of ``rows`` under ``names``, target ``t``."""
+    return read_table(write_table(tmp_path / "train.csv", names, rows), "training", "t", None)
 
-    def test_target_must_be_member(self):
-        with pytest.raises(DataError, match="target column 'b' not present"):
-            Frame(["a"], [[1.0]], "b")
 
-    def test_prediction_only_frame_has_no_target(self):
-        frame = Frame(["a"], [[1.0]], None)
-        with pytest.raises(DataError, match="frame has no target column"):
-            frame.target_values()
-        assert frame.feature_names() == ("a",)
+def read_subjects(tmp_path, names, rows, features=None, outlier="x0"):
+    """``read_table`` of an unscored cohort CSV whose features are ``names``."""
+    path = write_table(tmp_path / "cohort.csv", names, rows)
+    return read_table(path, "subject", "t", None, features or names, outlier, scored=False)
+
+
+class TestReadTable:
+    """``read_table`` keeps what a ranking reads and refuses cells it cannot rank."""
+
+    def test_training_and_cohort(self, tmp_path):
+        train = read_table(
+            write(tmp_path, "t.csv", "id,x,t,y\nA,1,400,2\nB,3,300,4\n"), "training", "t", "id"
+        )
+        assert train.features == ("x", "y")
+        assert train.rows == [(1.0, 2.0), (3.0, 4.0)]
+        assert train.target == [400.0, 300.0]
+        assert train.ids == ["A", "B"]
+        assert train.column("y") == [2.0, 4.0] and train.column("t") == train.target
+        # a cohort's rows follow the training table's feature order; an
+        # unscored cohort's score may be blank
+        path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\n")
+        cohort = read_table(path, "subject", "t", "id", train.features, "y", scored=False)
+        assert (cohort.rows, cohort.outlier, cohort.target, cohort.ids) == (
+            [(6.0, 5.0)], [5.0], [], ["C"]
+        )
+
+    def test_blank_lines_are_not_counted_in_refusals(self, tmp_path):
+        path = write(tmp_path, "t.csv", "x,t\n1,400\n\n2,nan\n")
+        with pytest.raises(DataError, match="training row 1, column 't': non-finite value nan"):
+            read_table(path, "training", "t", None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e999")])
+    def test_training_feature(self, tmp_path, bad):
+        with pytest.raises(DataError, match="training row 1, column 'x1': non-finite value"):
+            read_training(tmp_path, ["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, bad, 300.0]])
+
+    def test_training_target(self, tmp_path):
+        with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
+            read_training(tmp_path, ["x0", "t"], [[0.0, 400.0], [1.0, math.nan], [2.0, 300.0]])
+
+    def test_first_bad_training_cell_in_row_order(self, tmp_path):
+        rows = [[0.0, 0.0, 1.0], [0.0, None, 2.0], [math.inf, 0.0, 3.0]]
+        with pytest.raises(DataError, match="training row 1, column 'x1': missing cell"):
+            read_training(tmp_path, ["x0", "x1", "t"], rows)
+
+    def test_fold_errors_tagged(self, tmp_path):
+        with pytest.raises(DataError, match="row 1, column 'x': missing cell"):
+            read_training(tmp_path, ["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]])
+
+    @pytest.mark.parametrize("cells", [[0.0, math.inf], [math.nan, 0.0]])
+    def test_subject_cell(self, tmp_path, cells):
+        with pytest.raises(DataError, match=r"subject row 1\b.* column 'x\d': non-finite value"):
+            read_subjects(tmp_path, ["x0", "x1"], [[0.0, 0.0], cells])
+
+    def test_subject_outlier_cell(self, tmp_path):
+        with pytest.raises(DataError, match="subject row 0, column 'o': non-finite value"):
+            read_subjects(tmp_path, ["x0", "o"], [[0.0, math.nan]], outlier="o")
+
+    def test_row_errors_tagged_with_index(self, tmp_path):
+        with pytest.raises(Exception, match="subject row 1"):
+            read_subjects(tmp_path, ["x0"], [[0.0], [None]])
+
+    @pytest.mark.parametrize("cells, features, missing", [
+        ([1.0, 2.0], ["x0", "x1", "x2"], "x2"),  # a subject shorter than the training rows
+        ([0.0], ["x0", "x1"], "x1"),
+    ])
+    def test_cohort_lacking_a_training_feature(self, tmp_path, cells, features, missing):
+        names = [f"x{j}" for j in range(len(cells))]
+        message = f"feature columns differ from training: extra [], missing [{missing!r}]"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_subjects(tmp_path, names, [cells], features)
 
 
 def split_cohort(tmp_path, header, rows, **config):
@@ -185,9 +278,25 @@ def split_cohort(tmp_path, header, rows, **config):
     return side_frame(names, train), side_frame(names, validation), counts
 
 
+class Side(NamedTuple):
+    """One side of ``prepare``'s split: its labels, its rows and their ids."""
+
+    column_names: tuple
+    rows: tuple
+    row_ids: tuple
+
+    @property
+    def n_rows(self):
+        return len(self.rows)
+
+    def column(self, name):
+        j = self.column_names.index(name)
+        return tuple(row[j] for row in self.rows)
+
+
 def side_frame(names, side):
-    """One side of ``prepare``'s split as a Frame."""
-    return Frame(names, list(zip(*side.columns)), "t", side.ids, "id")
+    """One side of ``prepare``'s split as a ``Side``."""
+    return Side(tuple(names), tuple(zip(*side.columns)), tuple(side.ids))
 
 
 def split_years(tmp_path, rows, **config):
@@ -352,8 +461,8 @@ class FloatSubclass(float):
     pass
 
 
-# every kind of cell a caller may hand to Frame; NaN is left out because it
-# never compares equal to itself
+# every kind of cell a caller may hand to write_csv once it has gone
+# through float(); NaN is left out because it never compares equal to itself
 FINITE = st.floats(allow_nan=False)
 CELLS = st.one_of(
     st.none(),
@@ -366,61 +475,22 @@ CELLS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda width: st.tuples(
-        st.just(width), st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6)
-    )
-))
-def test_mixed_cells_equal_per_cell_float_conversion(case):
-    width, rows = case
-    names = [f"c{j}" for j in range(width)]
-    frame = Frame(names, rows, None)
-    assert frame.rows == tuple(
-        tuple(None if c is None else float(c) for c in row) for row in rows
-    )
-    assert all(type(c) in (float, type(None)) for row in frame.rows for c in row)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.lists(CELLS, min_size=2, max_size=2), min_size=1, max_size=6),
-    st.data(),
-)
-def test_ragged_rows_raise_invalid_spec(rows, data):
-    i = data.draw(st.integers(0, len(rows) - 1))
-    rows[i] = data.draw(st.sampled_from([rows[i][:1], rows[i] + [1.0]]))
-    with pytest.raises(ConfigError, match=f"row {i} has .* cells, expected 2"):
-        Frame(["a", "b"], rows, None)
-
-
-def assert_checked(frame):
-    """The invariant that lets derived Frames skip the per-cell scan."""
-    assert type(frame.rows) is tuple
-    for row in frame.rows:
-        assert type(row) is tuple and len(row) == frame.n_cols
-        assert all(type(c) is float or c is None for c in row)
-    assert frame.row_ids is None or (
-        type(frame.row_ids) is tuple and len(frame.row_ids) == frame.n_rows
-    )
-    assert frame == Frame(
-        frame.column_names, frame.rows, frame.target_name, frame.row_ids, frame.id_name
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_loaded_frames_and_prepared_columns_hold_checked_cells(tmp_path_factory, data):
+def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory, data):
     width = data.draw(st.integers(2, 4))
     names = [f"c{j}" for j in range(width)]
     rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
     ids = data.draw(st.one_of(st.none(), st.just([f"r{i}" for i in range(len(rows))])))
-    frame = Frame(names, rows, "c0", ids, None if ids is None else "id")
+    rows = tuple(tuple(None if c is None else float(c) for c in row) for row in rows)
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
 
-    path = tmp_path_factory.mktemp("csv") / "frame.csv"
-    write_frame(frame, path)
-    assert_checked(load_csv(path, "c0", None if ids is None else "id"))
+    path = write_table(tmp_path_factory.mktemp("csv") / "frame.csv", names, rows, ids)
+    loaded = load(path, "c0", None if ids is None else "id")
+    assert loaded.shape == Shape(len(rows), width)
+    assert loaded.rows == rows
+    assert all(type(c) is float or c is None for row in loaded.rows for c in row)
+    assert loaded.ids == (tuple(ids) if ids else (None,) * len(rows))
     config = config_from_json_dict({
         "target_name": "c0",
         "id_column": None if ids is None else "id",

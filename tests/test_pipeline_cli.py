@@ -17,16 +17,15 @@ import ammknn
 from ammknn import (
     AmmknnConfig,
     CohortSplit,
-    Frame,
     PipelineConfig,
     SynthSpec,
-    load_csv,
     pipeline,
     write_csv,
 )
 from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError
+from ammknn.frame import Table, read_table
 from ammknn.pipeline import (
     LOOCV_AMMKNN_JSON,
     LOOCV_KNN_JSON,
@@ -179,11 +178,11 @@ class TestCliWorkflow:
     def test_predict_without_target_column(self, workspace, tmp_path):
         run_all(workspace)
         out = workspace["out"]
-        validation = load_csv(out / VALIDATION_CSV, "score", id_column="student_id")
+        validation = read_table(out / VALIDATION_CSV, "subject", "score", "student_id")
         unscored_path = tmp_path / "unscored.csv"
         write_csv(
-            ["student_id", *validation.feature_names()], unscored_path,
-            ((rid, *row) for rid, row in zip(validation.row_ids, validation.feature_matrix())),
+            ["student_id", *validation.features], unscored_path,
+            ((rid, *row) for rid, row in zip(validation.ids, validation.rows)),
         )
         assert main([
             "predict", "--config", str(workspace["config"]),
@@ -191,7 +190,7 @@ class TestCliWorkflow:
             "--cohort", str(unscored_path), "--out", str(out),
         ]) == 0
         lines = (out / PREDICTIONS_JSONL).read_text().splitlines()
-        assert len(lines) == validation.n_rows
+        assert len(lines) == len(validation.rows)
         record = json.loads(lines[0])
         assert {"subject_id", "cumulative_means", "min_of_means", "min_match",
                 "prediction", "tier", "outlier_triggered"} <= set(record)
@@ -251,20 +250,15 @@ class TestCliWorkflow:
         run_all(workspace)
         out = workspace["out"]
         config = config_from_json_dict(CONFIG_DOC)
-        train = load_csv(out / TRAIN_CSV, "score", id_column="student_id")
+        train = read_table(out / TRAIN_CSV, "training", "score", "student_id")
         loocv_report = json.loads((out / LOOCV_AMMKNN_JSON).read_text())
 
-        last = train.n_rows - 1
+        last = len(train.rows) - 1
         rest_path = tmp_path / "rest.csv"
         one_path = tmp_path / "one.csv"
-        for path, rows, ids in (
-            (rest_path, train.rows[:last], train.row_ids[:last]),
-            (one_path, train.rows[last:], train.row_ids[last:]),
-        ):
-            write_csv(
-                ["student_id", *train.column_names], path,
-                ((rid, *row) for rid, row in zip(ids, rows)),
-            )
+        rows = [(rid, *row, t) for rid, row, t in zip(train.ids, train.rows, train.target)]
+        for path, part in ((rest_path, rows[:last]), (one_path, rows[last:])):
+            write_csv(["student_id", *train.features, "score"], path, part)
         result = run_validate(config, rest_path, one_path, tmp_path / "deg")
         assert (
             result["report"]["subjects"][0]["predicted"]
@@ -278,9 +272,8 @@ class TestResolveOutlierFeature:
     TARGET = [300.0, 350.0, 400.0, 450.0, 500.0]
 
     def frame(self, **columns):
-        names = [*columns, "t"]
-        rows = [[*cells, t] for *cells, t in zip(*columns.values(), self.TARGET)]
-        return Frame(names, rows, "t")
+        rows = list(zip(*columns.values()))
+        return Table(tuple(columns), rows, "t", self.TARGET, [], [None] * len(rows))
 
     def test_strongest_negative_feature_is_passed_over(self):
         # |r| is 1 for "neg" and about 0.8 for "pos"
@@ -566,11 +559,11 @@ class TestCliRefusesUnscorableInput:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_training_cell_exit_3(self, workspace, tmp_path, capsys, cell):
         run_all(workspace)
-        train = load_csv(workspace["out"] / TRAIN_CSV, "score", id_column="student_id")
+        train = read_table(workspace["out"] / TRAIN_CSV, "training", "score", "student_id")
         lines = (workspace["out"] / TRAIN_CSV).read_text().splitlines()
         header = lines[0].split(",")
         row = lines[3].split(",")
-        row[header.index(train.feature_names()[0])] = cell
+        row[header.index(train.features[0])] = cell
         lines[3] = ",".join(row)
         bad = tmp_path / "bad_train.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -739,6 +732,34 @@ def test_out_that_cannot_be_a_directory_exit_3(tmp_path, capsys, command, inside
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("fault", ["repeated", "empty"])
+@pytest.mark.parametrize("command, source", [
+    ("prepare", SYNTH_CSV), ("loocv", TRAIN_CSV), ("validate", TRAIN_CSV),
+    ("validate", VALIDATION_CSV), ("predict", TRAIN_CSV), ("predict", VALIDATION_CSV),
+])
+def test_empty_or_repeated_id_exit_3(tmp_path, capsys, command, source, fault):
+    # a roster entry must name one student: a repeated id gave two entries
+    # for one id, and an empty one an entry no educator can act on
+    lines = (GOLDEN_SEED7 / source).read_text().splitlines()
+    col = lines[0].split(",").index("student_id")
+    cells = lines[3].split(",")
+    previous = lines[2].split(",")[col]
+    cells[col] = previous if fault == "repeated" else ""
+    lines[3] = ",".join(cells)
+    bad = tmp_path / source
+    bad.write_text("\n".join(lines) + "\n")
+    argv = [str(bad) if a == str(GOLDEN_SEED7 / source) else a for a in STEP_ARGV[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 3
+    message = (
+        f"rows 2 and 3 have the same id {previous!r}" if fault == "repeated"
+        else "row 3 has an empty id"
+    )
+    assert f"data error: {bad}: {message}" in capsys.readouterr().err
+    assert not (out / STEP_OUTPUT[command]).exists()
+
+
 # an output file of each subcommand
 STEP_OUTPUT = {
     "synth": SYNTH_CSV,
@@ -864,13 +885,19 @@ def test_predict_memory_follows_the_model(tmp_path):
     cohort = tmp_path / VALIDATION_CSV
     header, *rows = cohort.read_text().splitlines()
     cohort4 = tmp_path / "cohort4.csv"
-    cohort4.write_text("\n".join([header, *rows * 4]) + "\n")
+    # each copy of a student under an id of its own, as ids are unique
+    copies = [row if k == 0 else f"{k}-{row}" for k in range(4) for row in rows]
+    cohort4.write_text("\n".join([header, *copies]) + "\n")
     train = tmp_path / TRAIN_CSV
     run_predict(config, train, cohort, tmp_path / "warm-up")  # one-time costs
     base_peak = _peak(run_predict, config, train, cohort, tmp_path / "base")
     big_peak = _peak(run_predict, config, train, cohort4, tmp_path / "big")
-    base_lines = (tmp_path / "base" / PREDICTIONS_JSONL).read_text().splitlines()
-    assert (tmp_path / "big" / PREDICTIONS_JSONL).read_text().splitlines() == base_lines * 4
+
+    def records(out):
+        lines = (out / PREDICTIONS_JSONL).read_text().splitlines()
+        return [{**json.loads(line), "subject_id": None} for line in lines]
+
+    assert records(tmp_path / "big") == records(tmp_path / "base") * 4
     assert big_peak < 2.5 * base_peak
 
 
@@ -1020,14 +1047,6 @@ def test_cli_imports_only_the_standard_library():
     assert loaded - {"ammknn"} <= set(sys.stdlib_module_names)
 
 
-# public names no package module needs to load, each with its reason
-UNUSED_BY_DESIGN = {
-    # the documented per-draw reference that tests/test_synth.py compares
-    # the block generator against
-    "SplitMix64.normal",
-}
-
-
 def test_every_public_name_is_used_by_the_package():
     """A public function, class, method or property that no package module
     loads is API only tests use."""
@@ -1051,8 +1070,7 @@ def test_every_public_name_is_used_by_the_package():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     unused = {name for name in public if name.rpartition(".")[2] not in loaded}
-    assert sorted(unused - UNUSED_BY_DESIGN) == []
-    assert UNUSED_BY_DESIGN <= unused
+    assert sorted(unused) == []
 
 
 FAMILIES = {"ConfigError", "DataError"}
@@ -1176,6 +1194,6 @@ class TestPrepareCounts:
         )
         config = config_from_json_dict(doc)
         run_prepare(config, path, tmp_path / "out")
-        train = load_csv(tmp_path / "out" / TRAIN_CSV, "score", id_column="student_id")
-        assert "q_mean" in train.column_names
-        assert "q1" not in train.column_names
+        train = read_table(tmp_path / "out" / TRAIN_CSV, "training", "score", "student_id")
+        assert "q_mean" in train.features
+        assert "q1" not in train.features

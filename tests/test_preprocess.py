@@ -5,7 +5,6 @@ import statistics
 import pytest
 
 from ammknn import (
-    Frame,
     pearson_correlation,
     select_by_correlation,
     standardize_joint,
@@ -13,9 +12,9 @@ from ammknn import (
 from ammknn.errors import DataError
 
 
-def columns(frame):
-    """A Frame's columns as lists, as ``standardize_joint`` takes them."""
-    return [list(c) for c in frame.columns()]
+def columns(rows):
+    """The columns of ``rows`` as lists, as ``standardize_joint`` takes them."""
+    return [list(c) for c in zip(*rows)]
 
 
 class TestStandardizeJoint:
@@ -54,7 +53,7 @@ class TestStandardizeJoint:
     def test_idempotent_on_standardized_data(self):
         rng = random.Random(5)
         rows = [[rng.gauss(3, 2), rng.gauss(-1, 4), rng.uniform(300, 500)] for _ in range(40)]
-        once = columns(Frame(["a", "b", "t"], rows, "t"))
+        once = columns(rows)
         standardize_joint(["a", "b", "t"], "t", once)
         twice = list(once)
         standardize_joint(["a", "b", "t"], "t", twice)
@@ -155,21 +154,19 @@ def designed_frame():
         columns[f"r{int(r * 100):02d}"] = [
             r * a + math.sqrt(1 - r * r) * b for a, b in zip(yhat, zhat)
         ]
-    names = list(columns) + ["t"]
-    rows = [[columns[c][i] for c in columns] + [y[i]] for i in range(n)]
-    return Frame(names, rows, "t")
+    return {**columns, "t": y}
 
 
-def select(frame, threshold):
-    """``select_by_correlation`` of a Frame's columns."""
-    return select_by_correlation(frame.column_names, frame.target_name, frame.columns(), threshold)
+def select(columns, threshold):
+    """``select_by_correlation`` of columns by label, the target ``t`` last."""
+    return select_by_correlation(list(columns), "t", list(columns.values()), threshold)
 
 
 class TestSelectByCorrelation:
     def test_designed_correlations(self):
         frame = designed_frame()
         for name, r in (("r05", 0.05), ("r15", 0.15), ("r25", 0.25)):
-            assert pearson_correlation(frame.column(name), frame.column("t")) == pytest.approx(r)
+            assert pearson_correlation(frame[name], frame["t"]) == pytest.approx(r)
 
     def test_threshold_keeps_only_strong_column(self):
         result = select(designed_frame(), 0.19)
@@ -192,10 +189,7 @@ class TestSelectByCorrelation:
 
     def test_negative_correlation_kept_by_magnitude(self):
         frame = designed_frame()
-        flipped_rows = [
-            [-row[0], *row[1:]] for row in frame.rows
-        ]
-        flipped = Frame(frame.column_names, flipped_rows, "t")
+        flipped = {**frame, "r05": [-v for v in frame["r05"]]}
         result = select(flipped, 0.04)
         assert "r05" in result.kept_columns
         dropped = dict(result.dropped_columns)
@@ -205,12 +199,11 @@ class TestSelectByCorrelation:
         frame = designed_frame()
         result = select(frame, 1.0)
         for name, r in result.dropped_columns:
-            assert r == pearson_correlation(frame.column(name), frame.column("t"))
+            assert r == pearson_correlation(frame[name], frame["t"])
 
     def test_constant_column_reports_label(self):
-        frame = Frame(["c", "t"], [[1, 1], [1, 2], [1, 3]], "t")
         with pytest.raises(DataError, match="column 'c' is constant"):
-            select(frame, 0.1)
+            select({"c": [1.0, 1.0, 1.0], "t": [1.0, 2.0, 3.0]}, 0.1)
 
     def test_audit_log_lines(self, caplog):
         with caplog.at_level("INFO", logger="ammknn.preprocess"):

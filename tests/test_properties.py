@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammknn import (
-    Frame,
     TierBoundaries,
     classify_tier,
     cumulative_means,
@@ -50,16 +49,21 @@ def small_frames(draw):
             + [draw(scores)]
         )
     names = [f"c{j}" for j in range(n_cols)] + ["t"]
-    return Frame(names, rows, "t")
+    return names, rows
+
+
+def columns(rows):
+    return list(zip(*rows))
 
 
 @settings(max_examples=40)
 @given(small_frames(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_selection_monotone_in_threshold(frame, t1, t2):
+    names, rows = frame
     lo, hi = sorted((t1, t2))
     try:
-        low_result = select_by_correlation(frame.column_names, "t", frame.columns(), lo)
-        high_result = select_by_correlation(frame.column_names, "t", frame.columns(), hi)
+        low_result = select_by_correlation(names, "t", columns(rows), lo)
+        high_result = select_by_correlation(names, "t", columns(rows), hi)
     except Exception:
         # constant columns are outside the operation's precondition
         return
@@ -69,13 +73,14 @@ def test_selection_monotone_in_threshold(frame, t1, t2):
 @settings(max_examples=40)
 @given(small_frames())
 def test_standardize_joint_idempotent(frame):
-    once = frame.columns()
+    names, rows = frame
+    once = columns(rows)
     try:
-        standardize_joint(frame.column_names, "t", once)
+        standardize_joint(names, "t", once)
     except Exception:
         return
     twice = list(once)
-    standardize_joint(frame.column_names, "t", twice)
+    standardize_joint(names, "t", twice)
     for u_column, v_column in zip(once[:-1], twice[:-1]):
         for u, v in zip(u_column, v_column):
             assert abs(u - v) < 1e-6

@@ -1,7 +1,9 @@
+import math
 import statistics
 import tracemalloc
 from dataclasses import asdict
 from statistics import NormalDist
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from ammknn import (
     CohortSplit,
-    Frame,
     SplitMix64,
     SynthSpec,
     generate_cohort,
@@ -17,6 +18,19 @@ from ammknn import (
 )
 from ammknn.errors import ConfigError
 from ammknn.pipeline import run_synth
+
+
+def uniform(rng):
+    """The documented uniform double in (0, 1] from the next output of ``rng``."""
+    return ((rng.next_u64() >> 11) + 1) * 2.0 ** -53
+
+
+def normal(rng):
+    """The documented Box-Muller standard normal from two uniforms of ``rng``:
+    the per-draw reference that the block generator is compared with."""
+    u1 = uniform(rng)
+    u2 = uniform(rng)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 class TestSplitMix64:
@@ -39,12 +53,12 @@ class TestSplitMix64:
 
     def test_uniform_in_half_open_unit(self):
         rng = SplitMix64(99)
-        values = [rng.uniform() for _ in range(1000)]
+        values = [uniform(rng) for _ in range(1000)]
         assert all(0.0 < v <= 1.0 for v in values)
 
     def test_normal_moments(self):
         rng = SplitMix64(42)
-        values = [rng.normal() for _ in range(20000)]
+        values = [normal(rng) for _ in range(20000)]
         assert statistics.mean(values) == pytest.approx(0.0, abs=0.03)
         assert statistics.stdev(values) == pytest.approx(1.0, abs=0.03)
 
@@ -55,11 +69,24 @@ def spec(**overrides):
     return SynthSpec(**base)
 
 
+class Cohort(NamedTuple):
+    """The rows ``generate_cohort`` draws: the column labels less the id,
+    each row's cells and each row's id."""
+
+    column_names: tuple
+    rows: tuple
+    row_ids: tuple
+
+    def column(self, name):
+        j = self.column_names.index(name)
+        return tuple(row[j] for row in self.rows)
+
+
 def cohort_frame(cohort_spec, split=None):
-    """The rows ``generate_cohort`` draws, as a Frame with its row ids."""
+    """The rows ``generate_cohort`` draws, as a ``Cohort``."""
     header, rows = generate_cohort(cohort_spec, split)
     rows = list(rows)
-    return Frame(header[1:], [row[1:] for row in rows], "score", [row[0] for row in rows], header[0])
+    return Cohort(tuple(header[1:]), tuple(tuple(row[1:]) for row in rows), tuple(row[0] for row in rows))
 
 
 class TestGenerateCohort:
@@ -71,19 +98,18 @@ class TestGenerateCohort:
 
     def test_shape_and_ids(self):
         frame = cohort_frame(spec(n_rows=30, n_features=5, signal_features=2))
-        assert frame.n_rows == 30
+        assert len(frame.rows) == 30
         assert frame.column_names == ("f01", "f02", "f03", "f04", "f05", "score")
-        assert frame.target_name == "score"
         assert frame.row_ids[0] == "S01"
         assert frame.row_ids[-1] == "S30"
 
     def test_targets_within_range(self):
         frame = cohort_frame(spec(target_range=(300.0, 600.0)))
-        assert all(300.0 <= t <= 600.0 for t in frame.target_values())
+        assert all(300.0 <= t <= 600.0 for t in frame.column("score"))
 
     def test_near_zero_noise_gives_near_perfect_signal(self):
         frame = cohort_frame(spec(noise_sd=1e-9, n_features=6, signal_features=3))
-        target = frame.target_values()
+        target = frame.column("score")
         for name in ("f01", "f02", "f03"):
             assert abs(pearson_correlation(frame.column(name), target)) > 0.99
 
@@ -91,14 +117,14 @@ class TestGenerateCohort:
         # tolerance [0.02, 0.15] frozen after measuring min 0.035 / max
         # 0.105 across seeds 1..50 with these parameters
         frame = cohort_frame(spec())
-        target = frame.target_values()
+        target = frame.column("score")
         fraction = sum(1 for t in target if t < 350) / len(target)
         assert 0.02 <= fraction <= 0.15
 
     def test_fail_fraction_window_across_seeds(self):
         for seed in range(1, 51):
             frame = cohort_frame(spec(seed=seed))
-            target = frame.target_values()
+            target = frame.column("score")
             fraction = sum(1 for t in target if t < 350) / len(target)
             assert 0.02 <= fraction <= 0.15, f"seed {seed}: {fraction}"
 
@@ -109,8 +135,8 @@ class TestGenerateCohort:
         total = 0
         for seed in range(1, 51):
             frame = cohort_frame(spec(seed=seed))
-            target = frame.target_values()
-            for name in frame.feature_names()[12:]:
+            target = frame.column("score")
+            for name in frame.column_names[12:-1]:
                 total += 1
                 if abs(pearson_correlation(frame.column(name), target)) >= 0.2:
                     violations += 1
@@ -133,7 +159,7 @@ class TestGenerateCohort:
 
 def per_draw_cohort(spec):
     """(names, ids, rows) by the documented draw order, one
-    ``SplitMix64.normal()`` at a time: per row, the ability, then one
+    ``normal()`` at a time: per row, the ability, then one
     normal per feature."""
     low, high = spec.target_range
     slope = (high - low) / 8.0
@@ -141,8 +167,8 @@ def per_draw_cohort(spec):
     rng = SplitMix64(spec.seed)
     rows = []
     for _ in range(spec.n_rows):
-        ability = rng.normal()
-        draws = [rng.normal() for _ in range(spec.n_features)]
+        ability = normal(rng)
+        draws = [normal(rng) for _ in range(spec.n_features)]
         cells = [round(ability + spec.noise_sd * d, 6) for d in draws[: spec.signal_features]]
         cells += [round(d, 6) for d in draws[spec.signal_features:]]
         cells.append(float(min(max(round(intercept + slope * ability), low), high)))
@@ -280,7 +306,7 @@ class TestCohortYears:
         ]
         assert marked_train == list(train)
         assert list(train) == [frame.row_ids[i] for i in documented_split(40, 0.75, 5)]
-        assert stamped.n_rows == frame.n_rows
+        assert len(stamped.rows) == len(frame.rows)
 
     def test_original_columns_preserved(self):
         cohort_spec = spec(n_rows=12, n_features=3, signal_features=1)
