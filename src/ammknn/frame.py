@@ -1,4 +1,4 @@
-"""CSV reading and writing, and the check of every cell a ranking reads.
+"""CSV reading and writing, and the one check of every parsed cell.
 
 ``load_csv`` reads a CSV's header and hands ``consume`` an iterator that
 parses each record as it is asked for one; nothing else holds the table.
@@ -6,15 +6,20 @@ parses each record as it is asked for one; nothing else holds the table.
 ``read_table`` consumes a prepared table for ``loocv``, ``validate`` and
 ``predict``: it keeps only what a ranking step reads, one tuple of
 feature cells per row, in the training table's feature order, the
-targets, the outlier column and the ids, and checks each of those cells
-as its record is parsed. ``write_csv`` writes rows from any iterable, so
-neither ``prepare`` nor ``synth`` holds a table it writes.
+targets, the outlier column and the ids. ``write_csv`` writes rows from
+any iterable, so neither ``prepare`` nor ``synth`` holds a table it writes.
 
-Whether a cell may enter arithmetic is decided by one helper,
-``refuse_unusable``, wherever cells first enter it: the cohort year, the
-pooled columns being standardized, and every cell ``read_table`` picks.
-A missing or NaN/infinite cell is refused, naming it as
-``<training|validation|subject|input> row i, column c``.
+Whether a parsed cell may enter arithmetic is decided here alone, as its
+record is parsed: every cell but the id is empty (missing) or a finite
+number. Other text, NaN and the infinities, spellings that overflow such
+as ``1e999`` included, are refused in every column of every record,
+whether a step reads the cell or not. A missing cell is the step's
+business: ``read_table`` refuses one in any cell it keeps, ``prepare``
+leaves its row out. Every refusal names the file line on which its
+record ends (the header is line 1, and blank lines count), as
+``<path>, line L, column 'c': `` followed by ``non-numeric cell 'x1'``,
+``non-finite value inf`` or ``missing cell``; a record's own faults read
+``<path>, line L: ...``.
 
 CSV conventions: UTF-8 (a leading byte-order mark is skipped), one
 header row, ``.`` decimal separator, empty string means missing, and a
@@ -34,38 +39,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import ConfigError, DataError
 
 Cell = Optional[float]
-
-
-def refuse_unusable(
-    row_name: Callable[[int], str],
-    names: Sequence[str],
-    columns: Sequence[Sequence[Cell]],
-    missing_ok: bool = False,
-) -> None:
-    """Refuse the first missing (unless ``missing_ok``), NaN or infinite
-    cell of ``columns``, in row order, as ``"{row_name(i)}, column {name!r}"``.
-
-    A NaN has no place in a distance order and turns a column's mean and
-    sd into NaN; a missing cell cannot be summed. The common case, every
-    cell finite, costs one ``isfinite`` pass per column.
-    """
-    bad = []
-    for name, column in zip(names, columns):
-        try:
-            if all(map(math.isfinite, column)):
-                continue
-        except TypeError:  # a missing cell (None)
-            pass
-        bad.append((name, column))
-    if not bad:
-        return
-    for i, cells in enumerate(zip(*(column for _, column in bad))):
-        for (name, _), v in zip(bad, cells):
-            if v is None:
-                if not missing_ok:
-                    raise DataError(f"{row_name(i)}, column {name!r}: missing cell")
-            elif not math.isfinite(v):
-                raise DataError(f"{row_name(i)}, column {name!r}: non-finite value {v!r}")
 
 
 def _picker(idx: Sequence[int]) -> Callable:
@@ -92,13 +65,19 @@ class AggregationSpec:
 # CSV I/O
 # --------------------------------------------------------------------------
 
-def _parse_cell(text: str, row: int, column: str) -> Cell:
+def _cell(path, line: int, name: str, text: str) -> Cell:
+    """One parsed cell: None if empty, else a finite float, or refused."""
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataError(f"non-numeric cell {text!r} at row {row}, column {column!r}") from None
+        raise DataError(
+            f"{path}, line {line}, column {name!r}: non-numeric cell {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}, line {line}, column {name!r}: non-finite value {value!r}")
+    return value
 
 
 def _read_header(reader, path, target_name: Optional[str], id_column: Optional[str]):
@@ -120,37 +99,44 @@ def _read_header(reader, path, target_name: Optional[str], id_column: Optional[s
 
 
 def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
-    """(row number, id or None, list of cells) for each record after the
-    header, adding 1 to ``tally[0]`` for each.
+    """(line, id or None, list of cells) for each record after the
+    header, adding 1 to ``tally[0]`` for each; line is the file line on
+    which the record ends.
 
-    A blank line (a record of no fields) holds no subject and is skipped,
-    but still counted, so the rows after it keep their numbers. An empty
-    id is refused, naming its row, and so is an id that an earlier row
-    holds, naming both rows: the rows seen are kept as a dict from id to
-    row number, which is smaller than a set of the ids.
+    A blank line (a record of no fields) holds no subject and is skipped.
+    An empty id is refused, and so is an id that an earlier record holds,
+    naming both lines: the ids seen are kept as a dict from id to line,
+    which is smaller than a set of the ids. A record whose cells all parse
+    costs one C-level ``float`` pass and one ``isfinite`` of their sum;
+    only a record where that fails (an empty cell, other text, a
+    non-finite value, or finite cells whose sum overflows) is gone over
+    cell by cell, so its first unusable cell is named.
     """
     width = len(names) + (id_pos is not None)
     seen = {}
-    for lineno, record in enumerate(reader, start=1):
+    for record in reader:
+        line = reader.line_num
         if len(record) != width:
             if not record:
                 continue
-            raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {width}")
+            raise DataError(f"{path}, line {line}: {len(record)} fields, header has {width}")
         rid = None
         if id_pos is not None:
             rid = record.pop(id_pos)
-            first = seen.setdefault(rid, lineno)
-            if first != lineno:
-                raise DataError(f"{path}: rows {first} and {lineno} have the same id {rid!r}")
+            first = seen.setdefault(rid, line)
+            if first != line:
+                raise DataError(f"{path}, lines {first} and {line} have the same id {rid!r}")
             if not rid:
-                raise DataError(f"{path}: row {lineno} has an empty id")
+                raise DataError(f"{path}, line {line}: empty id")
         try:
             cells = list(map(float, record))
+            usable = math.isfinite(sum(cells))
         except ValueError:
-            # an empty (missing) cell, or a cell float() refuses
-            cells = [_parse_cell(text, lineno, name) for text, name in zip(record, names)]
+            usable = False
+        if not usable:
+            cells = [_cell(path, line, name, text) for name, text in zip(names, record)]
         tally[0] += 1
-        yield lineno, rid, cells
+        yield line, rid, cells
 
 
 class Shape(NamedTuple):
@@ -171,10 +157,10 @@ def load_csv(
 
     ``consume(names, records)`` is called once with the column labels
     (the id column left out) and an iterator that parses each record as
-    it is asked for one, as ``(row number, id or None, list of cells)``;
-    no row is kept here. Empty cells become ``None``, every other cell
-    goes through ``float()`` or is refused, and the id column is the only
-    one that may hold other text. ``target_name`` may be None for an
+    it is asked for one, as ``(line, id or None, list of cells)``; no row
+    is kept here. Empty cells become ``None``, every other cell is a
+    finite ``float()`` or is refused, and the id column is the only one
+    that may hold other text. ``target_name`` may be None for an
     unscored cohort. A header that lacks the named target or id column is
     a ``ConfigError``: those names always come from the configuration.
     """
@@ -206,16 +192,13 @@ class Table(NamedTuple):
     ids: list  # each record's id, None where there is no id column
 
     def column(self, name: str) -> list:
-        """The cells of the target or of one feature column, in record order."""
-        if name == self.target_name:
-            return self.target
+        """The cells of one feature column, in record order."""
         k = self.features.index(name)
         return [row[k] for row in self.rows]
 
 
 def read_table(
     path,
-    role: str,
     target_name: str,
     id_column: Optional[str],
     features: Optional[Sequence[str]] = None,
@@ -231,12 +214,8 @@ def read_table(
     exactly those, or it is refused (a cohort, whose columns must be the
     training table's). The cells of the ``outlier`` column, if named, are
     kept on their own too. The target is read only when ``scored``: an
-    unscored cohort may lack it or leave it blank.
-
-    Each picked cell is checked as its record is parsed, row first and
-    then column in file order. A missing, NaN or infinite one is refused
-    as ``"{role} row i, column c"``, where i counts the table's records
-    from 0, blank lines not counted.
+    unscored cohort may lack it or leave it blank. A missing cell among
+    those kept is refused, the first in file order.
     """
     table = []
 
@@ -251,21 +230,16 @@ def read_table(
             )
         if outlier is not None and outlier not in names:
             raise DataError(f"outlier feature {outlier!r} not in subjects")
-        at = [names.index(n) for n in picked]
+        pick = _picker([names.index(n) for n in picked])
         t = names.index(target_name) if scored else None
         o = None if outlier is None else names.index(outlier)
-        checked = sorted({*at, *(p for p in (t, o) if p is not None)})
-        labels = [names[p] for p in checked]
-        check, pick = _picker(checked), _picker(at)
+        unread = None if scored else target_name
         rows, target, outliers, ids = [], [], [], []
-        row_name = lambda _: f"{role} row {len(rows)}"  # noqa: E731
-        for _, rid, cells in records:
-            try:
-                finite = all(map(math.isfinite, check(cells)))
-            except TypeError:  # a missing cell (None)
-                finite = False
-            if not finite:
-                refuse_unusable(row_name, labels, [(c,) for c in check(cells)])
+        for line, rid, cells in records:
+            if None in cells:
+                for name, cell in zip(names, cells):
+                    if cell is None and name != unread:
+                        raise DataError(f"{path}, line {line}, column {name!r}: missing cell")
             rows.append(pick(cells))
             if t is not None:
                 target.append(cells[t])

@@ -103,9 +103,10 @@ took 8-13% longer (best of 40 runs, four repeats).
 
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
-finite. This module does not check them: ``frame.read_table`` refuses a
-missing or non-finite cell with a ``DataError`` naming its row and
-column as it reads it, before any ranking.
+finite. This module does not check them: ``frame.load_csv`` refuses a
+non-finite cell, and ``frame.read_table`` a missing one, with a
+``DataError`` naming its file line and column as it parses the record,
+before any ranking.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
@@ -338,7 +339,7 @@ def ammknn_predict_batch(
     index in ``outlier_values``, comes from the subject's own
     (standardized) column of the configured outlier feature, and its id
     from ``ids``. Every cell, and every ``target`` score, must
-    be finite: ``frame.read_table`` checks them as it reads them. The
+    be finite: ``frame.load_csv`` checks them as it parses them. The
     arguments are checked when this is called, so a refusal comes before
     the first record; each record is then scored as it is drawn, and only
     one subject's ranking is held at a time. Prediction is pure per

@@ -18,13 +18,14 @@ rows as it is drawn. Every step turns an ``--out`` that cannot be made a
 directory, or an output file that cannot be written, into a
 ``DataError``.
 
-loocv, validate and predict each read their tables with
-``frame.read_table``, which keeps only what the step ranks with and
-checks each of those cells as its record is parsed: the training table
-first, then the cohort. They all score through one loop in ``knn``: a
-window over the training rows' feature sums, a ``math.dist`` filter over
-the rows in it, then exact left-to-right squared distances for the few
-rows it keeps. validate and predict hold one subject's ranking at a
+Every cell of every input is checked once, as ``frame.load_csv`` parses
+its record, and a refusal names the file line and the column. loocv,
+validate and predict each read their tables with ``frame.read_table``,
+which keeps only what the step ranks with and refuses a missing cell
+among it: the training table first, then the cohort. They all score
+through one loop in ``knn``: a window over the training rows' feature
+sums, a ``math.dist`` filter over the rows in it, then exact
+left-to-right squared distances for the few rows it keeps. validate and predict hold one subject's ranking at a
 time: validate keeps two numbers of each subject for its report, and
 predict writes each subject's line as it is scored, after every cell has
 been checked. ``knn.loocv`` ranks each training row once and reads both
@@ -53,7 +54,7 @@ from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .frame import Table, _open_out, _picker, load_csv, read_table, refuse_unusable, write_csv
+from .frame import Table, _open_out, _picker, load_csv, read_table, write_csv
 from .knn import AmmknnConfig, ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
@@ -89,10 +90,18 @@ def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
     The rule fires on *low* feature values, so a feature that correlates
     negatively would flag the strongest students; when every feature
     does, there is no sound default and the config must name one. A
-    constant column (or a constant target) counts as r = 0.
+    constant column (or a constant target) counts as r = 0. A configured
+    outlier feature must be a feature column, not the target.
     """
     if config.outlier_feature is not None:
-        if config.outlier_feature not in (*train.features, train.target_name):
+        if config.outlier_feature == train.target_name:
+            # the rule would read each student's own score, which never
+            # falls below the cutoff
+            raise ConfigError(
+                f"ammknn.outlier_feature {config.outlier_feature!r} is the target; "
+                "name a feature column"
+            )
+        if config.outlier_feature not in train.features:
             raise ConfigError(
                 f"configured outlier feature {config.outlier_feature!r} not in training frame"
             )
@@ -176,7 +185,7 @@ def _move(rows: list, columns: list, plan: list) -> bool:
     return True
 
 
-def _split_records(config: PipelineConfig, names: list, records) -> tuple:
+def _split_records(config: PipelineConfig, path, names: list, records) -> tuple:
     """``prepare``'s pass over the raw records; see ``_split_cohort``."""
     known = list(names)
     groups = {}  # group label -> positions of its members in a raw row
@@ -230,7 +239,6 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
     next_year = cutoff + 1
     outside = 0
     missing_target, incomplete = [0, 0], [0, 0]
-    bad_year = None
     sides = tuple(_Side([], [array("d") for _ in columns]) for _ in (0, 1))
     blocks = tuple(([], []) for _ in (0, 1))  # per side: picked cells and ids not yet moved
 
@@ -246,11 +254,13 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
         for pending in blocks[side]:
             pending.clear()
 
-    for lineno, rid, row in records:
+    for line, rid, row in records:
         y = year_of(row)
         if y is None or not -math.inf < y < next_year:
-            if y is not None and bad_year is None and not math.isfinite(y):
-                bad_year = (lineno, y)
+            if y is not None and not math.isfinite(y):
+                # a group's mean that overflows would fall into neither
+                # side (NaN, +inf) or into training (-inf)
+                raise DataError(f"{path}, line {line}, column {cohort!r}: non-finite value {y!r}")
             outside += 1
             continue
         side = 0 if y < cutoff else 1
@@ -264,11 +274,6 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
             flush(side)
     flush(0)
     flush(1)
-    if bad_year is not None:
-        # a NaN or infinite year would fall silently into neither side
-        # (NaN, +inf) or into training (-inf)
-        lineno, y = bad_year
-        refuse_unusable(lambda _: f"input row {lineno - 1}", [cohort], [(y,)])
 
     counts = {
         "dropped_outside_years": outside,
@@ -308,14 +313,14 @@ def _split_cohort(config: PipelineConfig, input_path):
     are moved as before.
 
     The configuration's columns are checked against the header before any
-    row is read. A NaN or infinite year is refused once every record has
-    been parsed, as ``input row i`` (i counts records from 0, blank lines
-    included).
+    row is read. ``load_csv`` refuses a non-finite cell as it parses it,
+    so only a group's mean can make a year non-finite, by overflowing: it
+    is refused at its record, naming the file line and the cohort column.
     """
     split = []
     load_csv(
         input_path, config.target_name, config.id_column,
-        lambda names, records: split.extend(_split_records(config, names, records)),
+        lambda names, records: split.extend(_split_records(config, input_path, names, records)),
     )
     return tuple(split)
 
@@ -323,15 +328,12 @@ def _split_cohort(config: PipelineConfig, input_path):
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     _make_out_dir(out_dir)
     names, train, validation, counts = _split_cohort(config, input_path)
-    # the correlation filter needs 2 training rows; a NaN or infinite
-    # cell is still named first
-    too_few = (
-        f"{len(train.ids)} training rows kept (cohort year before year_cutoff "
-        f"{config.year_cutoff!r}); prepare needs at least 2"
-    )
-    standardize_joint(
-        names, config.target_name, train.columns, validation.columns, too_few_train=too_few
-    )
+    if len(train.ids) < 2:  # the correlation filter needs 2 training rows
+        raise DataError(
+            f"{len(train.ids)} training rows kept (cohort year before year_cutoff "
+            f"{config.year_cutoff!r}); prepare needs at least 2"
+        )
+    standardize_joint(names, config.target_name, train.columns, validation.columns)
     selection = select_by_correlation(
         names, config.target_name, train.columns, config.correlation_threshold
     )
@@ -358,7 +360,7 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    train = read_table(train_path, "training", config.target_name, config.id_column)
+    train = read_table(train_path, config.target_name, config.id_column)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
     outlier_values = train.column(ammknn_cfg.outlier_feature)
     ammknn_predictions, triggered, knn_predictions = loocv(
@@ -398,10 +400,10 @@ def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool
     columns, with or without the target: any other cohort, such as a raw
     one that still holds its year column, is a ``DataError``. Every cell
     is checked before the first record is scored."""
-    train = read_table(train_path, "training", config.target_name, config.id_column)
+    train = read_table(train_path, config.target_name, config.id_column)
     ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
     cohort = read_table(
-        cohort_path, "subject", config.target_name, config.id_column,
+        cohort_path, config.target_name, config.id_column,
         features=train.features, outlier=ammknn_cfg.outlier_feature, scored=scored,
     )
     records = ammknn_predict_batch(

@@ -14,6 +14,11 @@ give both its sd and each side's z-scores ``d / sd``. Each pass boxes
 each float once, in a list comprehension, which is faster than ``map``
 over a bound method, and the sum of squares runs over that list, which
 is faster than over an ``array``.
+
+Every cell arrives finite: ``frame.load_csv`` refuses any other as it
+parses it. What is checked here is computed: a column whose sum or sum
+of squares overflows, or whose correlation with the target does, is
+refused, naming it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
-from .frame import refuse_unusable
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +101,6 @@ def standardize_joint(
     target_name: Optional[str],
     train: list,
     validation: Optional[list] = None,
-    too_few_train: Optional[str] = None,
 ) -> StandardizationStats:
     """Z-score, in place, every column but the target of ``train`` and
     ``validation`` with stats pooled over their rows, training rows first.
@@ -108,34 +111,18 @@ def standardize_joint(
     ``validation`` may be None. The target column passes through
     unchanged. Sample (n-1) standard deviation is used.
 
-    Every cell is checked before any statistic: the first NaN or infinite
-    feature cell, in training then validation row order, is refused, then
-    the first such target cell. Then, if ``too_few_train`` is given, a
-    ``train`` of fewer than 2 rows is refused with it as the message.
+    Every cell is a finite number: ``frame.load_csv`` refuses any other
+    as it parses it. A column whose sum or sum of squares overflows (a
+    group's mean of huge members can) is refused here, naming it.
     Each pooled column's deviations from the mean, ``v - mean``, give both
     the sd and the z-scores ``d / sd``, the same float as
     ``(v - mean) / sd``; ``train`` and ``validation`` may hold any
     sequences of numbers.
     """
-    sides = [("training", train)]
-    if validation is not None:
-        sides.append(("validation", validation))
     excluded = tuple(n for n in names if n == target_name)
     idx = [j for j, name in enumerate(names) if name not in excluded]
     to_standardize = tuple(names[j] for j in idx)
-    # a NaN would make a column's mean and sd NaN, and the correlation
-    # filter would then drop the column without a word
-    for label, side in sides:
-        refuse_unusable(f"{label} row {{}}".format, to_standardize, [side[j] for j in idx])
-    if excluded:
-        t = names.index(target_name)
-        for label, side in sides:
-            refuse_unusable(f"{label} row {{}}".format, excluded, [side[t]], missing_ok=True)
-
     n = len(train[0]) if train else 0
-    if too_few_train is not None and n < 2:
-        raise DataError(too_few_train)
-
     means: dict = {}
     sds: dict = {}
     for name, j in zip(to_standardize, idx):

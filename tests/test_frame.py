@@ -69,7 +69,7 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "x,y\nabc,2\n")
         with pytest.raises(DataError) as exc:
             load(path, "y")
-        assert str(exc.value) == "non-numeric cell 'abc' at row 1, column 'x'"
+        assert str(exc.value) == f"{path}, line 2, column 'x': non-numeric cell 'abc'"
 
     def test_empty_cell_becomes_missing(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n,2\n")
@@ -80,7 +80,7 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", f"id,x,y,z\nA,1,,3\nB,,{bad},6\n")
         with pytest.raises(DataError) as exc:
             load(path, "z", id_column="id")
-        assert str(exc.value) == f"non-numeric cell {bad!r} at row 2, column 'y'"
+        assert str(exc.value) == f"{path}, line 3, column 'y': non-numeric cell {bad!r}"
 
     def test_missing_cells_load_as_none_beside_parsed_ones(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,,3\nB,, 4.5 ,\n")
@@ -90,13 +90,45 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,2,3\nB,4,oops,bad\n")
         with pytest.raises(DataError) as exc:
             load(path, "z", id_column="id")
-        assert str(exc.value) == "non-numeric cell 'oops' at row 2, column 'y'"
+        assert str(exc.value) == f"{path}, line 3, column 'y': non-numeric cell 'oops'"
 
     def test_ragged_row_is_named(self, tmp_path):
         path = write(tmp_path, "d.csv", "x,y\n1,2\n3\n")
         with pytest.raises(DataError) as exc:
             load(path, "y")
-        assert str(exc.value) == f"{path}: row 2 has 1 fields, header has 2"
+        assert str(exc.value) == f"{path}, line 3: 1 fields, header has 2"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_refuses_non_finite_cell(self, tmp_path, bad):
+        path = write(tmp_path, "d.csv", f"x,t\n0,1\n1,2\n2,3\n{bad},4\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 5, column 'x': non-finite value {float(bad)!r}"
+
+    def test_refuses_non_finite_target(self, tmp_path):
+        path = write(tmp_path, "d.csv", "x,t\n0,1\n1,inf\n2,3\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 't': non-finite value inf"
+
+    def test_first_bad_cell_in_file_order(self, tmp_path):
+        # row by row, then column by column; the target is a column like
+        # any other. Each cell named is mended before the next read.
+        names = ["x", "t", "y"]
+        rows = [["0", "1", "1"], ["1", "nan", "2"], ["2", "3", "inf"], ["inf", "nan", "1"], ["1", "2", "2"]]
+        path = tmp_path / "d.csv"
+        for line, column, value in [(3, "t", "nan"), (4, "y", "inf"), (5, "x", "inf"), (5, "t", "nan")]:
+            path.write_text("\n".join(map(",".join, [names, *rows])) + "\n")
+            with pytest.raises(DataError) as exc:
+                load(path, "t")
+            assert str(exc.value) == f"{path}, line {line}, column {column!r}: non-finite value {value}"
+            rows[line - 2][names.index(column)] = "0.5"
+        path.write_text("\n".join(map(",".join, [names, *rows])) + "\n")
+        assert load(path, "t").shape == Shape(5, 3)
+
+    def test_sum_that_overflows_is_not_a_bad_cell(self, tmp_path):
+        path = write(tmp_path, "d.csv", "x,y,t\n1e308,1e308,1\n-1e308,-1e308,2\n")
+        assert load(path, "t").rows == ((1e308, 1e308, 1.0), (-1e308, -1e308, 2.0))
 
     def test_directory_is_unreadable(self, tmp_path):
         with pytest.raises(DataError, match="is a directory, not a CSV file"):
@@ -122,7 +154,7 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate column names in header"):
             load(path, "x")
 
-    def test_blank_lines_hold_no_row_but_keep_row_numbers(self, tmp_path):
+    def test_blank_lines_hold_no_row_but_keep_line_numbers(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\n\nB,3,4\n\n")
         frame = load(path, "y", id_column="id")
         assert frame.rows == ((1.0, 2.0), (3.0, 4.0))
@@ -130,7 +162,7 @@ class TestLoadCsv:
         path = write(tmp_path, "e.csv", "id,x,y\nA,1,2\n\nB,oops,4\n")
         with pytest.raises(DataError) as exc:
             load(path, "y", id_column="id")
-        assert str(exc.value) == "non-numeric cell 'oops' at row 3, column 'x'"
+        assert str(exc.value) == f"{path}, line 4, column 'x': non-numeric cell 'oops'"
 
     def test_a_lone_missing_cell_is_not_a_blank_line(self, tmp_path):
         rows = ((1.0,), (None,), (2.0,))
@@ -144,7 +176,7 @@ class TestLoadCsv:
             path, "y", id_column="id",
             consume=lambda names, records: seen.extend([names, *records]),
         )
-        assert seen == [["x", "y"], (1, "A", [1.0, None]), (3, "B", [3.0, 4.0])]
+        assert seen == [["x", "y"], (2, "A", [1.0, None]), (4, "B", [3.0, 4.0])]
         assert shape == Shape(n_rows=2, n_cols=2)
 
     def test_round_trip_identical_frame(self, tmp_path):
@@ -170,83 +202,83 @@ class TestLoadCsv:
         ]
 
     @pytest.mark.parametrize("text, message", [
-        ("id,x\nA,1\n,2\n", "row 2 has an empty id"),
-        ("id,x\nA,1\n\nB,2\nA,3\n", "rows 1 and 4 have the same id 'A'"),
+        ("id,x\nA,1\n,2\n", ", line 3: empty id"),
+        ("id,x\nA,1\n\nB,2\nA,3\n", ", lines 2 and 5 have the same id 'A'"),
         # the first empty id is named as empty, not as a repeat
-        ("id,x\nA,1\n,2\n,3\n", "row 2 has an empty id"),
+        ("id,x\nA,1\n,2\n,3\n", ", line 3: empty id"),
     ])
     def test_empty_or_repeated_id_is_refused(self, tmp_path, text, message):
         path = write(tmp_path, "d.csv", text)
         with pytest.raises(DataError) as exc:
             load(path, None, id_column="id")
-        assert str(exc.value) == f"{path}: {message}"
+        assert str(exc.value) == f"{path}{message}"
 
 
 def read_training(tmp_path, names, rows):
     """``read_table`` of a training CSV of ``rows`` under ``names``, target ``t``."""
-    return read_table(write_table(tmp_path / "train.csv", names, rows), "training", "t", None)
+    return read_table(write_table(tmp_path / "train.csv", names, rows), "t", None)
 
 
 def read_subjects(tmp_path, names, rows, features=None, outlier="x0"):
     """``read_table`` of an unscored cohort CSV whose features are ``names``."""
     path = write_table(tmp_path / "cohort.csv", names, rows)
-    return read_table(path, "subject", "t", None, features or names, outlier, scored=False)
+    return read_table(path, "t", None, features or names, outlier, scored=False)
 
 
 class TestReadTable:
     """``read_table`` keeps what a ranking reads and refuses cells it cannot rank."""
 
     def test_training_and_cohort(self, tmp_path):
-        train = read_table(
-            write(tmp_path, "t.csv", "id,x,t,y\nA,1,400,2\nB,3,300,4\n"), "training", "t", "id"
-        )
+        train = read_table(write(tmp_path, "t.csv", "id,x,t,y\nA,1,400,2\nB,3,300,4\n"), "t", "id")
         assert train.features == ("x", "y")
         assert train.rows == [(1.0, 2.0), (3.0, 4.0)]
         assert train.target == [400.0, 300.0]
         assert train.ids == ["A", "B"]
-        assert train.column("y") == [2.0, 4.0] and train.column("t") == train.target
+        assert train.column("y") == [2.0, 4.0]
         # a cohort's rows follow the training table's feature order; an
         # unscored cohort's score may be blank
         path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\n")
-        cohort = read_table(path, "subject", "t", "id", train.features, "y", scored=False)
+        cohort = read_table(path, "t", "id", train.features, "y", scored=False)
         assert (cohort.rows, cohort.outlier, cohort.target, cohort.ids) == (
             [(6.0, 5.0)], [5.0], [], ["C"]
         )
 
-    def test_blank_lines_are_not_counted_in_refusals(self, tmp_path):
-        path = write(tmp_path, "t.csv", "x,t\n1,400\n\n2,nan\n")
-        with pytest.raises(DataError, match="training row 1, column 't': non-finite value nan"):
-            read_table(path, "training", "t", None)
+    @pytest.mark.parametrize("cell, problem", [("nan", "non-finite value nan"), ("", "missing cell")])
+    def test_blank_lines_are_counted_in_refusals(self, tmp_path, cell, problem):
+        path = write(tmp_path, "t.csv", f"x,t\n1,400\n\n2,{cell}\n")
+        with pytest.raises(DataError) as exc:
+            read_table(path, "t", None)
+        assert str(exc.value) == f"{path}, line 4, column 't': {problem}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e999")])
     def test_training_feature(self, tmp_path, bad):
-        with pytest.raises(DataError, match="training row 1, column 'x1': non-finite value"):
+        with pytest.raises(DataError, match="line 3, column 'x1': non-finite value"):
             read_training(tmp_path, ["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, bad, 300.0]])
 
     def test_training_target(self, tmp_path):
-        with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
+        with pytest.raises(DataError, match="line 3, column 't': non-finite value nan"):
             read_training(tmp_path, ["x0", "t"], [[0.0, 400.0], [1.0, math.nan], [2.0, 300.0]])
 
     def test_first_bad_training_cell_in_row_order(self, tmp_path):
         rows = [[0.0, 0.0, 1.0], [0.0, None, 2.0], [math.inf, 0.0, 3.0]]
-        with pytest.raises(DataError, match="training row 1, column 'x1': missing cell"):
+        with pytest.raises(DataError, match="line 3, column 'x1': missing cell"):
             read_training(tmp_path, ["x0", "x1", "t"], rows)
 
     def test_fold_errors_tagged(self, tmp_path):
-        with pytest.raises(DataError, match="row 1, column 'x': missing cell"):
+        with pytest.raises(DataError, match="line 3, column 'x': missing cell"):
             read_training(tmp_path, ["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]])
 
     @pytest.mark.parametrize("cells", [[0.0, math.inf], [math.nan, 0.0]])
     def test_subject_cell(self, tmp_path, cells):
-        with pytest.raises(DataError, match=r"subject row 1\b.* column 'x\d': non-finite value"):
+        with pytest.raises(DataError, match=r"cohort\.csv, line 3, column 'x\d': non-finite value"):
             read_subjects(tmp_path, ["x0", "x1"], [[0.0, 0.0], cells])
 
     def test_subject_outlier_cell(self, tmp_path):
-        with pytest.raises(DataError, match="subject row 0, column 'o': non-finite value"):
+        with pytest.raises(DataError, match="line 2, column 'o': non-finite value nan"):
             read_subjects(tmp_path, ["x0", "o"], [[0.0, math.nan]], outlier="o")
 
     def test_row_errors_tagged_with_index(self, tmp_path):
-        with pytest.raises(Exception, match="subject row 1"):
+        with pytest.raises(DataError, match="line 3, column 'x0': missing cell"):
             read_subjects(tmp_path, ["x0"], [[0.0], [None]])
 
     @pytest.mark.parametrize("cells, features, missing", [
@@ -486,6 +518,16 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
 
     path = write_table(tmp_path_factory.mktemp("csv") / "frame.csv", names, rows, ids)
+    # an infinite cell, in whichever column, is refused as its record is parsed
+    bad = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c in (math.inf, -math.inf)]
+    if bad:
+        i, j = bad[0]
+        with pytest.raises(DataError) as exc:
+            load(path, "c0", None if ids is None else "id")
+        assert str(exc.value) == (
+            f"{path}, line {i + 2}, column {names[j]!r}: non-finite value {rows[i][j]!r}"
+        )
+        return
     loaded = load(path, "c0", None if ids is None else "id")
     assert loaded.shape == Shape(len(rows), width)
     assert loaded.rows == rows
@@ -499,15 +541,12 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
         "aggregations": [{"group_name": "g", "member_columns": names[2:]}] if width > 2 else [],
         "exclude_columns": some,
     })
-    try:
-        kept, train, validation, _ = _split_cohort(config, path)
-    except DataError:
-        return  # a non-finite year
+    kept, train, validation, _ = _split_cohort(config, path)
     sides = (train.columns, validation.columns)
     try:
         standardize_joint(kept, "c0", *sides)
     except DataError:
-        pass  # too few rows, a constant column or a non-finite cell
+        pass  # too few rows, a constant column or a sum that overflows
     for side, columns in zip((train, validation), sides):
         assert len(columns) == len(kept)
         for column in columns:

@@ -178,7 +178,7 @@ class TestCliWorkflow:
     def test_predict_without_target_column(self, workspace, tmp_path):
         run_all(workspace)
         out = workspace["out"]
-        validation = read_table(out / VALIDATION_CSV, "subject", "score", "student_id")
+        validation = read_table(out / VALIDATION_CSV, "score", "student_id")
         unscored_path = tmp_path / "unscored.csv"
         write_csv(
             ["student_id", *validation.features], unscored_path,
@@ -250,7 +250,7 @@ class TestCliWorkflow:
         run_all(workspace)
         out = workspace["out"]
         config = config_from_json_dict(CONFIG_DOC)
-        train = read_table(out / TRAIN_CSV, "training", "score", "student_id")
+        train = read_table(out / TRAIN_CSV, "score", "student_id")
         loocv_report = json.loads((out / LOOCV_AMMKNN_JSON).read_text())
 
         last = len(train.rows) - 1
@@ -461,7 +461,7 @@ class TestCliErrors:
             "prepare", "--config", str(workspace["config"]),
             "--input", str(cohort), "--out", str(tmp_path / "x"),
         ]) == 3
-        assert f"{cohort}: row 2 has 3 fields, header has 4" in capsys.readouterr().err
+        assert f"{cohort}, line 3: 3 fields, header has 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
     def test_training_without_features_exit_3(self, tmp_path, capsys, command):
@@ -559,7 +559,7 @@ class TestCliRefusesUnscorableInput:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_training_cell_exit_3(self, workspace, tmp_path, capsys, cell):
         run_all(workspace)
-        train = read_table(workspace["out"] / TRAIN_CSV, "training", "score", "student_id")
+        train = read_table(workspace["out"] / TRAIN_CSV, "score", "student_id")
         lines = (workspace["out"] / TRAIN_CSV).read_text().splitlines()
         header = lines[0].split(",")
         row = lines[3].split(",")
@@ -574,7 +574,9 @@ class TestCliRefusesUnscorableInput:
         ):
             capsys.readouterr()
             assert main([argv[0], "--config", str(workspace["config"]), *argv[1:]]) == 3
-            assert "training row 2" in capsys.readouterr().err
+            assert (
+                f"{bad}, line 4, column {train.features[0]!r}: non-finite value {float(cell)!r}"
+            ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", ["score", "f01"])
     @pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
@@ -595,7 +597,7 @@ class TestCliRefusesUnscorableInput:
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert f"training row 4, column {column!r}: missing cell" in err
+        assert f"{bad}, line 6, column {column!r}: missing cell" in err
         assert "internal error" not in err
 
     def test_non_finite_raw_cell_prepare_exit_3(self, workspace, tmp_path, capsys):
@@ -612,7 +614,7 @@ class TestCliRefusesUnscorableInput:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert "column 'f01': non-finite value nan" in err
+        assert f"{bad}, line 2, column 'f01': non-finite value nan" in err
 
     @pytest.mark.parametrize("column, message", [
         # its square overflowed, so the sd was inf, every z-score 0.0 and
@@ -670,7 +672,7 @@ class TestCliRefusesUnscorableInput:
         capsys.readouterr()
         assert main(_golden_argv("validate", cohort, tmp_path / "out")) == 3
         err = capsys.readouterr().err
-        assert "subject row 2, column 'score': " in err
+        assert f"{cohort}, line 4, column 'score': " in err
         assert "internal error" not in err
         assert not (tmp_path / "out" / VALIDATE_JSON).exists()
 
@@ -682,7 +684,7 @@ class TestCliRefusesUnscorableInput:
         cohort = _golden_cohort_with(tmp_path, 2, "f02", cell)
         capsys.readouterr()
         assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
-        assert f"subject row 2, column 'f02': {problem}" in capsys.readouterr().err
+        assert f"{cohort}, line 4, column 'f02': {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name", [("validate", VALIDATE_JSON), ("predict", PREDICTIONS_JSONL)])
     def test_refusal_leaves_earlier_output_alone(self, tmp_path, capsys, command, name):
@@ -693,7 +695,7 @@ class TestCliRefusesUnscorableInput:
         cohort = _golden_cohort_with(tmp_path, 2, "f02", "nan")
         capsys.readouterr()
         assert main(_golden_argv(command, cohort, out)) == 3
-        assert "subject row 2, column 'f02': non-finite value nan" in capsys.readouterr().err
+        assert f"{cohort}, line 4, column 'f02': non-finite value nan" in capsys.readouterr().err
         assert (out / name).read_bytes() == earlier
 
 
@@ -753,10 +755,66 @@ def test_empty_or_repeated_id_exit_3(tmp_path, capsys, command, source, fault):
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 3
     message = (
-        f"rows 2 and 3 have the same id {previous!r}" if fault == "repeated"
-        else "row 3 has an empty id"
+        f", lines 3 and 4 have the same id {previous!r}" if fault == "repeated"
+        else ", line 4: empty id"
     )
-    assert f"data error: {bad}: {message}" in capsys.readouterr().err
+    assert f"data error: {bad}{message}" in capsys.readouterr().err
+    assert not (out / STEP_OUTPUT[command]).exists()
+
+
+# each ranking step with the files it reads, less its --out; the bad cell
+# goes into the file named second
+RANKING_SOURCES = [
+    ("prepare", SYNTH_CSV), ("loocv", TRAIN_CSV), ("validate", TRAIN_CSV),
+    ("validate", VALIDATION_CSV), ("predict", TRAIN_CSV), ("predict", VALIDATION_CSV),
+]
+
+
+@pytest.mark.parametrize("cell, problem", [
+    ("x1", "non-numeric cell 'x1'"),
+    ("nan", "non-finite value nan"),
+    ("-inf", "non-finite value -inf"),
+    ("1e999", "non-finite value inf"),
+    ("", "missing cell"),
+])
+@pytest.mark.parametrize("command, source", RANKING_SOURCES)
+def test_bad_cell_is_named_by_its_file_line(tmp_path, capsys, command, source, cell, problem):
+    # one blank line before the bad cell: the line an editor shows counts it
+    lines = (GOLDEN_SEED7 / source).read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index("f05")] = cell
+    lines[5] = ",".join(cells)
+    lines.insert(3, "")
+    bad = tmp_path / source
+    bad.write_text("\n".join(lines) + "\n")
+    argv = [str(bad) if a == str(GOLDEN_SEED7 / source) else a for a in STEP_ARGV[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*argv, "--out", str(out)])
+    if command == "prepare" and cell == "":
+        # prepare leaves a row with a missing cell out, and counts it
+        assert code == 0
+        assert "0 missing-target, 1 incomplete)" in capsys.readouterr().out
+        return
+    assert code == 3
+    assert f"data error: {bad}, line 7, column 'f05': {problem}\n" in capsys.readouterr().err
+    assert not (out / STEP_OUTPUT[command]).exists()
+
+
+@pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+def test_target_as_outlier_feature_exit_2(tmp_path, capsys, command):
+    # the rule would read each student's own score, which never falls
+    # below the cutoff, so it would never fire
+    doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+    doc["ammknn"]["outlier_feature"] = "score"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    argv = [str(config) if a == str(GOLDEN_SEED7.parent / "config.json") else a for a in STEP_ARGV[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "config error: ammknn.outlier_feature 'score' is the target" in capsys.readouterr().err
     assert not (out / STEP_OUTPUT[command]).exists()
 
 
@@ -973,7 +1031,27 @@ class TestPrepareCohortYears:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert "input row 4, column 'cohort'" in err
+        assert f"{bad}, line 6, column 'cohort': non-finite value {float(cell)!r}" in err
+
+    @pytest.mark.parametrize("huge, value", [("1e308", "inf"), ("-1e308", "-inf")])
+    def test_overflowing_group_year_exit_3(self, tmp_path, capsys, huge, value):
+        # the mean of two huge members: +inf fell into neither window and
+        # -inf into training
+        lines = ["student_id,y1,y2,f01,score", "A,2018,2018,1.0,400", "B,2018,2018,2.0,380",
+                 "", f"C,{huge},{huge},3.0,300"]
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            **CONFIG_DOC,
+            "cohort_column": "year",
+            "aggregations": [{"group_name": "year", "member_columns": ["y1", "y2"]}],
+        }))
+        capsys.readouterr()
+        assert main([
+            "prepare", "--config", str(config), "--input", str(cohort), "--out", str(tmp_path / "x"),
+        ]) == 3
+        assert f"{cohort}, line 5, column 'year': non-finite value {value}" in capsys.readouterr().err
 
     def test_year_from_a_group(self, workspace, tmp_path):
         # a one-member group's mean is its member: the year it stands for
@@ -1194,6 +1272,6 @@ class TestPrepareCounts:
         )
         config = config_from_json_dict(doc)
         run_prepare(config, path, tmp_path / "out")
-        train = read_table(tmp_path / "out" / TRAIN_CSV, "training", "score", "student_id")
+        train = read_table(tmp_path / "out" / TRAIN_CSV, "score", "student_id")
         assert "q_mean" in train.features
         assert "q1" not in train.features

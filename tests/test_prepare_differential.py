@@ -5,7 +5,8 @@ and correlates one cell and one column at a time with plain left-to-right
 float loops, and counts the rows it drops by reason. `run_prepare`
 streams the records into compact columns and works on them with shared
 sweeps; the two must write the same bytes and report the same counts, or
-refuse the same NaN or infinite cell with the same message.
+refuse the same NaN or infinite cell, at its file line, with the same
+message.
 """
 
 import csv
@@ -47,12 +48,22 @@ def _pearson(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
-def naive_prepare(text, threshold, exclude):
+def naive_prepare(text, threshold, exclude, path):
     """([train.csv, validation.csv, selection.json] as bytes, prepare's
-    summary); DataError naming the first NaN or infinite kept cell;
+    summary) for the CSV ``text`` read from ``path``; DataError naming the
+    first NaN or infinite cell of the file, used or not, by its line;
     ZeroDivisionError where a column, the target or a side leaves nothing
     to divide by."""
-    header, *records = [r for r in csv.reader(io.StringIO(text)) if r]  # blank lines hold no row
+    lines = list(enumerate(csv.reader(io.StringIO(text)), start=1))
+    header = lines[0][1]
+    records = []
+    for line, r in lines[1:]:
+        if not r:
+            continue  # a blank line holds no row, but is a line
+        for name, c in zip(header[1:], r[1:]):
+            if c != "" and not math.isfinite(float(c)):
+                raise DataError(f"{path}, line {line}, column {name!r}: non-finite value {float(c)!r}")
+        records.append(r)
     names = header[1:]
     rows = [[None if c == "" else float(c) for c in r[1:]] for r in records]
     for agg in AGGREGATIONS:
@@ -86,13 +97,6 @@ def naive_prepare(text, threshold, exclude):
             sides[side].append((cells, record[0]))
     names = [names[j] for j in keep]
     t = names.index("score")
-    # every feature cell, training rows first, then every target cell
-    for target_pass in (False, True):
-        for side, label in (("train", "training"), ("validation", "validation")):
-            for i, (cells, _) in enumerate(sides[side]):
-                for j, v in enumerate(cells):
-                    if (j == t) == target_pass and not math.isfinite(v):
-                        raise DataError(f"{label} row {i}, column {names[j]!r}: non-finite value {v!r}")
     pooled = [cells for cells, _ in sides["train"] + sides["validation"]]
     for j in range(len(names)):
         if j != t:
@@ -223,20 +227,21 @@ TRAIN_ROWS = [
     (2019.0, 1.5, 0.2, 0.1, 0.3, 349.0),
     (2019.0, 0.3, 0.7, 0.2, 1.5, 600.0),
 ]), 0.0, ["x0"]))
-# NaN in a group member of a validation row and infinity in a training
-# target: the feature cell is named first
+# NaN in a group member of a validation row, then infinity in a training
+# target: the first in the file is named
 @example((_cohort(TRAIN_ROWS + [
     (2019.0, math.nan, 0.1, 0.2, 0.3, 401.0),
     (2018.0, 0.2, 0.1, 0.2, 0.7, math.inf),
 ]), 0.2, []))
-# infinity in a plain training column after NaN in a validation one: the
-# training row is named first
+# NaN in a plain validation column, then infinity in a training one: the
+# first in the file is named
 @example((_cohort(TRAIN_ROWS + [
     (2019.0, 0.1, math.nan, 0.2, 0.3, 401.0),
     (2018.0, 0.2, -math.inf, 0.2, 0.7, 600.0),
 ]), 0.0, []))
 # NaN and infinity where nothing is kept: an excluded column, a row
-# outside both windows and a row dropped for its missing target
+# outside both windows and a row dropped for its missing target; each is
+# refused all the same, and the first is named
 @example((_cohort(TRAIN_ROWS + [
     (2018.0, 0.1, math.nan, 0.2, 0.3, 401.0),
     (2021.0, math.inf, 0.1, 0.2, 0.3, math.nan),
@@ -271,7 +276,7 @@ def test_prepare_matches_naive_reference(case):
         cohort = Path(tmp, "cohort.csv")
         cohort.write_text(text, encoding="utf-8")
         try:
-            expected, counts = naive_prepare(text, threshold, exclude)
+            expected, counts = naive_prepare(text, threshold, exclude, cohort)
         except DataError as refused:
             with pytest.raises(DataError) as exc:
                 run_prepare(config, cohort, Path(tmp, "out"))
@@ -299,7 +304,7 @@ def _block_rows(seed, n_rows=1100):
     a missing target, a year outside both windows or missing, a gap in
     one group's member alone (q3: the last kept column), a gap in the
     plain column, a g_pair of two -0.0 members, and a g_pair with one
-    member missing and one NaN. Such rows are also drawn at random.
+    member missing. Such rows are also drawn at random.
     """
     rng = random.Random(seed)
     cell = lambda: round(rng.gauss(0.0, 1.0), 6)  # noqa: E731
@@ -318,12 +323,12 @@ def _block_rows(seed, n_rows=1100):
             x0 = None
         elif kind == "negative zeros":
             q1 = q2 = -0.0
-        elif kind == "gap and NaN in g_pair":
-            q1, q2 = rng.choice([(None, math.nan), (math.nan, None)])
+        elif kind == "gap in g_pair":
+            q1, q2 = rng.choice([(None, q2), (q1, None)])
         return (year, q1, x0, q2, q3, score)
 
     kinds = ["no target", "outside", "gap in one group", "gap in a plain column",
-             "negative zeros", "gap and NaN in g_pair"]
+             "negative zeros", "gap in g_pair"]
     rows = []
     entered = [0, 0]  # rows per side with a usable year and a target
     while len(rows) < n_rows:
@@ -352,10 +357,10 @@ def test_prepare_matches_naive_reference_across_blocks(exclude):
         "exclude_columns": exclude,
         "correlation_threshold": 0.1,
     })
-    expected, counts = naive_prepare(text, 0.1, exclude)
     with tempfile.TemporaryDirectory() as tmp:
         cohort = Path(tmp, "cohort.csv")
         cohort.write_text(text, encoding="utf-8")
+        expected, counts = naive_prepare(text, 0.1, exclude, cohort)
         summary = run_prepare(config, cohort, Path(tmp, "out"))
         written = [Path(tmp, "out", name).read_bytes() for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON)]
     assert written == expected

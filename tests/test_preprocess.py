@@ -61,35 +61,6 @@ class TestStandardizeJoint:
             for u, v in zip(once[j], twice[j]):
                 assert abs(u - v) < 1e-9
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_refuses_non_finite_cell(self, bad):
-        train = [[0.0, 1.0], [1.0, 2.0]]
-        extra = [[2.0, bad], [3.0, 4.0]]
-        with pytest.raises(DataError, match="validation row 1, column 'x': non-finite value"):
-            standardize_joint(["x", "t"], "t", train, extra)
-
-    def test_refuses_non_finite_target(self):
-        with pytest.raises(DataError, match="training row 1, column 't': non-finite value"):
-            standardize_joint(["x", "t"], "t", [[0, 1, 2], [1, math.inf, 3]])
-
-    def test_first_bad_cell_in_training_then_validation_order(self):
-        # a bad feature cell anywhere is named before a bad target cell,
-        # and a training row before a validation row
-        train = [[0.0, 1.0, 2.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.inf]]
-        extra = [[math.inf, 1.0], [math.nan, 2.0], [1.0, 2.0]]
-        names = ["x", "t", "y"]
-        with pytest.raises(DataError) as exc:
-            standardize_joint(names, "t", train, extra)
-        assert str(exc.value) == "training row 2, column 'y': non-finite value inf"
-        train[2][2] = 0.5
-        with pytest.raises(DataError) as exc:
-            standardize_joint(names, "t", train, extra)
-        assert str(exc.value) == "validation row 0, column 'x': non-finite value inf"
-        extra[0][0] = 0.5
-        with pytest.raises(DataError) as exc:
-            standardize_joint(names, "t", train, extra)
-        assert str(exc.value) == "training row 1, column 't': non-finite value nan"
-
     def test_means_sum_left_to_right(self):
         # compensated summation (built-in sum() from Python 3.12 on) would
         # give 1/3; the files this package writes must not depend on it
