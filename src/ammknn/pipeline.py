@@ -490,7 +490,10 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
 def run_plot(report_path, kind: str, out_dir) -> str:
     _make_out_dir(out_dir)
     report = _read_json(report_path, DataError, "report")
-    svg = svgplot.render_plot(report, kind)
+    try:
+        svg = svgplot.render_plot(report, kind)
+    except DataError as exc:
+        raise DataError(f"{report_path}: {exc}") from None
     out_path = os.path.join(out_dir, f"{kind}.svg")
     with _open_out(out_path) as fh:
         fh.write(svg)

@@ -9,6 +9,7 @@ deterministic SVG text, so plots can be golden-file tested.
 
 from __future__ import annotations
 
+import sys
 from typing import List, Tuple
 
 from .errors import DataError
@@ -40,20 +41,38 @@ class _Axis:
         return self.out_lo + frac * (self.out_hi - self.out_lo)
 
 
+def _finite(value, where: str) -> float:
+    """A JSON number as a float; a DataError naming ``where`` for anything
+    else, NaN and the infinities included."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise DataError(f"{where} is not a finite number: {value!r}")
+
+
+def _marks(report: dict, side: str) -> List[float]:
+    """The fail and at-risk bounds of one side, 'actual' or 'predicted'."""
+    marks = []
+    for key in ("fail_below", "at_risk_upper"):
+        where = f"bounds.{side}.{key}"
+        try:
+            value = report["bounds"][side][key]
+        except (KeyError, TypeError):
+            raise DataError(f"report lacks {where}") from None
+        marks.append(_finite(value, where))
+    return marks
+
+
 def _extract_points(report: dict, kind: str) -> List[Tuple[float, float]]:
-    if not isinstance(report, dict) or "subjects" not in report or "bounds" not in report:
+    if not (isinstance(report, dict) and isinstance(report.get("subjects"), list) and "bounds" in report):
         raise DataError("report lacks 'subjects'/'bounds' sections")
+    x_key = "outlier_value" if kind == "packrat_scatter" else "predicted"
     points = []
     for i, s in enumerate(report["subjects"]):
         try:
-            y = float(s["actual"])
-            if kind == "packrat_scatter":
-                x = float(s["outlier_value"])
-            else:
-                x = float(s["predicted"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"subject {i} lacks plottable fields: {exc}") from exc
-        points.append((x, y))
+            x, y = s[x_key], s["actual"]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"subject {i} lacks plottable fields: {exc}") from None
+        points.append((_finite(x, f"subject {i} {x_key}"), _finite(y, f"subject {i} actual")))
     return points
 
 
@@ -61,17 +80,12 @@ def render_plot(report: dict, kind: str) -> str:
     if kind not in PLOT_KINDS:
         raise DataError(f"unknown plot kind {kind!r}")
     points = _extract_points(report, kind)
-    bounds_actual = report["bounds"]["actual"]
-    bounds_predicted = report["bounds"]["predicted"]
-    y_marks = [float(bounds_actual["fail_below"]), float(bounds_actual["at_risk_upper"])]
+    y_marks = _marks(report, "actual")
 
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     if kind == "scatter":
-        x_marks = [
-            float(bounds_predicted["fail_below"]),
-            float(bounds_predicted["at_risk_upper"]),
-        ]
+        x_marks = _marks(report, "predicted")
         x_label = "predicted score"
         ref_specs = [("v", x_marks[0]), ("v", x_marks[1]), ("h", y_marks[0]), ("h", y_marks[1])]
         xs_span = xs + x_marks

@@ -10,7 +10,8 @@ standard normal; each *signal* feature is that ability plus independent
 noise of sd ``noise_sd``; the remaining features are pure noise; the
 target is an affine map of ability into ``target_range`` (clipped and
 rounded to a whole score), with the intercept placed so that roughly
-``fail_rate_hint`` of subjects fall below 350.
+``fail_rate_hint`` of subjects fall below 350. The rows carry each
+feature as its CSV text, the text of the value rounded to 6 decimals.
 
 Pseudo-random bit-stream contract (part of the external interface, so
 golden outputs survive toolchain upgrades):
@@ -40,7 +41,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import cos, log, sqrt
 from statistics import NormalDist
 from typing import Iterator, Optional, Tuple
@@ -200,8 +201,9 @@ def generate_cohort(spec: SynthSpec, split: Optional[CohortSplit] = None):
 
     Columns are the row id (S0001-style, under ``student_id``), the
     cohort year when ``split`` is given, f01..fNN (signal features first)
-    and a 'score' target. Features are rounded to 6 decimals and the target
-    to a whole score, keeping CSV fixtures compact.
+    and a 'score' target. Each feature is CSV text, that of the value
+    rounded to 6 decimals (``repr(round(v, 6))``), and the target a float
+    rounded to a whole score, keeping CSV fixtures compact.
 
     ``rows`` is an iterator: the normals are drawn a block of rows at a
     time (about 1024 normals, at least one row), in the documented order,
@@ -229,7 +231,6 @@ def _rows(spec: SynthSpec, leads) -> Iterator[tuple]:
     per_row = spec.n_features + 1
     signal_end = 1 + spec.signal_features
     times_sd = float(spec.noise_sd).__mul__
-    sixes = repeat(6)
     width = len(str(spec.n_rows))
 
     block_rows = max(1, 1024 // per_row)
@@ -247,10 +248,28 @@ def _rows(spec: SynthSpec, leads) -> Iterator[tuple]:
             yield (
                 f"S{i:0{width}d}",
                 *next(leads),
-                *map(round, signal, sixes),
-                *map(round, normals[base + signal_end:base + per_row], sixes),
+                *_feature_text(chain(signal, normals[base + signal_end:base + per_row])),
                 float(min(max(round(intercept + slope * ability), low), high)),
             )
+
+
+def _feature_text(values) -> list:
+    """The CSV text of each value rounded to 6 decimals: ``repr(round(v, 6))``.
+
+    Where ``1e-4 <= |v| < 1e9`` that is the ``.6f`` text with its trailing
+    zeros stripped down to one digit after the point: ``round`` and the
+    format both take their digits from the correctly rounded 6-decimal
+    conversion, and a decimal of at most 15 significant digits is its
+    double's shortest repr. Outside the range repr may write an exponent
+    (``5e-05``) or fewer digits than the format, so those values go
+    through ``repr(round(v, 6))`` itself.
+    """
+    return [
+        (s + "0" if (s := f"{v:.6f}".rstrip("0"))[-1] == "." else s)
+        if 1e-4 <= v < 1e9 or -1e9 < v <= -1e-4
+        else repr(round(v, 6))
+        for v in values
+    ]
 
 
 def _train_mask(n: int, train_fraction: float, seed: int) -> bytearray:

@@ -538,6 +538,32 @@ class TestCliRefusesUnscorableInput:
         assert main(["plot", "--report", str(bad), "--kind", "scatter", "--out", str(tmp_path)]) == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, bad, named", [
+        ("bounds", None, {}, "bounds.actual.fail_below"),
+        ("bounds", "fail_below", "x", "bounds.actual.fail_below"),
+        ("subject", "actual", float("nan"), "subject 0 actual"),
+        ("bounds", "at_risk_upper", float("inf"), "bounds.actual.at_risk_upper"),
+    ], ids=["bounds-empty", "bound-text", "actual-nan", "bound-infinity"])
+    @pytest.mark.parametrize("kind", ["scatter", "packrat_scatter"])
+    def test_plot_number_it_cannot_draw_exit_3(self, tmp_path, capsys, kind, section, key, bad, named):
+        # the seed-7 validate report with one plotted number broken; json
+        # writes a float NaN or infinity as the bare NaN or Infinity token
+        doc = json.loads((GOLDEN_SEED7 / VALIDATE_JSON).read_text())
+        if key is None:
+            doc[section] = bad
+        elif section == "bounds":
+            doc["bounds"]["actual"][key] = bad
+        else:
+            doc["subjects"][0][key] = bad
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["plot", "--report", str(report), "--kind", kind, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{report}: " in err and named in err
+        assert not (out / f"{kind}.svg").exists()
+
     def test_prepare_input_directory_exit_3(self, workspace, tmp_path, capsys):
         code = main([
             "prepare", "--config", str(workspace["config"]),

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import statistics
+import struct
 import tracemalloc
 from dataclasses import asdict
 from statistics import NormalDist
@@ -18,6 +20,7 @@ from ammknn import (
 )
 from ammknn.errors import ConfigError
 from ammknn.pipeline import run_synth
+from ammknn.synth import _feature_text
 
 
 def uniform(rng):
@@ -111,7 +114,7 @@ class TestGenerateCohort:
         frame = cohort_frame(spec(noise_sd=1e-9, n_features=6, signal_features=3))
         target = frame.column("score")
         for name in ("f01", "f02", "f03"):
-            assert abs(pearson_correlation(frame.column(name), target)) > 0.99
+            assert abs(pearson_correlation([float(v) for v in frame.column(name)], target)) > 0.99
 
     def test_fail_fraction_window_seed7(self):
         # tolerance [0.02, 0.15] frozen after measuring min 0.035 / max
@@ -138,7 +141,7 @@ class TestGenerateCohort:
             target = frame.column("score")
             for name in frame.column_names[12:-1]:
                 total += 1
-                if abs(pearson_correlation(frame.column(name), target)) >= 0.2:
+                if abs(pearson_correlation([float(v) for v in frame.column(name)], target)) >= 0.2:
                     violations += 1
         assert violations / total <= 0.01
 
@@ -160,7 +163,7 @@ class TestGenerateCohort:
 def per_draw_cohort(spec):
     """(names, ids, rows) by the documented draw order, one
     ``normal()`` at a time: per row, the ability, then one
-    normal per feature."""
+    normal per feature, each written as ``repr(round(v, 6))``."""
     low, high = spec.target_range
     slope = (high - low) / 8.0
     intercept = 350.0 - slope * NormalDist().inv_cdf(spec.fail_rate_hint)
@@ -169,8 +172,8 @@ def per_draw_cohort(spec):
     for _ in range(spec.n_rows):
         ability = normal(rng)
         draws = [normal(rng) for _ in range(spec.n_features)]
-        cells = [round(ability + spec.noise_sd * d, 6) for d in draws[: spec.signal_features]]
-        cells += [round(d, 6) for d in draws[spec.signal_features:]]
+        cells = [repr(round(ability + spec.noise_sd * d, 6)) for d in draws[: spec.signal_features]]
+        cells += [repr(round(d, 6)) for d in draws[spec.signal_features:]]
         cells.append(float(min(max(round(intercept + slope * ability), low), high)))
         rows.append(cells)
     width = len(str(spec.n_rows))
@@ -208,12 +211,53 @@ def cohort_specs(draw):
 @example(spec(seed=2**64 - 1, n_rows=3, n_features=1024, signal_features=512))
 @example(spec(seed=-1, n_rows=21, n_features=48, signal_features=48, noise_sd=0.25))
 @example(spec(seed=2**64 + 7, n_rows=2, n_features=1500, signal_features=1))
+# signal cells of up to 15 significant digits, and past 1e9
+@example(spec(seed=5, n_rows=40, n_features=12, signal_features=12, noise_sd=2e8))
+@example(spec(seed=5, n_rows=40, n_features=12, signal_features=12, noise_sd=2e9))
 def test_block_generator_matches_per_draw_reference(cohort_spec):
     frame = cohort_frame(cohort_spec)
     names, ids, rows = per_draw_cohort(cohort_spec)
     assert frame.column_names == names
     assert frame.row_ids == ids
-    assert [list(map(repr, row)) for row in frame.rows] == [list(map(repr, row)) for row in rows]
+    # the text csv writes: a str cell as it is, a float score as its repr
+    assert [list(map(str, row)) for row in frame.rows] == [list(map(str, row)) for row in rows]
+
+
+def bits_to_float(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+gaussians = st.randoms(use_true_random=False).map(lambda rng: rng.gauss(0.0, 1.0))
+cell_values = st.one_of(
+    gaussians,
+    st.tuples(gaussians, st.floats(-8.0, 12.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    # 6-decimal values half a unit off, where rounding ties
+    st.tuples(st.integers(-10**15, 10**15), st.sampled_from([-5e-7, 5e-7])).map(
+        lambda p: p[0] / 1e6 + p[1]
+    ),
+    st.integers(0, 2**64 - 1).map(bits_to_float).filter(math.isfinite),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(cell_values)
+@example(1e-4)
+@example(-1e-4)
+@example(9.9995e-5)
+@example(9.99949e-5)
+@example(5e-5)
+@example(1e9)
+@example(-1e9)
+@example(999999999.9999996)
+@example(5e-324)
+@example(0.0)
+@example(-0.0)
+@example(1e16)
+@example(1e22)
+# past 2**33 the .6f text can carry a digit that repr drops
+@example(8812407764.28967)
+def test_feature_text_is_repr_of_value_rounded_to_6_decimals(v):
+    assert _feature_text([v]) == [repr(round(v, 6))]
 
 
 def synth_peak(tmp_path, n_rows):
@@ -228,6 +272,28 @@ def synth_peak(tmp_path, n_rows):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_synth_bytes_at_scale(tmp_path):
+    # 192 000 feature cells, 18 of them below 1e-4, where the text comes
+    # from repr rather than the fixed-point format; the digest is that of
+    # the cohort written with repr(round(v, 6)) for every cell
+    doc = {
+        "seed": 1, "n_rows": 4000, "n_features": 48, "signal_features": 24,
+        "split": {"train_fraction": 0.8},
+    }
+    path = run_synth(doc, tmp_path)["path"]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    small = sum(
+        abs(float(cell)) < 1e-4
+        for line in data.decode().splitlines()[1:]
+        for cell in line.split(",")[2:-1]
+    )
+    assert small == 18
+    assert hashlib.sha256(data).hexdigest() == (
+        "b40b8b97233aaa86afdb9bfa00f2d019dc1fba7f01d9632400973bfdec358671"
+    )
 
 
 def test_synth_memory_does_not_grow_with_rows(tmp_path):
