@@ -18,7 +18,6 @@ from .knn import (
 from .preprocess import (
     SelectionResult,
     StandardizationStats,
-    pearson_correlation,
     select_by_correlation,
     standardize_joint,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "load_config",
     "load_csv",
     "loocv",
-    "pearson_correlation",
     "select_by_correlation",
     "standardize_joint",
     "write_csv",

@@ -6,8 +6,10 @@ parses each record as it is asked for one; nothing else holds the table.
 ``read_table`` consumes a prepared table for ``loocv``, ``validate`` and
 ``predict``: it keeps only what a ranking step reads, one tuple of
 feature cells per row, in the training table's feature order, the
-targets, the outlier column and the ids. ``write_csv`` writes rows from
-any iterable, so neither ``prepare`` nor ``synth`` holds a table it writes.
+targets and the ids. Which feature is the outlier feature is not known
+here: ``pipeline`` takes its column from the rows. ``write_csv`` writes
+rows from any iterable, so neither ``prepare`` nor ``synth`` holds a
+table it writes.
 
 Whether a parsed cell may enter arithmetic is decided here alone, as its
 record is parsed: every cell but the id is empty (missing) or a finite
@@ -182,13 +184,12 @@ def load_csv(
 
 
 class Table(NamedTuple):
-    """What a ranking step reads from one CSV table; every cell is finite."""
+    """What a ranking step reads from one CSV table, the features, the
+    target and the ids; every cell is finite."""
 
     features: tuple  # the label of each cell of a row, in order
     rows: list  # one tuple of feature cells per record
-    target_name: Optional[str]  # None when the target was not read
     target: list  # each record's target cell, or nothing
-    outlier: list  # each record's outlier cell, or nothing
     ids: list  # each record's id, None where there is no id column
 
     def column(self, name: str) -> list:
@@ -202,7 +203,6 @@ def read_table(
     target_name: str,
     id_column: Optional[str],
     features: Optional[Sequence[str]] = None,
-    outlier: Optional[str] = None,
     scored: bool = True,
 ) -> Table:
     """What ``loocv``, ``validate`` and ``predict`` rank with, from one
@@ -212,10 +212,10 @@ def read_table(
     every column but the target, in file order (a training table). Given
     ``features``, the table's columns other than the target must be
     exactly those, or it is refused (a cohort, whose columns must be the
-    training table's). The cells of the ``outlier`` column, if named, are
-    kept on their own too. The target is read only when ``scored``: an
-    unscored cohort may lack it or leave it blank. A missing cell among
-    those kept is refused, the first in file order.
+    training table's). The target is read only when ``scored``: an
+    unscored cohort may lack it or leave it blank. The ids are kept, and
+    nothing else. A missing cell among those kept is refused, the first
+    in file order.
     """
     table = []
 
@@ -228,13 +228,10 @@ def read_table(
                 f"extra {sorted(set(given) - set(picked))}, "
                 f"missing {sorted(set(picked) - set(given))}"
             )
-        if outlier is not None and outlier not in names:
-            raise DataError(f"outlier feature {outlier!r} not in subjects")
         pick = _picker([names.index(n) for n in picked])
         t = names.index(target_name) if scored else None
-        o = None if outlier is None else names.index(outlier)
         unread = None if scored else target_name
-        rows, target, outliers, ids = [], [], [], []
+        rows, target, ids = [], [], []
         for line, rid, cells in records:
             if None in cells:
                 for name, cell in zip(names, cells):
@@ -243,10 +240,8 @@ def read_table(
             rows.append(pick(cells))
             if t is not None:
                 target.append(cells[t])
-            if o is not None:
-                outliers.append(cells[o])
             ids.append(rid)
-        table.append(Table(tuple(picked), rows, target_name if scored else None, target, outliers, ids))
+        table.append(Table(tuple(picked), rows, target, ids))
 
     load_csv(path, target_name if scored else None, id_column, consume)
     return table[0]

@@ -12,10 +12,11 @@ The adaptive predictor works per subject:
    prediction any fixed k in [1, max_k] would have produced.
 4. The *minimum match* is the single lowest target score among the ranked
    neighbors.
-5. If the subject's standardized value on the configured outlier feature
-   sits strictly below the outlier cutoff (default -2, i.e. two standard
-   deviations below the mean), the subject is treated as a low outlier
-   and predicted at the minimum match; otherwise at the minimum of means.
+5. If the subject's outlier value, its standardized cell of the outlier
+   feature, sits strictly below the outlier cutoff (default -2, i.e. two
+   standard deviations below the mean), the subject is treated as a low
+   outlier and predicted at the minimum match; otherwise at the minimum
+   of means.
 
 Deliberately picking the lowest running mean biases predictions downward,
 which is the point: the cost of missing a subject who goes on to fail far
@@ -30,8 +31,10 @@ of its own ranking and reads both the adaptive and the fixed-k model from
 one pass of running means. The adaptive rule itself lives in
 ``_adaptive`` alone. Both take plain sequences: the training rows as one
 tuple of feature cells each, the scores, the subjects and their outlier
-values, as ``frame.read_table`` reads them. A ``PredictionRecord`` holds
-the lists ``_scored`` yields, not copies of them.
+values. The engine is handed those values and never learns which
+feature they come from: ``pipeline`` resolves the outlier feature and
+takes its column. A ``PredictionRecord`` holds the lists ``_scored``
+yields, not copies of them.
 
 For each subject the engine windows, filters, then refines. The window
 spares most rows their approximate distance (see below); the filter gives
@@ -152,10 +155,10 @@ NeighborRanking = List[Tuple[int, float]]
 class AmmknnConfig:
     """Tunables of the adaptive predictor.
 
-    ``outlier_feature`` is the label of the standardized column whose low
-    values trigger the minimum-match fallback; callers that leave it None
-    must resolve a default (the feature most correlated with the target)
-    before batch prediction.
+    ``outlier_feature`` names, for ``pipeline``, the standardized column
+    whose low values trigger the minimum-match fallback, or is None for
+    its default; the engine reads only the outlier values it is handed
+    and the cutoff.
     """
 
     max_k: int = 20
@@ -335,19 +338,16 @@ def ammknn_predict_batch(
     """An iterator of one PredictionRecord per subject, in order.
 
     Each subject is a sequence of feature cells in the order of the
-    ``training`` rows' cells; its outlier value, the cell of the same
-    index in ``outlier_values``, comes from the subject's own
-    (standardized) column of the configured outlier feature, and its id
-    from ``ids``. Every cell, and every ``target`` score, must
-    be finite: ``frame.load_csv`` checks them as it parses them. The
-    arguments are checked when this is called, so a refusal comes before
-    the first record; each record is then scored as it is drawn, and only
-    one subject's ranking is held at a time. Prediction is pure per
+    ``training`` rows' cells; its outlier value is the cell of the same
+    index in ``outlier_values``, and its id that of ``ids``. Every cell,
+    and every ``target`` score, must be finite: ``frame.load_csv`` checks
+    them as it parses them. The arguments are checked when this is
+    called, so a refusal comes before the first record; each record is
+    then scored as it is drawn, and only one subject's ranking is held at
+    a time. Prediction is pure per
     subject, so subjects could be fanned out across workers without
     changing the output.
     """
-    if config.outlier_feature is None:
-        raise ConfigError("outlier_feature is not set; resolve a default first")
     if not training:
         raise DataError("no training rows")
     scored = _scored(training, target, subjects, config.max_k)
@@ -379,8 +379,8 @@ def loocv(
     """Leave-one-out predictions of the adaptive model and of fixed-k KNN.
 
     ``training`` holds one sequence of feature cells per row,
-    ``target`` each row's score and ``outlier_values`` each row's cell of
-    the configured outlier feature; every cell must be finite.
+    ``target`` each row's score and ``outlier_values`` each row's outlier
+    value; every cell must be finite.
     Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
     each made with that row held out of training. Every row is ranked
     once against all the others, ``max(max_k, knn_k)`` deep, and the
@@ -393,8 +393,6 @@ def loocv(
     n = len(training)
     if n < 2:
         raise DataError("leave-one-out needs at least 2 rows")
-    if config.outlier_feature is None:
-        raise ConfigError("outlier_feature is not set; resolve a default first")
     if knn_k < 1:
         raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
     if knn_k > n - 1:

@@ -22,7 +22,11 @@ Every cell of every input is checked once, as ``frame.load_csv`` parses
 its record, and a refusal names the file line and the column. loocv,
 validate and predict each read their tables with ``frame.read_table``,
 which keeps only what the step ranks with and refuses a missing cell
-among it: the training table first, then the cohort. They all score
+among it: the training table first, then the cohort. The outlier
+feature is known here alone: ``_read_training`` resolves its name once,
+from the configuration or the training table's correlations, and takes
+its values with ``Table.column`` from the training table or the cohort;
+``knn`` is handed those values, never the name. They all score
 through one loop in ``knn``: a window over the training rows' feature
 sums, a ``math.dist`` filter over the rows in it, then exact
 left-to-right squared distances for the few rows it keeps. validate and predict hold one subject's ranking at a
@@ -44,7 +48,6 @@ import json
 import math
 import os
 from array import array
-from dataclasses import replace
 from functools import reduce
 from itertools import compress, repeat
 from operator import add, itemgetter, truediv
@@ -55,7 +58,7 @@ from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
 from .frame import Table, _open_out, _picker, load_csv, read_table, write_csv
-from .knn import AmmknnConfig, ammknn_predict_batch, loocv
+from .knn import ammknn_predict_batch, loocv
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, generate_cohort
@@ -83,9 +86,10 @@ def _make_out_dir(out_dir) -> None:
         ) from None
 
 
-def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
-    """Default the outlier feature to the one most positively correlated
-    with the target (largest signed r, first on ties).
+def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
+    """The name of the outlier feature: ``ammknn.outlier_feature`` if set,
+    else the feature most positively correlated with the target (largest
+    signed r, first on ties).
 
     The rule fires on *low* feature values, so a feature that correlates
     negatively would flag the strongest students; when every feature
@@ -93,19 +97,17 @@ def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
     constant column (or a constant target) counts as r = 0. A configured
     outlier feature must be a feature column, not the target.
     """
-    if config.outlier_feature is not None:
-        if config.outlier_feature == train.target_name:
+    name = config.ammknn.outlier_feature
+    if name is not None:
+        if name == config.target_name:
             # the rule would read each student's own score, which never
             # falls below the cutoff
             raise ConfigError(
-                f"ammknn.outlier_feature {config.outlier_feature!r} is the target; "
-                "name a feature column"
+                f"ammknn.outlier_feature {name!r} is the target; name a feature column"
             )
-        if config.outlier_feature not in train.features:
-            raise ConfigError(
-                f"configured outlier feature {config.outlier_feature!r} not in training frame"
-            )
-        return config
+        if name not in train.features:
+            raise ConfigError(f"configured outlier feature {name!r} not in training frame")
+        return name
     names = train.features
     columns = [train.column(name) for name in names]
     best = None
@@ -118,7 +120,7 @@ def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
             # no r would win, and the table would seem to have no features
             raise DataError(
                 f"training column {name!r}: its correlation with the target "
-                f"{train.target_name!r} overflows"
+                f"{config.target_name!r} overflows"
             )
         if r > best_r:
             best, best_r = name, r
@@ -129,7 +131,7 @@ def resolve_outlier_feature(train: Table, config: AmmknnConfig) -> AmmknnConfig:
             f"every feature correlates negatively with the target (best {best!r}, "
             f"r = {best_r!r}); set ammknn.outlier_feature"
         )
-    return replace(config, outlier_feature=best)
+    return best
 
 
 class _Side(NamedTuple):
@@ -358,24 +360,45 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     }
 
 
+def _read_training(config: PipelineConfig, train_path):
+    """The training table, the name of its outlier feature and the label
+    of the adaptive model.
+
+    Once the outlier feature is resolved, a table whose running mean of
+    up to ``max(max_k, knn_k)`` targets could overflow is refused: its
+    predictions would be infinite. The bound is the largest
+    ``|target|`` times that depth, widened by a relative margin for the
+    rounding of each partial sum.
+    """
+    train = read_table(train_path, config.target_name, config.id_column)
+    outlier = resolve_outlier_feature(train, config)
+    depth = min(max(config.ammknn.max_k, config.knn_k), len(train.target))
+    largest = max(map(abs, train.target), default=0.0)
+    if not math.isfinite(largest * depth * (1 + depth * 2.0**-52)):
+        raise DataError(
+            f"{train_path}: a running mean of up to {depth} values of target "
+            f"{config.target_name!r} overflows"
+        )
+    return train, outlier, f"ammknn(max_k={config.ammknn.max_k},outlier={outlier})"
+
+
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    train = read_table(train_path, config.target_name, config.id_column)
-    ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
-    outlier_values = train.column(ammknn_cfg.outlier_feature)
+    train, outlier, model = _read_training(config, train_path)
+    outlier_values = train.column(outlier)
     ammknn_predictions, triggered, knn_predictions = loocv(
-        train.rows, train.target, outlier_values, ammknn_cfg, config.knn_k
+        train.rows, train.target, outlier_values, config.ammknn, config.knn_k
     )
 
     ammknn_report = report_mod.build_report(
         "loocv",
-        f"ammknn(max_k={ammknn_cfg.max_k},outlier={ammknn_cfg.outlier_feature})",
+        model,
         config,
         train.ids,
         train.target,
         ammknn_predictions,
         config.tiers_predicted,
-        outlier_values=outlier_values,
+        outlier_values,
         outlier_triggered=triggered,
     )
     knn_report = report_mod.build_report(
@@ -386,7 +409,7 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
         train.target,
         knn_predictions,
         config.tiers_predicted,
-        outlier_values=outlier_values,
+        outlier_values,
     )
     report_mod.dump_json(ammknn_report, os.path.join(out_dir, LOOCV_AMMKNN_JSON))
     report_mod.dump_json(knn_report, os.path.join(out_dir, LOOCV_KNN_JSON))
@@ -394,27 +417,29 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
 
 
 def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool):
-    """The resolved predictor config, the cohort as read and an iterator
-    of its ``PredictionRecord``s. The training table is read first, then
-    the cohort, which must hold exactly the training table's feature
-    columns, with or without the target: any other cohort, such as a raw
-    one that still holds its year column, is a ``DataError``. Every cell
-    is checked before the first record is scored."""
-    train = read_table(train_path, config.target_name, config.id_column)
-    ammknn_cfg = resolve_outlier_feature(train, config.ammknn)
+    """The adaptive model's label, the cohort as read, its outlier values
+    and an iterator of its ``PredictionRecord``s. The training table is
+    read first, then the cohort, which must hold exactly the training
+    table's feature columns, with or without the target: any other
+    cohort, such as a raw one that still holds its year column, is a
+    ``DataError``. Every cell is checked before the first record is
+    scored."""
+    train, outlier, model = _read_training(config, train_path)
     cohort = read_table(
-        cohort_path, config.target_name, config.id_column,
-        features=train.features, outlier=ammknn_cfg.outlier_feature, scored=scored,
+        cohort_path, config.target_name, config.id_column, features=train.features, scored=scored
     )
+    outlier_values = cohort.column(outlier)
     records = ammknn_predict_batch(
-        cohort.rows, cohort.outlier, cohort.ids, train.rows, train.target, ammknn_cfg
+        cohort.rows, outlier_values, cohort.ids, train.rows, train.target, config.ammknn
     )
-    return ammknn_cfg, cohort, records
+    return model, cohort, outlier_values, records
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    ammknn_cfg, cohort, records = _scored_cohort(config, train_path, cohort_path, scored=True)
+    model, cohort, outlier_values, records = _scored_cohort(
+        config, train_path, cohort_path, scored=True
+    )
     predicted, triggered = [], []
     for r in records:
         predicted.append(r.prediction)
@@ -424,13 +449,13 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
     bounds = config.tiers_predicted_validation
     validate_report = report_mod.build_report(
         "validation",
-        f"ammknn(max_k={ammknn_cfg.max_k},outlier={ammknn_cfg.outlier_feature})",
+        model,
         config,
         ids,
         cohort.target,
         predicted,
         bounds,
-        outlier_values=cohort.outlier,
+        outlier_values,
         outlier_triggered=triggered,
     )
     # worst predicted risk first, so support can be prioritized top-down
@@ -452,7 +477,7 @@ def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int
     """Write one JSON line per cohort row to ``predictions.jsonl``, each
     as it is scored, once every check has passed; returns the count."""
     _make_out_dir(out_dir)
-    _, _, records = _scored_cohort(config, train_path, cohort_path, scored=False)
+    *_, records = _scored_cohort(config, train_path, cohort_path, scored=False)
     count = 0
     with _open_out(os.path.join(out_dir, PREDICTIONS_JSONL)) as fh:
         for r in records:

@@ -141,9 +141,10 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
     One sweep computes y's mean, deviations and sum of squares once, on
     the first column, and reuses them for every column; each r is the
     same float that correlating the pair on its own would give. A column
-    or a ``y`` with zero spread yields None, and one whose sums of squares
-    overflow yields NaN. Columns are consumed lazily, so only one column's
-    deviations are held at a time.
+    or a ``y`` with zero spread yields None, as does a pair whose product
+    of sums of squares underflows to 0.0 (spreads below about 1e-160),
+    and one whose sums of squares overflow yields NaN. Columns are
+    consumed lazily, so only one column's deviations are held at a time.
     """
     n = len(y)
     dy = syy = None
@@ -159,20 +160,12 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
         mx = left_sum(x) / n
         dx = [a - mx for a in x]
         sxx = left_sum(map(mul, dx, dx))
-        if sxx == 0.0 or syy == 0.0:
+        if sxx * syy == 0.0:
             yield None
         elif not math.isfinite(sxx * syy):
             yield math.nan
         else:
             yield left_sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
-
-
-def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson r between two equal-length, non-constant vectors."""
-    (r,) = _correlations([x], y)
-    if r is None:
-        raise DataError("at least one input is constant")
-    return r
 
 
 def select_by_correlation(
@@ -185,8 +178,8 @@ def select_by_correlation(
     counts. Kept columns preserve their original order; one audit log line
     is emitted per column so selection runs are diffable. All columns are
     correlated in one sweep, which works out the target's deviations once;
-    every r is bit-identical to ``pearson_correlation`` of that column and
-    the target.
+    every r is bit-identical to correlating that column and the target on
+    their own.
     """
     t = names.index(target_name)
     features = [j for j in range(len(names)) if j != t]

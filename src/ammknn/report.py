@@ -21,12 +21,13 @@ order. An undefined metric serializes as JSON null.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .frame import _open_out
-from .preprocess import pearson_correlation
+from .preprocess import _correlations
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -61,13 +62,13 @@ def classify_tier(score: float, bounds: TierBoundaries) -> str:
 
 
 def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[float]) -> Optional[float]:
-    """Pearson r between predictions and outcomes; None when undefined."""
+    """Pearson r between predictions and outcomes; None when undefined:
+    fewer than 2 pairs, a side with zero spread (or spreads whose product
+    underflows), or sums of squares that overflow."""
     if len(predicted) != len(actual) or len(predicted) < 2:
         return None
-    try:
-        return pearson_correlation(predicted, actual)
-    except DataError:
-        return None
+    (r,) = _correlations([predicted], actual)
+    return None if r is None or math.isnan(r) else r
 
 
 def _confusion(outcomes) -> dict:
@@ -107,7 +108,7 @@ def build_report(
     actual: Sequence[float],
     predicted: Sequence[float],
     predicted_bounds: TierBoundaries,
-    outlier_values: Optional[Sequence[Optional[float]]] = None,
+    outlier_values: Sequence[float],
     outlier_triggered: Optional[Sequence[bool]] = None,
 ) -> dict:
     """Assemble the full evaluation bundle for one model run.
@@ -130,10 +131,9 @@ def build_report(
             "predicted": predicted[i],
             "tier_actual": classify_tier(actual[i], actual_bounds),
             "tier_predicted": classify_tier(predicted[i], predicted_bounds),
+            "outlier_value": outlier_values[i],
         }
         counts3[entry["tier_actual"], entry["tier_predicted"]] += 1
-        if outlier_values is not None:
-            entry["outlier_value"] = outlier_values[i]
         if outlier_triggered is not None:
             entry["outlier_triggered"] = outlier_triggered[i]
         subjects.append(entry)

@@ -70,7 +70,8 @@ def _report(pairs, predicted_bounds=CONFIG.tiers_predicted):
     actual = [a for a, _ in pairs]
     predicted = [p for _, p in pairs]
     ids = [str(i) for i in range(len(pairs))]
-    return build_report("loocv", "m", CONFIG, ids, actual, predicted, predicted_bounds)
+    outliers = [0.0] * len(pairs)
+    return build_report("loocv", "m", CONFIG, ids, actual, predicted, predicted_bounds, outliers)
 
 
 def _binary_pairs(tp, fp, tn, fn):

@@ -219,10 +219,10 @@ def read_training(tmp_path, names, rows):
     return read_table(write_table(tmp_path / "train.csv", names, rows), "t", None)
 
 
-def read_subjects(tmp_path, names, rows, features=None, outlier="x0"):
+def read_subjects(tmp_path, names, rows, features=None):
     """``read_table`` of an unscored cohort CSV whose features are ``names``."""
     path = write_table(tmp_path / "cohort.csv", names, rows)
-    return read_table(path, "t", None, features or names, outlier, scored=False)
+    return read_table(path, "t", None, features or names, scored=False)
 
 
 class TestReadTable:
@@ -238,8 +238,8 @@ class TestReadTable:
         # a cohort's rows follow the training table's feature order; an
         # unscored cohort's score may be blank
         path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\n")
-        cohort = read_table(path, "t", "id", train.features, "y", scored=False)
-        assert (cohort.rows, cohort.outlier, cohort.target, cohort.ids) == (
+        cohort = read_table(path, "t", "id", train.features, scored=False)
+        assert (cohort.rows, cohort.column("y"), cohort.target, cohort.ids) == (
             [(6.0, 5.0)], [5.0], [], ["C"]
         )
 
@@ -275,7 +275,7 @@ class TestReadTable:
 
     def test_subject_outlier_cell(self, tmp_path):
         with pytest.raises(DataError, match="line 2, column 'o': non-finite value nan"):
-            read_subjects(tmp_path, ["x0", "o"], [[0.0, math.nan]], outlier="o")
+            read_subjects(tmp_path, ["x0", "o"], [[0.0, math.nan]])
 
     def test_row_errors_tagged_with_index(self, tmp_path):
         with pytest.raises(DataError, match="line 3, column 'x0': missing cell"):

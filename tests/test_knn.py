@@ -2,7 +2,6 @@ import gc
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +52,6 @@ def split_rows(rows):
 def predict_one(subject, outlier_value, training, config):
     """The batch predictor's record for one subject against ``training``,
     a ``(matrix, target)`` pair."""
-    config = replace(config, outlier_feature="outlier")
     [record] = ammknn_predict_batch([tuple(subject)], [outlier_value], [None], *training, config)
     return record
 
@@ -296,11 +294,19 @@ class TestAmmknnPredictBatch:
         records = ammknn_predict_batch(subjects, [0.0, 1.0], ["a", "b"], *training, self.config())
         assert [r.subject_id for r in records] == ["a", "b"]
 
-    def test_unset_outlier_feature_rejected(self):
+    def test_outlier_feature_name_is_not_read(self):
+        # the engine is handed outlier values; the feature's name is
+        # resolved, and read, in the pipeline alone
         rng = random.Random(4)
-        training = random_training(rng, 8, 2)
-        with pytest.raises(ConfigError, match="outlier_feature is not set"):
-            ammknn_predict_batch([(0.0, 0.0)], [0.0], [None], *training, AmmknnConfig())
+        matrix, target = random_training(rng, 8, 2)
+        subjects = [(0.0, 0.0), (-2.5, 1.0)]
+        outliers = [0.0, -2.5]
+        named, unnamed = AmmknnConfig(max_k=3, outlier_feature="x0"), AmmknnConfig(max_k=3)
+        assert list(ammknn_predict_batch(subjects, outliers, [None] * 2, matrix, target, unnamed)) == (
+            list(ammknn_predict_batch(subjects, outliers, [None] * 2, matrix, target, named))
+        )
+        outliers = [row[0] for row in matrix]
+        assert loocv(matrix, target, outliers, unnamed, 2) == loocv(matrix, target, outliers, named, 2)
 
     def test_scored_records_hold_no_interpreter_blocks(self):
         # a record holds the lists the scoring loop yields; copying them

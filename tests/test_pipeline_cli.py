@@ -270,29 +270,30 @@ class TestResolveOutlierFeature:
     """The outlier rule fires on low values, so its default must correlate positively."""
 
     TARGET = [300.0, 350.0, 400.0, 450.0, 500.0]
+    CONFIG = PipelineConfig(target_name="t")
 
     def frame(self, **columns):
         rows = list(zip(*columns.values()))
-        return Table(tuple(columns), rows, "t", self.TARGET, [], [None] * len(rows))
+        return Table(tuple(columns), rows, self.TARGET, [None] * len(rows))
 
     def test_strongest_negative_feature_is_passed_over(self):
         # |r| is 1 for "neg" and about 0.8 for "pos"
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
-        assert resolve_outlier_feature(train, AmmknnConfig()).outlier_feature == "pos"
+        assert resolve_outlier_feature(train, self.CONFIG) == "pos"
 
     def test_all_negative_features_are_a_config_error(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], weak=[3.0, 5.0, 1.0, 4.0, 2.0])
         with pytest.raises(ConfigError, match="'weak'"):
-            resolve_outlier_feature(train, AmmknnConfig())
+            resolve_outlier_feature(train, self.CONFIG)
 
     def test_constant_column_counts_as_zero(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], flat=[1.0] * 5)
-        assert resolve_outlier_feature(train, AmmknnConfig()).outlier_feature == "flat"
+        assert resolve_outlier_feature(train, self.CONFIG) == "flat"
 
     def test_configured_feature_is_kept(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
-        config = AmmknnConfig(outlier_feature="neg")
-        assert resolve_outlier_feature(train, config) is config
+        config = PipelineConfig(target_name="t", ammknn=AmmknnConfig(outlier_feature="neg"))
+        assert resolve_outlier_feature(train, config) == "neg"
 
 
 class TestCliErrors:
@@ -1021,6 +1022,69 @@ def _golden_cohort_with(tmp_path, row, column, cell):
     path = tmp_path / "cohort.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _golden_with_score(tmp_path, source, cell, rows):
+    """A copy of a seed-7 CSV with the score of each data row in ``rows``
+    replaced by ``cell``."""
+    lines = (GOLDEN_SEED7 / source).read_text().splitlines()
+    col = lines[0].split(",").index("score")
+    for i in rows:
+        cells = lines[i + 1].split(",")
+        cells[col] = cell
+        lines[i + 1] = ",".join(cells)
+    path = tmp_path / source
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _golden_argv_with(tmp_path, command, sources, outlier_feature="f11"):
+    """``command`` run on the seed-7 inputs, each file of ``sources``
+    replaced by the path it maps to, and the outlier feature configured."""
+    doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+    doc["ammknn"]["outlier_feature"] = outlier_feature
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    swap = {str(GOLDEN_SEED7.parent / "config.json"): str(config)}
+    swap.update((str(GOLDEN_SEED7 / name), str(path)) for name, path in sources.items())
+    return [swap.get(a, a) for a in STEP_ARGV[command]] + ["--out", str(tmp_path / "out")]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@pytest.mark.parametrize("command", ["loocv", "validate"])
+def test_correlation_that_overflows_is_null(tmp_path, capsys, command):
+    # a score of 1e200 overflows the sums of squares of the prediction and
+    # actual correlation: it was written as the bare token NaN, which no
+    # strict JSON parser reads, and the figure was captioned "r = nan"
+    source = TRAIN_CSV if command == "loocv" else VALIDATION_CSV
+    bad = _golden_with_score(tmp_path, source, "1e200", [0])
+    assert main(_golden_argv_with(tmp_path, command, {source: bad})) == 0
+    names = [LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON] if command == "loocv" else [VALIDATE_JSON]
+    out = tmp_path / "out"
+    for name in names:
+        text = (out / name).read_text()
+        assert '"prediction_actual_correlation": null' in text
+        json.loads(text, parse_constant=_refuse_constant)
+        assert main(["plot", "--report", str(out / name), "--kind", "scatter", "--out", str(out)]) == 0
+        caption = re.search(r'<text class="caption"[^>]*>([^<]*)<', (out / "scatter.svg").read_text())
+        assert caption.group(1) == f"n = {181 if command == 'loocv' else 43}"
+
+
+@pytest.mark.parametrize("cell, rows", [("-1.5e308", range(181)), ("1e308", [0, 1])],
+                         ids=["every-score", "two-scores"])
+@pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+def test_training_scores_whose_running_mean_overflows_exit_3(tmp_path, capsys, command, cell, rows):
+    # a running mean of such scores overflowed: loocv, validate and predict
+    # wrote -Infinity predictions and Infinity running means
+    bad = _golden_with_score(tmp_path, TRAIN_CSV, cell, rows)
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, command, {TRAIN_CSV: bad})) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {bad}: a running mean of up to 20 values of target 'score' overflows" in err
+    assert not (tmp_path / "out" / STEP_OUTPUT[command]).exists()
 
 
 def _golden_argv(command, cohort, out):

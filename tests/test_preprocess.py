@@ -5,11 +5,12 @@ import statistics
 import pytest
 
 from ammknn import (
-    pearson_correlation,
     select_by_correlation,
     standardize_joint,
 )
 from ammknn.errors import DataError
+from ammknn.preprocess import _correlations
+from ammknn.report import prediction_actual_correlation
 
 
 def columns(rows):
@@ -78,27 +79,41 @@ class TestStandardizeJoint:
         assert max(deltas) > 0.5
 
 
+def pearson(x, y):
+    """The sample Pearson r of ``x`` and ``y`` from ``_correlations``."""
+    (r,) = _correlations([x], y)
+    return r
+
+
 class TestPearson:
     def test_perfect_linear(self):
-        assert pearson_correlation([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+        assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
 
     def test_perfect_inverse(self):
-        assert pearson_correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
 
     def test_hand_oracle(self):
         # direct evaluation of the sample-correlation formula:
         # cov = 4, sx = sy = sqrt(5) -> r = 4/5
-        assert pearson_correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="lengths differ: 2 vs 3"):
-            pearson_correlation([1, 2], [1, 2, 3])
+            pearson([1, 2], [1, 2, 3])
         with pytest.raises(DataError, match="need at least 2 observations"):
-            pearson_correlation([1], [2])
+            pearson([1], [2])
 
     def test_constant_input(self):
-        with pytest.raises(DataError, match="at least one input is constant"):
-            pearson_correlation([1, 1, 1], [1, 2, 3])
+        assert prediction_actual_correlation([1, 1, 1], [1, 2, 3]) is None
+
+    def test_spread_whose_product_underflows_is_undefined(self):
+        # the sums of squares multiplied to 0.0, and r divided by zero
+        assert pearson([0.0, 1e-160], [0.0, 1e-160]) is None
+        assert prediction_actual_correlation([0.0, 1e-160], [0.0, 1e-160]) is None
+
+    def test_overflow_is_undefined(self):
+        assert math.isnan(pearson([1e200, -1e200, 0.0], [1.0, 2.0, 4.0]))
+        assert prediction_actual_correlation([1e200, -1e200, 0.0], [1.0, 2.0, 4.0]) is None
 
 
 def designed_frame():
@@ -137,7 +152,7 @@ class TestSelectByCorrelation:
     def test_designed_correlations(self):
         frame = designed_frame()
         for name, r in (("r05", 0.05), ("r15", 0.15), ("r25", 0.25)):
-            assert pearson_correlation(frame[name], frame["t"]) == pytest.approx(r)
+            assert pearson(frame[name], frame["t"]) == pytest.approx(r)
 
     def test_threshold_keeps_only_strong_column(self):
         result = select(designed_frame(), 0.19)
@@ -170,7 +185,7 @@ class TestSelectByCorrelation:
         frame = designed_frame()
         result = select(frame, 1.0)
         for name, r in result.dropped_columns:
-            assert r == pearson_correlation(frame[name], frame["t"])
+            assert r == pearson(frame[name], frame["t"])
 
     def test_constant_column_reports_label(self):
         with pytest.raises(DataError, match="column 'c' is constant"):

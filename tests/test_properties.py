@@ -1,15 +1,24 @@
 """Property-based checks of the core numeric invariants."""
 
+import json
+import os
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammknn import (
+    AmmknnConfig,
+    PipelineConfig,
     TierBoundaries,
     classify_tier,
     cumulative_means,
     select_by_correlation,
     standardize_joint,
+    write_csv,
 )
+from ammknn.errors import ConfigError, DataError
+from ammknn.pipeline import run_loocv, run_predict, run_validate
 
 scores = st.floats(min_value=200.0, max_value=800.0, allow_nan=False)
 score_vectors = st.lists(scores, min_size=1, max_size=40)
@@ -84,3 +93,67 @@ def test_standardize_joint_idempotent(frame):
     for u_column, v_column in zip(once[:-1], twice[:-1]):
         for u, v in zip(u_column, v_column):
             assert abs(u - v) < 1e-6
+
+
+# every finite score, and the magnitudes whose sums of squares or running
+# sums overflow
+any_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e200, -1e200, 1.5e308, -1.5e308]),
+    scores,
+)
+
+
+@st.composite
+def scored_tables(draw):
+    """(config, training rows, cohort rows): rows are an id, features
+    f0.. and a score ``t``; the outlier feature is configured or left to
+    the default."""
+    n_features = draw(st.integers(1, 3))
+    features = st.floats(-3.0, 3.0, allow_nan=False)
+
+    def table(prefix, n):
+        return [
+            [f"{prefix}{i}", *(draw(features) for _ in range(n_features)), draw(any_scores)]
+            for i in range(n)
+        ]
+
+    outlier = draw(st.none() | st.integers(0, n_features - 1).map(lambda j: f"f{j}"))
+    config = PipelineConfig(
+        target_name="t", id_column="id", knn_k=draw(st.integers(1, 3)),
+        ammknn=AmmknnConfig(max_k=draw(st.integers(1, 5)), outlier_feature=outlier),
+    )
+    train = table("r", draw(st.integers(2, 30)))
+    return config, [f"f{j}" for j in range(n_features)], train, table("c", draw(st.integers(1, 10)))
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(scored_tables())
+def test_no_step_writes_a_non_finite_number(case):
+    """Each ranking step refuses its input or writes only finite numbers."""
+    config, names, train, cohort = case
+    with tempfile.TemporaryDirectory() as d:
+        header = ["id", *names, "t"]
+        train_path, cohort_path = os.path.join(d, "train.csv"), os.path.join(d, "cohort.csv")
+        write_csv(header, train_path, train)
+        write_csv(header, cohort_path, cohort)
+        out = os.path.join(d, "out")
+        for step, args in (
+            (run_loocv, (train_path,)),
+            (run_validate, (train_path, cohort_path)),
+            (run_predict, (train_path, cohort_path)),
+        ):
+            try:
+                step(config, *args, out)
+            except (ConfigError, DataError):
+                continue
+        for name in os.listdir(out) if os.path.isdir(out) else ():
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                text = fh.read()
+            docs = text.splitlines() if name.endswith(".jsonl") else [text]
+            for doc in docs:
+                json.loads(doc, parse_constant=_refuse_constant)

@@ -16,7 +16,7 @@ def report_of(actual, predicted, predicted_bounds=None, **config):
     config = PipelineConfig(target_name="t", **config)
     return build_report(
         "loocv", "m", config, [str(i) for i in range(len(actual))], actual, predicted,
-        predicted_bounds or config.tiers_predicted,
+        predicted_bounds or config.tiers_predicted, [0.0] * len(actual),
     )
 
 

@@ -16,10 +16,10 @@ from ammknn import (
     SplitMix64,
     SynthSpec,
     generate_cohort,
-    pearson_correlation,
 )
 from ammknn.errors import ConfigError
 from ammknn.pipeline import run_synth
+from ammknn.report import prediction_actual_correlation
 from ammknn.synth import _feature_text
 
 
@@ -114,7 +114,7 @@ class TestGenerateCohort:
         frame = cohort_frame(spec(noise_sd=1e-9, n_features=6, signal_features=3))
         target = frame.column("score")
         for name in ("f01", "f02", "f03"):
-            assert abs(pearson_correlation([float(v) for v in frame.column(name)], target)) > 0.99
+            assert abs(prediction_actual_correlation([float(v) for v in frame.column(name)], target)) > 0.99
 
     def test_fail_fraction_window_seed7(self):
         # tolerance [0.02, 0.15] frozen after measuring min 0.035 / max
@@ -141,7 +141,7 @@ class TestGenerateCohort:
             target = frame.column("score")
             for name in frame.column_names[12:-1]:
                 total += 1
-                if abs(pearson_correlation([float(v) for v in frame.column(name)], target)) >= 0.2:
+                if abs(prediction_actual_correlation([float(v) for v in frame.column(name)], target)) >= 0.2:
                     violations += 1
         assert violations / total <= 0.01
 
