@@ -12,16 +12,21 @@ rows from any iterable, so neither ``prepare`` nor ``synth`` holds a
 table it writes.
 
 Whether a parsed cell may enter arithmetic is decided here alone, as its
-record is parsed: every cell but the id is empty (missing) or a finite
-number. Other text, NaN and the infinities, spellings that overflow such
-as ``1e999`` included, are refused in every column of every record,
-whether a step reads the cell or not. A missing cell is the step's
-business: ``read_table`` refuses one in any cell it keeps, ``prepare``
-leaves its row out. Every refusal names the file line on which its
-record ends (the header is line 1, and blank lines count), as
+record is parsed: every cell but the id is empty (missing) or a number
+within ±``BOUND`` (1e50). Other text, NaN, the infinities (spellings
+that overflow such as ``1e999`` included) and finite numbers beyond the
+bound are refused in every column of every record, whether a step reads
+the cell or not. The bound is the package's one overflow rule: with
+every |v| <= 1e50, a square stays below 4e100 and a product of two sums
+of squares below 1.6e201 * n^2, so no distance, sum, running mean, sd or
+correlation that a step forms from the cells can overflow for any table
+that fits in memory, and no module checks for overflow. A missing cell
+is the step's business: ``read_table`` refuses one in any cell it keeps,
+``prepare`` leaves its row out. Every refusal names the file line on
+which its record ends (the header is line 1, and blank lines count), as
 ``<path>, line L, column 'c': `` followed by ``non-numeric cell 'x1'``,
-``non-finite value inf`` or ``missing cell``; a record's own faults read
-``<path>, line L: ...``.
+``non-finite value inf``, ``value 2e+50 beyond ±1e+50`` or ``missing
+cell``; a record's own faults read ``<path>, line L: ...``.
 
 CSV conventions: UTF-8 (a leading byte-order mark is skipped), one
 header row, ``.`` decimal separator, empty string means missing, and a
@@ -41,6 +46,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import ConfigError, DataError
 
 Cell = Optional[float]
+
+# the largest magnitude of any number read from a file
+BOUND = 1e50
 
 
 def _picker(idx: Sequence[int]) -> Callable:
@@ -68,7 +76,8 @@ class AggregationSpec:
 # --------------------------------------------------------------------------
 
 def _cell(path, line: int, name: str, text: str) -> Cell:
-    """One parsed cell: None if empty, else a finite float, or refused."""
+    """One parsed cell: None if empty, else a float within ±``BOUND``, or
+    refused."""
     if text == "":
         return None
     try:
@@ -79,6 +88,8 @@ def _cell(path, line: int, name: str, text: str) -> Cell:
         ) from None
     if not math.isfinite(value):
         raise DataError(f"{path}, line {line}, column {name!r}: non-finite value {value!r}")
+    if abs(value) > BOUND:
+        raise DataError(f"{path}, line {line}, column {name!r}: value {value!r} beyond ±{BOUND!r}")
     return value
 
 
@@ -109,10 +120,12 @@ def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: l
     An empty id is refused, and so is an id that an earlier record holds,
     naming both lines: the ids seen are kept as a dict from id to line,
     which is smaller than a set of the ids. A record whose cells all parse
-    costs one C-level ``float`` pass and one ``isfinite`` of their sum;
-    only a record where that fails (an empty cell, other text, a
-    non-finite value, or finite cells whose sum overflows) is gone over
-    cell by cell, so its first unusable cell is named.
+    and whose norm, ``math.hypot`` of the cells, is at most ``BOUND / 10``
+    costs one C-level ``float`` pass and that one call; the margin covers
+    hypot's rounding, so no cell just past the bound gets through. Any
+    other record (an empty cell, other text, a non-finite value, a cell
+    beyond the bound, or cells within it whose norm is larger) is gone
+    over cell by cell, so its first unusable cell is named.
     """
     width = len(names) + (id_pos is not None)
     seen = {}
@@ -132,7 +145,7 @@ def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: l
                 raise DataError(f"{path}, line {line}: empty id")
         try:
             cells = list(map(float, record))
-            usable = math.isfinite(sum(cells))
+            usable = math.hypot(*cells) <= BOUND / 10
         except ValueError:
             usable = False
         if not usable:
@@ -161,8 +174,8 @@ def load_csv(
     (the id column left out) and an iterator that parses each record as
     it is asked for one, as ``(line, id or None, list of cells)``; no row
     is kept here. Empty cells become ``None``, every other cell is a
-    finite ``float()`` or is refused, and the id column is the only one
-    that may hold other text. ``target_name`` may be None for an
+    ``float()`` within ±``BOUND`` or is refused, and the id column is the
+    only one that may hold other text. ``target_name`` may be None for an
     unscored cohort. A header that lacks the named target or id column is
     a ``ConfigError``: those names always come from the configuration.
     """
@@ -185,7 +198,7 @@ def load_csv(
 
 class Table(NamedTuple):
     """What a ranking step reads from one CSV table, the features, the
-    target and the ids; every cell is finite."""
+    target and the ids; every cell is within ±``BOUND``."""
 
     features: tuple  # the label of each cell of a row, in order
     rows: list  # one tuple of feature cells per record

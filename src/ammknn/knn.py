@@ -59,17 +59,17 @@ more than nine times their combined error for any m. So a row beyond the
 margin has a larger summed square than each of the ``limit`` rows inside
 it and cannot be among the nearest. The absolute margin of 1e-150 keeps
 every row whose squares may underflow (below about 1e-300), where the sum
-has no relative error bound. Once the bound itself reaches 1e150, squares
-may overflow to inf, and equal infinities are ordered by row index alone,
-so no row is cut at all: the same code path, with nothing filtered out.
-``math.dist`` differs in its last bits between Python versions; the
+has no relative error bound. No square overflows: every cell lies within
+±``frame.BOUND`` (1e50), so a difference is at most 2e50 and a square
+4e100. ``math.dist`` differs in its last bits between Python versions; the
 margin absorbs that, and the order itself comes only from the sums.
 
 The window. ``_scored`` sorts the training rows once per call by their
 feature sums, ``math.fsum(row)``. For each subject, ``_rank`` finds the
 subject's sum among them with ``bisect`` and gives the starting block, the
-2 * ``limit`` rows around it, their approximate distances. tu, the
-``limit``-th smallest of those, is at least tau, so
+2 * ``limit`` rows around it (every row, when there are no more), their
+approximate distances. tu, the ``limit``-th smallest of those (the
+largest, when the block holds fewer), is at least tau, so
 ``reach = tu * margin + 1e-150`` is at least the filter's bound.
 Only the rows whose sums lie within
 
@@ -87,10 +87,8 @@ the rounding of sqrt(m) and of W. ``math.fsum`` rounds each sum once, by
 at most 2**-53 of its magnitude, and the 1e-12 term covers that and the
 rounding of the window's edges. The window holds the ``limit`` nearest
 rows, so tau over it is the same float as over every row, and the filter
-keeps the same rows. No window cuts, and every row goes down the same
-path, when 2 * ``limit`` is at least n, when a training row's sum
-overflows ``math.fsum`` (no index is built) or the subject's does, and
-when reach is 1e150 or more (the window is every row). Every subject
+keeps the same rows. Every subject goes window, filter, refine, and the
+window cuts nothing when 2 * ``limit`` is at least n. Every subject
 gets at most n ``math.dist`` calls. Leave-one-out ranks each row one
 place deeper and then drops the row itself from its ranking, so neither
 the window nor the filter needs to know the held-out row.
@@ -106,10 +104,11 @@ took 8-13% longer (best of 40 runs, four repeats).
 
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
-finite. This module does not check them: ``frame.load_csv`` refuses a
-non-finite cell, and ``frame.read_table`` a missing one, with a
-``DataError`` naming its file line and column as it parses the record,
-before any ranking.
+finite, and within ±``frame.BOUND`` so that no sum overflows. This
+module does not check them: ``frame.load_csv`` refuses a cell beyond the
+bound, and ``frame.read_table`` a missing one, with a ``DataError``
+naming its file line and column as it parses the record, before any
+ranking.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation
@@ -196,38 +195,28 @@ class PredictionRecord:
         }
 
 
-def _sum_index(matrix: Sequence[tuple]) -> Optional[tuple]:
+def _sum_index(matrix: Sequence[tuple]) -> tuple:
     """The window index of the checked training rows: the rows in
     ascending order of ``math.fsum``, their sums and the rows in that
-    order, and the largest sum of a row's absolute values. None when a
-    sum overflows."""
-    try:
-        sums = [math.fsum(row) for row in matrix]
-        spread = max(math.fsum(map(abs, row)) for row in matrix)
-    except OverflowError:
-        return None
+    order, and the largest sum of a row's absolute values."""
+    sums = [math.fsum(row) for row in matrix]
+    spread = max(math.fsum(map(abs, row)) for row in matrix)
     order = sorted(range(len(matrix)), key=sums.__getitem__)
     return order, [sums[j] for j in order], [matrix[j] for j in order], spread
 
 
-def _window(index: tuple, subject: tuple, limit: int, margin: float) -> Optional[tuple]:
+def _window(index: tuple, subject: tuple, limit: int, margin: float) -> tuple:
     """``(rows, approximate distances)`` of the training rows whose sums
     lie within W of the subject's, and of the starting block of 2 * ``limit``
-    rows around it: every row when the bound reaches 1e150, and None when
-    the subject's sum overflows."""
+    rows around it (every row, when there are no more)."""
     order, sums, rows, spread = index
-    try:
-        total = math.fsum(subject)
-    except OverflowError:
-        return None
-    lo = min(max(bisect_left(sums, total) - limit, 0), len(order) - 2 * limit)
+    total = math.fsum(subject)
+    lo = max(min(bisect_left(sums, total) - limit, len(order) - 2 * limit), 0)
     hi = lo + 2 * limit
     block = list(map(math.dist, repeat(subject), rows[lo:hi]))
     # no smaller than the bound of _rank's filter: tau is at most this tu
-    reach = sorted(block)[limit - 1] * margin + 1e-150
-    half = math.inf
-    if reach < 1e150:
-        half = math.sqrt(len(subject)) * reach * (1 + 1e-9) + 1e-12 * (spread + abs(total))
+    reach = sorted(block)[min(limit, len(block)) - 1] * margin + 1e-150
+    half = math.sqrt(len(subject)) * reach * (1 + 1e-9) + 1e-12 * (spread + abs(total))
     a = min(lo, bisect_left(sums, total - half))
     b = max(hi, bisect_right(sums, total + half))
     approx = list(map(math.dist, repeat(subject), rows[a:lo]))
@@ -236,25 +225,19 @@ def _window(index: tuple, subject: tuple, limit: int, margin: float) -> Optional
     return order[a:b], approx
 
 
-def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: Optional[tuple]) -> list:
+def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: tuple) -> list:
     """The ``limit`` nearest ``(squared_distance, row)`` pairs among the
     checked training rows of ``matrix``, ordered by distance then row
     index.
 
     This is the package's only ranking: a window over the feature sums of
-    ``index`` (from ``_sum_index``, or None for no window) and a
-    ``math.dist`` filter pick the candidates, and the exact left-to-right
-    sums of the survivors order them. The module docstring gives the
-    error argument behind the window and the margins.
+    ``index`` (from ``_sum_index``) and a ``math.dist`` filter pick the
+    candidates, and the exact left-to-right sums of the survivors order
+    them. The module docstring gives the error argument behind the window
+    and the margins.
     """
     margin = 1.0 + 1e-12 + len(subject) * 1e-15
-    window = None if index is None else _window(index, subject, limit, margin)
-    if window is None:
-        candidates = range(len(matrix))
-        approx = list(map(math.dist, repeat(subject), matrix))
-    else:
-        candidates, approx = window
-    rows = candidates
+    rows, approx = _window(index, subject, limit, margin)
     if limit < len(approx):
         # tau, the limit-th smallest approximate distance: the same float
         # that a full sort would put at index limit - 1
@@ -263,8 +246,7 @@ def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: Optional[t
         for _ in range(limit - 1):
             heapq.heappop(heap)
         bound = heap[0] * margin + 1e-150
-        if bound < 1e150:
-            rows = [candidates[k] for k, a in enumerate(approx) if a <= bound]
+        rows = [rows[k] for k, a in enumerate(approx) if a <= bound]
     ranked = []
     for j in rows:
         sq = 0.0
@@ -317,8 +299,7 @@ def _scored(
     ``held_out``, subject i is training row i and is left out of its own
     ranking: it is ranked one place deeper, then dropped."""
     depth = limit + 1 if held_out else limit
-    # with 2 * depth rows or fewer, the starting block would be every row
-    index = _sum_index(matrix) if 2 * depth < len(matrix) else None
+    index = _sum_index(matrix)
     for i, subject in enumerate(subjects):
         ranked = _rank(matrix, subject, depth, index)
         if held_out:
@@ -340,8 +321,8 @@ def ammknn_predict_batch(
     Each subject is a sequence of feature cells in the order of the
     ``training`` rows' cells; its outlier value is the cell of the same
     index in ``outlier_values``, and its id that of ``ids``. Every cell,
-    and every ``target`` score, must be finite: ``frame.load_csv`` checks
-    them as it parses them. The arguments are checked when this is
+    and every ``target`` score, must lie within ±``frame.BOUND``:
+    ``frame.load_csv`` checks them as it parses them. The arguments are checked when this is
     called, so a refusal comes before the first record; each record is
     then scored as it is drawn, and only one subject's ranking is held at
     a time. Prediction is pure per
@@ -380,7 +361,7 @@ def loocv(
 
     ``training`` holds one sequence of feature cells per row,
     ``target`` each row's score and ``outlier_values`` each row's outlier
-    value; every cell must be finite.
+    value; every cell must lie within ±``frame.BOUND``.
     Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
     each made with that row held out of training. Every row is ranked
     once against all the others, ``max(max_k, knn_k)`` deep, and the

@@ -19,7 +19,10 @@ directory, or an output file that cannot be written, into a
 ``DataError``.
 
 Every cell of every input is checked once, as ``frame.load_csv`` parses
-its record, and a refusal names the file line and the column. loocv,
+its record, and a refusal names the file line and the column. Every
+number read lies within ±``frame.BOUND``, so nothing formed from the
+cells here (a group's mean, a running mean, a correlation) can overflow,
+and no step checks for it. loocv,
 validate and predict each read their tables with ``frame.read_table``,
 which keeps only what the step ranks with and refuses a missing cell
 among it: the training table first, then the cohort. The outlier
@@ -116,12 +119,6 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
         if r is None:
             # degenerate (constant) columns carry no ranking signal
             r = 0.0
-        elif math.isnan(r):
-            # no r would win, and the table would seem to have no features
-            raise DataError(
-                f"training column {name!r}: its correlation with the target "
-                f"{config.target_name!r} overflows"
-            )
         if r > best_r:
             best, best_r = name, r
     if best is None:
@@ -187,7 +184,7 @@ def _move(rows: list, columns: list, plan: list) -> bool:
     return True
 
 
-def _split_records(config: PipelineConfig, path, names: list, records) -> tuple:
+def _split_records(config: PipelineConfig, names: list, records) -> tuple:
     """``prepare``'s pass over the raw records; see ``_split_cohort``."""
     known = list(names)
     groups = {}  # group label -> positions of its members in a raw row
@@ -256,13 +253,9 @@ def _split_records(config: PipelineConfig, path, names: list, records) -> tuple:
         for pending in blocks[side]:
             pending.clear()
 
-    for line, rid, row in records:
+    for _, rid, row in records:
         y = year_of(row)
-        if y is None or not -math.inf < y < next_year:
-            if y is not None and not math.isfinite(y):
-                # a group's mean that overflows would fall into neither
-                # side (NaN, +inf) or into training (-inf)
-                raise DataError(f"{path}, line {line}, column {cohort!r}: non-finite value {y!r}")
+        if y is None or not y < next_year:
             outside += 1
             continue
         side = 0 if y < cutoff else 1
@@ -315,14 +308,13 @@ def _split_cohort(config: PipelineConfig, input_path):
     are moved as before.
 
     The configuration's columns are checked against the header before any
-    row is read. ``load_csv`` refuses a non-finite cell as it parses it,
-    so only a group's mean can make a year non-finite, by overflowing: it
-    is refused at its record, naming the file line and the cohort column.
+    row is read. ``load_csv`` refuses a cell beyond ±``frame.BOUND`` as it
+    parses it, so every year, a group's mean included, is finite.
     """
     split = []
     load_csv(
         input_path, config.target_name, config.id_column,
-        lambda names, records: split.extend(_split_records(config, input_path, names, records)),
+        lambda names, records: split.extend(_split_records(config, names, records)),
     )
     return tuple(split)
 
@@ -362,23 +354,9 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 def _read_training(config: PipelineConfig, train_path):
     """The training table, the name of its outlier feature and the label
-    of the adaptive model.
-
-    Once the outlier feature is resolved, a table whose running mean of
-    up to ``max(max_k, knn_k)`` targets could overflow is refused: its
-    predictions would be infinite. The bound is the largest
-    ``|target|`` times that depth, widened by a relative margin for the
-    rounding of each partial sum.
-    """
+    of the adaptive model."""
     train = read_table(train_path, config.target_name, config.id_column)
     outlier = resolve_outlier_feature(train, config)
-    depth = min(max(config.ammknn.max_k, config.knn_k), len(train.target))
-    largest = max(map(abs, train.target), default=0.0)
-    if not math.isfinite(largest * depth * (1 + depth * 2.0**-52)):
-        raise DataError(
-            f"{train_path}: a running mean of up to {depth} values of target "
-            f"{config.target_name!r} overflows"
-        )
     return train, outlier, f"ammknn(max_k={config.ammknn.max_k},outlier={outlier})"
 
 

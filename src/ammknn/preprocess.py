@@ -15,10 +15,10 @@ each float once, in a list comprehension, which is faster than ``map``
 over a bound method, and the sum of squares runs over that list, which
 is faster than over an ``array``.
 
-Every cell arrives finite: ``frame.load_csv`` refuses any other as it
-parses it. What is checked here is computed: a column whose sum or sum
-of squares overflows, or whose correlation with the target does, is
-refused, naming it.
+Every cell arrives within ±``frame.BOUND`` (1e50): ``frame.load_csv``
+refuses any other as it parses it. So no sum, sum of squares or product
+of two of them formed here can overflow, and nothing here checks for
+it.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ def _column_stats(label: str, values: Sequence[float]):
     mean = left_sum(values) / len(values)
     d = [v - mean for v in values]
     sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
-    if not math.isfinite(sd):
-        # an inf sd would turn every z-score into 0.0, a constant column
-        raise DataError(f"column {label!r}: its sum or sum of squares overflows")
     if sd == 0.0:
         raise DataError(f"column {label!r} has zero variance")
     return mean, sd, d
@@ -111,13 +108,11 @@ def standardize_joint(
     ``validation`` may be None. The target column passes through
     unchanged. Sample (n-1) standard deviation is used.
 
-    Every cell is a finite number: ``frame.load_csv`` refuses any other
-    as it parses it. A column whose sum or sum of squares overflows (a
-    group's mean of huge members can) is refused here, naming it.
-    Each pooled column's deviations from the mean, ``v - mean``, give both
-    the sd and the z-scores ``d / sd``, the same float as
-    ``(v - mean) / sd``; ``train`` and ``validation`` may hold any
-    sequences of numbers.
+    Every cell is a number within ±``frame.BOUND``: ``frame.load_csv``
+    refuses any other as it parses it. Each pooled column's deviations
+    from the mean, ``v - mean``, give both the sd and the z-scores
+    ``d / sd``, the same float as ``(v - mean) / sd``; ``train`` and
+    ``validation`` may hold any sequences of numbers.
     """
     excluded = tuple(n for n in names if n == target_name)
     idx = [j for j, name in enumerate(names) if name not in excluded]
@@ -142,8 +137,8 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
     the first column, and reuses them for every column; each r is the
     same float that correlating the pair on its own would give. A column
     or a ``y`` with zero spread yields None, as does a pair whose product
-    of sums of squares underflows to 0.0 (spreads below about 1e-160),
-    and one whose sums of squares overflow yields NaN. Columns are
+    of sums of squares underflows to 0.0 (spreads below about 1e-160).
+    Cells within ±``frame.BOUND`` keep that product finite. Columns are
     consumed lazily, so only one column's deviations are held at a time.
     """
     n = len(y)
@@ -162,8 +157,6 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
         sxx = left_sum(map(mul, dx, dx))
         if sxx * syy == 0.0:
             yield None
-        elif not math.isfinite(sxx * syy):
-            yield math.nan
         else:
             yield left_sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
@@ -193,10 +186,6 @@ def select_by_correlation(
         r = rs[j]
         if r is None:
             raise DataError(f"column {name!r} is constant")
-        if math.isnan(r):
-            raise DataError(
-                f"column {name!r}: its correlation with the target {target_name!r} overflows"
-            )
         log.info("%d. Correlation between %s and target = %.7g.", j + 1, name, r)
         if abs(r) >= threshold:
             kept.append(name)

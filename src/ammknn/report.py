@@ -21,7 +21,6 @@ order. An undefined metric serializes as JSON null.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -63,12 +62,12 @@ def classify_tier(score: float, bounds: TierBoundaries) -> str:
 
 def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[float]) -> Optional[float]:
     """Pearson r between predictions and outcomes; None when undefined:
-    fewer than 2 pairs, a side with zero spread (or spreads whose product
-    underflows), or sums of squares that overflow."""
+    fewer than 2 pairs, or a side with zero spread (or spreads whose
+    product underflows). Every number lies within ±``frame.BOUND``."""
     if len(predicted) != len(actual) or len(predicted) < 2:
         return None
     (r,) = _correlations([predicted], actual)
-    return None if r is None or math.isnan(r) else r
+    return r
 
 
 def _confusion(outcomes) -> dict:

@@ -9,10 +9,10 @@ deterministic SVG text, so plots can be golden-file tested.
 
 from __future__ import annotations
 
-import sys
 from typing import List, Tuple
 
 from .errors import DataError
+from .frame import BOUND
 from .report import prediction_actual_correlation
 
 WIDTH = 640.0
@@ -42,11 +42,11 @@ class _Axis:
 
 
 def _finite(value, where: str) -> float:
-    """A JSON number as a float; a DataError naming ``where`` for anything
-    else, NaN and the infinities included."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    """A JSON number within ±``frame.BOUND`` as a float; a DataError
+    naming ``where`` for anything else, NaN and the infinities included."""
+    if type(value) in (int, float) and abs(value) <= BOUND:
         return float(value)
-    raise DataError(f"{where} is not a finite number: {value!r}")
+    raise DataError(f"{where} is not a number within ±{BOUND!r}: {value!r}")
 
 
 def _marks(report: dict, side: str) -> List[float]:

@@ -48,6 +48,7 @@ from typing import Iterator, Optional, Tuple
 
 from .config import _from_json
 from .errors import ConfigError
+from .frame import BOUND
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # state increment
@@ -55,7 +56,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _PASS_MARK = 350.0
 # No Box-Muller normal here exceeds sqrt(2 * 53 * ln 2) ~ 8.57 in size,
-# because u1 >= 2^-53; a spec is refused if a draw this large overflows.
+# because u1 >= 2^-53; a spec is refused if a draw this large could write
+# a cell beyond frame.BOUND, which prepare would refuse.
 _MAX_NORMAL = 8.6
 
 
@@ -91,24 +93,27 @@ class SynthSpec:
             raise ConfigError("n_features must be positive")
         if not 1 <= self.signal_features <= self.n_features:
             raise ConfigError("signal_features must be in [1, n_features]")
-        if not (math.isfinite(self.noise_sd * _MAX_NORMAL) and self.noise_sd > 0):
+        if not (_MAX_NORMAL * (1 + self.noise_sd) <= BOUND and self.noise_sd > 0):
             raise ConfigError(
-                f"noise_sd must be positive, with noise_sd * {_MAX_NORMAL} finite, got {self.noise_sd}"
+                f"noise_sd must be positive, with {_MAX_NORMAL} * (1 + noise_sd) "
+                f"within {BOUND!r}, got {self.noise_sd}"
             )
         if len(self.target_range) != 2:
             raise ConfigError(f"target_range must be [low, high], got {list(self.target_range)}")
         low, high = self.target_range
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ConfigError(f"target_range bounds must be finite, got {list(self.target_range)}")
+        if not (abs(low) <= BOUND and abs(high) <= BOUND):
+            raise ConfigError(
+                f"target_range bounds must lie within ±{BOUND!r}, got {list(self.target_range)}"
+            )
         if not low < high:
             raise ConfigError("target_range low must be below high")
         if not 0.0 < self.fail_rate_hint < 1.0:
             raise ConfigError("fail_rate_hint must be in (0, 1)")
         slope, intercept = self._score_map()
-        if not math.isfinite(abs(intercept) + slope * _MAX_NORMAL):
+        if not abs(intercept) + slope * _MAX_NORMAL <= BOUND:
             raise ConfigError(
                 f"target_range {list(self.target_range)} with fail_rate_hint "
-                f"{self.fail_rate_hint} puts scores beyond the float range"
+                f"{self.fail_rate_hint} puts scores beyond ±{BOUND!r}"
             )
 
     def _score_map(self):

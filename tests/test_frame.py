@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ammknn import load_csv, write_csv
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError, DataError
-from ammknn.frame import Shape, read_table
+from ammknn.frame import BOUND, Shape, read_table
 from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
@@ -126,9 +126,27 @@ class TestLoadCsv:
         path.write_text("\n".join(map(",".join, [names, *rows])) + "\n")
         assert load(path, "t").shape == Shape(5, 3)
 
-    def test_sum_that_overflows_is_not_a_bad_cell(self, tmp_path):
-        path = write(tmp_path, "d.csv", "x,y,t\n1e308,1e308,1\n-1e308,-1e308,2\n")
-        assert load(path, "t").rows == ((1e308, 1e308, 1.0), (-1e308, -1e308, 2.0))
+    def test_cell_beyond_the_bound_is_refused(self, tmp_path):
+        # the cells' sum is finite; the first cell past 1e50 is named
+        path = write(tmp_path, "d.csv", "x,y,t\n1e50,-1e50,1\n1e308,-1e308,2\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 'x': value 1e+308 beyond ±1e+50"
+
+    @pytest.mark.parametrize("cell", ["1e50", "-1e50", "1.0000000000000001e50"])
+    def test_cells_at_the_bound_are_read(self, tmp_path, cell):
+        # their norm fails the fast gate, so each is checked on its own
+        assert abs(float(cell)) == BOUND
+        path = write(tmp_path, "d.csv", f"x,y,t\n{cell},{cell},1\n0,0,2\n")
+        value = float(cell)
+        assert load(path, "t").rows == ((value, value, 1.0), (0.0, 0.0, 2.0))
+
+    def test_cell_just_past_the_bound_is_refused(self, tmp_path):
+        past = math.nextafter(BOUND, math.inf)
+        path = write(tmp_path, "d.csv", f"x,t\n0,1\n{past!r},2\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 'x': value {past!r} beyond ±1e+50"
 
     def test_directory_is_unreadable(self, tmp_path):
         with pytest.raises(DataError, match="is a directory, not a CSV file"):
@@ -190,11 +208,11 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("ids", [None, ["A", "B"]])
     def test_round_trip_keeps_every_bit(self, tmp_path, ids):
-        rows = ((None, -0.0), (1e-320, 1e200))
+        rows = ((None, -0.0), (1e-320, -1e50))
         out = write_table(tmp_path / "out.csv", ["x", "y"], rows, ids)
-        body = "x,y\r\n,-0.0\r\n1e-320,1e+200\r\n"
+        body = "x,y\r\n,-0.0\r\n1e-320,-1e+50\r\n"
         if ids:
-            body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,1e+200\r\n"
+            body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,-1e+50\r\n"
         assert out.read_bytes() == body.encode()
         again = load(out, "y", id_column="id" if ids else None)
         assert [list(map(repr, row)) for row in again.rows] == [
@@ -518,15 +536,16 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
 
     path = write_table(tmp_path_factory.mktemp("csv") / "frame.csv", names, rows, ids)
-    # an infinite cell, in whichever column, is refused as its record is parsed
-    bad = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c in (math.inf, -math.inf)]
+    # an infinite cell, or a finite one beyond the bound, in whichever
+    # column, is refused as its record is parsed
+    bad = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c is not None and abs(c) > BOUND]
     if bad:
         i, j = bad[0]
         with pytest.raises(DataError) as exc:
             load(path, "c0", None if ids is None else "id")
-        assert str(exc.value) == (
-            f"{path}, line {i + 2}, column {names[j]!r}: non-finite value {rows[i][j]!r}"
-        )
+        cell = rows[i][j]
+        problem = f"non-finite value {cell!r}" if math.isinf(cell) else f"value {cell!r} beyond ±1e+50"
+        assert str(exc.value) == f"{path}, line {i + 2}, column {names[j]!r}: {problem}"
         return
     loaded = load(path, "c0", None if ids is None else "id")
     assert loaded.shape == Shape(len(rows), width)
@@ -546,7 +565,7 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     try:
         standardize_joint(kept, "c0", *sides)
     except DataError:
-        pass  # too few rows, a constant column or a sum that overflows
+        pass  # too few rows or a constant column
     for side, columns in zip((train, validation), sides):
         assert len(columns) == len(kept)
         for column in columns:

@@ -360,11 +360,12 @@ def naive_adaptive(order, means, targets, outlier_value, config):
 
 # a tiny coordinate set forces exact distance ties; everyday decimals make
 # sums that round, so near-ties differ between distance formulas; the
-# extremes square to subnormals (1e-160) or overflow to inf (7e153 summed,
-# 1e200); whole scores keep prefix sums exact
+# extremes square to subnormals (1e-160) or lie at the bound of every cell
+# read (7e49 and ±1e50, whose differences square to up to 4e100); whole
+# scores keep prefix sums exact
 TIED = [-1.0, 0.0, 0.5, 2.0]
 EVERYDAY = [-0.1, 0.0, 0.1, 0.2, 0.3, 0.6, 1 / 3, 2 / 3, 5.0]
-EXTREMES = [1e-160, -3e-160, 7e153, 1e200, -2e200]
+EXTREMES = [1e-160, -3e-160, 7e49, 1e50, -1e50]
 COORD_SETS = st.sampled_from([TIED, EVERYDAY, EVERYDAY + EXTREMES])
 SCORES = st.integers(200, 800).map(float)
 
@@ -415,8 +416,8 @@ def engine_cases(draw):
 # math.dist puts row 0 first, the summed squares put row 1 first:
 # 0.18000000000000002 against 0.18000000000000005
 @example(([[0.0, 0.3, 0.2, 500.0], [0.2, -0.1, 0.6, 300.0]], [[-0.1, -0.1, 0.3]], 1, 1, -2.0))
-# both squares overflow to inf, so the row index decides: row 0
-@example(([[2e200, 500.0], [1e200, 300.0]], [[0.0]], 1, 1, -2.0))
+# both rows lie at the bound, 1e50 away, so the row index decides: row 0
+@example(([[1e50, 500.0], [-1e50, 300.0]], [[0.0]], 1, 1, -2.0))
 # both squares underflow to 0.0, so the row index decides: row 0
 @example(([[2e-170, 500.0], [1e-170, 300.0]], [[0.0]], 1, 1, -2.0))
 # the threshold falls inside a run of duplicate rows: four copies of
@@ -495,8 +496,8 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
 # features, so the window cuts most; collinear: rows on a line along
 # (1, ..., 1), where Cauchy-Schwarz holds with equality, or along
 # (1, 2, ..., m); tied: four coordinates, so many rows share a sum;
-# extreme: sums that overflow math.fsum (1.5e308 twice) and distances of
-# 1e300, where no window can cut; subnormal: squares that underflow
+# extreme: cells at the bound (7e49 and ±1e50), whose sums and distances
+# dwarf the small cells beside them; subnormal: squares that underflow
 WINDOW_FAMILIES = ("factor", "collinear", "tied", "extreme", "subnormal")
 
 
@@ -515,7 +516,7 @@ def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
             return [t * c for c in direction]
         cells = {
             "tied": TIED,
-            "extreme": [1e300, -1e300, 1.5e308, 0.5, 0.0],
+            "extreme": [1e50, -1e50, 7e49, 0.5, 0.0],
             "subnormal": [5e-324, -1e-310, 2.5e-320, 0.0, 1e-300],
         }[family]
         return [rng.choice(cells) for _ in range(dims)]
@@ -550,7 +551,7 @@ def window_cases(draw):
 @example(window_case("tied", 3, 100, 3, 20, 20, -2.0))
 @example(window_case("extreme", 4, 60, 2, 3, 1, 0.25))
 @example(window_case("subnormal", 5, 60, 3, 4, 7, -2.0))
-# 2 * depth == n: the starting block would be every row, so no window
+# 2 * depth == n: the starting block is every row, so the window cuts none
 @example(window_case("factor", 6, 40, 3, 20, 12, -2.0))
 def test_window_matches_naive_reference(case):
     check_against_naive(*case)

@@ -320,6 +320,9 @@ class TestCliErrors:
         # finite, but the score map or the noise overflows
         ({"target_range": [-1e308, 1e308]}, "target_range"),
         ({"noise_sd": 1e308}, "noise_sd"),
+        # finite, but a drawn cell would lie beyond the bound that prepare
+        # holds every cell to
+        ({"noise_sd": 1e60}, "noise_sd"),
         ({"target_range": [200.0]}, "target_range"),
     ])
     def test_unhonourable_synth_spec_exit_2(self, tmp_path, capsys, override, field):
@@ -565,6 +568,21 @@ class TestCliRefusesUnscorableInput:
         assert f"{report}: " in err and named in err
         assert not (out / f"{kind}.svg").exists()
 
+    def test_plot_number_beyond_the_bound_exit_3(self, tmp_path, capsys):
+        # the axis span of predictions of 1e308 and -1e308 overflowed: plot
+        # exited 0 and drew every circle at cx="nan"
+        doc = json.loads((GOLDEN_SEED7 / VALIDATE_JSON).read_text())
+        doc["subjects"][0]["predicted"] = 1e308
+        doc["subjects"][1]["predicted"] = -1e308
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["plot", "--report", str(report), "--kind", "scatter", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{report}: subject 0 predicted is not a number within ±1e+50: 1e+308" in err
+        assert not (out / "scatter.svg").exists()
+
     def test_prepare_input_directory_exit_3(self, workspace, tmp_path, capsys):
         code = main([
             "prepare", "--config", str(workspace["config"]),
@@ -643,15 +661,15 @@ class TestCliRefusesUnscorableInput:
         err = capsys.readouterr().err
         assert f"{bad}, line 2, column 'f01': non-finite value nan" in err
 
-    @pytest.mark.parametrize("column, message", [
+    @pytest.mark.parametrize("column", [
         # its square overflowed, so the sd was inf, every z-score 0.0 and
         # the column was refused as constant
-        ("f05", "column 'f05': its sum or sum of squares overflows"),
+        "f05",
         # the score is not standardized; every correlation with it came
         # out 0.0, so every feature was dropped and prepare exited 0
-        ("score", "column 'f01': its correlation with the target 'score' overflows"),
+        "score",
     ])
-    def test_overflowing_raw_cell_prepare_exit_3(self, tmp_path, capsys, column, message):
+    def test_overflowing_raw_cell_prepare_exit_3(self, tmp_path, capsys, column):
         lines = (GOLDEN_SEED7 / SYNTH_CSV).read_text().splitlines()
         header = lines[0].split(",")
         row = lines[1].split(",")
@@ -666,7 +684,7 @@ class TestCliRefusesUnscorableInput:
             "--input", str(bad), "--out", str(tmp_path / "out"),
         ])
         assert code == 3
-        assert message in capsys.readouterr().err
+        assert f"{bad}, line 2, column {column!r}: value 1e+200 beyond ±1e+50" in capsys.readouterr().err
 
     def test_overflowing_training_row_loocv_exit_3(self, tmp_path, capsys):
         # every correlation with the target was NaN, so no feature won and
@@ -686,9 +704,7 @@ class TestCliRefusesUnscorableInput:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert (
-            f"training column {header[1]!r}: its correlation with the target 'score' overflows"
-        ) in err
+        assert f"{bad}, line 2, column {header[1]!r}: value 1e+308 beyond ±1e+50" in err
         assert "no feature columns" not in err
 
     @pytest.mark.parametrize("cell", ["", "nan"])
@@ -712,6 +728,17 @@ class TestCliRefusesUnscorableInput:
         capsys.readouterr()
         assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
         assert f"{cohort}, line 4, column 'f02': {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [("validate", VALIDATE_JSON), ("predict", PREDICTIONS_JSONL)])
+    def test_cohort_cell_beyond_the_bound_exit_3(self, tmp_path, capsys, command, name):
+        # every square of the subject's distances overflowed: predict exited
+        # 0, ranked training rows 0-19 by index alone and wrote Infinity
+        cohort = _golden_cohort_with(tmp_path, 0, "f02", "1e200")
+        capsys.readouterr()
+        assert main(_golden_argv(command, cohort, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert f"{cohort}, line 2, column 'f02': value 1e+200 beyond ±1e+50" in err
+        assert not (tmp_path / "out" / name).exists()
 
     @pytest.mark.parametrize("command, name", [("validate", VALIDATE_JSON), ("predict", PREDICTIONS_JSONL)])
     def test_refusal_leaves_earlier_output_alone(self, tmp_path, capsys, command, name):
@@ -1050,27 +1077,18 @@ def _golden_argv_with(tmp_path, command, sources, outlier_feature="f11"):
     return [swap.get(a, a) for a in STEP_ARGV[command]] + ["--out", str(tmp_path / "out")]
 
 
-def _refuse_constant(token):
-    raise ValueError(f"non-finite JSON number {token}")
-
-
 @pytest.mark.parametrize("command", ["loocv", "validate"])
-def test_correlation_that_overflows_is_null(tmp_path, capsys, command):
-    # a score of 1e200 overflows the sums of squares of the prediction and
+def test_score_whose_correlation_would_overflow_exit_3(tmp_path, capsys, command):
+    # a score of 1e200 overflowed the sums of squares of the prediction and
     # actual correlation: it was written as the bare token NaN, which no
     # strict JSON parser reads, and the figure was captioned "r = nan"
     source = TRAIN_CSV if command == "loocv" else VALIDATION_CSV
     bad = _golden_with_score(tmp_path, source, "1e200", [0])
-    assert main(_golden_argv_with(tmp_path, command, {source: bad})) == 0
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, command, {source: bad})) == 3
+    assert f"{bad}, line 2, column 'score': value 1e+200 beyond ±1e+50" in capsys.readouterr().err
     names = [LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON] if command == "loocv" else [VALIDATE_JSON]
-    out = tmp_path / "out"
-    for name in names:
-        text = (out / name).read_text()
-        assert '"prediction_actual_correlation": null' in text
-        json.loads(text, parse_constant=_refuse_constant)
-        assert main(["plot", "--report", str(out / name), "--kind", "scatter", "--out", str(out)]) == 0
-        caption = re.search(r'<text class="caption"[^>]*>([^<]*)<', (out / "scatter.svg").read_text())
-        assert caption.group(1) == f"n = {181 if command == 'loocv' else 43}"
+    assert not any((tmp_path / "out" / name).exists() for name in names)
 
 
 @pytest.mark.parametrize("cell, rows", [("-1.5e308", range(181)), ("1e308", [0, 1])],
@@ -1083,7 +1101,7 @@ def test_training_scores_whose_running_mean_overflows_exit_3(tmp_path, capsys, c
     capsys.readouterr()
     assert main(_golden_argv_with(tmp_path, command, {TRAIN_CSV: bad})) == 3
     err = capsys.readouterr().err
-    assert f"data error: {bad}: a running mean of up to 20 values of target 'score' overflows" in err
+    assert f"data error: {bad}, line 2, column 'score': value {float(cell)!r} beyond ±1e+50" in err
     assert not (tmp_path / "out" / STEP_OUTPUT[command]).exists()
 
 
@@ -1123,10 +1141,10 @@ class TestPrepareCohortYears:
         err = capsys.readouterr().err
         assert f"{bad}, line 6, column 'cohort': non-finite value {float(cell)!r}" in err
 
-    @pytest.mark.parametrize("huge, value", [("1e308", "inf"), ("-1e308", "-inf")])
-    def test_overflowing_group_year_exit_3(self, tmp_path, capsys, huge, value):
+    @pytest.mark.parametrize("huge", ["1e308", "-1e308"])
+    def test_overflowing_group_year_exit_3(self, tmp_path, capsys, huge):
         # the mean of two huge members: +inf fell into neither window and
-        # -inf into training
+        # -inf into training; each member is now refused as it is read
         lines = ["student_id,y1,y2,f01,score", "A,2018,2018,1.0,400", "B,2018,2018,2.0,380",
                  "", f"C,{huge},{huge},3.0,300"]
         cohort = tmp_path / "cohort.csv"
@@ -1141,7 +1159,8 @@ class TestPrepareCohortYears:
         assert main([
             "prepare", "--config", str(config), "--input", str(cohort), "--out", str(tmp_path / "x"),
         ]) == 3
-        assert f"{cohort}, line 5, column 'year': non-finite value {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cohort}, line 5, column 'y1': value {float(huge)!r} beyond ±1e+50" in err
 
     def test_year_from_a_group(self, workspace, tmp_path):
         # a one-member group's mean is its member: the year it stands for
@@ -1279,6 +1298,30 @@ def test_only_the_two_fault_families_are_defined_or_raised():
     assert raised == FAMILIES
     assert raised_by_reader == {"error"}
     assert passed == FAMILIES
+
+
+def test_one_bound_is_the_only_overflow_rule():
+    """Every number read lies within ``frame.BOUND``, so nothing formed
+    from them overflows: the bound is assigned once, in ``frame.py``, no
+    module tests for NaN with ``isnan``, and none but ``config.py``
+    (where ``float()`` of a huge JSON integer raises it) catches
+    ``OverflowError``."""
+    assigned, isnan, catches = [], [], []
+    for path in sorted(Path(ammknn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [path.name for t in targets if ast.unparse(t) == "BOUND"]
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if name == "isnan":
+                    isnan.append(path.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "OverflowError" in {ast.unparse(n) for n in ast.walk(node.type)}:
+                    catches.append(path.name)
+    assert assigned == ["frame.py"]
+    assert isnan == []
+    assert catches == ["config.py"]
 
 
 def test_readme_configuration_table_names_every_field():

@@ -5,8 +5,8 @@ and correlates one cell and one column at a time with plain left-to-right
 float loops, and counts the rows it drops by reason. `run_prepare`
 streams the records into compact columns and works on them with shared
 sweeps; the two must write the same bytes and report the same counts, or
-refuse the same NaN or infinite cell, at its file line, with the same
-message.
+refuse the same NaN, infinite or out-of-bound cell, at its file line,
+with the same message.
 """
 
 import csv
@@ -51,7 +51,8 @@ def _pearson(x, y):
 def naive_prepare(text, threshold, exclude, path):
     """([train.csv, validation.csv, selection.json] as bytes, prepare's
     summary) for the CSV ``text`` read from ``path``; DataError naming the
-    first NaN or infinite cell of the file, used or not, by its line;
+    first NaN or infinite cell, or cell beyond ±1e50, of the file, used
+    or not, by its line;
     ZeroDivisionError where a column, the target or a side leaves nothing
     to divide by."""
     lines = list(enumerate(csv.reader(io.StringIO(text)), start=1))
@@ -63,6 +64,8 @@ def naive_prepare(text, threshold, exclude, path):
         for name, c in zip(header[1:], r[1:]):
             if c != "" and not math.isfinite(float(c)):
                 raise DataError(f"{path}, line {line}, column {name!r}: non-finite value {float(c)!r}")
+            if c != "" and abs(float(c)) > 1e50:
+                raise DataError(f"{path}, line {line}, column {name!r}: value {float(c)!r} beyond ±1e+50")
         records.append(r)
     names = header[1:]
     rows = [[None if c == "" else float(c) for c in r[1:]] for r in records]
@@ -151,7 +154,7 @@ RARELY = st.sampled_from([False] * 7 + [True])
 @st.composite
 def cohorts(draw):
     """(cohort CSV text, threshold, exclude_columns) with gaps in the group
-    members and the target, rare NaN and infinite cells, and rare blank
+    members and the target, rare NaN, infinite and out-of-bound cells, and rare blank
     lines. The target and cohort year may be named in exclude_columns;
     prepare keeps them all the same."""
     n = draw(st.integers(2, len(SCORES)))
@@ -170,9 +173,11 @@ def cohorts(draw):
         column(VALUES),
         column(SCORES),
     ]
-    if draw(RARELY):  # one NaN or infinite cell anywhere but the year
+    if draw(RARELY):  # one NaN, infinite or out-of-bound cell anywhere but the year
         j = draw(st.integers(1, len(columns) - 1))
-        columns[j][draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        columns[j][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1.5e50])
+        )
     blank_after = draw(st.lists(st.integers(0, n), min_size=1, max_size=2)) if draw(RARELY) else []
     exclude = draw(st.lists(st.sampled_from([*plain, "score", "cohort"]), unique=True))
     text = _csv_text(header, list(zip(*columns)), blank_after)

@@ -111,9 +111,11 @@ class TestPearson:
         assert pearson([0.0, 1e-160], [0.0, 1e-160]) is None
         assert prediction_actual_correlation([0.0, 1e-160], [0.0, 1e-160]) is None
 
-    def test_overflow_is_undefined(self):
-        assert math.isnan(pearson([1e200, -1e200, 0.0], [1.0, 2.0, 4.0]))
-        assert prediction_actual_correlation([1e200, -1e200, 0.0], [1.0, 2.0, 4.0]) is None
+    def test_cells_at_the_bound_give_a_finite_r(self):
+        # the largest spreads cells within ±1e50 can have, on both sides
+        x = [1e50, -1e50] * 50
+        r = pearson(x, [-v for v in x])
+        assert math.isfinite(r) and abs(r + 1.0) < 1e-12
 
 
 def designed_frame():

@@ -1,10 +1,12 @@
 """Property-based checks of the core numeric invariants."""
 
+import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammknn import (
@@ -95,13 +97,13 @@ def test_standardize_joint_idempotent(frame):
             assert abs(u - v) < 1e-6
 
 
-# every finite score, and the magnitudes whose sums of squares or running
-# sums overflow
-any_scores = st.one_of(
+# every finite number, drawing often the bound on every cell read and
+# magnitudes beyond it whose squares or running sums would overflow
+any_finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1e200, -1e200, 1.5e308, -1.5e308]),
-    scores,
+    st.sampled_from([1e50, -1e50, 1e200, -1e200, 1.5e308, -1.5e308]),
 )
+any_scores = any_finite | scores
 
 
 @st.composite
@@ -110,7 +112,7 @@ def scored_tables(draw):
     f0.. and a score ``t``; the outlier feature is configured or left to
     the default."""
     n_features = draw(st.integers(1, 3))
-    features = st.floats(-3.0, 3.0, allow_nan=False)
+    features = st.floats(-3.0, 3.0, allow_nan=False) | any_finite
 
     def table(prefix, n):
         return [
@@ -127,12 +129,29 @@ def scored_tables(draw):
     return config, [f"f{j}" for j in range(n_features)], train, table("c", draw(st.integers(1, 10)))
 
 
+def _seed7_with_huge_cell():
+    """The seed-7 training table and cohort, in ``scored_tables``' form,
+    with the first cohort row's f02 set to 1e200: predict once ranked
+    every training row at distance Infinity and wrote that token."""
+    golden = Path(__file__).parent / "golden" / "seed7"
+    tables = []
+    for name in ("train.csv", "validation.csv"):
+        with open(golden / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        tables.append([[row[0], *map(float, row[1:])] for row in rows])
+    names = header[1:-1]
+    tables[1][0][1 + names.index("f02")] = 1e200
+    config = PipelineConfig(target_name="t", id_column="id", knn_k=12, ammknn=AmmknnConfig(max_k=20))
+    return config, names, *tables
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-finite JSON number {token}")
 
 
 @settings(max_examples=50, deadline=None)
 @given(scored_tables())
+@example(_seed7_with_huge_cell())
 def test_no_step_writes_a_non_finite_number(case):
     """Each ranking step refuses its input or writes only finite numbers."""
     config, names, train, cohort = case

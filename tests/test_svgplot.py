@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ammknn.errors import DataError
@@ -52,6 +54,17 @@ class TestRenderPlot:
         doc = report([{"actual": 400.0, "predicted": 390.0}])
         with pytest.raises(DataError, match="subject 0 lacks plottable fields"):
             render_plot(doc, "packrat_scatter")
+
+    def test_numbers_at_the_bound_are_drawn(self):
+        svg = render_plot(report([subject(400, 1e50), subject(300, -1e50)]), "scatter")
+        assert svg.count('class="pt"') == 2
+        assert "nan" not in svg
+
+    def test_number_past_the_bound_is_refused(self):
+        past = math.nextafter(1e50, math.inf)
+        with pytest.raises(DataError) as exc:
+            render_plot(report([subject(400, 390), subject(300, 310, -past)]), "packrat_scatter")
+        assert str(exc.value) == f"subject 1 outlier_value is not a number within ±1e+50: {-past!r}"
 
     def test_deterministic_output(self):
         doc = report([subject(412, 395, 0.4), subject(333, 341, -2.3)])
