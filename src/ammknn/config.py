@@ -55,6 +55,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"cohort_column and target_name both name {self.target_name!r}"
             )
+        for key in ("target_name", "cohort_column"):
+            if self.id_column is not None and self.id_column == getattr(self, key):
+                raise ConfigError(f"id_column and {key} both name {self.id_column!r}")
         if not 0.0 <= self.correlation_threshold <= 1.0:
             raise ConfigError("correlation_threshold must be in [0, 1]")
         if self.knn_k < 1:

@@ -192,7 +192,7 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
         for m in spec.member_columns:
             if m not in names:
                 raise DataError(f"no column named {m!r}")
-        if spec.group_name in known:
+        if spec.group_name in known or spec.group_name == config.id_column:
             raise DataError(f"column {spec.group_name!r} already exists")
         known.append(spec.group_name)
         groups[spec.group_name] = [names.index(m) for m in spec.member_columns]

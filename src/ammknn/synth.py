@@ -11,7 +11,9 @@ noise of sd ``noise_sd``; the remaining features are pure noise; the
 target is an affine map of ability into ``target_range`` (clipped and
 rounded to a whole score), with the intercept placed so that roughly
 ``fail_rate_hint`` of subjects fall below 350. The rows carry each
-feature as its CSV text, the text of the value rounded to 6 decimals.
+feature as its CSV text, the text of the value rounded to 6 decimals;
+the feature cells of a block of rows are formatted together, by one
+``%`` over all their values.
 
 Pseudo-random bit-stream contract (part of the external interface, so
 golden outputs survive toolchain upgrades):
@@ -37,12 +39,11 @@ golden outputs survive toolchain upgrades):
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
-from math import cos, log, sqrt
+from itertools import repeat
+from math import cos, hypot, log, pi, sqrt
 from statistics import NormalDist
 from typing import Iterator, Optional, Tuple
 
@@ -135,13 +136,20 @@ class CohortSplit:
     Training rows get ``train_year`` (below the cutoff) and the rest
     ``validation_year``, in a column named ``column`` placed after the
     row id, letting generated cohorts flow through the same
-    year-filtered pipeline as real exports."""
+    year-filtered pipeline as real exports. Both years must lie within
+    ``frame.BOUND``, as ``prepare`` refuses a cell beyond it, and
+    generate_cohort refuses a ``column`` named like a generated one."""
 
     train_fraction: float
     seed: int
     column: str = "cohort"
     train_year: float = 2018.0
     validation_year: float = 2019.0
+
+    def __post_init__(self):
+        for key in ("train_year", "validation_year"):
+            if not abs(getattr(self, key)) <= BOUND:
+                raise ConfigError(f"split {key} {getattr(self, key)!r} lies beyond ±{BOUND!r}")
 
 
 # Where an output's low 64-bit word sits among the native 64-bit words of
@@ -188,7 +196,7 @@ class _Lanes:
 # Box-Muller factors: u = word * 2^-53, so 2 pi u2 = (2 pi 2^-53) * word2
 # exactly (both scale 2 pi by a power of two and round once).
 _UNIT = 2.0 ** -53
-_TWO_PI_UNIT = 2.0 * math.pi * 2.0 ** -53
+_TWO_PI_UNIT = 2.0 * pi * 2.0 ** -53
 
 
 def _normals(words) -> list:
@@ -217,15 +225,14 @@ def generate_cohort(spec: SynthSpec, split: Optional[CohortSplit] = None):
     the first row, so a bad split stanza is refused before anything is
     written.
     """
-    names = [f"f{j + 1:02d}" for j in range(spec.n_features)]
+    header = ["student_id", *(f"f{j + 1:02d}" for j in range(spec.n_features)), "score"]
     if split is None:
-        return ["student_id", *names, "score"], _rows(spec, repeat(()))
+        return header, _rows(spec, repeat(()))
+    if split.column in header:
+        raise ConfigError(f"split column {split.column!r} is already a generated column")
     train = _train_mask(spec.n_rows, split.train_fraction, split.seed)
     years = (float(split.validation_year),), (float(split.train_year),)
-    return (
-        ["student_id", split.column, *names, "score"],
-        _rows(spec, map(years.__getitem__, train)),
-    )
+    return [header[0], split.column, *header[1:]], _rows(spec, map(years.__getitem__, train))
 
 
 def _rows(spec: SynthSpec, leads) -> Iterator[tuple]:
@@ -233,32 +240,29 @@ def _rows(spec: SynthSpec, leads) -> Iterator[tuple]:
     ``lead`` the next item of ``leads``."""
     low, high = spec.target_range
     slope, intercept = spec._score_map()
-    per_row = spec.n_features + 1
+    n, per_row = spec.n_features, spec.n_features + 1
     signal_end = 1 + spec.signal_features
     times_sd = float(spec.noise_sd).__mul__
-    width = len(str(spec.n_rows))
+    ids = map(f"S{{:0{len(str(spec.n_rows))}d}}".format, range(1, spec.n_rows + 1))
 
     block_rows = max(1, 1024 // per_row)
     lanes = _Lanes(2 * min(block_rows, spec.n_rows) * per_row)
     state = spec.seed & _MASK64
-    i = 0
     for first in range(0, spec.n_rows, block_rows):
         count = 2 * min(block_rows, spec.n_rows - first) * per_row
         normals = _normals(lanes.words(state, count))
         state = (state + count * _GAMMA) & _MASK64
+        values = []  # the block's feature values, row by row
         for base in range(0, len(normals), per_row):
-            i += 1
-            ability = normals[base]
-            signal = map(ability.__add__, map(times_sd, normals[base + 1:base + signal_end]))
-            yield (
-                f"S{i:0{width}d}",
-                *next(leads),
-                *_feature_text(chain(signal, normals[base + signal_end:base + per_row])),
-                float(min(max(round(intercept + slope * ability), low), high)),
-            )
+            values += map(normals[base].__add__, map(times_sd, normals[base + 1:base + signal_end]))
+            values += normals[base + signal_end:base + per_row]
+        cells = _feature_text(values)
+        for at, ability in zip(range(0, len(cells), n), normals[0::per_row]):
+            score = float(min(max(round(intercept + slope * ability), low), high))
+            yield (next(ids), *next(leads), *cells[at:at + n], score)
 
 
-def _feature_text(values) -> list:
+def _feature_text(values: list) -> list:
     """The CSV text of each value rounded to 6 decimals: ``repr(round(v, 6))``.
 
     Where ``1e-4 <= |v| < 1e9`` that is the ``.6f`` text with its trailing
@@ -268,13 +272,22 @@ def _feature_text(values) -> list:
     double's shortest repr. Outside the range repr may write an exponent
     (``5e-05``) or fewer digits than the format, so those values go
     through ``repr(round(v, 6))`` itself.
+
+    All the values are formatted by one ``%``, and each of five passes of
+    ``replace`` strips one trailing zero from every cell, which leaves at
+    least one of the six decimals. The values are gone over one by one
+    only when one of them may lie outside the range: the ``.6f`` text of
+    every ``|v| < 1e-4`` holds ``0.0000`` (bar those that round to
+    ``0.000100``, whose two texts agree), and a ``|v| >= 1e9`` puts the
+    values' ``math.hypot`` at 1e9 or more.
     """
-    return [
-        (s + "0" if (s := f"{v:.6f}".rstrip("0"))[-1] == "." else s)
-        if 1e-4 <= v < 1e9 or -1e9 < v <= -1e-4
-        else repr(round(v, 6))
-        for v in values
-    ]
+    text = cells = ("%.6f," * len(values)) % tuple(values)
+    for _ in range(5):
+        cells = cells.replace("0,", ",")
+    cells = cells.split(",")[:-1]
+    if "0.0000" in text or not hypot(*values) < 1e9:
+        return [s if 1e-4 <= abs(v) < 1e9 else repr(round(v, 6)) for s, v in zip(cells, values)]
+    return cells
 
 
 def _train_mask(n: int, train_fraction: float, seed: int) -> bytearray:

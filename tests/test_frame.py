@@ -499,6 +499,14 @@ class TestAggregateMeans:
                 aggregations=[{"group_name": "q1", "member_columns": ["q1"]}],
             )
 
+    def test_group_named_as_the_id_column(self, tmp_path):
+        # the written header would name the id twice, which loocv refuses
+        with pytest.raises(DataError, match="column 'id' already exists"):
+            split_cohort(
+                tmp_path, ["q1", "t"], [[2018, 1, 2]],
+                aggregations=[{"group_name": "id", "member_columns": ["q1"]}],
+            )
+
     def test_unknown_member(self, tmp_path):
         with pytest.raises(DataError, match="no column named 'q9'"):
             split_cohort(

@@ -333,6 +333,24 @@ class TestCliErrors:
         assert field in capsys.readouterr().err
         assert not (out / SYNTH_CSV).exists()
 
+    @pytest.mark.parametrize("split, named", [
+        ({"column": "f01"}, "split column 'f01' is already a generated column"),
+        ({"column": "score"}, "split column 'score' is already a generated column"),
+        ({"column": "student_id"}, "split column 'student_id' is already a generated column"),
+        ({"train_year": 1e300}, "split train_year 1e+300 lies beyond ±1e+50"),
+        ({"validation_year": -1e51}, "split validation_year -1e+51 lies beyond ±1e+50"),
+    ], ids=["f01", "score", "student_id", "train_year", "validation_year"])
+    def test_synth_split_that_prepare_would_refuse_exit_2(self, tmp_path, capsys, split, named):
+        # synth wrote these cohorts, and prepare refused them: a repeated
+        # header name, or a year cell beyond the bound
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC_DOC, "split": {**SPEC_DOC["split"], **split}}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert f"config error: {named}\n" in capsys.readouterr().err
+        assert not (out / SYNTH_CSV).exists()
+
     @pytest.mark.parametrize("override, message", [
         ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "score"]}]},
          "aggregation 'g' would drop the target column"),
@@ -869,6 +887,25 @@ def test_target_as_outlier_feature_exit_2(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
     assert "config error: ammknn.outlier_feature 'score' is the target" in capsys.readouterr().err
+    assert not (out / STEP_OUTPUT[command]).exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"id_column": "score"}, "id_column and target_name both name 'score'"),
+    ({"id_column": "cohort"}, "id_column and cohort_column both name 'cohort'"),
+], ids=["target", "cohort"])
+@pytest.mark.parametrize("command", ["prepare", "loocv", "validate", "predict"])
+def test_id_column_naming_another_role_exit_2(tmp_path, capsys, command, override, message):
+    # an id column that is the target crashed each step with exit 4, and
+    # one that is the cohort column read as "cohort column not in input"
+    doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, **override}))
+    argv = [str(config) if a == str(GOLDEN_SEED7.parent / "config.json") else a for a in STEP_ARGV[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
     assert not (out / STEP_OUTPUT[command]).exists()
 
 

@@ -260,6 +260,20 @@ def test_feature_text_is_repr_of_value_rounded_to_6_decimals(v):
     assert _feature_text([v]) == [repr(round(v, 6))]
 
 
+# values at the edges of the fixed-point range, and one whose .6f text
+# holds "0.0000" though it lies inside it
+edge_values = st.sampled_from([0.0, -0.0, 9.9995e-5, 1e9, 8812407764.28967, 5e-324, 10.00001])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(cell_values, edge_values), max_size=60))
+@example([])
+@example([1.5, 10.00001, -2.25])
+@example([1.5, 1e9, -2.25])
+def test_feature_text_of_a_block_is_repr_of_each_value_rounded(values):
+    assert _feature_text(values) == [repr(round(v, 6)) for v in values]
+
+
 def synth_peak(tmp_path, n_rows):
     """tracemalloc's peak while ``synth`` writes an n_rows cohort with a split."""
     doc = {
