@@ -33,6 +33,13 @@ header row, ``.`` decimal separator, empty string means missing, and a
 blank line holds no row. Column labels are taken verbatim from the
 header and treated as opaque keys (no sanitization). Every id in the id
 column is non-empty and appears once.
+
+The CSV text is handled here, byte for byte as the ``csv`` module's
+default dialect handles it, with ``str.split`` and ``str.join`` where no
+cell needs quoting. On read, LF, CRLF and CR each end a line, and a
+quoted field may span lines: a line holding a quote (or a NUL) is read
+by ``csv.reader``. A written line ends with CRLF, and only a cell that
+holds a comma, a quote or a line break is quoted.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -93,10 +101,39 @@ def _cell(path, line: int, name: str, text: str) -> Cell:
     return value
 
 
-def _read_header(reader, path, target_name: Optional[str], id_column: Optional[str]):
-    """(column names without the id, id position or None) from a CSV reader."""
+def _split_lines(fh, path) -> Iterator:
+    """(line, record) for each record of a CSV file opened with
+    ``newline=""``, as ``csv.reader`` reads them, with ``line`` the
+    reader's ``line_num``: the physical line on which the record ends.
+
+    A line with no quote and no NUL is split at its commas, a blank one
+    giving the empty record. Any other line starts a ``csv.reader`` over
+    the same lines, for one record, so a quoted field may span lines.
+    ``csv``'s own refusals (a quoted field over its field size limit, a
+    NUL on Python 3.10) are a ``DataError`` naming the line.
+    """
+    lines = iter(fh)
+    line = 0
+    for text in lines:
+        if '"' in text or "\0" in text:
+            reader = csv.reader(chain((text,), lines))
+            try:
+                record = next(reader)
+            except csv.Error as exc:
+                raise DataError(f"{path}, line {line + reader.line_num}: {exc}") from None
+            line += reader.line_num
+        else:
+            line += 1
+            text = text.rstrip("\r\n")
+            record = text.split(",") if text else []
+        yield line, record
+
+
+def _read_header(records, path, target_name: Optional[str], id_column: Optional[str]):
+    """(column names without the id, id position or None) from
+    ``_split_lines``."""
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise DataError(f"{path}: file is empty") from None
     if not header or all(h == "" for h in header):
@@ -111,7 +148,7 @@ def _read_header(reader, path, target_name: Optional[str], id_column: Optional[s
     return [h for i, h in enumerate(header) if i != id_pos], id_pos
 
 
-def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
+def _records(records, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
     """(line, id or None, list of cells) for each record after the
     header, adding 1 to ``tally[0]`` for each; line is the file line on
     which the record ends.
@@ -129,8 +166,7 @@ def _records(reader, path, names: Sequence[str], id_pos: Optional[int], tally: l
     """
     width = len(names) + (id_pos is not None)
     seen = {}
-    for record in reader:
-        line = reader.line_num
+    for line, record in records:
         if len(record) != width:
             if not record:
                 continue
@@ -184,9 +220,9 @@ def load_csv(
         # utf-8-sig skips the byte-order mark that some spreadsheet
         # exports put before the header
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            names, id_pos = _read_header(reader, path, target_name, id_column)
-            consume(names, _records(reader, path, names, id_pos, tally))
+            records = _split_lines(fh, path)
+            names, id_pos = _read_header(records, path, target_name, id_column)
+            consume(names, _records(records, path, names, id_pos, tally))
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except UnicodeDecodeError:
@@ -269,15 +305,39 @@ def _open_out(path, newline: Optional[str] = None):
         raise DataError(f"{path}: cannot be written ({exc.strerror})") from None
 
 
-def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
-    """Write a header row, then each row of ``rows`` as it comes.
+def _quoted(cell) -> str:
+    """One cell as ``csv.writer`` writes it: None as an empty field, any
+    other cell as its ``str``, in quotes (each quote doubled) if that
+    holds a comma, a quote or a line break."""
+    if cell is None:
+        return ""
+    text = str(cell)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    The csv module writes a missing cell (None) as an empty field and a
-    float with ``repr()``, the shortest round-trip form, so load -> write
-    -> load reproduces every cell bit for bit. Nothing but the current row
-    is held, so ``rows`` may be drawn or computed as it is written.
+
+def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
+    """Write a header row, then each row of ``rows`` as it comes, byte for
+    byte as ``csv.writer`` does.
+
+    Each line ends with ``\\r\\n``. A cell is written as its ``str``, so a
+    float as its ``repr()``, the shortest round-trip form, and load ->
+    write -> load reproduces every cell bit for bit. A row is joined at
+    commas as it is unless a cell needs more: a missing cell (None) is
+    written as an empty field, a cell holding a comma, a quote or a line
+    break is quoted with each quote doubled, and a row of one empty field
+    is written as ``""``. Nothing but the current row is held, so
+    ``rows`` may be drawn or computed as it is written.
     """
     with _open_out(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        write = fh.write
+        for row in chain((header,), rows):
+            line = ",".join(map(str, row))
+            if (
+                '"' in line or "\r" in line or "\n" in line or "None" in line
+                or line.count(",") != len(row) - 1 or not line
+            ):
+                # csv writes a row of one empty field as "", not as a blank line
+                line = ",".join(map(_quoted, row)) or ('""' if row else "")
+            write(line + "\r\n")

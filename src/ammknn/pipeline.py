@@ -89,7 +89,7 @@ def _make_out_dir(out_dir) -> None:
         ) from None
 
 
-def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
+def resolve_outlier_feature(train: Table, config: PipelineConfig, path) -> str:
     """The name of the outlier feature: ``ammknn.outlier_feature`` if set,
     else the feature most positively correlated with the target (largest
     signed r, first on ties).
@@ -98,7 +98,8 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
     negatively would flag the strongest students; when every feature
     does, there is no sound default and the config must name one. A
     constant column (or a constant target) counts as r = 0. A configured
-    outlier feature must be a feature column, not the target.
+    outlier feature must be a feature column, not the target. ``path``,
+    the training file, is named in a refusal.
     """
     name = config.ammknn.outlier_feature
     if name is not None:
@@ -109,7 +110,7 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
                 f"ammknn.outlier_feature {name!r} is the target; name a feature column"
             )
         if name not in train.features:
-            raise ConfigError(f"configured outlier feature {name!r} not in training frame")
+            raise ConfigError(f"ammknn.outlier_feature {name!r} is not a feature column of {path}")
         return name
     names = train.features
     columns = [train.column(name) for name in names]
@@ -122,7 +123,7 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig) -> str:
         if r > best_r:
             best, best_r = name, r
     if best is None:
-        raise DataError("training frame has no feature columns")
+        raise DataError(f"{path}: training table has no feature columns")
     if best_r < 0.0:
         raise ConfigError(
             f"every feature correlates negatively with the target (best {best!r}, "
@@ -190,8 +191,12 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
     groups = {}  # group label -> positions of its members in a raw row
     for spec in config.aggregations:
         for m in spec.member_columns:
+            if m == config.id_column:
+                raise ConfigError(
+                    f"aggregation {spec.group_name!r}: the id column {m!r} cannot be a member"
+                )
             if m not in names:
-                raise DataError(f"no column named {m!r}")
+                raise ConfigError(f"aggregation {spec.group_name!r}: no column named {m!r}")
         if spec.group_name in known or spec.group_name == config.id_column:
             raise DataError(f"column {spec.group_name!r} already exists")
         known.append(spec.group_name)
@@ -356,7 +361,7 @@ def _read_training(config: PipelineConfig, train_path):
     """The training table, the name of its outlier feature and the label
     of the adaptive model."""
     train = read_table(train_path, config.target_name, config.id_column)
-    outlier = resolve_outlier_feature(train, config)
+    outlier = resolve_outlier_feature(train, config, train_path)
     return train, outlier, f"ammknn(max_k={config.ammknn.max_k},outlier={outlier})"
 
 

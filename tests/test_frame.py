@@ -1,6 +1,9 @@
+import csv
+import io
 import math
 import re
 from array import array
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammknn import load_csv, write_csv
+from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError, DataError
-from ammknn.frame import BOUND, Shape, read_table
+from ammknn.frame import BOUND, Shape, _split_lines, read_table
 from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
@@ -507,12 +511,18 @@ class TestAggregateMeans:
                 aggregations=[{"group_name": "id", "member_columns": ["q1"]}],
             )
 
-    def test_unknown_member(self, tmp_path):
-        with pytest.raises(DataError, match="no column named 'q9'"):
+    @pytest.mark.parametrize("member, problem", [
+        ("q9", "no column named 'q9'"),
+        # the id column is no feature, so it cannot enter a mean
+        ("id", "the id column 'id' cannot be a member"),
+    ])
+    def test_unknown_member(self, tmp_path, member, problem):
+        with pytest.raises(ConfigError) as exc:
             split_cohort(
                 tmp_path, ["q1", "t"], [[2018, 1, 2]],
-                aggregations=[{"group_name": "g", "member_columns": ["q9"]}],
+                aggregations=[{"group_name": "g", "member_columns": [member, "q1"]}],
             )
+        assert str(exc.value) == f"aggregation 'g': {problem}"
 
 
 class FloatSubclass(float):
@@ -531,6 +541,76 @@ CELLS = st.one_of(
     st.integers(-999, 999).map(str),
     FINITE.map(FloatSubclass),
 )
+
+
+def csv_reader_records(path):
+    """(line_num, record) of each record ``csv.reader`` reads from ``path``,
+    then (line_num, message) of its refusal, if it refuses one."""
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                out.append((reader.line_num, record))
+        except csv.Error as exc:
+            out.append((reader.line_num, str(exc)))
+    return out
+
+
+# every character csv.reader treats apart, each line ending, and plain text
+CSV_PIECES = ["a", ",", '"', "\n", "\r", "\r\n", " ", "1.5", "\0"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(CSV_PIECES), max_size=30).map("".join))
+def test_split_lines_reads_records_and_lines_as_csv_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode())
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            out.extend(_split_lines(fh, path))
+        except DataError as exc:  # a NUL, on Python 3.10
+            line, reason = re.fullmatch(rf"{re.escape(str(path))}, line (\d+): (.*)", str(exc)).groups()
+            out.append((int(line), reason))
+    assert out == csv_reader_records(path)
+
+
+# cells csv.writer quotes; NUL is left out, since csv.writer refuses it on
+# Python 3.10, where no file holding one is read
+QUOTED = st.lists(st.sampled_from(CSV_PIECES[:-1]), min_size=1, max_size=4).map("".join)
+WRITTEN = st.one_of(CELLS, QUOTED, st.just(""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(WRITTEN, max_size=3),
+    st.lists(st.one_of(st.lists(WRITTEN, max_size=4), st.sampled_from([[""], [None]])), max_size=5),
+)
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, header, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(header, path, rows)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+GOLDEN_SEED7 = Path(__file__).parent / "golden" / "seed7"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r"], ids=["LF", "CR"])
+def test_prepare_reads_any_line_ending(tmp_path, ending):
+    text = (GOLDEN_SEED7 / "cohort.csv").read_bytes().decode()
+    assert text.count("\r\n") == text.count("\n") > 200
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_bytes(text.replace("\r\n", ending).encode())
+    out = tmp_path / "out"
+    config = GOLDEN_SEED7.parent / "config.json"
+    assert main(["prepare", "--config", str(config), "--input", str(cohort), "--out", str(out)]) == 0
+    for name in ("train.csv", "validation.csv", "selection.json"):
+        assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -279,21 +279,21 @@ class TestResolveOutlierFeature:
     def test_strongest_negative_feature_is_passed_over(self):
         # |r| is 1 for "neg" and about 0.8 for "pos"
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
-        assert resolve_outlier_feature(train, self.CONFIG) == "pos"
+        assert resolve_outlier_feature(train, self.CONFIG, "train.csv") == "pos"
 
     def test_all_negative_features_are_a_config_error(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], weak=[3.0, 5.0, 1.0, 4.0, 2.0])
         with pytest.raises(ConfigError, match="'weak'"):
-            resolve_outlier_feature(train, self.CONFIG)
+            resolve_outlier_feature(train, self.CONFIG, "train.csv")
 
     def test_constant_column_counts_as_zero(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], flat=[1.0] * 5)
-        assert resolve_outlier_feature(train, self.CONFIG) == "flat"
+        assert resolve_outlier_feature(train, self.CONFIG, "train.csv") == "flat"
 
     def test_configured_feature_is_kept(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
         config = PipelineConfig(target_name="t", ammknn=AmmknnConfig(outlier_feature="neg"))
-        assert resolve_outlier_feature(train, config) == "neg"
+        assert resolve_outlier_feature(train, config, "train.csv") == "neg"
 
 
 class TestCliErrors:
@@ -498,7 +498,7 @@ class TestCliErrors:
             argv += ["--cohort", str(cohort)]
         capsys.readouterr()
         assert main(argv) == 3
-        assert "data error: training frame has no feature columns" in capsys.readouterr().err
+        assert f"data error: {train}: training table has no feature columns" in capsys.readouterr().err
 
     def test_malformed_report_exit_3(self, workspace, tmp_path):
         bad = tmp_path / "bad_report.json"
@@ -874,20 +874,43 @@ def test_bad_cell_is_named_by_its_file_line(tmp_path, capsys, command, source, c
     assert not (out / STEP_OUTPUT[command]).exists()
 
 
-@pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
-def test_target_as_outlier_feature_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("quote, problem", [
+    ("", "line 2, column 'f01': non-finite value inf"),
+    ('"', "line 2: field larger than field limit (131072)"),
+], ids=["unquoted", "quoted"])
+def test_oversized_cell_exit_3(tmp_path, capsys, quote, problem):
+    # the csv module's field size limit crashed predict with exit 4; a cell
+    # split at its commas is only ever refused as a cell
+    lines = (GOLDEN_SEED7 / VALIDATION_CSV).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index("f01")] = quote + "9" * 200_000 + quote
+    lines[1] = ",".join(cells)
+    bad = tmp_path / VALIDATION_CSV
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, "predict", {VALIDATION_CSV: bad})) == 3
+    assert f"data error: {bad}, {problem}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / PREDICTIONS_JSONL).exists()
+
+
+@pytest.mark.parametrize("feature, problem", [
     # the rule would read each student's own score, which never falls
     # below the cutoff, so it would never fire
+    ("score", "is the target; name a feature column"),
+    ("f99", f"is not a feature column of {GOLDEN_SEED7 / TRAIN_CSV}"),
+])
+@pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+def test_outlier_feature_that_is_no_feature_exit_2(tmp_path, capsys, command, feature, problem):
     doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
-    doc["ammknn"]["outlier_feature"] = "score"
+    doc["ammknn"]["outlier_feature"] = feature
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     argv = [str(config) if a == str(GOLDEN_SEED7.parent / "config.json") else a for a in STEP_ARGV[command]]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
-    assert "config error: ammknn.outlier_feature 'score' is the target" in capsys.readouterr().err
-    assert not (out / STEP_OUTPUT[command]).exists()
+    assert f"config error: ammknn.outlier_feature {feature!r} {problem}\n" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("override, message", [
