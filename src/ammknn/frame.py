@@ -37,9 +37,10 @@ column is non-empty and appears once.
 The CSV text is handled here, byte for byte as the ``csv`` module's
 default dialect handles it, with ``str.split`` and ``str.join`` where no
 cell needs quoting. On read, LF, CRLF and CR each end a line, and a
-quoted field may span lines: a line holding a quote (or a NUL) is read
-by ``csv.reader``. A written line ends with CRLF, and only a cell that
-holds a comma, a quote or a line break is quoted.
+quoted field may span lines: from the first line that holds a quote
+(or a NUL) on, ``csv.reader`` reads the rest of the file. A written line
+ends with CRLF, and only a cell that holds a comma, a quote or a line
+break is quoted.
 """
 
 from __future__ import annotations
@@ -106,27 +107,29 @@ def _split_lines(fh, path) -> Iterator:
     ``newline=""``, as ``csv.reader`` reads them, with ``line`` the
     reader's ``line_num``: the physical line on which the record ends.
 
-    A line with no quote and no NUL is split at its commas, a blank one
-    giving the empty record. Any other line starts a ``csv.reader`` over
-    the same lines, for one record, so a quoted field may span lines.
-    ``csv``'s own refusals (a quoted field over its field size limit, a
-    NUL on Python 3.10) are a ``DataError`` naming the line.
+    Up to the first line that holds a quote or a NUL, each line is split
+    at its commas, a blank one giving the empty record. From that line
+    on, one ``csv.reader`` reads the rest of the file, so a quoted field
+    may span lines, and a file whose header or ids are quoted costs what
+    ``csv`` alone costs. ``csv``'s own refusals (a field over its field
+    size limit, a NUL on Python 3.10) are a ``DataError`` naming the line.
     """
     lines = iter(fh)
     line = 0
     for text in lines:
         if '"' in text or "\0" in text:
-            reader = csv.reader(chain((text,), lines))
-            try:
-                record = next(reader)
-            except csv.Error as exc:
-                raise DataError(f"{path}, line {line + reader.line_num}: {exc}") from None
-            line += reader.line_num
-        else:
-            line += 1
-            text = text.rstrip("\r\n")
-            record = text.split(",") if text else []
-        yield line, record
+            break
+        line += 1
+        text = text.rstrip("\r\n")
+        yield line, text.split(",") if text else []
+    else:
+        return
+    reader = csv.reader(chain((text,), lines))
+    try:
+        for record in reader:
+            yield line + reader.line_num, record
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {line + reader.line_num}: {exc}") from None
 
 
 def _read_header(records, path, target_name: Optional[str], id_column: Optional[str]):

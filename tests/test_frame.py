@@ -64,6 +64,17 @@ class TestLoadCsv:
         assert frame.ids == ("A", "B", "C")
         assert frame.rows[0] == (1.0, 2.0)
 
+    def test_quoted_header_and_ids_load_as_unquoted(self, tmp_path):
+        # R's write.csv quotes the header and every string cell
+        plain = write(tmp_path, "p.csv", "id,x,y\nA,1,2\n\nB,3,4\n")
+        quoted = write(tmp_path, "q.csv", '"id","x","y"\n"A",1,2\n\n"B",3,4\n')
+        assert load(quoted, "y", id_column="id") == load(plain, "y", id_column="id")
+        # a quoted id spanning lines 5 and 6; the bad cell is named on line 6
+        path = write(tmp_path, "r.csv", '"id","x","y"\n"A",1,2\n\n"B",3,4\n"C\nD",x,6\n')
+        with pytest.raises(DataError) as exc:
+            load(path, "y", id_column="id")
+        assert str(exc.value) == f"{path}, line 6, column 'x': non-numeric cell 'x'"
+
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n")
         with pytest.raises(ConfigError, match="target 'y' not in header"):
