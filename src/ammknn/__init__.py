@@ -6,22 +6,23 @@ prediction, leave-one-out cross-validation, tiered risk classification,
 and confusion-matrix reporting.
 """
 
-from .config import PipelineConfig, config_from_json_dict, load_config
-from .frame import AggregationSpec, load_csv, write_csv
-from .knn import (
+from .config import (
+    AggregationSpec,
     AmmknnConfig,
-    PredictionRecord,
-    ammknn_predict_batch,
-    cumulative_means,
-    loocv,
+    PipelineConfig,
+    TierBoundaries,
+    config_from_json_dict,
+    load_config,
 )
+from .frame import load_csv, write_csv
+from .knn import PredictionRecord, ammknn_predict_batch, cumulative_means, loocv
 from .preprocess import (
     SelectionResult,
     StandardizationStats,
     select_by_correlation,
     standardize_joint,
 )
-from .report import TierBoundaries, classify_tier
+from .report import classify_tier
 from .synth import CohortSplit, SplitMix64, SynthSpec, generate_cohort
 
 __version__ = "0.1.0"

@@ -11,6 +11,14 @@ neighbor cap 20, outlier rule < -2).
 Every stanza is read by ``_from_json`` and written by
 ``dataclasses.asdict``, so the fields are the one list of keys: a key
 that is not a field, or a stanza that is not a JSON object, is refused.
+Every stanza class is defined here, and each checks, as it is built,
+every fault that needs no input file; ``PipelineConfig`` checks the
+faults between stanzas (two roles naming one column, an aggregation
+that takes the id column or the target, a group named like the id
+column or an earlier group, the target as the outlier feature). So every
+step refuses them as the config is loaded, before any file is read;
+only ``prepare``'s checks against its input's header are left to
+``pipeline``.
 """
 
 from __future__ import annotations
@@ -22,9 +30,57 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .frame import AggregationSpec
-from .knn import AmmknnConfig
-from .report import TierBoundaries
+
+# the range every tier boundary must lie in
+SCORE_MIN = 200.0
+SCORE_MAX = 800.0
+
+
+@dataclass(frozen=True)
+class AggregationSpec:
+    """Collapse several columns into one row-wise mean column."""
+
+    group_name: str
+    member_columns: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "member_columns", tuple(self.member_columns))
+        if not self.member_columns:
+            raise ConfigError(f"aggregation {self.group_name!r} has no member columns")
+
+
+@dataclass(frozen=True)
+class AmmknnConfig:
+    """Tunables of the adaptive predictor.
+
+    ``outlier_feature`` names, for ``pipeline``, the standardized column
+    whose low values trigger the minimum-match fallback, or is None for
+    its default; the engine reads only the outlier values it is handed
+    and the cutoff.
+    """
+
+    max_k: int = 20
+    outlier_feature: Optional[str] = None
+    outlier_cutoff: float = -2.0
+
+    def __post_init__(self):
+        if self.max_k < 1:
+            raise ConfigError(f"max_k must be >= 1, got {self.max_k}")
+
+
+@dataclass(frozen=True)
+class TierBoundaries:
+    fail_below: float = 350.0
+    at_risk_upper: float = 375.0
+
+    def __post_init__(self):
+        if not self.fail_below < self.at_risk_upper:
+            raise ConfigError(
+                f"fail_below {self.fail_below} must be below at_risk_upper {self.at_risk_upper}"
+            )
+        for v in (self.fail_below, self.at_risk_upper):
+            if not SCORE_MIN <= v <= SCORE_MAX:
+                raise ConfigError(f"tier boundary {v} outside score range")
 
 
 @dataclass(frozen=True)
@@ -52,9 +108,7 @@ class PipelineConfig:
         if not self.target_name:
             raise ConfigError("target_name is required")
         if self.cohort_column == self.target_name:
-            raise ConfigError(
-                f"cohort_column and target_name both name {self.target_name!r}"
-            )
+            raise ConfigError(f"cohort_column and target_name both name {self.target_name!r}")
         for key in ("target_name", "cohort_column"):
             if self.id_column is not None and self.id_column == getattr(self, key):
                 raise ConfigError(f"id_column and {key} both name {self.id_column!r}")
@@ -64,6 +118,26 @@ class PipelineConfig:
             raise ConfigError("knn_k must be >= 1")
         if not self.sweep_cutoffs:
             raise ConfigError("sweep_cutoffs must be non-empty")
+        if self.ammknn.outlier_feature == self.target_name:
+            # the rule would read each student's own score, which never
+            # falls below the cutoff
+            raise ConfigError(
+                f"ammknn.outlier_feature {self.target_name!r} is the target; "
+                "name a feature column"
+            )
+        groups = {self.id_column}
+        for spec in self.aggregations:
+            g = spec.group_name
+            if self.id_column is not None and self.id_column in spec.member_columns:
+                raise ConfigError(
+                    f"aggregation {g!r}: the id column {self.id_column!r} cannot be a member"
+                )
+            if self.target_name in spec.member_columns:
+                raise ConfigError(f"aggregation {g!r} would drop the target column")
+            # the written header would name the id or the group twice
+            if g in groups:
+                raise ConfigError(f"column {g!r} already exists")
+            groups.add(g)
 
     def sha256(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

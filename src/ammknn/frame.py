@@ -2,7 +2,10 @@
 
 ``load_csv`` reads a CSV's header and hands ``consume`` an iterator that
 parses each record as it is asked for one; nothing else holds the table.
-``prepare`` consumes the raw records itself (see ``pipeline``).
+``prepare`` consumes the raw records itself (see ``pipeline``, which
+plans its columns from the header). No configuration is defined or
+checked here: the target and id column arrive as names, and a header
+that lacks one is the only configuration fault raised here.
 ``read_table`` consumes a prepared table for ``loocv``, ``validate`` and
 ``predict``: it keeps only what a ranking step reads, one tuple of
 feature cells per row, in the training table's feature order, the
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -65,19 +67,6 @@ def _picker(idx: Sequence[int]) -> Callable:
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda row: tuple(row[i] for i in idx)
-
-
-@dataclass(frozen=True)
-class AggregationSpec:
-    """Collapse several columns into one row-wise mean column."""
-
-    group_name: str
-    member_columns: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_columns", tuple(self.member_columns))
-        if not self.member_columns:
-            raise ConfigError(f"aggregation {self.group_name!r} has no member columns")
 
 
 # --------------------------------------------------------------------------

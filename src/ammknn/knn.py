@@ -33,8 +33,10 @@ one pass of running means. The adaptive rule itself lives in
 tuple of feature cells each, the scores, the subjects and their outlier
 values. The engine is handed those values and never learns which
 feature they come from: ``pipeline`` resolves the outlier feature and
-takes its column. A ``PredictionRecord`` holds the lists ``_scored``
-yields, not copies of them.
+takes its column. Of ``AmmknnConfig``, defined and checked in
+``config``, the engine reads ``max_k`` and ``outlier_cutoff``. A
+``PredictionRecord`` holds the lists ``_scored`` yields, not copies of
+them.
 
 For each subject the engine windows, filters, then refines. The window
 spares most rows their approximate distance (see below); the filter gives
@@ -144,29 +146,11 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .config import AmmknnConfig
 from .errors import ConfigError, DataError
 
 # Ordered (training_row_index, distance) pairs, nearest first.
 NeighborRanking = List[Tuple[int, float]]
-
-
-@dataclass(frozen=True)
-class AmmknnConfig:
-    """Tunables of the adaptive predictor.
-
-    ``outlier_feature`` names, for ``pipeline``, the standardized column
-    whose low values trigger the minimum-match fallback, or is None for
-    its default; the engine reads only the outlier values it is handed
-    and the cutoff.
-    """
-
-    max_k: int = 20
-    outlier_feature: Optional[str] = None
-    outlier_cutoff: float = -2.0
-
-    def __post_init__(self):
-        if self.max_k < 1:
-            raise ConfigError(f"max_k must be >= 1, got {self.max_k}")
 
 
 @dataclass(frozen=True)

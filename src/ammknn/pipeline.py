@@ -1,14 +1,19 @@
 """End-to-end workflow steps behind the CLI subcommands.
 
+Every fault of the configuration that needs no input has been refused
+as it was loaded (see ``config``); what is left here needs a file.
 prepare: raw cohort CSV -> train/validation CSVs plus the selection audit
-JSON. Each record is handled as it is read: it is put on its side of the
-year cutoff or counted as left out (no usable year, a missing target),
-and only the cells its kept columns read are held, a block of rows at a
-time. Each block is transposed once; its group means are formed a
-column at a time, rows with a missing cell are counted and left out,
-and its cells go into one compact column per side and kept label, so
-memory follows the kept cells, not the raw table. Both sides are then
-jointly standardized and correlation-selected a column at a time.
+JSON. ``_plan`` checks the configuration against the header and plans
+the kept columns before the first record is read; the record pass that
+follows refuses nothing. Each record is handled as it is read: it is
+put on its side of the year cutoff or counted as left out (no usable
+year, a missing target), and only the cells its kept columns read are
+held, a block of rows at a time. Each block is transposed once; its
+group means are formed a column at a time, rows with a missing cell are
+counted and left out, and its cells go into one compact column per side
+and kept label, so memory follows the kept cells, not the raw table.
+Both sides are then jointly standardized and correlation-selected a
+column at a time; a selection that keeps no feature is refused.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
@@ -26,7 +31,8 @@ and no step checks for it. loocv,
 validate and predict each read their tables with ``frame.read_table``,
 which keeps only what the step ranks with and refuses a missing cell
 among it: the training table first, then the cohort. The outlier
-feature is known here alone: ``_read_training`` resolves its name once,
+feature is known here alone: ``_read_training`` refuses a training table
+of fewer than 2 rows, resolves the feature's name once,
 from the configuration or the training table's correlations, and takes
 its values with ``Table.column`` from the training table or the cohort;
 ``knn`` is handed those values, never the name. They all score
@@ -48,7 +54,6 @@ a step produces byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import os
 from array import array
 from functools import reduce
@@ -98,32 +103,20 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig, path) -> str:
     negatively would flag the strongest students; when every feature
     does, there is no sound default and the config must name one. A
     constant column (or a constant target) counts as r = 0. A configured
-    outlier feature must be a feature column, not the target. ``path``,
-    the training file, is named in a refusal.
+    outlier feature must be a feature column (``PipelineConfig`` refuses
+    the target). ``path``, the training file, is named in a refusal.
     """
     name = config.ammknn.outlier_feature
     if name is not None:
-        if name == config.target_name:
-            # the rule would read each student's own score, which never
-            # falls below the cutoff
-            raise ConfigError(
-                f"ammknn.outlier_feature {name!r} is the target; name a feature column"
-            )
         if name not in train.features:
             raise ConfigError(f"ammknn.outlier_feature {name!r} is not a feature column of {path}")
         return name
-    names = train.features
-    columns = [train.column(name) for name in names]
-    best = None
-    best_r = -math.inf
-    for name, r in zip(names, _correlations(columns, train.target)):
-        if r is None:
-            # degenerate (constant) columns carry no ranking signal
-            r = 0.0
-        if r > best_r:
-            best, best_r = name, r
-    if best is None:
+    if not train.features:
         raise DataError(f"{path}: training table has no feature columns")
+    correlations = _correlations(map(train.column, train.features), train.target)
+    rs = [0.0 if r is None else r for r in correlations]  # a constant column carries no signal
+    best_r = max(rs)
+    best = train.features[rs.index(best_r)]
     if best_r < 0.0:
         raise ConfigError(
             f"every feature correlates negatively with the target (best {best!r}, "
@@ -154,9 +147,9 @@ def _row_mean(cells, k: int):
         return None
 
 
-def _move(rows: list, columns: list, plan: list) -> bool:
+def _move(rows: list, columns: list, layout: list) -> bool:
     """Append a block of picked rows to ``columns``, one kept column per
-    ``(first cell, member count)`` of ``plan``: a plain column's one cell,
+    ``(first cell, member count)`` of ``layout``: a plain column's one cell,
     or the mean of a group's members. Returns False, with every column as
     it was, if a cell is missing.
 
@@ -170,7 +163,7 @@ def _move(rows: list, columns: list, plan: list) -> bool:
     cells = list(zip(*rows))
     done = len(columns[0])
     try:
-        for column, (at, k) in zip(columns, plan):
+        for column, (at, k) in zip(columns, layout):
             if k:
                 total = repeat(0.0)
                 for member in cells[at:at + k]:
@@ -185,27 +178,31 @@ def _move(rows: list, columns: list, plan: list) -> bool:
     return True
 
 
-def _split_records(config: PipelineConfig, names: list, records) -> tuple:
-    """``prepare``'s pass over the raw records; see ``_split_cohort``."""
-    known = list(names)
+def _plan(config: PipelineConfig, names: list) -> tuple:
+    """``prepare``'s column plan, made from the header ``names`` (the id
+    column left out) before the first record is read: the kept column
+    labels, their ``(first cell, member count)`` layout in a picked row,
+    the picker of those cells from a raw row, the year reader and the
+    target's position.
+
+    Every check of the configuration that needs the header is made here,
+    each a ``ConfigError``: an aggregation member, an ``include_columns``
+    or ``exclude_columns`` name or a cohort column that the input lacks,
+    a group named like an input column, and candidate columns that hold
+    no feature; so is ``prepare``'s need of a cohort column and a year
+    cutoff. ``PipelineConfig`` has made every check that needs no
+    header."""
     groups = {}  # group label -> positions of its members in a raw row
     for spec in config.aggregations:
+        g = spec.group_name
         for m in spec.member_columns:
-            if m == config.id_column:
-                raise ConfigError(
-                    f"aggregation {spec.group_name!r}: the id column {m!r} cannot be a member"
-                )
             if m not in names:
-                raise ConfigError(f"aggregation {spec.group_name!r}: no column named {m!r}")
-        if spec.group_name in known or spec.group_name == config.id_column:
-            raise DataError(f"column {spec.group_name!r} already exists")
-        known.append(spec.group_name)
-        groups[spec.group_name] = [names.index(m) for m in spec.member_columns]
-    members = set()
-    for spec in config.aggregations:
-        if config.target_name in spec.member_columns:
-            raise ConfigError(f"aggregation {spec.group_name!r} would drop the target column")
-        members.update(spec.member_columns)
+                raise ConfigError(f"aggregation {g!r}: no column named {m!r}")
+        if g in names:
+            raise ConfigError(f"aggregation {g!r}: column {g!r} already exists in the input")
+        groups[g] = [names.index(m) for m in spec.member_columns]
+    members = {m for spec in config.aggregations for m in spec.member_columns}
+    known = names + list(groups)
     available = [n for n in known if n not in members]
     include = config.include_columns
     for name in include or ():
@@ -214,8 +211,8 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
     for name in config.exclude_columns:  # a group member may be excluded too
         if name not in known:
             raise ConfigError(f"exclude_columns: no column named {name!r}")
-    cohort, cutoff = config.cohort_column, config.year_cutoff
-    if cohort is None or cutoff is None:
+    cohort = config.cohort_column
+    if cohort is None or config.year_cutoff is None:
         raise ConfigError("prepare needs cohort_column and year_cutoff")
     if cohort not in available:
         raise ConfigError(f"cohort column {cohort!r} not in input")
@@ -227,19 +224,30 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
             or (include is None or n in include) and n not in config.exclude_columns
         )
     ]
+    if len(columns) < 2:  # the target is always kept
+        raise ConfigError(
+            "no candidate feature column is left once the cohort column, "
+            "include_columns and exclude_columns are applied"
+        )
     # the cells the kept columns read from a raw row, in one itemgetter:
     # a plain column's own cell, or every member of a group
-    at, plan = [], []
+    at, layout = [], []
     for n in columns:
-        plan.append((len(at), len(groups[n]) if n in groups else 0))
+        layout.append((len(at), len(groups[n]) if n in groups else 0))
         at.extend(groups.get(n) or [names.index(n)])
-    pick = _picker(at)
     if cohort in groups:  # a group's mean serves as the year
         get_members, k = _picker(groups[cohort]), len(groups[cohort])
         year_of = lambda row: _row_mean(get_members(row), k)  # noqa: E731
     else:
         year_of = itemgetter(names.index(cohort))
-    target = names.index(config.target_name)
+    return columns, layout, _picker(at), year_of, names.index(config.target_name)
+
+
+def _split_records(plan: tuple, cutoff: float, records) -> tuple:
+    """``prepare``'s pass over the raw records, by the column plan of
+    ``_plan``; see ``_split_cohort``. It refuses nothing: the plan was
+    checked against the header, and ``load_csv`` checks each cell."""
+    columns, layout, pick, year_of, target = plan
     next_year = cutoff + 1
     outside = 0
     missing_target, incomplete = [0, 0], [0, 0]
@@ -248,11 +256,11 @@ def _split_records(config: PipelineConfig, names: list, records) -> tuple:
 
     def flush(side: int) -> None:
         rows, ids = blocks[side]
-        if not _move(rows, sides[side].columns, plan):
+        if not _move(rows, sides[side].columns, layout):
             # a block that holds a missing cell: drop its incomplete rows
             complete = [None not in cells for cells in rows]
             incomplete[side] += complete.count(False)
-            _move(list(compress(rows, complete)), sides[side].columns, plan)
+            _move(list(compress(rows, complete)), sides[side].columns, layout)
             ids = compress(ids, complete)
         sides[side].ids.extend(ids)
         for pending in blocks[side]:
@@ -312,14 +320,17 @@ def _split_cohort(config: PipelineConfig, input_path):
     again row by row: its rows with one are counted in (3) and the rest
     are moved as before.
 
-    The configuration's columns are checked against the header before any
-    row is read. ``load_csv`` refuses a cell beyond ±``frame.BOUND`` as it
-    parses it, so every year, a group's mean included, is finite.
+    ``_plan`` checks the configuration's columns against the header
+    before any row is read. ``load_csv`` refuses a cell beyond
+    ±``frame.BOUND`` as it parses it, so every year, a group's mean
+    included, is finite.
     """
     split = []
     load_csv(
         input_path, config.target_name, config.id_column,
-        lambda names, records: split.extend(_split_records(config, names, records)),
+        lambda names, records: split.extend(
+            _split_records(_plan(config, names), config.year_cutoff, records)
+        ),
     )
     return tuple(split)
 
@@ -336,6 +347,11 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     selection = select_by_correlation(
         names, config.target_name, train.columns, config.correlation_threshold
     )
+    if len(selection.kept_columns) < 2:  # the target is always kept
+        raise DataError(
+            f"no feature column correlates with the target at correlation_threshold "
+            f"{config.correlation_threshold!r} or above"
+        )
     kept = [names.index(n) for n in selection.kept_columns]
     header = list(selection.kept_columns)
     if config.id_column is not None:
@@ -359,8 +375,11 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
 
 def _read_training(config: PipelineConfig, train_path):
     """The training table, the name of its outlier feature and the label
-    of the adaptive model."""
+    of the adaptive model. A table of fewer than 2 rows is refused,
+    whatever the configuration: no step can rank against it."""
     train = read_table(train_path, config.target_name, config.id_column)
+    if len(train.rows) < 2:
+        raise DataError(f"{train_path}: {len(train.rows)} training rows; at least 2 are needed")
     outlier = resolve_outlier_feature(train, config, train_path)
     return train, outlier, f"ammknn(max_k={config.ammknn.max_k},outlier={outlier})"
 

@@ -172,11 +172,15 @@ def select_by_correlation(
     is emitted per column so selection runs are diffable. All columns are
     correlated in one sweep, which works out the target's deviations once;
     every r is bit-identical to correlating that column and the target on
-    their own.
+    their own. A constant target is refused by name, and so is a column
+    whose r is undefined.
     """
     t = names.index(target_name)
+    y = train[t]
+    if len(y) > 1 and min(y) == max(y):  # every r would be undefined
+        raise DataError(f"target column {target_name!r} is constant")
     features = [j for j in range(len(names)) if j != t]
-    rs = dict(zip(features, _correlations([train[j] for j in features], train[t])))
+    rs = dict(zip(features, _correlations([train[j] for j in features], y)))
     kept = []
     dropped = []
     for j, name in enumerate(names):

@@ -15,41 +15,21 @@ the 2x2 matrix and every sweep point from the actual and predicted
 scores. Reports are plain dicts with a fixed key order so serialized
 output is byte-stable across runs and suitable for golden-file
 comparison; the config and bounds are written by ``asdict``, in field
-order. An undefined metric serializes as JSON null.
+order. An undefined metric serializes as JSON null. ``TierBoundaries``
+is defined and checked in ``config``, with every stanza.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from dataclasses import asdict
+from typing import List, Optional, Sequence
 
-from .errors import ConfigError
+from .config import PipelineConfig, TierBoundaries
 from .frame import _open_out
 from .preprocess import _correlations
 
-if TYPE_CHECKING:
-    from .config import PipelineConfig
-
 TIERS = ("fail", "at_risk", "pass")
-
-SCORE_MIN = 200.0
-SCORE_MAX = 800.0
-
-
-@dataclass(frozen=True)
-class TierBoundaries:
-    fail_below: float = 350.0
-    at_risk_upper: float = 375.0
-
-    def __post_init__(self):
-        if not self.fail_below < self.at_risk_upper:
-            raise ConfigError(
-                f"fail_below {self.fail_below} must be below at_risk_upper {self.at_risk_upper}"
-            )
-        for v in (self.fail_below, self.at_risk_upper):
-            if not SCORE_MIN <= v <= SCORE_MAX:
-                raise ConfigError(f"tier boundary {v} outside score range")
 
 
 def classify_tier(score: float, bounds: TierBoundaries) -> str:

@@ -508,19 +508,23 @@ class TestAggregateMeans:
         assert train.column("t") == (3.0, 6.0)
 
     def test_name_collision(self, tmp_path):
-        with pytest.raises(DataError, match="column 'q1' already exists"):
+        # the input is fine: the config names a column twice
+        with pytest.raises(ConfigError) as exc:
             split_cohort(
                 tmp_path, ["q1", "t"], [[2018, 1, 2]],
                 aggregations=[{"group_name": "q1", "member_columns": ["q1"]}],
             )
+        assert str(exc.value) == "aggregation 'q1': column 'q1' already exists in the input"
 
-    def test_group_named_as_the_id_column(self, tmp_path):
-        # the written header would name the id twice, which loocv refuses
-        with pytest.raises(DataError, match="column 'id' already exists"):
-            split_cohort(
-                tmp_path, ["q1", "t"], [[2018, 1, 2]],
-                aggregations=[{"group_name": "id", "member_columns": ["q1"]}],
-            )
+    @pytest.mark.parametrize("groups", [
+        [{"group_name": "id", "member_columns": ["q1"]}],
+        [{"group_name": "g", "member_columns": ["q1"]}, {"group_name": "g", "member_columns": ["t"]}],
+    ], ids=["id", "earlier-group"])
+    def test_group_named_as_the_id_column(self, groups):
+        # the written header would name the id or the group twice, which
+        # loocv refuses; no header is needed to see it
+        with pytest.raises(ConfigError, match=f"column '{groups[-1]['group_name']}' already exists"):
+            config_from_json_dict({"target_name": "x", "id_column": "id", "aggregations": groups})
 
     @pytest.mark.parametrize("member, problem", [
         ("q9", "no column named 'q9'"),
@@ -659,6 +663,10 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
         "aggregations": [{"group_name": "g", "member_columns": names[2:]}] if width > 2 else [],
         "exclude_columns": some,
     })
+    if width == 2:  # the target and the cohort year leave no candidate feature
+        with pytest.raises(ConfigError, match="no candidate feature column"):
+            _split_cohort(config, path)
+        return
     kept, train, validation, _ = _split_cohort(config, path)
     sides = (train.columns, validation.columns)
     try:

@@ -362,6 +362,13 @@ class TestCliErrors:
           "include_columns": ["f01"]},
          "include_columns: no column named 'f01'"),
         ({"exclude_columns": ["f1"]}, "exclude_columns: no column named 'f1'"),
+        # the input is fine: a group named like one of its columns is the
+        # config's fault, and the group is named
+        ({"aggregations": [{"group_name": "f01", "member_columns": ["f02"]}]},
+         "aggregation 'f01': column 'f01' already exists in the input"),
+        # prepare wrote a train.csv of only student_id,score, which loocv refused
+        ({"include_columns": []}, "no candidate feature column is left"),
+        ({"exclude_columns": [f"f{j:02d}" for j in range(1, 21)]}, "no candidate feature column is left"),
         ({"cohort_column": "score"}, "cohort_column and target_name both name 'score'"),
         ({"sweep_cutoffs": []}, "sweep_cutoffs must be non-empty"),
     ])
@@ -932,6 +939,78 @@ def test_id_column_naming_another_role_exit_2(tmp_path, capsys, command, overrid
     assert not (out / STEP_OUTPUT[command]).exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"ammknn": {"outlier_feature": "score"}},
+     "ammknn.outlier_feature 'score' is the target; name a feature column"),
+    ({"aggregations": [{"group_name": "g", "member_columns": ["student_id", "f01"]}]},
+     "aggregation 'g': the id column 'student_id' cannot be a member"),
+    ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "score"]}]},
+     "aggregation 'g' would drop the target column"),
+    ({"aggregations": [{"group_name": "student_id", "member_columns": ["f01"]}]},
+     "column 'student_id' already exists"),
+    ({"aggregations": [{"group_name": "g", "member_columns": ["f01"]},
+                       {"group_name": "g", "member_columns": ["f02"]}]},
+     "column 'g' already exists"),
+], ids=["outlier-target", "id-member", "target-member", "id-group", "repeated-group"])
+@pytest.mark.parametrize("command", ["prepare", "loocv", "validate", "predict"])
+def test_config_fault_needing_no_input_exit_2(tmp_path, capsys, command, override, message):
+    # each was refused by prepare alone, or by the steps that read the
+    # outlier feature alone, after an input was read; one config is now
+    # judged the same way by every step, as it is loaded
+    doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, **override}))
+    argv = [str(config) if a == str(GOLDEN_SEED7.parent / "config.json") else a for a in STEP_ARGV[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outlier_feature", [None, "f01"], ids=["default-outlier", "configured-outlier"])
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("command", ["loocv", "validate", "predict"])
+def test_training_table_of_fewer_than_2_rows_exit_3(tmp_path, capsys, command, rows, outlier_feature):
+    # one row was scored against, 43 times, once the outlier feature was
+    # configured; otherwise the refusal named no file
+    lines = (GOLDEN_SEED7 / TRAIN_CSV).read_text().splitlines()
+    train = tmp_path / TRAIN_CSV
+    train.write_text("\n".join(lines[:1 + rows]) + "\n")
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, command, {TRAIN_CSV: train}, outlier_feature)) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {train}: {rows} training rows; at least 2 are needed\n" in err
+    assert not (tmp_path / "out" / STEP_OUTPUT[command]).exists()
+
+
+def test_constant_target_is_named_exit_3(tmp_path, capsys):
+    # the refusal named the first feature, whose r the constant target
+    # left undefined
+    cohort = _golden_with_score(tmp_path, SYNTH_CSV, "400", range(224))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, "prepare", {SYNTH_CSV: cohort}, None)) == 3
+    assert "data error: target column 'score' is constant\n" in capsys.readouterr().err
+    assert not (out / TRAIN_CSV).exists()
+
+
+def test_selection_keeping_no_feature_exit_3(tmp_path, capsys):
+    # prepare wrote a train.csv of only student_id,score, which loocv refused
+    doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "correlation_threshold": 1.0}))
+    argv = [str(config) if a == str(GOLDEN_SEED7.parent / "config.json") else a for a in STEP_ARGV["prepare"]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 3
+    assert (
+        "data error: no feature column correlates with the target at correlation_threshold 1.0 "
+        "or above\n"
+    ) in capsys.readouterr().err
+    assert not (out / TRAIN_CSV).exists()
+
+
 # an output file of each subcommand
 STEP_OUTPUT = {
     "synth": SYNTH_CSV,
@@ -1382,6 +1461,30 @@ def test_one_bound_is_the_only_overflow_rule():
     assert assigned == ["frame.py"]
     assert isnan == []
     assert catches == ["config.py"]
+
+
+def test_one_module_defines_the_configuration():
+    """Every stanza class ``_from_json`` reads for ``PipelineConfig`` is
+    defined in ``config.py``, which imports nothing else of the package,
+    and ``prepare``'s record pass refuses nothing: ``PipelineConfig`` and
+    ``pipeline._plan`` have checked the configuration before it runs."""
+    stanzas, hints = set(), [PipelineConfig]
+    while hints:
+        for hint in get_type_hints(hints.pop()).values():
+            hint = (get_args(hint) or (hint,))[0]  # Optional[X] and Tuple[X, ...]
+            if is_dataclass(hint) and hint not in stanzas:
+                stanzas.add(hint)
+                hints.append(hint)
+    assert {cls.__name__ for cls in stanzas} == {"AggregationSpec", "AmmknnConfig", "TierBoundaries"}
+    assert {cls.__module__ for cls in stanzas | {PipelineConfig}} == {"ammknn.config"}
+
+    package = Path(ammknn.__file__).parent
+    tree = ast.parse((package / "config.py").read_text(encoding="utf-8"))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+    assert imported == {"errors"}
+    tree = ast.parse((package / "pipeline.py").read_text(encoding="utf-8"))
+    [split] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_split_records"]
+    assert [n for n in ast.walk(split) if isinstance(n, ast.Raise)] == []
 
 
 def test_readme_configuration_table_names_every_field():

@@ -52,7 +52,7 @@ def naive_prepare(text, threshold, exclude, path):
     """([train.csv, validation.csv, selection.json] as bytes, prepare's
     summary) for the CSV ``text`` read from ``path``; DataError naming the
     first NaN or infinite cell, or cell beyond ±1e50, of the file, used
-    or not, by its line;
+    or not, by its line, or the threshold that keeps no feature;
     ZeroDivisionError where a column, the target or a side leaves nothing
     to divide by."""
     lines = list(enumerate(csv.reader(io.StringIO(text)), start=1))
@@ -116,6 +116,11 @@ def naive_prepare(text, threshold, exclude, path):
             kept.append(name)
         else:
             dropped.append([name, r])
+    if kept == ["score"]:
+        raise DataError(
+            f"no feature column correlates with the target at correlation_threshold "
+            f"{threshold!r} or above"
+        )
     out = []
     for side in ("train", "validation"):
         buf = io.StringIO()
