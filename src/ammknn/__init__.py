@@ -15,7 +15,7 @@ from .config import (
     load_config,
 )
 from .frame import load_csv, write_csv
-from .knn import PredictionRecord, ammknn_predict_batch, cumulative_means, loocv
+from .knn import cumulative_means, score
 from .preprocess import (
     SelectionResult,
     StandardizationStats,
@@ -32,20 +32,18 @@ __all__ = [
     "AmmknnConfig",
     "CohortSplit",
     "PipelineConfig",
-    "PredictionRecord",
     "SelectionResult",
     "SplitMix64",
     "StandardizationStats",
     "SynthSpec",
     "TierBoundaries",
-    "ammknn_predict_batch",
     "classify_tier",
     "config_from_json_dict",
     "cumulative_means",
     "generate_cohort",
     "load_config",
     "load_csv",
-    "loocv",
+    "score",
     "select_by_correlation",
     "standardize_joint",
     "write_csv",

@@ -22,21 +22,20 @@ Deliberately picking the lowest running mean biases predictions downward,
 which is the point: the cost of missing a subject who goes on to fail far
 exceeds the cost of flagging one who would have passed.
 
-Every step scores through one loop, ``_scored``: for each subject, in
+Every step scores through one loop, ``score``: for each subject, in
 order, it ranks the training rows with ``_rank`` and yields the ranking,
-its targets and their running means. Predict and validate
-(``ammknn_predict_batch``) draw a ``PredictionRecord`` from each, one
-subject at a time; leave-one-out (``loocv``) holds each training row out
-of its own ranking and reads both the adaptive and the fixed-k model from
-one pass of running means. The adaptive rule itself lives in
-``_adaptive`` alone. Both take plain sequences: the training rows as one
-tuple of feature cells each, the scores, the subjects and their outlier
-values. The engine is handed those values and never learns which
-feature they come from: ``pipeline`` resolves the outlier feature and
-takes its column. Of ``AmmknnConfig``, defined and checked in
-``config``, the engine reads ``max_k`` and ``outlier_cutoff``. A
-``PredictionRecord`` holds the lists ``_scored`` yields, not copies of
-them.
+its targets, their running means and the adaptive rule's prediction and
+outlier flag. validate and predict read each subject's tuple as it is
+drawn, one subject at a time; leave-one-out holds each training row out
+of its own ranking and reads both the adaptive and the fixed-k model
+from one pass of running means. ``score`` takes plain sequences: the
+training rows as one tuple of feature cells each, the scores, the
+subjects and their outlier values. The engine is handed those values and
+never learns which feature they come from: ``pipeline`` resolves the
+outlier feature and takes its column. Of ``AmmknnConfig``, defined and
+checked in ``config``, the engine reads ``max_k`` and ``outlier_cutoff``;
+every other rule of the configuration or the input (``knn_k``, the
+number of training rows) is checked before it is called.
 
 For each subject the engine windows, filters, then refines. The window
 spares most rows their approximate distance (see below); the filter gives
@@ -66,7 +65,7 @@ has no relative error bound. No square overflows: every cell lies within
 4e100. ``math.dist`` differs in its last bits between Python versions; the
 margin absorbs that, and the order itself comes only from the sums.
 
-The window. ``_scored`` sorts the training rows once per call by their
+The window. ``score`` sorts the training rows once per call by their
 feature sums, ``math.fsum(row)``. For each subject, ``_rank`` finds the
 subject's sum among them with ``bisect`` and gives the starting block, the
 2 * ``limit`` rows around it (every row, when there are no more), their
@@ -98,7 +97,7 @@ the window nor the filter needs to know the held-out row.
 On the score-cohort benchmark inputs (seed 3, 717 training rows, 12
 features that share a common factor), a subject gets about 0.63 * n
 ``math.dist`` calls. Ranking the 1 075 subjects took 0.196 s against
-0.240 s without the window, and ``loocv``'s ranking 0.118 s against
+0.240 s without the window, and leave-one-out's ranking 0.118 s against
 0.147 s (best of 15 interleaved runs on a 2-core Xeon, Python 3.11.7).
 Where the features share no factor, almost every row falls in the
 window, which then only costs: on 717 x 12 i.i.d. normal rows, ranking
@@ -142,41 +141,11 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .config import AmmknnConfig
-from .errors import ConfigError, DataError
-
-# Ordered (training_row_index, distance) pairs, nearest first.
-NeighborRanking = List[Tuple[int, float]]
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Full audit trail of one adaptive prediction."""
-
-    subject_id: Optional[str]
-    neighbor_ranking: NeighborRanking
-    cumulative_means: list
-    min_of_means: float
-    min_match: float
-    outlier_value: float
-    outlier_triggered: bool
-    prediction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "neighbors": [[i, d] for i, d in self.neighbor_ranking],
-            "cumulative_means": self.cumulative_means,
-            "min_of_means": self.min_of_means,
-            "min_match": self.min_match,
-            "outlier_value": self.outlier_value,
-            "outlier_triggered": self.outlier_triggered,
-            "prediction": self.prediction,
-        }
+from .errors import DataError
 
 
 def _sum_index(matrix: Sequence[tuple]) -> tuple:
@@ -254,119 +223,40 @@ def cumulative_means(values: Sequence[float]) -> list:
     return out
 
 
-def _adaptive(
-    neighbor_targets: Sequence[float],
-    means: Sequence[float],
-    outlier_value: float,
-    config: AmmknnConfig,
-) -> Tuple[float, bool]:
-    """The adaptive rule: ``(prediction, outlier_triggered)`` from the
-    targets of a ranking, nearest first, and their running means, of which
-    only the first ``max_k`` count. Below the outlier cutoff the
-    prediction is the minimum match, otherwise the minimum of means."""
-    triggered = outlier_value < config.outlier_cutoff
-    if triggered:
-        return min(neighbor_targets[: config.max_k]), True
-    return min(means[: config.max_k]), False
-
-
-def _scored(
-    matrix: Sequence[tuple],
+def score(
+    training: Sequence[tuple],
     target: Sequence[float],
     subjects: Iterable[tuple],
+    outlier_values: Iterable[float],
+    config: AmmknnConfig,
     limit: int,
     held_out: bool = False,
-) -> Iterator[Tuple[list, list, list]]:
-    """For each subject row, in order: its ``limit`` nearest
-    ``(squared_distance, row)`` pairs among the checked training rows of
-    ``matrix``, their targets and the targets' running means. With
+) -> Iterator[Tuple[list, list, list, float, bool]]:
+    """For each subject row and its outlier value, in order:
+    ``(ranked, targets, means, prediction, outlier_triggered)``.
+
+    ``ranked`` holds the subject's ``limit`` nearest ``(squared_distance,
+    row)`` pairs among the checked training rows, ``targets`` their
+    scores and ``means`` the scores' running means. The adaptive rule
+    reads the first ``max_k`` of them: below the outlier cutoff the
+    prediction is the minimum match, otherwise the minimum of means. With
     ``held_out``, subject i is training row i and is left out of its own
-    ranking: it is ranked one place deeper, then dropped."""
+    ranking: it is ranked one place deeper, then dropped. Holding a row
+    out keeps the others' relative order, so this equals a fold by fold
+    re-fit bit for bit. Each subject is scored as it is drawn, and the
+    generator holds one subject's ranking at a time. Nothing is checked
+    here: the caller hands over at least one training row (two with
+    ``held_out``), as ``pipeline`` does once ``_read_training`` has
+    refused fewer than two.
+    """
     depth = limit + 1 if held_out else limit
-    index = _sum_index(matrix)
-    for i, subject in enumerate(subjects):
-        ranked = _rank(matrix, subject, depth, index)
+    index = _sum_index(training)
+    for i, (subject, value) in enumerate(zip(subjects, outlier_values)):
+        ranked = _rank(training, subject, depth, index)
         if held_out:
             ranked = [pair for pair in ranked if pair[1] != i][:limit]
         targets = [target[j] for _, j in ranked]
-        yield ranked, targets, cumulative_means(targets)
-
-
-def ammknn_predict_batch(
-    subjects: Iterable[Sequence[float]],
-    outlier_values: Sequence[float],
-    ids: Sequence[Optional[str]],
-    training: Sequence[Sequence[float]],
-    target: Sequence[float],
-    config: AmmknnConfig,
-) -> Iterator[PredictionRecord]:
-    """An iterator of one PredictionRecord per subject, in order.
-
-    Each subject is a sequence of feature cells in the order of the
-    ``training`` rows' cells; its outlier value is the cell of the same
-    index in ``outlier_values``, and its id that of ``ids``. Every cell,
-    and every ``target`` score, must lie within ±``frame.BOUND``:
-    ``frame.load_csv`` checks them as it parses them. The arguments are checked when this is
-    called, so a refusal comes before the first record; each record is
-    then scored as it is drawn, and only one subject's ranking is held at
-    a time. Prediction is pure per
-    subject, so subjects could be fanned out across workers without
-    changing the output.
-    """
-    if not training:
-        raise DataError("no training rows")
-    scored = _scored(training, target, subjects, config.max_k)
-
-    def records() -> Iterator[PredictionRecord]:
-        for (ranked, targets, means), value, rid in zip(scored, outlier_values, ids):
-            prediction, triggered = _adaptive(targets, means, value, config)
-            yield PredictionRecord(
-                subject_id=rid,
-                neighbor_ranking=[(j, math.sqrt(sq)) for sq, j in ranked],
-                cumulative_means=means,
-                min_of_means=min(means),
-                min_match=min(targets),
-                outlier_value=value,
-                outlier_triggered=triggered,
-                prediction=prediction,
-            )
-
-    return records()
-
-
-def loocv(
-    training: Sequence[Sequence[float]],
-    target: Sequence[float],
-    outlier_values: Sequence[float],
-    config: AmmknnConfig,
-    knn_k: int,
-) -> Tuple[list, list, list]:
-    """Leave-one-out predictions of the adaptive model and of fixed-k KNN.
-
-    ``training`` holds one sequence of feature cells per row,
-    ``target`` each row's score and ``outlier_values`` each row's outlier
-    value; every cell must lie within ±``frame.BOUND``.
-    Returns ``(adaptive, outlier_triggered, fixed_k)``, one entry per row,
-    each made with that row held out of training. Every row is ranked
-    once against all the others, ``max(max_k, knn_k)`` deep, and the
-    running means of its neighbors' targets are computed once: the
-    adaptive rule reads the first ``max_k`` of them and the fixed-k
-    prediction is the one at ``knn_k``. No ``PredictionRecord`` is built
-    per fold. Holding a row out keeps the others' relative order, so the
-    results equal a fold by fold re-fit bit for bit.
-    """
-    n = len(training)
-    if n < 2:
-        raise DataError("leave-one-out needs at least 2 rows")
-    if knn_k < 1:
-        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
-    if knn_k > n - 1:
-        raise DataError(f"k={knn_k} exceeds {n - 1} training rows per fold")
-    adaptive, triggered, fixed_k = [], [], []
-    scored = _scored(training, target, training, max(config.max_k, knn_k), held_out=True)
-    for (_, targets, means), value in zip(scored, outlier_values):
-        prediction, fired = _adaptive(targets, means, value, config)
-        adaptive.append(prediction)
-        triggered.append(fired)
-        fixed_k.append(means[knn_k - 1])
-    return adaptive, triggered, fixed_k
+        means = cumulative_means(targets)
+        triggered = value < config.outlier_cutoff
+        prediction = min((targets if triggered else means)[: config.max_k])
+        yield ranked, targets, means, prediction, triggered

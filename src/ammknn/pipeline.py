@@ -36,14 +36,17 @@ of fewer than 2 rows, resolves the feature's name once,
 from the configuration or the training table's correlations, and takes
 its values with ``Table.column`` from the training table or the cohort;
 ``knn`` is handed those values, never the name. They all score
-through one loop in ``knn``: a window over the training rows' feature
-sums, a ``math.dist`` filter over the rows in it, then exact
-left-to-right squared distances for the few rows it keeps. validate and predict hold one subject's ranking at a
-time: validate keeps two numbers of each subject for its report, and
-predict writes each subject's line as it is scored, after every cell has
-been checked. ``knn.loocv`` ranks each training row once and reads both
-models from that ranking; there is no pairwise distance cache, because
-its O(n^2) memory would outgrow everything else a step holds.
+through one generator, ``knn.score``: a window over the training rows'
+feature sums, a ``math.dist`` filter over the rows in it, then exact
+left-to-right squared distances for the few rows it keeps, and the
+adaptive rule. Each step reads from a subject's tuple only what it
+needs, one subject at a time. validate keeps the prediction and the
+outlier flag for its report, and predict writes each subject's line as
+it is scored, after every cell has been checked. loocv refuses a
+``knn_k`` beyond the n - 1 rows of a fold, ranks each training row once,
+held out of its own ranking, and reads both models from that ranking;
+there is no pairwise distance cache, because its O(n^2) memory would
+outgrow everything else a step holds.
 ``report.build_report`` turns the predictions into the tiers, tallies
 and metrics of a report.
 
@@ -54,6 +57,7 @@ a step produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from array import array
 from functools import reduce
@@ -66,7 +70,7 @@ from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
 from .frame import Table, _open_out, _picker, load_csv, read_table, write_csv
-from .knn import ammknn_predict_batch, loocv
+from .knn import score
 from .preprocess import _correlations, select_by_correlation, standardize_joint
 from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, generate_cohort
@@ -387,10 +391,18 @@ def _read_training(config: PipelineConfig, train_path):
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
     _make_out_dir(out_dir)
     train, outlier, model = _read_training(config, train_path)
+    k, n = config.knn_k, len(train.rows)
+    if k > n - 1:
+        raise DataError(f"{train_path}: k={k} exceeds {n - 1} training rows per fold")
     outlier_values = train.column(outlier)
-    ammknn_predictions, triggered, knn_predictions = loocv(
-        train.rows, train.target, outlier_values, config.ammknn, config.knn_k
-    )
+    depth = max(config.ammknn.max_k, k)
+    ammknn_predictions, triggered, knn_predictions = [], [], []
+    for _, _, means, prediction, fired in score(
+        train.rows, train.target, train.rows, outlier_values, config.ammknn, depth, held_out=True
+    ):
+        ammknn_predictions.append(prediction)
+        triggered.append(fired)
+        knn_predictions.append(means[k - 1])
 
     ammknn_report = report_mod.build_report(
         "loocv",
@@ -420,7 +432,7 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
 
 def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool):
     """The adaptive model's label, the cohort as read, its outlier values
-    and an iterator of its ``PredictionRecord``s. The training table is
+    and the ``knn.score`` generator of its subjects. The training table is
     read first, then the cohort, which must hold exactly the training
     table's feature columns, with or without the target: any other
     cohort, such as a raw one that still holds its year column, is a
@@ -431,21 +443,20 @@ def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool
         cohort_path, config.target_name, config.id_column, features=train.features, scored=scored
     )
     outlier_values = cohort.column(outlier)
-    records = ammknn_predict_batch(
-        cohort.rows, outlier_values, cohort.ids, train.rows, train.target, config.ammknn
+    return model, cohort, outlier_values, score(
+        train.rows, train.target, cohort.rows, outlier_values, config.ammknn, config.ammknn.max_k
     )
-    return model, cohort, outlier_values, records
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
     _make_out_dir(out_dir)
-    model, cohort, outlier_values, records = _scored_cohort(
+    model, cohort, outlier_values, scored = _scored_cohort(
         config, train_path, cohort_path, scored=True
     )
     predicted, triggered = [], []
-    for r in records:
-        predicted.append(r.prediction)
-        triggered.append(r.outlier_triggered)
+    for *_, prediction, fired in scored:
+        predicted.append(prediction)
+        triggered.append(fired)
 
     ids = cohort.ids
     bounds = config.tiers_predicted_validation
@@ -479,16 +490,26 @@ def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int
     """Write one JSON line per cohort row to ``predictions.jsonl``, each
     as it is scored, once every check has passed; returns the count."""
     _make_out_dir(out_dir)
-    *_, records = _scored_cohort(config, train_path, cohort_path, scored=False)
-    count = 0
+    _, cohort, outlier_values, scored = _scored_cohort(
+        config, train_path, cohort_path, scored=False
+    )
     with _open_out(os.path.join(out_dir, PREDICTIONS_JSONL)) as fh:
-        for r in records:
-            entry = r.to_json_dict()
-            entry["tier"] = classify_tier(r.prediction, config.tiers_predicted)
-            fh.write(json.dumps(entry))
+        for rid, value, (ranked, targets, means, prediction, fired) in zip(
+            cohort.ids, outlier_values, scored
+        ):
+            fh.write(json.dumps({
+                "subject_id": rid,
+                "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
+                "cumulative_means": means,
+                "min_of_means": min(means),
+                "min_match": min(targets),
+                "outlier_value": value,
+                "outlier_triggered": fired,
+                "prediction": prediction,
+                "tier": classify_tier(prediction, config.tiers_predicted),
+            }))
             fh.write("\n")
-            count += 1
-    return count
+    return len(cohort.rows)
 
 
 def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> dict:

@@ -79,15 +79,21 @@ def left_sum(values) -> float:
     return deque(accumulate(values, initial=0.0), maxlen=1)[0]
 
 
-def _column_stats(label: str, values: Sequence[float]):
-    """(mean, sd, deviations from the mean) of one pooled column."""
+def _spread(values: Sequence[float]):
+    """(mean, deviations from the mean, their summed squares) of a column."""
     # explicit left-to-right float arithmetic keeps transformed cells
     # byte-stable across interpreter versions (golden-file contract)
-    if len(values) < 2:
-        raise DataError("standardization needs at least 2 rows")
     mean = left_sum(values) / len(values)
     d = [v - mean for v in values]
-    sd = math.sqrt(left_sum(map(mul, d, d)) / (len(values) - 1))
+    return mean, d, left_sum(map(mul, d, d))
+
+
+def _column_stats(label: str, values: Sequence[float]):
+    """(mean, sd, deviations from the mean) of one pooled column."""
+    if len(values) < 2:
+        raise DataError("standardization needs at least 2 rows")
+    mean, d, squares = _spread(values)
+    sd = math.sqrt(squares / (len(values) - 1))
     if sd == 0.0:
         raise DataError(f"column {label!r} has zero variance")
     return mean, sd, d
@@ -149,12 +155,8 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
         if n < 2:
             raise DataError("need at least 2 observations")
         if dy is None:
-            my = left_sum(y) / n
-            dy = [b - my for b in y]
-            syy = left_sum(map(mul, dy, dy))
-        mx = left_sum(x) / n
-        dx = [a - mx for a in x]
-        sxx = left_sum(map(mul, dx, dx))
+            _, dy, syy = _spread(y)
+        _, dx, sxx = _spread(x)
         if sxx * syy == 0.0:
             yield None
         else:
@@ -172,13 +174,17 @@ def select_by_correlation(
     is emitted per column so selection runs are diffable. All columns are
     correlated in one sweep, which works out the target's deviations once;
     every r is bit-identical to correlating that column and the target on
-    their own. A constant target is refused by name, and so is a column
-    whose r is undefined.
+    their own. A target whose squared deviations sum to 0.0, constant or
+    so close to it that they underflow, leaves every r undefined and is
+    refused by name; so is a column whose own r is undefined.
     """
     t = names.index(target_name)
     y = train[t]
-    if len(y) > 1 and min(y) == max(y):  # every r would be undefined
-        raise DataError(f"target column {target_name!r} is constant")
+    if len(y) > 1 and _spread(y)[2] == 0.0:
+        why = "is constant" if min(y) == max(y) else (
+            "varies too little: its squared deviations underflow to 0.0"
+        )
+        raise DataError(f"target column {target_name!r} {why}")
     features = [j for j in range(len(names)) if j != t]
     rs = dict(zip(features, _correlations([train[j] for j in features], y)))
     kept = []

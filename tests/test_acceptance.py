@@ -16,8 +16,7 @@ from pathlib import Path
 from ammknn import (
     AmmknnConfig,
     PipelineConfig,
-    ammknn_predict_batch,
-    loocv,
+    score,
     select_by_correlation,
     standardize_joint,
 )
@@ -175,10 +174,10 @@ def test_criterion_3_min_over_k_equivalence():
         matrix, targets = _split(rows)
         subject = [rng.uniform(-4, 4) for _ in range(dims)]
         config = AmmknnConfig(max_k=max_k, outlier_feature="outlier")
-        [record] = ammknn_predict_batch([tuple(subject)], [0.0], [None], matrix, targets, config)
-        assert not record.outlier_triggered
+        [(*_, prediction, triggered)] = score(matrix, targets, [subject], [0.0], config, max_k)
+        assert not triggered
         oracle = _brute_min_over_k(subject, matrix, targets, max_k)
-        assert record.prediction == oracle
+        assert prediction == oracle
     assert time.monotonic() - start < 5.0
 
 
@@ -192,20 +191,23 @@ def _split(rows):
     return [tuple(row[:-1]) for row in rows], [row[-1] for row in rows]
 
 
-def _loocv(rows, config, k):
-    """``loocv`` of rows whose last cell is the target, x0 (the first
-    column) being the outlier feature, as run_loocv computes it."""
-    return loocv(*_split(rows), [row[0] for row in rows], config, k)
+def _loocv(rows, config, depth):
+    """Each row of ``rows`` (features, then the target) scored held out
+    of its own ranking, ``depth`` deep, x0 (the first column) being the
+    outlier feature, as run_loocv scores them."""
+    matrix, targets = _split(rows)
+    outliers = [row[0] for row in rows]
+    return list(score(matrix, targets, matrix, outliers, config, depth, held_out=True))
 
 
 def _knn_model(rows, k):
-    """Fixed-k LOOCV predictions, as run_loocv computes them."""
-    return _loocv(rows, AmmknnConfig(max_k=1, outlier_feature="x0"), k)[2]
+    """Fixed-k LOOCV predictions, as run_loocv reads them."""
+    return [means[k - 1] for _, _, means, *_ in _loocv(rows, AmmknnConfig(max_k=1), k)]
 
 
 def _ammknn_model(rows, max_k):
-    """Adaptive LOOCV predictions, as run_loocv computes them."""
-    return _loocv(rows, AmmknnConfig(max_k=max_k, outlier_feature="x0"), 1)[0]
+    """Adaptive LOOCV predictions, as run_loocv reads them."""
+    return [scored[3] for scored in _loocv(rows, AmmknnConfig(max_k=max_k), max_k)]
 
 
 @criterion(4, "LOOCV holds out the subject row (no self-match leakage)")

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammknn import (
-    AmmknnConfig,
-    ammknn_predict_batch,
-    cumulative_means,
-    loocv,
-)
+from ammknn import AmmknnConfig, cumulative_means, score
 from ammknn.errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
@@ -50,10 +45,31 @@ def split_rows(rows):
 
 
 def predict_one(subject, outlier_value, training, config):
-    """The batch predictor's record for one subject against ``training``,
-    a ``(matrix, target)`` pair."""
-    [record] = ammknn_predict_batch([tuple(subject)], [outlier_value], [None], *training, config)
-    return record
+    """``score``'s ``(ranked, targets, means, prediction, triggered)`` for
+    one subject against ``training``, a ``(matrix, target)`` pair, ranked
+    ``max_k`` deep as validate and predict rank."""
+    [scored] = score(*training, [tuple(subject)], [outlier_value], config, config.max_k)
+    return scored
+
+
+def neighbors(ranked):
+    """(row, distance) pairs of a ranking, as predict writes them."""
+    return [(j, math.sqrt(sq)) for sq, j in ranked]
+
+
+def loocv(matrix, target, outlier_values, config, knn_k):
+    """``(adaptive, outlier_triggered, fixed_k)`` predictions of every
+    row held out of its own ranking, read from ``score`` as ``run_loocv``
+    reads them."""
+    adaptive, triggered, fixed_k = [], [], []
+    depth = max(config.max_k, knn_k)
+    for *_, means, prediction, fired in score(
+        matrix, target, matrix, outlier_values, config, depth, held_out=True
+    ):
+        adaptive.append(prediction)
+        triggered.append(fired)
+        fixed_k.append(means[knn_k - 1])
+    return adaptive, triggered, fixed_k
 
 
 def random_training(rng, n, dims):
@@ -67,8 +83,8 @@ def random_training(rng, n, dims):
 def ranking(subject, feature_rows, limit):
     """(row, distance) pairs the predictor reports for a subject."""
     training = split_rows([list(r) + [400.0] for r in feature_rows])
-    record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))
-    return tuple(record.neighbor_ranking)
+    ranked = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))[0]
+    return tuple(neighbors(ranked))
 
 
 def first_column_loocv(rows, config, k):
@@ -113,16 +129,12 @@ class TestRankNeighbors:
         for _ in range(20):
             training = random_training(rng, 50, 4)
             subject = [rng.uniform(-3, 3) for _ in range(4)]
-            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
+            ranked = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))[0]
             matrix = training[0]
-            assert [i for i, _ in record.neighbor_ranking] == brute_rank(subject, matrix)[:20]
+            assert [i for _, i in ranked] == brute_rank(subject, matrix)[:20]
 
     def test_limit_beyond_rows_returns_all(self):
         assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
-
-    def test_empty_training(self):
-        with pytest.raises(DataError, match="no training rows"):
-            ranking([0.0], [], 1)
 
 
 class TestCumulativeMeans:
@@ -155,38 +167,38 @@ class TestKnnRegress:
 
     def test_equals_prefix_mean(self):
         training = split_rows(self.ROWS)
-        record = predict_one([1.7], 0.0, training, AmmknnConfig(max_k=5))
-        assert fixed_k([1.7], self.ROWS, 3) == record.cumulative_means[2]
-
-    def test_k_too_large(self):
-        with pytest.raises(DataError, match="k=6 exceeds 5 training rows per fold"):
-            fixed_k([0.0], self.ROWS, 6)
+        means = predict_one([1.7], 0.0, training, AmmknnConfig(max_k=5))[2]
+        assert fixed_k([1.7], self.ROWS, 3) == means[2]
 
 
 class TestAmmknnPredictOne:
     def test_constant_neighborhood(self):
         rows = [[float(i), 500.0] for i in range(20)]
         training = split_rows(rows)
-        record = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
-        assert record.min_of_means == 500.0
-        assert record.min_match == 500.0
-        assert record.prediction == 500.0
-        assert not record.outlier_triggered
+        _, targets, means, prediction, triggered = predict_one(
+            [0.0], 0.0, training, AmmknnConfig(max_k=20)
+        )
+        assert min(means) == 500.0
+        assert min(targets) == 500.0
+        assert prediction == 500.0
+        assert not triggered
 
     def test_outlier_takes_min_match(self):
         # ranked neighbor targets [480, 310]: prefix means [480, 395]
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
-        record = predict_one([0.0], -2.5, training, AmmknnConfig(max_k=2))
-        assert record.min_of_means == 395.0
-        assert record.min_match == 310.0
-        assert record.outlier_triggered
-        assert record.prediction == 310.0
+        _, targets, means, prediction, triggered = predict_one(
+            [0.0], -2.5, training, AmmknnConfig(max_k=2)
+        )
+        assert min(means) == 395.0
+        assert min(targets) == 310.0
+        assert triggered
+        assert prediction == 310.0
 
     def test_outlier_cutoff_is_strict(self):
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
-        record = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
-        assert not record.outlier_triggered
-        assert record.prediction == 395.0
+        *_, prediction, triggered = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
+        assert not triggered
+        assert prediction == 395.0
 
     def test_non_outlier_equals_min_over_k_oracle(self):
         rng = random.Random(123)
@@ -196,19 +208,17 @@ class TestAmmknnPredictOne:
             training = random_training(rng, n, dims)
             subject = [rng.uniform(-3, 3) for _ in range(dims)]
             max_k = rng.randint(1, 20)
-            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+            prediction = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[3]
             oracle = brute_min_over_k(subject, *training, max_k)
-            assert record.prediction == oracle  # bit-exact
+            assert prediction == oracle  # bit-exact
 
     def test_min_match_never_exceeds_min_of_means(self):
         rng = random.Random(5)
         for _ in range(50):
             training = random_training(rng, rng.randint(2, 25), 3)
             subject = [rng.uniform(-3, 3) for _ in range(3)]
-            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
-            assert record.min_match <= record.min_of_means
-            for mean in record.cumulative_means:
-                assert record.min_of_means <= mean
+            _, targets, means, *_ = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))
+            assert min(targets) <= min(means)
 
     def test_prediction_never_exceeds_max_k_regression(self):
         rng = random.Random(6)
@@ -217,22 +227,21 @@ class TestAmmknnPredictOne:
             training = random_training(rng, n, 2)
             subject = [rng.uniform(-3, 3) for _ in range(2)]
             max_k = min(20, n)
-            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
+            prediction = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[3]
             rows = [[*row, t] for row, t in zip(*training)]
-            assert record.prediction <= fixed_k(subject, rows, max_k)
+            assert prediction <= fixed_k(subject, rows, max_k)
 
     def test_permutation_stability(self):
         rng = random.Random(9)
         training = random_training(rng, 20, 3)
         subject = [rng.uniform(-3, 3) for _ in range(3)]
-        baseline = predict_one(subject, 0.0, training, AmmknnConfig(max_k=10))
+        baseline = predict_one(subject, 0.0, training, AmmknnConfig(max_k=10))[3]
         order = list(range(20))
         for _ in range(10):
             rng.shuffle(order)
             matrix, target = training
             permuted = [matrix[i] for i in order], [target[i] for i in order]
-            record = predict_one(subject, 0.0, permuted, AmmknnConfig(max_k=10))
-            assert record.prediction == baseline.prediction
+            assert predict_one(subject, 0.0, permuted, AmmknnConfig(max_k=10))[3] == baseline
 
     def test_max_k_saturation_non_increasing(self):
         rng = random.Random(10)
@@ -240,15 +249,15 @@ class TestAmmknnPredictOne:
         subject = [rng.uniform(-3, 3) for _ in range(2)]
         previous = math.inf
         for max_k in range(1, 31):
-            record = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))
-            assert record.min_of_means <= previous
-            previous = record.min_of_means
+            means = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[2]
+            assert min(means) <= previous
+            previous = min(means)
 
     def test_fewer_rows_than_max_k(self):
         training = split_rows([[0.0, 400.0], [1.0, 300.0]])
-        record = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
-        assert len(record.neighbor_ranking) == 2
-        assert len(record.cumulative_means) == 2
+        ranked, _, means, *_ = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
+        assert len(ranked) == 2
+        assert len(means) == 2
 
     def test_invalid_max_k(self):
         with pytest.raises(ConfigError, match="max_k must be >= 1, got 0"):
@@ -256,13 +265,15 @@ class TestAmmknnPredictOne:
 
 
 class TestAmmknnPredictBatch:
+    """``score`` over a cohort of subjects, as validate and predict draw it."""
+
     def config(self):
         return AmmknnConfig(max_k=5, outlier_feature="x0")
 
     def test_empty_subjects(self):
         rng = random.Random(1)
         training = random_training(rng, 10, 2)
-        assert list(ammknn_predict_batch([], [], [], *training, self.config())) == []
+        assert list(score(*training, [], [], self.config(), 5)) == []
 
     def test_rows_are_scored_independently(self):
         rng = random.Random(2)
@@ -270,29 +281,19 @@ class TestAmmknnPredictBatch:
         rows = [[0.5, -0.5, 999.0], [-2.5, 1.0, 300.0], [0.5, -0.5, 200.0], [3.0, 3.0, 400.0]]
         subjects = [tuple(row[:2]) for row in rows]
         outlier = [row[0] for row in rows]
-        ids = ["a", "b", "c", "d"]
-        records = list(ammknn_predict_batch(subjects, outlier, ids, *training, self.config()))
-        assert len(records) == len(rows)
-        for i, record in enumerate(records):
-            [alone] = ammknn_predict_batch(
-                subjects[i:i + 1], outlier[i:i + 1], ids[i:i + 1], *training, self.config()
-            )
-            assert record == alone
+        scored = list(score(*training, subjects, outlier, self.config(), 5))
+        assert len(scored) == len(rows)
+        for i, one in enumerate(scored):
+            [alone] = score(*training, subjects[i:i + 1], outlier[i:i + 1], self.config(), 5)
+            assert one == alone
 
     def test_outlier_value_read_per_row(self):
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
         config = AmmknnConfig(max_k=2, outlier_feature="x0")
         subjects = [(-2.5,), (0.0,)]
-        records = list(ammknn_predict_batch(subjects, [-2.5, 0.0], [None] * 2, *training, config))
-        assert records[0].outlier_triggered and records[0].prediction == 310.0
-        assert not records[1].outlier_triggered and records[1].prediction == 395.0
-
-    def test_order_preserved_and_ids_attached(self):
-        rng = random.Random(3)
-        training = random_training(rng, 8, 2)
-        subjects = [(0.0, 0.0), (1.0, 1.0)]
-        records = ammknn_predict_batch(subjects, [0.0, 1.0], ["a", "b"], *training, self.config())
-        assert [r.subject_id for r in records] == ["a", "b"]
+        first, second = score(*training, subjects, [-2.5, 0.0], config, 2)
+        assert first[4] and first[3] == 310.0
+        assert not second[4] and second[3] == 395.0
 
     def test_outlier_feature_name_is_not_read(self):
         # the engine is handed outlier values; the feature's name is
@@ -302,16 +303,16 @@ class TestAmmknnPredictBatch:
         subjects = [(0.0, 0.0), (-2.5, 1.0)]
         outliers = [0.0, -2.5]
         named, unnamed = AmmknnConfig(max_k=3, outlier_feature="x0"), AmmknnConfig(max_k=3)
-        assert list(ammknn_predict_batch(subjects, outliers, [None] * 2, matrix, target, unnamed)) == (
-            list(ammknn_predict_batch(subjects, outliers, [None] * 2, matrix, target, named))
+        assert list(score(matrix, target, subjects, outliers, unnamed, 3)) == (
+            list(score(matrix, target, subjects, outliers, named, 3))
         )
         outliers = [row[0] for row in matrix]
         assert loocv(matrix, target, outliers, unnamed, 2) == loocv(matrix, target, outliers, named, 2)
 
     def test_scored_records_hold_no_interpreter_blocks(self):
-        # a record holds the lists the scoring loop yields; copying them
-        # into fresh 20-item tuples left each dropped tuple on the
-        # interpreter's free list, about 2.5 blocks a subject on Python
+        # a subject's tuple holds the lists the scoring loop builds;
+        # copying them into fresh 20-item tuples left each dropped tuple on
+        # the interpreter's free list, about 2.5 blocks a subject on Python
         # 3.11 (up to its cap of 2 000 tuples). What gc.collect() empties
         # and a scoring refills comes to about 260 blocks, however many
         # subjects are scored.
@@ -322,7 +323,7 @@ class TestAmmknnPredictBatch:
         config = AmmknnConfig(max_k=20, outlier_feature="x0")
 
         def score_all():
-            for _ in ammknn_predict_batch(subjects, [0.0] * n, [None] * n, *training, config):
+            for _ in score(*training, subjects, [0.0] * n, config, 20):
                 pass
 
         score_all()  # one-time costs
@@ -442,9 +443,11 @@ def test_engine_matches_naive_reference(case):
 
 
 def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
-    """Score ``subjects`` with ``ammknn_predict_batch`` and every row of
-    ``rows`` (features, then the target) with ``loocv``, and compare each
-    neighbor list, distance and prediction with the naive reference."""
+    """Score ``subjects`` with ``score`` and every row of ``rows``
+    (features, then the target) held out of its own ranking, and compare
+    each neighbor list, distance, running mean and prediction with the
+    naive reference. With fewer than 2 rows, which every step refuses,
+    only the subjects are scored."""
     depth = max(max_k, knn_k)
     dims = len(rows[0]) - 1
     matrix = [tuple(row[:dims]) for row in rows]
@@ -455,36 +458,28 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
     config = AmmknnConfig(max_k=max_k, outlier_feature=outlier, outlier_cutoff=cutoff)
 
     subject_rows = [subject or [0.0] for subject in subjects]
-    records = list(ammknn_predict_batch(
-        [tuple(subject) for subject in subjects], [cells[0] for cells in subject_rows],
-        [None] * len(subjects), matrix, targets, config,
+    scored = list(score(
+        matrix, targets, [tuple(subject) for subject in subjects],
+        [cells[0] for cells in subject_rows], config, max_k,
     ))
-    for subject, cells, record in zip(subjects, subject_rows, records):
+    for subject, cells, (ranked, *_, prediction, _) in zip(subjects, subject_rows, scored):
         order, means = naive_ranking(matrix, targets, subject, depth=depth)
-        neighbors, prediction = naive_adaptive(order, means, targets, cells[0], config)
-        assert record.neighbor_ranking == neighbors
-        assert record.prediction == prediction
-    assert len(records) == len(subjects)
+        expected = naive_adaptive(order, means, targets, cells[0], config)
+        assert (neighbors(ranked), prediction) == expected
+    assert len(scored) == len(subjects)
 
     n = len(rows)
-    outlier_values = [row[0] for row in rows]  # x0, or the target without features
     if n < 2:
-        with pytest.raises(DataError, match="leave-one-out needs at least 2 rows"):
-            loocv(matrix, targets, outlier_values, config, knn_k)
         return
-    if knn_k > n - 1:
-        with pytest.raises(DataError, match=f"k={knn_k} exceeds {n - 1} training rows per fold"):
-            loocv(matrix, targets, outlier_values, config, knn_k)
-        return
-    adaptive, triggered, fixed = loocv(matrix, targets, outlier_values, config, knn_k)
-    expected_adaptive, expected_fixed = [], []
-    for i in range(n):
-        order, means = naive_ranking(matrix, targets, matrix[i], skip=i, depth=depth)
-        expected_adaptive.append(naive_adaptive(order, means, targets, outlier_values[i], config)[1])
-        expected_fixed.append(means[knn_k - 1])
-    assert adaptive == expected_adaptive
-    assert fixed == expected_fixed
-    assert triggered == [v < cutoff for v in outlier_values]
+    outlier_values = [row[0] for row in rows]  # x0, or the target without features
+    held_out = list(score(matrix, targets, matrix, outlier_values, config, depth, held_out=True))
+    for i, (_, _, means, prediction, triggered) in enumerate(held_out):
+        order, expected = naive_ranking(matrix, targets, matrix[i], skip=i, depth=depth)
+        # every fixed-k prediction up to the depth, knn_k's among them
+        assert means == expected
+        assert prediction == naive_adaptive(order, expected, targets, outlier_values[i], config)[1]
+        assert triggered == (outlier_values[i] < cutoff)
+    assert len(held_out) == n
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +553,8 @@ def test_window_matches_naive_reference(case):
 
 
 def count_dist_calls(monkeypatch, rows, subjects, max_k=20):
-    """The ``math.dist`` calls that ``ammknn_predict_batch`` makes for each
-    subject, and those that ``loocv`` makes in all."""
+    """The ``math.dist`` calls that ``score`` makes for each subject, and
+    those that leave-one-out makes in all."""
     calls = [0]
     real = math.dist
 
@@ -572,8 +567,7 @@ def count_dist_calls(monkeypatch, rows, subjects, max_k=20):
     config = AmmknnConfig(max_k=max_k, outlier_feature="x0")
     per_subject = []
     subjects = [tuple(subject) for subject in subjects]
-    outlier, ids = [s[0] for s in subjects], [None] * len(subjects)
-    for _ in ammknn_predict_batch(subjects, outlier, ids, matrix, target, config):
+    for _ in score(matrix, target, subjects, [s[0] for s in subjects], config, max_k):
         per_subject.append(calls[0])
         calls[0] = 0
     loocv(matrix, target, [row[0] for row in matrix], config, 1)
@@ -622,7 +616,3 @@ class TestLoocv:
         rows = [[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]]
         predictions = fixed_k_loocv(rows, 1)
         assert predictions[6] == 400.0
-
-    def test_needs_two_rows(self):
-        with pytest.raises(DataError, match="leave-one-out needs at least 2 rows"):
-            fixed_k_loocv([[0.0, 1]], 1)

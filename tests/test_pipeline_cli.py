@@ -311,6 +311,23 @@ class TestCliErrors:
         spec_path.write_text(json.dumps({"seed": 1, "n_rows": 0, "n_features": 3, "signal_features": 1}))
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
 
+    def test_synth_spec_that_is_no_object_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps([SPEC_DOC]))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "config error: generator spec must be a JSON object\n" in capsys.readouterr().err
+        assert not (out / SYNTH_CSV).exists()
+
+    def test_synth_seed_overrides_the_spec_seed(self, workspace, tmp_path):
+        spec = str(workspace["spec"])
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "seed7"), "--seed", "7"]) == 0
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "seed5"), "--seed", "5"]) == 0
+        written = workspace["cohort_csv"].read_bytes()
+        assert (tmp_path / "seed7" / SYNTH_CSV).read_bytes() == written
+        assert (tmp_path / "seed5" / SYNTH_CSV).read_bytes() != written
+
     @pytest.mark.parametrize("override, field", [
         ({"noise_sd": float("nan")}, "noise_sd"),
         ({"noise_sd": float("inf")}, "noise_sd"),
@@ -324,6 +341,9 @@ class TestCliErrors:
         # holds every cell to
         ({"noise_sd": 1e60}, "noise_sd"),
         ({"target_range": [200.0]}, "target_range"),
+        ({"n_features": 0}, "n_features must be positive"),
+        # each bound within ±1e50, but the mapped scores are not
+        ({"target_range": [200.0, 1e50]}, "puts scores beyond ±1e+50"),
     ])
     def test_unhonourable_synth_spec_exit_2(self, tmp_path, capsys, override, field):
         spec_path = tmp_path / "spec.json"
@@ -512,16 +532,19 @@ class TestCliErrors:
         bad.write_text(json.dumps({"not_a_report": True}))
         assert main(["plot", "--report", str(bad), "--kind", "scatter", "--out", str(tmp_path)]) == 3
 
-    def test_loocv_k_not_below_rows_exit_3(self, workspace, tmp_path):
+    def test_loocv_k_not_below_rows_exit_3(self, workspace, tmp_path, capsys):
         lines = ["student_id,f01,score"] + [f"C{i},{i}.0,{400 + i}" for i in range(4)]
         train = tmp_path / "train.csv"
         train.write_text("\n".join(lines) + "\n")
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(dict(CONFIG_DOC, knn_k=4)))
+        capsys.readouterr()
         code = main([
             "loocv", "--config", str(config_path), "--train", str(train), "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+        assert f"data error: {train}: k=4 exceeds 3 training rows per fold\n" in capsys.readouterr().err
+        assert not (tmp_path / "x" / LOOCV_AMMKNN_JSON).exists()
 
     def test_internal_error_names_its_type_exit_4(self, monkeypatch, tmp_path, capsys):
         def broken(*args):
@@ -951,7 +974,16 @@ def test_id_column_naming_another_role_exit_2(tmp_path, capsys, command, overrid
     ({"aggregations": [{"group_name": "g", "member_columns": ["f01"]},
                        {"group_name": "g", "member_columns": ["f02"]}]},
      "column 'g' already exists"),
-], ids=["outlier-target", "id-member", "target-member", "id-group", "repeated-group"])
+    ({"aggregations": [{"group_name": "g", "member_columns": []}]},
+     "aggregation 'g' has no member columns"),
+    ({"target_name": ""}, "target_name is required"),
+    ({"correlation_threshold": 1.5}, "correlation_threshold must be in [0, 1]"),
+    # the only check of knn_k >= 1: loocv's fold-size check assumes it
+    ({"knn_k": 0}, "knn_k must be >= 1"),
+], ids=[
+    "outlier-target", "id-member", "target-member", "id-group", "repeated-group",
+    "no-members", "no-target", "threshold", "knn_k",
+])
 @pytest.mark.parametrize("command", ["prepare", "loocv", "validate", "predict"])
 def test_config_fault_needing_no_input_exit_2(tmp_path, capsys, command, override, message):
     # each was refused by prepare alone, or by the steps that read the
@@ -993,6 +1025,50 @@ def test_constant_target_is_named_exit_3(tmp_path, capsys):
     assert main(_golden_argv_with(tmp_path, "prepare", {SYNTH_CSV: cohort}, None)) == 3
     assert "data error: target column 'score' is constant\n" in capsys.readouterr().err
     assert not (out / TRAIN_CSV).exists()
+
+
+def test_target_whose_spread_underflows_is_named_exit_3(tmp_path, capsys):
+    # scores of 1e-200 to 7e-200 are not constant, but their squared
+    # deviations underflow to 0.0, so every r was undefined and the refusal
+    # named the first feature
+    lines = (GOLDEN_SEED7 / SYNTH_CSV).read_text().splitlines()
+    col = lines[0].split(",").index("score")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[col] = repr((1 + (i - 1) % 7) * 1e-200)
+        lines[i] = ",".join(cells)
+    cohort = tmp_path / SYNTH_CSV
+    cohort.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, "prepare", {SYNTH_CSV: cohort}, None)) == 3
+    assert (
+        "data error: target column 'score' varies too little: its squared deviations "
+        "underflow to 0.0\n"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "out" / TRAIN_CSV).exists()
+
+
+def test_loocv_fold_size_refusal_names_the_training_file(tmp_path, capsys):
+    # the refusal named no file: knn_k is 12, and a fold of 5 rows holds 4
+    lines = (GOLDEN_SEED7 / TRAIN_CSV).read_text().splitlines()
+    train = tmp_path / TRAIN_CSV
+    train.write_text("\n".join(lines[:6]) + "\n")
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, "loocv", {TRAIN_CSV: train}, None)) == 3
+    assert f"data error: {train}: k=12 exceeds 4 training rows per fold\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / LOOCV_AMMKNN_JSON).exists()
+    assert not (tmp_path / "out" / LOOCV_KNN_JSON).exists()
+
+
+@pytest.mark.parametrize("command, source", RANKING_SOURCES)
+def test_blank_header_row_exit_3(tmp_path, capsys, command, source):
+    lines = (GOLDEN_SEED7 / source).read_text().splitlines()
+    bad = tmp_path / source
+    bad.write_text("\n".join(["", *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, command, {source: bad}, None)) == 3
+    assert f"data error: {bad}: blank header row\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / STEP_OUTPUT[command]).exists()
 
 
 def test_selection_keeping_no_feature_exit_3(tmp_path, capsys):
@@ -1487,6 +1563,32 @@ def test_one_module_defines_the_configuration():
     assert [n for n in ast.walk(split) if isinstance(n, ast.Raise)] == []
 
 
+def test_one_knn_generator_scores_every_step():
+    """``knn`` checks no rule of the configuration: ``config`` and
+    ``pipeline`` have checked every one before it is called. ``pipeline``
+    imports one scoring function from it, ``score``; ``run_loocv`` calls
+    it, and ``run_validate`` and ``run_predict`` through
+    ``_scored_cohort``. (That every exported name is used by a module
+    other than ``__init__`` is ``test_every_public_name_is_used_by_the_package``'s
+    check.)"""
+    package = Path(ammknn.__file__).parent
+    knn = ast.parse((package / "knn.py").read_text(encoding="utf-8"))
+    assert "ConfigError" not in {getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(knn)}
+
+    pipeline = ast.parse((package / "pipeline.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(pipeline)
+        if isinstance(node, ast.ImportFrom) and node.module == "knn" for alias in node.names
+    }
+    assert imported == {"score"}
+    calls = {
+        fn.name: {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+        for fn in pipeline.body if isinstance(fn, ast.FunctionDef)
+    }
+    assert "score" in calls["run_loocv"] & calls["_scored_cohort"]
+    assert "_scored_cohort" in calls["run_validate"] & calls["run_predict"]
+
+
 def test_readme_configuration_table_names_every_field():
     """The README's Configuration table lists each PipelineConfig field once,
     with ``ammknn.<field>`` for the AmmknnConfig stanza."""
@@ -1514,6 +1616,13 @@ class TestCliStdout:
         document = json.loads(capsys.readouterr().out)
         assert set(document) == {"ammknn", "knn"}
         assert document["knn"] == json.loads((workspace["out"] / LOOCV_KNN_JSON).read_text())
+
+    def test_validate_json_is_the_report(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main([*STEP_ARGV["validate"], "--out", str(tmp_path), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document == json.loads((tmp_path / VALIDATE_JSON).read_text())
+        assert document == json.loads((GOLDEN_SEED7 / VALIDATE_JSON).read_text())
 
     def test_prepare_logs_go_to_stderr(self, workspace):
         # a fresh interpreter, so the CLI's own logging set-up is the one in force
