@@ -60,7 +60,6 @@ import json
 import math
 import os
 from array import array
-from functools import reduce
 from itertools import compress, repeat
 from operator import add, itemgetter, truediv
 from typing import NamedTuple, Optional
@@ -71,7 +70,7 @@ from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
 from .frame import Table, _open_out, _picker, load_csv, read_table, write_csv
 from .knn import score
-from .preprocess import _correlations, select_by_correlation, standardize_joint
+from .preprocess import _correlations, left_sum, select_by_correlation, standardize_joint
 from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, generate_cohort
 
@@ -143,10 +142,9 @@ _BLOCK_ROWS = 256
 
 def _row_mean(cells, k: int):
     """The mean of one row's group members, or None if one is missing:
-    added left to right from 0.0, as built-in sum() would not be from
-    Python 3.12 on."""
+    added left to right from 0.0 by ``left_sum``."""
     try:
-        return reduce(add, cells, 0.0) / k
+        return left_sum(cells) / k
     except TypeError:  # float + None: a missing member cell
         return None
 

@@ -163,6 +163,13 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
             yield left_sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
+def _flat(values: Sequence[float]) -> str:
+    """Why a column whose squared deviations sum to 0.0 has no spread."""
+    if min(values) == max(values):
+        return "is constant"
+    return "varies too little: its squared deviations underflow to 0.0"
+
+
 def select_by_correlation(
     names: Sequence[str], target_name: str, train: Sequence[Sequence[float]], threshold: float
 ) -> SelectionResult:
@@ -176,15 +183,14 @@ def select_by_correlation(
     every r is bit-identical to correlating that column and the target on
     their own. A target whose squared deviations sum to 0.0, constant or
     so close to it that they underflow, leaves every r undefined and is
-    refused by name; so is a column whose own r is undefined.
+    refused by name; so is a column whose own r is undefined, as constant,
+    as varying too little, or as one whose spread times the target's
+    underflows.
     """
     t = names.index(target_name)
     y = train[t]
     if len(y) > 1 and _spread(y)[2] == 0.0:
-        why = "is constant" if min(y) == max(y) else (
-            "varies too little: its squared deviations underflow to 0.0"
-        )
-        raise DataError(f"target column {target_name!r} {why}")
+        raise DataError(f"target column {target_name!r} {_flat(y)}")
     features = [j for j in range(len(names)) if j != t]
     rs = dict(zip(features, _correlations([train[j] for j in features], y)))
     kept = []
@@ -195,7 +201,10 @@ def select_by_correlation(
             continue
         r = rs[j]
         if r is None:
-            raise DataError(f"column {name!r} is constant")
+            why = _flat(train[j]) if _spread(train[j])[2] == 0.0 else (
+                "has no r with the target: the product of the two spreads underflows to 0.0"
+            )
+            raise DataError(f"column {name!r} {why}")
         log.info("%d. Correlation between %s and target = %.7g.", j + 1, name, r)
         if abs(r) >= threshold:
             kept.append(name)

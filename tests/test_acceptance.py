@@ -37,6 +37,7 @@ from ammknn.pipeline import (
     run_validate,
 )
 from ammknn.report import build_report
+from perfbench_module import load_perfbench
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -141,22 +142,9 @@ def test_criterion_2_three_tier_accuracy():
 # 3. min-over-k oracle equivalence, bit-exact, 1000 instances
 # ---------------------------------------------------------------------------
 
-
-def _brute_min_over_k(subject, matrix, targets, max_k):
-    def sqdist(a, b):
-        total = 0.0
-        for x, y in zip(a, b):
-            total += (x - y) * (x - y)
-        return total
-
-    order = [i for _, i in sorted((sqdist(subject, row), i) for i, row in enumerate(matrix))]
-    order = order[: min(max_k, len(order))]
-    best = None
-    for k in range(1, len(order) + 1):
-        mean = sum(targets[i] for i in order[:k]) / k
-        if best is None or mean < best:
-            best = mean
-    return best
+# the naive method the benchmark checks against too: sort all rows, then
+# average prefixes left to right
+ref = load_perfbench("reference")
 
 
 @criterion(3, "adaptive prediction equals brute-force min over k, bit-exact")
@@ -168,7 +156,9 @@ def test_criterion_3_min_over_k_equivalence():
         dims = rng.randint(1, 8)
         max_k = rng.randint(1, 20)
         rows = [
-            [rng.uniform(-4, 4) for _ in range(dims)] + [float(rng.randint(200, 800))]
+            # one-decimal scores: prefix sums round, so only left-to-right
+            # sums agree bit for bit
+            [rng.uniform(-4, 4) for _ in range(dims)] + [rng.randint(2000, 8000) / 10]
             for _ in range(n)
         ]
         matrix, targets = _split(rows)
@@ -176,8 +166,8 @@ def test_criterion_3_min_over_k_equivalence():
         config = AmmknnConfig(max_k=max_k, outlier_feature="outlier")
         [(*_, prediction, triggered)] = score(matrix, targets, [subject], [0.0], config, max_k)
         assert not triggered
-        oracle = _brute_min_over_k(subject, matrix, targets, max_k)
-        assert prediction == oracle
+        order = ref.ranked(matrix, subject)
+        assert prediction == min(ref.prefix_means([targets[j] for _, j in order[:max_k]]))
     assert time.monotonic() - start < 5.0
 
 

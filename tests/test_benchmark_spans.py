@@ -8,20 +8,12 @@ this test runs the same checks wherever the test suite runs. It reads
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
 from ammknn import cli
+from perfbench_module import PERFBENCH, load_perfbench
 
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _boundary_spans():
@@ -54,7 +46,7 @@ def test_seed7_workflow_fires_every_boundary_span(tmp_path):
     }
     boundary = _boundary_spans()
     assert sorted(boundary) == sorted(steps)
-    tracer = _tracer_module().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     with tracer:
         for step, argv in steps.items():
             tracer.phase = step

@@ -9,33 +9,11 @@ from hypothesis import strategies as st
 
 from ammknn import AmmknnConfig, cumulative_means, score
 from ammknn.errors import ConfigError, DataError
+from perfbench_module import load_perfbench
 
-# ---------------------------------------------------------------------------
-# independent brute-force helpers (deliberately not using the package's
-# internals: naive squared sums, full sorts, prefix means via sum()/k)
-# ---------------------------------------------------------------------------
-
-
-def brute_sqdist(a, b):
-    total = 0.0
-    for x, y in zip(a, b):
-        total += (x - y) * (x - y)
-    return total
-
-
-def brute_rank(subject, matrix):
-    keyed = sorted((brute_sqdist(subject, row), i) for i, row in enumerate(matrix))
-    return [i for _, i in keyed]
-
-
-def brute_min_over_k(subject, matrix, targets, max_k):
-    order = brute_rank(subject, matrix)[: min(max_k, len(matrix))]
-    best = None
-    for k in range(1, len(order) + 1):
-        mean = sum(targets[i] for i in order[:k]) / k
-        if best is None or mean < best:
-            best = mean
-    return best
+# the naive method every ranking is checked against: sort all rows, then
+# average prefixes left to right
+ref = load_perfbench("reference")
 
 
 def split_rows(rows):
@@ -50,11 +28,6 @@ def predict_one(subject, outlier_value, training, config):
     ``max_k`` deep as validate and predict rank."""
     [scored] = score(*training, [tuple(subject)], [outlier_value], config, config.max_k)
     return scored
-
-
-def neighbors(ranked):
-    """(row, distance) pairs of a ranking, as predict writes them."""
-    return [(j, math.sqrt(sq)) for sq, j in ranked]
 
 
 def loocv(matrix, target, outlier_values, config, knn_k):
@@ -84,7 +57,7 @@ def ranking(subject, feature_rows, limit):
     """(row, distance) pairs the predictor reports for a subject."""
     training = split_rows([list(r) + [400.0] for r in feature_rows])
     ranked = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))[0]
-    return tuple(neighbors(ranked))
+    return tuple((j, math.sqrt(sq)) for sq, j in ranked)
 
 
 def first_column_loocv(rows, config, k):
@@ -112,9 +85,8 @@ class TestEuclidean:
         for _ in range(200):
             a = [rng.uniform(-10, 10) for _ in range(10)]
             b = [rng.uniform(-10, 10) for _ in range(10)]
-            assert ranking(a, [b], 1)[0][1] == pytest.approx(
-                math.sqrt(brute_sqdist(a, b)), abs=1e-12
-            )
+            [(squared, _)] = ref.ranked([b], a)
+            assert ranking(a, [b], 1)[0][1] == pytest.approx(math.sqrt(squared), abs=1e-12)
 
 
 class TestRankNeighbors:
@@ -123,15 +95,6 @@ class TestRankNeighbors:
 
     def test_tie_breaks_by_row_index(self):
         assert [i for i, _ in ranking([1.0], [[2.0], [0.0]], 2)] == [0, 1]
-
-    def test_matches_full_sort_oracle(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            training = random_training(rng, 50, 4)
-            subject = [rng.uniform(-3, 3) for _ in range(4)]
-            ranked = predict_one(subject, 0.0, training, AmmknnConfig(max_k=20))[0]
-            matrix = training[0]
-            assert [i for _, i in ranked] == brute_rank(subject, matrix)[:20]
 
     def test_limit_beyond_rows_returns_all(self):
         assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
@@ -199,18 +162,6 @@ class TestAmmknnPredictOne:
         *_, prediction, triggered = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
         assert not triggered
         assert prediction == 395.0
-
-    def test_non_outlier_equals_min_over_k_oracle(self):
-        rng = random.Random(123)
-        for _ in range(50):
-            n = rng.randint(3, 30)
-            dims = rng.randint(1, 5)
-            training = random_training(rng, n, dims)
-            subject = [rng.uniform(-3, 3) for _ in range(dims)]
-            max_k = rng.randint(1, 20)
-            prediction = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[3]
-            oracle = brute_min_over_k(subject, *training, max_k)
-            assert prediction == oracle  # bit-exact
 
     def test_min_match_never_exceeds_min_of_means(self):
         rng = random.Random(5)
@@ -334,41 +285,20 @@ class TestAmmknnPredictBatch:
 
 
 # ---------------------------------------------------------------------------
-# differential test: the ranking engine against a naive reference
+# differential test: the ranking engine against the naive reference
 # ---------------------------------------------------------------------------
-
-
-def naive_ranking(matrix, targets, subject, skip=None, depth=None):
-    """Sort every row by squared distance, then average each prefix (the
-    first ``depth`` of them, or all)."""
-    order = sorted(
-        (brute_sqdist(subject, row), i) for i, row in enumerate(matrix) if i != skip
-    )
-    deepest = len(order) if depth is None else min(depth, len(order))
-    means = [sum(targets[i] for _, i in order[:k]) / k for k in range(1, deepest + 1)]
-    return order, means
-
-
-def naive_adaptive(order, means, targets, outlier_value, config):
-    """(neighbors, prediction) of the adaptive rule from a naive ranking."""
-    nearest = order[: config.max_k]
-    if outlier_value < config.outlier_cutoff:
-        prediction = min(targets[i] for _, i in nearest)
-    else:
-        prediction = min(means[: config.max_k])
-    return [(i, math.sqrt(sq)) for sq, i in nearest], prediction
-
 
 # a tiny coordinate set forces exact distance ties; everyday decimals make
 # sums that round, so near-ties differ between distance formulas; the
 # extremes square to subnormals (1e-160) or lie at the bound of every cell
-# read (7e49 and ±1e50, whose differences square to up to 4e100); whole
-# scores keep prefix sums exact
+# read (7e49 and ±1e50, whose differences square to up to 4e100); scores
+# of one decimal make prefix sums that round, where any summation but
+# left to right would differ in the last bits
 TIED = [-1.0, 0.0, 0.5, 2.0]
 EVERYDAY = [-0.1, 0.0, 0.1, 0.2, 0.3, 0.6, 1 / 3, 2 / 3, 5.0]
 EXTREMES = [1e-160, -3e-160, 7e49, 1e50, -1e50]
 COORD_SETS = st.sampled_from([TIED, EVERYDAY, EVERYDAY + EXTREMES])
-SCORES = st.integers(200, 800).map(float)
+SCORES = st.integers(2000, 8000).map(lambda tenths: tenths / 10)
 
 
 TWINS_FIRST_LAST = [
@@ -442,12 +372,28 @@ def test_engine_matches_naive_reference(case):
     check_against_naive(*case)
 
 
+def predict_record(scored, outlier_value):
+    """``score``'s tuple for one subject as the fields of its predict
+    record."""
+    ranked, targets, means, prediction, triggered = scored
+    return {
+        "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
+        "cumulative_means": means,
+        "min_of_means": min(means),
+        "min_match": min(targets),
+        "outlier_value": outlier_value,
+        "outlier_triggered": triggered,
+        "prediction": prediction,
+    }
+
+
 def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
     """Score ``subjects`` with ``score`` and every row of ``rows``
     (features, then the target) held out of its own ranking, and compare
-    each neighbor list, distance, running mean and prediction with the
-    naive reference. With fewer than 2 rows, which every step refuses,
-    only the subjects are scored."""
+    each subject's predict record, and each held-out row's running means,
+    fixed-k mean and prediction, with the naive reference. With fewer
+    than 2 rows, which every step refuses, only the subjects are
+    scored."""
     depth = max(max_k, knn_k)
     dims = len(rows[0]) - 1
     matrix = [tuple(row[:dims]) for row in rows]
@@ -462,10 +408,9 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
         matrix, targets, [tuple(subject) for subject in subjects],
         [cells[0] for cells in subject_rows], config, max_k,
     ))
-    for subject, cells, (ranked, *_, prediction, _) in zip(subjects, subject_rows, scored):
-        order, means = naive_ranking(matrix, targets, subject, depth=depth)
-        expected = naive_adaptive(order, means, targets, cells[0], config)
-        assert (neighbors(ranked), prediction) == expected
+    for subject, cells, one in zip(subjects, subject_rows, scored):
+        expected = ref.naive_record(ref.ranked(matrix, subject), targets, max_k, cells[0], cutoff)
+        assert predict_record(one, cells[0]) == expected
     assert len(scored) == len(subjects)
 
     n = len(rows)
@@ -474,11 +419,13 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
     outlier_values = [row[0] for row in rows]  # x0, or the target without features
     held_out = list(score(matrix, targets, matrix, outlier_values, config, depth, held_out=True))
     for i, (_, _, means, prediction, triggered) in enumerate(held_out):
-        order, expected = naive_ranking(matrix, targets, matrix[i], skip=i, depth=depth)
+        order = ref.ranked(matrix, matrix[i], skip=i)
         # every fixed-k prediction up to the depth, knn_k's among them
-        assert means == expected
-        assert prediction == naive_adaptive(order, expected, targets, outlier_values[i], config)[1]
-        assert triggered == (outlier_values[i] < cutoff)
+        assert means == ref.prefix_means([targets[j] for _, j in order[:depth]])
+        if knn_k < n:
+            assert means[knn_k - 1] == ref.knn_mean(order, targets, knn_k)
+        expected = ref.naive_record(order, targets, max_k, outlier_values[i], cutoff)
+        assert (prediction, triggered) == (expected["prediction"], expected["outlier_triggered"])
     assert len(held_out) == n
 
 
@@ -517,9 +464,9 @@ def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
         return [rng.choice(cells) for _ in range(dims)]
 
     copies = rng.randint(1, 8)
-    rows = [features() + [float(rng.randint(200, 800))] for _ in range(n - copies)]
+    rows = [features() + [rng.randint(2000, 8000) / 10] for _ in range(n - copies)]
     for _ in range(copies):  # a duplicate with a fresh score, anywhere
-        twin = rows[rng.randrange(len(rows))][:dims] + [float(rng.randint(200, 800))]
+        twin = rows[rng.randrange(len(rows))][:dims] + [rng.randint(2000, 8000) / 10]
         rows.insert(rng.randrange(len(rows) + 1), twin)
     subjects = [features() for _ in range(3)]
     subjects += [rows[rng.randrange(n)][:dims] for _ in range(2)]

@@ -1071,6 +1071,23 @@ def test_blank_header_row_exit_3(tmp_path, capsys, command, source):
     assert not (tmp_path / "out" / STEP_OUTPUT[command]).exists()
 
 
+@pytest.mark.parametrize("command, source", RANKING_SOURCES)
+def test_table_without_the_id_column_exit_2(tmp_path, capsys, command, source):
+    lines = (GOLDEN_SEED7 / source).read_text().splitlines()
+    pos = lines[0].split(",").index("student_id")
+    bad = tmp_path / source
+    bad.write_text("".join(
+        ",".join(c for i, c in enumerate(line.split(",")) if i != pos) + "\n" for line in lines
+    ))
+    capsys.readouterr()
+    assert main(_golden_argv_with(tmp_path, command, {source: bad}, None)) == 2
+    assert (
+        f"config error: {bad}: id column 'student_id' not in header\n"
+    ) in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_selection_keeping_no_feature_exit_3(tmp_path, capsys):
     # prepare wrote a train.csv of only student_id,score, which loocv refused
     doc = json.loads((GOLDEN_SEED7.parent / "config.json").read_text())

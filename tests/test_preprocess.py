@@ -193,6 +193,21 @@ class TestSelectByCorrelation:
         with pytest.raises(DataError, match="column 'c' is constant"):
             select({"c": [1.0, 1.0, 1.0], "t": [1.0, 2.0, 3.0]}, 0.1)
 
+    def test_column_whose_squares_underflow_varies_too_little(self):
+        with pytest.raises(DataError, match="column 'c' varies too little: its squared"):
+            select({"c": [0.0, 1e-170, 2e-170], "t": [1.0, 2.0, 3.0]}, 0.1)
+
+    def test_spreads_whose_product_underflows_leave_r_undefined(self):
+        # sxx near 1e-200 and syy near 1e-240 are each nonzero, but their
+        # product underflows, so the column is not constant
+        with pytest.raises(DataError, match=(
+            "column 'a' has no r with the target: the product of the two spreads underflows"
+        )):
+            select_by_correlation(
+                ["a", "t"], "t",
+                [[1e-100, 2e-100, 4e-100, 3e-100], [1e-120, 3e-120, 4e-120, 2e-120]], 0.1,
+            )
+
     def test_audit_log_lines(self, caplog):
         with caplog.at_level("INFO", logger="ammknn.preprocess"):
             select(designed_frame(), 0.19)
