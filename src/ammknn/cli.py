@@ -14,7 +14,7 @@ import json
 import logging
 import sys
 
-from . import pipeline, report
+from . import pipeline, report, svgplot
 from .config import _read_json, load_config
 from .errors import ConfigError, DataError
 
@@ -62,9 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="render an SVG scatter from a report")
     p.add_argument("--report", required=True, help="evaluation report JSON")
-    p.add_argument(
-        "--kind", choices=("scatter", "packrat_scatter"), default="scatter"
-    )
+    p.add_argument("--kind", choices=svgplot.PLOT_KINDS, default="scatter")
     p.add_argument("--out", required=True)
     return parser
 

@@ -185,9 +185,9 @@ def _read_value(hint, value, stanza: str, key: str):
     """``value``, given for ``key`` in ``stanza``, read as the type ``hint``;
     see ``_from_json``.
 
-    A number must be one: a boolean, a non-finite float and a fraction for
-    an ``int`` are refused, whether given as JSON numbers or as text such
-    as ``"nan"``.
+    A number must be given as a JSON number: a boolean, text (even
+    ``"12"``, which ``int()`` would read), a non-finite float and a
+    fraction for an ``int`` are refused.
     """
     if get_origin(hint) is Union:  # Optional[X]
         if value is None:
@@ -200,8 +200,8 @@ def _read_value(hint, value, stanza: str, key: str):
     if hint not in (int, float):
         return tuple(value) if hint is tuple else value
     where = f"bad {stanza} value for {key!r}"
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: {json.dumps(value)} is not a number")
+    if type(value) not in (int, float):  # a bool is an int to isinstance
+        raise ConfigError(f"{where}: {json.dumps(value, ensure_ascii=False)} is not a number")
     read = hint(value)
     if hint is float and not math.isfinite(read):
         raise ConfigError(f"{where}: {value!r} is not finite")

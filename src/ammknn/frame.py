@@ -298,11 +298,8 @@ def _open_out(path, newline: Optional[str] = None):
 
 
 def _quoted(cell) -> str:
-    """One cell as ``csv.writer`` writes it: None as an empty field, any
-    other cell as its ``str``, in quotes (each quote doubled) if that
-    holds a comma, a quote or a line break."""
-    if cell is None:
-        return ""
+    """One cell as ``csv.writer`` writes it: its ``str``, in quotes (each
+    quote doubled) if that holds a comma, a quote or a line break."""
     text = str(cell)
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
@@ -316,18 +313,18 @@ def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
     Each line ends with ``\\r\\n``. A cell is written as its ``str``, so a
     float as its ``repr()``, the shortest round-trip form, and load ->
     write -> load reproduces every cell bit for bit. A row is joined at
-    commas as it is unless a cell needs more: a missing cell (None) is
-    written as an empty field, a cell holding a comma, a quote or a line
-    break is quoted with each quote doubled, and a row of one empty field
-    is written as ``""``. Nothing but the current row is held, so
-    ``rows`` may be drawn or computed as it is written.
+    commas as it is unless a cell needs more: a cell holding a comma, a
+    quote or a line break is quoted with each quote doubled, and a row of
+    one empty field is written as ``""``. No step writes a missing cell.
+    Nothing but the current row is held, so ``rows`` may be drawn or
+    computed as it is written.
     """
     with _open_out(path, newline="") as fh:
         write = fh.write
         for row in chain((header,), rows):
             line = ",".join(map(str, row))
             if (
-                '"' in line or "\r" in line or "\n" in line or "None" in line
+                '"' in line or "\r" in line or "\n" in line
                 or line.count(",") != len(row) - 1 or not line
             ):
                 # csv writes a row of one empty field as "", not as a blank line

@@ -145,7 +145,6 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .config import AmmknnConfig
-from .errors import DataError
 
 
 def _sum_index(matrix: Sequence[tuple]) -> tuple:
@@ -212,9 +211,8 @@ def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: tuple) -> 
 
 
 def cumulative_means(values: Sequence[float]) -> list:
-    """Running means: output[k-1] is the mean of the first k values."""
-    if not values:
-        raise DataError("cumulative_means of an empty vector")
+    """Running means: output[k-1] is the mean of the first k values.
+    ``values`` is never empty: ``score`` always ranks at least one row."""
     out = []
     total = 0.0
     for k, v in enumerate(values, start=1):

@@ -338,21 +338,25 @@ def _split_cohort(config: PipelineConfig, input_path):
 
 
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
+    """Every refusal of the kept rows names ``input_path``."""
     _make_out_dir(out_dir)
     names, train, validation, counts = _split_cohort(config, input_path)
     if len(train.ids) < 2:  # the correlation filter needs 2 training rows
         raise DataError(
-            f"{len(train.ids)} training rows kept (cohort year before year_cutoff "
-            f"{config.year_cutoff!r}); prepare needs at least 2"
+            f"{input_path}: {len(train.ids)} training rows kept (cohort year before "
+            f"year_cutoff {config.year_cutoff!r}); prepare needs at least 2"
         )
-    standardize_joint(names, config.target_name, train.columns, validation.columns)
-    selection = select_by_correlation(
-        names, config.target_name, train.columns, config.correlation_threshold
-    )
+    try:
+        standardize_joint(names, config.target_name, train.columns, validation.columns)
+        selection = select_by_correlation(
+            names, config.target_name, train.columns, config.correlation_threshold
+        )
+    except DataError as exc:  # a column without spread
+        raise DataError(f"{input_path}: {exc}") from None
     if len(selection.kept_columns) < 2:  # the target is always kept
         raise DataError(
-            f"no feature column correlates with the target at correlation_threshold "
-            f"{config.correlation_threshold!r} or above"
+            f"{input_path}: no feature column correlates with the target at "
+            f"correlation_threshold {config.correlation_threshold!r} or above"
         )
     kept = [names.index(n) for n in selection.kept_columns]
     header = list(selection.kept_columns)

@@ -89,9 +89,9 @@ def _spread(values: Sequence[float]):
 
 
 def _column_stats(label: str, values: Sequence[float]):
-    """(mean, sd, deviations from the mean) of one pooled column."""
-    if len(values) < 2:
-        raise DataError("standardization needs at least 2 rows")
+    """(mean, sd, deviations from the mean) of one pooled column, which
+    holds at least 2 rows: ``run_prepare`` refuses fewer training rows
+    first."""
     mean, d, squares = _spread(values)
     sd = math.sqrt(squares / (len(values) - 1))
     if sd == 0.0:
@@ -146,14 +146,11 @@ def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
     of sums of squares underflows to 0.0 (spreads below about 1e-160).
     Cells within ±``frame.BOUND`` keep that product finite. Columns are
     consumed lazily, so only one column's deviations are held at a time.
+    Every caller passes columns of one table, as long as ``y``, with 2 or
+    more rows.
     """
-    n = len(y)
     dy = syy = None
     for x in columns:
-        if len(x) != n:
-            raise DataError(f"lengths differ: {len(x)} vs {n}")
-        if n < 2:
-            raise DataError("need at least 2 observations")
         if dy is None:
             _, dy, syy = _spread(y)
         _, dx, sxx = _spread(x)
@@ -183,13 +180,13 @@ def select_by_correlation(
     every r is bit-identical to correlating that column and the target on
     their own. A target whose squared deviations sum to 0.0, constant or
     so close to it that they underflow, leaves every r undefined and is
-    refused by name; so is a column whose own r is undefined, as constant,
-    as varying too little, or as one whose spread times the target's
-    underflows.
+    refused by name. So is a column whose r is undefined: ``prepare``
+    z-scores it over the training and validation rows together, so it can
+    still be constant, or nearly so, in the training rows alone.
     """
     t = names.index(target_name)
     y = train[t]
-    if len(y) > 1 and _spread(y)[2] == 0.0:
+    if _spread(y)[2] == 0.0:
         raise DataError(f"target column {target_name!r} {_flat(y)}")
     features = [j for j in range(len(names)) if j != t]
     rs = dict(zip(features, _correlations([train[j] for j in features], y)))
@@ -201,10 +198,10 @@ def select_by_correlation(
             continue
         r = rs[j]
         if r is None:
-            why = _flat(train[j]) if _spread(train[j])[2] == 0.0 else (
-                "has no r with the target: the product of the two spreads underflows to 0.0"
+            raise DataError(
+                f"column {name!r} has no r with the target: it is constant, or nearly so, "
+                "in the training rows"
             )
-            raise DataError(f"column {name!r} {why}")
         log.info("%d. Correlation between %s and target = %.7g.", j + 1, name, r)
         if abs(r) >= threshold:
             kept.append(name)

@@ -41,10 +41,11 @@ def classify_tier(score: float, bounds: TierBoundaries) -> str:
 
 
 def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[float]) -> Optional[float]:
-    """Pearson r between predictions and outcomes; None when undefined:
-    fewer than 2 pairs, or a side with zero spread (or spreads whose
-    product underflows). Every number lies within ±``frame.BOUND``."""
-    if len(predicted) != len(actual) or len(predicted) < 2:
+    """Pearson r between predictions and outcomes, two lists of one
+    length; None when undefined: fewer than 2 pairs, or a side with zero
+    spread (or spreads whose product underflows). Every number lies
+    within ±``frame.BOUND``."""
+    if len(predicted) < 2:
         return None
     (r,) = _correlations([predicted], actual)
     return r

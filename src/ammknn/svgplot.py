@@ -77,8 +77,8 @@ def _extract_points(report: dict, kind: str) -> List[Tuple[float, float]]:
 
 
 def render_plot(report: dict, kind: str) -> str:
-    if kind not in PLOT_KINDS:
-        raise DataError(f"unknown plot kind {kind!r}")
+    """The SVG text of a report's plot of ``kind``, one of ``PLOT_KINDS``
+    (the CLI's ``--kind`` choices)."""
     points = _extract_points(report, kind)
     y_marks = _marks(report, "actual")
 

@@ -200,8 +200,9 @@ _TWO_PI_UNIT = 2.0 * pi * 2.0 ** -53
 
 
 def _normals(words) -> list:
-    """Box-Muller normals from consecutive (u1, u2) word pairs, each float
-    equal to ``SplitMix64.normal``'s for the same two outputs."""
+    """Box-Muller normals from consecutive (u1, u2) word pairs: for the
+    words of two consecutive outputs, ``sqrt(-2 ln u1) * cos(2 pi u2)``
+    with ``u = word * 2^-53``, as the module docstring defines it."""
     return [
         sqrt(-2.0 * log(w1 * _UNIT)) * cos(_TWO_PI_UNIT * w2)
         for w1, w2 in zip(words[0::2], words[1::2])

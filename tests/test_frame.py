@@ -3,7 +3,6 @@ import io
 import math
 import re
 from array import array
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammknn import load_csv, write_csv
-from ammknn.cli import main
 from ammknn.config import config_from_json_dict
 from ammknn.errors import ConfigError, DataError
 from ammknn.frame import BOUND, Shape, _split_lines, read_table
@@ -26,7 +24,9 @@ def write(tmp_path, name, text):
 
 
 def write_table(path, names, rows, ids=None, id_name="id"):
-    """Write rows of cells as a CSV, an id column first when ``ids`` is given."""
+    """Write rows of cells as a CSV, an id column first when ``ids`` is
+    given, and a missing cell (None) as an empty field."""
+    rows = [["" if c is None else c for c in row] for row in rows]
     if ids is None:
         write_csv(names, path, rows)
     else:
@@ -545,7 +545,8 @@ class FloatSubclass(float):
 
 
 # every kind of cell a caller may hand to write_csv once it has gone
-# through float(); NaN is left out because it never compares equal to itself
+# through float(), or None for write_table; NaN is left out because it
+# never compares equal to itself
 FINITE = st.floats(allow_nan=False)
 CELLS = st.one_of(
     st.none(),
@@ -594,13 +595,13 @@ def test_split_lines_reads_records_and_lines_as_csv_reader(tmp_path_factory, tex
 # cells csv.writer quotes; NUL is left out, since csv.writer refuses it on
 # Python 3.10, where no file holding one is read
 QUOTED = st.lists(st.sampled_from(CSV_PIECES[:-1]), min_size=1, max_size=4).map("".join)
-WRITTEN = st.one_of(CELLS, QUOTED, st.just(""))
+WRITTEN = st.one_of(CELLS.filter(lambda c: c is not None), QUOTED, st.just(""))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(WRITTEN, max_size=3),
-    st.lists(st.one_of(st.lists(WRITTEN, max_size=4), st.sampled_from([[""], [None]])), max_size=5),
+    st.lists(st.one_of(st.lists(WRITTEN, max_size=4), st.just([""])), max_size=5),
 )
 def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, header, rows):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
@@ -610,22 +611,6 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, header, rows
     writer.writerow(header)
     writer.writerows(rows)
     assert path.read_bytes() == expected.getvalue().encode()
-
-
-GOLDEN_SEED7 = Path(__file__).parent / "golden" / "seed7"
-
-
-@pytest.mark.parametrize("ending", ["\n", "\r"], ids=["LF", "CR"])
-def test_prepare_reads_any_line_ending(tmp_path, ending):
-    text = (GOLDEN_SEED7 / "cohort.csv").read_bytes().decode()
-    assert text.count("\r\n") == text.count("\n") > 200
-    cohort = tmp_path / "cohort.csv"
-    cohort.write_bytes(text.replace("\r\n", ending).encode())
-    out = tmp_path / "out"
-    config = GOLDEN_SEED7.parent / "config.json"
-    assert main(["prepare", "--config", str(config), "--input", str(cohort), "--out", str(out)]) == 0
-    for name in ("train.csv", "validation.csv", "selection.json"):
-        assert (out / name).read_bytes() == (GOLDEN_SEED7 / name).read_bytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,9 +655,10 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     kept, train, validation, _ = _split_cohort(config, path)
     sides = (train.columns, validation.columns)
     try:
-        standardize_joint(kept, "c0", *sides)
+        if len(train.ids) + len(validation.ids) >= 2:  # run_prepare refuses fewer first
+            standardize_joint(kept, "c0", *sides)
     except DataError:
-        pass  # too few rows or a constant column
+        pass  # a constant column
     for side, columns in zip((train, validation), sides):
         assert len(columns) == len(kept)
         for column in columns:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammknn import AmmknnConfig, cumulative_means, score
-from ammknn.errors import ConfigError, DataError
+from ammknn.errors import ConfigError
 from perfbench_module import load_perfbench
 
 # the naive method every ranking is checked against: sort all rows, then
@@ -109,10 +109,6 @@ class TestCumulativeMeans:
 
     def test_constant_vector_invariant(self):
         assert cumulative_means([7.0] * 5) == [7.0] * 5
-
-    def test_empty_input(self):
-        with pytest.raises(DataError, match="cumulative_means of an empty vector"):
-            cumulative_means([])
 
 
 class TestKnnRegress:

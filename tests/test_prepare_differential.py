@@ -118,7 +118,7 @@ def naive_prepare(text, threshold, exclude, path):
             dropped.append([name, r])
     if kept == ["score"]:
         raise DataError(
-            f"no feature column correlates with the target at correlation_threshold "
+            f"{path}: no feature column correlates with the target at correlation_threshold "
             f"{threshold!r} or above"
         )
     out = []

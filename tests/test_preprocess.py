@@ -36,10 +36,6 @@ class TestStandardizeJoint:
         with pytest.raises(DataError, match="column 'x' has zero variance"):
             standardize_joint(["x", "t"], "t", [[5, 5, 5], [1, 2, 3]])
 
-    def test_too_few_rows(self):
-        with pytest.raises(DataError, match="standardization needs at least 2 rows"):
-            standardize_joint(["x", "t"], "t", [[1.0], [2.0]], [[], []])
-
     def test_stats_pooled_over_both_frames(self):
         train = [[0.0, 1.0], [1.0, 2.0]]
         extra = [[10.0, 11.0], [3.0, 4.0]]
@@ -96,12 +92,6 @@ class TestPearson:
         # direct evaluation of the sample-correlation formula:
         # cov = 4, sx = sy = sqrt(5) -> r = 4/5
         assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="lengths differ: 2 vs 3"):
-            pearson([1, 2], [1, 2, 3])
-        with pytest.raises(DataError, match="need at least 2 observations"):
-            pearson([1], [2])
 
     def test_constant_input(self):
         assert prediction_actual_correlation([1, 1, 1], [1, 2, 3]) is None
@@ -188,25 +178,6 @@ class TestSelectByCorrelation:
         result = select(frame, 1.0)
         for name, r in result.dropped_columns:
             assert r == pearson(frame[name], frame["t"])
-
-    def test_constant_column_reports_label(self):
-        with pytest.raises(DataError, match="column 'c' is constant"):
-            select({"c": [1.0, 1.0, 1.0], "t": [1.0, 2.0, 3.0]}, 0.1)
-
-    def test_column_whose_squares_underflow_varies_too_little(self):
-        with pytest.raises(DataError, match="column 'c' varies too little: its squared"):
-            select({"c": [0.0, 1e-170, 2e-170], "t": [1.0, 2.0, 3.0]}, 0.1)
-
-    def test_spreads_whose_product_underflows_leave_r_undefined(self):
-        # sxx near 1e-200 and syy near 1e-240 are each nonzero, but their
-        # product underflows, so the column is not constant
-        with pytest.raises(DataError, match=(
-            "column 'a' has no r with the target: the product of the two spreads underflows"
-        )):
-            select_by_correlation(
-                ["a", "t"], "t",
-                [[1e-100, 2e-100, 4e-100, 3e-100], [1e-120, 3e-120, 4e-120, 2e-120]], 0.1,
-            )
 
     def test_audit_log_lines(self, caplog):
         with caplog.at_level("INFO", logger="ammknn.preprocess"):

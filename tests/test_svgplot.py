@@ -42,10 +42,6 @@ class TestRenderPlot:
         svg = render_plot(report(subjects), "scatter")
         assert "r = 1" in svg
 
-    def test_unknown_kind(self):
-        with pytest.raises(DataError, match="unknown plot kind 'pie'"):
-            render_plot(report([]), "pie")
-
     def test_missing_sections(self):
         with pytest.raises(DataError, match="report lacks 'subjects'/'bounds' sections"):
             render_plot({"subjects": []}, "scatter")
