@@ -227,9 +227,5 @@ def _read_json(path, error, kind: str):
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
-def config_from_json_dict(data: dict) -> PipelineConfig:
-    return _from_json(PipelineConfig, data, "config")
-
-
 def load_config(path) -> PipelineConfig:
-    return config_from_json_dict(_read_json(path, ConfigError, "config"))
+    return _from_json(PipelineConfig, _read_json(path, ConfigError, "config"), "config")

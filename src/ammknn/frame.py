@@ -42,8 +42,8 @@ default dialect handles it, with ``str.split`` and ``str.join`` where no
 cell needs quoting. On read, LF, CRLF and CR each end a line, and a
 quoted field may span lines: from the first line that holds a quote
 (or a NUL) on, ``csv.reader`` reads the rest of the file. A written line
-ends with CRLF, and only a cell that holds a comma, a quote or a line
-break is quoted.
+ends with CRLF; a row with a cell that needs quoting is written by a
+``csv.writer``, so the quoting rule is the ``csv`` module's alone.
 """
 
 from __future__ import annotations
@@ -297,15 +297,6 @@ def _open_out(path, newline: Optional[str] = None):
         raise DataError(f"{path}: cannot be written ({exc.strerror})") from None
 
 
-def _quoted(cell) -> str:
-    """One cell as ``csv.writer`` writes it: its ``str``, in quotes (each
-    quote doubled) if that holds a comma, a quote or a line break."""
-    text = str(cell)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
     """Write a header row, then each row of ``rows`` as it comes, byte for
     byte as ``csv.writer`` does.
@@ -313,20 +304,21 @@ def write_csv(header: Sequence[str], path, rows: Iterable[Sequence]) -> None:
     Each line ends with ``\\r\\n``. A cell is written as its ``str``, so a
     float as its ``repr()``, the shortest round-trip form, and load ->
     write -> load reproduces every cell bit for bit. A row is joined at
-    commas as it is unless a cell needs more: a cell holding a comma, a
-    quote or a line break is quoted with each quote doubled, and a row of
-    one empty field is written as ``""``. No step writes a missing cell.
-    Nothing but the current row is held, so ``rows`` may be drawn or
-    computed as it is written.
+    commas as it is unless a cell needs more (a comma, a quote or a line
+    break in a cell, or a row of one empty field, which ``csv`` writes as
+    ``""``): such a row is handed to a ``csv.writer`` on the same file.
+    No step writes a missing cell. Nothing but the current row is held, so
+    ``rows`` may be drawn or computed as it is written.
     """
     with _open_out(path, newline="") as fh:
         write = fh.write
+        writerow = csv.writer(fh).writerow
         for row in chain((header,), rows):
             line = ",".join(map(str, row))
             if (
                 '"' in line or "\r" in line or "\n" in line
                 or line.count(",") != len(row) - 1 or not line
             ):
-                # csv writes a row of one empty field as "", not as a blank line
-                line = ",".join(map(_quoted, row)) or ('""' if row else "")
+                writerow(row)
+                continue
             write(line + "\r\n")

@@ -460,28 +460,22 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
         predicted.append(prediction)
         triggered.append(fired)
 
-    ids = cohort.ids
-    bounds = config.tiers_predicted_validation
     validate_report = report_mod.build_report(
         "validation",
         model,
         config,
-        ids,
+        cohort.ids,
         cohort.target,
         predicted,
-        bounds,
+        config.tiers_predicted_validation,
         outlier_values,
         outlier_triggered=triggered,
     )
-    # worst predicted risk first, so support can be prioritized top-down
-    order = sorted(range(len(predicted)), key=lambda i: (predicted[i], i))
+    # worst predicted risk first, so support can be prioritized top-down;
+    # the sort is stable, so tied predictions keep cohort order
     roster = [
-        {
-            "id": ids[i],
-            "predicted": predicted[i],
-            "tier": classify_tier(predicted[i], bounds),
-        }
-        for i in order
+        {"id": s["id"], "predicted": s["predicted"], "tier": s["tier_predicted"]}
+        for s in sorted(validate_report["subjects"], key=itemgetter("predicted"))
     ]
     report_mod.dump_json(validate_report, os.path.join(out_dir, VALIDATE_JSON))
     report_mod.dump_json(roster, os.path.join(out_dir, ROSTER_JSON))
@@ -528,7 +522,7 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     split = doc.pop("split", None)
     if seed_override is not None:
         doc["seed"] = seed_override
-    spec = SynthSpec.from_json_dict(doc)
+    spec = _from_json(SynthSpec, doc, "generator spec")
     if split is not None:
         split = _from_json(CohortSplit, split, "split", seed=spec.seed)
     header, rows = generate_cohort(spec, split)

@@ -39,12 +39,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class StandardizationStats:
-    """Per-column mean/sd used for the z-transform, plus what was skipped."""
+    """Per-column mean and sd used for the z-transform, by label; the
+    target has none."""
 
     means: dict
     sds: dict
-    standardized_columns: tuple
-    excluded_columns: tuple
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,29 @@ def left_sum(values) -> float:
 
 
 def _spread(values: Sequence[float]):
-    """(mean, deviations from the mean, their summed squares) of a column."""
+    """(mean, deviations from the mean, their summed squares) of a column
+    of n >= 2 values; the summed squares are 0.0 when every value is equal.
+
+    The mean of n equal values v need not round back to v, and then every
+    deviation is one tiny eps != 0. With u = 2^-53: the first addition,
+    v + v, is exact, and the one that brings the running total to k values
+    rounds by at most u k|v|, so the sum is off by at most u|v| n(n + 1)/2
+    and the mean by u|v| (n + 1)/2, plus u|mean| for the division. So
+    |eps| <= n u|v| (for n = 2 the mean is v), and the summed squares are
+    at most n (n u mean)^2, to first order in n u; the bound used,
+    n (n 2u mean)^2, leaves a factor of 4 for the rest. Only a column whose
+    summed squares lie within it is scanned for equal values, so a column
+    with more spread costs no scan.
+    """
     # explicit left-to-right float arithmetic keeps transformed cells
     # byte-stable across interpreter versions (golden-file contract)
-    mean = left_sum(values) / len(values)
+    n = len(values)
+    mean = left_sum(values) / n
     d = [v - mean for v in values]
-    return mean, d, left_sum(map(mul, d, d))
+    squares = left_sum(map(mul, d, d))
+    if squares <= n * (n * 2.0 ** -52 * mean) ** 2 and min(values) == max(values):
+        squares = 0.0
+    return mean, d, squares
 
 
 def _column_stats(label: str, values: Sequence[float]):
@@ -120,20 +136,19 @@ def standardize_joint(
     ``d / sd``, the same float as ``(v - mean) / sd``; ``train`` and
     ``validation`` may hold any sequences of numbers.
     """
-    excluded = tuple(n for n in names if n == target_name)
-    idx = [j for j, name in enumerate(names) if name not in excluded]
-    to_standardize = tuple(names[j] for j in idx)
     n = len(train[0]) if train else 0
     means: dict = {}
     sds: dict = {}
-    for name, j in zip(to_standardize, idx):
+    for j, name in enumerate(names):
+        if name == target_name:
+            continue
         pooled = train[j] if validation is None else train[j] + validation[j]
         mean, sd, deviations = _column_stats(name, pooled)
         means[name], sds[name] = mean, sd
         train[j] = array("d", [d / sd for d in deviations[:n]])
         if validation is not None:
             validation[j] = array("d", [d / sd for d in deviations[n:]])
-    return StandardizationStats(means, sds, to_standardize, excluded)
+    return StandardizationStats(means, sds)
 
 
 def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):

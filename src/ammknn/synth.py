@@ -47,7 +47,6 @@ from math import cos, hypot, log, pi, sqrt
 from statistics import NormalDist
 from typing import Iterator, Optional, Tuple
 
-from .config import _from_json
 from .errors import ConfigError
 from .frame import BOUND
 
@@ -122,10 +121,6 @@ class SynthSpec:
         low, high = self.target_range
         slope = (high - low) / 8.0
         return slope, _PASS_MARK - slope * NormalDist().inv_cdf(self.fail_rate_hint)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SynthSpec":
-        return _from_json(cls, data, "generator spec")
 
 
 @dataclass(frozen=True)

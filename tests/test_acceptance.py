@@ -13,15 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from ammknn import (
-    AmmknnConfig,
-    PipelineConfig,
-    score,
-    select_by_correlation,
-    standardize_joint,
-)
 from ammknn.cli import main
-from ammknn.config import load_config
+from ammknn.config import AmmknnConfig, PipelineConfig, load_config
+from ammknn.knn import score
 from ammknn.pipeline import (
     LOOCV_AMMKNN_JSON,
     LOOCV_KNN_JSON,
@@ -36,6 +30,7 @@ from ammknn.pipeline import (
     run_synth,
     run_validate,
 )
+from ammknn.preprocess import select_by_correlation, standardize_joint
 from ammknn.report import build_report
 from perfbench_module import load_perfbench
 

@@ -25,6 +25,7 @@ A message names each path by its input, as ``{train}`` or ``{out}``.
 
 import json
 import re
+import tempfile
 from dataclasses import is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -32,8 +33,9 @@ from typing import Callable, NamedTuple, Union, get_args, get_origin, get_type_h
 
 import pytest
 
-from ammknn import CohortSplit, PipelineConfig, SynthSpec
 from ammknn.cli import main
+from ammknn.config import PipelineConfig
+from ammknn.synth import CohortSplit, SynthSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED7 = GOLDEN / "seed7"
@@ -188,6 +190,17 @@ ID, COMMA_ID = "S007", "Doe, Jane"
 
 FEATURES = [f"f{j:02d}" for j in (*range(1, 13), *range(15, 20))]  # of train.csv
 POSITIVE = [f for f in FEATURES if f not in ("f15", "f17")]  # by r with the score
+
+
+def _training_rows():
+    """The data rows of the raw input that prepare puts on the training
+    side (the first is 0): those whose cohort year is before 2019."""
+    lines = INPUTS["input"].read_text(encoding="utf-8").splitlines()
+    header, *rows = (line.split(",") for line in lines)
+    return [i for i, row in enumerate(rows) if float(row[header.index("cohort")]) < 2019.0]
+
+
+TRAINING_ROWS = _training_rows()
 
 
 # --------------------------------------------------------------------------
@@ -430,6 +443,14 @@ REFUSALS = [
     # more rows than a block, on the training side
     case("prepare", 3, "{input}: column 'f03' has zero variance",
          input=then(rows_of(twice_over), cells("f03", "1.5"))),
+    # the mean of these does not round back to the value: every deviation
+    # was one tiny eps, and prepare logged an r of about -3e-16
+    *(case("prepare", 3, "{input}: column 'f03' has zero variance", input=cells("f03", value))
+      for value in ("0.1", "444.3")),
+    # its training z-scores are one value, whose mean does not round back
+    # to it: prepare logged an r of about -3e-16 and kept the rest
+    case("prepare", 3, "{input}: column 'f03' has no r with the target: it is constant, or "
+         "nearly so, in the training rows", input=cells("f03", "1.5", TRAINING_ROWS)),
     # z-scored over both sides, a column may still be constant in training:
     # f03's pooled mean is 1.5 exactly, so its training z-scores are all 0.0
     case("prepare", 3, "{input}: column 'f03' has no r with the target: it is constant, or "
@@ -579,6 +600,21 @@ def _one_point(written, reference):
     return written["packrat_scatter.svg"].count(b'class="pt"') == 1
 
 
+def _no_r(written, reference):
+    """Each report gives r as null, and ``plot`` captions it with n alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in written.items():
+            report = Path(tmp) / name
+            report.write_bytes(data)
+            if json.loads(data)["prediction_actual_correlation"] is not None or main(
+                ["plot", "--report", str(report), "--out", tmp]
+            ):
+                return False
+            if '">n = 8</text>' not in (Path(tmp) / "scatter.svg").read_text(encoding="utf-8"):
+                return False
+    return True
+
+
 EXPORTS = {
     "LF line ends": lambda text: text.replace("\r\n", "\n"),
     "CR line ends": lambda text: text.replace("\r\n", "\r"),
@@ -603,6 +639,12 @@ ACCEPTED = {
     # a constant column has r = 0, and adds nothing to a distance
     "loocv:constant column": case("loocv", 0, _same, train=rows_of(
         lambda t: [[*t[0][:-1], "flat", t[0][-1]]] + [[*r[:-1], "0.5", r[-1]] for r in t[1:]]
+    )),
+    # every score is equal, so r is undefined; their mean did not round
+    # back to the score, and both reports gave 1.0, which plot captioned
+    "loocv:equal scores": case("loocv", 0, _no_r, config=doc_with({"knn_k": 2}), train=lambda text: (
+        "student_id,f01,f02,score\r\n"
+        + "".join(f"C{i},{i}.0,{(i * 7) % 5}.5,444.3\r\n" for i in range(8))
     )),
     "packrat_scatter:one subject": case("plot --kind packrat_scatter", 0, _one_point, report=doc_with(
         {"subjects": [json.loads(INPUTS["report"].read_text(encoding="utf-8"))["subjects"][0]]}

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammknn import load_csv, write_csv
-from ammknn.config import config_from_json_dict
+from ammknn.config import PipelineConfig, _from_json
 from ammknn.errors import ConfigError, DataError
-from ammknn.frame import BOUND, Shape, _split_lines, read_table
+from ammknn.frame import BOUND, Shape, _split_lines, load_csv, read_table, write_csv
 from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
@@ -336,7 +335,8 @@ def split_cohort(tmp_path, header, rows, **config):
         "target_name": "t", "id_column": "id", "cohort_column": "year", "year_cutoff": 2019,
         **config,
     }
-    names, train, validation, counts = _split_cohort(config_from_json_dict(doc), path)
+    config = _from_json(PipelineConfig, doc, "config")
+    names, train, validation, counts = _split_cohort(config, path)
     for side in (train, validation):
         assert all(type(c) is array and c.typecode == "d" for c in side.columns)
         assert {len(c) for c in side.columns} == {len(side.ids)}
@@ -524,7 +524,11 @@ class TestAggregateMeans:
         # the written header would name the id or the group twice, which
         # loocv refuses; no header is needed to see it
         with pytest.raises(ConfigError, match=f"column '{groups[-1]['group_name']}' already exists"):
-            config_from_json_dict({"target_name": "x", "id_column": "id", "aggregations": groups})
+            _from_json(
+                PipelineConfig,
+                {"target_name": "x", "id_column": "id", "aggregations": groups},
+                "config",
+            )
 
     @pytest.mark.parametrize("member, problem", [
         ("q9", "no column named 'q9'"),
@@ -640,14 +644,14 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     assert loaded.rows == rows
     assert all(type(c) is float or c is None for row in loaded.rows for c in row)
     assert loaded.ids == (tuple(ids) if ids else (None,) * len(rows))
-    config = config_from_json_dict({
+    config = _from_json(PipelineConfig, {
         "target_name": "c0",
         "id_column": None if ids is None else "id",
         "cohort_column": "c1",
         "year_cutoff": 0.5,
         "aggregations": [{"group_name": "g", "member_columns": names[2:]}] if width > 2 else [],
         "exclude_columns": some,
-    })
+    }, "config")
     if width == 2:  # the target and the cohort year leave no candidate feature
         with pytest.raises(ConfigError, match="no candidate feature column"):
             _split_cohort(config, path)

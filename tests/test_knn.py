@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammknn import AmmknnConfig, cumulative_means, score
+from ammknn.config import AmmknnConfig
 from ammknn.errors import ConfigError
+from ammknn.knn import cumulative_means, score
 from perfbench_module import load_perfbench
 
 # the naive method every ranking is checked against: sort all rows, then

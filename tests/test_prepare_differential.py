@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammknn.config import config_from_json_dict
+from ammknn.config import PipelineConfig, _from_json
 from ammknn.errors import DataError
 from ammknn.pipeline import SELECTION_JSON, TRAIN_CSV, VALIDATION_CSV, run_prepare
 
@@ -273,7 +273,7 @@ TRAIN_ROWS = [
 @example((_cohort(TRAIN_ROWS + [(2019.5, 0.3, 0.2, 0.7, 0.1, 350.0)], blank_after=[0, 2, 5]), 0.2, []))
 def test_prepare_matches_naive_reference(case):
     text, threshold, exclude = case
-    config = config_from_json_dict({
+    config = _from_json(PipelineConfig, {
         "target_name": "score",
         "id_column": "student_id",
         "cohort_column": "cohort",
@@ -281,7 +281,7 @@ def test_prepare_matches_naive_reference(case):
         "aggregations": AGGREGATIONS,
         "exclude_columns": exclude,
         "correlation_threshold": threshold,
-    })
+    }, "config")
     with tempfile.TemporaryDirectory() as tmp:
         cohort = Path(tmp, "cohort.csv")
         cohort.write_text(text, encoding="utf-8")
@@ -358,7 +358,7 @@ def _block_rows(seed, n_rows=1100):
 def test_prepare_matches_naive_reference_across_blocks(exclude):
     # about 1 100 rows, so each side fills more than one block of rows
     text = _cohort(_block_rows(20231))
-    config = config_from_json_dict({
+    config = _from_json(PipelineConfig, {
         "target_name": "score",
         "id_column": "student_id",
         "cohort_column": "cohort",
@@ -366,7 +366,7 @@ def test_prepare_matches_naive_reference_across_blocks(exclude):
         "aggregations": AGGREGATIONS,
         "exclude_columns": exclude,
         "correlation_threshold": 0.1,
-    })
+    }, "config")
     with tempfile.TemporaryDirectory() as tmp:
         cohort = Path(tmp, "cohort.csv")
         cohort.write_text(text, encoding="utf-8")

@@ -3,13 +3,18 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ammknn import (
+from ammknn.errors import DataError
+from ammknn.frame import BOUND
+from ammknn.preprocess import (
+    _correlations,
+    _spread,
+    left_sum,
     select_by_correlation,
     standardize_joint,
 )
-from ammknn.errors import DataError
-from ammknn.preprocess import _correlations
 from ammknn.report import prediction_actual_correlation
 
 
@@ -30,7 +35,7 @@ class TestStandardizeJoint:
         cols = [[1.0, 2.0], [310.0, 500.0]]
         stats = standardize_joint(["x", "t"], "t", cols)
         assert cols[1] == [310.0, 500.0]
-        assert "t" in stats.excluded_columns
+        assert "t" not in stats.means
 
     def test_zero_variance(self):
         with pytest.raises(DataError, match="column 'x' has zero variance"):
@@ -95,6 +100,9 @@ class TestPearson:
 
     def test_constant_input(self):
         assert prediction_actual_correlation([1, 1, 1], [1, 2, 3]) is None
+        # the mean of these is not 444.3: each side's deviations were one
+        # eps != 0, which gave r = 1.0
+        assert prediction_actual_correlation([444.3] * 8, [444.3] * 8) is None
 
     def test_spread_whose_product_underflows_is_undefined(self):
         # the sums of squares multiplied to 0.0, and r divided by zero
@@ -106,6 +114,28 @@ class TestPearson:
         x = [1e50, -1e50] * 50
         r = pearson(x, [-v for v in x])
         assert math.isfinite(r) and abs(r + 1.0) < 1e-12
+
+
+class TestEqualValues:
+    """A column is constant when its values are equal, whatever the mean
+    of them rounds to."""
+
+    @given(st.floats(-BOUND, BOUND, allow_nan=False), st.integers(2, 3000))
+    @example(444.3, 8)  # mean 444.30000000000007
+    @example(0.1, 1075)
+    @example(-1e50, 3000)
+    def test_equal_values_have_no_spread(self, value, n):
+        mean, d, squares = _spread([value] * n)
+        assert squares == 0.0
+        # the deviations' own summed squares lie within the bound that
+        # makes _spread look for equal values
+        assert left_sum(x * x for x in d) <= n * (n * 2.0 ** -52 * mean) ** 2
+
+    def test_a_spread_within_the_bound_is_kept(self):
+        values = [1.0, 1.0, 1.0 + 2.0 ** -52]
+        squares = _spread(values)[2]
+        assert 0.0 < squares <= 3 * (3 * 2.0 ** -52 * 1.0) ** 2
+        assert pearson(values, [1.0, 2.0, 3.0]) is not None
 
 
 def designed_frame():

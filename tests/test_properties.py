@@ -9,18 +9,13 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammknn import (
-    AmmknnConfig,
-    PipelineConfig,
-    TierBoundaries,
-    classify_tier,
-    cumulative_means,
-    select_by_correlation,
-    standardize_joint,
-    write_csv,
-)
+from ammknn.config import AmmknnConfig, PipelineConfig, TierBoundaries
 from ammknn.errors import ConfigError, DataError
+from ammknn.frame import write_csv
+from ammknn.knn import cumulative_means
 from ammknn.pipeline import run_loocv, run_predict, run_validate
+from ammknn.preprocess import select_by_correlation, standardize_joint
+from ammknn.report import classify_tier
 
 scores = st.floats(min_value=200.0, max_value=800.0, allow_nan=False)
 score_vectors = st.lists(scores, min_size=1, max_size=40)

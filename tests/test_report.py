@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ammknn import PipelineConfig, TierBoundaries, classify_tier
+from ammknn.config import PipelineConfig, TierBoundaries
 from ammknn.errors import ConfigError
-from ammknn.report import build_report
+from ammknn.report import build_report, classify_tier
 
 
 def report_of(actual, predicted, predicted_bounds=None, **config):

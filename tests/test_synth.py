@@ -11,16 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammknn import (
-    CohortSplit,
-    SplitMix64,
-    SynthSpec,
-    generate_cohort,
-)
+from ammknn.config import _from_json
 from ammknn.errors import ConfigError
 from ammknn.pipeline import run_synth
 from ammknn.report import prediction_actual_correlation
-from ammknn.synth import _feature_text
+from ammknn.synth import CohortSplit, SplitMix64, SynthSpec, _feature_text, generate_cohort
 
 
 def uniform(rng):
@@ -157,7 +152,7 @@ class TestGenerateCohort:
 
     def test_spec_json_round_trip(self):
         s = spec()
-        assert SynthSpec.from_json_dict(asdict(s)) == s
+        assert _from_json(SynthSpec, asdict(s), "generator spec") == s
 
 
 def per_draw_cohort(spec):
