@@ -6,13 +6,18 @@ parses each record as it is asked for one; nothing else holds the table.
 plans its columns from the header). No configuration is defined or
 checked here: the target and id column arrive as names, and a header
 that lacks one is the only configuration fault raised here.
-``read_table`` consumes a prepared table for ``loocv``, ``validate`` and
-``predict``: it keeps only what a ranking step reads, one tuple of
-feature cells per row, in the training table's feature order, the
-targets and the ids. Which feature is the outlier feature is not known
-here: ``pipeline`` takes its column from the rows. ``write_csv`` writes
-rows from any iterable, so neither ``prepare`` nor ``synth`` holds a
-table it writes.
+``stream_table`` reads a prepared table for ``loocv``, ``validate`` and
+``predict``: it checks the header, then hands on, record by record, only
+what a ranking step reads: the tuple of feature cells, in the training
+table's feature order, the target and the id. ``read_table`` keeps
+those of a training table whole; ``validate`` and ``predict`` rank a
+cohort's records as they come and keep none. Which feature is the
+outlier feature is not known here: ``pipeline`` takes its cells from the
+rows. ``write_csv`` writes rows from any iterable, so neither
+``prepare`` nor ``synth`` holds a table it writes. ``_open_out`` is the
+one opener of an output; every path a step hands it is the temporary
+name under which ``pipeline`` writes an output before putting it in
+place.
 
 Whether a parsed cell may enter arithmetic is decided here alone, as its
 record is parsed: every cell but the id is empty (missing) or a number
@@ -24,7 +29,7 @@ every |v| <= 1e50, a square stays below 4e100 and a product of two sums
 of squares below 1.6e201 * n^2, so no distance, sum, running mean, sd or
 correlation that a step forms from the cells can overflow for any table
 that fits in memory, and no module checks for overflow. A missing cell
-is the step's business: ``read_table`` refuses one in any cell it keeps,
+is the step's business: ``stream_table`` refuses one in any cell it keeps,
 ``prepare`` leaves its row out. Every refusal names the file line on
 which its record ends (the header is line 1, and blank lines count), as
 ``<path>, line L, column 'c': `` followed by ``non-numeric cell 'x1'``,
@@ -101,24 +106,28 @@ def _split_lines(fh, path) -> Iterator:
     on, one ``csv.reader`` reads the rest of the file, so a quoted field
     may span lines, and a file whose header or ids are quoted costs what
     ``csv`` alone costs. ``csv``'s own refusals (a field over its field
-    size limit, a NUL on Python 3.10) are a ``DataError`` naming the line.
+    size limit, a NUL on Python 3.10) are a ``DataError`` naming the line,
+    and so is text that is not UTF-8. Only faults of the reads are caught
+    here, not one raised where a record is used.
     """
     lines = iter(fh)
     line = 0
-    for text in lines:
-        if '"' in text or "\0" in text:
-            break
-        line += 1
-        text = text.rstrip("\r\n")
-        yield line, text.split(",") if text else []
-    else:
-        return
-    reader = csv.reader(chain((text,), lines))
     try:
+        for text in lines:
+            if '"' in text or "\0" in text:
+                break
+            line += 1
+            text = text.rstrip("\r\n")
+            yield line, text.split(",") if text else []
+        else:
+            return
+        reader = csv.reader(chain((text,), lines))
         for record in reader:
             yield line + reader.line_num, record
     except csv.Error as exc:
         raise DataError(f"{path}, line {line + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _read_header(records, path, target_name: Optional[str], id_column: Optional[str]):
@@ -206,31 +215,32 @@ def load_csv(
     only one that may hold other text. ``target_name`` may be None for an
     unscored cohort. A header that lacks the named target or id column is
     a ``ConfigError``: those names always come from the configuration.
+    A file that cannot be opened or read is a ``DataError`` naming it;
+    what ``consume`` raises passes through as it is.
     """
     tally = [0]
     try:
         # utf-8-sig skips the byte-order mark that some spreadsheet
         # exports put before the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            records = _split_lines(fh, path)
-            names, id_pos = _read_header(records, path, target_name, id_column)
-            consume(names, _records(records, path, names, id_pos, tally))
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory, not a CSV file") from None
+    with fh:
+        records = _split_lines(fh, path)
+        names, id_pos = _read_header(records, path, target_name, id_column)
+        consume(names, _records(records, path, names, id_pos, tally))
     return Shape(tally[0], len(names))
 
 
 class Table(NamedTuple):
-    """What a ranking step reads from one CSV table, the features, the
+    """What a ranking step reads from a training table, the features, the
     target and the ids; every cell is within ±``BOUND``."""
 
     features: tuple  # the label of each cell of a row, in order
     rows: list  # one tuple of feature cells per record
-    target: list  # each record's target cell, or nothing
+    target: list  # each record's target cell
     ids: list  # each record's id, None where there is no id column
 
     def column(self, name: str) -> list:
@@ -239,28 +249,31 @@ class Table(NamedTuple):
         return [row[k] for row in self.rows]
 
 
-def read_table(
+def stream_table(
     path,
     target_name: str,
     id_column: Optional[str],
+    consume: Callable[[tuple, Iterator], None],
     features: Optional[Sequence[str]] = None,
     scored: bool = True,
-) -> Table:
-    """What ``loocv``, ``validate`` and ``predict`` rank with, from one
-    prepared CSV table, in one pass of ``load_csv``.
+) -> Shape:
+    """Read a prepared CSV table for a ranking step in one pass of
+    ``load_csv``, handing each record to ``consume`` as it is parsed.
 
-    Each row holds the cells of ``features``, in that order: by default
-    every column but the target, in file order (a training table). Given
-    ``features``, the table's columns other than the target must be
-    exactly those, or it is refused (a cohort, whose columns must be the
-    training table's). The target is read only when ``scored``: an
-    unscored cohort may lack it or leave it blank. The ids are kept, and
-    nothing else. A missing cell among those kept is refused, the first
-    in file order.
+    ``consume(features, rows)`` is called once, after the header has been
+    checked and before the first record is read, with the labels of a
+    row's cells and an iterator of ``(id or None, tuple of feature cells,
+    target cell or None)``. Each row holds the cells of ``features``, in
+    that order: by default every column but the target, in file order (a
+    training table). Given ``features``, the table's columns other than
+    the target must be exactly those, or it is refused (a cohort, whose
+    columns must be the training table's). The target is read only when
+    ``scored``: an unscored cohort may lack it or leave it blank. A
+    missing cell among those kept is refused as its record is reached,
+    so a refusal may come after ``consume`` has used earlier rows.
     """
-    table = []
 
-    def consume(names: list, records: Iterator) -> None:
+    def check(names: list, records: Iterator) -> None:
         given = [n for n in names if n != target_name]
         picked = given if features is None else list(features)
         if set(given) != set(picked):
@@ -272,25 +285,42 @@ def read_table(
         pick = _picker([names.index(n) for n in picked])
         t = names.index(target_name) if scored else None
         unread = None if scored else target_name
-        rows, target, ids = [], [], []
-        for line, rid, cells in records:
-            if None in cells:
-                for name, cell in zip(names, cells):
-                    if cell is None and name != unread:
-                        raise DataError(f"{path}, line {line}, column {name!r}: missing cell")
-            rows.append(pick(cells))
-            if t is not None:
-                target.append(cells[t])
-            ids.append(rid)
-        table.append(Table(tuple(picked), rows, target, ids))
 
-    load_csv(path, target_name if scored else None, id_column, consume)
+        def rows() -> Iterator:
+            for line, rid, cells in records:
+                if None in cells:
+                    for name, cell in zip(names, cells):
+                        if cell is None and name != unread:
+                            raise DataError(f"{path}, line {line}, column {name!r}: missing cell")
+                yield rid, pick(cells), None if t is None else cells[t]
+
+        consume(tuple(picked), rows())
+
+    return load_csv(path, target_name if scored else None, id_column, check)
+
+
+def read_table(path, target_name: str, id_column: Optional[str]) -> Table:
+    """A training table, whole, from one pass of ``stream_table``: each
+    row's feature cells, in file order, its target and its id, and
+    nothing else."""
+    table = []
+
+    def keep(features: tuple, rows: Iterator) -> None:
+        ids, cells, target = [], [], []
+        for rid, row, t in rows:
+            ids.append(rid)
+            cells.append(row)
+            target.append(t)
+        table.append(Table(features, cells, target, ids))
+
+    stream_table(path, target_name, id_column, keep)
     return table[0]
 
 
 def _open_out(path, newline: Optional[str] = None):
-    """Open an output file for writing UTF-8 text. A path that cannot be
-    written, such as a directory, is a ``DataError`` naming it."""
+    """Open an output file for writing UTF-8 text: a step's temporary name
+    for it (see ``pipeline._outputs``). A path that cannot be written,
+    such as a directory, is a ``DataError`` naming it."""
     try:
         return open(path, "w", newline=newline, encoding="utf-8")
     except OSError as exc:

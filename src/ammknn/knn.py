@@ -107,9 +107,9 @@ Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
 finite, and within ±``frame.BOUND`` so that no sum overflows. This
 module does not check them: ``frame.load_csv`` refuses a cell beyond the
-bound, and ``frame.read_table`` a missing one, with a ``DataError``
-naming its file line and column as it parses the record, before any
-ranking.
+bound, and ``frame.stream_table`` a missing one, with a ``DataError``
+naming its file line and column as it parses the record, before the
+record is ranked.
 
 Running means are plain left-to-right float sums divided by k. Together
 these choices make predictions bit-identical to a naive re-implementation

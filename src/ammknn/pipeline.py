@@ -19,34 +19,44 @@ validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
 Both refuse a cohort whose feature columns are not the training table's.
 synth/plot: generator and figure plumbing; synth writes each block of
-rows as it is drawn. Every step turns an ``--out`` that cannot be made a
-directory, or an output file that cannot be written, into a
-``DataError``.
+rows as it is drawn.
+
+Every step writes each output under a temporary name in ``--out`` and
+puts them all in place together, with ``os.replace``, only once it has
+succeeded (see ``_outputs``). So a step that is refused, or fails for
+any other reason, leaves every output as it was and no temporary file.
+An ``--out`` that cannot be made a directory, or an output whose path is
+a directory, is a ``DataError`` naming it.
 
 Every cell of every input is checked once, as ``frame.load_csv`` parses
 its record, and a refusal names the file line and the column. Every
 number read lies within ±``frame.BOUND``, so nothing formed from the
 cells here (a group's mean, a running mean, a correlation) can overflow,
-and no step checks for it. loocv,
-validate and predict each read their tables with ``frame.read_table``,
-which keeps only what the step ranks with and refuses a missing cell
-among it: the training table first, then the cohort. The outlier
+and no step checks for it. loocv, validate and predict read the
+training table whole with ``frame.read_table``, which keeps only what
+the step ranks with and refuses a missing cell among it. The outlier
 feature is known here alone: ``_read_training`` refuses a training table
 of fewer than 2 rows, resolves the feature's name once,
 from the configuration or the training table's correlations, and takes
-its values with ``Table.column`` from the training table or the cohort;
-``knn`` is handed those values, never the name. They all score
+its values from the training table's rows or the cohort's; ``knn`` is
+handed those values, never the name. They all score
 through one generator, ``knn.score``: a window over the training rows'
 feature sums, a ``math.dist`` filter over the rows in it, then exact
 left-to-right squared distances for the few rows it keeps, and the
-adaptive rule. Each step reads from a subject's tuple only what it
-needs, one subject at a time. validate keeps the prediction and the
-outlier flag for its report, and predict writes each subject's line as
-it is scored, after every cell has been checked. loocv refuses a
-``knn_k`` beyond the n - 1 rows of a fold, ranks each training row once,
-held out of its own ranking, and reads both models from that ranking;
-there is no pairwise distance cache, because its O(n^2) memory would
-outgrow everything else a step holds.
+adaptive rule. validate and predict stream the cohort, after its header
+has been checked against the training table, through one pass of
+``frame.stream_table`` into ``knn.score``: each record is parsed,
+checked and ranked in turn, and nothing holds the cohort's feature
+cells. A bad cell is found when its record is reached, after the
+subjects before it were scored, and the step is refused before any
+output is put in place. Each step reads from a subject's tuple only
+what it needs, one subject at a time: validate keeps the id, score,
+outlier value, prediction and outlier flag for its report, and predict
+writes each subject's line as it is scored and keeps nothing. loocv
+refuses a ``knn_k`` beyond the n - 1 rows of a fold, ranks each training
+row once, held out of its own ranking, and reads both models from that
+ranking; there is no pairwise distance cache, because its O(n^2) memory
+would outgrow everything else a step holds.
 ``report.build_report`` turns the predictions into the tiers, tallies
 and metrics of a report.
 
@@ -56,19 +66,21 @@ a step produces byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 from array import array
-from itertools import compress, repeat
+from contextlib import contextmanager
+from itertools import compress, repeat, tee
 from operator import add, itemgetter, truediv
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import report as report_mod
 from . import svgplot
 from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
-from .frame import Table, _open_out, _picker, load_csv, read_table, write_csv
+from .frame import Table, _open_out, _picker, load_csv, read_table, stream_table, write_csv
 from .knn import score
 from .preprocess import _correlations, left_sum, select_by_correlation, standardize_joint
 from .report import classify_tier
@@ -85,16 +97,42 @@ PREDICTIONS_JSONL = "predictions.jsonl"
 SYNTH_CSV = "cohort.csv"
 
 
-def _make_out_dir(out_dir) -> None:
-    """Create a step's output directory (and its parents) if missing. A
-    path that cannot be made a directory, such as an existing file, is a
-    ``DataError`` naming it."""
+@contextmanager
+def _outputs(out_dir) -> Iterator[Callable[[str], str]]:
+    """A step's output directory, made (with its parents) if missing, and
+    a function from an output's file name to the path to write it at:
+    ``<name>.tmp`` in the directory.
+
+    When the step has succeeded, every destination is checked before any
+    is replaced: one that is a directory is a ``DataError`` naming it.
+    Then each temporary file is moved into place with ``os.replace``. A
+    step that fails, for whatever reason, leaves every output as it was
+    and no ``<name>.tmp`` of its outputs. An ``--out`` that cannot be made
+    a directory, such as an existing file, is a ``DataError`` naming it.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise DataError(
             f"{out_dir}: cannot be used as the output directory ({exc.strerror})"
         ) from None
+    finals = []
+
+    def temporary(name: str) -> str:
+        finals.append(os.path.join(out_dir, name))
+        return finals[-1] + ".tmp"
+
+    try:
+        yield temporary
+        for final in finals:
+            if os.path.isdir(final):
+                raise DataError(f"{final}: cannot be written ({os.strerror(errno.EISDIR)})")
+        for final in finals:
+            os.replace(final + ".tmp", final)
+    finally:
+        for final in finals:
+            if os.path.isfile(final + ".tmp"):
+                os.remove(final + ".tmp")
 
 
 def resolve_outlier_feature(train: Table, config: PipelineConfig, path) -> str:
@@ -339,37 +377,35 @@ def _split_cohort(config: PipelineConfig, input_path):
 
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
     """Every refusal of the kept rows names ``input_path``."""
-    _make_out_dir(out_dir)
-    names, train, validation, counts = _split_cohort(config, input_path)
-    if len(train.ids) < 2:  # the correlation filter needs 2 training rows
-        raise DataError(
-            f"{input_path}: {len(train.ids)} training rows kept (cohort year before "
-            f"year_cutoff {config.year_cutoff!r}); prepare needs at least 2"
-        )
-    try:
-        standardize_joint(names, config.target_name, train.columns, validation.columns)
-        selection = select_by_correlation(
-            names, config.target_name, train.columns, config.correlation_threshold
-        )
-    except DataError as exc:  # a column without spread
-        raise DataError(f"{input_path}: {exc}") from None
-    if len(selection.kept_columns) < 2:  # the target is always kept
-        raise DataError(
-            f"{input_path}: no feature column correlates with the target at "
-            f"correlation_threshold {config.correlation_threshold!r} or above"
-        )
-    kept = [names.index(n) for n in selection.kept_columns]
-    header = list(selection.kept_columns)
-    if config.id_column is not None:
-        header.insert(0, config.id_column)
-    for side, file_name in ((train, TRAIN_CSV), (validation, VALIDATION_CSV)):
-        columns = [side.columns[j] for j in kept]
+    with _outputs(out_dir) as out:
+        names, train, validation, counts = _split_cohort(config, input_path)
+        if len(train.ids) < 2:  # the correlation filter needs 2 training rows
+            raise DataError(
+                f"{input_path}: {len(train.ids)} training rows kept (cohort year before "
+                f"year_cutoff {config.year_cutoff!r}); prepare needs at least 2"
+            )
+        try:
+            standardize_joint(names, config.target_name, train.columns, validation.columns)
+            selection = select_by_correlation(
+                names, config.target_name, train.columns, config.correlation_threshold
+            )
+        except DataError as exc:  # a column without spread
+            raise DataError(f"{input_path}: {exc}") from None
+        if len(selection.kept_columns) < 2:  # the target is always kept
+            raise DataError(
+                f"{input_path}: no feature column correlates with the target at "
+                f"correlation_threshold {config.correlation_threshold!r} or above"
+            )
+        kept = [names.index(n) for n in selection.kept_columns]
+        header = list(selection.kept_columns)
         if config.id_column is not None:
-            columns.insert(0, side.ids)
-        write_csv(header, os.path.join(out_dir, file_name), zip(*columns))
-    report_mod.dump_json(
-        selection.to_json_dict(), os.path.join(out_dir, SELECTION_JSON)
-    )
+            header.insert(0, config.id_column)
+        for side, file_name in ((train, TRAIN_CSV), (validation, VALIDATION_CSV)):
+            columns = [side.columns[j] for j in kept]
+            if config.id_column is not None:
+                columns.insert(0, side.ids)
+            write_csv(header, out(file_name), zip(*columns))
+        report_mod.dump_json(selection.to_json_dict(), out(SELECTION_JSON))
     return {
         "train_rows": len(train.ids),
         "validation_rows": len(validation.ids),
@@ -391,121 +427,149 @@ def _read_training(config: PipelineConfig, train_path):
 
 
 def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
-    _make_out_dir(out_dir)
-    train, outlier, model = _read_training(config, train_path)
-    k, n = config.knn_k, len(train.rows)
-    if k > n - 1:
-        raise DataError(f"{train_path}: k={k} exceeds {n - 1} training rows per fold")
-    outlier_values = train.column(outlier)
-    depth = max(config.ammknn.max_k, k)
-    ammknn_predictions, triggered, knn_predictions = [], [], []
-    for _, _, means, prediction, fired in score(
-        train.rows, train.target, train.rows, outlier_values, config.ammknn, depth, held_out=True
-    ):
-        ammknn_predictions.append(prediction)
-        triggered.append(fired)
-        knn_predictions.append(means[k - 1])
+    with _outputs(out_dir) as out:
+        train, outlier, model = _read_training(config, train_path)
+        k, n = config.knn_k, len(train.rows)
+        if k > n - 1:
+            raise DataError(f"{train_path}: k={k} exceeds {n - 1} training rows per fold")
+        outlier_values = train.column(outlier)
+        depth = max(config.ammknn.max_k, k)
+        ammknn_predictions, triggered, knn_predictions = [], [], []
+        for _, _, means, prediction, fired in score(
+            train.rows, train.target, train.rows, outlier_values, config.ammknn, depth,
+            held_out=True,
+        ):
+            ammknn_predictions.append(prediction)
+            triggered.append(fired)
+            knn_predictions.append(means[k - 1])
 
-    ammknn_report = report_mod.build_report(
-        "loocv",
-        model,
-        config,
-        train.ids,
-        train.target,
-        ammknn_predictions,
-        config.tiers_predicted,
-        outlier_values,
-        outlier_triggered=triggered,
-    )
-    knn_report = report_mod.build_report(
-        "loocv",
-        f"knn(k={config.knn_k})",
-        config,
-        train.ids,
-        train.target,
-        knn_predictions,
-        config.tiers_predicted,
-        outlier_values,
-    )
-    report_mod.dump_json(ammknn_report, os.path.join(out_dir, LOOCV_AMMKNN_JSON))
-    report_mod.dump_json(knn_report, os.path.join(out_dir, LOOCV_KNN_JSON))
+        ammknn_report = report_mod.build_report(
+            "loocv",
+            model,
+            config,
+            train.ids,
+            train.target,
+            ammknn_predictions,
+            config.tiers_predicted,
+            outlier_values,
+            outlier_triggered=triggered,
+        )
+        knn_report = report_mod.build_report(
+            "loocv",
+            f"knn(k={config.knn_k})",
+            config,
+            train.ids,
+            train.target,
+            knn_predictions,
+            config.tiers_predicted,
+            outlier_values,
+        )
+        report_mod.dump_json(ammknn_report, out(LOOCV_AMMKNN_JSON))
+        report_mod.dump_json(knn_report, out(LOOCV_KNN_JSON))
     return {"ammknn": ammknn_report, "knn": knn_report}
 
 
-def _scored_cohort(config: PipelineConfig, train_path, cohort_path, scored: bool):
-    """The adaptive model's label, the cohort as read, its outlier values
-    and the ``knn.score`` generator of its subjects. The training table is
-    read first, then the cohort, which must hold exactly the training
-    table's feature columns, with or without the target: any other
-    cohort, such as a raw one that still holds its year column, is a
-    ``DataError``. Every cell is checked before the first record is
-    scored."""
+def _scored_cohort(
+    config: PipelineConfig, train_path, cohort_path, scored: bool, consume: Callable
+) -> tuple:
+    """Score a cohort as it is read: the adaptive model's label and the
+    count of the cohort's records.
+
+    The training table is read whole first; then the cohort is read in
+    one pass of ``frame.stream_table``. Its header must hold exactly the
+    training table's feature columns, with or without the target: any
+    other cohort, such as a raw one that still holds its year column, is
+    a ``DataError`` before the first record is read or scored. Then
+    ``consume`` is called once with an iterator of ``(id, target or None,
+    outlier value, the subject's tuple from knn.score)``: each record is
+    parsed, its cells are checked, and it is ranked as ``consume`` asks
+    for it, so nothing holds the cohort. A bad cell is refused when its
+    record is reached, after the subjects before it have been scored;
+    the step's outputs are put in place only once it has succeeded (see
+    ``_outputs``)."""
     train, outlier, model = _read_training(config, train_path)
-    cohort = read_table(
-        cohort_path, config.target_name, config.id_column, features=train.features, scored=scored
+    at = train.features.index(outlier)
+
+    def rank(_: tuple, rows: Iterator) -> None:
+        # one pass of the file feeds the ranking and the consumer alike
+        entries, subjects, values = tee(rows, 3)
+        results = score(
+            train.rows, train.target, map(itemgetter(1), subjects),
+            map(itemgetter(at), map(itemgetter(1), values)), config.ammknn, config.ammknn.max_k,
+        )
+        consume((rid, target, row[at], result) for (rid, row, target), result in zip(entries, results))
+
+    shape = stream_table(
+        cohort_path, config.target_name, config.id_column, rank, train.features, scored
     )
-    outlier_values = cohort.column(outlier)
-    return model, cohort, outlier_values, score(
-        train.rows, train.target, cohort.rows, outlier_values, config.ammknn, config.ammknn.max_k
-    )
+    return model, shape.n_rows
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
-    _make_out_dir(out_dir)
-    model, cohort, outlier_values, scored = _scored_cohort(
-        config, train_path, cohort_path, scored=True
-    )
-    predicted, triggered = [], []
-    for *_, prediction, fired in scored:
-        predicted.append(prediction)
-        triggered.append(fired)
+    """Of each subject, only what the report reads is kept: its id, score,
+    outlier value, prediction and outlier flag."""
+    with _outputs(out_dir) as out:
+        ids, actual, outlier_values, predicted, triggered = [], [], [], [], []
 
-    validate_report = report_mod.build_report(
-        "validation",
-        model,
-        config,
-        cohort.ids,
-        cohort.target,
-        predicted,
-        config.tiers_predicted_validation,
-        outlier_values,
-        outlier_triggered=triggered,
-    )
-    # worst predicted risk first, so support can be prioritized top-down;
-    # the sort is stable, so tied predictions keep cohort order
-    roster = [
-        {"id": s["id"], "predicted": s["predicted"], "tier": s["tier_predicted"]}
-        for s in sorted(validate_report["subjects"], key=itemgetter("predicted"))
-    ]
-    report_mod.dump_json(validate_report, os.path.join(out_dir, VALIDATE_JSON))
-    report_mod.dump_json(roster, os.path.join(out_dir, ROSTER_JSON))
+        def keep(subjects: Iterator) -> None:
+            for rid, target, value, (*_, prediction, fired) in subjects:
+                ids.append(rid)
+                actual.append(target)
+                outlier_values.append(value)
+                predicted.append(prediction)
+                triggered.append(fired)
+
+        model, _ = _scored_cohort(config, train_path, cohort_path, True, keep)
+        validate_report = report_mod.build_report(
+            "validation",
+            model,
+            config,
+            ids,
+            actual,
+            predicted,
+            config.tiers_predicted_validation,
+            outlier_values,
+            outlier_triggered=triggered,
+        )
+        # worst predicted risk first, so support can be prioritized top-down;
+        # the sort is stable, so tied predictions keep cohort order
+        roster = [
+            {"id": s["id"], "predicted": s["predicted"], "tier": s["tier_predicted"]}
+            for s in sorted(validate_report["subjects"], key=itemgetter("predicted"))
+        ]
+        report_mod.dump_json(validate_report, out(VALIDATE_JSON))
+        report_mod.dump_json(roster, out(ROSTER_JSON))
     return {"report": validate_report, "roster": roster}
 
 
 def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int:
     """Write one JSON line per cohort row to ``predictions.jsonl``, each
-    as it is scored, once every check has passed; returns the count."""
-    _make_out_dir(out_dir)
-    _, cohort, outlier_values, scored = _scored_cohort(
-        config, train_path, cohort_path, scored=False
-    )
-    with _open_out(os.path.join(out_dir, PREDICTIONS_JSONL)) as fh:
-        for rid, value, (ranked, targets, means, prediction, fired) in zip(
-            cohort.ids, outlier_values, scored
-        ):
-            fh.write(json.dumps({
-                "subject_id": rid,
-                "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
-                "cumulative_means": means,
-                "min_of_means": min(means),
-                "min_match": min(targets),
-                "outlier_value": value,
-                "outlier_triggered": fired,
-                "prediction": prediction,
-                "tier": classify_tier(prediction, config.tiers_predicted),
-            }))
-            fh.write("\n")
-    return len(cohort.rows)
+    as it is scored; returns the count. Nothing is kept of a subject once
+    its line is written but its id, which a repeat is refused against. A
+    cell is checked as its record is reached, so a refusal can come after
+    earlier lines were written; those lines go to the temporary file,
+    which is put in place only once every record has been scored (see
+    ``_outputs``)."""
+    with _outputs(out_dir) as out:
+
+        def write(subjects: Iterator) -> None:
+            with _open_out(out(PREDICTIONS_JSONL)) as fh:
+                for rid, _, value, (ranked, targets, means, prediction, fired) in subjects:
+                    fh.write(json.dumps({
+                        "subject_id": rid,
+                        "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
+                        "cumulative_means": means,
+                        "min_of_means": min(means),
+                        "min_match": min(targets),
+                        "outlier_value": value,
+                        "outlier_triggered": fired,
+                        "prediction": prediction,
+                        "tier": classify_tier(prediction, config.tiers_predicted),
+                    }))
+                    fh.write("\n")
+
+        _, count = _scored_cohort(config, train_path, cohort_path, False, write)
+    return count
 
 
 def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> dict:
@@ -515,30 +579,28 @@ def run_synth(spec_doc: dict, out_dir, seed_override: Optional[int] = None) -> d
     "split" the CohortSplit fields, to stamp a cohort-year column for the
     year-cutoff pipeline. Each block of rows is written as it is drawn.
     """
-    _make_out_dir(out_dir)
-    if not isinstance(spec_doc, dict):
-        raise ConfigError("generator spec must be a JSON object")
-    doc = dict(spec_doc)
-    split = doc.pop("split", None)
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    spec = _from_json(SynthSpec, doc, "generator spec")
-    if split is not None:
-        split = _from_json(CohortSplit, split, "split", seed=spec.seed)
-    header, rows = generate_cohort(spec, split)
-    path = os.path.join(out_dir, SYNTH_CSV)
-    write_csv(header, path, rows)
-    return {"rows": spec.n_rows, "columns": len(header) - 1, "path": path}
+    with _outputs(out_dir) as out:
+        if not isinstance(spec_doc, dict):
+            raise ConfigError("generator spec must be a JSON object")
+        doc = dict(spec_doc)
+        split = doc.pop("split", None)
+        if seed_override is not None:
+            doc["seed"] = seed_override
+        spec = _from_json(SynthSpec, doc, "generator spec")
+        if split is not None:
+            split = _from_json(CohortSplit, split, "split", seed=spec.seed)
+        header, rows = generate_cohort(spec, split)
+        write_csv(header, out(SYNTH_CSV), rows)
+    return {"rows": spec.n_rows, "columns": len(header) - 1, "path": os.path.join(out_dir, SYNTH_CSV)}
 
 
 def run_plot(report_path, kind: str, out_dir) -> str:
-    _make_out_dir(out_dir)
-    report = _read_json(report_path, DataError, "report")
-    try:
-        svg = svgplot.render_plot(report, kind)
-    except DataError as exc:
-        raise DataError(f"{report_path}: {exc}") from None
-    out_path = os.path.join(out_dir, f"{kind}.svg")
-    with _open_out(out_path) as fh:
-        fh.write(svg)
-    return out_path
+    with _outputs(out_dir) as out:
+        report = _read_json(report_path, DataError, "report")
+        try:
+            svg = svgplot.render_plot(report, kind)
+        except DataError as exc:
+            raise DataError(f"{report_path}: {exc}") from None
+        with _open_out(out(f"{kind}.svg")) as fh:
+            fh.write(svg)
+    return os.path.join(out_dir, f"{kind}.svg")

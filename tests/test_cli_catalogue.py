@@ -16,7 +16,8 @@ every one alike:
   changed (the step's input or ``--out``, when only the config changed),
   and a cell fault names its file line and column;
 - every seeded output file still holds its sentinel, and nothing else
-  is written under ``--out``.
+  is written under ``--out``: no output is put in place, nor any
+  temporary file left, by a step that is refused.
 
 An accepted case (exit 0) gives instead a check of the step's output
 files against the unchanged run's; most say that not a byte differs.
@@ -201,6 +202,9 @@ def _training_rows():
 
 
 TRAINING_ROWS = _training_rows()
+
+# the file line of the last record of the cohort
+LAST_LINE = len(INPUTS["cohort"].read_text(encoding="utf-8").splitlines())
 
 
 # --------------------------------------------------------------------------
@@ -554,15 +558,27 @@ REFUSALS = [
     # the axis span overflowed: plot drew every circle at cx="nan"
     case("plot", 3, "{report}: subject 0 predicted is not a number within ±1e+50: 1e+308",
          report=doc_with({"subjects.0.predicted": 1e308, "subjects.1.predicted": -1e308})),
+    # a bad cell in the last record is found after every subject before it
+    # was scored, and after predict wrote their lines
+    *(case(step, 3, f"{{cohort}}, line {LAST_LINE}, column 'f05': {problem}",
+           cohort=cells("f05", text, [LAST_LINE - 2]))
+      for step in ("validate", "predict") for text, problem in CELL_FAULTS if text in ("x1", "")),
     # -- --out --
     *(c for step in STEPS if step != "plot --kind packrat_scatter" for c in (
         case(step, 3, "{out}: cannot be used as the output directory (File exists)",
              out=lambda out, name=STEPS[step][1][0]: out / name),
         case(step, 3, "{out}: cannot be used as the output directory (Not a directory)",
              out=lambda out, name=STEPS[step][1][0]: out / name / "sub"),
-        case(step, 3, f"{{out}}/{STEPS[step][1][0]}: cannot be written (Is a directory)",
-             out=lambda out, name=STEPS[step][1][0]: _as_directory(out / name) or out),
     )),
+    # every output: prepare with selection.json a directory, and validate
+    # with roster.json one, had overwritten the outputs written before it
+    *(case(step, 3, f"{{out}}/{name}: cannot be written (Is a directory)",
+           out=lambda out, name=name: _as_directory(out / name) or out)
+      for step, (_, outputs) in STEPS.items() for name in outputs),
+    # a directory where a step writes an output before putting it in place
+    *(case(step, 3, f"{{out}}/{outputs[0]}.tmp: cannot be written (Is a directory)",
+           out=lambda out, name=outputs[0]: (out / f"{name}.tmp").mkdir() or out)
+      for step, (_, outputs) in STEPS.items()),
 ]
 
 

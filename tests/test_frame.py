@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ammknn.config import PipelineConfig, _from_json
 from ammknn.errors import ConfigError, DataError
-from ammknn.frame import BOUND, Shape, _split_lines, load_csv, read_table, write_csv
+from ammknn.frame import BOUND, Shape, _split_lines, load_csv, read_table, stream_table, write_csv
 from ammknn.pipeline import _split_cohort
 from ammknn.preprocess import standardize_joint
 
@@ -245,20 +245,50 @@ class TestLoadCsv:
             load(path, None, id_column="id")
         assert str(exc.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("fault", [
+        FileNotFoundError(2, "No such file or directory", "out/x.json"),
+        IsADirectoryError(21, "Is a directory", "out/x.json"),
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    ])
+    def test_a_fault_of_the_consumer_is_not_one_of_the_file(self, tmp_path, fault):
+        # the consumer ranks and writes as it reads: a fault of its own
+        # was reported as the CSV file's ("no such file", "not UTF-8 text")
+        path = write(tmp_path, "d.csv", "x\n1\n")
+
+        def consume(names, records):
+            next(records)
+            raise fault
+
+        with pytest.raises(type(fault)) as exc:
+            load_csv(path, None, None, consume)
+        assert exc.value is fault
+
 
 def read_training(tmp_path, names, rows):
     """``read_table`` of a training CSV of ``rows`` under ``names``, target ``t``."""
     return read_table(write_table(tmp_path / "train.csv", names, rows), "t", None)
 
 
+def stream(path, target_name, id_column, features, scored):
+    """``(features, rows)`` that ``stream_table`` hands its consumer, the
+    rows drawn to the end as they are read."""
+    streamed = []
+    stream_table(
+        path, target_name, id_column,
+        lambda features, rows: streamed.append((features, list(rows))), features, scored,
+    )
+    return streamed[0]
+
+
 def read_subjects(tmp_path, names, rows, features=None):
-    """``read_table`` of an unscored cohort CSV whose features are ``names``."""
+    """The streamed rows of an unscored cohort CSV whose features are ``names``."""
     path = write_table(tmp_path / "cohort.csv", names, rows)
-    return read_table(path, "t", None, features or names, scored=False)
+    return stream(path, "t", None, features or names, scored=False)
 
 
 class TestReadTable:
-    """``read_table`` keeps what a ranking reads and refuses cells it cannot rank."""
+    """``read_table`` and ``stream_table`` keep what a ranking reads and
+    refuse cells it cannot rank."""
 
     def test_training_and_cohort(self, tmp_path):
         train = read_table(write(tmp_path, "t.csv", "id,x,t,y\nA,1,400,2\nB,3,300,4\n"), "t", "id")
@@ -269,11 +299,26 @@ class TestReadTable:
         assert train.column("y") == [2.0, 4.0]
         # a cohort's rows follow the training table's feature order; an
         # unscored cohort's score may be blank
-        path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\n")
-        cohort = read_table(path, "t", "id", train.features, scored=False)
-        assert (cohort.rows, cohort.column("y"), cohort.target, cohort.ids) == (
-            [(6.0, 5.0)], [5.0], [], ["C"]
+        path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\nD,7,,8\n")
+        assert stream(path, "t", "id", train.features, scored=False) == (
+            ("x", "y"), [("C", (6.0, 5.0), None), ("D", (8.0, 7.0), None)]
         )
+        assert stream(path.with_name("t.csv"), "t", "id", ("y", "x"), scored=True) == (
+            ("y", "x"), [("A", (2.0, 1.0), 400.0), ("B", (4.0, 3.0), 300.0)]
+        )
+
+    def test_cohort_rows_come_as_they_are_read(self, tmp_path):
+        # the first row is handed out before the bad cell of the second is read
+        path = write(tmp_path, "c.csv", "x,t\n1,400\n2,x1\n")
+        seen = []
+
+        def consume(features, rows):
+            seen.append(next(rows))
+            next(rows)
+
+        with pytest.raises(DataError, match="line 3, column 't': non-numeric cell 'x1'"):
+            stream_table(path, "t", None, consume)
+        assert seen == [(None, (1.0,), 400.0)]
 
     @pytest.mark.parametrize("cell, problem", [("nan", "non-finite value nan"), ("", "missing cell")])
     def test_blank_lines_are_counted_in_refusals(self, tmp_path, cell, problem):

@@ -280,6 +280,30 @@ class TestCliErrors:
         assert main(["plot", "--report", str(tmp_path / "r.json"), "--out", str(tmp_path)]) == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("command, output", [
+        ("validate", VALIDATE_JSON), ("predict", PREDICTIONS_JSONL),
+    ])
+    def test_internal_error_leaves_every_output(self, monkeypatch, tmp_path, capsys, command, output):
+        # a fault after some subjects were scored, and predict wrote lines
+        ranked, original = [], pipeline.score
+
+        def score(*args, **kwargs):
+            for subject in original(*args, **kwargs):
+                if len(ranked) == 5:
+                    raise RuntimeError("boom")
+                ranked.append(subject)
+                yield subject
+
+        monkeypatch.setattr(pipeline, "score", score)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / output).write_bytes(b"before\n")
+        capsys.readouterr()
+        assert main(_golden_argv(command, GOLDEN_SEED7 / VALIDATION_CSV, out)) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert len(ranked) == 5
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {output: b"before\n"}
+
 
 def test_predict_output_bytes(tmp_path):
     # no golden holds predictions.jsonl, so its digest pins every byte
@@ -328,9 +352,10 @@ def test_prepare_memory_follows_the_kept_cells(tmp_path):
 
 
 def test_predict_memory_follows_the_model(tmp_path):
-    # predict holds the cohort as read, but only one subject's ranking and
-    # prediction line at a time; keeping every record for the cohort
-    # makes the peak grow more than 3x with a cohort 4x as large
+    # predict streams the cohort: it holds the training table and one
+    # subject's record, ranking and line at a time, so a cohort 10x as
+    # large leaves the peak where it was; holding each record's feature
+    # cells, as predict once did, made it grow about 1.5x
     spec = json.loads((GOLDEN_SEED7.parent / "spec.json").read_text())
     spec["n_rows"] = 500
     spec["split"]["train_fraction"] = 0.88
@@ -339,21 +364,58 @@ def test_predict_memory_follows_the_model(tmp_path):
     run_prepare(config, tmp_path / SYNTH_CSV, tmp_path)
     cohort = tmp_path / VALIDATION_CSV
     header, *rows = cohort.read_text().splitlines()
-    cohort4 = tmp_path / "cohort4.csv"
+    big = tmp_path / "cohort10.csv"
     # each copy of a student under an id of its own, as ids are unique
-    copies = [row if k == 0 else f"{k}-{row}" for k in range(4) for row in rows]
-    cohort4.write_text("\n".join([header, *copies]) + "\n")
+    copies = [row if k == 0 else f"{k}-{row}" for k in range(10) for row in rows]
+    big.write_text("\n".join([header, *copies]) + "\n")
     train = tmp_path / TRAIN_CSV
     run_predict(config, train, cohort, tmp_path / "warm-up")  # one-time costs
     base_peak = _peak(run_predict, config, train, cohort, tmp_path / "base")
-    big_peak = _peak(run_predict, config, train, cohort4, tmp_path / "big")
+    big_peak = _peak(run_predict, config, train, big, tmp_path / "big")
 
     def records(out):
         lines = (out / PREDICTIONS_JSONL).read_text().splitlines()
         return [{**json.loads(line), "subject_id": None} for line in lines]
 
-    assert records(tmp_path / "big") == records(tmp_path / "base") * 4
-    assert big_peak < 2.5 * base_peak
+    assert records(tmp_path / "big") == records(tmp_path / "base") * 10
+    # the one thing kept of each subject is its id, so that a later repeat
+    # of it is refused naming both lines: a dict from the id to its line
+    ids = _peak(lambda: {
+        f"{k}-{row.split(',', 1)[0]}": line
+        for line, (k, row) in enumerate(((k, row) for k in range(1, 10) for row in rows), 2)
+    })
+    assert big_peak < 1.1 * base_peak + ids
+
+
+def test_validate_memory_follows_the_report(tmp_path):
+    # validate keeps, of each subject, only what its report reads; 100
+    # more feature columns, all 0.0, leave every distance, prediction and
+    # output byte as they are, and the peak too. Holding the cohort's
+    # feature cells, as validate once did, made the peak 4x as large
+    spec = json.loads((GOLDEN_SEED7.parent / "spec.json").read_text())
+    spec["n_rows"] = 1000
+    spec["split"]["train_fraction"] = 0.05
+    config = load_config(GOLDEN_SEED7.parent / "config.json")
+    run_synth(spec, tmp_path)
+    run_prepare(config, tmp_path / SYNTH_CSV, tmp_path)
+
+    def wide(name):
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        path = tmp_path / f"wide-{name}"
+        zeros = [f"z{j:03d}" for j in range(100)]
+        path.write_text("".join(
+            ",".join([line, *(zeros if i == 0 else ["0.0"] * 100)]) + "\n"
+            for i, line in enumerate([header, *rows])
+        ))
+        return path
+
+    train, cohort = tmp_path / TRAIN_CSV, tmp_path / VALIDATION_CSV
+    run_validate(config, train, cohort, tmp_path / "warm-up")  # one-time costs
+    base_peak = _peak(run_validate, config, train, cohort, tmp_path / "base")
+    wide_peak = _peak(run_validate, config, wide(TRAIN_CSV), wide(VALIDATION_CSV), tmp_path / "wide")
+    for name in (VALIDATE_JSON, ROSTER_JSON):
+        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "base" / name).read_bytes()
+    assert wide_peak < 1.1 * base_peak
 
 
 def _golden_argv(command, cohort, out):
