@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -149,21 +149,24 @@ def _read_header(records, path, target_name: Optional[str], id_column: Optional[
     return [h for i, h in enumerate(header) if i != id_pos], id_pos
 
 
-def _records(records, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
+def _records(fh, records, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
     """(line, id or None, list of cells) for each record after the
-    header, adding 1 to ``tally[0]`` for each; line is the file line on
-    which the record ends.
+    header, as ``records`` reads them from ``fh``, adding 1 to
+    ``tally[0]`` for each; line is the file line on which the record ends.
 
     A blank line (a record of no fields) holds no subject and is skipped.
     An empty id is refused, and so is an id that an earlier record holds,
-    naming both lines: the ids seen are kept as a dict from id to line,
-    which is smaller than a set of the ids. A record whose cells all parse
-    and whose norm, ``math.hypot`` of the cells, is at most ``BOUND / 10``
-    costs one C-level ``float`` pass and that one call; the margin covers
-    hypot's rounding, so no cell just past the bound gets through. Any
-    other record (an empty cell, other text, a non-finite value, a cell
-    beyond the bound, or cells within it whose norm is larger) is gone
-    over cell by cell, so its first unusable cell is named.
+    naming both lines. Only the ids seen are kept, as the keys of a dict,
+    which is smaller than a set of them; the earlier line is found by
+    reading ``fh`` again from its start once a repeat is refused, so a
+    file that cannot seek, such as a pipe, is then an internal error. A
+    record whose cells all parse and whose norm, ``math.hypot`` of the
+    cells, is at most ``BOUND / 10`` costs one C-level ``float`` pass and
+    that one call; the margin covers hypot's rounding, so no cell just
+    past the bound gets through. Any other record (an empty cell, other
+    text, a non-finite value, a cell beyond the bound, or cells within it
+    whose norm is larger) is gone over cell by cell, so its first unusable
+    cell is named.
     """
     width = len(names) + (id_pos is not None)
     seen = {}
@@ -175,8 +178,10 @@ def _records(records, path, names: Sequence[str], id_pos: Optional[int], tally: 
         rid = None
         if id_pos is not None:
             rid = record.pop(id_pos)
-            first = seen.setdefault(rid, line)
-            if first != line:
+            seen[rid] = None
+            # every record handed on so far added one id: a repeat adds none
+            if len(seen) == tally[0]:
+                first = _first_line(fh, path, id_pos, rid)
                 raise DataError(f"{path}, lines {first} and {line} have the same id {rid!r}")
             if not rid:
                 raise DataError(f"{path}, line {line}: empty id")
@@ -189,6 +194,14 @@ def _records(records, path, names: Sequence[str], id_pos: Optional[int], tally: 
             cells = [_cell(path, line, name, text) for name, text in zip(names, record)]
         tally[0] += 1
         yield line, rid, cells
+
+
+def _first_line(fh, path, id_pos: int, rid: str) -> int:
+    """The file line of the first record whose id is ``rid``, read again
+    from the start of ``fh``, ``path`` opened as ``load_csv`` opens it."""
+    fh.seek(0)
+    records = islice(_split_lines(fh, path), 1, None)  # after the header
+    return next(line for line, record in records if record and record[id_pos] == rid)
 
 
 class Shape(NamedTuple):
@@ -230,7 +243,7 @@ def load_csv(
     with fh:
         records = _split_lines(fh, path)
         names, id_pos = _read_header(records, path, target_name, id_column)
-        consume(names, _records(records, path, names, id_pos, tally))
+        consume(names, _records(fh, records, path, names, id_pos, tally))
     return Shape(tally[0], len(names))
 
 

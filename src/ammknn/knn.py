@@ -42,13 +42,13 @@ spares most rows their approximate distance (see below); the filter gives
 every row in it an approximate distance with ``math.dist``, one C call per
 row, and keeps the rows whose approximate distance is within a margin of
 the ``limit``-th smallest, tau: normally exactly ``limit`` rows. tau is
-found by heapifying a copy of the approximate distances and popping
-``limit - 1`` of them, which leaves the same float on top that a full
-sort would put at index ``limit - 1``, in about half the time. The refine
-step sums the squared differences ``d * d`` (``d = s - x``) of only those
-rows left to right from 0.0, which is bit-identical to starting from the
-first square since ``0.0 + a == a``, and sorts them by (squared distance,
-row index), the tie rule "distance, then row index". Only one subject's n
+found among the few approximate distances no larger than the window's
+reach (see below): sorted, they hold at index ``limit - 1`` the same
+float that a sort of all of them would put there. The refine step sums
+the squared differences ``d * d`` (``d = s - x``) of only those rows left
+to right from 0.0, which is bit-identical to starting from the first
+square since ``0.0 + a == a``, and sorts them by (squared distance, row
+index), the tie rule "distance, then row index". Only one subject's n
 approximate distances are held at a time, so memory stays O(n); a cache
 of pairwise distances would cost about 20 MB at n = 724.
 
@@ -68,7 +68,7 @@ margin absorbs that, and the order itself comes only from the sums.
 The window. ``score`` sorts the training rows once per call by their
 feature sums, ``math.fsum(row)``. For each subject, ``_rank`` finds the
 subject's sum among them with ``bisect`` and gives the starting block, the
-2 * ``limit`` rows around it (every row, when there are no more), their
+4 * ``limit`` rows around it (every row, when there are no more), their
 approximate distances. tu, the ``limit``-th smallest of those (the
 largest, when the block holds fewer), is at least tau, so
 ``reach = tu * margin + 1e-150`` is at least the filter's bound.
@@ -77,8 +77,8 @@ Only the rows whose sums lie within
     W = sqrt(m) * reach * (1 + 1e-9) + 1e-12 * (S + |subject sum|)
 
 of the subject's, S being the largest sum of a training row's absolute
-values, get an approximate distance; the block's are reused. The heap,
-the filter, the refine and the sort then run on them unchanged.
+values, get an approximate distance; the block's are reused. The filter,
+the refine and the sort then run on them.
 
 Why the window loses no row the filter keeps. Cauchy-Schwarz gives
 ``|sum(x - q)| <= sqrt(m) * |x - q|`` for m features. A row the filter
@@ -88,20 +88,26 @@ the rounding of sqrt(m) and of W. ``math.fsum`` rounds each sum once, by
 at most 2**-53 of its magnitude, and the 1e-12 term covers that and the
 rounding of the window's edges. The window holds the ``limit`` nearest
 rows, so tau over it is the same float as over every row, and the filter
-keeps the same rows. Every subject goes window, filter, refine, and the
-window cuts nothing when 2 * ``limit`` is at least n. Every subject
-gets at most n ``math.dist`` calls. Leave-one-out ranks each row one
-place deeper and then drops the row itself from its ranking, so neither
-the window nor the filter needs to know the held-out row.
+keeps the same rows. The block lies in the window, so tau is at most tu
+and every approximate distance up to tau is at most reach; the block
+alone holds ``limit`` distances at most reach. So the ``limit``-th
+smallest of the distances at most reach is tau itself. Every subject goes
+window, filter, refine, and the window cuts nothing when 4 * ``limit`` is
+at least n. Every subject gets at most n ``math.dist`` calls.
+Leave-one-out ranks each row one place deeper and then drops the row
+itself from its ranking, so neither the window nor the filter needs to
+know the held-out row.
 
 On the score-cohort benchmark inputs (seed 3, 717 training rows, 12
-features that share a common factor), a subject gets about 0.63 * n
-``math.dist`` calls. Ranking the 1 075 subjects took 0.196 s against
-0.240 s without the window, and leave-one-out's ranking 0.118 s against
-0.147 s (best of 15 interleaved runs on a 2-core Xeon, Python 3.11.7).
-Where the features share no factor, almost every row falls in the
-window, which then only costs: on 717 x 12 i.i.d. normal rows, ranking
-took 8-13% longer (best of 40 runs, four repeats).
+features that share a common factor), a subject gets about 0.57 * n
+``math.dist`` calls, and about 50 of the window's 410 distances lie
+within reach. Ranking the 1 075 subjects took 0.130 s against 0.194 s
+without the window, and leave-one-out's ranking 0.091 s against 0.128 s
+(medians of 30 interleaved runs on a 2-core Xeon, Python 3.11.7). Where
+the features share no factor, almost every row falls in the window
+(0.99 * n calls), which then only costs: on 717 x 12 i.i.d. normal rows,
+ranking took 4% longer than without the window (median ratio of 30
+interleaved runs, faster in 11 of them).
 
 Ordering needs keys that are totally ordered, and NaN is not, so every
 training cell, every training target and every subject cell must be
@@ -138,7 +144,6 @@ window cuts the rows that get one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from itertools import repeat
@@ -158,13 +163,13 @@ def _sum_index(matrix: Sequence[tuple]) -> tuple:
 
 
 def _window(index: tuple, subject: tuple, limit: int, margin: float) -> tuple:
-    """``(rows, approximate distances)`` of the training rows whose sums
-    lie within W of the subject's, and of the starting block of 2 * ``limit``
-    rows around it (every row, when there are no more)."""
+    """``(rows, approximate distances, reach)`` of the training rows whose
+    sums lie within W of the subject's, and of the starting block of
+    4 * ``limit`` rows around it (every row, when there are no more)."""
     order, sums, rows, spread = index
     total = math.fsum(subject)
-    lo = max(min(bisect_left(sums, total) - limit, len(order) - 2 * limit), 0)
-    hi = lo + 2 * limit
+    lo = max(min(bisect_left(sums, total) - 2 * limit, len(order) - 4 * limit), 0)
+    hi = lo + 4 * limit
     block = list(map(math.dist, repeat(subject), rows[lo:hi]))
     # no smaller than the bound of _rank's filter: tau is at most this tu
     reach = sorted(block)[min(limit, len(block)) - 1] * margin + 1e-150
@@ -174,7 +179,7 @@ def _window(index: tuple, subject: tuple, limit: int, margin: float) -> tuple:
     approx = list(map(math.dist, repeat(subject), rows[a:lo]))
     approx += block
     approx += map(math.dist, repeat(subject), rows[hi:b])
-    return order[a:b], approx
+    return order[a:b], approx, reach
 
 
 def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: tuple) -> list:
@@ -189,16 +194,13 @@ def _rank(matrix: Sequence[tuple], subject: tuple, limit: int, index: tuple) -> 
     and the margins.
     """
     margin = 1.0 + 1e-12 + len(subject) * 1e-15
-    rows, approx = _window(index, subject, limit, margin)
+    rows, approx, reach = _window(index, subject, limit, margin)
     if limit < len(approx):
-        # tau, the limit-th smallest approximate distance: the same float
-        # that a full sort would put at index limit - 1
-        heap = approx.copy()
-        heapq.heapify(heap)
-        for _ in range(limit - 1):
-            heapq.heappop(heap)
-        bound = heap[0] * margin + 1e-150
-        rows = [rows[k] for k, a in enumerate(approx) if a <= bound]
+        # tau, the limit-th smallest approximate distance: every distance
+        # up to it is at most reach, and at least limit of them are
+        near = sorted([a for a in approx if a <= reach])
+        bound = near[limit - 1] * margin + 1e-150
+        rows = [j for j, a in zip(rows, approx) if a <= bound]
     ranked = []
     for j in rows:
         sq = 0.0

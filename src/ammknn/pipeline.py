@@ -82,7 +82,7 @@ from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
 from .frame import Table, _open_out, _picker, load_csv, read_table, stream_table, write_csv
 from .knn import score
-from .preprocess import _correlations, left_sum, select_by_correlation, standardize_joint
+from .preprocess import _correlations, _spread, left_sum, select_by_correlation, standardize_joint
 from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, generate_cohort
 
@@ -154,7 +154,7 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig, path) -> str:
         return name
     if not train.features:
         raise DataError(f"{path}: training table has no feature columns")
-    correlations = _correlations(map(train.column, train.features), train.target)
+    correlations = _correlations(map(train.column, train.features), _spread(train.target))
     rs = [0.0 if r is None else r for r in correlations]  # a constant column carries no signal
     best_r = max(rs)
     best = train.features[rs.index(best_r)]

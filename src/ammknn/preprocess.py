@@ -151,23 +151,21 @@ def standardize_joint(
     return StandardizationStats(means, sds)
 
 
-def _correlations(columns: Iterable[Sequence[float]], y: Sequence[float]):
-    """Yield the sample Pearson r of each of ``columns`` with ``y``.
+def _correlations(columns: Iterable[Sequence[float]], target: tuple):
+    """Yield the sample Pearson r of each of ``columns`` with y, given
+    ``target``, the ``_spread`` of y.
 
-    One sweep computes y's mean, deviations and sum of squares once, on
-    the first column, and reuses them for every column; each r is the
-    same float that correlating the pair on its own would give. A column
-    or a ``y`` with zero spread yields None, as does a pair whose product
-    of sums of squares underflows to 0.0 (spreads below about 1e-160).
-    Cells within ±``frame.BOUND`` keep that product finite. Columns are
-    consumed lazily, so only one column's deviations are held at a time.
-    Every caller passes columns of one table, as long as ``y``, with 2 or
-    more rows.
+    y's mean, deviations and sum of squares are worked out once, by the
+    caller, and reused for every column; each r is the same float that
+    correlating the pair on its own would give. A column or a y with zero
+    spread yields None, as does a pair whose product of sums of squares
+    underflows to 0.0 (spreads below about 1e-160). Cells within
+    ±``frame.BOUND`` keep that product finite. Columns are consumed
+    lazily, so only one column's deviations are held at a time. Every
+    caller passes columns of one table, as long as y, with 2 or more rows.
     """
-    dy = syy = None
+    _, dy, syy = target
     for x in columns:
-        if dy is None:
-            _, dy, syy = _spread(y)
         _, dx, sxx = _spread(x)
         if sxx * syy == 0.0:
             yield None
@@ -201,10 +199,11 @@ def select_by_correlation(
     """
     t = names.index(target_name)
     y = train[t]
-    if _spread(y)[2] == 0.0:
+    target = _spread(y)
+    if target[2] == 0.0:
         raise DataError(f"target column {target_name!r} {_flat(y)}")
     features = [j for j in range(len(names)) if j != t]
-    rs = dict(zip(features, _correlations([train[j] for j in features], y)))
+    rs = dict(zip(features, _correlations([train[j] for j in features], target)))
     kept = []
     dropped = []
     for j, name in enumerate(names):

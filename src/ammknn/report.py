@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from .config import PipelineConfig, TierBoundaries
 from .frame import _open_out
-from .preprocess import _correlations
+from .preprocess import _correlations, _spread
 
 TIERS = ("fail", "at_risk", "pass")
 
@@ -47,7 +47,7 @@ def prediction_actual_correlation(predicted: Sequence[float], actual: Sequence[f
     within ±``frame.BOUND``."""
     if len(predicted) < 2:
         return None
-    (r,) = _correlations([predicted], actual)
+    (r,) = _correlations([predicted], _spread(actual))
     return r
 
 

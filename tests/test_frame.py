@@ -236,6 +236,11 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text, message", [
         ("id,x\nA,1\n,2\n", ", line 3: empty id"),
         ("id,x\nA,1\n\nB,2\nA,3\n", ", lines 2 and 5 have the same id 'A'"),
+        # the earlier line is found by reading the file again: past a
+        # byte-order mark and the header, and through quoted fields, one
+        # of them spanning two lines
+        ('\ufeffx,id\n1,A\n"2",B\n4,"C\nD"\n5,A\n', ", lines 2 and 6 have the same id 'A'"),
+        ("id,x\nid,1\nid,2\n", ", lines 2 and 3 have the same id 'id'"),
         # the first empty id is named as empty, not as a repeat
         ("id,x\nA,1\n,2\n,3\n", ", line 3: empty id"),
     ])

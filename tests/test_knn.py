@@ -470,6 +470,16 @@ def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
     return rows, subjects, max_k, knn_k, cutoff
 
 
+def beyond_every_sum(case):
+    """``case`` with two more subjects, one whose feature sum lies below
+    every row's and one whose sum lies above every row's."""
+    rows, subjects, *rest = case
+    dims = len(subjects[0])
+    low = min(min(row[:dims]) for row in rows) - 1.0
+    high = max(max(row[:dims]) for row in rows) + 1.0
+    return (rows, subjects + [[low] * dims, [high] * dims], *rest)
+
+
 @st.composite
 def window_cases(draw):
     return window_case(
@@ -490,8 +500,14 @@ def window_cases(draw):
 @example(window_case("tied", 3, 100, 3, 20, 20, -2.0))
 @example(window_case("extreme", 4, 60, 2, 3, 1, 0.25))
 @example(window_case("subnormal", 5, 60, 3, 4, 7, -2.0))
-# 2 * depth == n: the starting block is every row, so the window cuts none
-@example(window_case("factor", 6, 40, 3, 20, 12, -2.0))
+# 4 * depth == n: the starting block is every row, so the window cuts none
+@example(window_case("factor", 6, 80, 3, 20, 12, -2.0))
+# 4 * depth + 1 == n: the block leaves out one row
+@example(window_case("factor", 8, 81, 3, 20, 12, -2.0))
+# subjects whose sums lie below and above every row's: the block is the
+# first or the last 4 * depth rows in order of sum
+@example(beyond_every_sum(window_case("factor", 9, 150, 6, 20, 12, -2.0)))
+@example(beyond_every_sum(window_case("collinear", 10, 120, 4, 5, 20, 0.25)))
 def test_window_matches_naive_reference(case):
     check_against_naive(*case)
 
@@ -534,8 +550,8 @@ class TestWindowDistanceCalls:
         subjects = [row[:12] for row in window_case("factor", 13, 100, 12, 20, 1, -2.0)[0]]
         per_subject, in_loocv = count_dist_calls(monkeypatch, rows, subjects)
         assert max(per_subject) <= 300
-        assert sum(per_subject) < 0.8 * 300 * len(per_subject)
-        assert in_loocv < 0.8 * 300 * 300
+        assert sum(per_subject) < 0.64 * 300 * len(per_subject)
+        assert in_loocv < 0.64 * 300 * 300
 
 
 def fixed_k_loocv(rows, k):

@@ -82,7 +82,7 @@ class TestStandardizeJoint:
 
 def pearson(x, y):
     """The sample Pearson r of ``x`` and ``y`` from ``_correlations``."""
-    (r,) = _correlations([x], y)
+    (r,) = _correlations([x], _spread(y))
     return r
 
 
