@@ -86,7 +86,7 @@ class TierBoundaries:
 @dataclass(frozen=True)
 class PipelineConfig:
     target_name: str
-    id_column: Optional[str] = None
+    id_column: str
     cohort_column: Optional[str] = None
     year_cutoff: Optional[float] = None
     aggregations: Tuple[AggregationSpec, ...] = ()
@@ -105,12 +105,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.target_name:
-            raise ConfigError("target_name is required")
+        for key in ("target_name", "id_column"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} is required")
         if self.cohort_column == self.target_name:
             raise ConfigError(f"cohort_column and target_name both name {self.target_name!r}")
         for key in ("target_name", "cohort_column"):
-            if self.id_column is not None and self.id_column == getattr(self, key):
+            if self.id_column == getattr(self, key):
                 raise ConfigError(f"id_column and {key} both name {self.id_column!r}")
         if not 0.0 <= self.correlation_threshold <= 1.0:
             raise ConfigError("correlation_threshold must be in [0, 1]")
@@ -128,7 +129,7 @@ class PipelineConfig:
         groups = {self.id_column}
         for spec in self.aggregations:
             g = spec.group_name
-            if self.id_column is not None and self.id_column in spec.member_columns:
+            if self.id_column in spec.member_columns:
                 raise ConfigError(
                     f"aggregation {g!r}: the id column {self.id_column!r} cannot be a member"
                 )

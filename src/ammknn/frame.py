@@ -39,8 +39,9 @@ cell``; a record's own faults read ``<path>, line L: ...``.
 CSV conventions: UTF-8 (a leading byte-order mark is skipped), one
 header row, ``.`` decimal separator, empty string means missing, and a
 blank line holds no row. Column labels are taken verbatim from the
-header and treated as opaque keys (no sanitization). Every id in the id
-column is non-empty and appears once.
+header and treated as opaque keys (no sanitization). Every table has the
+id column the configuration names, and every id in it is non-empty and
+appears once.
 
 The CSV text is handled here, byte for byte as the ``csv`` module's
 default dialect handles it, with ``str.split`` and ``str.join`` where no
@@ -130,9 +131,8 @@ def _split_lines(fh, path) -> Iterator:
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def _read_header(records, path, target_name: Optional[str], id_column: Optional[str]):
-    """(column names without the id, id position or None) from
-    ``_split_lines``."""
+def _read_header(records, path, target_name: Optional[str], id_column: str):
+    """(column names without the id, id position) from ``_split_lines``."""
     try:
         _, header = next(records)
     except StopIteration:
@@ -143,48 +143,47 @@ def _read_header(records, path, target_name: Optional[str], id_column: Optional[
         raise DataError(f"{path}: duplicate column names in header")
     if target_name is not None and target_name not in header:
         raise ConfigError(f"{path}: target {target_name!r} not in header")
-    if id_column is not None and id_column not in header:
+    if id_column not in header:
         raise ConfigError(f"{path}: id column {id_column!r} not in header")
-    id_pos = header.index(id_column) if id_column is not None else None
-    return [h for i, h in enumerate(header) if i != id_pos], id_pos
+    id_pos = header.index(id_column)
+    return header[:id_pos] + header[id_pos + 1:], id_pos
 
 
-def _records(fh, records, path, names: Sequence[str], id_pos: Optional[int], tally: list) -> Iterator:
-    """(line, id or None, list of cells) for each record after the
-    header, as ``records`` reads them from ``fh``, adding 1 to
-    ``tally[0]`` for each; line is the file line on which the record ends.
+def _records(fh, records, path, names: Sequence[str], id_pos: int, seen: dict) -> Iterator:
+    """(line, id, list of cells) for each record after the header, as
+    ``records`` reads them from ``fh``, adding its id to ``seen``; line is
+    the file line on which the record ends.
 
     A blank line (a record of no fields) holds no subject and is skipped.
-    An empty id is refused, and so is an id that an earlier record holds,
-    naming both lines. Only the ids seen are kept, as the keys of a dict,
-    which is smaller than a set of them; the earlier line is found by
-    reading ``fh`` again from its start once a repeat is refused, so a
-    file that cannot seek, such as a pipe, is then an internal error. A
-    record whose cells all parse and whose norm, ``math.hypot`` of the
-    cells, is at most ``BOUND / 10`` costs one C-level ``float`` pass and
-    that one call; the margin covers hypot's rounding, so no cell just
-    past the bound gets through. Any other record (an empty cell, other
-    text, a non-finite value, a cell beyond the bound, or cells within it
-    whose norm is larger) is gone over cell by cell, so its first unusable
-    cell is named.
+    An empty id is refused, and so is an id that an earlier record holds.
+    Only the ids seen are kept, as the keys of a dict, which is smaller
+    than a set of them. A repeat names both lines: the earlier one is
+    found by reading ``fh`` again from its start. A file that cannot seek,
+    such as a pipe, cannot be read again, so its refusal names the later
+    line alone. A record whose cells all parse and whose norm,
+    ``math.hypot`` of the cells, is at most ``BOUND / 10`` costs one
+    C-level ``float`` pass and that one call; the margin covers hypot's
+    rounding, so no cell just past the bound gets through. Any other
+    record (an empty cell, other text, a non-finite value, a cell beyond
+    the bound, or cells within it whose norm is larger) is gone over cell
+    by cell, so its first unusable cell is named.
     """
-    width = len(names) + (id_pos is not None)
-    seen = {}
+    width = len(names) + 1
     for line, record in records:
         if len(record) != width:
             if not record:
                 continue
             raise DataError(f"{path}, line {line}: {len(record)} fields, header has {width}")
-        rid = None
-        if id_pos is not None:
-            rid = record.pop(id_pos)
-            seen[rid] = None
-            # every record handed on so far added one id: a repeat adds none
-            if len(seen) == tally[0]:
-                first = _first_line(fh, path, id_pos, rid)
-                raise DataError(f"{path}, lines {first} and {line} have the same id {rid!r}")
-            if not rid:
-                raise DataError(f"{path}, line {line}: empty id")
+        rid = record.pop(id_pos)
+        known = len(seen)
+        seen[rid] = None
+        if len(seen) == known:  # a repeat adds no key
+            if not fh.seekable():
+                raise DataError(f"{path}, line {line} has the same id {rid!r} as an earlier line")
+            first = _first_line(fh, path, id_pos, rid)
+            raise DataError(f"{path}, lines {first} and {line} have the same id {rid!r}")
+        if not rid:
+            raise DataError(f"{path}, line {line}: empty id")
         try:
             cells = list(map(float, record))
             usable = math.hypot(*cells) <= BOUND / 10
@@ -192,7 +191,6 @@ def _records(fh, records, path, names: Sequence[str], id_pos: Optional[int], tal
             usable = False
         if not usable:
             cells = [_cell(path, line, name, text) for name, text in zip(names, record)]
-        tally[0] += 1
         yield line, rid, cells
 
 
@@ -215,14 +213,14 @@ class Shape(NamedTuple):
 def load_csv(
     path,
     target_name: Optional[str],
-    id_column: Optional[str],
+    id_column: str,
     consume: Callable[[list, Iterator], None],
 ) -> Shape:
     """Read a CSV file, one record at a time, into ``consume``.
 
     ``consume(names, records)`` is called once with the column labels
     (the id column left out) and an iterator that parses each record as
-    it is asked for one, as ``(line, id or None, list of cells)``; no row
+    it is asked for one, as ``(line, id, list of cells)``; no row
     is kept here. Empty cells become ``None``, every other cell is a
     ``float()`` within ±``BOUND`` or is refused, and the id column is the
     only one that may hold other text. ``target_name`` may be None for an
@@ -231,7 +229,7 @@ def load_csv(
     A file that cannot be opened or read is a ``DataError`` naming it;
     what ``consume`` raises passes through as it is.
     """
-    tally = [0]
+    seen = {}  # the ids read
     try:
         # utf-8-sig skips the byte-order mark that some spreadsheet
         # exports put before the header
@@ -243,8 +241,8 @@ def load_csv(
     with fh:
         records = _split_lines(fh, path)
         names, id_pos = _read_header(records, path, target_name, id_column)
-        consume(names, _records(fh, records, path, names, id_pos, tally))
-    return Shape(tally[0], len(names))
+        consume(names, _records(fh, records, path, names, id_pos, seen))
+    return Shape(len(seen), len(names))
 
 
 class Table(NamedTuple):
@@ -254,7 +252,7 @@ class Table(NamedTuple):
     features: tuple  # the label of each cell of a row, in order
     rows: list  # one tuple of feature cells per record
     target: list  # each record's target cell
-    ids: list  # each record's id, None where there is no id column
+    ids: list  # each record's id
 
     def column(self, name: str) -> list:
         """The cells of one feature column, in record order."""
@@ -265,7 +263,7 @@ class Table(NamedTuple):
 def stream_table(
     path,
     target_name: str,
-    id_column: Optional[str],
+    id_column: str,
     consume: Callable[[tuple, Iterator], None],
     features: Optional[Sequence[str]] = None,
     scored: bool = True,
@@ -275,7 +273,7 @@ def stream_table(
 
     ``consume(features, rows)`` is called once, after the header has been
     checked and before the first record is read, with the labels of a
-    row's cells and an iterator of ``(id or None, tuple of feature cells,
+    row's cells and an iterator of ``(id, tuple of feature cells,
     target cell or None)``. Each row holds the cells of ``features``, in
     that order: by default every column but the target, in file order (a
     training table). Given ``features``, the table's columns other than
@@ -312,7 +310,7 @@ def stream_table(
     return load_csv(path, target_name if scored else None, id_column, check)
 
 
-def read_table(path, target_name: str, id_column: Optional[str]) -> Table:
+def read_table(path, target_name: str, id_column: str) -> Table:
     """A training table, whole, from one pass of ``stream_table``: each
     row's feature cells, in file order, its target and its id, and
     nothing else."""

@@ -167,8 +167,8 @@ def resolve_outlier_feature(train: Table, config: PipelineConfig, path) -> str:
 
 
 class _Side(NamedTuple):
-    """One side of ``prepare``'s year split: the kept rows' ids (each None
-    where the input has no id column) and one column per kept label."""
+    """One side of ``prepare``'s year split: the kept rows' ids and one
+    column per kept label."""
 
     ids: list
     columns: list
@@ -397,14 +397,10 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
                 f"correlation_threshold {config.correlation_threshold!r} or above"
             )
         kept = [names.index(n) for n in selection.kept_columns]
-        header = list(selection.kept_columns)
-        if config.id_column is not None:
-            header.insert(0, config.id_column)
+        header = [config.id_column, *selection.kept_columns]
         for side, file_name in ((train, TRAIN_CSV), (validation, VALIDATION_CSV)):
             columns = [side.columns[j] for j in kept]
-            if config.id_column is not None:
-                columns.insert(0, side.ids)
-            write_csv(header, out(file_name), zip(*columns))
+            write_csv(header, out(file_name), zip(side.ids, *columns))
         report_mod.dump_json(selection.to_json_dict(), out(SELECTION_JSON))
     return {
         "train_rows": len(train.ids),

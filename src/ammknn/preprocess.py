@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError
 
@@ -117,37 +117,37 @@ def _column_stats(label: str, values: Sequence[float]):
 
 def standardize_joint(
     names: Sequence[str],
-    target_name: Optional[str],
+    target_name: str,
     train: list,
-    validation: Optional[list] = None,
+    validation: list,
 ) -> StandardizationStats:
     """Z-score, in place, every column but the target of ``train`` and
     ``validation`` with stats pooled over their rows, training rows first.
 
     ``train`` and ``validation`` are lists of columns, one per label in
     ``names``; each standardized column is replaced by an ``array('d')``
-    of its z-scores, so the raw cells are freed a column at a time.
-    ``validation`` may be None. The target column passes through
-    unchanged. Sample (n-1) standard deviation is used.
+    of its z-scores, so the raw cells are freed a column at a time. The
+    target column passes through unchanged. Sample (n-1) standard
+    deviation is used.
 
     Every cell is a number within ±``frame.BOUND``: ``frame.load_csv``
     refuses any other as it parses it. Each pooled column's deviations
     from the mean, ``v - mean``, give both the sd and the z-scores
-    ``d / sd``, the same float as ``(v - mean) / sd``; ``train`` and
-    ``validation`` may hold any sequences of numbers.
+    ``d / sd``, the same float as ``(v - mean) / sd``. A column may be
+    any sequence of numbers that ``+`` joins to the other side's, such as
+    two ``array('d')`` or two lists; a side without rows holds empty
+    columns.
     """
-    n = len(train[0]) if train else 0
+    n = len(train[0])
     means: dict = {}
     sds: dict = {}
     for j, name in enumerate(names):
         if name == target_name:
             continue
-        pooled = train[j] if validation is None else train[j] + validation[j]
-        mean, sd, deviations = _column_stats(name, pooled)
+        mean, sd, deviations = _column_stats(name, train[j] + validation[j])
         means[name], sds[name] = mean, sd
         train[j] = array("d", [d / sd for d in deviations[:n]])
-        if validation is not None:
-            validation[j] = array("d", [d / sd for d in deviations[n:]])
+        validation[j] = array("d", [d / sd for d in deviations[n:]])
     return StandardizationStats(means, sds)
 
 

@@ -84,7 +84,7 @@ def build_report(
     kind: str,
     model: str,
     config: PipelineConfig,
-    subject_ids: Sequence[Optional[str]],
+    subject_ids: Sequence[str],
     actual: Sequence[float],
     predicted: Sequence[float],
     predicted_bounds: TierBoundaries,

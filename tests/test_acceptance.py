@@ -57,7 +57,7 @@ def criterion(number, name):
 # 1. metric arithmetic against reference confusion matrices
 # ---------------------------------------------------------------------------
 
-CONFIG = PipelineConfig(target_name="t")  # pass at 350, tiers 350/375, validation 350/385
+CONFIG = PipelineConfig(target_name="t", id_column="id")  # pass at 350, tiers 350/375, validation 350/385
 
 
 def _report(pairs, predicted_bounds=CONFIG.tiers_predicted):
@@ -244,7 +244,7 @@ def test_criterion_5_standardization():
     # the shifted validation distribution must land differently when
     # standardized jointly vs on its own
     extra_alone = list(zip(*extra))
-    standardize_joint(names, "t", extra_alone)
+    standardize_joint(names, "t", extra_alone, [() for _ in names])
     deltas = [abs(u - v) for u, v in zip(extra_cols[0], extra_alone[0])]
     assert max(deltas) > 0.5
 

@@ -22,11 +22,15 @@ every one alike:
 An accepted case (exit 0) gives instead a check of the step's output
 files against the unchanged run's; most say that not a byte differs.
 A message names each path by its input, as ``{train}`` or ``{out}``.
+A changed table may be read through a FIFO, which cannot seek, as
+``--cohort <(cat cohort.csv)`` reads it.
 """
 
 import json
+import os
 import re
 import tempfile
+import threading
 from dataclasses import is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -82,6 +86,27 @@ def case(step, code, expect, **changes):
 
 DIRECTORY = object()  # a change's result: a directory in the file's place
 DROP = object()  # a value of doc_with: the key is deleted
+
+
+class Piped(NamedTuple):
+    """A change's result: its text, read through a FIFO in the file's place."""
+
+    text: str
+
+
+def piped(change):
+    """``change``, its result read through a FIFO."""
+    return lambda text: Piped(change(text))
+
+
+def _feed(path, data):
+    """Write ``data`` into the FIFO at ``path`` once a reader opens it; a
+    reader that refuses a record closes the pipe before reading the rest."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:
+        pass
 
 
 def missing(text):
@@ -156,6 +181,11 @@ def then(*changes):
 def blank_line_after(n):
     """A CSV with a blank line after its ``n``-th data row."""
     return rows_of(lambda table: [*table[:n + 1], [""], *table[n + 1:]])
+
+
+def repeated_id(table):
+    """The third data row under the second's id."""
+    return [*table[:3], [table[2][0], *table[3][1:]], *table[4:]]
 
 
 def twice_over(table):
@@ -243,6 +273,10 @@ CONFIG_FAULTS = [
     ({"aggregations": [{"group_name": "g", "member_columns": []}]},
      "aggregation 'g' has no member columns"),
     ({"target_name": ""}, "target_name is required"),
+    # a flag must name a student
+    ({"id_column": DROP}, "config is missing ['id_column']"),
+    ({"id_column": None}, "id_column is required"),
+    ({"id_column": ""}, "id_column is required"),
     ({"correlation_threshold": 1.5}, "correlation_threshold must be in [0, 1]"),
     # the only check of knn_k >= 1: loocv's fold-size check assumes it
     ({"knn_k": 0}, "knn_k must be >= 1"),
@@ -384,7 +418,7 @@ REFUSALS = [
     case("prepare", 2, "{config}: is a directory, not a config file", config=directory),
     case("prepare", 2, "{config}: not UTF-8 text",
          config=lambda text: json.dumps({"exclude_columns": ["José"]}, ensure_ascii=False).encode("latin-1")),
-    case("prepare", 2, "config is missing ['target_name']",
+    case("prepare", 2, "config is missing ['target_name', 'id_column']",
          config=lambda text: json.dumps({"correlation_threshold": 0.1})),
     case("synth", 2, "{spec}: no such spec file", spec=missing),
     case("synth", 2, "{spec}: is a directory, not a spec file", spec=directory),
@@ -410,7 +444,7 @@ REFUSALS = [
         # entries for one id, and an empty one an entry no educator can act on
         case(step, 3, f"{{{table}}}, line 4: empty id", **{table: cells("student_id", "", [2])}),
         case(step, 3, f"{{{table}}}, lines 3 and 4 have the same id '{_id_on_line(table, 3)}'",
-             **{table: rows_of(lambda t: [*t[:3], [t[2][0], *t[3][1:]], *t[4:]])}),
+             **{table: rows_of(repeated_id)}),
         # one blank line before the bad cell: the line an editor shows counts it
         *(case(step, 3, f"{{{table}}}, line 7, column 'f05': {problem}",
                **{table: then(cells("f05", text, [4]), blank_line_after(1))})
@@ -531,6 +565,11 @@ REFUSALS = [
     # a quoted id that spans two lines: the bad cell's line counts both
     case("predict", 3, "{cohort}, line 5, column 'f05': non-numeric cell 'x1'",
          cohort=then(cells("f05", "x1", [2]), cells("student_id", '"S007\nJr."', [0]))),
+    # a pipe cannot be read again to find the earlier line: it crashed
+    # with exit 4
+    *(case(step, 3, f"{{{table}}}, line 4 has the same id '{_id_on_line(table, 3)}' as an earlier line",
+           **{table: piped(rows_of(repeated_id))})
+      for step, table in (("predict", "cohort"), ("loocv", "train"))),
     # the csv module's field size limit crashed predict with exit 4; a cell
     # split at its commas is only ever refused as a cell
     case("predict", 3, "{cohort}, line 2, column 'f01': non-finite value inf",
@@ -631,6 +670,24 @@ def _no_r(written, reference):
     return True
 
 
+GROUP = [{"group_name": "g", "member_columns": ["f01", "f02"]}]
+# the raw input's candidate columns but f03, f05 and the members of GROUP
+OTHERS = [f"f{j:02d}" for j in (4, *range(6, 21))]
+
+
+def _kept_as_excluded(written, reference):
+    """``include_columns`` keeps a group and two columns, byte for byte as
+    ``exclude_columns`` naming every other candidate does."""
+    excluded = case("prepare", 0, None, config=doc_with({"aggregations": GROUP, "exclude_columns": OTHERS}))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, _, out, _ = _setup(excluded, Path(tmp))
+        return (
+            written["train.csv"].startswith(b"student_id,f03,f05,score,g\r\n")
+            and main(argv) == 0
+            and written == {name: (out / name).read_bytes() for name in STEPS["prepare"][1]}
+        )
+
+
 EXPORTS = {
     "LF line ends": lambda text: text.replace("\r\n", "\n"),
     "CR line ends": lambda text: text.replace("\r\n", "\r"),
@@ -662,6 +719,9 @@ ACCEPTED = {
         "student_id,f01,f02,score\r\n"
         + "".join(f"C{i},{i}.0,{(i * 7) % 5}.5,444.3\r\n" for i in range(8))
     )),
+    "prepare:include_columns": case("prepare", 0, _kept_as_excluded, config=doc_with(
+        {"aggregations": GROUP, "include_columns": ["g", "f03", "f05"]}
+    )),
     "packrat_scatter:one subject": case("plot --kind packrat_scatter", 0, _one_point, report=doc_with(
         {"subjects": [json.loads(INPUTS["report"].read_text(encoding="utf-8"))["subjects"][0]]}
     )),
@@ -676,10 +736,11 @@ ACCEPTED = {
 
 def _setup(case, tmp_path):
     """The argv of ``case``, the path of each input and of --out by name,
-    and the output directory, with each output file seeded."""
+    the output directory, with each output file seeded, and the started
+    thread that feeds each FIFO."""
     reads, outputs = STEPS[case.step]
     assert set(case.changes) <= {*reads, "out"}
-    paths = {}
+    paths, feeders = {}, []
     for name in reads:
         paths[name] = INPUTS[name]
         if name in case.changes:
@@ -687,6 +748,12 @@ def _setup(case, tmp_path):
             text = case.changes[name](INPUTS[name].read_bytes().decode("utf-8"))
             if text is DIRECTORY:
                 paths[name].mkdir()
+            elif isinstance(text, Piped):
+                os.mkfifo(paths[name])
+                feeders.append(threading.Thread(
+                    target=_feed, args=(paths[name], text.text.encode("utf-8")), daemon=True
+                ))
+                feeders[-1].start()
             elif text is not None:
                 paths[name].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     out = tmp_path / "out"
@@ -695,7 +762,7 @@ def _setup(case, tmp_path):
         (out / name).write_bytes(SENTINEL)
     paths["out"] = case.changes.get("out", lambda out: out)(out)
     argv = case.step.split() + [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
-    return argv, paths, out
+    return argv, paths, out, feeders
 
 
 def _tree(root):
@@ -707,10 +774,13 @@ def _tree(root):
 )
 def test_refusal(case, tmp_path, capsys):
     assert case.code in (2, 3)
-    argv, paths, out = _setup(case, tmp_path)
+    argv, paths, out, feeders = _setup(case, tmp_path)
     seeded = _tree(out)
     capsys.readouterr()
     assert main(argv) == case.code
+    for feeder in feeders:  # the step opened the FIFO, so its writer ends
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
     message = case.expect.format(**paths)
     family = "config" if case.code == 2 else "data"
     assert capsys.readouterr().err == f"{family} error: {message}\n"
@@ -729,7 +799,7 @@ def reference(tmp_path_factory):
 
     def of(step):
         if step not in outputs:
-            argv, _, out = _setup(case(step, 0, None), tmp_path_factory.mktemp("reference"))
+            argv, _, out, _ = _setup(case(step, 0, None), tmp_path_factory.mktemp("reference"))
             assert main(argv) == 0
             outputs[step] = {name: (out / name).read_bytes() for name in STEPS[step][1]}
         return outputs[step]
@@ -739,7 +809,7 @@ def reference(tmp_path_factory):
 
 @pytest.mark.parametrize("case", ACCEPTED.values(), ids=list(ACCEPTED))
 def test_accepted(case, tmp_path, capsys, reference):
-    argv, _, out = _setup(case, tmp_path)
+    argv, _, out, _ = _setup(case, tmp_path)
     expected = reference(case.step)
     capsys.readouterr()
     assert main(argv) == 0

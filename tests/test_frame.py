@@ -22,14 +22,12 @@ def write(tmp_path, name, text):
     return path
 
 
-def write_table(path, names, rows, ids=None, id_name="id"):
-    """Write rows of cells as a CSV, an id column first when ``ids`` is
-    given, and a missing cell (None) as an empty field."""
+def write_table(path, names, rows, ids=None):
+    """Write rows of cells as a CSV, after an ``id`` column of ``ids`` (by
+    default r0, r1, ...), and a missing cell (None) as an empty field."""
     rows = [["" if c is None else c for c in row] for row in rows]
-    if ids is None:
-        write_csv(names, path, rows)
-    else:
-        write_csv([id_name, *names], path, ((rid, *row) for rid, row in zip(ids, rows)))
+    ids = [f"r{i}" for i in range(len(rows))] if ids is None else ids
+    write_csv(["id", *names], path, ((rid, *row) for rid, row in zip(ids, rows)))
     return path
 
 
@@ -42,11 +40,10 @@ class Loaded(NamedTuple):
     ids: tuple
 
 
-def load(path, target_name, id_column=None):
+def load(path, target_name):
+    """``load_csv`` of a CSV whose id column is ``id``."""
     seen = []
-    shape = load_csv(
-        path, target_name, id_column, lambda names, records: seen.extend([names, *records])
-    )
+    shape = load_csv(path, target_name, "id", lambda names, records: seen.extend([names, *records]))
     names, *records = seen
     return Loaded(
         shape, tuple(names), tuple(tuple(cells) for _, _, cells in records),
@@ -57,7 +54,7 @@ def load(path, target_name, id_column=None):
 class TestLoadCsv:
     def test_basic_load(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\nB,3,4\nC,5,6\n")
-        frame = load(path, "y", id_column="id")
+        frame = load(path, "y")
         assert frame.shape == Shape(n_rows=3, n_cols=2)
         assert frame.names == ("x", "y")
         assert frame.ids == ("A", "B", "C")
@@ -67,11 +64,11 @@ class TestLoadCsv:
         # R's write.csv quotes the header and every string cell
         plain = write(tmp_path, "p.csv", "id,x,y\nA,1,2\n\nB,3,4\n")
         quoted = write(tmp_path, "q.csv", '"id","x","y"\n"A",1,2\n\n"B",3,4\n')
-        assert load(quoted, "y", id_column="id") == load(plain, "y", id_column="id")
+        assert load(quoted, "y") == load(plain, "y")
         # a quoted id spanning lines 5 and 6; the bad cell is named on line 6
         path = write(tmp_path, "r.csv", '"id","x","y"\n"A",1,2\n\n"B",3,4\n"C\nD",x,6\n')
         with pytest.raises(DataError) as exc:
-            load(path, "y", id_column="id")
+            load(path, "y")
         assert str(exc.value) == f"{path}, line 6, column 'x': non-numeric cell 'x'"
 
     def test_missing_target_column(self, tmp_path):
@@ -80,47 +77,47 @@ class TestLoadCsv:
             load(path, "y")
 
     def test_non_numeric_cell(self, tmp_path):
-        path = write(tmp_path, "d.csv", "x,y\nabc,2\n")
+        path = write(tmp_path, "d.csv", "id,x,y\nA,abc,2\n")
         with pytest.raises(DataError) as exc:
             load(path, "y")
         assert str(exc.value) == f"{path}, line 2, column 'x': non-numeric cell 'abc'"
 
     def test_empty_cell_becomes_missing(self, tmp_path):
-        path = write(tmp_path, "d.csv", "x,y\n,2\n")
+        path = write(tmp_path, "d.csv", "id,x,y\nA,,2\n")
         assert load(path, "y").rows[0] == (None, 2.0)
 
     @pytest.mark.parametrize("bad", [" ", "x"])
     def test_unparsable_cell_named_next_to_a_missing_one(self, tmp_path, bad):
         path = write(tmp_path, "d.csv", f"id,x,y,z\nA,1,,3\nB,,{bad},6\n")
         with pytest.raises(DataError) as exc:
-            load(path, "z", id_column="id")
+            load(path, "z")
         assert str(exc.value) == f"{path}, line 3, column 'y': non-numeric cell {bad!r}"
 
     def test_missing_cells_load_as_none_beside_parsed_ones(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,,3\nB,, 4.5 ,\n")
-        assert load(path, "z", id_column="id").rows == ((1.0, None, 3.0), (None, 4.5, None))
+        assert load(path, "z").rows == ((1.0, None, 3.0), (None, 4.5, None))
 
     def test_first_of_two_bad_cells_is_named(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y,z\nA,1,2,3\nB,4,oops,bad\n")
         with pytest.raises(DataError) as exc:
-            load(path, "z", id_column="id")
+            load(path, "z")
         assert str(exc.value) == f"{path}, line 3, column 'y': non-numeric cell 'oops'"
 
     def test_ragged_row_is_named(self, tmp_path):
-        path = write(tmp_path, "d.csv", "x,y\n1,2\n3\n")
+        path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\nB,3\n")
         with pytest.raises(DataError) as exc:
             load(path, "y")
-        assert str(exc.value) == f"{path}, line 3: 1 fields, header has 2"
+        assert str(exc.value) == f"{path}, line 3: 2 fields, header has 3"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
     def test_refuses_non_finite_cell(self, tmp_path, bad):
-        path = write(tmp_path, "d.csv", f"x,t\n0,1\n1,2\n2,3\n{bad},4\n")
+        path = write(tmp_path, "d.csv", f"id,x,t\nA,0,1\nB,1,2\nC,2,3\nD,{bad},4\n")
         with pytest.raises(DataError) as exc:
             load(path, "t")
         assert str(exc.value) == f"{path}, line 5, column 'x': non-finite value {float(bad)!r}"
 
     def test_refuses_non_finite_target(self, tmp_path):
-        path = write(tmp_path, "d.csv", "x,t\n0,1\n1,inf\n2,3\n")
+        path = write(tmp_path, "d.csv", "id,x,t\nA,0,1\nB,1,inf\nC,2,3\n")
         with pytest.raises(DataError) as exc:
             load(path, "t")
         assert str(exc.value) == f"{path}, line 3, column 't': non-finite value inf"
@@ -128,8 +125,9 @@ class TestLoadCsv:
     def test_first_bad_cell_in_file_order(self, tmp_path):
         # row by row, then column by column; the target is a column like
         # any other. Each cell named is mended before the next read.
-        names = ["x", "t", "y"]
-        rows = [["0", "1", "1"], ["1", "nan", "2"], ["2", "3", "inf"], ["inf", "nan", "1"], ["1", "2", "2"]]
+        names = ["id", "x", "t", "y"]
+        rows = [["A", "0", "1", "1"], ["B", "1", "nan", "2"], ["C", "2", "3", "inf"],
+                ["D", "inf", "nan", "1"], ["E", "1", "2", "2"]]
         path = tmp_path / "d.csv"
         for line, column, value in [(3, "t", "nan"), (4, "y", "inf"), (5, "x", "inf"), (5, "t", "nan")]:
             path.write_text("\n".join(map(",".join, [names, *rows])) + "\n")
@@ -142,7 +140,7 @@ class TestLoadCsv:
 
     def test_cell_beyond_the_bound_is_refused(self, tmp_path):
         # the cells' sum is finite; the first cell past 1e50 is named
-        path = write(tmp_path, "d.csv", "x,y,t\n1e50,-1e50,1\n1e308,-1e308,2\n")
+        path = write(tmp_path, "d.csv", "id,x,y,t\nA,1e50,-1e50,1\nB,1e308,-1e308,2\n")
         with pytest.raises(DataError) as exc:
             load(path, "t")
         assert str(exc.value) == f"{path}, line 3, column 'x': value 1e+308 beyond ±1e+50"
@@ -151,13 +149,13 @@ class TestLoadCsv:
     def test_cells_at_the_bound_are_read(self, tmp_path, cell):
         # their norm fails the fast gate, so each is checked on its own
         assert abs(float(cell)) == BOUND
-        path = write(tmp_path, "d.csv", f"x,y,t\n{cell},{cell},1\n0,0,2\n")
+        path = write(tmp_path, "d.csv", f"id,x,y,t\nA,{cell},{cell},1\nB,0,0,2\n")
         value = float(cell)
         assert load(path, "t").rows == ((value, value, 1.0), (0.0, 0.0, 2.0))
 
     def test_cell_just_past_the_bound_is_refused(self, tmp_path):
         past = math.nextafter(BOUND, math.inf)
-        path = write(tmp_path, "d.csv", f"x,t\n0,1\n{past!r},2\n")
+        path = write(tmp_path, "d.csv", f"id,x,t\nA,0,1\nB,{past!r},2\n")
         with pytest.raises(DataError) as exc:
             load(path, "t")
         assert str(exc.value) == f"{path}, line 3, column 'x': value {past!r} beyond ±1e+50"
@@ -168,7 +166,7 @@ class TestLoadCsv:
 
     def test_not_utf8_is_unreadable(self, tmp_path):
         path = tmp_path / "latin1.csv"
-        path.write_bytes("x,y\n1,2\n".encode() + "caf\u00e9,3\n".encode("latin-1"))
+        path.write_bytes("id,x,y\nA,1,2\n".encode() + "caf\u00e9,3,4\n".encode("latin-1"))
         with pytest.raises(DataError, match="not UTF-8 text"):
             load(path, "y")
 
@@ -188,24 +186,28 @@ class TestLoadCsv:
 
     def test_blank_lines_hold_no_row_but_keep_line_numbers(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\n\nB,3,4\n\n")
-        frame = load(path, "y", id_column="id")
+        frame = load(path, "y")
         assert frame.rows == ((1.0, 2.0), (3.0, 4.0))
         assert frame.ids == ("A", "B")
         path = write(tmp_path, "e.csv", "id,x,y\nA,1,2\n\nB,oops,4\n")
         with pytest.raises(DataError) as exc:
-            load(path, "y", id_column="id")
+            load(path, "y")
         assert str(exc.value) == f"{path}, line 4, column 'x': non-numeric cell 'oops'"
 
-    def test_a_lone_missing_cell_is_not_a_blank_line(self, tmp_path):
-        rows = ((1.0,), (None,), (2.0,))
-        out = write_table(tmp_path / "out.csv", ["x"], rows)
-        assert load(out, None).rows == rows
+    def test_a_lone_empty_field_is_not_a_blank_line(self, tmp_path):
+        # csv writes a row of one empty field as "", which reads back as
+        # a record of one field: here an empty id
+        out = write_table(tmp_path / "out.csv", [], [(), (), ()], ["A", "", "B"])
+        assert out.read_bytes() == b'id\r\nA\r\n""\r\nB\r\n'
+        with pytest.raises(DataError) as exc:
+            load(out, None)
+        assert str(exc.value) == f"{out}, line 3: empty id"
 
     def test_consume_sees_each_record_and_nothing_is_kept(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,\n\nB,3,4\n")
         seen = []
         shape = load_csv(
-            path, "y", id_column="id",
+            path, "y", "id",
             consume=lambda names, records: seen.extend([names, *records]),
         )
         assert seen == [["x", "y"], (2, "A", [1.0, None]), (4, "B", [3.0, 4.0])]
@@ -215,20 +217,16 @@ class TestLoadCsv:
         path = write(
             tmp_path, "d.csv", "id,x,y\nA,1.5,\nB,0.1,410\nC,-2.25,305\n"
         )
-        frame = load(path, "y", id_column="id")
+        frame = load(path, "y")
         out = write_table(tmp_path / "out.csv", frame.names, frame.rows, frame.ids)
-        again = load(out, "y", id_column="id")
+        again = load(out, "y")
         assert again == frame
 
-    @pytest.mark.parametrize("ids", [None, ["A", "B"]])
-    def test_round_trip_keeps_every_bit(self, tmp_path, ids):
+    def test_round_trip_keeps_every_bit(self, tmp_path):
         rows = ((None, -0.0), (1e-320, -1e50))
-        out = write_table(tmp_path / "out.csv", ["x", "y"], rows, ids)
-        body = "x,y\r\n,-0.0\r\n1e-320,-1e+50\r\n"
-        if ids:
-            body = "id,x,y\r\nA,,-0.0\r\nB,1e-320,-1e+50\r\n"
-        assert out.read_bytes() == body.encode()
-        again = load(out, "y", id_column="id" if ids else None)
+        out = write_table(tmp_path / "out.csv", ["x", "y"], rows, ["A", "B"])
+        assert out.read_bytes() == b"id,x,y\r\nA,,-0.0\r\nB,1e-320,-1e+50\r\n"
+        again = load(out, "y")
         assert [list(map(repr, row)) for row in again.rows] == [
             list(map(repr, row)) for row in rows
         ]
@@ -247,7 +245,7 @@ class TestLoadCsv:
     def test_empty_or_repeated_id_is_refused(self, tmp_path, text, message):
         path = write(tmp_path, "d.csv", text)
         with pytest.raises(DataError) as exc:
-            load(path, None, id_column="id")
+            load(path, None)
         assert str(exc.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("fault", [
@@ -258,28 +256,29 @@ class TestLoadCsv:
     def test_a_fault_of_the_consumer_is_not_one_of_the_file(self, tmp_path, fault):
         # the consumer ranks and writes as it reads: a fault of its own
         # was reported as the CSV file's ("no such file", "not UTF-8 text")
-        path = write(tmp_path, "d.csv", "x\n1\n")
+        path = write(tmp_path, "d.csv", "id,x\nA,1\n")
 
         def consume(names, records):
             next(records)
             raise fault
 
         with pytest.raises(type(fault)) as exc:
-            load_csv(path, None, None, consume)
+            load_csv(path, None, "id", consume)
         assert exc.value is fault
 
 
 def read_training(tmp_path, names, rows):
     """``read_table`` of a training CSV of ``rows`` under ``names``, target ``t``."""
-    return read_table(write_table(tmp_path / "train.csv", names, rows), "t", None)
+    return read_table(write_table(tmp_path / "train.csv", names, rows), "t", "id")
 
 
-def stream(path, target_name, id_column, features, scored):
+def stream(path, target_name, features, scored):
     """``(features, rows)`` that ``stream_table`` hands its consumer, the
-    rows drawn to the end as they are read."""
+    rows drawn to the end as they are read, from a CSV whose id column is
+    ``id``."""
     streamed = []
     stream_table(
-        path, target_name, id_column,
+        path, target_name, "id",
         lambda features, rows: streamed.append((features, list(rows))), features, scored,
     )
     return streamed[0]
@@ -288,7 +287,7 @@ def stream(path, target_name, id_column, features, scored):
 def read_subjects(tmp_path, names, rows, features=None):
     """The streamed rows of an unscored cohort CSV whose features are ``names``."""
     path = write_table(tmp_path / "cohort.csv", names, rows)
-    return stream(path, "t", None, features or names, scored=False)
+    return stream(path, "t", features or names, scored=False)
 
 
 class TestReadTable:
@@ -305,16 +304,16 @@ class TestReadTable:
         # a cohort's rows follow the training table's feature order; an
         # unscored cohort's score may be blank
         path = write(tmp_path, "c.csv", "id,y,t,x\nC,5,,6\nD,7,,8\n")
-        assert stream(path, "t", "id", train.features, scored=False) == (
+        assert stream(path, "t", train.features, scored=False) == (
             ("x", "y"), [("C", (6.0, 5.0), None), ("D", (8.0, 7.0), None)]
         )
-        assert stream(path.with_name("t.csv"), "t", "id", ("y", "x"), scored=True) == (
+        assert stream(path.with_name("t.csv"), "t", ("y", "x"), scored=True) == (
             ("y", "x"), [("A", (2.0, 1.0), 400.0), ("B", (4.0, 3.0), 300.0)]
         )
 
     def test_cohort_rows_come_as_they_are_read(self, tmp_path):
         # the first row is handed out before the bad cell of the second is read
-        path = write(tmp_path, "c.csv", "x,t\n1,400\n2,x1\n")
+        path = write(tmp_path, "c.csv", "id,x,t\nA,1,400\nB,2,x1\n")
         seen = []
 
         def consume(features, rows):
@@ -322,14 +321,14 @@ class TestReadTable:
             next(rows)
 
         with pytest.raises(DataError, match="line 3, column 't': non-numeric cell 'x1'"):
-            stream_table(path, "t", None, consume)
-        assert seen == [(None, (1.0,), 400.0)]
+            stream_table(path, "t", "id", consume)
+        assert seen == [("A", (1.0,), 400.0)]
 
     @pytest.mark.parametrize("cell, problem", [("nan", "non-finite value nan"), ("", "missing cell")])
     def test_blank_lines_are_counted_in_refusals(self, tmp_path, cell, problem):
-        path = write(tmp_path, "t.csv", f"x,t\n1,400\n\n2,{cell}\n")
+        path = write(tmp_path, "t.csv", f"id,x,t\nA,1,400\n\nB,2,{cell}\n")
         with pytest.raises(DataError) as exc:
-            read_table(path, "t", None)
+            read_table(path, "t", "id")
         assert str(exc.value) == f"{path}, line 4, column 't': {problem}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e999")])
@@ -673,30 +672,29 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     width = data.draw(st.integers(2, 4))
     names = [f"c{j}" for j in range(width)]
     rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
-    ids = data.draw(st.one_of(st.none(), st.just([f"r{i}" for i in range(len(rows))])))
     rows = tuple(tuple(None if c is None else float(c) for c in row) for row in rows)
     some = data.draw(st.lists(st.sampled_from(names[1:]), unique=True))
 
-    path = write_table(tmp_path_factory.mktemp("csv") / "frame.csv", names, rows, ids)
+    path = write_table(tmp_path_factory.mktemp("csv") / "frame.csv", names, rows)
     # an infinite cell, or a finite one beyond the bound, in whichever
     # column, is refused as its record is parsed
     bad = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c is not None and abs(c) > BOUND]
     if bad:
         i, j = bad[0]
         with pytest.raises(DataError) as exc:
-            load(path, "c0", None if ids is None else "id")
+            load(path, "c0")
         cell = rows[i][j]
         problem = f"non-finite value {cell!r}" if math.isinf(cell) else f"value {cell!r} beyond ±1e+50"
         assert str(exc.value) == f"{path}, line {i + 2}, column {names[j]!r}: {problem}"
         return
-    loaded = load(path, "c0", None if ids is None else "id")
+    loaded = load(path, "c0")
     assert loaded.shape == Shape(len(rows), width)
     assert loaded.rows == rows
     assert all(type(c) is float or c is None for row in loaded.rows for c in row)
-    assert loaded.ids == (tuple(ids) if ids else (None,) * len(rows))
+    assert loaded.ids == tuple(f"r{i}" for i in range(len(rows)))
     config = _from_json(PipelineConfig, {
         "target_name": "c0",
-        "id_column": None if ids is None else "id",
+        "id_column": "id",
         "cohort_column": "c1",
         "year_cutoff": 0.5,
         "aggregations": [{"group_name": "g", "member_columns": names[2:]}] if width > 2 else [],

@@ -234,11 +234,11 @@ class TestResolveOutlierFeature:
     """The outlier rule fires on low values, so its default must correlate positively."""
 
     TARGET = [300.0, 350.0, 400.0, 450.0, 500.0]
-    CONFIG = PipelineConfig(target_name="t")
+    CONFIG = PipelineConfig(target_name="t", id_column="id")
 
     def frame(self, **columns):
         rows = list(zip(*columns.values()))
-        return Table(tuple(columns), rows, self.TARGET, [None] * len(rows))
+        return Table(tuple(columns), rows, self.TARGET, [f"r{i}" for i in range(len(rows))])
 
     def test_strongest_negative_feature_is_passed_over(self):
         # |r| is 1 for "neg" and about 0.8 for "pos"
@@ -256,7 +256,7 @@ class TestResolveOutlierFeature:
 
     def test_configured_feature_is_kept(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
-        config = PipelineConfig(target_name="t", ammknn=AmmknnConfig(outlier_feature="neg"))
+        config = PipelineConfig(target_name="t", id_column="id", ammknn=AmmknnConfig(outlier_feature="neg"))
         assert resolve_outlier_feature(train, config, "train.csv") == "neg"
 
 

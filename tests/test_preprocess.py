@@ -23,23 +23,28 @@ def columns(rows):
     return [list(c) for c in zip(*rows)]
 
 
+def no_rows(cols):
+    """A side of no rows beside ``cols``: an empty column of each one's type."""
+    return [c[:0] for c in cols]
+
+
 class TestStandardizeJoint:
     def test_symmetric_column(self):
         cols = [[1, 2, 3], [310, 500, 400]]
-        stats = standardize_joint(["x", "t"], "t", cols)
+        stats = standardize_joint(["x", "t"], "t", cols, no_rows(cols))
         assert list(cols[0]) == pytest.approx([-1.0, 0.0, 1.0])
         assert stats.means["x"] == 2.0
         assert stats.sds["x"] == 1.0
 
     def test_target_untouched(self):
         cols = [[1.0, 2.0], [310.0, 500.0]]
-        stats = standardize_joint(["x", "t"], "t", cols)
+        stats = standardize_joint(["x", "t"], "t", cols, no_rows(cols))
         assert cols[1] == [310.0, 500.0]
         assert "t" not in stats.means
 
     def test_zero_variance(self):
         with pytest.raises(DataError, match="column 'x' has zero variance"):
-            standardize_joint(["x", "t"], "t", [[5, 5, 5], [1, 2, 3]])
+            standardize_joint(["x", "t"], "t", [[5, 5, 5], [1, 2, 3]], [[], []])
 
     def test_stats_pooled_over_both_frames(self):
         train = [[0.0, 1.0], [1.0, 2.0]]
@@ -56,9 +61,9 @@ class TestStandardizeJoint:
         rng = random.Random(5)
         rows = [[rng.gauss(3, 2), rng.gauss(-1, 4), rng.uniform(300, 500)] for _ in range(40)]
         once = columns(rows)
-        standardize_joint(["a", "b", "t"], "t", once)
+        standardize_joint(["a", "b", "t"], "t", once, no_rows(once))
         twice = list(once)
-        standardize_joint(["a", "b", "t"], "t", twice)
+        standardize_joint(["a", "b", "t"], "t", twice, no_rows(twice))
         for j in (0, 1):
             for u, v in zip(once[j], twice[j]):
                 assert abs(u - v) < 1e-9
@@ -66,7 +71,7 @@ class TestStandardizeJoint:
     def test_means_sum_left_to_right(self):
         # compensated summation (built-in sum() from Python 3.12 on) would
         # give 1/3; the files this package writes must not depend on it
-        stats = standardize_joint(["x", "t"], "t", [[1e16, 1.0, -1e16], [1, 2, 3]])
+        stats = standardize_joint(["x", "t"], "t", [[1e16, 1.0, -1e16], [1, 2, 3]], [[], []])
         assert stats.means["x"] == 0.0 / 3
 
     def test_joint_differs_from_separate_on_shifted_validation(self):
@@ -74,7 +79,7 @@ class TestStandardizeJoint:
         train = [[rng.gauss(0, 1) for _ in range(30)], [400.0] * 30]
         extra = [[rng.gauss(5, 1) for _ in range(10)], [400.0] * 10]
         alone = list(extra)
-        standardize_joint(["x", "t"], "t", alone)
+        standardize_joint(["x", "t"], "t", alone, no_rows(alone))
         standardize_joint(["x", "t"], "t", train, extra)
         deltas = [abs(a - b) for a, b in zip(extra[0], alone[0])]
         assert max(deltas) > 0.5
@@ -97,6 +102,11 @@ class TestPearson:
         # direct evaluation of the sample-correlation formula:
         # cov = 4, sx = sy = sqrt(5) -> r = 4/5
         assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+
+    def test_two_pairs_have_an_r(self):
+        # the fewest pairs that define one
+        assert prediction_actual_correlation([1.0, 2.0], [3.0, 5.0]) == 1.0
+        assert prediction_actual_correlation([1.0], [3.0]) is None
 
     def test_constant_input(self):
         assert prediction_actual_correlation([1, 1, 1], [1, 2, 3]) is None
@@ -184,6 +194,14 @@ class TestSelectByCorrelation:
     def test_threshold_zero_keeps_all(self):
         result = select(designed_frame(), 0.0)
         assert result.kept_columns == ("r05", "r15", "r25", "t")
+        assert result.dropped_columns == ()
+
+    def test_r_equal_to_the_threshold_is_kept(self):
+        # r is exactly 0.0: "at least the threshold" keeps the column
+        x = [1.0, -1.0, -1.0, 1.0]
+        assert pearson(x, [1.0, 1.0, 2.0, 2.0]) == 0.0
+        result = select({"x": x, "t": [1.0, 1.0, 2.0, 2.0]}, 0.0)
+        assert result.kept_columns == ("x", "t")
         assert result.dropped_columns == ()
 
     def test_monotone_shrinkage(self):

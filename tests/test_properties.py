@@ -82,11 +82,11 @@ def test_standardize_joint_idempotent(frame):
     names, rows = frame
     once = columns(rows)
     try:
-        standardize_joint(names, "t", once)
+        standardize_joint(names, "t", once, [c[:0] for c in once])
     except Exception:
         return
     twice = list(once)
-    standardize_joint(names, "t", twice)
+    standardize_joint(names, "t", twice, [c[:0] for c in twice])
     for u_column, v_column in zip(once[:-1], twice[:-1]):
         for u, v in zip(u_column, v_column):
             assert abs(u - v) < 1e-6

@@ -13,7 +13,7 @@ from ammknn.report import build_report, classify_tier
 
 def report_of(actual, predicted, predicted_bounds=None, **config):
     """The loocv-style report of paired actual and predicted scores."""
-    config = PipelineConfig(target_name="t", **config)
+    config = PipelineConfig(target_name="t", id_column="id", **config)
     return build_report(
         "loocv", "m", config, [str(i) for i in range(len(actual))], actual, predicted,
         predicted_bounds or config.tiers_predicted, [0.0] * len(actual),
