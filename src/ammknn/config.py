@@ -11,8 +11,10 @@ neighbor cap 20, outlier rule < -2).
 Every stanza is read by ``_from_json`` and written by
 ``dataclasses.asdict``, so the fields are the one list of keys: a key
 that is not a field, or a stanza that is not a JSON object, is refused.
-Every stanza class is defined here, and each checks, as it is built,
-every fault that needs no input file; ``PipelineConfig`` checks the
+Every stanza class is defined here. The reader refuses a value of the
+wrong JSON type and a required text field left null or empty; each
+class checks, as it is built, every other fault that needs no input
+file, and ``PipelineConfig`` checks the
 faults between stanzas (two roles naming one column, an aggregation
 that takes the id column or the target, a group named like the id
 column or an earlier group, the target as the outlier feature). So every
@@ -34,6 +36,11 @@ from .errors import ConfigError
 # the range every tier boundary must lie in
 SCORE_MIN = 200.0
 SCORE_MAX = 800.0
+
+# what a refusal says a value of each field type must be, then the types
+# that may give it
+NUMBER = ("a number", int, float)
+JSON_KINDS = {int: NUMBER, float: NUMBER, str: ("text", str), tuple: ("a list", list, tuple)}
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,6 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("target_name", "id_column"):
-            if not getattr(self, key):
-                raise ConfigError(f"{key} is required")
         if self.cohort_column == self.target_name:
             raise ConfigError(f"cohort_column and target_name both name {self.target_name!r}")
         for key in ("target_name", "cohort_column"):
@@ -186,23 +190,29 @@ def _read_value(hint, value, stanza: str, key: str):
     """``value``, given for ``key`` in ``stanza``, read as the type ``hint``;
     see ``_from_json``.
 
-    A number must be given as a JSON number: a boolean, text (even
-    ``"12"``, which ``int()`` would read), a non-finite float and a
-    fraction for an ``int`` are refused.
+    A value must be given as the JSON type of its field's (see
+    ``JSON_KINDS``): a boolean or text for a number (even ``"12"``, which
+    ``int()`` would read), anything but text for a ``str`` and text for a
+    tuple (which ``tuple()`` would split into its characters) are
+    refused, as are a non-finite float, a fraction for an ``int`` and a
+    required ``str`` left null or empty.
     """
+    if hint is str and value in (None, ""):  # an Optional[str] may be null
+        raise ConfigError(f"{key} is required")
     if get_origin(hint) is Union:  # Optional[X]
         if value is None:
             return None
         hint = get_args(hint)[0]
     if is_dataclass(hint):
         return _from_json(hint, value, key)
+    where = f"bad {stanza} value for {key!r}"
+    wanted, *kinds = JSON_KINDS[get_origin(hint) or hint]
+    if type(value) not in kinds:  # a bool is an int to isinstance
+        raise ConfigError(f"{where}: {json.dumps(value, ensure_ascii=False)} is not {wanted}")
     if get_origin(hint) is tuple:
         return tuple(_read_value(get_args(hint)[0], v, stanza, f"{key} entry") for v in value)
     if hint not in (int, float):
         return tuple(value) if hint is tuple else value
-    where = f"bad {stanza} value for {key!r}"
-    if type(value) not in (int, float):  # a bool is an int to isinstance
-        raise ConfigError(f"{where}: {json.dumps(value, ensure_ascii=False)} is not a number")
     read = hint(value)
     if hint is float and not math.isfinite(read):
         raise ConfigError(f"{where}: {value!r} is not finite")

@@ -41,11 +41,12 @@ from the configuration or the training table's correlations, and takes
 its values from the training table's rows or the cohort's; ``knn`` is
 handed those values, never the name. They all score
 through one generator, ``knn.score``: a window over the training rows'
-feature sums, a ``math.dist`` filter over the rows in it, then exact
-left-to-right squared distances for the few rows it keeps, and the
-adaptive rule. validate and predict stream the cohort, after its header
-has been checked against the training table, through one pass of
-``frame.stream_table`` into ``knn.score``: each record is parsed,
+feature sums, a ``math.dist`` filter over the rows in it whose
+approximate distances order the rows it keeps, exact left-to-right
+squared distances only for a near-tie and for the distances predict
+writes, and the adaptive rule. validate and predict stream the cohort,
+after its header has been checked against the training table, through
+one pass of ``frame.stream_table`` into ``knn.score``: each record is parsed,
 checked and ranked in turn, and nothing holds the cohort's feature
 cells. A bad cell is found when its record is reached, after the
 subjects before it were scored, and the step is refused before any
@@ -431,7 +432,7 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
         outlier_values = train.column(outlier)
         depth = max(config.ammknn.max_k, k)
         ammknn_predictions, triggered, knn_predictions = [], [], []
-        for _, _, means, prediction, fired in score(
+        for _, _, means, prediction, fired, _ in score(
             train.rows, train.target, train.rows, outlier_values, config.ammknn, depth,
             held_out=True,
         ):
@@ -508,7 +509,7 @@ def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> di
         ids, actual, outlier_values, predicted, triggered = [], [], [], [], []
 
         def keep(subjects: Iterator) -> None:
-            for rid, target, value, (*_, prediction, fired) in subjects:
+            for rid, target, value, (_, _, _, prediction, fired, _) in subjects:
                 ids.append(rid)
                 actual.append(target)
                 outlier_values.append(value)
@@ -550,10 +551,10 @@ def run_predict(config: PipelineConfig, train_path, cohort_path, out_dir) -> int
 
         def write(subjects: Iterator) -> None:
             with _open_out(out(PREDICTIONS_JSONL)) as fh:
-                for rid, _, value, (ranked, targets, means, prediction, fired) in subjects:
+                for rid, _, value, (ranked, targets, means, prediction, fired, squares) in subjects:
                     fh.write(json.dumps({
                         "subject_id": rid,
-                        "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
+                        "neighbors": [[j, math.sqrt(sq)] for j, sq in zip(ranked, squares)],
                         "cumulative_means": means,
                         "min_of_means": min(means),
                         "min_match": min(targets),

@@ -159,7 +159,7 @@ def test_criterion_3_min_over_k_equivalence():
         matrix, targets = _split(rows)
         subject = [rng.uniform(-4, 4) for _ in range(dims)]
         config = AmmknnConfig(max_k=max_k, outlier_feature="outlier")
-        [(*_, prediction, triggered)] = score(matrix, targets, [subject], [0.0], config, max_k)
+        [(*_, prediction, triggered, _)] = score(matrix, targets, [subject], [0.0], config, max_k)
         assert not triggered
         order = ref.ranked(matrix, subject)
         assert prediction == min(ref.prefix_means([targets[j] for _, j in order[:max_k]]))

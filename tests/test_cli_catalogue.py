@@ -277,6 +277,11 @@ CONFIG_FAULTS = [
     ({"id_column": DROP}, "config is missing ['id_column']"),
     ({"id_column": None}, "id_column is required"),
     ({"id_column": ""}, "id_column is required"),
+    # a value of the wrong JSON type: a list was hashed as a column name,
+    # and text was split into one column name per character
+    ({"id_column": ["student_id"]}, """bad config value for 'id_column': ["student_id"] is not text"""),
+    ({"exclude_columns": "f01"}, """bad config value for 'exclude_columns': "f01" is not a list"""),
+    ({"sweep_cutoffs": "349"}, """bad config value for 'sweep_cutoffs': "349" is not a list"""),
     ({"correlation_threshold": 1.5}, "correlation_threshold must be in [0, 1]"),
     # the only check of knn_k >= 1: loocv's fold-size check assumes it
     ({"knn_k": 0}, "knn_k must be >= 1"),
@@ -354,6 +359,8 @@ SPEC_FAULTS = [
     ({"split.column": "f01"}, "split column 'f01' is already a generated column"),
     ({"split.column": "score"}, "split column 'score' is already a generated column"),
     ({"split.column": "student_id"}, "split column 'student_id' is already a generated column"),
+    # synth wrote a column named None
+    ({"split.column": None}, "column is required"),
     ({"split.train_year": 1e300}, "split train_year 1e+300 lies beyond ±1e+50"),
     ({"split.validation_year": -1e51}, "split validation_year -1e+51 lies beyond ±1e+50"),
     ({"split": {"train_fraction": 0.808, "validaton_year": 2020}},

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ammknn import knn
 from ammknn.config import AmmknnConfig
 from ammknn.errors import ConfigError
 from ammknn.knn import cumulative_means, score
@@ -24,9 +25,9 @@ def split_rows(rows):
 
 
 def predict_one(subject, outlier_value, training, config):
-    """``score``'s ``(ranked, targets, means, prediction, triggered)`` for
-    one subject against ``training``, a ``(matrix, target)`` pair, ranked
-    ``max_k`` deep as validate and predict rank."""
+    """``score``'s ``(ranked, targets, means, prediction, triggered,
+    squares)`` for one subject against ``training``, a ``(matrix,
+    target)`` pair, ranked ``max_k`` deep as validate and predict rank."""
     [scored] = score(*training, [tuple(subject)], [outlier_value], config, config.max_k)
     return scored
 
@@ -37,13 +38,20 @@ def loocv(matrix, target, outlier_values, config, knn_k):
     reads them."""
     adaptive, triggered, fixed_k = [], [], []
     depth = max(config.max_k, knn_k)
-    for *_, means, prediction, fired in score(
+    for _, _, means, prediction, fired, _ in score(
         matrix, target, matrix, outlier_values, config, depth, held_out=True
     ):
         adaptive.append(prediction)
         triggered.append(fired)
         fixed_k.append(means[knn_k - 1])
     return adaptive, triggered, fixed_k
+
+
+def drawn(scored):
+    """``score``'s tuple for one subject with its squared distances
+    drawn, so that two tuples compare by value."""
+    *head, squares = scored
+    return (*head, list(squares))
 
 
 def random_training(rng, n, dims):
@@ -57,8 +65,8 @@ def random_training(rng, n, dims):
 def ranking(subject, feature_rows, limit):
     """(row, distance) pairs the predictor reports for a subject."""
     training = split_rows([list(r) + [400.0] for r in feature_rows])
-    ranked = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))[0]
-    return tuple((j, math.sqrt(sq)) for sq, j in ranked)
+    ranked, *_, squares = predict_one(subject, 0.0, training, AmmknnConfig(max_k=limit))
+    return tuple(zip(ranked, map(math.sqrt, squares)))
 
 
 def first_column_loocv(rows, config, k):
@@ -135,7 +143,7 @@ class TestAmmknnPredictOne:
     def test_constant_neighborhood(self):
         rows = [[float(i), 500.0] for i in range(20)]
         training = split_rows(rows)
-        _, targets, means, prediction, triggered = predict_one(
+        _, targets, means, prediction, triggered, _ = predict_one(
             [0.0], 0.0, training, AmmknnConfig(max_k=20)
         )
         assert min(means) == 500.0
@@ -146,7 +154,7 @@ class TestAmmknnPredictOne:
     def test_outlier_takes_min_match(self):
         # ranked neighbor targets [480, 310]: prefix means [480, 395]
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
-        _, targets, means, prediction, triggered = predict_one(
+        _, targets, means, prediction, triggered, _ = predict_one(
             [0.0], -2.5, training, AmmknnConfig(max_k=2)
         )
         assert min(means) == 395.0
@@ -156,7 +164,7 @@ class TestAmmknnPredictOne:
 
     def test_outlier_cutoff_is_strict(self):
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
-        *_, prediction, triggered = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
+        *_, prediction, triggered, _ = predict_one([0.0], -2.0, training, AmmknnConfig(max_k=2))
         assert not triggered
         assert prediction == 395.0
 
@@ -233,7 +241,7 @@ class TestAmmknnPredictBatch:
         assert len(scored) == len(rows)
         for i, one in enumerate(scored):
             [alone] = score(*training, subjects[i:i + 1], outlier[i:i + 1], self.config(), 5)
-            assert one == alone
+            assert drawn(one) == drawn(alone)
 
     def test_outlier_value_read_per_row(self):
         training = split_rows([[0.0, 480.0], [1.0, 310.0]])
@@ -251,8 +259,8 @@ class TestAmmknnPredictBatch:
         subjects = [(0.0, 0.0), (-2.5, 1.0)]
         outliers = [0.0, -2.5]
         named, unnamed = AmmknnConfig(max_k=3, outlier_feature="x0"), AmmknnConfig(max_k=3)
-        assert list(score(matrix, target, subjects, outliers, unnamed, 3)) == (
-            list(score(matrix, target, subjects, outliers, named, 3))
+        assert list(map(drawn, score(matrix, target, subjects, outliers, unnamed, 3))) == (
+            list(map(drawn, score(matrix, target, subjects, outliers, named, 3)))
         )
         outliers = [row[0] for row in matrix]
         assert loocv(matrix, target, outliers, unnamed, 2) == loocv(matrix, target, outliers, named, 2)
@@ -372,9 +380,9 @@ def test_engine_matches_naive_reference(case):
 def predict_record(scored, outlier_value):
     """``score``'s tuple for one subject as the fields of its predict
     record."""
-    ranked, targets, means, prediction, triggered = scored
+    ranked, targets, means, prediction, triggered, squares = scored
     return {
-        "neighbors": [[j, math.sqrt(sq)] for sq, j in ranked],
+        "neighbors": [[j, math.sqrt(sq)] for j, sq in zip(ranked, squares)],
         "cumulative_means": means,
         "min_of_means": min(means),
         "min_match": min(targets),
@@ -415,7 +423,7 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
         return
     outlier_values = [row[0] for row in rows]  # x0, or the target without features
     held_out = list(score(matrix, targets, matrix, outlier_values, config, depth, held_out=True))
-    for i, (_, _, means, prediction, triggered) in enumerate(held_out):
+    for i, (_, _, means, prediction, triggered, _) in enumerate(held_out):
         order = ref.ranked(matrix, matrix[i], skip=i)
         # every fixed-k prediction up to the depth, knn_k's among them
         assert means == ref.prefix_means([targets[j] for _, j in order[:depth]])
@@ -436,8 +444,11 @@ def check_against_naive(rows, subjects, max_k, knn_k, cutoff):
 # (1, ..., 1), where Cauchy-Schwarz holds with equality, or along
 # (1, 2, ..., m); tied: four coordinates, so many rows share a sum;
 # extreme: cells at the bound (7e49 and ±1e50), whose sums and distances
-# dwarf the small cells beside them; subnormal: squares that underflow
-WINDOW_FAMILIES = ("factor", "collinear", "tied", "extreme", "subnormal")
+# dwarf the small cells beside them; subnormal: squares that underflow;
+# permuted: a center plus a permutation of one offset, so every row lies
+# at the same true distance from the center, the first subject, and
+# rounding alone orders them, often unlike ``math.dist``
+WINDOW_FAMILIES = ("factor", "collinear", "tied", "extreme", "subnormal", "permuted")
 
 
 def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
@@ -445,8 +456,13 @@ def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
     five subjects, two of them copies of training rows."""
     rng = random.Random(seed)
     direction = rng.choice([[1.0] * dims, [float(k) for k in range(1, dims + 1)]])
+    if family == "permuted":
+        center = [round(rng.uniform(-3, 3), 6) for _ in range(dims)]
+        offset = [round(rng.uniform(-1, 1), 6) for _ in range(dims)]
 
     def features():
+        if family == "permuted":
+            return [c + o for c, o in zip(center, rng.sample(offset, dims))]
         if family == "factor":
             ability = rng.gauss(0, 1)
             return [round(ability + rng.gauss(0, 1), 6) for _ in range(dims)]
@@ -467,6 +483,8 @@ def window_case(family, seed, n, dims, max_k, knn_k, cutoff):
         rows.insert(rng.randrange(len(rows) + 1), twin)
     subjects = [features() for _ in range(3)]
     subjects += [rows[rng.randrange(n)][:dims] for _ in range(2)]
+    if family == "permuted":
+        subjects[0] = center
     return rows, subjects, max_k, knn_k, cutoff
 
 
@@ -500,6 +518,7 @@ def window_cases(draw):
 @example(window_case("tied", 3, 100, 3, 20, 20, -2.0))
 @example(window_case("extreme", 4, 60, 2, 3, 1, 0.25))
 @example(window_case("subnormal", 5, 60, 3, 4, 7, -2.0))
+@example(window_case("permuted", 14, 90, 5, 20, 12, 0.25))
 # 4 * depth == n: the starting block is every row, so the window cuts none
 @example(window_case("factor", 6, 80, 3, 20, 12, -2.0))
 # 4 * depth + 1 == n: the block leaves out one row
@@ -510,6 +529,20 @@ def window_cases(draw):
 @example(beyond_every_sum(window_case("collinear", 10, 120, 4, 5, 20, 0.25)))
 def test_window_matches_naive_reference(case):
     check_against_naive(*case)
+
+
+def test_permuted_rows_misorder_under_math_dist():
+    """Sorted by ``math.dist`` alone, the permuted family's nearest rows
+    come out of the naive order for some subject, so the family reaches
+    the near-ties that only the exact sums order."""
+    misordered = 0
+    for seed in range(10):
+        rows, subjects, max_k, *_ = window_case("permuted", seed, 60, 5, 20, 1, -2.0)
+        matrix = [tuple(row[:-1]) for row in rows]
+        for subject in subjects:
+            by_dist = sorted(range(len(matrix)), key=lambda j: (math.dist(subject, matrix[j]), j))
+            misordered += by_dist[:max_k] != [j for _, j in ref.ranked(matrix, subject)[:max_k]]
+    assert misordered
 
 
 def count_dist_calls(monkeypatch, rows, subjects, max_k=20):
@@ -552,6 +585,57 @@ class TestWindowDistanceCalls:
         assert max(per_subject) <= 300
         assert sum(per_subject) < 0.64 * 300 * len(per_subject)
         assert in_loocv < 0.64 * 300 * 300
+
+
+class TestExactSums:
+    """The ``math.dist`` order stands unless two of a subject's nearest
+    approximate distances lie within the margin: a ranking without such a
+    near-tie sums no squares, and predict sums each neighbor's once, as it
+    reads the distance."""
+
+    def counted(self, monkeypatch):
+        calls = [0]
+        real = knn._squared
+
+        def counting(subject, row):
+            calls[0] += 1
+            return real(subject, row)
+
+        monkeypatch.setattr(knn, "_squared", counting)
+        return calls
+
+    def factor_rows(self, seed, n):
+        """``n`` rows of 12 features that share a common factor, unrounded,
+        so no two of a subject's distances come near a tie."""
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(n):
+            ability = rng.gauss(0, 1)
+            rows.append([ability + rng.gauss(0, 1) for _ in range(12)] + [rng.randint(2000, 8000) / 10])
+        return split_rows(rows)
+
+    def test_ranking_alone_sums_nothing(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        matrix, target = self.factor_rows(15, 300)
+        subjects = self.factor_rows(16, 100)[0]
+        config = AmmknnConfig(max_k=20, outlier_feature="x0")
+        for _ in score(matrix, target, subjects, [s[0] for s in subjects], config, 20):
+            pass
+        loocv(matrix, target, [row[0] for row in matrix], config, 12)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("n", [300, 7])
+    def test_predict_sums_each_neighbor_once(self, monkeypatch, n):
+        calls = self.counted(monkeypatch)
+        matrix, target = self.factor_rows(17, n)
+        subjects = self.factor_rows(18, 50)[0]
+        config = AmmknnConfig(max_k=20, outlier_feature="x0")
+        per_subject = []
+        for scored in score(matrix, target, subjects, [0.0] * 50, config, 20):
+            predict_record(scored, 0.0)
+            per_subject.append(calls[0])
+            calls[0] = 0
+        assert per_subject == [min(20, n)] * 50
 
 
 def fixed_k_loocv(rows, k):
