@@ -3,15 +3,16 @@
 Subcommands: prepare, loocv, validate, predict, synth, plot.
 Exit codes: 0 success; 2 a ``ConfigError`` (the config or spec is
 missing, unreadable or invalid, or names a column the input lacks); 3 a
-``DataError`` (an input is missing or cannot be read or scored); 4 any
+``DataError`` (an input is missing or cannot be read or scored, or an
+output cannot be written), or a stdout whose reader has gone; 4 any
 other exception, which is a bug and is printed with its type.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import os
 import sys
 
 from . import pipeline, report, svgplot
@@ -90,7 +91,7 @@ def _cmd_loocv(args) -> int:
     config = load_config(args.config)
     reports = pipeline.run_loocv(config, args.train, args.out)
     if args.format == "json":
-        print(json.dumps(reports, indent=2))
+        report.write_json(reports, sys.stdout)
     else:
         print(report.format_metrics_table(reports["ammknn"]))
         print(report.format_metrics_table(reports["knn"]))
@@ -101,7 +102,7 @@ def _cmd_validate(args) -> int:
     config = load_config(args.config)
     result = pipeline.run_validate(config, args.train, args.cohort, args.out)
     if args.format == "json":
-        print(json.dumps(result["report"], indent=2))
+        report.write_json(result["report"], sys.stdout)
     else:
         print(report.format_metrics_table(result["report"]))
         print("roster (worst predicted risk first):")
@@ -144,7 +145,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader gone from stdout is met here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # what stdout still buffers goes to the null device, so the flush at exit succeeds
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"data error: stdout: cannot be written ({exc.strerror})", file=sys.stderr)
+        return EXIT_DATA
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

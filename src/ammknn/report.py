@@ -17,6 +17,17 @@ output is byte-stable across runs and suitable for golden-file
 comparison; the config and bounds are written by ``asdict``, in field
 order. An undefined metric serializes as JSON null. ``TierBoundaries``
 is defined and checked in ``config``, with every stanza.
+
+Every report, the roster, the selection audit and the CLI's ``--format
+json`` are written by ``write_json``: the bytes of ``json.dumps(obj,
+indent=2)`` and a line break. ``json`` encodes with an indent in pure
+Python, a chunk and a write per token; ``write_json`` hands whole flat
+containers, and blocks of a run of flat dicts, to the C encoder instead.
+The C encoder takes no indent, but its separator argument does the same
+work: with ``separators=(",\\n" + indent, ": ")`` each item after the
+first starts on a line of its own at ``indent``, and only the breaks
+around the brackets are added by hand. The pieces go to the file as they
+are made, so a report's size does not set the memory it takes to write.
 """
 
 from __future__ import annotations
@@ -145,10 +156,65 @@ def build_report(
     }
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_BLOCK = 16  # dicts of a run per encoder call: larger blocks raise the peak memory
+
+
+def _flat(value) -> bool:
+    """A non-empty dict, list or tuple whose values are all JSON scalars."""
+    items = value.values() if type(value) is dict else value
+    return bool(items) and all(map(_SCALARS.__contains__, map(type, items)))
+
+
+def _pieces(value, indent: str = ""):
+    """The text of ``json.dumps(value, indent=2)``, in pieces, for a value
+    whose first line starts at ``indent``.
+
+    A flat container is one call of the C encoder. A run of flat dicts (a
+    report's ``subjects`` and ``sweep``, the roster) is encoded
+    ``_BLOCK`` dicts per call with the dicts' own separator, so two dicts
+    come out joined by ``},\\n``, the dicts' item indent and ``{``; that
+    text is replaced by the list's line breaks. An encoded string never
+    holds a raw line feed (the encoder escapes it), so the text can only
+    join two of the run's dicts. Any other container is walked. As in
+    all the package writes, keys are ``str`` and containers are plain
+    dicts, lists and tuples.
+    """
+    if type(value) not in (dict, list, tuple) or not value:
+        yield json.dumps(value)
+        return
+    inner = indent + "  "
+    is_dict = type(value) is dict
+    if _flat(value):
+        text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+        yield text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+    elif not is_dict and all(type(item) is dict and _flat(item) for item in value):
+        deeper = inner + "  "
+        encode = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode
+        joint, breaks = "},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper
+        for start in range(0, len(value), _BLOCK):
+            text = encode(value[start:start + _BLOCK])[2:-2].replace(joint, breaks)
+            yield ("[\n" if start == 0 else ",\n") + inner + "{\n" + deeper + text + "\n" + inner + "}"
+        yield "\n" + indent + "]"
+    else:
+        heads = [json.dumps(key) + ": " for key in value] if is_dict else [""] * len(value)
+        separator = "{\n" if is_dict else "[\n"
+        for head, item in zip(heads, value.values() if is_dict else value):
+            yield separator + inner + head
+            yield from _pieces(item, inner)
+            separator = ",\n"
+        yield "\n" + indent + ("}" if is_dict else "]")
+
+
+def write_json(obj, fh) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a line break to ``fh``."""
+    fh.writelines(_pieces(obj))
+    fh.write("\n")
+
+
 def dump_json(obj, path) -> None:
     with _open_out(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        write_json(obj, fh)
 
 
 def format_metrics_table(report: dict) -> str:

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import contextlib
 import hashlib
 import json
 import os
@@ -649,25 +650,70 @@ def test_readme_configuration_table_names_every_field():
     assert sorted(keys) == sorted(expected)
 
 
+# the seed-7 steps that print, all but their --out
+PRINTING_STEPS = {
+    "loocv": ["loocv", "--config", str(GOLDEN_SEED7.parent / "config.json"),
+              "--train", str(GOLDEN_SEED7 / TRAIN_CSV), "--format", "json"],
+    **{
+        command: [command, "--config", str(GOLDEN_SEED7.parent / "config.json"),
+                  "--train", str(GOLDEN_SEED7 / TRAIN_CSV), "--cohort", str(GOLDEN_SEED7 / VALIDATION_CSV)]
+        for command in ("validate", "predict")
+    },
+}
+
+
 class TestCliStdout:
     def test_loocv_json_is_one_document(self, workspace, capsys):
         run_all(workspace)
-        out = str(workspace["out"])
+        out = workspace["out"]
         capsys.readouterr()
         assert main([
             "loocv", "--config", str(workspace["config"]),
-            "--train", os.path.join(out, TRAIN_CSV), "--out", out, "--format", "json",
+            "--train", str(out / TRAIN_CSV), "--out", str(out), "--format", "json",
         ]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert set(document) == {"ammknn", "knn"}
-        assert document["knn"] == json.loads((workspace["out"] / LOOCV_KNN_JSON).read_text())
+        reports = {
+            model: json.loads((out / name).read_text())
+            for model, name in (("ammknn", LOOCV_AMMKNN_JSON), ("knn", LOOCV_KNN_JSON))
+        }
+        assert capsys.readouterr().out == json.dumps(reports, indent=2) + "\n"
 
     def test_validate_json_is_the_report(self, tmp_path, capsys):
         capsys.readouterr()
         assert main([*_golden_argv("validate", GOLDEN_SEED7 / VALIDATION_CSV, tmp_path), "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document == json.loads((tmp_path / VALIDATE_JSON).read_text())
-        assert document == json.loads((GOLDEN_SEED7 / VALIDATE_JSON).read_text())
+        assert capsys.readouterr().out == (GOLDEN_SEED7 / VALIDATE_JSON).read_text()
+        assert (tmp_path / VALIDATE_JSON).read_bytes() == (GOLDEN_SEED7 / VALIDATE_JSON).read_bytes()
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("loocv", [LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON]),
+        ("validate", [ROSTER_JSON, VALIDATE_JSON]),
+        ("predict", [PREDICTIONS_JSONL]),
+    ])
+    def test_a_closed_stdout_is_refused(self, tmp_path, capsys, command, outputs):
+        # the reader of stdout went before a byte was written: the step's
+        # outputs are in place, and the refusal names stdout
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        capsys.readouterr()
+        with open(write_end, "w") as stdout, contextlib.redirect_stdout(stdout):
+            assert main([*PRINTING_STEPS[command], "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "data error: stdout: cannot be written (Broken pipe)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == outputs
+
+    def test_a_closed_stdout_ends_the_process_with_one_line(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(ammknn.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "ammknn.cli", *PRINTING_STEPS["loocv"], "--out", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 3
+        assert result.stderr == "data error: stdout: cannot be written (Broken pipe)\n"
+        assert (tmp_path / LOOCV_KNN_JSON).read_bytes() == (GOLDEN_SEED7 / LOOCV_KNN_JSON).read_bytes()
 
     def test_prepare_logs_go_to_stderr(self, workspace):
         # a fresh interpreter, so the CLI's own logging set-up is the one in force

@@ -1,14 +1,18 @@
+import io
+import json
 import math
 import random
+import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ammknn.config import PipelineConfig, TierBoundaries
+from ammknn.config import AggregationSpec, PipelineConfig, TierBoundaries
 from ammknn.errors import ConfigError
-from ammknn.report import build_report, classify_tier
+from ammknn.report import _BLOCK, build_report, classify_tier, dump_json, write_json
 
 
 def report_of(actual, predicted, predicted_bounds=None, **config):
@@ -276,3 +280,79 @@ def test_tallies_match_a_naive_recount(pairs, pass_at, actual_bounds, predicted_
         point = naive_counts([(a < pass_at, p <= cutoff) for a, p in pairs])
         expected_sweep.append({"cutoff": cutoff, **point, **naive_metrics(point)})
     assert report["sweep"] == expected_sweep
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+# text the encoder escapes, and text like the joint between two dicts of a run
+TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\r\n", "},", "},\n      {", "},\\n    {", "é", "☃", "𝄞"]),
+)
+SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, 1e300, 5e-324]), TEXT,
+)
+FLAT_DICT = st.dictionaries(TEXT, SCALAR, min_size=1, max_size=4)
+# runs of flat dicts around the block length, as lists and as tuples
+RUN = st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]).flatmap(
+    lambda n: st.lists(FLAT_DICT, min_size=n, max_size=n)
+)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALAR, RUN, RUN.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+LIVE_REPORT = build_report(
+    "loocv", "m", PipelineConfig(target_name="t", id_column="id"),
+    [f"S{i}" for i in range(40)], [300.0 + 7.5 * i for i in range(40)],
+    [310.0 + 7.25 * i for i in range(40)], TierBoundaries(350.0, 385.0),
+    [-2.5 + 0.125 * i for i in range(40)], outlier_triggered=[i % 3 == 0 for i in range(40)],
+)
+# asdict keeps the config's tuples, which must come out as arrays at their depth
+CONFIG = asdict(PipelineConfig(
+    target_name="t", id_column="id", include_columns=("a", "b", "c"),
+    aggregations=(AggregationSpec("g", ("a", "b")), AggregationSpec("h", ("c",))),
+))
+
+
+@given(DOCUMENTS)
+@example(LIVE_REPORT)
+@example(CONFIG)
+@example({"config": CONFIG, "subjects": LIVE_REPORT["subjects"], "sweep": []})
+def test_writer_matches_json_dumps(document):
+    fh = io.StringIO()
+    write_json(document, fh)
+    assert fh.getvalue() == json.dumps(document, indent=2) + "\n"
+
+
+def test_writer_streams(tmp_path):
+    # a run of dicts is written one block at a time, so a report of 10x the
+    # subjects leaves the peak where it was, and no higher than json.dump's;
+    # joining the whole report into one string raised it about 8x
+    def report(n):
+        return report_of([300.0 + i % 500 for i in range(n)], [310.0 + i % 490 for i in range(n)])
+
+    def peak(dump, document):
+        tracemalloc.start()
+        try:
+            dump(document, tmp_path / "report.json")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def indented(document, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
+
+    small, large = report(200), report(2000)
+    for dump in (dump_json, indented):  # one-time costs
+        dump(small, tmp_path / "warm-up.json")
+    assert peak(dump_json, large) <= 1.1 * peak(dump_json, small)
+    assert peak(dump_json, large) <= peak(indented, large)
