@@ -12,8 +12,11 @@ held, a block of rows at a time. Each block is transposed once; its
 group means are formed a column at a time, rows with a missing cell are
 counted and left out, and its cells go into one compact column per side
 and kept label, so memory follows the kept cells, not the raw table.
-Both sides are then jointly standardized and correlation-selected a
-column at a time; a selection that keeps no feature is refused.
+Then one pass, ``preprocess.standardize_and_select``, takes each column
+in turn: it z-scores it over both sides, correlates its training
+z-scores with the target and keeps z-scores only for a column it keeps.
+A selection that keeps no feature is refused, and so is one that drops
+a configured outlier feature.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
@@ -71,6 +74,7 @@ import errno
 import json
 import math
 import os
+import struct
 from array import array
 from contextlib import contextmanager
 from itertools import compress, repeat, tee
@@ -83,7 +87,7 @@ from .config import PipelineConfig, _from_json, _read_json
 from .errors import ConfigError, DataError
 from .frame import Table, _open_out, _picker, load_csv, read_table, stream_table, write_csv
 from .knn import score
-from .preprocess import _correlations, _spread, left_sum, select_by_correlation, standardize_joint
+from .preprocess import _correlations, _spread, left_sum, standardize_and_select
 from .report import classify_tier
 from .synth import CohortSplit, SynthSpec, generate_cohort
 
@@ -203,16 +207,17 @@ def _move(rows: list, columns: list, layout: list) -> bool:
         return True
     cells = list(zip(*rows))
     done = len(columns[0])
+    pack = struct.Struct(f"{len(rows)}d").pack  # one call fills a column's block
     try:
         for column, (at, k) in zip(columns, layout):
             if k:
                 total = repeat(0.0)
                 for member in cells[at:at + k]:
                     total = map(add, total, member)
-                column.fromlist(list(map(truediv, total, repeat(k))))
+                column.frombytes(pack(*map(truediv, total, repeat(k))))
             else:
-                column.fromlist(list(cells[at]))
-    except TypeError:  # float + None, or None into an array('d')
+                column.frombytes(pack(*cells[at]))
+    except (TypeError, struct.error):  # float + None, or None packed as a double
         for column in columns:
             del column[done:]
         return False
@@ -229,10 +234,13 @@ def _plan(config: PipelineConfig, names: list) -> tuple:
     Every check of the configuration that needs the header is made here,
     each a ``ConfigError``: an aggregation member, an ``include_columns``
     or ``exclude_columns`` name or a cohort column that the input lacks,
-    a group named like an input column, and candidate columns that hold
-    no feature; so is ``prepare``'s need of a cohort column and a year
-    cutoff. ``PipelineConfig`` has made every check that needs no
-    header."""
+    an ``include_columns`` name or a cohort column that is a group member
+    (the refusal names the first aggregation that lists it), a group
+    named like an input column, candidate columns that hold no feature,
+    and an ``ammknn.outlier_feature`` that is not a candidate column,
+    which ``train.csv`` would not hold; so is ``prepare``'s need of a
+    cohort column and a year cutoff. ``PipelineConfig`` has made every
+    check that needs no header."""
     groups = {}  # group label -> positions of its members in a raw row
     for spec in config.aggregations:
         g = spec.group_name
@@ -242,12 +250,18 @@ def _plan(config: PipelineConfig, names: list) -> tuple:
         if g in names:
             raise ConfigError(f"aggregation {g!r}: column {g!r} already exists in the input")
         groups[g] = [names.index(m) for m in spec.member_columns]
-    members = {m for spec in config.aggregations for m in spec.member_columns}
+    # member label -> the first aggregation that lists it
+    members = {m: spec.group_name for spec in reversed(config.aggregations) for m in spec.member_columns}
     known = names + list(groups)
-    available = [n for n in known if n not in members]
+
+    def refuse_member(key: str, name: str) -> None:
+        if name in members:
+            raise ConfigError(f"{key}: {name!r} is a member of aggregation {members[name]!r}")
+
     include = config.include_columns
     for name in include or ():
-        if name not in available:
+        refuse_member("include_columns", name)
+        if name not in known:
             raise ConfigError(f"include_columns: no column named {name!r}")
     for name in config.exclude_columns:  # a group member may be excluded too
         if name not in known:
@@ -255,12 +269,13 @@ def _plan(config: PipelineConfig, names: list) -> tuple:
     cohort = config.cohort_column
     if cohort is None or config.year_cutoff is None:
         raise ConfigError("prepare needs cohort_column and year_cutoff")
-    if cohort not in available:
+    refuse_member("cohort_column", cohort)
+    if cohort not in known:
         raise ConfigError(f"cohort column {cohort!r} not in input")
 
     columns = [
-        n for n in available
-        if n != cohort and (
+        n for n in known
+        if n not in members and n != cohort and (
             n == config.target_name
             or (include is None or n in include) and n not in config.exclude_columns
         )
@@ -270,6 +285,16 @@ def _plan(config: PipelineConfig, names: list) -> tuple:
             "no candidate feature column is left once the cohort column, "
             "include_columns and exclude_columns are applied"
         )
+    outlier = config.ammknn.outlier_feature
+    if outlier is not None and outlier not in columns:
+        refuse_member("ammknn.outlier_feature", outlier)
+        if outlier not in known:
+            raise ConfigError(f"ammknn.outlier_feature: no column named {outlier!r}")
+        raise ConfigError(f"ammknn.outlier_feature: {outlier!r} is " + (
+            "the cohort column" if outlier == cohort
+            else "in exclude_columns" if outlier in config.exclude_columns
+            else "not in include_columns"
+        ))
     # the cells the kept columns read from a raw row, in one itemgetter:
     # a plain column's own cell, or every member of a group
     at, layout = [], []
@@ -377,7 +402,10 @@ def _split_cohort(config: PipelineConfig, input_path):
 
 
 def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
-    """Every refusal of the kept rows names ``input_path``."""
+    """Every refusal of the kept rows names ``input_path``. A configured
+    ``ammknn.outlier_feature`` that the selection drops is a
+    ``ConfigError`` naming its r and the threshold: no later step could
+    read it from ``train.csv``."""
     with _outputs(out_dir) as out:
         names, train, validation, counts = _split_cohort(config, input_path)
         if len(train.ids) < 2:  # the correlation filter needs 2 training rows
@@ -385,17 +413,24 @@ def run_prepare(config: PipelineConfig, input_path, out_dir) -> dict:
                 f"{input_path}: {len(train.ids)} training rows kept (cohort year before "
                 f"year_cutoff {config.year_cutoff!r}); prepare needs at least 2"
             )
+        threshold = config.correlation_threshold
         try:
-            standardize_joint(names, config.target_name, train.columns, validation.columns)
-            selection = select_by_correlation(
-                names, config.target_name, train.columns, config.correlation_threshold
+            selection = standardize_and_select(
+                names, config.target_name, train.columns, validation.columns, threshold
             )
         except DataError as exc:  # a column without spread
             raise DataError(f"{input_path}: {exc}") from None
         if len(selection.kept_columns) < 2:  # the target is always kept
             raise DataError(
                 f"{input_path}: no feature column correlates with the target at "
-                f"correlation_threshold {config.correlation_threshold!r} or above"
+                f"correlation_threshold {threshold!r} or above"
+            )
+        dropped = dict(selection.dropped_columns)
+        outlier = config.ammknn.outlier_feature
+        if outlier in dropped:  # every later step would refuse the config
+            raise ConfigError(
+                f"ammknn.outlier_feature {outlier!r} is dropped by the selection: its r with "
+                f"the target, {dropped[outlier]!r}, is below correlation_threshold {threshold!r}"
             )
         kept = [names.index(n) for n in selection.kept_columns]
         header = [config.id_column, *selection.kept_columns]

@@ -30,7 +30,7 @@ from ammknn.pipeline import (
     run_synth,
     run_validate,
 )
-from ammknn.preprocess import select_by_correlation, standardize_joint
+from ammknn.preprocess import standardize_and_select
 from ammknn.report import build_report
 from perfbench_module import load_perfbench
 
@@ -229,10 +229,11 @@ def test_criterion_4_loocv_leakage():
 def test_criterion_5_standardization():
     rng = random.Random(77)
     names = ["a", "b", "t"]
-    train = [[rng.gauss(10, 3), rng.gauss(-4, 0.5), 400.0] for _ in range(60)]
-    extra = [[rng.gauss(16, 3), rng.gauss(-2, 0.5), 420.0] for _ in range(20)]
+    # the target varies: the one pass refuses a constant one
+    train = [[rng.gauss(10, 3), rng.gauss(-4, 0.5), rng.uniform(300, 500)] for _ in range(60)]
+    extra = [[rng.gauss(16, 3), rng.gauss(-2, 0.5), rng.uniform(300, 500)] for _ in range(20)]
     train_cols, extra_cols = list(zip(*train)), list(zip(*extra))
-    standardize_joint(names, "t", train_cols, extra_cols)
+    standardize_and_select(names, "t", train_cols, extra_cols, 0.0)
     for j in (0, 1):
         pooled = list(train_cols[j]) + list(extra_cols[j])
         n = len(pooled)
@@ -244,7 +245,7 @@ def test_criterion_5_standardization():
     # the shifted validation distribution must land differently when
     # standardized jointly vs on its own
     extra_alone = list(zip(*extra))
-    standardize_joint(names, "t", extra_alone, [() for _ in names])
+    standardize_and_select(names, "t", extra_alone, [() for _ in names], 0.0)
     deltas = [abs(u - v) for u, v in zip(extra_cols[0], extra_alone[0])]
     assert max(deltas) > 0.5
 
@@ -277,12 +278,14 @@ def test_criterion_6_selection():
     columns = _designed_columns()
     kept_sets = []
     for threshold in (0.0, 0.1, 0.19, 0.5):
-        result = select_by_correlation(list(columns), "t", list(columns.values()), threshold)
+        result = standardize_and_select(
+            list(columns), "t", list(columns.values()), [[] for _ in columns], threshold
+        )
         kept_sets.append(set(result.kept_columns))
     for lower, higher in zip(kept_sets, kept_sets[1:]):
         assert higher <= lower
 
-    result = select_by_correlation(list(columns), "t", list(columns.values()), 0.19)
+    result = standardize_and_select(list(columns), "t", list(columns.values()), [[] for _ in columns], 0.19)
     assert result.kept_columns == ("r25", "t")
     assert sorted(label for label, _ in result.dropped_columns) == ["r05", "r15"]
 

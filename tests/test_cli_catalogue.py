@@ -301,12 +301,13 @@ PREPARE_CONFIG_FAULTS = [
     ({"year_cutoff": None}, "prepare needs cohort_column and year_cutoff"),
     ({"cohort_column": "year"}, "cohort column 'year' not in input"),
     ({"aggregations": [{"group_name": "g", "member_columns": ["cohort", "f01"]}]},
-     "cohort column 'cohort' not in input"),
+     "cohort_column: 'cohort' is a member of aggregation 'g'"),
     ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f99"]}]},
      "aggregation 'g': no column named 'f99'"),
     ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f02"]}],
       "include_columns": ["f01"]},
-     "include_columns: no column named 'f01'"),
+     "include_columns: 'f01' is a member of aggregation 'g'"),
+    ({"include_columns": ["f01", "f99"]}, "include_columns: no column named 'f99'"),
     ({"exclude_columns": ["f1"]}, "exclude_columns: no column named 'f1'"),
     # the input is fine: a group named like one of its columns is the
     # config's fault, and the group is named
@@ -318,6 +319,21 @@ PREPARE_CONFIG_FAULTS = [
     ({"exclude_columns": [f"f{j:02d}" for j in range(1, 21)]},
      "no candidate feature column is left once the cohort column, "
      "include_columns and exclude_columns are applied"),
+    # an outlier feature that train.csv would not hold: prepare wrote its
+    # outputs, and every later step refused the config
+    ({"ammknn.outlier_feature": "nope"}, "ammknn.outlier_feature: no column named 'nope'"),
+    ({"ammknn.outlier_feature": "f05", "exclude_columns": ["f05"]},
+     "ammknn.outlier_feature: 'f05' is in exclude_columns"),
+    ({"ammknn.outlier_feature": "f02", "include_columns": ["f01"]},
+     "ammknn.outlier_feature: 'f02' is not in include_columns"),
+    ({"ammknn.outlier_feature": "f01",
+      "aggregations": [{"group_name": "g1", "member_columns": ["f01", "f02"]}]},
+     "ammknn.outlier_feature: 'f01' is a member of aggregation 'g1'"),
+    ({"ammknn.outlier_feature": "cohort"}, "ammknn.outlier_feature: 'cohort' is the cohort column"),
+    # f20's r is -0.03457483, and the selection drops it
+    ({"ammknn.outlier_feature": "f20"},
+     "ammknn.outlier_feature 'f20' is dropped by the selection: its r with the target, "
+     "-0.034574831188139636, is below correlation_threshold 0.1"),
 ]
 
 # stanzas that must not be read: not an object, or an unknown or missing key

@@ -13,7 +13,7 @@ from ammknn.config import PipelineConfig, _from_json
 from ammknn.errors import ConfigError, DataError
 from ammknn.frame import BOUND, Shape, _split_lines, load_csv, read_table, stream_table, write_csv
 from ammknn.pipeline import _split_cohort
-from ammknn.preprocess import standardize_joint
+from ammknn.preprocess import standardize_and_select
 
 
 def write(tmp_path, name, text):
@@ -707,8 +707,8 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
     kept, train, validation, _ = _split_cohort(config, path)
     sides = (train.columns, validation.columns)
     try:
-        if len(train.ids) + len(validation.ids) >= 2:  # run_prepare refuses fewer first
-            standardize_joint(kept, "c0", *sides)
+        if len(train.ids) >= 2:  # run_prepare refuses fewer training rows first
+            standardize_and_select(kept, "c0", *sides, 0.0)  # keeps every column
     except DataError:
         pass  # a constant column
     for side, columns in zip((train, validation), sides):
@@ -721,7 +721,7 @@ def test_loaded_records_and_prepared_columns_hold_checked_cells(tmp_path_factory
 def test_standardized_columns_are_float_arrays():
     train = [[1, True, 3], [2.5, 4.0, -1], [300, 420.0, 410]]
     validation = [[0.5], [7], [380]]
-    standardize_joint(["a", "b", "t"], "t", train, validation)
+    standardize_and_select(["a", "b", "t"], "t", train, validation, 0.0)
     for column in train[:2] + validation[:2]:
         assert type(column) is array and column.typecode == "d"
     assert train[2] == [300, 420.0, 410] and validation[2] == [380]

@@ -313,6 +313,24 @@ def test_predict_output_bytes(tmp_path):
     assert digest == "6beeb0b3dd8601b7b2ee9cdaba6b170263e0ed944c599cc1f57e413b78040690"
 
 
+# the r of f01, ..., f20 with the score that prepare logs on the seed-7 cohort
+SEED7_RS = [
+    "0.7006763", "0.6615165", "0.7353649", "0.6949042", "0.7232426", "0.6730089", "0.7288982",
+    "0.6836895", "0.657931", "0.706257", "0.7667123", "0.7060861", "0.04839535", "-0.07509663",
+    "-0.1261913", "0.1095185", "-0.1533489", "0.137766", "0.1013121", "-0.03457483",
+]
+
+
+def test_prepare_audit_lines(tmp_path, caplog):
+    # one line per feature, in column order, whether it is kept or dropped
+    config = load_config(GOLDEN_SEED7.parent / "config.json")
+    with caplog.at_level("INFO", logger="ammknn.preprocess"):
+        run_prepare(config, GOLDEN_SEED7 / "cohort.csv", tmp_path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{j}. Correlation between f{j:02d} and target = {r}." for j, r in enumerate(SEED7_RS, 1)
+    ]
+
+
 def _peak(step, *args):
     """tracemalloc's peak during ``step(*args)``."""
     tracemalloc.start()

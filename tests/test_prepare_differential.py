@@ -380,3 +380,4 @@ def test_prepare_matches_naive_reference_across_blocks(exclude):
         assert summary[f"{side}_dropped_missing_target"] > 5
         assert summary[f"{side}_dropped_incomplete"] > 5
     assert summary["dropped_outside_years"] > 5
+    assert summary["columns_dropped"] >= 1  # g_one: a dropped column crosses blocks too

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -8,18 +9,12 @@ from hypothesis import strategies as st
 
 from ammknn.errors import DataError
 from ammknn.frame import BOUND
-from ammknn.preprocess import (
-    _correlations,
-    _spread,
-    left_sum,
-    select_by_correlation,
-    standardize_joint,
-)
+from ammknn.preprocess import _correlations, _spread, left_sum, standardize_and_select
 from ammknn.report import prediction_actual_correlation
 
 
 def columns(rows):
-    """The columns of ``rows`` as lists, as ``standardize_joint`` takes them."""
+    """The columns of ``rows`` as lists, as ``standardize_and_select`` takes them."""
     return [list(c) for c in zip(*rows)]
 
 
@@ -28,32 +23,38 @@ def no_rows(cols):
     return [c[:0] for c in cols]
 
 
-class TestStandardizeJoint:
+def standardize(names, train, validation):
+    """``standardize_and_select`` with the target ``t`` and a threshold that
+    keeps every column."""
+    return standardize_and_select(names, "t", train, validation, 0.0)
+
+
+class TestStandardization:
     def test_symmetric_column(self):
         cols = [[1, 2, 3], [310, 500, 400]]
-        stats = standardize_joint(["x", "t"], "t", cols, no_rows(cols))
+        standardize(["x", "t"], cols, no_rows(cols))
+        # mean 2.0 and sd 1.0
+        assert list(cols[0]) == [(v - 2.0) / 1.0 for v in (1, 2, 3)]
         assert list(cols[0]) == pytest.approx([-1.0, 0.0, 1.0])
-        assert stats.means["x"] == 2.0
-        assert stats.sds["x"] == 1.0
 
     def test_target_untouched(self):
         cols = [[1.0, 2.0], [310.0, 500.0]]
-        stats = standardize_joint(["x", "t"], "t", cols, no_rows(cols))
-        assert cols[1] == [310.0, 500.0]
-        assert "t" not in stats.means
+        target = cols[1]
+        standardize(["x", "t"], cols, no_rows(cols))
+        assert cols[1] is target and cols[1] == [310.0, 500.0]
 
     def test_zero_variance(self):
         with pytest.raises(DataError, match="column 'x' has zero variance"):
-            standardize_joint(["x", "t"], "t", [[5, 5, 5], [1, 2, 3]], [[], []])
+            standardize(["x", "t"], [[5, 5, 5], [1, 2, 3]], [[], []])
 
     def test_stats_pooled_over_both_frames(self):
         train = [[0.0, 1.0], [1.0, 2.0]]
         extra = [[10.0, 11.0], [3.0, 4.0]]
-        stats = standardize_joint(["x", "t"], "t", train, extra)
+        standardize(["x", "t"], train, extra)
         pooled = [0.0, 1.0, 10.0, 11.0]
-        assert stats.means["x"] == pytest.approx(statistics.mean(pooled))
-        assert stats.sds["x"] == pytest.approx(statistics.stdev(pooled))
+        mean, sd = statistics.mean(pooled), statistics.stdev(pooled)
         merged = list(train[0]) + list(extra[0])
+        assert merged == pytest.approx([(v - mean) / sd for v in pooled])
         assert statistics.mean(merged) == pytest.approx(0.0, abs=1e-9)
         assert statistics.stdev(merged) == pytest.approx(1.0, abs=1e-9)
 
@@ -61,28 +62,44 @@ class TestStandardizeJoint:
         rng = random.Random(5)
         rows = [[rng.gauss(3, 2), rng.gauss(-1, 4), rng.uniform(300, 500)] for _ in range(40)]
         once = columns(rows)
-        standardize_joint(["a", "b", "t"], "t", once, no_rows(once))
+        standardize(["a", "b", "t"], once, no_rows(once))
         twice = list(once)
-        standardize_joint(["a", "b", "t"], "t", twice, no_rows(twice))
+        standardize(["a", "b", "t"], twice, no_rows(twice))
         for j in (0, 1):
             for u, v in zip(once[j], twice[j]):
                 assert abs(u - v) < 1e-9
 
     def test_means_sum_left_to_right(self):
         # compensated summation (built-in sum() from Python 3.12 on) would
-        # give 1/3; the files this package writes must not depend on it
-        stats = standardize_joint(["x", "t"], "t", [[1e16, 1.0, -1e16], [1, 2, 3]], [[], []])
-        assert stats.means["x"] == 0.0 / 3
+        # give a mean of 1/3; the files this package writes must not depend
+        # on it. With the mean 0.0, the sd is exactly 1e16
+        cols = [[1e16, 1.0, -1e16], [1, 2, 3]]
+        standardize(["x", "t"], cols, [[], []])
+        assert list(cols[0]) == [(v - 0.0 / 3) / 1e16 for v in (1e16, 1.0, -1e16)]
 
     def test_joint_differs_from_separate_on_shifted_validation(self):
+        # the target varies: the pass refuses a constant one
         rng = random.Random(11)
-        train = [[rng.gauss(0, 1) for _ in range(30)], [400.0] * 30]
-        extra = [[rng.gauss(5, 1) for _ in range(10)], [400.0] * 10]
+        train = [[rng.gauss(0, 1) for _ in range(30)], [rng.uniform(300, 500) for _ in range(30)]]
+        extra = [[rng.gauss(5, 1) for _ in range(10)], [rng.uniform(300, 500) for _ in range(10)]]
         alone = list(extra)
-        standardize_joint(["x", "t"], "t", alone, no_rows(alone))
-        standardize_joint(["x", "t"], "t", train, extra)
+        standardize(["x", "t"], alone, no_rows(alone))
+        standardize(["x", "t"], train, extra)
         deltas = [abs(a - b) for a, b in zip(extra[0], alone[0])]
         assert max(deltas) > 0.5
+
+    def test_validation_z_scores_from_raw_cells(self):
+        # a kept column's validation z-scores are (v - mean) / sd of its raw
+        # cells, bit for bit, with the mean and sd of both sides pooled
+        rng = random.Random(3)
+        train = [[rng.gauss(2, 3) for _ in range(25)], [rng.uniform(300, 500) for _ in range(25)]]
+        extra = [[rng.gauss(4, 1) for _ in range(9)], [rng.uniform(300, 500) for _ in range(9)]]
+        pooled, raw = train[0] + extra[0], list(extra[0])
+        mean, _, squares = _spread(pooled)
+        sd = math.sqrt(squares / (len(pooled) - 1))
+        standardize(["x", "t"], train, extra)
+        assert type(extra[0]) is array and extra[0].tolist() == [(v - mean) / sd for v in raw]
+        assert train[0].tolist() == [(v - mean) / sd for v in pooled[:25]]
 
 
 def pearson(x, y):
@@ -175,12 +192,15 @@ def designed_frame():
     return {**columns, "t": y}
 
 
-def select(columns, threshold):
-    """``select_by_correlation`` of columns by label, the target ``t`` last."""
-    return select_by_correlation(list(columns), "t", list(columns.values()), threshold)
+def select(columns, threshold, validation=None):
+    """``standardize_and_select`` of columns by label, the target ``t`` last,
+    with no validation rows unless given; the training side is a copy."""
+    train = [list(c) for c in columns.values()]
+    validation = no_rows(train) if validation is None else validation
+    return standardize_and_select(list(columns), "t", train, validation, threshold)
 
 
-class TestSelectByCorrelation:
+class TestSelection:
     def test_designed_correlations(self):
         frame = designed_frame()
         for name, r in (("r05", 0.05), ("r15", 0.15), ("r25", 0.25)):
@@ -197,10 +217,13 @@ class TestSelectByCorrelation:
         assert result.dropped_columns == ()
 
     def test_r_equal_to_the_threshold_is_kept(self):
-        # r is exactly 0.0: "at least the threshold" keeps the column
-        x = [1.0, -1.0, -1.0, 1.0]
-        assert pearson(x, [1.0, 1.0, 2.0, 2.0]) == 0.0
-        result = select({"x": x, "t": [1.0, 1.0, 2.0, 2.0]}, 0.0)
+        # r is exactly 0.0, of the raw column and of its z-scores: "at least
+        # the threshold" keeps the column
+        x, t = [1.0, -1.0, -1.0, 1.0], [1.0, 1.0, 2.0, 2.0]
+        z = [x[:], t[:]]
+        standardize(["x", "t"], z, no_rows(z))
+        assert pearson(x, t) == 0.0 and pearson(z[0], t) == 0.0
+        result = select({"x": x, "t": t}, 0.0)
         assert result.kept_columns == ("x", "t")
         assert result.dropped_columns == ()
 
@@ -222,10 +245,14 @@ class TestSelectByCorrelation:
         assert dropped == {}
 
     def test_rs_match_pearson_bit_for_bit(self):
+        # each r is that of the column's training z-scores with the target
         frame = designed_frame()
+        z = [list(c) for c in frame.values()]
+        standardize(list(frame), z, no_rows(z))
         result = select(frame, 1.0)
-        for name, r in result.dropped_columns:
-            assert r == pearson(frame[name], frame["t"])
+        assert len(result.dropped_columns) == 3
+        for (name, r), column in zip(result.dropped_columns, z):
+            assert r == pearson(column, frame["t"])
 
     def test_audit_log_lines(self, caplog):
         with caplog.at_level("INFO", logger="ammknn.preprocess"):
@@ -240,3 +267,34 @@ class TestSelectByCorrelation:
         assert doc["kept"] == ["r25", "t"]
         assert doc["threshold"] == 0.19
         assert [d[0] for d in doc["dropped"]] == ["r05", "r15"]
+
+    def test_a_dropped_column_keeps_no_z_scores(self):
+        frame = designed_frame()
+        train = [list(c) for c in frame.values()]
+        validation = [[0.5, -1.0] for _ in frame]
+        result = standardize_and_select(list(frame), "t", train, validation, 0.19)
+        assert result.kept_columns == ("r25", "t")
+        assert train[:2] == [None, None] and validation[:2] == [None, None]
+        assert all(type(side[2]) is array and len(side[2]) == n for side, n in ((train, 8), (validation, 2)))
+        assert train[3] == frame["t"] and validation[3] == [0.5, -1.0]
+
+
+# a: constant in the training rows but not over both sides, so it has no r
+NO_R = [1.0, 1.0, 1.0, 1.0]
+ORDER_CASES = [
+    # a later column of zero pooled variance first, then the target
+    ({"a": NO_R, "b": [2.0] * 4, "t": [1.0, 2.0, 3.0, 4.0]}, "column 'b' has zero variance"),
+    ({"a": [1.0, 2.0, 3.0, 4.0], "b": [2.0] * 4, "t": [5.0] * 4}, "column 'b' has zero variance"),
+    # a constant target before a column with no r
+    ({"a": NO_R, "b": [1.0, 2.0, 3.0, 4.0], "t": [5.0] * 4}, "target column 't' is constant"),
+    ({"a": NO_R, "b": [1.0, 2.0, 3.0, 4.0], "t": [1.0, 2.0, 3.0, 4.0]},
+     "column 'a' has no r with the target: it is constant, or nearly so, in the training rows"),
+]
+
+
+@pytest.mark.parametrize("frame, message", ORDER_CASES)
+def test_refusals_in_the_order_of_separate_passes(frame, message):
+    validation = [[3.0], [2.0], [4.0]]
+    with pytest.raises(DataError) as exc:
+        select(frame, 0.1, validation)
+    assert str(exc.value) == message

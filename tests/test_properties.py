@@ -14,7 +14,7 @@ from ammknn.errors import ConfigError, DataError
 from ammknn.frame import write_csv
 from ammknn.knn import cumulative_means
 from ammknn.pipeline import run_loocv, run_predict, run_validate
-from ammknn.preprocess import select_by_correlation, standardize_joint
+from ammknn.preprocess import standardize_and_select
 from ammknn.report import classify_tier
 
 scores = st.floats(min_value=200.0, max_value=800.0, allow_nan=False)
@@ -62,14 +62,18 @@ def columns(rows):
     return list(zip(*rows))
 
 
+def no_rows(cols):
+    return [c[:0] for c in cols]
+
+
 @settings(max_examples=40)
 @given(small_frames(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_selection_monotone_in_threshold(frame, t1, t2):
     names, rows = frame
     lo, hi = sorted((t1, t2))
     try:
-        low_result = select_by_correlation(names, "t", columns(rows), lo)
-        high_result = select_by_correlation(names, "t", columns(rows), hi)
+        low_result = standardize_and_select(names, "t", columns(rows), no_rows(columns(rows)), lo)
+        high_result = standardize_and_select(names, "t", columns(rows), no_rows(columns(rows)), hi)
     except Exception:
         # constant columns are outside the operation's precondition
         return
@@ -78,15 +82,15 @@ def test_selection_monotone_in_threshold(frame, t1, t2):
 
 @settings(max_examples=40)
 @given(small_frames())
-def test_standardize_joint_idempotent(frame):
+def test_standardization_idempotent(frame):
     names, rows = frame
     once = columns(rows)
     try:
-        standardize_joint(names, "t", once, [c[:0] for c in once])
+        standardize_and_select(names, "t", once, no_rows(once), 0.0)
     except Exception:
         return
     twice = list(once)
-    standardize_joint(names, "t", twice, [c[:0] for c in twice])
+    standardize_and_select(names, "t", twice, no_rows(twice), 0.0)
     for u_column, v_column in zip(once[:-1], twice[:-1]):
         for u, v in zip(u_column, v_column):
             assert abs(u - v) < 1e-6
