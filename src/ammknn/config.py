@@ -77,8 +77,11 @@ class AmmknnConfig:
 
 @dataclass(frozen=True)
 class TierBoundaries:
-    fail_below: float = 350.0
-    at_risk_upper: float = 375.0
+    """A tier stanza: both bounds are always given, so no default of one
+    axis stands in for another's."""
+
+    fail_below: float
+    at_risk_upper: float
 
     def __post_init__(self):
         if not self.fail_below < self.at_risk_upper:
@@ -103,8 +106,8 @@ class PipelineConfig:
     knn_k: int = 12
     ammknn: AmmknnConfig = field(default_factory=AmmknnConfig)
     pass_at: float = 350.0
-    tiers_actual: TierBoundaries = field(default_factory=TierBoundaries)
-    tiers_predicted: TierBoundaries = field(default_factory=TierBoundaries)
+    tiers_actual: TierBoundaries = field(default_factory=lambda: TierBoundaries(350.0, 375.0))
+    tiers_predicted: TierBoundaries = field(default_factory=lambda: TierBoundaries(350.0, 375.0))
     tiers_predicted_validation: TierBoundaries = field(
         default_factory=lambda: TierBoundaries(350.0, 385.0)
     )
@@ -167,12 +170,9 @@ def _from_json(cls, data, stanza: str, **fallback):
     if unknown:
         raise ConfigError(f"unknown {stanza} keys: {unknown}")
     data = {**fallback, **data}
-    # A tier stanza must give both bounds: TierBoundaries' own 350/375
-    # would silently stand in for tiers_predicted_validation's 385.
     missing = [
         f.name for f in declared
-        if f.name not in data
-        and (cls is TierBoundaries or f.default is MISSING and f.default_factory is MISSING)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
     ]
     if missing:
         raise ConfigError(f"{stanza} is missing {missing}")

@@ -163,9 +163,10 @@ def standardize_and_select(
     freed before the z-scores are correlated, and the validation cells
     are z-scored only if the column is kept, by ``_z_scores``: the same
     floats. Each r is worked out over the list of training z-scores,
-    which is faster than over their ``array('d')``, filled first. The
-    target's ``_spread`` is worked out once, and each r is bit-identical
-    to correlating that column and the target on their own.
+    which is faster than over an ``array('d')``; only a kept column's
+    list is then packed into one. The target's ``_spread`` is worked out
+    once, and each r is bit-identical to correlating that column and the
+    target on their own.
 
     Negatively correlated predictors carry signal, so the magnitude is
     what counts. Kept columns preserve their order, and one audit log
@@ -190,14 +191,14 @@ def standardize_and_select(
             raise DataError(f"column {name!r} has zero variance")
         z = [v / sd for v in islice(d, len(y))]
         del d  # before the z-scores' own deviations are formed
-        train[j] = _doubles(z)
         (rs[j],) = _correlations((z,), target)
-        del z  # before the next column is pooled
         if rs[j] is not None and abs(rs[j]) < threshold:
             dropped.append((name, rs[j]))
             train[j] = validation[j] = None
         else:
+            train[j] = _doubles(z)
             validation[j] = _z_scores(validation[j], mean, sd)
+        del z  # before the next column is pooled
     if target[2] == 0.0:
         raise DataError(f"target column {target_name!r} {_flat(y)}")
     for j, r in rs.items():

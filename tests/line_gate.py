@@ -28,8 +28,12 @@ not go both ways is printed as ``path:line: text (never true)`` or
 pairs cannot see the branches within one line: a one-line ``if x: y``,
 a conditional expression, ``and`` and ``or``, and a comprehension's
 filter are not checked. The exit status is 1 when a line or a test is
-printed. In dev mode with warnings as errors, the suite took 69 s under
-the tracer, against 40 s without it (2-core Xeon, Python 3.11.7).
+printed. In dev mode with warnings as errors, the suite took 73 and 82 s
+under the tracer, against 37 and 48 s without it (two runs each, 2-core
+Xeon, Python 3.11.7).
+
+``mutation_gate.py`` runs the same tracer over every frame, with
+``by_test``, to learn which lines each test reaches.
 """
 
 import ast
@@ -86,23 +90,57 @@ def sides(test, body, pairs):
 
 
 class _Scope:
-    """Whether a reached line counts: while pytest collects, or while a
-    ``cli.main`` frame is on the stack."""
+    """Which frames the tracer records, and what was running when each
+    started.
 
-    def __init__(self):
+    A frame counts while pytest collects or while a ``cli.main`` frame is
+    on the stack; with ``by_test``, every frame of a package file counts.
+    ``running`` is the node id of the test being run, ``("fixture",
+    name)`` while a fixture is set up, and ``""`` outside any test, as
+    while pytest collects. ``failed`` holds the node ids of the tests
+    that failed, which a test measuring memory can under the tracer.
+    """
+
+    def __init__(self, by_test):
         self.collecting = True
         self.mains = 0  # cli.main frames on the stack
+        self.by_test = by_test
+        self.running = ""
+        self.fixtures = {}  # test node id -> the names of the fixtures it uses
+        self.failed = set()
 
     def pytest_collection_finish(self, session):
         self.collecting = False
+        self.fixtures = {item.nodeid: set(item.fixturenames) for item in session.items}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed.add(report.nodeid)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_protocol(self, item):
+        self.running = item.nodeid
+        try:
+            return (yield)
+        finally:
+            self.running = ""
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_fixture_setup(self, fixturedef):
+        outer, self.running = self.running, ("fixture", fixturedef.argname)
+        try:
+            return (yield)
+        finally:
+            self.running = outer
 
 
-def traced_run(args):
-    """pytest's exit status on ``args``, and the (previous line, line)
-    pairs run in each package file within ``_Scope``, by file name."""
+def traced_run(args, by_test=False):
+    """pytest's exit status on ``args``, the (previous line, line) pairs
+    run in each package file within ``_Scope``, by (what was running when
+    the frame started, file name), and the ``_Scope``."""
     prefix = str(PACKAGE) + os.sep
     main_file = str(PACKAGE / "cli.py")
-    scope = _Scope()
+    scope = _Scope(by_test)
     ran = defaultdict(set)
 
     def is_main(code):
@@ -110,7 +148,7 @@ def traced_run(args):
 
     def tracer(code):
         """A frame's own tracer; each resumption of a generator gets a new one."""
-        pairs = ran[code.co_filename]
+        pairs = ran[scope.running, os.path.basename(code.co_filename)]
         previous = None
 
         def local(frame, event, arg):
@@ -135,20 +173,24 @@ def traced_run(args):
         if is_main(frame.f_code):
             scope.mains += 1
             return tracer(frame.f_code)
-        return tracer(frame.f_code) if scope.mains or scope.collecting else None
+        counts = scope.by_test or scope.mains or scope.collecting
+        return tracer(frame.f_code) if counts else None
 
     sys.settrace(trace)
     try:
         status = pytest.main(args, plugins=[scope])
     finally:
         sys.settrace(None)
-    return status, {os.path.basename(name): pairs for name, pairs in ran.items()}
+    return status, ran, scope
 
 
 def main(args):
-    status, ran = traced_run(args)
+    status, traced, _ = traced_run(args)
     if status != 0:
         return status
+    ran = defaultdict(set)
+    for (_, name), pairs in traced.items():
+        ran[name] |= pairs
     unreached = total = one_sided = tests = 0
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()

@@ -674,6 +674,13 @@ def _canonical_cells(written, reference):
     return all(cell == repr(float(cell)) for cell in numbers) and max(map(float, numbers)) >= 1e9
 
 
+def _scored(n):
+    """A check that each report the step writes scores ``n`` subjects."""
+    return lambda written, reference: all(
+        json.loads(data)["n_subjects"] == n for name, data in written.items() if name != "roster.json"
+    )
+
+
 def _one_point(written, reference):
     return written["packrat_scatter.svg"].count(b'class="pt"') == 1
 
@@ -741,6 +748,11 @@ ACCEPTED = {
     "loocv:equal scores": case("loocv", 0, _no_r, config=doc_with({"knn_k": 2}), train=lambda text: (
         "student_id,f01,f02,score\r\n"
         + "".join(f"C{i},{i}.0,{(i * 7) % 5}.5,444.3\r\n" for i in range(8))
+    )),
+    # the fewest training rows a step ranks; k as large as a fold allows
+    "validate:two training rows": case("validate", 0, _scored(43), train=first(2)),
+    "loocv:k of every row of a fold": case("loocv", 0, _scored(5), train=first(5), config=doc_with(
+        {"knn_k": 4, "ammknn.outlier_feature": "f11"}
     )),
     "prepare:include_columns": case("prepare", 0, _kept_as_excluded, config=doc_with(
         {"aggregations": GROUP, "include_columns": ["g", "f03", "f05"]}

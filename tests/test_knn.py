@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ammknn import knn
 from ammknn.config import AmmknnConfig
-from ammknn.errors import ConfigError
 from ammknn.knn import cumulative_means, score
 from perfbench_module import load_perfbench
 
@@ -96,17 +95,6 @@ class TestEuclidean:
             b = [rng.uniform(-10, 10) for _ in range(10)]
             [(squared, _)] = ref.ranked([b], a)
             assert ranking(a, [b], 1)[0][1] == pytest.approx(math.sqrt(squared), abs=1e-12)
-
-
-class TestRankNeighbors:
-    def test_one_dim_ordering(self):
-        assert ranking([1.0], [[0.0], [10.0]], 2) == ((0, 1.0), (1, 9.0))
-
-    def test_tie_breaks_by_row_index(self):
-        assert [i for i, _ in ranking([1.0], [[2.0], [0.0]], 2)] == [0, 1]
-
-    def test_limit_beyond_rows_returns_all(self):
-        assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
 
 
 class TestCumulativeMeans:
@@ -208,17 +196,6 @@ class TestAmmknnPredictOne:
             means = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[2]
             assert min(means) <= previous
             previous = min(means)
-
-    def test_fewer_rows_than_max_k(self):
-        training = split_rows([[0.0, 400.0], [1.0, 300.0]])
-        ranked, _, means, *_ = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
-        assert len(ranked) == 2
-        assert len(means) == 2
-
-    def test_invalid_max_k(self):
-        with pytest.raises(ConfigError, match="max_k must be >= 1, got 0"):
-            AmmknnConfig(max_k=0)
-
 
 class TestAmmknnPredictBatch:
     """``score`` over a cohort of subjects, as validate and predict draw it."""
@@ -531,6 +508,38 @@ def test_window_matches_naive_reference(case):
     check_against_naive(*case)
 
 
+def window_edge_case(seed):
+    """An ``engine_cases`` case whose one subject's nearest row lies along
+    (1, ..., 1) from it, where Cauchy-Schwarz holds with equality, at the
+    edge of the window W: eight rows at the subject's feature sum, a hair
+    farther away, fill the starting block, so only W reaches that row.
+    With t0 = 0 the eight lie 1e-13 farther, within W's factor 1 + 1e-9;
+    otherwise every cell lies on t0's ulp grid, so the sums of the
+    subject and of the row may round against each other, which W's
+    1e-12 * (S + |subject sum|) covers."""
+    rng = random.Random(seed)
+    t0 = rng.choice([0.0, 3e5, 1e6, 7e7])
+    dims = rng.randint(2, 7)
+    grid = math.ulp(t0) if t0 else 1e-9
+    subject = [t0 + rng.randrange(-1000, 1000) * grid if t0 else 0.0 for _ in range(dims)]
+    step = rng.randrange(10**5, 10**7) * grid
+    nearest = [v + step for v in subject]
+    reach = math.dist(nearest, subject) / math.sqrt(2) * (1 + 1e-13)
+    if t0:
+        reach = math.ceil(reach / grid) * grid
+    block = [subject[0] + reach, subject[1] - reach, *subject[2:]]
+    rows = [block + [300.0 + i] for i in range(8)] + [nearest + [700.0]]
+    return rows, [subject], 1, 1, -2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(2)  # t0 = 0: the factor 1 + 1e-9
+@example(41)  # t0 = 3e5: both sums round, against each other
+def test_window_edge_matches_naive_reference(seed):
+    check_against_naive(*window_edge_case(seed))
+
+
 def test_permuted_rows_misorder_under_math_dist():
     """Sorted by ``math.dist`` alone, the permuted family's nearest rows
     come out of the naive order for some subject, so the family reaches
@@ -638,10 +647,6 @@ class TestExactSums:
         assert per_subject == [min(20, n)] * 50
 
 
-def fixed_k_loocv(rows, k):
-    return first_column_loocv(rows, AmmknnConfig(max_k=1, outlier_feature="x"), k)[2]
-
-
 class TestLoocv:
     def test_constant_targets(self):
         rows = [[float(i), 2.0 * i, 444.0] for i in range(10)]
@@ -650,13 +655,3 @@ class TestLoocv:
         assert adaptive == [444.0] * 10
         assert fixed == [444.0] * 10
 
-    def test_three_row_fold_oracle(self):
-        rows = [[0.0, 300], [1.0, 400], [10.0, 500]]
-        assert fixed_k_loocv(rows, 1) == [400.0, 300.0, 400.0]
-
-    def test_heldout_row_excluded_from_training(self):
-        # the held-out row is a zero-distance duplicate of itself; with
-        # leakage, k=1 would echo its own extreme target
-        rows = [[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]]
-        predictions = fixed_k_loocv(rows, 1)
-        assert predictions[6] == 400.0

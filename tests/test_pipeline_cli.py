@@ -18,7 +18,6 @@ import ammknn
 from ammknn import pipeline
 from ammknn.cli import main
 from ammknn.config import AmmknnConfig, PipelineConfig, _from_json, load_config
-from ammknn.errors import ConfigError
 from ammknn.frame import Table, read_table, write_csv
 from ammknn.pipeline import (
     LOOCV_AMMKNN_JSON,
@@ -96,20 +95,6 @@ def run_all(ws):
 
 
 class TestCliWorkflow:
-    def test_full_workflow_outputs(self, workspace):
-        run_all(workspace)
-        out = workspace["out"]
-        for name in (
-            TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON,
-            LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON, VALIDATE_JSON, ROSTER_JSON,
-        ):
-            assert (out / name).exists(), name
-        report = json.loads((out / LOOCV_AMMKNN_JSON).read_text())
-        assert report["kind"] == "loocv"
-        assert report["n_subjects"] == len(report["subjects"])
-        selection = json.loads((out / SELECTION_JSON).read_text())
-        assert "score" in selection["kept"]
-
     def test_reruns_byte_identical(self, workspace, tmp_path):
         run_all(workspace)
         second = tmp_path / "again"
@@ -134,12 +119,6 @@ class TestCliWorkflow:
         ):
             assert (workspace["out"] / name).read_bytes() == (second / name).read_bytes(), name
 
-    def test_roster_sorted_worst_first(self, workspace):
-        run_all(workspace)
-        roster = json.loads((workspace["out"] / ROSTER_JSON).read_text())
-        predicted = [entry["predicted"] for entry in roster]
-        assert predicted == sorted(predicted)
-
     def test_predict_without_target_column(self, workspace, tmp_path):
         run_all(workspace)
         out = workspace["out"]
@@ -160,24 +139,6 @@ class TestCliWorkflow:
         assert {"subject_id", "cumulative_means", "min_of_means", "min_match",
                 "prediction", "tier", "outlier_triggered"} <= set(record)
         assert 200.0 <= record["prediction"] <= 800.0
-
-    def test_plot_outputs(self, workspace):
-        run_all(workspace)
-        out = workspace["out"]
-        assert main([
-            "plot", "--report", str(out / VALIDATE_JSON), "--kind", "scatter", "--out", str(out),
-        ]) == 0
-        svg = (out / "scatter.svg").read_text()
-        report = json.loads((out / VALIDATE_JSON).read_text())
-        assert svg.count('class="pt"') == report["n_subjects"]
-        assert svg.count('class="ref"') == 4
-        assert main([
-            "plot", "--report", str(out / VALIDATE_JSON),
-            "--kind", "packrat_scatter", "--out", str(out),
-        ]) == 0
-        packrat = (out / "packrat_scatter.svg").read_text()
-        assert packrat.count('class="pt"') == report["n_subjects"]
-        assert packrat.count('class="ref"') == 1
 
     def test_empty_cohort_validate(self, workspace, tmp_path):
         run_all(workspace)
@@ -246,11 +207,6 @@ class TestResolveOutlierFeature:
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
         assert resolve_outlier_feature(train, self.CONFIG, "train.csv") == "pos"
 
-    def test_all_negative_features_are_a_config_error(self):
-        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], weak=[3.0, 5.0, 1.0, 4.0, 2.0])
-        with pytest.raises(ConfigError, match="'weak'"):
-            resolve_outlier_feature(train, self.CONFIG, "train.csv")
-
     def test_constant_column_counts_as_zero(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], flat=[1.0] * 5)
         assert resolve_outlier_feature(train, self.CONFIG, "train.csv") == "flat"
@@ -264,9 +220,12 @@ class TestResolveOutlierFeature:
 class TestCliErrors:
     """Every refusal is a case of ``test_cli_catalogue.py``."""
 
-    def test_synth_seed_overrides_the_spec_seed(self, workspace, tmp_path):
+    def test_synth_seed_overrides_the_spec_seed(self, workspace, tmp_path, capsys):
         spec = str(workspace["spec"])
+        capsys.readouterr()
         assert main(["synth", "--spec", spec, "--out", str(tmp_path / "seed7"), "--seed", "7"]) == 0
+        # 10 features, the score and the cohort year beside the ids
+        assert capsys.readouterr().out == f"wrote 120 rows x 12 columns to {tmp_path / 'seed7' / SYNTH_CSV}\n"
         assert main(["synth", "--spec", spec, "--out", str(tmp_path / "seed5"), "--seed", "5"]) == 0
         written = workspace["cohort_csv"].read_bytes()
         assert (tmp_path / "seed7" / SYNTH_CSV).read_bytes() == written
@@ -461,7 +420,7 @@ class TestPrepareCohortYears:
     """A group's mean serves as the year; rows in neither window are counted."""
 
     def test_year_from_a_group(self, workspace, tmp_path):
-        # a one-member group's mean is its member: the year it stands for
+        # the mean of a group of the year and the year again is the year: it
         # splits the rows as the raw column does, a missing one included
         odd = _with_years(workspace, tmp_path, {0: "", 1: "2031", 2: "2017"})
         config = _from_json(PipelineConfig, CONFIG_DOC, "config")
@@ -469,7 +428,7 @@ class TestPrepareCohortYears:
         grouped = _from_json(PipelineConfig, {
             **CONFIG_DOC,
             "cohort_column": "year",
-            "aggregations": [{"group_name": "year", "member_columns": ["cohort"]}],
+            "aggregations": [{"group_name": "year", "member_columns": ["cohort", "cohort"]}],
         }, "config")
         assert run_prepare(grouped, odd, tmp_path / "group") == by_column
         for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON):
@@ -748,44 +707,3 @@ class TestCliStdout:
         assert result.stdout.startswith("prepared ")
 
 
-class TestPrepareCounts:
-    def test_drop_counts_reported(self, tmp_path):
-        # cohort CSV with a missing target in each split and one incomplete
-        # validation row
-        lines = ["student_id,cohort,f01,f02,score"]
-        for i in range(8):
-            lines.append(f"T{i},2018,{i}.0,{i * 2}.5,{400 + i}")
-        lines.append("T8,2018,1.0,2.0,")  # missing target, train side
-        for i in range(4):
-            lines.append(f"V{i},2019,{i}.5,{i}.25,{390 + i}")
-        lines.append("V4,2019,2.0,3.0,")  # missing target, validation side
-        lines.append("V5,2019,,4.0,410")  # incomplete validation row
-        path = tmp_path / "cohort.csv"
-        path.write_text("\n".join(lines) + "\n")
-
-        config = _from_json(PipelineConfig, dict(CONFIG_DOC, correlation_threshold=0.0), "config")
-        summary = run_prepare(config, path, tmp_path / "out")
-        assert summary["train_rows"] == 8
-        assert summary["validation_rows"] == 4
-        assert summary["train_dropped_missing_target"] == 1
-        assert summary["validation_dropped_missing_target"] == 1
-        assert summary["validation_dropped_incomplete"] == 1
-
-    def test_aggregation_specs_applied(self, tmp_path):
-        lines = ["student_id,cohort,q1,q2,other,score"]
-        for i in range(6):
-            lines.append(f"T{i},2018,{i}.0,{i + 1}.0,{i * 3}.0,{400 + i * 3}")
-        for i in range(3):
-            lines.append(f"V{i},2019,{i}.0,{i + 2}.0,{i * 2}.0,{395 + i}")
-        path = tmp_path / "cohort.csv"
-        path.write_text("\n".join(lines) + "\n")
-        doc = dict(
-            CONFIG_DOC,
-            correlation_threshold=0.0,
-            aggregations=[{"group_name": "q_mean", "member_columns": ["q1", "q2"]}],
-        )
-        config = _from_json(PipelineConfig, doc, "config")
-        run_prepare(config, path, tmp_path / "out")
-        train = read_table(tmp_path / "out" / TRAIN_CSV, "score", "student_id")
-        assert "q_mean" in train.features
-        assert "q1" not in train.features

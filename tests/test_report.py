@@ -32,18 +32,18 @@ class TestClassify:
         assert (cm["tp"], cm["tn"]) == (1, 2)
 
     def test_tier_bands(self):
-        bounds = TierBoundaries()
+        bounds = TierBoundaries(350, 375)
         assert classify_tier(340, bounds) == "fail"
         assert classify_tier(360, bounds) == "at_risk"
         assert classify_tier(350, bounds) == "at_risk"
         assert classify_tier(375, bounds) == "at_risk"
         assert classify_tier(375.1, bounds) == "pass"
 
-    def test_bounds_validation(self):
-        with pytest.raises(ConfigError, match="fail_below 380 must be below at_risk_upper 375"):
-            TierBoundaries(380, 375)
-        with pytest.raises(ConfigError, match="tier boundary 100 outside score range"):
-            TierBoundaries(100, 375)
+    def test_bounds_at_their_edges(self):
+        # equal bounds leave no at-risk band; the score range's ends lie in it
+        with pytest.raises(ConfigError, match="fail_below 375 must be below at_risk_upper 375"):
+            TierBoundaries(375, 375)
+        assert TierBoundaries(200, 800).at_risk_upper == 800
 
 
 def binary_pairs(tp, fp, tn, fn):
@@ -91,7 +91,7 @@ class TestConfusion2x2:
 class TestConfusion3x3:
     def test_perfect_predictions_diagonal(self):
         actual = [300.0, 360.0, 500.0, 290.0, 375.0, 400.0]
-        matrix = report_of(actual, actual, TierBoundaries())["confusion_3x3"]
+        matrix = report_of(actual, actual, TierBoundaries(350, 375))["confusion_3x3"]
         assert matrix["counts"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
 
     def test_dual_boundary_sets(self):
