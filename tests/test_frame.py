@@ -71,6 +71,17 @@ class TestLoadCsv:
             load(path, "y")
         assert str(exc.value) == f"{path}, line 6, column 'x': non-numeric cell 'x'"
 
+    def test_missing_target_column(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n")
+        with pytest.raises(ConfigError, match="target 'y' not in header"):
+            load(path, "y")
+
+    def test_non_numeric_cell(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y\nA,abc,2\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "y")
+        assert str(exc.value) == f"{path}, line 2, column 'x': non-numeric cell 'abc'"
+
     def test_empty_cell_becomes_missing(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,,2\n")
         assert load(path, "y").rows[0] == (None, 2.0)
@@ -92,6 +103,25 @@ class TestLoadCsv:
             load(path, "z")
         assert str(exc.value) == f"{path}, line 3, column 'y': non-numeric cell 'oops'"
 
+    def test_ragged_row_is_named(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\nB,3\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "y")
+        assert str(exc.value) == f"{path}, line 3: 2 fields, header has 3"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_refuses_non_finite_cell(self, tmp_path, bad):
+        path = write(tmp_path, "d.csv", f"id,x,t\nA,0,1\nB,1,2\nC,2,3\nD,{bad},4\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 5, column 'x': non-finite value {float(bad)!r}"
+
+    def test_refuses_non_finite_target(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,x,t\nA,0,1\nB,1,inf\nC,2,3\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 't': non-finite value inf"
+
     def test_first_bad_cell_in_file_order(self, tmp_path):
         # row by row, then column by column; the target is a column like
         # any other. Each cell named is mended before the next read.
@@ -108,6 +138,13 @@ class TestLoadCsv:
         path.write_text("\n".join(map(",".join, [names, *rows])) + "\n")
         assert load(path, "t").shape == Shape(5, 3)
 
+    def test_cell_beyond_the_bound_is_refused(self, tmp_path):
+        # the cells' sum is finite; the first cell past 1e50 is named
+        path = write(tmp_path, "d.csv", "id,x,y,t\nA,1e50,-1e50,1\nB,1e308,-1e308,2\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 'x': value 1e+308 beyond ±1e+50"
+
     @pytest.mark.parametrize("cell", ["1e50", "-1e50", "1.0000000000000001e50"])
     def test_cells_at_the_bound_are_read(self, tmp_path, cell):
         # their norm fails the fast gate, so each is checked on its own
@@ -115,6 +152,37 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", f"id,x,y,t\nA,{cell},{cell},1\nB,0,0,2\n")
         value = float(cell)
         assert load(path, "t").rows == ((value, value, 1.0), (0.0, 0.0, 2.0))
+
+    def test_cell_just_past_the_bound_is_refused(self, tmp_path):
+        past = math.nextafter(BOUND, math.inf)
+        path = write(tmp_path, "d.csv", f"id,x,t\nA,0,1\nB,{past!r},2\n")
+        with pytest.raises(DataError) as exc:
+            load(path, "t")
+        assert str(exc.value) == f"{path}, line 3, column 'x': value {past!r} beyond ±1e+50"
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(DataError, match="is a directory, not a CSV file"):
+            load(tmp_path, "y")
+
+    def test_not_utf8_is_unreadable(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,x,y\nA,1,2\n".encode() + "caf\u00e9,3,4\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load(path, "y")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="nope.csv: no such file"):
+            load(tmp_path / "nope.csv", "y")
+
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "d.csv", "")
+        with pytest.raises(DataError, match="file is empty"):
+            load(path, "y")
+
+    def test_duplicate_header(self, tmp_path):
+        path = write(tmp_path, "d.csv", "x,x\n1,2\n")
+        with pytest.raises(DataError, match="duplicate column names in header"):
+            load(path, "x")
 
     def test_blank_lines_hold_no_row_but_keep_line_numbers(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x,y\nA,1,2\n\nB,3,4\n\n")
@@ -203,6 +271,11 @@ class TestLoadCsv:
         assert exc.value is fault
 
 
+def read_training(tmp_path, names, rows):
+    """``read_table`` of a training CSV of ``rows`` under ``names``, target ``t``."""
+    return read_table(write_table(tmp_path / "train.csv", names, rows), "t", "id")
+
+
 def stream(path, target_name, features, scored):
     """``(features, rows)`` that ``stream_table`` hands its consumer, the
     rows drawn to the end as they are read, from a CSV whose id column is
@@ -213,6 +286,12 @@ def stream(path, target_name, features, scored):
         lambda features, rows: streamed.append((features, list(rows))), features, scored,
     )
     return streamed[0]
+
+
+def read_subjects(tmp_path, names, rows, features=None):
+    """The streamed rows of an unscored cohort CSV whose features are ``names``."""
+    path = write_table(tmp_path / "cohort.csv", names, rows)
+    return stream(path, "t", features or names, scored=False)
 
 
 class TestReadTable:
@@ -249,17 +328,273 @@ class TestReadTable:
             stream_table(path, "t", "id", consume)
         assert seen == [("A", (1.0,), 400.0)]
 
+    @pytest.mark.parametrize("cell, problem", [("nan", "non-finite value nan"), ("", "missing cell")])
+    def test_blank_lines_are_counted_in_refusals(self, tmp_path, cell, problem):
+        path = write(tmp_path, "t.csv", f"id,x,t\nA,1,400\n\nB,2,{cell}\n")
+        with pytest.raises(DataError) as exc:
+            read_table(path, "t", "id")
+        assert str(exc.value) == f"{path}, line 4, column 't': {problem}"
 
-def test_group_members_sum_left_to_right(tmp_path):
-    # compensated summation (built-in sum() from Python 3.12 on) would
-    # give 1/3; the files this package writes must not depend on it
-    path = write(tmp_path, "cohort.csv", "id,year,a,b,c,t\nr0,2018,1e16,1.0,-1e16,400\n")
-    config = _from_json(PipelineConfig, {
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e999")])
+    def test_training_feature(self, tmp_path, bad):
+        with pytest.raises(DataError, match="line 3, column 'x1': non-finite value"):
+            read_training(tmp_path, ["x0", "x1", "t"], [[0.0, 0.0, 400.0], [1.0, bad, 300.0]])
+
+    def test_training_target(self, tmp_path):
+        with pytest.raises(DataError, match="line 3, column 't': non-finite value nan"):
+            read_training(tmp_path, ["x0", "t"], [[0.0, 400.0], [1.0, math.nan], [2.0, 300.0]])
+
+    def test_first_bad_training_cell_in_row_order(self, tmp_path):
+        rows = [[0.0, 0.0, 1.0], [0.0, None, 2.0], [math.inf, 0.0, 3.0]]
+        with pytest.raises(DataError, match="line 3, column 'x1': missing cell"):
+            read_training(tmp_path, ["x0", "x1", "t"], rows)
+
+    def test_fold_errors_tagged(self, tmp_path):
+        with pytest.raises(DataError, match="line 3, column 'x': missing cell"):
+            read_training(tmp_path, ["x", "t"], [[0.0, 1], [None, 2], [2.0, 3]])
+
+    @pytest.mark.parametrize("cells", [[0.0, math.inf], [math.nan, 0.0]])
+    def test_subject_cell(self, tmp_path, cells):
+        with pytest.raises(DataError, match=r"cohort\.csv, line 3, column 'x\d': non-finite value"):
+            read_subjects(tmp_path, ["x0", "x1"], [[0.0, 0.0], cells])
+
+    def test_subject_outlier_cell(self, tmp_path):
+        with pytest.raises(DataError, match="line 2, column 'o': non-finite value nan"):
+            read_subjects(tmp_path, ["x0", "o"], [[0.0, math.nan]])
+
+    def test_row_errors_tagged_with_index(self, tmp_path):
+        with pytest.raises(DataError, match="line 3, column 'x0': missing cell"):
+            read_subjects(tmp_path, ["x0"], [[0.0], [None]])
+
+    @pytest.mark.parametrize("cells, features, missing", [
+        ([1.0, 2.0], ["x0", "x1", "x2"], "x2"),  # a subject shorter than the training rows
+        ([0.0], ["x0", "x1"], "x1"),
+    ])
+    def test_cohort_lacking_a_training_feature(self, tmp_path, cells, features, missing):
+        names = [f"x{j}" for j in range(len(cells))]
+        message = f"feature columns differ from training: extra [], missing [{missing!r}]"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_subjects(tmp_path, names, [cells], features)
+
+
+def split_cohort(tmp_path, header, rows, **config):
+    """``prepare``'s year split of a cohort CSV with an id column, a
+    ``year`` column, ``header`` and target ``t``; rows are ids r0, r1, ..."""
+    lines = [",".join(["id", "year", *header])]
+    for i, row in enumerate(rows):
+        lines.append(",".join([f"r{i}", *("" if c is None else repr(float(c)) for c in row)]))
+    path = write(tmp_path, "cohort.csv", "\n".join(lines) + "\n")
+    doc = {
         "target_name": "t", "id_column": "id", "cohort_column": "year", "year_cutoff": 2019,
-        "aggregations": [{"group_name": "m", "member_columns": ["a", "b", "c"]}],
-    }, "config")
-    names, train, _, _ = _split_cohort(config, path)
-    assert train.columns[names.index("m")].tolist() == [0.0 / 3]
+        **config,
+    }
+    config = _from_json(PipelineConfig, doc, "config")
+    names, train, validation, counts = _split_cohort(config, path)
+    for side in (train, validation):
+        assert all(type(c) is array and c.typecode == "d" for c in side.columns)
+        assert {len(c) for c in side.columns} == {len(side.ids)}
+    return side_frame(names, train), side_frame(names, validation), counts
+
+
+class Side(NamedTuple):
+    """One side of ``prepare``'s split: its labels, its rows and their ids."""
+
+    column_names: tuple
+    rows: tuple
+    row_ids: tuple
+
+    @property
+    def n_rows(self):
+        return len(self.rows)
+
+    def column(self, name):
+        j = self.column_names.index(name)
+        return tuple(row[j] for row in self.rows)
+
+
+def side_frame(names, side):
+    """One side of ``prepare``'s split as a ``Side``."""
+    return Side(tuple(names), tuple(zip(*side.columns)), tuple(side.ids))
+
+
+def split_years(tmp_path, rows, **config):
+    """``split_cohort`` of rows (year, x, t)."""
+    return split_cohort(tmp_path, ["x", "t"], rows, **config)
+
+
+YEARS = [[float(y), float(i), 400.0] for i, y in enumerate(range(2015, 2022))]
+
+
+class TestFilters:
+    """Rows go to training before the cutoff year and to validation in it."""
+
+    def test_cutoff_below(self, tmp_path):
+        train, _, _ = split_years(tmp_path, YEARS)
+        assert train.row_ids == ("r0", "r1", "r2", "r3")
+        assert train.column("x") == (0.0, 1.0, 2.0, 3.0)
+
+    def test_cutoff_below_everything(self, tmp_path):
+        train, validation, counts = split_years(tmp_path, YEARS, year_cutoff=1900)
+        assert train.n_rows == validation.n_rows == 0
+        assert train.column_names == validation.column_names == ("x", "t")
+        assert counts["dropped_outside_years"] == len(YEARS)
+
+    def test_equality_via_composed_filters(self, tmp_path):
+        # validation is the cutoff year alone: at or above it, below the next
+        _, validation, counts = split_years(tmp_path, YEARS)
+        assert validation.row_ids == ("r4",)
+        assert counts["dropped_outside_years"] == 2
+
+    def test_unknown_column(self, tmp_path):
+        with pytest.raises(ConfigError, match="cohort column 'cohort' not in input"):
+            split_years(tmp_path, YEARS, cohort_column="cohort")
+
+    def test_preserves_order(self, tmp_path):
+        rows = [[2019, 1, 1], [2017, 2, 2], [2018, 3, 3], [2016, 4, 4]]
+        train, _, _ = split_years(tmp_path, rows)
+        assert train.column("t") == (2.0, 3.0, 4.0)
+        assert train.row_ids == ("r1", "r2", "r3")
+
+
+class TestDrops:
+    """A row left out is counted once, in the first bucket that fits."""
+
+    def test_drop_missing_target(self, tmp_path):
+        rows = [[2018, 1, None], [2018, 2, 5], [2019, 3, None], [2018, 4, 7]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert counts["train_dropped_missing_target"] == 1
+        assert counts["validation_dropped_missing_target"] == 1
+        assert train.column("t") == (5.0, 7.0)
+        assert validation.n_rows == 0
+
+    def test_drop_missing_target_identity(self, tmp_path):
+        rows = [[2018, 1, 2], [2019, 3, 4]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert train.rows == ((1.0, 2.0),)
+        assert validation.rows == ((3.0, 4.0),)
+        assert counts == {
+            "dropped_outside_years": 0,
+            "columns_in": 2,
+            "train_dropped_missing_target": 0,
+            "validation_dropped_missing_target": 0,
+            "train_dropped_incomplete": 0,
+            "validation_dropped_incomplete": 0,
+        }
+
+    def test_drop_incomplete(self, tmp_path):
+        rows = [[2018, 1, 2], [2018, None, 4], [2018, 5, None], [2018, 6, 7]]
+        train, _, counts = split_years(tmp_path, rows)
+        assert train.rows == ((1.0, 2.0), (6.0, 7.0))
+        assert train.row_ids == ("r0", "r3")
+        assert counts["train_dropped_incomplete"] == 1
+        assert counts["train_dropped_missing_target"] == 1
+
+    def test_drop_incomplete_all_rows(self, tmp_path):
+        rows = [[2018, None, 2], [2019, None, 3]]
+        train, validation, counts = split_years(tmp_path, rows)
+        assert train.n_rows == validation.n_rows == 0
+        assert counts["train_dropped_incomplete"] == counts["validation_dropped_incomplete"] == 1
+
+    def test_order_of_drops_equivalent(self, tmp_path):
+        # no year beats a missing target, which beats a missing cell
+        rows = [[None, None, None], [2018, None, None], [2018, None, 4], [2018, 8, 9]]
+        train, _, counts = split_years(tmp_path, rows)
+        assert counts["dropped_outside_years"] == 1
+        assert counts["train_dropped_missing_target"] == 1
+        assert counts["train_dropped_incomplete"] == 1
+        assert train.rows == ((8.0, 9.0),)
+
+
+class TestAggregateMeans:
+    """Group means are added to each record as ``prepare`` reads it."""
+
+    def test_mean_of_members(self, tmp_path):
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "q3", "t"], [[2018, 0.8, 0.9, 1.0, 400]],
+            aggregations=[{"group_name": "q_mean", "member_columns": ["q1", "q2", "q3"]}],
+        )
+        assert train.column("q_mean") == (pytest.approx(0.9),)
+
+    def test_single_member_copies(self, tmp_path):
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "t"], [[2018, 0.7, 400], [2018, 0.4, 300]],
+            aggregations=[{"group_name": "g", "member_columns": ["q1"]}],
+        )
+        assert train.column("g") == (0.7, 0.4)
+
+    def test_missing_poisons_the_mean(self, tmp_path):
+        # row-wise oracle: a mean over complete members would give 0.8 for
+        # row 0; the policy instead marks the group value missing, which
+        # drops the row as incomplete
+        train, _, counts = split_cohort(
+            tmp_path, ["q1", "q2", "t"], [[2018, 0.8, None, 400], [2018, 0.6, 0.8, 300]],
+            aggregations=[{"group_name": "g", "member_columns": ["q1", "q2"]}],
+        )
+        assert train.column("g") == (0.7,)
+        assert counts["train_dropped_incomplete"] == 1
+
+    def test_members_sum_left_to_right(self, tmp_path):
+        # compensated summation (built-in sum() from Python 3.12 on) would
+        # give 1/3; the files this package writes must not depend on it
+        train, _, _ = split_cohort(
+            tmp_path, ["a", "b", "c", "t"], [[2018, 1e16, 1.0, -1e16, 400]],
+            aggregations=[{"group_name": "m", "member_columns": ["a", "b", "c"]}],
+        )
+        assert train.column("m") == (0.0 / 3,)
+
+    def test_drop_members(self, tmp_path):
+        # the group's members leave prepare's column list; its mean joins it
+        aggregations = [{"group_name": "g", "member_columns": ["q1", "q2"]}]
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "x", "t"], [[2018, 1, 2, 3, 4]], aggregations=aggregations
+        )
+        assert train.column_names == ("x", "t", "g")
+        assert train.rows == ((3.0, 4.0, 1.5),)
+
+    def test_other_columns_preserved(self, tmp_path):
+        rows = [[2018, 1, 2, 7, 3], [2018, 4, 5, 8, 6]]
+        train, _, _ = split_cohort(
+            tmp_path, ["q1", "q2", "x", "t"], rows,
+            aggregations=[{"group_name": "g", "member_columns": ["q1", "q2"]}],
+        )
+        assert train.column("x") == (7.0, 8.0)
+        assert train.column("t") == (3.0, 6.0)
+
+    def test_name_collision(self, tmp_path):
+        # the input is fine: the config names a column twice
+        with pytest.raises(ConfigError) as exc:
+            split_cohort(
+                tmp_path, ["q1", "t"], [[2018, 1, 2]],
+                aggregations=[{"group_name": "q1", "member_columns": ["q1"]}],
+            )
+        assert str(exc.value) == "aggregation 'q1': column 'q1' already exists in the input"
+
+    @pytest.mark.parametrize("groups", [
+        [{"group_name": "id", "member_columns": ["q1"]}],
+        [{"group_name": "g", "member_columns": ["q1"]}, {"group_name": "g", "member_columns": ["t"]}],
+    ], ids=["id", "earlier-group"])
+    def test_group_named_as_the_id_column(self, groups):
+        # the written header would name the id or the group twice, which
+        # loocv refuses; no header is needed to see it
+        with pytest.raises(ConfigError, match=f"column '{groups[-1]['group_name']}' already exists"):
+            _from_json(
+                PipelineConfig,
+                {"target_name": "x", "id_column": "id", "aggregations": groups},
+                "config",
+            )
+
+    @pytest.mark.parametrize("member, problem", [
+        ("q9", "no column named 'q9'"),
+        # the id column is no feature, so it cannot enter a mean
+        ("id", "the id column 'id' cannot be a member"),
+    ])
+    def test_unknown_member(self, tmp_path, member, problem):
+        with pytest.raises(ConfigError) as exc:
+            split_cohort(
+                tmp_path, ["q1", "t"], [[2018, 1, 2]],
+                aggregations=[{"group_name": "g", "member_columns": [member, "q1"]}],
+            )
+        assert str(exc.value) == f"aggregation 'g': {problem}"
 
 
 class FloatSubclass(float):

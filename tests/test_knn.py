@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ammknn import knn
 from ammknn.config import AmmknnConfig
+from ammknn.errors import ConfigError
 from ammknn.knn import cumulative_means, score
 from perfbench_module import load_perfbench
 
@@ -95,6 +96,17 @@ class TestEuclidean:
             b = [rng.uniform(-10, 10) for _ in range(10)]
             [(squared, _)] = ref.ranked([b], a)
             assert ranking(a, [b], 1)[0][1] == pytest.approx(math.sqrt(squared), abs=1e-12)
+
+
+class TestRankNeighbors:
+    def test_one_dim_ordering(self):
+        assert ranking([1.0], [[0.0], [10.0]], 2) == ((0, 1.0), (1, 9.0))
+
+    def test_tie_breaks_by_row_index(self):
+        assert [i for i, _ in ranking([1.0], [[2.0], [0.0]], 2)] == [0, 1]
+
+    def test_limit_beyond_rows_returns_all(self):
+        assert len(ranking([0.5], [[0.0], [1.0], [2.0]], 99)) == 3
 
 
 class TestCumulativeMeans:
@@ -196,6 +208,17 @@ class TestAmmknnPredictOne:
             means = predict_one(subject, 0.0, training, AmmknnConfig(max_k=max_k))[2]
             assert min(means) <= previous
             previous = min(means)
+
+    def test_fewer_rows_than_max_k(self):
+        training = split_rows([[0.0, 400.0], [1.0, 300.0]])
+        ranked, _, means, *_ = predict_one([0.0], 0.0, training, AmmknnConfig(max_k=20))
+        assert len(ranked) == 2
+        assert len(means) == 2
+
+    def test_invalid_max_k(self):
+        with pytest.raises(ConfigError, match="max_k must be >= 1, got 0"):
+            AmmknnConfig(max_k=0)
+
 
 class TestAmmknnPredictBatch:
     """``score`` over a cohort of subjects, as validate and predict draw it."""
@@ -647,6 +670,10 @@ class TestExactSums:
         assert per_subject == [min(20, n)] * 50
 
 
+def fixed_k_loocv(rows, k):
+    return first_column_loocv(rows, AmmknnConfig(max_k=1, outlier_feature="x"), k)[2]
+
+
 class TestLoocv:
     def test_constant_targets(self):
         rows = [[float(i), 2.0 * i, 444.0] for i in range(10)]
@@ -655,3 +682,13 @@ class TestLoocv:
         assert adaptive == [444.0] * 10
         assert fixed == [444.0] * 10
 
+    def test_three_row_fold_oracle(self):
+        rows = [[0.0, 300], [1.0, 400], [10.0, 500]]
+        assert fixed_k_loocv(rows, 1) == [400.0, 300.0, 400.0]
+
+    def test_heldout_row_excluded_from_training(self):
+        # the held-out row is a zero-distance duplicate of itself; with
+        # leakage, k=1 would echo its own extreme target
+        rows = [[float(i), 400.0] for i in range(6)] + [[2.0, 800.0]]
+        predictions = fixed_k_loocv(rows, 1)
+        assert predictions[6] == 400.0

@@ -18,6 +18,7 @@ import ammknn
 from ammknn import pipeline
 from ammknn.cli import main
 from ammknn.config import AmmknnConfig, PipelineConfig, _from_json, load_config
+from ammknn.errors import ConfigError
 from ammknn.frame import Table, read_table, write_csv
 from ammknn.pipeline import (
     LOOCV_AMMKNN_JSON,
@@ -95,6 +96,20 @@ def run_all(ws):
 
 
 class TestCliWorkflow:
+    def test_full_workflow_outputs(self, workspace):
+        run_all(workspace)
+        out = workspace["out"]
+        for name in (
+            TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON,
+            LOOCV_AMMKNN_JSON, LOOCV_KNN_JSON, VALIDATE_JSON, ROSTER_JSON,
+        ):
+            assert (out / name).exists(), name
+        report = json.loads((out / LOOCV_AMMKNN_JSON).read_text())
+        assert report["kind"] == "loocv"
+        assert report["n_subjects"] == len(report["subjects"])
+        selection = json.loads((out / SELECTION_JSON).read_text())
+        assert "score" in selection["kept"]
+
     def test_reruns_byte_identical(self, workspace, tmp_path):
         run_all(workspace)
         second = tmp_path / "again"
@@ -119,6 +134,12 @@ class TestCliWorkflow:
         ):
             assert (workspace["out"] / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_roster_sorted_worst_first(self, workspace):
+        run_all(workspace)
+        roster = json.loads((workspace["out"] / ROSTER_JSON).read_text())
+        predicted = [entry["predicted"] for entry in roster]
+        assert predicted == sorted(predicted)
+
     def test_predict_without_target_column(self, workspace, tmp_path):
         run_all(workspace)
         out = workspace["out"]
@@ -139,6 +160,24 @@ class TestCliWorkflow:
         assert {"subject_id", "cumulative_means", "min_of_means", "min_match",
                 "prediction", "tier", "outlier_triggered"} <= set(record)
         assert 200.0 <= record["prediction"] <= 800.0
+
+    def test_plot_outputs(self, workspace):
+        run_all(workspace)
+        out = workspace["out"]
+        assert main([
+            "plot", "--report", str(out / VALIDATE_JSON), "--kind", "scatter", "--out", str(out),
+        ]) == 0
+        svg = (out / "scatter.svg").read_text()
+        report = json.loads((out / VALIDATE_JSON).read_text())
+        assert svg.count('class="pt"') == report["n_subjects"]
+        assert svg.count('class="ref"') == 4
+        assert main([
+            "plot", "--report", str(out / VALIDATE_JSON),
+            "--kind", "packrat_scatter", "--out", str(out),
+        ]) == 0
+        packrat = (out / "packrat_scatter.svg").read_text()
+        assert packrat.count('class="pt"') == report["n_subjects"]
+        assert packrat.count('class="ref"') == 1
 
     def test_empty_cohort_validate(self, workspace, tmp_path):
         run_all(workspace)
@@ -206,6 +245,11 @@ class TestResolveOutlierFeature:
         # |r| is 1 for "neg" and about 0.8 for "pos"
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], pos=[1.0, 3.0, 2.0, 5.0, 4.0])
         assert resolve_outlier_feature(train, self.CONFIG, "train.csv") == "pos"
+
+    def test_all_negative_features_are_a_config_error(self):
+        train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], weak=[3.0, 5.0, 1.0, 4.0, 2.0])
+        with pytest.raises(ConfigError, match="'weak'"):
+            resolve_outlier_feature(train, self.CONFIG, "train.csv")
 
     def test_constant_column_counts_as_zero(self):
         train = self.frame(neg=[5.0, 4.0, 3.0, 2.0, 1.0], flat=[1.0] * 5)
@@ -707,3 +751,44 @@ class TestCliStdout:
         assert result.stdout.startswith("prepared ")
 
 
+class TestPrepareCounts:
+    def test_drop_counts_reported(self, tmp_path):
+        # cohort CSV with a missing target in each split and one incomplete
+        # validation row
+        lines = ["student_id,cohort,f01,f02,score"]
+        for i in range(8):
+            lines.append(f"T{i},2018,{i}.0,{i * 2}.5,{400 + i}")
+        lines.append("T8,2018,1.0,2.0,")  # missing target, train side
+        for i in range(4):
+            lines.append(f"V{i},2019,{i}.5,{i}.25,{390 + i}")
+        lines.append("V4,2019,2.0,3.0,")  # missing target, validation side
+        lines.append("V5,2019,,4.0,410")  # incomplete validation row
+        path = tmp_path / "cohort.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        config = _from_json(PipelineConfig, dict(CONFIG_DOC, correlation_threshold=0.0), "config")
+        summary = run_prepare(config, path, tmp_path / "out")
+        assert summary["train_rows"] == 8
+        assert summary["validation_rows"] == 4
+        assert summary["train_dropped_missing_target"] == 1
+        assert summary["validation_dropped_missing_target"] == 1
+        assert summary["validation_dropped_incomplete"] == 1
+
+    def test_aggregation_specs_applied(self, tmp_path):
+        lines = ["student_id,cohort,q1,q2,other,score"]
+        for i in range(6):
+            lines.append(f"T{i},2018,{i}.0,{i + 1}.0,{i * 3}.0,{400 + i * 3}")
+        for i in range(3):
+            lines.append(f"V{i},2019,{i}.0,{i + 2}.0,{i * 2}.0,{395 + i}")
+        path = tmp_path / "cohort.csv"
+        path.write_text("\n".join(lines) + "\n")
+        doc = dict(
+            CONFIG_DOC,
+            correlation_threshold=0.0,
+            aggregations=[{"group_name": "q_mean", "member_columns": ["q1", "q2"]}],
+        )
+        config = _from_json(PipelineConfig, doc, "config")
+        run_prepare(config, path, tmp_path / "out")
+        train = read_table(tmp_path / "out" / TRAIN_CSV, "score", "student_id")
+        assert "q_mean" in train.features
+        assert "q1" not in train.features

@@ -39,6 +39,12 @@ class TestClassify:
         assert classify_tier(375, bounds) == "at_risk"
         assert classify_tier(375.1, bounds) == "pass"
 
+    def test_bounds_validation(self):
+        with pytest.raises(ConfigError, match="fail_below 380 must be below at_risk_upper 375"):
+            TierBoundaries(380, 375)
+        with pytest.raises(ConfigError, match="tier boundary 100 outside score range"):
+            TierBoundaries(100, 375)
+
     def test_bounds_at_their_edges(self):
         # equal bounds leave no at-risk band; the score range's ends lie in it
         with pytest.raises(ConfigError, match="fail_below 375 must be below at_risk_upper 375"):
