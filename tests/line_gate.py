@@ -28,8 +28,8 @@ not go both ways is printed as ``path:line: text (never true)`` or
 pairs cannot see the branches within one line: a one-line ``if x: y``,
 a conditional expression, ``and`` and ``or``, and a comprehension's
 filter are not checked. The exit status is 1 when a line or a test is
-printed. In dev mode with warnings as errors, the suite of 812 tests took
-79 and 125 s under the tracer, against 39 and 61 s without it (two runs
+printed. In dev mode with warnings as errors, the suite of 813 tests took
+60 and 66 s under the tracer, against 35 and 47 s without it (two runs
 each, 2-core Xeon shared with other work, Python 3.11.7).
 
 ``mutation_gate.py`` runs the same tracer over every frame, with

@@ -4,7 +4,7 @@ killed or ``SURVIVORS`` names it with its reason.
 
 From the repository root::
 
-    PYTHONPATH=src python tests/mutation_gate.py --jobs 2 --report /tmp/mutants.txt
+    PYTHONPATH=src python tests/mutation_gate.py
 
 The swaps are ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
 ``is`` and ``is not``, ``in`` and ``not in``, ``+`` and ``-``, ``*`` and
@@ -25,17 +25,22 @@ the statement that holds its operator, up to the operator's last line,
 in a fresh temporary copy of ``COPIED`` (so the copy's hypothesis
 database starts empty), as
 ``python -m pytest -x -p no:cacheprovider --hypothesis-seed=0`` with
-bytecode writing off. It is killed when pytest exits nonzero or runs
-past ``--timeout`` seconds, and survives when pytest passes or no test
-reaches it. Before any mutant, the unchanged copy must pass the whole
-suite, so that a failure is the mutant's.
+bytecode writing off, ``JOBS`` mutants at once. Before any mutant, the
+unchanged copy must pass every test some mutant runs, named by the same
+node ids, so that a failure is the mutant's and every node id is found.
+A mutant is killed when pytest exits 1 (a test failed), 2 (a module
+failed to import) or 4 (a node id is not found: its module failed to
+import), or runs past ``TIMEOUT`` seconds, and survives when pytest
+passes or no test reaches it; any other exit status, such as 5 (no test
+collected), is an error of the gate.
 
-The report lists each mutant as ``status file:line: old -> new in
-expression``. The exit status is 1 when a survivor is not in
-``SURVIVORS``, or an entry of ``SURVIVORS`` names no survivor.
+The report on stdout lists each mutant as ``status file:line: old -> new
+in expression``. The exit status is 1 when a survivor is not in
+``SURVIVORS``, an entry of ``SURVIVORS`` names no survivor, or pytest
+ends a mutant's run with an exit status that is neither a pass nor a
+kill.
 """
 
-import argparse
 import ast
 import os
 import re
@@ -53,6 +58,8 @@ ROOT = PACKAGE.parents[1]
 MODULES = ("knn", "preprocess", "report", "frame", "pipeline", "config")
 COPIED = ("src", "tests", "perfbench", "README.md")  # what the tests read
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+JOBS = 2  # mutants run at once
+TIMEOUT = 120  # seconds a mutant may run; the whole suite takes about 35 s
 
 # each swapped operator's token, and the operator it becomes
 SWAPS = {
@@ -217,9 +224,10 @@ def charged(traced, fixtures):
     return tests
 
 
-def run(tests, timeout, mutant=None):
+def run(tests, mutant=None):
     """pytest's exit status on ``tests`` in a fresh copy holding
-    ``mutant``, or None when it ran past ``timeout`` seconds."""
+    ``mutant``, or None when a mutant's run went past ``TIMEOUT``
+    seconds; the unchanged copy runs without a limit."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -230,6 +238,7 @@ def run(tests, timeout, mutant=None):
         if mutant is not None:
             (copy / "src" / "ammknn" / mutant.file).write_bytes(mutant.source)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        timeout = None if mutant is None else TIMEOUT
         try:
             return subprocess.run(
                 [sys.executable, "-m", "pytest", *PYTEST, *tests], cwd=copy, env=env,
@@ -239,28 +248,23 @@ def run(tests, timeout, mutant=None):
             return None
 
 
-def judge(mutant, timeout):
+def judge(mutant):
     if mutant.tests:
-        status = run(mutant.tests, timeout, mutant)
-        mutant.status = "timeout" if status is None else "killed" if status else "survived"
+        status = run(mutant.tests, mutant)
+        mutant.status = (
+            "timeout" if status is None else "survived" if status == 0
+            else "killed" if status in (1, 2, 4) else f"pytest exit {status}"
+        )
     return mutant
 
 
-def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds a mutant may run")
-    parser.add_argument("--report", type=Path, help="write every mutant's status here")
-    args = parser.parse_args(argv)
+def main():
     _, traced, scope = traced_run(
         ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", f"--rootdir={ROOT}", str(ROOT / "tests")],
         by_test=True,
     )
     if scope.failed:
         print(f"mutation gate: run on every mutant, as they failed under the tracer: {sorted(scope.failed)}")
-    if run(["tests"], None) != 0:
-        print("mutation gate: the unchanged copy fails its tests")
-        return 1
     tests = charged(traced, scope.fixtures)
     order = list(scope.fixtures)  # collection order
     found = []
@@ -270,31 +274,32 @@ def main(argv):
             reached = scope.failed.union(*(lines.get(line, ()) for line in span))
             mutant.tests = [test for test in order if test in reached]
             found.append(mutant)
+    selected = set().union(*(m.tests for m in found))
+    if run([test for test in order if test in selected]) != 0:
+        print("mutation gate: the unchanged copy fails, or does not find, the tests mutants run")
+        return 1
     started = time.monotonic()
     done = []
-    with ThreadPoolExecutor(args.jobs) as pool:
-        for mutant in pool.map(lambda m: judge(m, args.timeout), found):
+    with ThreadPoolExecutor(JOBS) as pool:
+        for mutant in pool.map(judge, found):
             print(mutant, flush=True)
             done.append(mutant)
-    survivors = {m.key for m in done if m.status in ("survived", "unreached")}
-    failed = [m for m in done if m.status in ("survived", "unreached") and m.key not in SURVIVORS]
-    stale = sorted(set(SURVIVORS) - survivors)
-    killed = sum(m.status in ("killed", "timeout") for m in done)
-    report = [str(m) for m in done]
-    report += [f"allowlisted, but no such survivor: {key}" for key in stale]
-    report.append(
-        f"mutation gate: {len(done)} mutants of {', '.join(MODULES)}: {killed} killed "
-        f"({sum(m.status == 'timeout' for m in done)} by the timeout), "
-        f"{len(done) - killed - len(failed)} allowlisted, {len(failed)} not, "
-        f"in {time.monotonic() - started:.0f} s"
-    )
-    if args.report:
-        args.report.write_text("\n".join(report) + "\n", encoding="utf-8")
+    survivors = [m for m in done if m.status in ("survived", "unreached")]
+    allowed = [m for m in survivors if m.key in SURVIVORS]
+    killed = [m for m in done if m.status in ("killed", "timeout")]
+    failed = [m for m in done if m not in killed and m not in allowed]  # survivors and errors
+    stale = sorted(set(SURVIVORS) - {m.key for m in survivors})
     for m in failed:
         print(m)
-    print("\n".join(report[len(done):]))
+    for key in stale:
+        print(f"allowlisted, but no such survivor: {key}")
+    print(
+        f"mutation gate: {len(done)} mutants of {', '.join(MODULES)}: {len(killed)} killed "
+        f"({sum(m.status == 'timeout' for m in done)} by the timeout), "
+        f"{len(allowed)} allowlisted, {len(failed)} not, in {time.monotonic() - started:.0f} s"
+    )
     return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

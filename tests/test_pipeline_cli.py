@@ -460,20 +460,38 @@ def _with_years(workspace, tmp_path, years):
     return path
 
 
+def _split_years(path):
+    """``path`` with its cohort column made two, ``early`` and ``late``: a
+    year before and a year after each row's year, both empty where it is."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = rows[0].index("cohort")
+    rows[0][col:col + 1] = ["early", "late"]
+    for row in rows[1:]:
+        year = row[col]
+        row[col:col + 1] = [repr(float(year) - 1), repr(float(year) + 1)] if year else ["", ""]
+    split = path.with_name("cohort_split.csv")
+    split.write_text("".join(",".join(row) + "\n" for row in rows))
+    return split
+
+
 class TestPrepareCohortYears:
     """A group's mean serves as the year; rows in neither window are counted."""
 
-    def test_year_from_a_group(self, workspace, tmp_path):
-        # the mean of a group of the year and the year again is the year: it
-        # splits the rows as the raw column does, a missing one included
+    @pytest.mark.parametrize("members", [["cohort"], ["early", "late"]])
+    def test_year_from_a_group(self, workspace, tmp_path, members):
+        # a group's mean is the year it stands for, from the year alone or
+        # from a year either side of it: it splits the rows as the raw
+        # column does, a missing one included
         odd = _with_years(workspace, tmp_path, {0: "", 1: "2031", 2: "2017"})
         config = _from_json(PipelineConfig, CONFIG_DOC, "config")
         by_column = run_prepare(config, odd, tmp_path / "column")
         grouped = _from_json(PipelineConfig, {
             **CONFIG_DOC,
             "cohort_column": "year",
-            "aggregations": [{"group_name": "year", "member_columns": ["cohort", "cohort"]}],
+            "aggregations": [{"group_name": "year", "member_columns": members}],
         }, "config")
+        if members != ["cohort"]:
+            odd = _split_years(odd)
         assert run_prepare(grouped, odd, tmp_path / "group") == by_column
         for name in (TRAIN_CSV, VALIDATION_CSV, SELECTION_JSON):
             assert (tmp_path / "group" / name).read_bytes() == (tmp_path / "column" / name).read_bytes()
