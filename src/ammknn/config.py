@@ -54,6 +54,9 @@ class AggregationSpec:
         object.__setattr__(self, "member_columns", tuple(self.member_columns))
         if not self.member_columns:
             raise ConfigError(f"aggregation {self.group_name!r} has no member columns")
+        for i, member in enumerate(self.member_columns):
+            if member in self.member_columns[:i]:  # it would weigh twice in the mean
+                raise ConfigError(f"aggregation {self.group_name!r}: member {member!r} is listed twice")
 
 
 @dataclass(frozen=True)

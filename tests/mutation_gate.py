@@ -15,24 +15,29 @@ number stays; a swapped ``and`` or ``or`` swaps every operator of its
 expression.
 
 First the suite runs once in process under ``line_gate``'s tracer,
-which records the package lines each test reaches in any frame, and the
-lines each fixture reaches as it is set up; a test is charged with the
-lines of every fixture it uses, and a line run outside any test, as
-while pytest collects, with every test. A test that fails under the
-tracer, as a test measuring memory can, may have stopped short, so it
-runs on every mutant. A mutant runs on the tests charged with a line of
-the statement that holds its operator, up to the operator's last line,
-in a fresh temporary copy of ``COPIED`` (so the copy's hypothesis
-database starts empty), as
-``python -m pytest -x -p no:cacheprovider --hypothesis-seed=0`` with
-bytecode writing off, ``JOBS`` mutants at once. Before any mutant, the
-unchanged copy must pass every test some mutant runs, named by the same
-node ids, so that a failure is the mutant's and every node id is found.
-A mutant is killed when pytest exits 1 (a test failed), 2 (a module
-failed to import) or 4 (a node id is not found: its module failed to
-import), or runs past ``TIMEOUT`` seconds, and survives when pytest
-passes or no test reaches it; any other exit status, such as 5 (no test
-collected), is an error of the gate.
+which records the package lines each test reaches in any frame, the
+lines each fixture reaches as it is set up, and the lines each test
+module reaches as it is imported. A test is charged with the lines of
+every fixture it uses and those of its own module's import; what runs
+as the package itself is imported, and anything else outside a test,
+is charged to every test. A test that fails under the tracer may have
+stopped short, so it runs on every mutant, unless its only failure is
+an ``AssertionError`` raised in its own body, as when a test measuring
+memory counts the tracer's allocations: the package code it called ran
+to the end. A mutant runs on the tests charged with a line of the
+statement that holds its operator, up to the operator's last line, in
+a fresh temporary copy of ``COPIED`` (so the copy's hypothesis database
+starts empty), as ``pytest -x -p no:cacheprovider --hypothesis-seed=0``
+with bytecode writing off and its address space capped at ``MEMORY``
+bytes, ``JOBS`` mutants at once. Before any mutant, the unchanged copy
+must pass every test some mutant runs, named by the same node ids and
+under the same cap, so that a failure is the mutant's and every node id
+is found. A mutant is killed when pytest exits 1 (a test failed, a
+runaway allocation among them), 2 (a module failed to import) or 4 (a
+node id is not found: its module failed to import), or runs past
+``TIMEOUT`` seconds, and survives when pytest passes or no test reaches
+it; any other exit status, such as 5 (no test collected), is an error
+of the gate.
 
 The report on stdout lists each mutant as ``status file:line: old -> new
 in expression``. The exit status is 1 when a survivor is not in
@@ -59,7 +64,14 @@ MODULES = ("knn", "preprocess", "report", "frame", "pipeline", "config")
 COPIED = ("src", "tests", "perfbench", "README.md")  # what the tests read
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 JOBS = 2  # mutants run at once
-TIMEOUT = 120  # seconds a mutant may run; the whole suite takes about 35 s
+TIMEOUT = 120  # seconds a mutant may run; the whole suite takes about 30 s
+MEMORY = 2**30  # bytes of address space each pytest may map; the whole suite maps about 200 MB
+# each pytest caps its own address space before it starts, so a runaway
+# allocation raises MemoryError, a failed test, whatever the host's memory
+PYTHON = (
+    f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, {(MEMORY, MEMORY)}); "
+    "import pytest; sys.exit(pytest.console_main())"
+)
 
 # each swapped operator's token, and the operator it becomes
 SWAPS = {
@@ -205,19 +217,16 @@ def mutants(path):
 
 def charged(traced, fixtures):
     """The node ids of the tests charged with each line, by file name."""
-    everyone = set(fixtures)
-    users = {}  # fixture name -> the tests that use it
+    users = {}  # ("fixture", name) or ("module", node id) -> the tests it serves
     for test, names in fixtures.items():
-        for name in names:
-            users.setdefault(name, set()).add(test)
+        for key in [("module", test.split("::")[0]), *(("fixture", name) for name in names)]:
+            users.setdefault(key, set()).add(test)
     tests = {}
     for (running, name), pairs in traced.items():
-        if running == "":
-            who = everyone
-        elif isinstance(running, tuple):
-            who = users.get(running[1], set())
+        if isinstance(running, tuple):
+            who = users.get(running, set())
         else:
-            who = {running}
+            who = {running} if running else set(fixtures)
         lines = tests.setdefault(name, {})
         for _, line in pairs:
             lines.setdefault(line, set()).update(who)
@@ -241,7 +250,7 @@ def run(tests, mutant=None):
         timeout = None if mutant is None else TIMEOUT
         try:
             return subprocess.run(
-                [sys.executable, "-m", "pytest", *PYTEST, *tests], cwd=copy, env=env,
+                [sys.executable, "-c", PYTHON, *PYTEST, *tests], cwd=copy, env=env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
             ).returncode
         except subprocess.TimeoutExpired:
@@ -296,7 +305,8 @@ def main():
     print(
         f"mutation gate: {len(done)} mutants of {', '.join(MODULES)}: {len(killed)} killed "
         f"({sum(m.status == 'timeout' for m in done)} by the timeout), "
-        f"{len(allowed)} allowlisted, {len(failed)} not, in {time.monotonic() - started:.0f} s"
+        f"{len(allowed)} allowlisted, {len(failed)} not, in {time.monotonic() - started:.0f} s, "
+        f"on {sum(len(m.tests) for m in done) / len(done):.1f} tests a mutant"
     )
     return 1 if failed or stale else 0
 

@@ -295,7 +295,8 @@ CONFIG_FAULTS = [
     ({"cohort_column": "score"}, "cohort_column and target_name both name 'score'"),
 ]
 
-# faults of the config against prepare's raw input
+# faults of the config against prepare's raw input, or in the aggregations
+# that only prepare applies
 PREPARE_CONFIG_FAULTS = [
     ({"target_name": "nonexistent"}, "{input}: target 'nonexistent' not in header"),
     ({"year_cutoff": None}, "prepare needs cohort_column and year_cutoff"),
@@ -304,6 +305,9 @@ PREPARE_CONFIG_FAULTS = [
      "cohort_column: 'cohort' is a member of aggregation 'g'"),
     ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f99"]}]},
      "aggregation 'g': no column named 'f99'"),
+    # a member named twice would weigh twice in the group's mean
+    ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f01", "f02"]}]},
+     "aggregation 'g': member 'f01' is listed twice"),
     ({"aggregations": [{"group_name": "g", "member_columns": ["f01", "f02"]}],
       "include_columns": ["f01"]},
      "include_columns: 'f01' is a member of aggregation 'g'"),
