@@ -61,8 +61,10 @@ refuses a ``knn_k`` beyond the n - 1 rows of a fold, ranks each training
 row once, held out of its own ranking, and reads both models from that
 ranking; there is no pairwise distance cache, because its O(n^2) memory
 would outgrow everything else a step holds.
-``report.build_report`` turns the predictions into the tiers, tallies
-and metrics of a report.
+loocv and validate keep one row per subject and model, (id, score,
+prediction, outlier value, outlier flag), and ``report.build_report``
+turns the rows into the tiers, tallies and metrics of a report, cutting
+the predictions at the tier bands of the report's kind.
 
 Everything here is deterministic given (config, inputs, seed); re-running
 a step produces byte-identical files.
@@ -466,36 +468,17 @@ def run_loocv(config: PipelineConfig, train_path, out_dir) -> dict:
             raise DataError(f"{train_path}: k={k} exceeds {n - 1} training rows per fold")
         outlier_values = train.column(outlier)
         depth = max(config.ammknn.max_k, k)
-        ammknn_predictions, triggered, knn_predictions = [], [], []
-        for _, _, means, prediction, fired, _ in score(
+        ammknn_rows, knn_rows = [], []
+        subjects = zip(train.ids, train.target, outlier_values, score(
             train.rows, train.target, train.rows, outlier_values, config.ammknn, depth,
             held_out=True,
-        ):
-            ammknn_predictions.append(prediction)
-            triggered.append(fired)
-            knn_predictions.append(means[k - 1])
+        ))
+        for rid, target, value, (_, _, means, prediction, fired, _) in subjects:
+            ammknn_rows.append((rid, target, prediction, value, fired))
+            knn_rows.append((rid, target, means[k - 1], value, None))
 
-        ammknn_report = report_mod.build_report(
-            "loocv",
-            model,
-            config,
-            train.ids,
-            train.target,
-            ammknn_predictions,
-            config.tiers_predicted,
-            outlier_values,
-            outlier_triggered=triggered,
-        )
-        knn_report = report_mod.build_report(
-            "loocv",
-            f"knn(k={config.knn_k})",
-            config,
-            train.ids,
-            train.target,
-            knn_predictions,
-            config.tiers_predicted,
-            outlier_values,
-        )
+        ammknn_report = report_mod.build_report("loocv", model, config, ammknn_rows)
+        knn_report = report_mod.build_report("loocv", f"knn(k={config.knn_k})", config, knn_rows)
         report_mod.dump_json(ammknn_report, out(LOOCV_AMMKNN_JSON))
         report_mod.dump_json(knn_report, out(LOOCV_KNN_JSON))
     return {"ammknn": ammknn_report, "knn": knn_report}
@@ -538,31 +521,18 @@ def _scored_cohort(
 
 
 def run_validate(config: PipelineConfig, train_path, cohort_path, out_dir) -> dict:
-    """Of each subject, only what the report reads is kept: its id, score,
-    outlier value, prediction and outlier flag."""
+    """Of each subject, only what the report reads is kept, as its row:
+    its id, score, prediction, outlier value and outlier flag. The
+    report's kind, "validation", sets the tier bands of its predictions."""
     with _outputs(out_dir) as out:
-        ids, actual, outlier_values, predicted, triggered = [], [], [], [], []
+        rows = []
 
         def keep(subjects: Iterator) -> None:
             for rid, target, value, (_, _, _, prediction, fired, _) in subjects:
-                ids.append(rid)
-                actual.append(target)
-                outlier_values.append(value)
-                predicted.append(prediction)
-                triggered.append(fired)
+                rows.append((rid, target, prediction, value, fired))
 
         model, _ = _scored_cohort(config, train_path, cohort_path, True, keep)
-        validate_report = report_mod.build_report(
-            "validation",
-            model,
-            config,
-            ids,
-            actual,
-            predicted,
-            config.tiers_predicted_validation,
-            outlier_values,
-            outlier_triggered=triggered,
-        )
+        validate_report = report_mod.build_report("validation", model, config, rows)
         # worst predicted risk first, so support can be prioritized top-down;
         # the sort is stable, so tied predictions keep cohort order
         roster = [

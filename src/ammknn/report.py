@@ -9,6 +9,12 @@ at_risk_upper) and pass (score > at_risk_upper); both boundary scores
 land in the at_risk band, matching the prose reading of the bands rather
 than a half-open interval cut.
 
+A report is built from one row per subject, ``(id, actual, predicted,
+outlier value, outlier flag)``, and its kind sets the bands its
+predictions are cut at: ``tiers_predicted_validation`` in a validation
+report, ``tiers_predicted`` in any other; actual scores are always cut
+at ``tiers_actual``.
+
 Each tally is counted once, from the subjects' own entries: the 3x3
 matrix from the ``tier_actual`` and ``tier_predicted`` each entry holds,
 the 2x2 matrix and every sweep point from the actual and predicted
@@ -91,43 +97,41 @@ def _metrics(cm: dict) -> Optional[dict]:
     }
 
 
-def build_report(
-    kind: str,
-    model: str,
-    config: PipelineConfig,
-    subject_ids: Sequence[str],
-    actual: Sequence[float],
-    predicted: Sequence[float],
-    predicted_bounds: TierBoundaries,
-    outlier_values: Sequence[float],
-    outlier_triggered: Optional[Sequence[bool]] = None,
-) -> dict:
-    """Assemble the full evaluation bundle for one model run.
+def build_report(kind: str, model: str, config: PipelineConfig, rows: Sequence[tuple]) -> dict:
+    """Assemble the full evaluation bundle for one model run from its
+    rows, one ``(id, actual, predicted, outlier_value, outlier_triggered)``
+    per subject; a row whose ``outlier_triggered`` is None, as the fixed-k
+    model's are, gives its subject no such key.
 
-    The two tier axes take separate boundary sets because
-    cohort-validation runs cut predicted scores at wider bands than
-    actual scores. A prediction passes a sweep cutoff only when it is
-    strictly above it, so raising the cutoff flags more subjects as
-    failing while actuals stay at the pass mark: the sweep shows how many
-    extra true failures each step of that adjustment catches, and at what
-    false positive cost.
+    The predicted bands are the kind's because cohort-validation runs cut
+    predicted scores at wider bands than actual scores. A prediction
+    passes a sweep cutoff only when it is strictly above it, so raising
+    the cutoff flags more subjects as failing while actuals stay at the
+    pass mark: the sweep shows how many extra true failures each step of
+    that adjustment catches, and at what false positive cost.
     """
     actual_bounds = config.tiers_actual
+    predicted_bounds = (
+        config.tiers_predicted_validation if kind == "validation" else config.tiers_predicted
+    )
     subjects: List[dict] = []
+    actual, predicted = [], []
     counts3 = {(a, p): 0 for a in TIERS for p in TIERS}
-    for i in range(len(actual)):
+    for rid, a, p, value, fired in rows:
         entry = {
-            "id": subject_ids[i],
-            "actual": actual[i],
-            "predicted": predicted[i],
-            "tier_actual": classify_tier(actual[i], actual_bounds),
-            "tier_predicted": classify_tier(predicted[i], predicted_bounds),
-            "outlier_value": outlier_values[i],
+            "id": rid,
+            "actual": a,
+            "predicted": p,
+            "tier_actual": classify_tier(a, actual_bounds),
+            "tier_predicted": classify_tier(p, predicted_bounds),
+            "outlier_value": value,
         }
         counts3[entry["tier_actual"], entry["tier_predicted"]] += 1
-        if outlier_triggered is not None:
-            entry["outlier_triggered"] = outlier_triggered[i]
+        if fired is not None:
+            entry["outlier_triggered"] = fired
         subjects.append(entry)
+        actual.append(a)
+        predicted.append(p)
 
     pass_at = config.pass_at
     cm2 = _confusion((a < pass_at, p < pass_at) for a, p in zip(actual, predicted))

@@ -112,7 +112,8 @@ class _Scope:
     these. ``failed`` holds the node ids of the tests that failed, except
     those whose only failure is an ``AssertionError`` raised in the test
     function's own body: the package calls before it returned, as when a
-    test measuring memory counts the tracer's own allocations.
+    test measuring memory counts the tracer's own allocations; those
+    are in ``asserted``.
     """
 
     def __init__(self, by_test):
@@ -122,6 +123,7 @@ class _Scope:
         self.running = ""
         self.fixtures = {}  # test node id -> the names of the fixtures it uses
         self.failed = set()
+        self.asserted = set()  # the tests that failed at such an AssertionError
 
     def pytest_collection_finish(self, session):
         self.collecting = False
@@ -140,8 +142,9 @@ class _Scope:
     @pytest.hookimpl(wrapper=True)
     def pytest_runtest_makereport(self, item, call):
         report = yield
-        if report.failed and not (call.when == "call" and _asserted_in_body(item, call.excinfo)):
-            self.failed.add(item.nodeid)
+        if report.failed:
+            own = call.when == "call" and _asserted_in_body(item, call.excinfo)
+            (self.asserted if own else self.failed).add(item.nodeid)
         return report
 
     @pytest.hookimpl(wrapper=True)

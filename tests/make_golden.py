@@ -7,6 +7,8 @@ Run from the repository root after an intentional behavior change:
 The fixtures pin the complete seed-7 workflow byte-for-byte: generated
 cohort, prepared train/validation CSVs, selection audit, both LOOCV
 reports, the cohort-validation report and roster, and both SVG plots.
+``workflow`` lists the steps; the golden-file acceptance test runs the
+same list into a temporary directory.
 """
 
 import json
@@ -52,6 +54,25 @@ CONFIG = {
 }
 
 
+def workflow(spec_path, config_path, out_dir):
+    """The argv of each CLI step of the seed-7 workflow, in order, from
+    the spec and config at the given paths into ``out_dir``."""
+    return [
+        ["synth", "--spec", spec_path, "--out", out_dir],
+        ["prepare", "--config", config_path,
+         "--input", os.path.join(out_dir, "cohort.csv"), "--out", out_dir],
+        ["loocv", "--config", config_path,
+         "--train", os.path.join(out_dir, "train.csv"), "--out", out_dir],
+        ["validate", "--config", config_path,
+         "--train", os.path.join(out_dir, "train.csv"),
+         "--cohort", os.path.join(out_dir, "validation.csv"), "--out", out_dir],
+        ["plot", "--report", os.path.join(out_dir, "validate_ammknn.json"),
+         "--kind", "scatter", "--out", out_dir],
+        ["plot", "--report", os.path.join(out_dir, "validate_ammknn.json"),
+         "--kind", "packrat_scatter", "--out", out_dir],
+    ]
+
+
 def regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     spec_path = os.path.join(GOLDEN_DIR, "spec.json")
@@ -65,21 +86,7 @@ def regenerate():
 
     shutil.rmtree(OUT_DIR, ignore_errors=True)
     os.makedirs(OUT_DIR)
-    steps = [
-        ["synth", "--spec", spec_path, "--out", OUT_DIR],
-        ["prepare", "--config", config_path,
-         "--input", os.path.join(OUT_DIR, "cohort.csv"), "--out", OUT_DIR],
-        ["loocv", "--config", config_path,
-         "--train", os.path.join(OUT_DIR, "train.csv"), "--out", OUT_DIR],
-        ["validate", "--config", config_path,
-         "--train", os.path.join(OUT_DIR, "train.csv"),
-         "--cohort", os.path.join(OUT_DIR, "validation.csv"), "--out", OUT_DIR],
-        ["plot", "--report", os.path.join(OUT_DIR, "validate_ammknn.json"),
-         "--kind", "scatter", "--out", OUT_DIR],
-        ["plot", "--report", os.path.join(OUT_DIR, "validate_ammknn.json"),
-         "--kind", "packrat_scatter", "--out", OUT_DIR],
-    ]
-    for argv in steps:
+    for argv in workflow(spec_path, config_path, OUT_DIR):
         code = main(argv)
         if code != 0:
             raise SystemExit(f"step {argv[0]} failed with exit code {code}")

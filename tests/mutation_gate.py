@@ -39,8 +39,11 @@ node id is not found: its module failed to import), or runs past
 it; any other exit status, such as 5 (no test collected), is an error
 of the gate.
 
-The report on stdout lists each mutant as ``status file:line: old -> new
-in expression``. The exit status is 1 when a survivor is not in
+The report on stdout opens with the traced run's pytest summary, which
+names each test that failed under the tracer but shows no traceback,
+and a line naming the tests charged by their lines although they
+failed there. Then it lists each mutant as ``status file:line: old ->
+new in expression``. The exit status is 1 when a survivor is not in
 ``SURVIVORS``, an entry of ``SURVIVORS`` names no survivor, or pytest
 ends a mutant's run with an exit status that is neither a pass nor a
 kill.
@@ -269,11 +272,17 @@ def judge(mutant):
 
 def main():
     _, traced, scope = traced_run(
-        ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", f"--rootdir={ROOT}", str(ROOT / "tests")],
+        ["-q", "--tb=no", "-p", "no:cacheprovider", "--hypothesis-seed=0", f"--rootdir={ROOT}",
+         str(ROOT / "tests")],
         by_test=True,
     )
     if scope.failed:
         print(f"mutation gate: run on every mutant, as they failed under the tracer: {sorted(scope.failed)}")
+    if scope.asserted - scope.failed:
+        print(
+            "mutation gate: charged by their lines, as they failed under the tracer only at their "
+            f"own assertion: {sorted(scope.asserted - scope.failed)}"
+        )
     tests = charged(traced, scope.fixtures)
     order = list(scope.fixtures)  # collection order
     found = []

@@ -32,6 +32,7 @@ from ammknn.pipeline import (
 )
 from ammknn.preprocess import standardize_and_select
 from ammknn.report import build_report
+from make_golden import workflow
 from perfbench_module import load_perfbench
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -60,13 +61,11 @@ def criterion(number, name):
 CONFIG = PipelineConfig(target_name="t", id_column="id")  # pass at 350, tiers 350/375, validation 350/385
 
 
-def _report(pairs, predicted_bounds=CONFIG.tiers_predicted):
-    """The report on (actual, predicted) score pairs, as run_loocv builds it."""
-    actual = [a for a, _ in pairs]
-    predicted = [p for _, p in pairs]
-    ids = [str(i) for i in range(len(pairs))]
-    outliers = [0.0] * len(pairs)
-    return build_report("loocv", "m", CONFIG, ids, actual, predicted, predicted_bounds, outliers)
+def _report(pairs, kind="loocv"):
+    """The report on (actual, predicted) score pairs, as run_loocv builds
+    it, or of ``kind`` "validation" as run_validate does."""
+    rows = [(str(i), a, p, 0.0, None) for i, (a, p) in enumerate(pairs)]
+    return build_report(kind, "m", CONFIG, rows)
 
 
 def _binary_pairs(tp, fp, tn, fn):
@@ -125,7 +124,7 @@ def test_criterion_2_three_tier_accuracy():
     # predictions are cut at the wider 350/385 bands, so 380 is at risk
     counts = ((2, 2, 2), (0, 2, 3), (3, 2, 26))
     pairs = _tier_pairs(counts, at_risk_predicted=380.0)
-    matrix = _report(pairs, CONFIG.tiers_predicted_validation)["confusion_3x3"]
+    matrix = _report(pairs, kind="validation")["confusion_3x3"]
     assert matrix["counts"] == [list(row) for row in counts]
     assert sum(map(sum, matrix["counts"])) == 42
     assert [matrix["counts"][i][i] for i in range(3)] == [2, 2, 26]
@@ -391,18 +390,8 @@ def test_criterion_9_golden_files(tmp_path):
     out = str(tmp_path / "regen")
     spec_path = os.path.join(GOLDEN_DIR, "spec.json")
     config_path = os.path.join(GOLDEN_DIR, "config.json")
-    assert main(["synth", "--spec", spec_path, "--out", out]) == 0
-    assert main(["prepare", "--config", config_path,
-                 "--input", os.path.join(out, SYNTH_CSV), "--out", out]) == 0
-    assert main(["loocv", "--config", config_path,
-                 "--train", os.path.join(out, TRAIN_CSV), "--out", out]) == 0
-    assert main(["validate", "--config", config_path,
-                 "--train", os.path.join(out, TRAIN_CSV),
-                 "--cohort", os.path.join(out, VALIDATION_CSV), "--out", out]) == 0
-    assert main(["plot", "--report", os.path.join(out, VALIDATE_JSON),
-                 "--kind", "scatter", "--out", out]) == 0
-    assert main(["plot", "--report", os.path.join(out, VALIDATE_JSON),
-                 "--kind", "packrat_scatter", "--out", out]) == 0
+    for argv in workflow(spec_path, config_path, out):
+        assert main(argv) == 0, f"step {argv[0]} failed"
 
     seed7 = Path(GOLDEN_DIR) / "seed7"
     for name in GOLDEN_FILES:

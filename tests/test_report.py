@@ -15,13 +15,11 @@ from ammknn.errors import ConfigError
 from ammknn.report import _BLOCK, build_report, classify_tier, dump_json, write_json
 
 
-def report_of(actual, predicted, predicted_bounds=None, **config):
+def report_of(actual, predicted, **config):
     """The loocv-style report of paired actual and predicted scores."""
     config = PipelineConfig(target_name="t", id_column="id", **config)
-    return build_report(
-        "loocv", "m", config, [str(i) for i in range(len(actual))], actual, predicted,
-        predicted_bounds or config.tiers_predicted, [0.0] * len(actual),
-    )
+    rows = [(str(i), a, p, 0.0, None) for i, (a, p) in enumerate(zip(actual, predicted))]
+    return build_report("loocv", "m", config, rows)
 
 
 class TestClassify:
@@ -97,7 +95,7 @@ class TestConfusion2x2:
 class TestConfusion3x3:
     def test_perfect_predictions_diagonal(self):
         actual = [300.0, 360.0, 500.0, 290.0, 375.0, 400.0]
-        matrix = report_of(actual, actual, TierBoundaries(350, 375))["confusion_3x3"]
+        matrix = report_of(actual, actual, tiers_predicted=TierBoundaries(350, 375))["confusion_3x3"]
         assert matrix["counts"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
 
     def test_dual_boundary_sets(self):
@@ -105,8 +103,8 @@ class TestConfusion3x3:
         predicted = [380.0]
         narrow = TierBoundaries(350, 375)
         wide = TierBoundaries(350, 385)
-        cm_narrow = report_of(actual, predicted, narrow, tiers_actual=narrow)["confusion_3x3"]
-        cm_wide = report_of(actual, predicted, wide, tiers_actual=narrow)["confusion_3x3"]
+        cm_narrow = report_of(actual, predicted, tiers_predicted=narrow, tiers_actual=narrow)["confusion_3x3"]
+        cm_wide = report_of(actual, predicted, tiers_predicted=wide, tiers_actual=narrow)["confusion_3x3"]
         assert cm_narrow["counts"][1][2] == 1  # 380 > 375: predicted pass
         assert cm_wide["counts"][1][1] == 1  # 380 <= 385: predicted at_risk
 
@@ -115,7 +113,7 @@ class TestConfusion3x3:
         actual = [float(rng.randint(200, 800)) for _ in range(200)]
         predicted = [rng.uniform(200, 800) for _ in range(200)]
         bounds = TierBoundaries(350, 375)
-        report = report_of(actual, predicted, bounds, tiers_actual=bounds, pass_at=350.0)
+        report = report_of(actual, predicted, tiers_predicted=bounds, tiers_actual=bounds, pass_at=350.0)
         c = report["confusion_3x3"]["counts"]
         cm2 = report["confusion_2x2"]
         assert cm2["tp"] == c[0][0]
@@ -260,7 +258,7 @@ def test_tallies_match_a_naive_recount(pairs, pass_at, actual_bounds, predicted_
     actual = [a for a, _ in pairs]
     predicted = [p for _, p in pairs]
     report = report_of(
-        actual, predicted, TierBoundaries(*predicted_bounds), pass_at=pass_at,
+        actual, predicted, tiers_predicted=TierBoundaries(*predicted_bounds), pass_at=pass_at,
         tiers_actual=TierBoundaries(*actual_bounds), sweep_cutoffs=tuple(cutoffs),
     )
 
@@ -316,10 +314,9 @@ DOCUMENTS = st.recursive(
     max_leaves=12,
 )
 LIVE_REPORT = build_report(
-    "loocv", "m", PipelineConfig(target_name="t", id_column="id"),
-    [f"S{i}" for i in range(40)], [300.0 + 7.5 * i for i in range(40)],
-    [310.0 + 7.25 * i for i in range(40)], TierBoundaries(350.0, 385.0),
-    [-2.5 + 0.125 * i for i in range(40)], outlier_triggered=[i % 3 == 0 for i in range(40)],
+    "loocv", "m",
+    PipelineConfig(target_name="t", id_column="id", tiers_predicted=TierBoundaries(350.0, 385.0)),
+    [(f"S{i}", 300.0 + 7.5 * i, 310.0 + 7.25 * i, -2.5 + 0.125 * i, i % 3 == 0) for i in range(40)],
 )
 # asdict keeps the config's tuples, which must come out as arrays at their depth
 CONFIG = asdict(PipelineConfig(
