@@ -11,9 +11,10 @@ that lacks one is the only configuration fault raised here.
 what a ranking step reads: the tuple of feature cells, in the training
 table's feature order, the target and the id. ``read_table`` keeps
 those of a training table whole; ``validate`` and ``predict`` rank a
-cohort's records as they come and keep none. Which feature is the
-outlier feature is not known here: ``pipeline`` takes its cells from the
-rows. ``write_csv`` writes rows from any iterable, so neither
+cohort's records as they come and keep none, and refuse one whose id
+is a training id. Which feature is the outlier feature is not known
+here: ``pipeline`` takes its cells from the rows. ``write_csv`` writes
+rows from any iterable, so neither
 ``prepare`` nor ``synth`` holds a table it writes. ``_open_out`` is the
 one opener of an output; every path a step hands it is the temporary
 name under which ``pipeline`` writes an output before putting it in
@@ -56,7 +57,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import chain, islice
+import os
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -149,24 +151,25 @@ def _read_header(records, path, target_name: Optional[str], id_column: str):
     return header[:id_pos] + header[id_pos + 1:], id_pos
 
 
-def _records(fh, records, path, names: Sequence[str], id_pos: int, seen: dict) -> Iterator:
+def _records(records, path, names: Sequence[str], id_column: str, id_pos: int, seen: dict) -> Iterator:
     """(line, id, list of cells) for each record after the header, as
-    ``records`` reads them from ``fh``, adding its id to ``seen``; line is
-    the file line on which the record ends.
+    ``records`` reads them, adding its id to ``seen``; line is the file
+    line on which the record ends.
 
     A blank line (a record of no fields) holds no subject and is skipped.
     An empty id is refused, and so is an id that an earlier record holds.
     Only the ids seen are kept, as the keys of a dict, which is smaller
     than a set of them. A repeat names both lines: the earlier one is
-    found by reading ``fh`` again from its start. A file that cannot seek,
-    such as a pipe, cannot be read again, so its refusal names the later
-    line alone. A record whose cells all parse and whose norm,
-    ``math.hypot`` of the cells, is at most ``BOUND / 10`` costs one
-    C-level ``float`` pass and that one call; the margin covers hypot's
-    rounding, so no cell just past the bound gets through. Any other
-    record (an empty cell, other text, a non-finite value, a cell beyond
-    the bound, or cells within it whose norm is larger) is gone over cell
-    by cell, so its first unusable cell is named.
+    found by ``_line_of``, which reads the file again from its start. A
+    file that is not a regular one, such as a pipe, cannot be read again,
+    so its refusal names the later line alone. A record whose cells all
+    parse and whose norm, ``math.hypot`` of the cells, is at most
+    ``BOUND / 10`` costs one C-level ``float`` pass and that one call;
+    the margin covers hypot's rounding, so no cell just past the bound
+    gets through. Any other record (an empty cell, other text, a
+    non-finite value, a cell beyond the bound, or cells within it whose
+    norm is larger) is gone over cell by cell, so its first unusable cell
+    is named.
     """
     width = len(names) + 1
     for line, record in records:
@@ -178,9 +181,9 @@ def _records(fh, records, path, names: Sequence[str], id_pos: int, seen: dict) -
         known = len(seen)
         seen[rid] = None
         if len(seen) == known:  # a repeat adds no key
-            if not fh.seekable():
+            first = _line_of(path, id_column, rid)
+            if first is None:
                 raise DataError(f"{path}, line {line} has the same id {rid!r} as an earlier line")
-            first = _first_line(fh, path, id_pos, rid)
             raise DataError(f"{path}, lines {first} and {line} have the same id {rid!r}")
         if not rid:
             raise DataError(f"{path}, line {line}: empty id")
@@ -194,12 +197,17 @@ def _records(fh, records, path, names: Sequence[str], id_pos: int, seen: dict) -
         yield line, rid, cells
 
 
-def _first_line(fh, path, id_pos: int, rid: str) -> int:
-    """The file line of the first record whose id is ``rid``, read again
-    from the start of ``fh``, ``path`` opened as ``load_csv`` opens it."""
-    fh.seek(0)
-    records = islice(_split_lines(fh, path), 1, None)  # after the header
-    return next(line for line, record in records if record and record[id_pos] == rid)
+def _line_of(path, id_column: str, rid: str) -> Optional[int]:
+    """The file line of the first record whose id is ``rid`` in the CSV at
+    ``path``, whose id column is ``id_column``, read again from its start
+    as ``load_csv`` reads it; None for a file that cannot be read again,
+    such as a pipe."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = _split_lines(fh, path)
+        id_pos = next(records)[1].index(id_column)
+        return next(line for line, record in records if record and record[id_pos] == rid)
 
 
 class Shape(NamedTuple):
@@ -241,7 +249,7 @@ def load_csv(
     with fh:
         records = _split_lines(fh, path)
         names, id_pos = _read_header(records, path, target_name, id_column)
-        consume(names, _records(fh, records, path, names, id_pos, seen))
+        consume(names, _records(records, path, names, id_column, id_pos, seen))
     return Shape(len(seen), len(names))
 
 
@@ -267,6 +275,7 @@ def stream_table(
     consume: Callable[[tuple, Iterator], None],
     features: Optional[Sequence[str]] = None,
     scored: bool = True,
+    training: Optional[tuple] = None,
 ) -> Shape:
     """Read a prepared CSV table for a ranking step in one pass of
     ``load_csv``, handing each record to ``consume`` as it is parsed.
@@ -282,6 +291,11 @@ def stream_table(
     ``scored``: an unscored cohort may lack it or leave it blank. A
     missing cell among those kept is refused as its record is reached,
     so a refusal may come after ``consume`` has used earlier rows.
+    Given ``training``, the path and the ids of the training table, a
+    record whose id is a training id is refused as it is reached, at the
+    cost of one dict lookup (a cohort must hold no training student);
+    the training table is read again, to name the id's line there, only
+    when a record is refused.
     """
 
     def check(names: list, records: Iterator) -> None:
@@ -296,9 +310,14 @@ def stream_table(
         pick = _picker([names.index(n) for n in picked])
         t = names.index(target_name) if scored else None
         unread = None if scored else target_name
+        known = dict.fromkeys(training[1]) if training else {}
 
         def rows() -> Iterator:
             for line, rid, cells in records:
+                if rid in known:
+                    at = _line_of(training[0], id_column, rid)
+                    where = training[0] if at is None else f"{training[0]}, line {at}"
+                    raise DataError(f"{path}, line {line}: id {rid!r} is also a training student ({where})")
                 if None in cells:
                     for name, cell in zip(names, cells):
                         if cell is None and name != unread:

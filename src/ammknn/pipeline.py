@@ -20,7 +20,8 @@ a configured outlier feature.
 loocv: prepared training CSV -> adaptive and fixed-k evaluation reports.
 validate: prepared train + cohort CSVs -> adaptive report and tier roster.
 predict: train + unscored cohort -> prediction records as JSON lines.
-Both refuse a cohort whose feature columns are not the training table's.
+Both refuse a cohort whose feature columns are not the training table's,
+and one that holds a training student's id.
 synth/plot: generator and figure plumbing; synth writes each block of
 rows as it is drawn.
 
@@ -494,14 +495,16 @@ def _scored_cohort(
     one pass of ``frame.stream_table``. Its header must hold exactly the
     training table's feature columns, with or without the target: any
     other cohort, such as a raw one that still holds its year column, is
-    a ``DataError`` before the first record is read or scored. Then
-    ``consume`` is called once with an iterator of ``(id, target or None,
-    outlier value, the subject's tuple from knn.score)``: each record is
-    parsed, its cells are checked, and it is ranked as ``consume`` asks
-    for it, so nothing holds the cohort. A bad cell is refused when its
-    record is reached, after the subjects before it have been scored;
-    the step's outputs are put in place only once it has succeeded (see
-    ``_outputs``)."""
+    a ``DataError`` before the first record is read or scored. A record
+    whose id is a training id is refused as it is reached, naming its
+    line in both files: a student scored against their own past row
+    would flatter the evaluation. Then ``consume`` is called once with
+    an iterator of ``(id, target or None, outlier value, the subject's
+    tuple from knn.score)``: each record is parsed, its cells are
+    checked, and it is ranked as ``consume`` asks for it, so nothing
+    holds the cohort. A bad cell is refused when its record is reached,
+    after the subjects before it have been scored; the step's outputs
+    are put in place only once it has succeeded (see ``_outputs``)."""
     train, outlier, model = _read_training(config, train_path)
     at = train.features.index(outlier)
 
@@ -515,7 +518,8 @@ def _scored_cohort(
         consume((rid, target, row[at], result) for (rid, row, target), result in zip(entries, results))
 
     shape = stream_table(
-        cohort_path, config.target_name, config.id_column, rank, train.features, scored
+        cohort_path, config.target_name, config.id_column, rank, train.features, scored,
+        (train_path, train.ids),
     )
     return model, shape.n_rows
 

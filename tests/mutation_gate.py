@@ -114,7 +114,7 @@ SURVIVORS = {
         "rows long at the top sums; any block of at least limit rows gives a tu of at least "
         "tau (knn docstring, 'The window'), so a shorter one only widens W",
     ("preprocess.py", "squares <= n * (n * 2.0 ** -52 * mean) ** 2", "<= -> <"):
-        "_spread docstring: equal values sum to at most a quarter of the bound, or to 0.0 "
+        "_squares docstring: equal values sum to at most a quarter of the bound, or to 0.0 "
         "when the bound is 0.0, so no constant column lies at it and loses its scan",
     ("preprocess.py", "n * 2.0 ** -52", "* -> /"):
         "speed only, pass_s of prepare-wide: the bound grows by 2**104, so every column is "

@@ -586,6 +586,15 @@ REFUSALS = [
         case(step, 3, "{cohort}: feature columns differ from training: extra [], missing ['f05']",
              cohort=without("f05")),
     )),
+    # a student scored against their own past row: validate on train.csv as
+    # its own cohort reported sensitivity 1.000, where loocv gives 0.750
+    case("validate", 3, "{cohort}, line 2: id 'S001' is also a training student ({train}, line 2)",
+         cohort=lambda text: INPUTS["train"].read_text(encoding="utf-8")),
+    case("predict", 3, "{cohort}, line 4: id 'S003' is also a training student ({train}, line 4)",
+         cohort=cells("student_id", "S003", [2])),
+    # a pipe cannot be read again to find the training line
+    case("predict", 3, "{cohort}, line 4: id 'S003' is also a training student ({train})",
+         cohort=cells("student_id", "S003", [2]), train=piped(lambda text: text)),
     # the first float past the bound
     case("predict", 3, "{cohort}, line 2, column 'f01': value 1.0000000000000003e+50 beyond ±1e+50",
          cohort=cells("f01", "1.0000000000000003e50", [0])),

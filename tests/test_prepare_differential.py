@@ -7,6 +7,12 @@ streams the records into compact columns and works on them with shared
 sweeps; the two must write the same bytes and report the same counts, or
 refuse the same NaN, infinite or out-of-bound cell, at its file line,
 with the same message.
+
+The column pass alone, ``standardize_and_select`` and
+``_correlations``, is also checked against a naive two-pass reference
+on drawn columns, constant, tiny and at the bound among them: the same
+r, the same None, the same kept columns and z-scores, bit for bit, or
+the same refusal.
 """
 
 import csv
@@ -15,6 +21,7 @@ import json
 import math
 import random
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -24,6 +31,7 @@ from hypothesis import strategies as st
 from ammknn.config import PipelineConfig, _from_json
 from ammknn.errors import DataError
 from ammknn.pipeline import SELECTION_JSON, TRAIN_CSV, VALIDATION_CSV, run_prepare
+from ammknn.preprocess import _correlations, _spread, standardize_and_select
 
 CUTOFF = 2019.0
 AGGREGATIONS = [
@@ -381,3 +389,133 @@ def test_prepare_matches_naive_reference_across_blocks(exclude):
         assert summary[f"{side}_dropped_incomplete"] > 5
     assert summary["dropped_outside_years"] > 5
     assert summary["columns_dropped"] >= 1  # g_one: a dropped column crosses blocks too
+
+
+# cells of a drawn column: the bound, zeros of both signs, ordinary values,
+# and values whose squared deviations come near underflow (1e-160) or
+# underflow to 0.0 (1e-170)
+CELLS = [-1e50, -2.5, -0.0, 0.0, 1e-170, 2e-170, 1e-160, 3e-160, 0.1, 1 / 3, 444.3, 1e50]
+CELL = st.one_of(st.sampled_from(CELLS), st.floats(-1e50, 1e50, allow_nan=False))
+KINDS = st.sampled_from(["any"] * 9 + ["constant", "constant in training", "tiny"])
+
+
+@st.composite
+def column_tables(draw):
+    """(labels, training columns, validation columns, threshold): the
+    target ``t`` among one to four features, 2 to 8 training rows and 0 to
+    4 validation rows. Each column is drawn whole as one of: any cells;
+    one value throughout; one value in its training rows only; or small
+    multiples of 1e-160 or 1e-170."""
+    n, m = draw(st.integers(2, 8)), draw(st.integers(0, 4))
+
+    def column(kind):
+        if kind == "any":
+            cells = draw(st.lists(CELL, min_size=n + m, max_size=n + m))
+        elif kind == "constant":
+            cells = [draw(CELL)] * (n + m)
+        elif kind == "constant in training":
+            cells = [draw(CELL)] * n + draw(st.lists(CELL, min_size=m, max_size=m))
+        else:
+            scale = draw(st.sampled_from([1e-160, 1e-170]))
+            cells = [k * scale for k in draw(st.lists(st.integers(-3, 3), min_size=n + m, max_size=n + m))]
+        return cells[:n], cells[n:]
+
+    names = [f"x{j}" for j in range(draw(st.integers(1, 4)))]
+    names.insert(draw(st.integers(0, len(names))), "t")
+    sides = [column(draw(KINDS)) for _ in names]
+    return names, [a for a, _ in sides], [b for _, b in sides], draw(st.sampled_from([0.0, 0.3, 0.9]))
+
+
+def naive_r(x, y):
+    """``_pearson`` of ``x`` and ``y``, or None where r is undefined: one
+    side's values all equal, or its summed squares multiplying to 0.0."""
+    mx, my = _left(x) / len(x), _left(y) / len(y)
+    sxx = _left([(a - mx) * (a - mx) for a in x])
+    syy = _left([(b - my) * (b - my) for b in y])
+    if min(x) == max(x) or min(y) == max(y) or sxx * syy == 0.0:
+        return None
+    return _pearson(x, y)
+
+
+def naive_select(names, train, validation, threshold):
+    """(kept labels, dropped (label, r) pairs, each kept feature's two sides
+    of z-scores) from separate passes over the columns, or the message of
+    the refusal, in the order ``standardize_and_select`` refuses."""
+    y = train[names.index("t")]
+    z = {}
+    for name, a, b in zip(names, train, validation):
+        if name != "t":
+            pooled = a + b
+            mean = _left(pooled) / len(pooled)
+            sd = math.sqrt(_left([(v - mean) * (v - mean) for v in pooled]) / (len(pooled) - 1))
+            if min(pooled) == max(pooled) or sd == 0.0:
+                return f"column {name!r} has zero variance"
+            z[name] = ([(v - mean) / sd for v in a], [(v - mean) / sd for v in b])
+    my = _left(y) / len(y)
+    if min(y) == max(y):
+        return "target column 't' is constant"
+    if _left([(v - my) * (v - my) for v in y]) == 0.0:
+        return "target column 't' varies too little: its squared deviations underflow to 0.0"
+    rs = {name: naive_r(train_z, y) for name, (train_z, _) in z.items()}
+    for name, r in rs.items():
+        if r is None:
+            return (f"column {name!r} has no r with the target: it is constant, or nearly so, "
+                    "in the training rows")
+    kept = [name for name in names if name == "t" or abs(rs[name]) >= threshold]
+    dropped = [(name, r) for name, r in rs.items() if abs(r) < threshold]
+    return kept, dropped, {name: z[name] for name in kept if name != "t"}
+
+
+# n = 2, cells at the bound and -0.0 cells
+BOUND_PAIR = (["x0", "t", "x1"], [[1e50, -1e50], [300.0, 500.0], [-0.0, 1.0]], [[0.0], [400.0], [-0.0]], 0.3)
+# a constant column
+CONSTANT = (["t", "x0", "x1"], [[1.0, 2.0, 3.0], [0.1] * 3, [1.0, 0.0, 2.0]], [[4.0], [0.1], [1.0]], 0.0)
+# constant in its training rows only: every training z-score is 0.0
+CONSTANT_IN_TRAINING = (["x0", "t"], [[1.5] * 3, [300.0, 450.0, 350.0]], [[0.5, 2.5], [400.0, 410.0]], 0.0)
+# squared deviations near 1e-320, which keep a spread, beside a target
+# whose squared deviations underflow to 0.0
+TINY = (["x0", "x1", "t"], [[1e-160, 3e-160, 0.0], [1.0, 2.0, 4.0], [1e-170, 0.0, 2e-170]], [[], [], []], 0.3)
+TINY_KEPT = (["x0", "t"], [[1e-160, 3e-160, 0.0], [300.0, 500.0, 350.0]], [[-1e-160], [410.0]], 0.3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_tables())
+@example(BOUND_PAIR)
+@example(CONSTANT)
+@example(CONSTANT_IN_TRAINING)
+@example(TINY)
+@example(TINY_KEPT)
+def test_column_pass_matches_naive_reference(table):
+    # the same kept columns, r and z-scores, bit for bit, or the same refusal
+    names, train, validation, threshold = table
+    expected = naive_select(names, train, validation, threshold)
+    columns = [array("d", c) for c in train], [array("d", c) for c in validation]
+    target = columns[0][names.index("t")]
+    try:
+        selection = standardize_and_select(names, "t", *columns, threshold)
+    except DataError as exc:
+        assert str(exc) == expected
+        return
+    kept, dropped, z = expected
+    assert selection.kept_columns == tuple(kept)
+    assert repr(selection.dropped_columns) == repr(tuple(dropped))
+    assert columns[0][names.index("t")] is target
+    for j, name in enumerate(names):
+        if name in z:
+            assert repr((columns[0][j].tolist(), columns[1][j].tolist())) == repr(z[name])
+        elif name != "t":
+            assert columns[0][j] is None and columns[1][j] is None
+
+
+@given(column_tables())
+@example(BOUND_PAIR)
+@example(CONSTANT)
+@example(TINY)
+# both sides' squared deviations near 1e-320: their product underflows
+@example((["x0", "t"], [[1e-160, 3e-160, 0.0], [2e-160, 0.0, 1e-160]], [[], []], 0.0))
+def test_correlations_match_naive_reference(table):
+    # each column's r with the target, the target's own included, bit for
+    # bit, and None where the naive r is undefined
+    names, train, _, _ = table
+    y = train[names.index("t")]
+    assert repr(list(_correlations(train, _spread(y)))) == repr([naive_r(x, y) for x in train])

@@ -155,7 +155,7 @@ class TestEqualValues:
         mean, d, squares = _spread([value] * n)
         assert squares == 0.0
         # the deviations' own summed squares lie within the bound that
-        # makes _spread look for equal values
+        # makes _squares look for equal values
         assert left_sum(x * x for x in d) <= n * (n * 2.0 ** -52 * mean) ** 2
 
     def test_a_spread_within_the_bound_is_kept(self):
